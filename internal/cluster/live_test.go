@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -30,18 +31,7 @@ func liveFixture(t *testing.T) (*Cluster, *core.Classification, Loader) {
 	cl.MustAddClass(core.NewClass("QB", core.Read, 0.3, "b"))
 	cl.MustAddClass(core.NewClass("UA", core.Update, 0.2, "a"))
 	cl.MustAddClass(core.NewClass("UB", core.Update, 0.2, "b"))
-	alloc := core.NewAllocation(cl, core.UniformBackends(2))
-	alloc.AddFragments(0, "a", "b")
-	alloc.SetAssign(0, "QA", 0.3)
-	alloc.SetAssign(0, "QB", 0.15)
-	alloc.SetAssign(0, "UA", 0.2)
-	alloc.SetAssign(0, "UB", 0.2)
-	alloc.AddFragments(1, "b")
-	alloc.SetAssign(1, "QB", 0.15)
-	alloc.SetAssign(1, "UB", 0.2)
-	if err := alloc.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	alloc := partialAlloc(t, cl)
 	c, err := New(Config{Backends: core.UniformBackends(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +62,25 @@ func liveFixture(t *testing.T) (*Cluster, *core.Classification, Loader) {
 		t.Fatal(err)
 	}
 	return c, cl, loader
+}
+
+// partialAlloc is liveFixture's installed allocation: both tables on
+// backend 0, only b on backend 1.
+func partialAlloc(t *testing.T, cl *core.Classification) *core.Allocation {
+	t.Helper()
+	alloc := core.NewAllocation(cl, core.UniformBackends(2))
+	alloc.AddFragments(0, "a", "b")
+	alloc.SetAssign(0, "QA", 0.3)
+	alloc.SetAssign(0, "QB", 0.15)
+	alloc.SetAssign(0, "UA", 0.2)
+	alloc.SetAssign(0, "UB", 0.2)
+	alloc.AddFragments(1, "b")
+	alloc.SetAssign(1, "QB", 0.15)
+	alloc.SetAssign(1, "UB", 0.2)
+	if err := alloc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return alloc
 }
 
 // fullAlloc places both tables (and all four classes) on both backends.
@@ -258,6 +267,57 @@ func TestMigrateLiveUnderLoad(t *testing.T) {
 			t.Fatalf("replicas of %s diverged after live migration: %x vs %x", table, s0, s1)
 		}
 	}
+}
+
+// TestMigrateLiveClasslessReadsAcrossDrops: a request without a class —
+// ad hoc or through a prepared handle — is routed by its statement's
+// table references under the union schema of all backends, read while
+// live migrations add and drop replicas. Reading a backend's schema as
+// "list the names, then fetch each table" crashed when a cutover
+// dropped the table in between; it now comes from one published view.
+func TestMigrateLiveClasslessReadsAcrossDrops(t *testing.T) {
+	c, cl, loader := liveFixture(t)
+	prep, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 4`, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				if (i+w)%2 == 0 {
+					_, err = c.ExecPrepared(context.Background(), prep, nil)
+				} else {
+					_, err = c.Execute(workload.Request{SQL: `SELECT b_v FROM b WHERE b_id = 4`})
+				}
+				if err != nil {
+					t.Errorf("classless read failed mid-migration: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	opts := LiveOptions{BatchRows: 4, BatchPause: 100 * time.Microsecond}
+	for cycle := 0; cycle < 6 && !t.Failed(); cycle++ {
+		// Out: copy a to backend 1. Back: drop it there again.
+		if _, err := c.MigrateLive(fullAlloc(t, cl), loader, opts); err != nil {
+			t.Errorf("cycle %d, replicate: %v", cycle, err)
+		}
+		if _, err := c.MigrateLive(partialAlloc(t, cl), loader, opts); err != nil {
+			t.Errorf("cycle %d, drop: %v", cycle, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // tpcAppCluster builds an n-backend cluster with the TPC-App schema

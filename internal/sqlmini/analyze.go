@@ -37,13 +37,15 @@ type QueryInfo struct {
 // workload generators both provide one.
 type Schema map[string][]Column
 
-// SchemaOf extracts the schema of an engine.
+// SchemaOf extracts the schema of an engine. It reads one published
+// view, so the table set is consistent even while a live-migration
+// cutover drops tables concurrently.
 func SchemaOf(e *Engine) Schema {
-	s := make(Schema)
-	for _, name := range e.Tables() {
-		t := e.Table(name)
-		cols := make([]Column, len(t.Cols))
-		copy(cols, t.Cols)
+	v := e.loadView()
+	s := make(Schema, len(v.tables))
+	for name, tv := range v.tables {
+		cols := make([]Column, len(tv.t.Cols))
+		copy(cols, tv.t.Cols)
 		s[name] = cols
 	}
 	return s

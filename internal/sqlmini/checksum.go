@@ -57,15 +57,17 @@ func tableChecksumLocked(t *Table) uint64 {
 	}
 	sum := h.Sum64()
 	var rows uint64
-	for _, r := range t.rows {
-		rh := fnv.New64a()
-		for _, v := range r {
-			rh.Write([]byte(v.key()))
-			rh.Write([]byte{0xff})
+	for k := 0; k < t.rows.runs(); k++ {
+		for _, r := range t.rows.run(k) {
+			rh := fnv.New64a()
+			for _, v := range r {
+				rh.Write([]byte(v.key()))
+				rh.Write([]byte{0xff})
+			}
+			rows += rh.Sum64() // modular addition: order-independent
 		}
-		rows += rh.Sum64() // modular addition: order-independent
 	}
 	// Mix in the row count so {r, r} vs {r} with a colliding sum still
 	// differ, and combine with the schema hash.
-	return sum ^ rows ^ (uint64(len(t.rows)) * 0x9e3779b97f4a7c15)
+	return sum ^ rows ^ (uint64(t.rows.len()) * 0x9e3779b97f4a7c15)
 }

@@ -11,25 +11,27 @@ import (
 // Table is an in-memory row store with an optional primary-key hash
 // index.
 type Table struct {
-	Name    string
-	Cols    []Column
-	colIdx  map[string]int
-	pkCol   int // -1 when no primary key
-	rows    []Row
-	pk      map[string]int // pk key() -> row index
-	indexes []*secondaryIndex
+	Name      string
+	Cols      []Column
+	colIdx    map[string]int
+	pkCol     int // -1 when no primary key
+	rows      rowStore
+	pk        pkIndex // pk key() -> row position
+	indexCols []int   // secondary-indexed columns, in creation order
 
-	// Copy-on-write bookkeeping (see view.go). rowsShared/pkShared
-	// report whether the current rows header / pk map is still shared
-	// with a published read view; view caches the tableView cut at the
-	// last publish (nil once the table is touched in a new epoch).
-	rowsShared bool
-	pkShared   bool
-	view       *tableView
+	// Publication bookkeeping (see view.go). view is the tableView cut
+	// at the last publish; touched reports any change since then. moved
+	// (a row was added or changed position) and changed (per column: a
+	// stored value changed) say which of that view's lazily built
+	// secondary indexes and NDV estimates the next view may inherit.
+	view    *tableView
+	touched bool
+	moved   bool
+	changed []bool
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
-	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols)), pkCol: -1}
+	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols)), pkCol: -1, changed: make([]bool, len(cols))}
 	for i, c := range cols {
 		if _, dup := t.colIdx[c.Name]; dup {
 			return nil, fmt.Errorf("sqlmini: duplicate column %q in table %q", c.Name, name)
@@ -42,14 +44,11 @@ func newTable(name string, cols []Column) (*Table, error) {
 			t.pkCol = i
 		}
 	}
-	if t.pkCol >= 0 {
-		t.pk = make(map[string]int)
-	}
 	return t, nil
 }
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.rows.len() }
 
 // ColumnIndex returns the index of a column, or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -67,8 +66,56 @@ func (t *Table) PrimaryKey() string {
 	return t.Cols[t.pkCol].Name
 }
 
-// appendRow validates and stores a row.
-func (t *Table) appendRow(r Row) error {
+// insertRows validates, coerces (in place — the caller hands over rows
+// it owns) and stores rows in order, stopping at the first row that
+// fails: the rows before it stay inserted, as with one INSERT per row.
+// It returns how many went in. This is the one insert path: a SQL
+// INSERT, BulkInsert and Restore all land here, so every batch fills
+// the row store and the pk shards it touches once, pre-sized.
+func (t *Table) insertRows(rows []Row) (int, error) {
+	var err error
+	for i, r := range rows {
+		if cerr := t.coerceRow(r); cerr != nil {
+			rows, err = rows[:i], cerr
+			break
+		}
+	}
+	n, dupErr := t.storeRows(rows)
+	if dupErr != nil {
+		err = dupErr
+	}
+	return n, err
+}
+
+// storeRows indexes and appends rows that already have the table's
+// types, never writing them. It stops before the first row whose pk is
+// taken and returns how many went in.
+func (t *Table) storeRows(rows []Row) (int, error) {
+	if len(rows) == 0 {
+		return 0, nil
+	}
+	var err error
+	if t.pkCol >= 0 {
+		keys := make([]string, len(rows))
+		for i, r := range rows {
+			keys[i] = r[t.pkCol].key()
+		}
+		var n int
+		t.pk, n = t.pk.insertAll(keys, t.rows.len())
+		if n < len(rows) {
+			rows, err = rows[:n], fmt.Errorf("sqlmini: duplicate primary key %s in table %q", rows[n][t.pkCol], t.Name)
+		}
+	}
+	if len(rows) > 0 {
+		t.rows = t.rows.append(rows)
+		t.touched, t.moved = true, true
+	}
+	return len(rows), err
+}
+
+// coerceRow checks a row's arity and coerces its values to the column
+// types in place.
+func (t *Table) coerceRow(r Row) error {
 	if len(r) != len(t.Cols) {
 		return fmt.Errorf("sqlmini: table %q expects %d values, got %d", t.Name, len(t.Cols), len(r))
 	}
@@ -79,15 +126,18 @@ func (t *Table) appendRow(r Row) error {
 		}
 		r[i] = v
 	}
-	if t.pkCol >= 0 {
-		k := r[t.pkCol].key()
-		if _, dup := t.pk[k]; dup {
-			return fmt.Errorf("sqlmini: duplicate primary key %s in table %q", r[t.pkCol], t.Name)
-		}
-		t.pk[k] = len(t.rows)
-	}
-	t.rows = append(t.rows, r)
 	return nil
+}
+
+// rebuild replaces the table's contents with rows (already valid, pk
+// unique): DELETE's compaction moves every later row, so the row store
+// and the pk index are filled from scratch.
+func (t *Table) rebuild(rows []Row) {
+	t.rows, t.pk = rowStore{}, pkIndex{}
+	t.touched, t.moved = true, true
+	if _, err := t.storeRows(rows); err != nil {
+		panic("sqlmini: rebuilding " + t.Name + " from its own rows: " + err.Error())
+	}
 }
 
 // DataBytes approximates the stored size of the table in bytes (used by
@@ -102,7 +152,7 @@ func (t *Table) DataBytes() int64 {
 			per += 8
 		}
 	}
-	return per * int64(len(t.rows))
+	return per * int64(t.rows.len())
 }
 
 // Engine is an embedded single-node database instance. It is safe for
@@ -246,15 +296,13 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	defer e.publishLocked()
 	e.dirty = true
-	t.prepareInsert()
-	for _, r := range rows {
-		cp := make(Row, len(r))
-		copy(cp, r)
-		if err := t.appendRow(cp); err != nil {
-			return err
-		}
+	// insertRows coerces in place; the caller keeps its rows.
+	own := make([]Row, len(rows))
+	for i, r := range rows {
+		own[i] = append(Row(nil), r...)
 	}
-	return nil
+	_, err := t.insertRows(own)
+	return err
 }
 
 // DataBytes approximates the total stored bytes across all tables.

@@ -607,33 +607,51 @@ func (e *Engine) execInsert(st *InsertStmt) (*Result, error) {
 		}
 	}
 	ctx := &evalCtx{}
-	res := &Result{}
-	t.prepareInsert()
+	// Evaluate every VALUES row, then store them in one batch. A row
+	// that fails to evaluate ends the statement after the rows before
+	// it went in, exactly as if each row were appended as it was built.
+	rows := make([]Row, 0, len(st.Rows))
+	var evalErr error
 	for _, exprs := range st.Rows {
-		if len(exprs) != len(colIdx) {
-			return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
+		row, err := evalInsertRow(exprs, colIdx, len(t.Cols), ctx)
+		if err != nil {
+			evalErr = err
+			break
 		}
-		row := make(Row, len(t.Cols))
-		for i := range row {
-			row[i] = Null
-		}
-		for i, ex := range exprs {
-			be, err := bind(ex, &binder{}) // no columns available in VALUES
-			if err != nil {
-				return nil, err
-			}
-			v, err := eval(be, ctx)
-			if err != nil {
-				return nil, err
-			}
-			row[colIdx[i]] = v
-		}
-		if err := t.appendRow(row); err != nil {
+		rows = append(rows, row)
+	}
+	n, err := t.insertRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	if evalErr != nil {
+		return nil, evalErr
+	}
+	return &Result{Affected: n}, nil
+}
+
+// evalInsertRow builds one stored row from a VALUES tuple: the listed
+// columns from their expressions, every other column NULL.
+func evalInsertRow(exprs []Expr, colIdx []int, width int, ctx *evalCtx) (Row, error) {
+	if len(exprs) != len(colIdx) {
+		return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
+	}
+	row := make(Row, width)
+	for i := range row {
+		row[i] = Null
+	}
+	for i, ex := range exprs {
+		be, err := bind(ex, &binder{}) // no columns available in VALUES
+		if err != nil {
 			return nil, err
 		}
-		res.Affected++
+		v, err := eval(be, ctx)
+		if err != nil {
+			return nil, err
+		}
+		row[colIdx[i]] = v
 	}
-	return res, nil
+	return row, nil
 }
 
 // execUpdate runs an UPDATE. Caller holds the write lock.
@@ -672,68 +690,79 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	res := &Result{}
 	ctx := &evalCtx{}
 
-	apply := func(idx int) error {
-		// Copy-on-write: unshare the header slice, then replace the
-		// touched row with a private copy before assigning into it — the
-		// original Row may still back a published read view.
-		t.prepareMutate()
-		nr := make(Row, len(t.rows[idx]))
-		copy(nr, t.rows[idx])
+	// Matched rows are rewritten as private copies (the stored Row may
+	// back a published view) and collected; the row store takes them in
+	// one replace at the end, copying each touched chunk once. The pk
+	// index is persistent, so a pk-changing row updates it right away
+	// and the uniqueness check of the next row sees it.
+	var idxs []int
+	var news []Row
+	apply := func(idx int, old Row) error {
+		nr := make(Row, len(old))
+		copy(nr, old)
 		ctx.row = nr
 		for _, s := range sets {
 			v, err := eval(s.expr, ctx)
 			if err != nil {
 				return err
 			}
-			cv, err := coerce(v, t.Cols[s.col].Type)
-			if err != nil {
+			if nr[s.col], err = coerce(v, t.Cols[s.col].Type); err != nil {
 				return err
 			}
-			if s.col == t.pkCol {
-				old := nr[s.col].key()
-				nk := cv.key()
-				if nk != old {
-					if _, dup := t.pk[nk]; dup {
-						return fmt.Errorf("sqlmini: duplicate primary key %s", cv)
-					}
-					delete(t.pk, old)
-					t.pk[nk] = idx
-				}
-			}
-			nr[s.col] = cv
 		}
-		t.rows[idx] = nr
-		res.Affected++
+		if t.pkCol >= 0 && nr[t.pkCol] != old[t.pkCol] {
+			if ok, nk := old[t.pkCol].key(), nr[t.pkCol].key(); nk != ok {
+				if _, dup := t.pk.get(nk); dup {
+					return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
+				}
+				t.pk = t.pk.del(ok).set(nk, idx)
+			}
+		}
+		for _, s := range sets {
+			if nr[s.col] != old[s.col] {
+				t.changed[s.col] = true
+			}
+		}
+		idxs = append(idxs, idx)
+		news = append(news, nr)
 		return nil
 	}
-
-	// Fast path: WHERE pk = literal.
+	// A failing row ends the statement; the rows before it stay updated.
 	if v, ok := pkLookup(st.Where, t, st.Table); ok {
+		// Fast path: WHERE pk = literal.
 		res.Scanned++
-		if idx, hit := t.pk[v.key()]; hit {
-			if err := apply(idx); err != nil {
-				return nil, err
+		if idx, hit := t.pk.get(v.key()); hit {
+			err = apply(idx, t.rows.at(idx))
+		}
+	} else {
+	scan:
+		for k := 0; k < t.rows.runs(); k++ {
+			for j, r := range t.rows.run(k) {
+				res.Scanned++
+				if where != nil {
+					ctx.row = r
+					var v Value
+					if v, err = eval(where, ctx); err != nil {
+						break scan
+					}
+					if !v.Truth() {
+						continue
+					}
+				}
+				if err = apply(k*rowChunkLen+j, r); err != nil {
+					break scan
+				}
 			}
 		}
-		return res, nil
 	}
-
-	for idx := range t.rows {
-		res.Scanned++
-		if where != nil {
-			ctx.row = t.rows[idx]
-			v, err := eval(where, ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truth() {
-				continue
-			}
-		}
-		if err := apply(idx); err != nil {
-			return nil, err
-		}
+	if len(idxs) > 0 {
+		t.rows = t.rows.replace(idxs, news)
+		t.touched = true
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.Affected = len(idxs)
 	return res, nil
 }
 
@@ -755,33 +784,31 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 	}
 	res := &Result{}
 	ctx := &evalCtx{}
-	// Copy-on-write: unshare the header slice before compacting it in
-	// place (published views keep the original headers).
-	t.prepareMutate()
-	kept := t.rows[:0]
-	for _, r := range t.rows {
-		res.Scanned++
-		del := true
-		if where != nil {
-			ctx.row = r
-			v, err := eval(where, ctx)
-			if err != nil {
-				return nil, err
+	kept := make([]Row, 0, t.rows.len())
+	for k := 0; k < t.rows.runs(); k++ {
+		for _, r := range t.rows.run(k) {
+			res.Scanned++
+			del := true
+			if where != nil {
+				ctx.row = r
+				v, err := eval(where, ctx)
+				if err != nil {
+					return nil, err
+				}
+				del = v.Truth()
 			}
-			del = v.Truth()
-		}
-		if del {
-			res.Affected++
-		} else {
-			kept = append(kept, r)
+			if del {
+				res.Affected++
+			} else {
+				kept = append(kept, r)
+			}
 		}
 	}
-	t.rows = kept
-	if t.pkCol >= 0 {
-		t.pk = make(map[string]int, len(t.rows))
-		for i, r := range t.rows {
-			t.pk[r[t.pkCol].key()] = i
-		}
+	// Compaction moves every row behind a deleted one, so a DELETE that
+	// hit anything refills the table; one that hit nothing changes
+	// nothing.
+	if res.Affected > 0 {
+		t.rebuild(kept)
 	}
 	return res, nil
 }

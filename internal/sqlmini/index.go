@@ -5,20 +5,23 @@ import (
 	"sync"
 )
 
-// secondaryIndex is a hash index over one column, built lazily per
-// read view: the Table holds the index definitions (col only), and
-// each published tableView carries its own instances whose buckets are
-// built from the view's immutable rows on the first indexed lookup.
-// This favors the CDBS read patterns (long read phases between
-// reallocation-driven reloads) without complicating the write path.
-// The index's own mutex serializes the lazy build among concurrent
-// readers of the same view.
+// secondaryIndex is a hash index over one column, built lazily on the
+// first indexed lookup from the rows of the view doing the lookup. The
+// Table holds only the definitions (indexCols); the instances hang off
+// the published tableViews. A new view shares its predecessor's
+// instance — built or not — whenever the writes in between added or
+// moved no row and changed no stored value of the column (cutView), so
+// the buckets are the same whichever of the sharing views builds them;
+// otherwise it starts a fresh, dirty one. This favors the CDBS read
+// patterns (long read phases, updates that leave the indexed columns
+// alone) without putting index maintenance on the write path. The
+// index's own mutex serializes the lazy build among concurrent readers.
 //
-//qcpa:lazycache idempotent rebuild from the view's immutable rows, serialized by mu
+//qcpa:lazycache idempotent build from immutable rows, serialized by mu; shared only by views whose rows yield identical buckets
 type secondaryIndex struct {
 	mu      sync.Mutex
 	col     int
-	buckets map[string][]int // value key -> row indices
+	buckets map[string][]int // value key -> row positions
 	dirty   bool
 }
 
@@ -40,16 +43,16 @@ func (e *Engine) CreateIndex(table, column string) error {
 	if ci == t.pkCol {
 		return fmt.Errorf("sqlmini: column %q is the primary key (already indexed)", column)
 	}
-	for _, idx := range t.indexes {
-		if idx.col == ci {
+	for _, col := range t.indexCols {
+		if col == ci {
 			return fmt.Errorf("sqlmini: column %q already indexed", column)
 		}
 	}
-	t.indexes = append(t.indexes, &secondaryIndex{col: ci, dirty: true})
+	t.indexCols = append(t.indexCols, ci)
 	// Republish so the new index definition reaches readers: views cut
 	// before this point simply scan. Cached plans chose their access
 	// paths without this index, so drop them too.
-	t.view = nil
+	t.touched = true
 	e.dirty = true
 	e.InvalidatePlans()
 	e.publishLocked()
@@ -64,18 +67,26 @@ func (e *Engine) Indexes(table string) []string {
 	if !ok {
 		return nil
 	}
-	out := make([]string, 0, len(t.indexes))
-	for _, idx := range t.indexes {
-		out = append(out, t.Cols[idx.col].Name)
+	out := make([]string, 0, len(t.indexCols))
+	for _, col := range t.indexCols {
+		out = append(out, t.Cols[col].Name)
 	}
 	return out
 }
 
-// lookupIndex returns the matching row indices for column = v via a
-// secondary index, building this view's buckets on first use. The
-// boolean reports whether an index on that column exists. The view's
-// rows are immutable, so the buckets are built exactly once; the index
-// mutex serializes that build among concurrent readers of the view.
+// hasIndex reports whether the view carries a secondary index on col.
+func (tv *tableView) hasIndex(col int) bool {
+	for _, idx := range tv.indexes {
+		if idx.col == col {
+			return true
+		}
+	}
+	return false
+}
+
+// lookupIndex returns the matching row positions for column = v via a
+// secondary index, building the buckets from this view's rows on first
+// use. The boolean reports whether an index on that column exists.
 func (tv *tableView) lookupIndex(col int, v Value) ([]int, bool) {
 	for _, idx := range tv.indexes {
 		if idx.col != col {
@@ -83,10 +94,12 @@ func (tv *tableView) lookupIndex(col int, v Value) ([]int, bool) {
 		}
 		idx.mu.Lock()
 		if idx.dirty {
-			idx.buckets = make(map[string][]int, len(tv.rows))
-			for i, r := range tv.rows {
-				k := r[col].key()
-				idx.buckets[k] = append(idx.buckets[k], i)
+			idx.buckets = make(map[string][]int, tv.rows.len())
+			for k := 0; k < tv.rows.runs(); k++ {
+				for j, r := range tv.rows.run(k) {
+					key := r[col].key()
+					idx.buckets[key] = append(idx.buckets[key], k*rowChunkLen+j)
+				}
 			}
 			idx.dirty = false
 		}

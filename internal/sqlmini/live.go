@@ -38,13 +38,16 @@ func WriteTable(st Statement) string {
 	return ""
 }
 
-// CloneTable returns a deep copy of a table's schema and rows. The copy
-// is cut under the engine's read lock, so it is a consistent snapshot
-// relative to concurrent writes; rows are copied (execUpdate mutates
-// rows in place), so the caller may hold the result while the engine
-// keeps serving. This is the live migration's transport: the source
-// backend's applier cuts the clone at an exact position in the global
-// update order.
+// CloneTable returns a table's schema and its rows at one point in the
+// update order. The copy is cut under the engine's read lock, so it is
+// a consistent snapshot relative to concurrent writes, and the caller
+// may hold it while the engine keeps serving: the slice is the
+// caller's, while the Rows in it are the stored ones — the engine never
+// writes a stored Row (UPDATE replaces it with a copy), and the caller
+// must not either. BulkInsert copies what it is given, so handing the
+// result to another engine is safe. This is the live migration's
+// transport: the source backend's applier cuts the clone at an exact
+// position in the global update order.
 func (e *Engine) CloneTable(name string) ([]Column, []Row, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -54,11 +57,5 @@ func (e *Engine) CloneTable(name string) ([]Column, []Row, error) {
 	}
 	cols := make([]Column, len(t.Cols))
 	copy(cols, t.Cols)
-	rows := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		cp := make(Row, len(r))
-		copy(cp, r)
-		rows[i] = cp
-	}
-	return cols, rows, nil
+	return cols, t.rows.flat(), nil
 }

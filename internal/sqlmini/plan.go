@@ -39,6 +39,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -318,9 +319,9 @@ type conjunct struct {
 	mask uint64 // bitmask of textual table indices referenced
 
 	// Equi-join shape: tblL.colL = tblR.colR across two tables.
-	isEquiJoin             bool
-	eqLTable, eqLCol       int
-	eqRTable, eqRCol       int
+	isEquiJoin       bool
+	eqLTable, eqLCol int
+	eqRTable, eqRCol int
 
 	// Single-table constant shape and selectivity class.
 	kind     predKind
@@ -466,7 +467,7 @@ func popcount(m uint64) int {
 // a single-table conjunct. The constants are coarse on purpose: the
 // planner only needs relative magnitudes good enough to order joins.
 func conjunctSelectivity(c conjunct, tv *tableView) float64 {
-	n := float64(len(tv.rows))
+	n := float64(tv.rows.len())
 	if n < 1 {
 		n = 1
 	}
@@ -716,7 +717,7 @@ func (p *selectPlan) drifted(v *readView) bool {
 		if !ok {
 			return true
 		}
-		cur, old := len(tv.rows), p.scans[i].planRows
+		cur, old := tv.rows.len(), p.scans[i].planRows
 		if cur < planDriftMinRows && old < planDriftMinRows {
 			continue
 		}
@@ -1004,21 +1005,14 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 				if cj.kind != predEqConst {
 					continue
 				}
-				indexed := false
-				for _, idx := range t.indexes {
-					if idx.col == cj.constCol {
-						indexed = true
-						break
-					}
-				}
-				if indexed {
+				if r.tv.hasIndex(cj.constCol) {
 					choice = accessChoice{kind: accessIdxEq, keyCol: cj.constCol, keyExpr: cj.constVal}
 					consumed = ci
 					break
 				}
 			}
 		}
-		card := float64(len(r.tv.rows))
+		card := float64(r.tv.rows.len())
 		if card < 1 {
 			card = 1
 		}
@@ -1088,7 +1082,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 			access:   ac.kind,
 			keyCol:   ac.keyCol,
 			keyExpr:  ac.keyExpr,
-			planRows: len(r.tv.rows),
+			planRows: r.tv.rows.len(),
 		}
 		lb := &binder{}
 		lb.addTable(r.alias, r.tv.t)
@@ -1273,9 +1267,9 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	return p.finish(ctx, rows, params, res)
 }
 
-// scan produces the (filtered) base rows of one table from a view. The
-// returned slice may alias the view's row slice when no filtering
-// applies; callers never mutate result rows.
+// scan produces the (filtered) base rows of one table from a view. With
+// no filter the result is the view's own shared slice (allRows);
+// callers never write the slice or the rows in it.
 func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res *Result) ([]Row, error) {
 	ec := &evalCtx{params: params}
 	switch s.access {
@@ -1288,11 +1282,11 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 		if kv.IsNull() {
 			return nil, nil // pk = NULL matches nothing
 		}
-		idx, hit := tv.pk[kv.key()]
-		if !hit || idx >= len(tv.rows) {
+		idx, hit := tv.pk.get(kv.key())
+		if !hit {
 			return nil, nil
 		}
-		return s.applyFilter(ctx, []Row{tv.rows[idx]}, params, res)
+		return s.filterOwned(ctx, []Row{tv.rows.at(idx)}, ec)
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, ec)
 		if err != nil {
@@ -1303,44 +1297,59 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 		}
 		if matches, indexed := tv.lookupIndex(s.keyCol, kv); indexed {
 			res.Scanned += int64(len(matches))
-			out := make([]Row, 0, len(matches))
-			for _, ri := range matches {
-				out = append(out, tv.rows[ri])
+			hits := make([]Row, len(matches))
+			for i, ri := range matches {
+				hits[i] = tv.rows.at(ri)
 			}
-			return s.applyFilter(ctx, out, params, res)
+			return s.filterOwned(ctx, hits, ec)
 		}
 		// The view predates the index (pinned snapshot): scan, applying
 		// the consumed equality with the index's key semantics.
-		res.Scanned += int64(len(tv.rows))
+		res.Scanned += int64(tv.rows.len())
 		kk := kv.key()
-		out := make([]Row, 0, 16)
-		for i, r := range tv.rows {
-			if i%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+		hits := make([]Row, 0, 16)
+		for k := 0; k < tv.rows.runs(); k++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for _, r := range tv.rows.run(k) {
+				if r[s.keyCol].key() == kk {
+					hits = append(hits, r)
 				}
 			}
-			if r[s.keyCol].key() == kk {
-				out = append(out, r)
+		}
+		return s.filterOwned(ctx, hits, ec)
+	default:
+		res.Scanned += int64(tv.rows.len())
+		if len(s.filter) == 0 {
+			return tv.allRows(), nil
+		}
+		var out []Row
+		for k := 0; k < tv.rows.runs(); k++ {
+			var err error
+			if out, err = s.appendFiltered(ctx, out, tv.rows.run(k), ec); err != nil {
+				return nil, err
 			}
 		}
-		return s.applyFilter(ctx, out, params, res)
-	default:
-		res.Scanned += int64(len(tv.rows))
-		if len(s.filter) == 0 {
-			return tv.rows, nil
-		}
-		return s.applyFilter(ctx, tv.rows, params, res)
+		return out, nil
 	}
 }
 
-// applyFilter keeps the rows passing every pushed-down conjunct.
-func (s *scanNode) applyFilter(ctx context.Context, rows []Row, params []Value, res *Result) ([]Row, error) {
+// filterOwned filters a slice this scan built, in place.
+func (s *scanNode) filterOwned(ctx context.Context, rows []Row, ec *evalCtx) ([]Row, error) {
 	if len(s.filter) == 0 {
 		return rows, nil
 	}
-	ec := &evalCtx{params: params}
-	out := make([]Row, 0, len(rows))
+	return s.appendFiltered(ctx, rows[:0], rows, ec)
+}
+
+// appendFiltered appends to dst the rows passing every pushed-down
+// conjunct (all of them when there is none). dst may be rows[:0]:
+// filtering in place never overtakes the read position.
+func (s *scanNode) appendFiltered(ctx context.Context, dst, rows []Row, ec *evalCtx) ([]Row, error) {
+	if len(s.filter) == 0 {
+		return append(dst, rows...), nil
+	}
 	for i, r := range rows {
 		if i%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -1360,10 +1369,10 @@ func (s *scanNode) applyFilter(ctx context.Context, rows []Row, params []Value, 
 			}
 		}
 		if keep {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // joinKey renders the composite hash key of a row over the given
@@ -1490,6 +1499,11 @@ func (j *joinNode) join(ctx context.Context, left, right []Row, params []Value, 
 // joined rows — the pre-bound successor of the old finishSelect.
 func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res *Result) error {
 	groupMode := len(p.aggs) > 0 || len(p.groupBy) > 0
+	// A LIMIT with nothing downstream that needs every row (grouping,
+	// DISTINCT, ORDER BY) takes the first rows: project only those.
+	if !groupMode && !p.distinct && len(p.orderBy) == 0 && p.limit >= 0 && len(rows) > p.limit {
+		rows = rows[:p.limit]
+	}
 
 	var outRows []Row
 	var orderInputs []Row // input (or group sample) row per output row
@@ -1523,6 +1537,8 @@ func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res
 		}
 	} else {
 		ec := &evalCtx{params: params}
+		outRows = make([]Row, 0, len(rows))
+		orderInputs = rows // one output row per input row, in order
 		for ri, r := range rows {
 			if ri%cancelCheckRows == 0 {
 				if err := ctx.Err(); err != nil {
@@ -1539,14 +1555,14 @@ func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res
 				or[i] = v
 			}
 			outRows = append(outRows, or)
-			orderInputs = append(orderInputs, r)
 		}
 	}
 
 	if p.distinct {
 		seen := make(map[string]bool, len(outRows))
 		kept := outRows[:0]
-		keptIn := orderInputs[:0]
+		// orderInputs may be a view's shared slice: compact into a new one.
+		keptIn := make([]Row, 0, len(orderInputs))
 		for i, r := range outRows {
 			var sb strings.Builder
 			for _, v := range r {
@@ -1565,47 +1581,115 @@ func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res
 	}
 
 	if len(p.orderBy) > 0 {
-		type keyed struct {
-			row  Row
-			keys []Value
-		}
-		ks := make([]keyed, len(outRows))
-		ec := &evalCtx{params: params}
-		for i, r := range outRows {
-			ks[i] = keyed{row: r, keys: make([]Value, len(p.orderBy))}
-			for oi, spec := range p.orderBy {
-				if spec.outIdx >= 0 {
-					ks[i].keys[oi] = r[spec.outIdx]
-					continue
-				}
-				ec.row = orderInputs[i]
-				v, err := eval(spec.expr, ec)
-				if err != nil {
-					return err
-				}
-				ks[i].keys[oi] = v
-			}
-		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			for oi, spec := range p.orderBy {
-				c := Compare(ks[i].keys[oi], ks[j].keys[oi])
-				if c != 0 {
-					if spec.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range ks {
-			outRows[i] = ks[i].row
+		var err error
+		if outRows, err = p.order(outRows, orderInputs, params); err != nil {
+			return err
 		}
 	}
-
 	if p.limit >= 0 && len(outRows) > p.limit {
 		outRows = outRows[:p.limit]
 	}
 	res.Rows = outRows
 	return nil
+}
+
+// sortItem is one output row with its evaluated ORDER BY keys and its
+// position in the unsorted output.
+type sortItem struct {
+	row  Row
+	keys []Value
+	pos  int
+}
+
+// topRows keeps the best rows seen so far under an ORDER BY, as a
+// max-heap with the worst on top once it is full.
+type topRows struct {
+	specs []orderSpec
+	items []sortItem
+}
+
+// cmp orders two items by the ORDER BY keys, then by position: a total
+// order, so any correct sort yields the one stable result.
+func (h *topRows) cmp(a, b *sortItem) int {
+	for oi, spec := range h.specs {
+		if c := Compare(a.keys[oi], b.keys[oi]); c != 0 {
+			if spec.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return a.pos - b.pos
+}
+
+func (h *topRows) siftDown(i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h.items); c++ {
+			if h.cmp(&h.items[c], &h.items[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h.items[i], h.items[worst] = h.items[worst], h.items[i]
+		i = worst
+	}
+}
+
+// order sorts the output rows by the ORDER BY keys, ties in input
+// order, and returns the first LIMIT of them (all without a LIMIT).
+// Under a LIMIT k only the best k rows seen so far are kept, so the
+// sort costs O(n log k) and k key slices, not n.
+func (p *selectPlan) order(outRows, inputs []Row, params []Value) ([]Row, error) {
+	keep := len(outRows)
+	if p.limit >= 0 && p.limit < keep {
+		keep = p.limit
+	}
+	nk := len(p.orderBy)
+	h := &topRows{specs: p.orderBy, items: make([]sortItem, 0, keep)}
+	keySlab := make([]Value, keep*nk)
+	ec := &evalCtx{params: params}
+	cand := sortItem{keys: make([]Value, nk)}
+	for i, r := range outRows {
+		for oi, spec := range p.orderBy {
+			if spec.outIdx >= 0 {
+				cand.keys[oi] = r[spec.outIdx]
+				continue
+			}
+			ec.row = inputs[i]
+			v, err := eval(spec.expr, ec)
+			if err != nil {
+				return nil, err
+			}
+			cand.keys[oi] = v
+		}
+		cand.row, cand.pos = r, i
+		if len(h.items) < keep {
+			it := sortItem{row: r, keys: keySlab[len(h.items)*nk:][:nk:nk], pos: i}
+			copy(it.keys, cand.keys)
+			h.items = append(h.items, it)
+			if len(h.items) == keep && keep < len(outRows) {
+				for top := keep/2 - 1; top >= 0; top-- {
+					h.siftDown(top)
+				}
+			}
+			continue
+		}
+		// Full: a later row with equal keys sorts after the heap's worst
+		// (larger position), so only a strictly better row displaces it.
+		if keep == 0 || h.cmp(&cand, &h.items[0]) >= 0 {
+			continue
+		}
+		copy(h.items[0].keys, cand.keys)
+		h.items[0].row, h.items[0].pos = r, i
+		h.siftDown(0)
+	}
+	slices.SortFunc(h.items, func(a, b sortItem) int { return h.cmp(&a, &b) })
+	outRows = outRows[:len(h.items)]
+	for i := range h.items {
+		outRows[i] = h.items[i].row
+	}
+	return outRows, nil
 }

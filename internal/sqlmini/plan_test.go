@@ -384,13 +384,14 @@ func TestNDVEstimate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, Row{Int(int64(i)), Int(int64(i % 7))})
 	}
-	if got := estimateNDV(rows, 0); got != float64(n) {
+	store := rowStore{}.append(rows)
+	if got := estimateNDV(store, 0); got != float64(n) {
 		t.Fatalf("key-like ndv = %v, want %d", got, n)
 	}
-	if got := estimateNDV(rows, 1); got != 7 {
+	if got := estimateNDV(store, 1); got != 7 {
 		t.Fatalf("category ndv = %v, want 7", got)
 	}
-	if got := estimateNDV(nil, 0); got != 1 {
+	if got := estimateNDV(rowStore{}, 0); got != 1 {
 		t.Fatalf("empty ndv = %v, want 1", got)
 	}
 }

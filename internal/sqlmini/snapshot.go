@@ -37,7 +37,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		t := e.tables[n]
-		st := snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows}
+		st := snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows.flat()}
 		snap.Tables = append(snap.Tables, st)
 	}
 	return gob.NewEncoder(w).Encode(&snap)
@@ -55,7 +55,7 @@ func (e *Engine) SnapshotTables(w io.Writer, tables []string) error {
 		if !ok {
 			return unknownTableError(n)
 		}
-		snap.Tables = append(snap.Tables, snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows})
+		snap.Tables = append(snap.Tables, snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows.flat()})
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -83,12 +83,9 @@ func (e *Engine) Restore(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		for _, row := range st.Rows {
-			cp := make(Row, len(row))
-			copy(cp, row)
-			if err := t.appendRow(cp); err != nil {
-				return fmt.Errorf("sqlmini: restoring %q: %w", st.Name, err)
-			}
+		// The decoded rows are this call's own: hand them over as they are.
+		if _, err := t.insertRows(st.Rows); err != nil {
+			return fmt.Errorf("sqlmini: restoring %q: %w", st.Name, err)
 		}
 		e.tables[st.Name] = t
 		e.dirty = true

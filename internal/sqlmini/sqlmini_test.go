@@ -3,6 +3,8 @@ package sqlmini
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,52 @@ func TestOrderByMultiKeyAndLimit(t *testing.T) {
 	}
 }
 
+// TestOrderLimitMatchesStableSort: under every LIMIT the ordered result
+// is the prefix of a stable sort of all rows — ties in scan order —
+// whether the rows went through the bounded heap (LIMIT below the row
+// count) or the plain sort, and a bare LIMIT takes the first rows.
+func TestOrderLimitMatchesStableSort(t *testing.T) {
+	const n = 300
+	e := New()
+	mustExec(t, e, `CREATE TABLE s (id INT PRIMARY KEY, a INT, b INT)`)
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(rng.Intn(5))), Int(int64(rng.Intn(4)))}
+	}
+	if err := e.BulkInsert("s", rows); err != nil {
+		t.Fatal(err)
+	}
+	// ORDER BY a DESC, b (b is not projected: evaluated on the input row).
+	want := append([]Row(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i][1].I != want[j][1].I {
+			return want[i][1].I > want[j][1].I
+		}
+		return want[i][2].I < want[j][2].I
+	})
+	ids := func(rs []Row) []int64 {
+		out := make([]int64, len(rs))
+		for i, r := range rs {
+			out[i] = r[0].I
+		}
+		return out
+	}
+	for _, k := range []int{0, 1, 2, 7, n - 1, n, n + 5} {
+		got := mustExec(t, e, fmt.Sprintf(`SELECT id, a FROM s ORDER BY a DESC, b LIMIT %d`, k)).Rows
+		if w := ids(want[:min(k, n)]); !reflect.DeepEqual(ids(got), w) {
+			t.Fatalf("LIMIT %d:\n got %v\nwant %v", k, ids(got), w)
+		}
+		got = mustExec(t, e, fmt.Sprintf(`SELECT id FROM s LIMIT %d`, k)).Rows
+		if w := ids(rows[:min(k, n)]); !reflect.DeepEqual(ids(got), w) {
+			t.Fatalf("bare LIMIT %d:\n got %v\nwant %v", k, ids(got), w)
+		}
+	}
+	if got := mustExec(t, e, `SELECT id FROM s ORDER BY a DESC, b`).Rows; !reflect.DeepEqual(ids(got), ids(want)) {
+		t.Fatalf("no LIMIT:\n got %v\nwant %v", ids(got), ids(want))
+	}
+}
+
 func TestUpdate(t *testing.T) {
 	e := newTestDB(t)
 	r := mustExec(t, e, `UPDATE item SET stock = stock - 10 WHERE id = 1`)
@@ -408,6 +456,43 @@ func TestLikeMatch(t *testing.T) {
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.s, c.p, got)
+		}
+	}
+}
+
+// TestSchemaOfDuringDrop: SchemaOf must see a consistent table set
+// while tables come and go (a live-migration cutover drops tables under
+// classless routing). It used to list the names and then fetch each
+// table under separate lock holds, dereferencing nil for a table
+// dropped in between.
+func TestSchemaOfDuringDrop(t *testing.T) {
+	e := newTestDB(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3000; i++ {
+			if _, err := e.Exec(`CREATE TABLE tmp (id INT PRIMARY KEY, v INT)`); err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			if _, err := e.Exec(`DROP TABLE tmp`); err != nil {
+				t.Errorf("drop: %v", err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		s := SchemaOf(e)
+		if len(s["item"]) != 4 || len(s["orders"]) != 4 {
+			t.Fatalf("schema lost a stable table: %v", s)
+		}
+		if cols, ok := s["tmp"]; ok && len(cols) != 2 {
+			t.Fatalf("schema of tmp = %v", cols)
 		}
 	}
 }

@@ -5,17 +5,19 @@ package sqlmini
 
 // Per-view table statistics for the query planner (plan.go).
 //
-// Statistics are maintained "incrementally as epochs publish" by riding
-// the copy-on-write views: publishLocked reuses the previous tableView
-// for every table the epoch did not touch, so an untouched table keeps
-// its computed statistics across any number of epochs, while a touched
-// table gets a fresh view — and therefore fresh (lazily recomputed)
-// statistics — at the moment its data changes. No separate invalidation
-// protocol is needed.
+// Statistics ride the published views: publishLocked reuses the
+// previous tableView for every table the epoch did not touch, so an
+// untouched table keeps its computed statistics across any number of
+// epochs. A touched table gets a fresh view (cutView) whose statistics
+// start from the previous view's estimates for exactly the columns the
+// writes could not have moved — no row added or repositioned, no stored
+// value of the column changed — and are recomputed lazily for the rest.
+// No separate invalidation protocol is needed.
 //
 // Estimates are deterministic: the sample is a prefix of the view's
-// immutable row slice, so the same data always yields the same numbers
-// regardless of timing, worker count, or map-iteration order.
+// immutable rows, and an estimate is inherited only when recomputing it
+// would give the same number, so the same data always yields the same
+// numbers regardless of timing, worker count, or map-iteration order.
 
 import "sync"
 
@@ -29,7 +31,7 @@ const statsSampleRows = 2048
 // the view's column col, computed lazily and cached on the view. The
 // result is always >= 1.
 func (tv *tableView) ndvEstimate(col int) float64 {
-	n := len(tv.rows)
+	n := tv.rows.len()
 	if n == 0 {
 		return 1
 	}
@@ -54,23 +56,38 @@ func (tv *tableView) ndvEstimate(col int) float64 {
 // immutable tableView. The mutex serializes the lazy fill among
 // concurrent readers of the same view, mirroring secondaryIndex.
 //
-//qcpa:lazycache deterministic lazy fill from immutable rows, serialized by mu
+//qcpa:lazycache deterministic lazy fill from immutable rows, serialized by mu; a successor view copies the still-valid entries
 type tableStats struct {
 	mu  sync.Mutex
 	ndv []float64 // per column; 0 = not yet computed
 }
 
+// unchanged returns a copy of the computed estimates with the changed
+// columns' entries cleared: what a successor view over the same row
+// positions may start from. Nil when nothing has been computed.
+func (s *tableStats) unchanged(changed []bool) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ndv == nil {
+		return nil
+	}
+	out := make([]float64, len(s.ndv))
+	for col, v := range s.ndv {
+		if !changed[col] {
+			out[col] = v
+		}
+	}
+	return out
+}
+
 // estimateNDV counts distinct values in a deterministic prefix sample
 // and extrapolates to the full row count.
-func estimateNDV(rows []Row, col int) float64 {
-	n := len(rows)
-	sample := n
-	if sample > statsSampleRows {
-		sample = statsSampleRows
-	}
+func estimateNDV(rows rowStore, col int) float64 {
+	n := rows.len()
+	sample := min(n, statsSampleRows)
 	seen := make(map[string]struct{}, sample)
 	for i := 0; i < sample; i++ {
-		seen[rows[i][col].key()] = struct{}{}
+		seen[rows.at(i)[col].key()] = struct{}{}
 	}
 	d := len(seen)
 	if d < 1 {

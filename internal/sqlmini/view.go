@@ -3,36 +3,50 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 )
 
-// This file implements copy-on-write snapshot reads. The engine keeps,
-// next to its mutable tables, an immutable "read view": an
-// epoch-versioned map of per-table snapshots published atomically after
-// every committed mutation (or once per group-committed round, see
-// ApplyRound). SELECT executes lock-free against the latest published
-// view; writers clone shared state on first touch per epoch, so a
-// published snapshot is never mutated after it becomes visible.
+// This file implements snapshot reads. The engine keeps, next to its
+// tables, an immutable "read view": an epoch-versioned map of per-table
+// snapshots published atomically after every committed mutation (or
+// once per group-committed round, see ApplyRound). SELECT executes
+// lock-free against the latest published view; a published snapshot is
+// never written after it becomes visible.
 //
 // Sharing discipline (the whole correctness argument lives here):
 //
-//   - tableView.rows is a slice header cut from the writer's row slab.
-//     Pure INSERTs may keep appending to the shared backing array —
-//     readers never index past their own header's length — but any
-//     operation that rewrites existing headers (UPDATE, DELETE) must
-//     first clone the header slice (Table.prepareMutate).
+//   - A table's rows and pk index are persistent values (storage.go):
+//     a write builds a new rowStore / pkIndex that shares every node it
+//     did not touch with the previous one, and installs it on the Table.
+//     A tableView is a copy of those two values cut at publish time, so
+//     publishing copies nothing and a view pins exactly the nodes its
+//     epoch could reach.
+//   - Nodes are written only while being built, before any view or
+//     table version can reach them: sealed row chunks, pk directories
+//     and the shard maps they own are immutable afterwards. UPDATE
+//     copies the spine and the chunk (or tail) it rewrites; a pk write
+//     copies the root, one directory and one shard; an UPDATE that
+//     assigns no pk column leaves the index alone.
+//   - The one in-place write is INSERT's: it appends to the tail slab
+//     and to the spine beyond the lengths every existing view was cut
+//     with. Readers are bounded by their own lengths, and a table's
+//     history is linear (one writer, each version replaces the last),
+//     so no two versions ever claim the same free slot.
 //   - Row contents are shared across epochs, so UPDATE copies the
 //     touched row before assigning into it (never writes through a
 //     possibly-published Row).
-//   - tableView.pk is shared until the writer needs to change it; any
-//     pk mutation (including INSERT) clones the map first
-//     (Table.prepareInsert / prepareMutate).
 //   - Schema (Cols, colIdx, pkCol) is immutable after CREATE TABLE, so
-//     views reference the live *Table for binding.
+//     views reference the live *Table for binding. Everything else on
+//     the Table belongs to the writer.
 //
-// Secondary indexes are rebuilt per view (lazily, on first indexed
-// lookup) from the view's own immutable rows; the definitions live on
-// the Table, the buckets on the view.
+// Secondary indexes, NDV estimates and the flattened header slice are
+// lazily built caches hanging off a view (index.go, tablestats.go,
+// flatRows below). A table the epoch did not touch keeps its view,
+// caches included. A touched table gets a new view that
+// inherits each built cache the round provably left valid — no row
+// added or moved, and no stored value of that column changed — and
+// starts the others empty.
 
 // readView is one immutable published snapshot of the whole engine.
 //
@@ -47,11 +61,34 @@ type readView struct {
 //qcpa:published immutable once reachable from a published readView
 type tableView struct {
 	t       *Table // schema only — never touch t.rows/t.pk through this
-	rows    []Row
-	pk      map[string]int
-	indexes []*secondaryIndex
-	stats   tableStats // lazily filled planner statistics (tablestats.go)
+	rows    rowStore
+	pk      pkIndex
+	indexes []*secondaryIndex // one per indexed column, in creation order
+	stats   tableStats        // lazily filled planner statistics (tablestats.go)
+	flat    flatRows          // lazily flattened row headers (allRows)
 }
+
+// flatRows caches a view's row headers as one slice, for the scans that
+// return the whole table: joins and projection consume flat slices, and
+// a read-mostly table is scanned many times per view.
+//
+//qcpa:lazycache built once from the view's immutable rows, serialized by once
+type flatRows struct {
+	once sync.Once
+	rows []Row
+}
+
+// allRows returns every row of the view in position order. The slice is
+// shared by all readers of the view and must not be written.
+func (tv *tableView) allRows() []Row {
+	if len(tv.rows.chunks) == 0 {
+		return tv.rows.tail // under one chunk the store is already flat
+	}
+	tv.flat.once.Do(tv.flatten)
+	return tv.flat.rows
+}
+
+func (tv *tableView) flatten() { tv.flat.rows = tv.rows.flat() }
 
 // emptyView backs reads against an engine that has never published
 // (zero-value engines constructed without New).
@@ -65,12 +102,24 @@ func (e *Engine) loadView() *readView {
 	return emptyView
 }
 
-// newTableView snapshots a table's current state. Caller holds e.mu.
-func newTableView(t *Table) *tableView {
-	tv := &tableView{t: t, rows: t.rows, pk: t.pk}
-	for _, def := range t.indexes {
-		tv.indexes = append(tv.indexes, &secondaryIndex{col: def.col, dirty: true})
+// cutView snapshots the table's current state, inheriting from the
+// previous view every cache the writes since then left valid, and
+// resets the change tracking. Caller holds e.mu.
+func (t *Table) cutView() *tableView {
+	prev := t.view
+	tv := &tableView{t: t, rows: t.rows, pk: t.pk, indexes: make([]*secondaryIndex, len(t.indexCols))}
+	for i, col := range t.indexCols {
+		if prev != nil && i < len(prev.indexes) && !t.moved && !t.changed[col] {
+			tv.indexes[i] = prev.indexes[i]
+		} else {
+			tv.indexes[i] = &secondaryIndex{col: col, dirty: true}
+		}
 	}
+	if prev != nil && !t.moved {
+		tv.stats.ndv = prev.stats.unchanged(t.changed)
+	}
+	t.touched, t.moved = false, false
+	clear(t.changed)
 	return tv
 }
 
@@ -85,43 +134,12 @@ func (e *Engine) publishLocked() {
 	e.epochSeq++
 	nv := &readView{epoch: e.epochSeq, tables: make(map[string]*tableView, len(e.tables))}
 	for name, t := range e.tables {
-		tv := t.view
-		if tv == nil {
-			tv = newTableView(t)
-			t.view = tv
-			t.rowsShared = true
-			t.pkShared = true
+		if t.view == nil || t.touched {
+			t.view = t.cutView()
 		}
-		nv.tables[name] = tv
+		nv.tables[name] = t.view
 	}
 	e.view.Store(nv)
-}
-
-// prepareInsert readies a table for row appends in the current epoch:
-// the pk map gets cloned if a published view still shares it. Appends
-// themselves are safe against shared row slabs (readers are bounded by
-// their own header length).
-func (t *Table) prepareInsert() {
-	if t.pkShared && t.pk != nil {
-		np := make(map[string]int, len(t.pk))
-		for k, v := range t.pk {
-			np[k] = v
-		}
-		t.pk = np
-		t.pkShared = false
-	}
-	t.view = nil
-}
-
-// prepareMutate readies a table for header rewrites (UPDATE/DELETE):
-// clones the row-header slice and the pk map if a published view still
-// shares them. Idempotent and cheap after the first touch per epoch.
-func (t *Table) prepareMutate() {
-	if t.rowsShared {
-		t.rows = append([]Row(nil), t.rows...)
-		t.rowsShared = false
-	}
-	t.prepareInsert()
 }
 
 // Epoch returns the engine's current published epoch. It starts at 0

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -186,5 +188,346 @@ func TestPinnedViewIsImmutable(t *testing.T) {
 	live := mustExec(t, e, `SELECT name FROM item`)
 	if len(live.Rows) != 4 { // 4 - 1 deleted + 1 inserted
 		t.Fatalf("live read got %d rows, want 4", len(live.Rows))
+	}
+}
+
+// propModel is the property test's oracle: the table's rows in position
+// order (id, grp, val, tag), maintained beside the engine by the same
+// operations. INSERT appends, UPDATE rewrites in place, DELETE compacts
+// keeping order — the engine's observable scan order.
+type propModel struct {
+	rows   []Row
+	absent []int64 // ids of the universe not currently stored
+}
+
+func (m *propModel) pos(id int64) int {
+	for i, r := range m.rows {
+		if r[0].I == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *propModel) clone() []Row {
+	out := make([]Row, len(m.rows))
+	for i, r := range m.rows {
+		out[i] = append(Row(nil), r...)
+	}
+	return out
+}
+
+// takeAbsent removes and returns a random id not in the table.
+func (m *propModel) takeAbsent(rng *rand.Rand) int64 {
+	i := rng.Intn(len(m.absent))
+	id := m.absent[i]
+	m.absent[i] = m.absent[len(m.absent)-1]
+	m.absent = m.absent[:len(m.absent)-1]
+	return id
+}
+
+const (
+	propGroups = 8
+	propVals   = 40
+)
+
+// step picks one random write, applies it to the model and returns its
+// SQL. Every kind of write the storage distinguishes is in the mix: a
+// tail append, a one-row rewrite of an unindexed and of an indexed
+// column, a rewrite that changes nothing, a multi-row rewrite spanning
+// chunks, a pk change (two shard writes), and compacting DELETEs.
+func (m *propModel) step(rng *rand.Rand) string {
+	present := func() Row { return m.rows[rng.Intn(len(m.rows))] }
+	switch k := rng.Intn(20); {
+	case k < 5 || len(m.rows) < 4:
+		id := m.takeAbsent(rng)
+		r := Row{Int(id), Int(int64(rng.Intn(propGroups))), Int(int64(rng.Intn(propVals))), Text(fmt.Sprintf("t%d", id))}
+		m.rows = append(m.rows, r)
+		return fmt.Sprintf(`INSERT INTO p VALUES (%d, %d, %d, '%s')`, id, r[1].I, r[2].I, r[3].S)
+	case k < 9:
+		r, v := present(), int64(rng.Intn(propVals))
+		r[2] = Int(v)
+		return fmt.Sprintf(`UPDATE p SET val = %d WHERE id = %d`, v, r[0].I)
+	case k < 11:
+		r, g := present(), int64(rng.Intn(propGroups))
+		r[1] = Int(g)
+		return fmt.Sprintf(`UPDATE p SET grp = %d WHERE id = %d`, g, r[0].I)
+	case k < 13:
+		return fmt.Sprintf(`UPDATE p SET tag = tag WHERE id = %d`, present()[0].I)
+	case k < 15:
+		g := int64(rng.Intn(propGroups))
+		for _, r := range m.rows {
+			if r[1].I == g {
+				r[2] = Int(r[2].I + 1)
+			}
+		}
+		return fmt.Sprintf(`UPDATE p SET val = val + 1 WHERE grp = %d`, g)
+	case k < 17:
+		r, nid := present(), m.takeAbsent(rng)
+		m.absent = append(m.absent, r[0].I)
+		sql := fmt.Sprintf(`UPDATE p SET id = %d WHERE id = %d`, nid, r[0].I)
+		r[0] = Int(nid)
+		return sql
+	case k < 19:
+		id := present()[0].I
+		i := m.pos(id)
+		m.rows = append(m.rows[:i], m.rows[i+1:]...)
+		m.absent = append(m.absent, id)
+		return fmt.Sprintf(`DELETE FROM p WHERE id = %d`, id)
+	default:
+		g, v := int64(rng.Intn(propGroups)), int64(rng.Intn(propVals))
+		kept := m.rows[:0]
+		for _, r := range m.rows {
+			if r[1].I == g && r[2].I < v {
+				m.absent = append(m.absent, r[0].I)
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		m.rows = kept
+		return fmt.Sprintf(`DELETE FROM p WHERE grp = %d AND val < %d`, g, v)
+	}
+}
+
+// checkAgainst compares every answer query can give about table p —
+// the full scan, a pk probe of every id of the universe, an index probe
+// of every grp and val value — with the oracle rows.
+func checkAgainst(t *testing.T, what string, query func(string) (*Result, error), want []Row, universe int64) {
+	t.Helper()
+	ask := func(sql string) []Row {
+		t.Helper()
+		r, err := query(sql)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", what, sql, err)
+		}
+		return r.Rows
+	}
+	same := func(sql string, got, want []Row) {
+		t.Helper()
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s: %s\n got %v\nwant %v", what, sql, got, want)
+		}
+	}
+	sql := `SELECT id, grp, val, tag FROM p`
+	same(sql, ask(sql), want)
+	byID := make(map[int64]Row, len(want))
+	for _, r := range want {
+		byID[r[0].I] = r
+	}
+	for id := int64(0); id < universe; id++ {
+		var exp []Row
+		if r, ok := byID[id]; ok {
+			exp = []Row{r}
+		}
+		sql := fmt.Sprintf(`SELECT id, grp, val, tag FROM p WHERE id = %d`, id)
+		same(sql, ask(sql), exp)
+	}
+	probe := func(col string, ci int, v int64) {
+		t.Helper()
+		var exp []Row
+		for _, r := range want {
+			if r[ci].I == v {
+				exp = append(exp, Row{r[0]})
+			}
+		}
+		sql := fmt.Sprintf(`SELECT id FROM p WHERE %s = %d`, col, v)
+		same(sql, ask(sql), exp)
+	}
+	for g := int64(0); g < propGroups; g++ {
+		probe("grp", 1, g)
+	}
+	for v := int64(0); v < propVals; v += 3 {
+		probe("val", 2, v)
+	}
+}
+
+// TestSharedStorageProperty drives random rounds of every kind of write
+// against a table whose size sits on a chunk boundary, pinning a View
+// with a deep copy of the oracle every few rounds. Afterwards every
+// pinned view must still answer exactly as its oracle did when it was
+// cut — no later write may have reached a node it shares — and the live
+// engine must equal an engine rebuilt from scratch from the final rows.
+// Readers run against the engine throughout, so under -race any write
+// to memory a published view can reach is reported.
+func TestSharedStorageProperty(t *testing.T) {
+	const rounds = 48
+	for _, n := range []int{7, rowChunkLen - 1, rowChunkLen, rowChunkLen + 1, 2*rowChunkLen + 3} {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			universe := int64(n + 4*rounds)
+			e := New()
+			mustExec(t, e, `CREATE TABLE p (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)`)
+			m := &propModel{}
+			for id := int64(0); id < universe; id++ {
+				if id < int64(n) {
+					m.rows = append(m.rows, Row{Int(id), Int(id % propGroups), Int(id % propVals), Text(fmt.Sprintf("t%d", id))})
+				} else {
+					m.absent = append(m.absent, id)
+				}
+			}
+			if err := e.BulkInsert("p", m.rows); err != nil {
+				t.Fatal(err)
+			}
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rrng := rand.New(rand.NewSource(seed))
+					for n := 0; !stop.Load(); n++ {
+						if n%8 == 0 { // the whole table: ids stay unique
+							res, err := e.Exec(`SELECT id FROM p`)
+							if err != nil {
+								t.Errorf("reader: %v", err)
+								return
+							}
+							seen := make(map[int64]bool, len(res.Rows))
+							for _, row := range res.Rows {
+								if seen[row[0].I] {
+									t.Errorf("reader: full scan returned id %d twice", row[0].I)
+									return
+								}
+								seen[row[0].I] = true
+							}
+						}
+						g := int64(rrng.Intn(propGroups))
+						res, err := e.Exec(fmt.Sprintf(`SELECT id, grp FROM p WHERE grp = %d`, g))
+						if err != nil {
+							t.Errorf("reader: %v", err)
+							return
+						}
+						for _, row := range res.Rows {
+							if row[1].I != g {
+								t.Errorf("reader: grp probe %d returned row %v", g, row)
+								return
+							}
+						}
+						id := rrng.Int63n(universe)
+						res, err = e.Exec(fmt.Sprintf(`SELECT id, tag FROM p WHERE id = %d`, id))
+						if err != nil || len(res.Rows) > 1 || (len(res.Rows) == 1 && res.Rows[0][0].I != id) {
+							t.Errorf("reader: pk probe %d returned %v, %v", id, res, err)
+							return
+						}
+					}
+				}(int64(r))
+			}
+
+			type pin struct {
+				round int
+				view  View
+				want  []Row
+			}
+			var pins []pin
+			for round := 0; round < rounds; round++ {
+				switch round {
+				case 2:
+					if err := e.CreateIndex("p", "grp"); err != nil {
+						t.Fatal(err)
+					}
+				case rounds / 2:
+					if err := e.CreateIndex("p", "val"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var stmts []Statement
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					sql := m.step(rng)
+					st, err := Parse(sql)
+					if err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					stmts = append(stmts, st)
+				}
+				for i, res := range e.ApplyRound(stmts) {
+					if res.Err != nil {
+						t.Fatalf("round %d stmt %d: %v", round, i, res.Err)
+					}
+				}
+				if round%4 == 0 {
+					pins = append(pins, pin{round, e.AcquireView(), m.clone()})
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+
+			for _, p := range pins {
+				p := p
+				checkAgainst(t, fmt.Sprintf("view pinned after round %d", p.round),
+					func(sql string) (*Result, error) { return e.QueryView(p.view, sql) }, p.want, universe)
+			}
+			checkAgainst(t, "live engine", e.Exec, m.rows, universe)
+
+			fresh := New()
+			mustExec(t, fresh, `CREATE TABLE p (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)`)
+			if err := fresh.BulkInsert("p", m.rows); err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range []string{"grp", "val"} {
+				if err := fresh.CreateIndex("p", col); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAgainst(t, "rebuilt engine", fresh.Exec, m.rows, universe)
+			got, err := e.TableChecksum("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.TableChecksum("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("live checksum %x differs from a from-scratch rebuild's %x", got, want)
+			}
+		})
+	}
+}
+
+// TestPKIndexShardCollision works one shard of the pk index: keys that
+// hash to the same shard are added, moved and removed across versions,
+// and every earlier version must keep answering as it did.
+func TestPKIndexShardCollision(t *testing.T) {
+	a0, b0 := pkSlot(Int(0).key())
+	keys := []string{Int(0).key()}
+	for i := int64(1); len(keys) < 5; i++ {
+		if a, b := pkSlot(Int(i).key()); a == a0 && b == b0 {
+			keys = append(keys, Int(i).key())
+		}
+	}
+	other := Int(1).key() // some other shard
+	expect := func(p pkIndex, name string, want map[string]int) {
+		t.Helper()
+		for _, k := range append(keys, other) {
+			got, ok := p.get(k)
+			w, wok := want[k]
+			if ok != wok || got != w {
+				t.Fatalf("%s: get(%q) = %d, %v; want %d, %v", name, k, got, ok, w, wok)
+			}
+		}
+	}
+	v0, n := pkIndex{}.insertAll([]string{keys[0], other, keys[1], keys[2]}, 10)
+	if n != 4 {
+		t.Fatalf("insertAll stopped at %d", n)
+	}
+	w0 := map[string]int{keys[0]: 10, other: 11, keys[1]: 12, keys[2]: 13}
+	v1 := v0.del(keys[1])
+	w1 := map[string]int{keys[0]: 10, other: 11, keys[2]: 13}
+	v2 := v1.set(keys[3], 20).set(keys[0], 21)
+	w2 := map[string]int{keys[0]: 21, other: 11, keys[2]: 13, keys[3]: 20}
+	// A batch with two keys for the shard and a duplicate of a stored
+	// key: everything before the duplicate goes in, nothing after.
+	v3, n := v2.insertAll([]string{keys[1], keys[4], keys[2], other}, 30)
+	if n != 2 {
+		t.Fatalf("insertAll with a duplicate stopped at %d, want 2", n)
+	}
+	w3 := map[string]int{keys[0]: 21, other: 11, keys[2]: 13, keys[3]: 20, keys[1]: 30, keys[4]: 31}
+	expect(v0, "v0", w0)
+	expect(v1, "v1", w1)
+	expect(v2, "v2", w2)
+	expect(v3, "v3", w3)
+	if _, n := v3.insertAll([]string{"x", "y", "x"}, 0); n != 2 {
+		t.Fatalf("a key repeated inside the batch was accepted (stopped at %d)", n)
 	}
 }

@@ -81,9 +81,12 @@ bench-smoke:
 # bench-planner runs the two planner acceptance micros at real
 # benchtime with -benchmem (join ordering must beat textual order;
 # a plan-cache hit must allocate less than half of a cold build —
-# the ratio is pinned by TestPlanCacheHitAllocations).
+# the ratio is pinned by TestPlanCacheHitAllocations), then the
+# executor's: one pass of the 19 TPC-H templates at SF 0.01, whose
+# B/op is what the joins' intermediates cost.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/bench/
+	$(GO) test -bench TPCHPass -benchmem -run '^$$' ./internal/sqlmini/
 
 # bench-wire compares the wire protocols at equal admission limits —
 # the same rotating point-query load through v1 newline-JSON, v2 binary

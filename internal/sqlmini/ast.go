@@ -52,6 +52,11 @@ type Agg struct {
 	Func     string // upper-case
 	E        Expr   // nil for COUNT(*)
 	Distinct bool
+
+	// slot is the node's position among its plan's aggregates, set on
+	// the plan's own bound copy (collectAggs): where eval finds the
+	// group's value for it.
+	slot int
 }
 
 func (*Lit) isExpr()     {}

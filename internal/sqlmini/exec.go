@@ -3,61 +3,63 @@ package sqlmini
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
-// binder resolves column references against the joined row layout of a
-// query: a flat slice of slots, one per (table alias, column).
+// binder resolves column references against the tables of a statement,
+// in the order they were added: a reference binds to (ordinal of its
+// table, column within that table). For a SELECT plan the ordinal is the
+// table's scan — its place in the join order; classifyConjunct uses a
+// second binder in textual order.
 type binder struct {
-	slots []slot
+	tables []boundTable
 }
 
-type slot struct {
+type boundTable struct {
 	alias string // table alias (or name)
 	table *Table
-	col   int
-	base  int // index of the slot in the joined row
 }
 
 func (b *binder) addTable(alias string, t *Table) {
-	base := len(b.slots)
-	for i := range t.Cols {
-		b.slots = append(b.slots, slot{alias: alias, table: t, col: i, base: base + i})
-	}
+	b.tables = append(b.tables, boundTable{alias: alias, table: t})
 }
 
-// resolve returns the joined-row index of a column reference.
-func (b *binder) resolve(r *ColRef) (int, error) {
-	found := -1
-	for _, s := range b.slots {
-		if s.table.Cols[s.col].Name != r.Column {
+// resolve returns the table ordinal and column index of a column
+// reference.
+func (b *binder) resolve(r *ColRef) (table, col int, err error) {
+	table = -1
+	for i, bt := range b.tables {
+		if r.Table != "" && bt.alias != r.Table {
 			continue
 		}
-		if r.Table != "" && s.alias != r.Table {
+		ci := bt.table.ColumnIndex(r.Column)
+		if ci < 0 {
 			continue
 		}
-		if found >= 0 {
-			return 0, fmt.Errorf("sqlmini: ambiguous column %q", r.Column)
+		if table >= 0 {
+			return 0, 0, fmt.Errorf("sqlmini: ambiguous column %q", r.Column)
 		}
-		found = s.base
+		table, col = i, ci
 	}
-	if found < 0 {
+	if table < 0 {
 		name := r.Column
 		if r.Table != "" {
 			name = r.Table + "." + r.Column
 		}
-		return 0, fmt.Errorf("sqlmini: unknown column %q", name)
+		return 0, 0, fmt.Errorf("sqlmini: unknown column %q", name)
 	}
-	return found, nil
+	return table, col, nil
 }
 
-// evalCtx carries the current joined row, the statement's extracted
-// literal parameters (plan.go normalization), and, in aggregate mode,
-// the accumulated aggregate values keyed by expression identity.
+// evalCtx carries what an expression is evaluated against: the current
+// tuple as one base row per bound table (tup[k] is the row of table k;
+// a single-table statement has a tuple of one), the statement's
+// extracted literal parameters (plan.go normalization), and, in
+// aggregate mode, the current group's aggregate values by Agg.slot.
+// Rows in tup are only read: they may belong to a published view.
 type evalCtx struct {
-	row    Row
+	tup    []Row
 	params []Value
-	aggs   map[*Agg]Value
+	aggs   []Value
 }
 
 // eval evaluates an expression; ColRefs must have been rewritten to
@@ -67,7 +69,7 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 	case *Lit:
 		return x.V, nil
 	case *boundCol:
-		return ctx.row[x.idx], nil
+		return ctx.tup[x.table][x.col], nil
 	case *boundParam:
 		return ctx.params[x.idx], nil
 	case *ColRef:
@@ -76,11 +78,7 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 		if ctx.aggs == nil {
 			return Null, fmt.Errorf("sqlmini: aggregate %s outside aggregation", x.Func)
 		}
-		v, ok := ctx.aggs[x]
-		if !ok {
-			return Null, fmt.Errorf("sqlmini: aggregate %s not computed", x.Func)
-		}
-		return v, nil
+		return ctx.aggs[x.slot], nil
 	case *UnOp:
 		v, err := eval(x.E, ctx)
 		if err != nil {
@@ -281,10 +279,11 @@ func likeRec(s, p string) bool {
 	}
 }
 
-// boundCol replaces ColRef after binding.
+// boundCol replaces ColRef after binding: column col of the binder's
+// table-th table.
 type boundCol struct {
-	idx  int
-	name string
+	table, col int
+	name       string
 }
 
 func (*boundCol) isExpr() {}
@@ -302,11 +301,11 @@ func bind(e Expr, b *binder) (Expr, error) {
 	case *boundParam:
 		return x, nil
 	case *ColRef:
-		idx, err := b.resolve(x)
+		table, col, err := b.resolve(x)
 		if err != nil {
 			return nil, err
 		}
-		return &boundCol{idx: idx, name: x.Column}, nil
+		return &boundCol{table: table, col: col, name: x.Column}, nil
 	case *UnOp:
 		inner, err := bind(x.E, b)
 		if err != nil {
@@ -358,9 +357,6 @@ func bind(e Expr, b *binder) (Expr, error) {
 		}
 		return &IsNull{E: ee, Negate: x.Negate}, nil
 	case *Agg:
-		if x.E == nil {
-			return x, nil
-		}
 		ee, err := bind(x.E, b)
 		if err != nil {
 			return nil, err
@@ -370,10 +366,13 @@ func bind(e Expr, b *binder) (Expr, error) {
 	return nil, fmt.Errorf("sqlmini: cannot bind %T", e)
 }
 
-// collectAggs gathers the aggregate nodes of a bound expression tree.
+// collectAggs gathers the aggregate nodes of a bound expression tree
+// the caller owns, numbering each with its position in out: the slot
+// its value takes in a group's aggregate values.
 func collectAggs(e Expr, out *[]*Agg) {
 	switch x := e.(type) {
 	case *Agg:
+		x.slot = len(*out)
 		*out = append(*out, x)
 	case *UnOp:
 		collectAggs(x.E, out)
@@ -449,40 +448,38 @@ func pkLookup(where Expr, t *Table, alias string) (Value, bool) {
 
 // group accumulates aggregate state for one group.
 type group struct {
-	sample Row
-	aggs   []*Agg
+	sample int // first input tuple of the group; -1 for the empty global group
 	count  []int64
 	sum    []float64
 	min    []Value
 	max    []Value
 	sawInt []bool
-	seen   []map[string]bool // per aggregate, for DISTINCT
+	seen   []*keyMap // per aggregate, for DISTINCT
 }
 
-func newGroup(sample Row, aggs []*Agg) *group {
+func newGroup(sample int, aggs []*Agg) *group {
 	g := &group{
 		sample: sample,
-		aggs:   aggs,
 		count:  make([]int64, len(aggs)),
 		sum:    make([]float64, len(aggs)),
 		min:    make([]Value, len(aggs)),
 		max:    make([]Value, len(aggs)),
 		sawInt: make([]bool, len(aggs)),
+		seen:   make([]*keyMap, len(aggs)),
 	}
-	g.seen = make([]map[string]bool, len(aggs))
 	for i := range g.min {
 		g.min[i] = Null
 		g.max[i] = Null
 		g.sawInt[i] = true
 		if aggs[i].Distinct {
-			g.seen[i] = make(map[string]bool)
+			g.seen[i] = newKeyMap(1, 0)
 		}
 	}
 	return g
 }
 
-func (g *group) add(ctx *evalCtx) error {
-	for i, a := range g.aggs {
+func (g *group) add(aggs []*Agg, ctx *evalCtx) error {
+	for i, a := range aggs {
 		if a.E == nil { // COUNT(*)
 			g.count[i]++
 			continue
@@ -495,11 +492,11 @@ func (g *group) add(ctx *evalCtx) error {
 			continue
 		}
 		if a.Distinct {
-			k := v.key()
-			if g.seen[i][k] {
+			one := []Value{v}
+			if g.seen[i].get(one) != 0 {
 				continue
 			}
-			g.seen[i][k] = true
+			g.seen[i].put(one, 1)
 		}
 		g.count[i]++
 		if f, ok := v.AsFloat(); ok {
@@ -520,70 +517,65 @@ func (g *group) add(ctx *evalCtx) error {
 	return nil
 }
 
-func (g *group) aggValues() map[*Agg]Value {
-	out := make(map[*Agg]Value, len(g.aggs))
-	for i, a := range g.aggs {
+// aggValues writes the group's value of aggs[i] to out[i], the layout
+// eval reads through Agg.slot.
+func (g *group) aggValues(aggs []*Agg, out []Value) {
+	for i, a := range aggs {
 		switch a.Func {
 		case "COUNT":
-			out[a] = Int(g.count[i])
+			out[i] = Int(g.count[i])
 		case "SUM":
 			if g.count[i] == 0 {
-				out[a] = Null
+				out[i] = Null
 			} else if g.sawInt[i] {
-				out[a] = Int(int64(g.sum[i]))
+				out[i] = Int(int64(g.sum[i]))
 			} else {
-				out[a] = Float(g.sum[i])
+				out[i] = Float(g.sum[i])
 			}
 		case "AVG":
 			if g.count[i] == 0 {
-				out[a] = Null
+				out[i] = Null
 			} else {
-				out[a] = Float(g.sum[i] / float64(g.count[i]))
+				out[i] = Float(g.sum[i] / float64(g.count[i]))
 			}
 		case "MIN":
-			out[a] = g.min[i]
+			out[i] = g.min[i]
 		case "MAX":
-			out[a] = g.max[i]
+			out[i] = g.max[i]
 		}
 	}
-	return out
 }
 
-// groupRows partitions rows by the group expressions and accumulates the
-// aggregates, preserving first-seen group order.
-func groupRows(rows []Row, groupExprs []Expr, aggs []*Agg, params []Value) (map[string]*group, []string, error) {
-	groups := make(map[string]*group)
-	var order []string
-	ctx := &evalCtx{params: params}
-	for _, r := range rows {
-		ctx.row = r
-		var sb strings.Builder
-		for _, ge := range groupExprs {
-			v, err := eval(ge, ctx)
+// groupRows partitions the tuples by the group expressions and
+// accumulates the aggregates. Groups come back in first-seen order.
+func groupRows(x *execRun, in tuples, groupExprs []Expr, aggs []*Agg) ([]*group, error) {
+	var groups []*group
+	index := newKeyMap(len(groupExprs), 0) // group key -> position in groups, +1
+	kv := make([]Value, len(groupExprs))
+	for i := 0; i < in.n; i++ {
+		x.load(&in, i)
+		for c, ge := range groupExprs {
+			v, err := eval(ge, &x.ec)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			sb.WriteString(v.key())
-			sb.WriteByte('|')
+			kv[c] = v
 		}
-		k := sb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = newGroup(r, aggs)
-			groups[k] = g
-			order = append(order, k)
+		gi := index.get(kv)
+		if gi == 0 {
+			groups = append(groups, newGroup(i, aggs))
+			gi = int32(len(groups))
+			index.put(kv, gi)
 		}
-		if err := g.add(ctx); err != nil {
-			return nil, nil, err
+		if err := groups[gi-1].add(aggs, &x.ec); err != nil {
+			return nil, err
 		}
 	}
 	// A global aggregation over zero rows still yields one group.
-	if len(groupExprs) == 0 && len(rows) == 0 {
-		g := newGroup(nil, aggs)
-		groups[""] = g
-		order = append(order, "")
+	if len(groupExprs) == 0 && in.n == 0 {
+		groups = append(groups, newGroup(-1, aggs))
 	}
-	return groups, order, nil
+	return groups, nil
 }
 
 // execInsert runs an INSERT. Caller holds the write lock.
@@ -641,7 +633,7 @@ func evalInsertRow(exprs []Expr, colIdx []int, width int, ctx *evalCtx) (Row, er
 		row[i] = Null
 	}
 	for i, ex := range exprs {
-		be, err := bind(ex, &binder{}) // no columns available in VALUES
+		be, err := bind(ex, &binder{}) // no tables: VALUES sees no columns
 		if err != nil {
 			return nil, err
 		}
@@ -688,7 +680,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	}
 
 	res := &Result{}
-	ctx := &evalCtx{}
+	ctx := &evalCtx{tup: make([]Row, 1)} // the statement's one table
 
 	// Matched rows are rewritten as private copies (the stored Row may
 	// back a published view) and collected; the row store takes them in
@@ -700,7 +692,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	apply := func(idx int, old Row) error {
 		nr := make(Row, len(old))
 		copy(nr, old)
-		ctx.row = nr
+		ctx.tup[0] = nr
 		for _, s := range sets {
 			v, err := eval(s.expr, ctx)
 			if err != nil {
@@ -740,7 +732,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 			for j, r := range t.rows.run(k) {
 				res.Scanned++
 				if where != nil {
-					ctx.row = r
+					ctx.tup[0] = r
 					var v Value
 					if v, err = eval(where, ctx); err != nil {
 						break scan
@@ -783,14 +775,14 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 		}
 	}
 	res := &Result{}
-	ctx := &evalCtx{}
+	ctx := &evalCtx{tup: make([]Row, 1)} // the statement's one table
 	kept := make([]Row, 0, t.rows.len())
 	for k := 0; k < t.rows.runs(); k++ {
 		for _, r := range t.rows.run(k) {
 			res.Scanned++
 			del := true
 			if where != nil {
-				ctx.row = r
+				ctx.tup[0] = r
 				v, err := eval(where, ctx)
 				if err != nil {
 					return nil, err

@@ -1,0 +1,739 @@
+package sqlmini_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"qcpa/internal/sqlmini"
+	"qcpa/internal/workload/tpcapp"
+	"qcpa/internal/workload/tpch"
+)
+
+// This file checks the planner and executor against an evaluator that
+// shares nothing with them but the parser and Compare: the benchmark's
+// reference digests come from the engine itself, so they cannot tell a
+// wrong join from a right one. naiveSelect has no plan, no pushdown, no
+// index, no cache and no row ids: it walks the cross product of the
+// FROM tables in textual order, concatenates each combination into one
+// full-width row, and keeps it if WHERE and every ON hold.
+
+type naiveTable struct {
+	cols []sqlmini.Column
+	rows []sqlmini.Row
+}
+
+// naiveCol is one position of the concatenated row.
+type naiveCol struct{ alias, name string }
+
+type naiveEnv struct {
+	layout []naiveCol
+	row    sqlmini.Row   // the concatenated row
+	group  []sqlmini.Row // aggregates range over these; nil outside aggregation
+}
+
+func truth(v sqlmini.Value) bool { f, ok := v.AsFloat(); return ok && f != 0 }
+
+func boolVal(b bool) sqlmini.Value {
+	if b {
+		return sqlmini.Int(1)
+	}
+	return sqlmini.Int(0)
+}
+
+// like matches s against a LIKE pattern (% any run, _ any one byte).
+func like(s, p string) bool {
+	if p == "" {
+		return s == ""
+	}
+	if p[0] == '%' {
+		return like(s, p[1:]) || (s != "" && like(s[1:], p))
+	}
+	return s != "" && (p[0] == '_' || p[0] == s[0]) && like(s[1:], p[1:])
+}
+
+// canon renders a value so that equal keys render equal: numbers by
+// numeric value whatever their kind, text and NULL apart.
+func canon(v sqlmini.Value) string {
+	if f, ok := v.AsFloat(); ok {
+		return fmt.Sprintf("n%v", f+0) // +0 turns -0 into 0
+	}
+	return fmt.Sprintf("%d%s", v.K, v.S)
+}
+
+func canonRow(r sqlmini.Row) string {
+	parts := make([]string, len(r))
+	for i, v := range r {
+		parts[i] = fmt.Sprintf("%q", canon(v))
+	}
+	return strings.Join(parts, ",")
+}
+
+func (env *naiveEnv) eval(e sqlmini.Expr) sqlmini.Value {
+	null := sqlmini.Null
+	switch x := e.(type) {
+	case *sqlmini.Lit:
+		return x.V
+	case *sqlmini.ColRef:
+		at := -1
+		for i, c := range env.layout {
+			if c.name == x.Column && (x.Table == "" || x.Table == c.alias) {
+				if at >= 0 {
+					panic("naive: ambiguous column " + x.Column)
+				}
+				at = i
+			}
+		}
+		return env.row[at]
+	case *sqlmini.UnOp:
+		v := env.eval(x.E)
+		switch {
+		case v.IsNull():
+			return null
+		case x.Op == "NOT":
+			return boolVal(!truth(v))
+		case v.K == sqlmini.KindInt:
+			return sqlmini.Int(-v.I)
+		}
+		return sqlmini.Float(-v.F)
+	case *sqlmini.IsNull:
+		return boolVal(env.eval(x.E).IsNull() != x.Negate)
+	case *sqlmini.Between:
+		v, lo, hi := env.eval(x.E), env.eval(x.Lo), env.eval(x.Hi)
+		if v.IsNull() || lo.IsNull() || hi.IsNull() {
+			return null
+		}
+		return boolVal((sqlmini.Compare(v, lo) >= 0 && sqlmini.Compare(v, hi) <= 0) != x.Negate)
+	case *sqlmini.InList:
+		v := env.eval(x.E)
+		if v.IsNull() {
+			return null
+		}
+		found := false
+		for _, le := range x.List {
+			if lv := env.eval(le); !lv.IsNull() && sqlmini.Compare(v, lv) == 0 {
+				found = true
+			}
+		}
+		return boolVal(found != x.Negate)
+	case *sqlmini.Agg:
+		return env.aggregate(x)
+	case *sqlmini.BinOp:
+		l, r := env.eval(x.L), env.eval(x.R)
+		switch x.Op {
+		case "AND":
+			return boolVal(truth(l) && truth(r))
+		case "OR":
+			return boolVal(truth(l) || truth(r))
+		case "LIKE":
+			if l.K != sqlmini.KindText || r.K != sqlmini.KindText {
+				return null
+			}
+			return boolVal(like(l.S, r.S))
+		}
+		if l.IsNull() || r.IsNull() {
+			return null
+		}
+		c := sqlmini.Compare(l, r)
+		lf, _ := l.AsFloat()
+		rf, _ := r.AsFloat()
+		ints := l.K == sqlmini.KindInt && r.K == sqlmini.KindInt
+		num := func(i int64, f float64) sqlmini.Value {
+			if ints {
+				return sqlmini.Int(i)
+			}
+			return sqlmini.Float(f)
+		}
+		switch x.Op {
+		case "=":
+			return boolVal(c == 0)
+		case "<>":
+			return boolVal(c != 0)
+		case "<":
+			return boolVal(c < 0)
+		case "<=":
+			return boolVal(c <= 0)
+		case ">":
+			return boolVal(c > 0)
+		case ">=":
+			return boolVal(c >= 0)
+		case "+":
+			return num(l.I+r.I, lf+rf)
+		case "-":
+			return num(l.I-r.I, lf-rf)
+		case "*":
+			return num(l.I*r.I, lf*rf)
+		case "/":
+			if rf == 0 {
+				return null
+			}
+			return sqlmini.Float(lf / rf)
+		}
+	}
+	panic(fmt.Sprintf("naive: cannot evaluate %T", e))
+}
+
+func (env *naiveEnv) aggregate(a *sqlmini.Agg) sqlmini.Value {
+	var vals []sqlmini.Value
+	seen := map[string]bool{}
+	for _, r := range env.group {
+		if a.E == nil {
+			vals = append(vals, sqlmini.Int(1))
+			continue
+		}
+		v := (&naiveEnv{layout: env.layout, row: r}).eval(a.E)
+		if v.IsNull() || (a.Distinct && seen[canon(v)]) {
+			continue
+		}
+		seen[canon(v)] = true
+		vals = append(vals, v)
+	}
+	if a.Func == "COUNT" {
+		return sqlmini.Int(int64(len(vals)))
+	}
+	if len(vals) == 0 {
+		return sqlmini.Null
+	}
+	best, sum, ints := vals[0], 0.0, true
+	for _, v := range vals {
+		f, _ := v.AsFloat()
+		sum += f
+		ints = ints && v.K == sqlmini.KindInt
+		if c := sqlmini.Compare(v, best); (a.Func == "MIN" && c < 0) || (a.Func == "MAX" && c > 0) {
+			best = v
+		}
+	}
+	switch a.Func {
+	case "SUM":
+		if ints {
+			return sqlmini.Int(int64(sum))
+		}
+		return sqlmini.Float(sum)
+	case "AVG":
+		return sqlmini.Float(sum / float64(len(vals)))
+	}
+	return best
+}
+
+// hasAgg reports whether a select item aggregates (the generator puts
+// aggregates at the top of an item or under arithmetic only).
+func hasAgg(e sqlmini.Expr) bool {
+	switch x := e.(type) {
+	case *sqlmini.Agg:
+		return true
+	case *sqlmini.UnOp:
+		return hasAgg(x.E)
+	case *sqlmini.BinOp:
+		return hasAgg(x.L) || hasAgg(x.R)
+	}
+	return false
+}
+
+// naiveSelect evaluates st over db. The result is in the order the
+// naive evaluation produces; with an ORDER BY it is sorted (stably) and
+// cut to LIMIT, without one LIMIT is left to the caller.
+func naiveSelect(db map[string]*naiveTable, st *sqlmini.SelectStmt) []sqlmini.Row {
+	names, aliases, conds := []string{st.Table}, []string{st.Alias}, []sqlmini.Expr{st.Where}
+	for _, j := range st.Joins {
+		names, aliases, conds = append(names, j.Table), append(aliases, j.Alias), append(conds, j.On)
+	}
+	env := &naiveEnv{}
+	for i, n := range names {
+		if aliases[i] == "" {
+			aliases[i] = n
+		}
+		for _, c := range db[n].cols {
+			env.layout = append(env.layout, naiveCol{aliases[i], c.Name})
+		}
+	}
+
+	// Cross product in textual order, one full-width row per combination.
+	var joined []sqlmini.Row
+	var cross func(t int, prefix sqlmini.Row)
+	cross = func(t int, prefix sqlmini.Row) {
+		if t < len(names) {
+			for _, r := range db[names[t]].rows {
+				cross(t+1, append(prefix[:len(prefix):len(prefix)], r...))
+			}
+			return
+		}
+		env.row = prefix
+		for _, c := range conds {
+			if c != nil && !truth(env.eval(c)) {
+				return
+			}
+		}
+		joined = append(joined, prefix)
+	}
+	cross(0, nil)
+
+	// Groups: one per distinct GROUP BY key in first-seen order, one
+	// global group under aggregates alone, else one per row.
+	grouped := len(st.GroupBy) > 0 || st.Having != nil
+	var items []sqlmini.Expr
+	for _, it := range st.Items {
+		if it.Star {
+			for _, c := range env.layout {
+				items = append(items, &sqlmini.ColRef{Table: c.alias, Column: c.name})
+			}
+			continue
+		}
+		items = append(items, it.Expr)
+		grouped = grouped || hasAgg(it.Expr)
+	}
+	var groups [][]sqlmini.Row
+	at := map[string]int{}
+	for _, r := range joined {
+		if !grouped {
+			groups = append(groups, []sqlmini.Row{r})
+			continue
+		}
+		env.row = r
+		key := make(sqlmini.Row, len(st.GroupBy))
+		for i, g := range st.GroupBy {
+			key[i] = env.eval(g)
+		}
+		k := canonRow(key)
+		if _, ok := at[k]; !ok {
+			at[k] = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[at[k]] = append(groups[at[k]], r)
+	}
+	if grouped && len(st.GroupBy) == 0 && len(joined) == 0 {
+		groups = [][]sqlmini.Row{nil}
+	}
+
+	type outRow struct{ out, keys sqlmini.Row }
+	var out []outRow
+	dup := map[string]bool{}
+	for _, g := range groups {
+		env.row, env.group = make(sqlmini.Row, len(env.layout)), nil
+		if len(g) > 0 {
+			env.row = g[0]
+		}
+		if grouped {
+			env.group = g
+			if g == nil {
+				env.group = []sqlmini.Row{}
+			}
+		}
+		if st.Having != nil && !truth(env.eval(st.Having)) {
+			continue
+		}
+		o := outRow{out: make(sqlmini.Row, len(items))}
+		for i, it := range items {
+			o.out[i] = env.eval(it)
+		}
+		if st.Distinct && dup[canonRow(o.out)] {
+			continue
+		}
+		dup[canonRow(o.out)] = true
+	keys:
+		for _, ob := range st.OrderBy {
+			if cr, ok := ob.Expr.(*sqlmini.ColRef); ok && cr.Table == "" {
+				for i, it := range st.Items {
+					if it.Alias == cr.Column {
+						o.keys = append(o.keys, o.out[i])
+						continue keys
+					}
+				}
+			}
+			o.keys = append(o.keys, env.eval(ob.Expr))
+		}
+		out = append(out, o)
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		for i, ob := range st.OrderBy {
+			if c := sqlmini.Compare(out[a].keys[i], out[b].keys[i]); c != 0 {
+				return (c < 0) != ob.Desc
+			}
+		}
+		return false
+	})
+	if len(st.OrderBy) > 0 && st.Limit >= 0 && len(out) > st.Limit {
+		out = out[:st.Limit]
+	}
+	rows := make([]sqlmini.Row, len(out))
+	for i, o := range out {
+		rows[i] = o.out
+	}
+	return rows
+}
+
+// ---------------------------------------------------------------------
+// Generated joins
+// ---------------------------------------------------------------------
+
+// genDB fills every table of a schema with a few rows drawn from tiny
+// domains: duplicate join keys, NULLs in every kind of column, and
+// floats that are sometimes whole numbers, so that int = float keys
+// must fold. Floats are multiples of 1/4: their sums are exact in any
+// order.
+func genDB(rng *rand.Rand, schema sqlmini.Schema) map[string]*naiveTable {
+	db := map[string]*naiveTable{}
+	names := make([]string, 0, len(schema))
+	for n := range schema {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		t := &naiveTable{cols: schema[n]}
+		for i, nrows := 0, 4+rng.Intn(9); i < nrows; i++ {
+			r := make(sqlmini.Row, len(t.cols))
+			for c, col := range t.cols {
+				switch {
+				case col.PrimaryKey:
+					r[c] = sqlmini.Int(int64(i))
+				case rng.Intn(8) == 0:
+					r[c] = sqlmini.Null
+				case col.Type == sqlmini.KindInt:
+					r[c] = sqlmini.Int(int64(rng.Intn(3)))
+				case col.Type == sqlmini.KindFloat:
+					r[c] = sqlmini.Float(float64(rng.Intn(10)) / 4)
+				default:
+					r[c] = sqlmini.Text([]string{"x", "y", "xy", ""}[rng.Intn(4)])
+				}
+			}
+			t.rows = append(t.rows, r)
+		}
+		db[n] = t
+	}
+	return db
+}
+
+// loadEngine copies db into an engine, with a secondary index on every
+// non-key column when indexed is set.
+func loadEngine(t *testing.T, db map[string]*naiveTable, indexed bool) *sqlmini.Engine {
+	e := sqlmini.New()
+	for name, nt := range db {
+		if err := e.CreateTable(name, nt.cols); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BulkInsert(name, nt.rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range nt.cols {
+			if indexed && !c.PrimaryKey {
+				if err := e.CreateIndex(name, c.Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return e
+}
+
+// maxCrossProduct bounds the combinations naiveSelect enumerates for one
+// generated query; a join that would exceed it stops at fewer tables.
+const maxCrossProduct = 20000
+
+// joinGen writes one random join query.
+type joinGen struct {
+	rng    *rand.Rand
+	tables []string   // aliases t0..; tables[i] is alias i's table
+	num    [][]string // per alias: qualified numeric columns
+	ints   [][]string // per alias: those of them that are plain INT columns, the ones dense in duplicates
+	text   [][]string // per alias: qualified text columns
+	pk     []string   // per alias: qualified primary key
+}
+
+func (g *joinGen) pick(s []string) string { return s[g.rng.Intn(len(s))] }
+
+// numCol returns a numeric column of alias a (every table has a key),
+// more often than not one whose few values repeat.
+func (g *joinGen) numCol(a int) string {
+	if len(g.ints[a]) > 0 && g.rng.Intn(3) > 0 {
+		return g.pick(g.ints[a])
+	}
+	return g.pick(g.num[a])
+}
+
+// linking returns a conjunct tying alias k to an earlier alias.
+func (g *joinGen) linking(k int) string {
+	j := g.rng.Intn(k)
+	a, b := g.numCol(k), g.numCol(j)
+	switch g.rng.Intn(10) {
+	case 0, 1, 2, 3, 4:
+		if g.rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		return a + " = " + b // hash key
+	case 5:
+		if len(g.text[k]) > 0 && len(g.text[j]) > 0 {
+			return g.pick(g.text[k]) + " = " + g.pick(g.text[j]) // text hash key
+		}
+		return a + " = " + b
+	case 6:
+		return a + " " + g.pick([]string{"<", "<=", ">", "<>"}) + " " + b // non-equi
+	case 7:
+		return a + " = " + b + " + " + fmt.Sprint(g.rng.Intn(2)) // equality the planner cannot hash
+	case 8:
+		return a + " + " + b + " >= " + fmt.Sprint(g.rng.Intn(4))
+	default:
+		return a + " * 2 > " + b + " + " + g.numCol(g.rng.Intn(k)) // up to three tables
+	}
+}
+
+// local returns a single-table conjunct on alias a.
+func (g *joinGen) local(a int) string {
+	c := g.numCol(a)
+	switch g.rng.Intn(9) {
+	case 0:
+		return fmt.Sprintf("%s = %d", g.pk[a], g.rng.Intn(4)) // pk probe
+	case 1:
+		return fmt.Sprintf("%s = %d", c, g.rng.Intn(4)) // index probe when indexed
+	case 2:
+		return fmt.Sprintf("%s < %d", c, 1+g.rng.Intn(3))
+	case 3:
+		return fmt.Sprintf("%s IN (0, 2, %d)", c, g.rng.Intn(4))
+	case 4:
+		return fmt.Sprintf("%s NOT BETWEEN 1 AND %d", c, 1+g.rng.Intn(2))
+	case 5:
+		return fmt.Sprintf("%s IS %sNULL", c, g.pick([]string{"", "NOT "}))
+	case 6:
+		if len(g.text[a]) > 0 {
+			return fmt.Sprintf("%s LIKE '%s'", g.pick(g.text[a]), g.pick([]string{"x%", "%y", "_", "%"}))
+		}
+		return c + " IS NOT NULL"
+	case 7:
+		return fmt.Sprintf("(%s = 1 OR %s > 2)", c, g.numCol(a))
+	default:
+		return fmt.Sprintf("NOT %s = %d", c, g.rng.Intn(3))
+	}
+}
+
+// query returns the SQL and whether its result is determined as a
+// sequence (ORDER BY over every output column) or only as a multiset.
+func (g *joinGen) query() (sql string, sequence bool) {
+	n := len(g.tables)
+	var sb strings.Builder
+	any := func() int { return g.rng.Intn(n) }
+
+	var items, groupBy []string
+	grouped := g.rng.Intn(2) == 0
+	if grouped {
+		for i, k := 0, g.rng.Intn(4); i < k; i++ {
+			ge := g.numCol(any())
+			if g.rng.Intn(4) == 0 && len(g.text[0]) > 0 {
+				ge = g.pick(g.text[0])
+			}
+			groupBy = append(groupBy, ge)
+			items = append(items, ge)
+		}
+		for i, k := 0, 1+g.rng.Intn(3); i < k; i++ {
+			c := g.numCol(any())
+			items = append(items, g.pick([]string{
+				"COUNT(*)", "COUNT(" + c + ")", "SUM(" + c + ")", "MIN(" + c + ")", "MAX(" + c + ")", "AVG(" + c + ")",
+				"COUNT(DISTINCT " + c + ")", "SUM(DISTINCT " + c + ")", "SUM(" + c + " * " + g.numCol(any()) + ")",
+			}))
+		}
+	} else {
+		for i, k := 0, 1+g.rng.Intn(3); i < k; i++ {
+			switch a := any(); {
+			case g.rng.Intn(4) == 0:
+				items = append(items, g.numCol(a)+" + "+g.numCol(any()))
+			case g.rng.Intn(3) == 0 && len(g.text[a]) > 0:
+				items = append(items, g.pick(g.text[a]))
+			default:
+				items = append(items, g.numCol(a))
+			}
+		}
+	}
+	sb.WriteString("SELECT ")
+	if g.rng.Intn(4) == 0 {
+		sb.WriteString("DISTINCT ")
+	}
+	star := !grouped && g.rng.Intn(10) == 0
+	if star {
+		sb.WriteString("*")
+	}
+	aliases := make([]string, len(items))
+	for i, it := range items {
+		if star {
+			break
+		}
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		aliases[i] = fmt.Sprintf("o%d", i)
+		fmt.Fprintf(&sb, "%s AS %s", it, aliases[i])
+	}
+
+	fmt.Fprintf(&sb, " FROM %s t0", g.tables[0])
+	for k := 1; k < n; k++ {
+		fmt.Fprintf(&sb, " JOIN %s t%d ON %s", g.tables[k], k, g.linking(k))
+		for g.rng.Intn(4) == 0 {
+			sb.WriteString(" AND " + g.pick([]string{g.linking(k), g.local(g.rng.Intn(k + 1))}))
+		}
+	}
+	var where []string
+	for g.rng.Intn(3) == 0 {
+		where = append(where, g.local(any()))
+	}
+	if g.rng.Intn(6) == 0 {
+		where = append(where, g.linking(1+g.rng.Intn(n-1)))
+	}
+	if len(where) > 0 {
+		sb.WriteString(" WHERE " + strings.Join(where, " AND "))
+	}
+	if len(groupBy) > 0 {
+		sb.WriteString(" GROUP BY " + strings.Join(groupBy, ", "))
+	}
+	if grouped && g.rng.Intn(4) == 0 {
+		sb.WriteString(" HAVING COUNT(*) > 1")
+	}
+
+	switch g.rng.Intn(4) {
+	case 0: // no ORDER BY; a LIMIT then keeps whichever rows come first
+		if !grouped && g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&sb, " LIMIT %d", g.rng.Intn(6))
+		}
+	case 1: // partial order: some output columns, or an input expression
+		if star {
+			break
+		}
+		if grouped || g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&sb, " ORDER BY %s%s", g.pick(aliases), g.pick([]string{"", " DESC"}))
+		} else {
+			fmt.Fprintf(&sb, " ORDER BY %s + %s DESC", g.numCol(any()), g.numCol(any()))
+		}
+	default: // total order over the output, so a LIMIT is determined
+		if star {
+			break
+		}
+		sb.WriteString(" ORDER BY ")
+		for i, p := range g.rng.Perm(len(aliases)) {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(aliases[p] + g.pick([]string{"", " DESC"}))
+		}
+		if g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&sb, " LIMIT %d", g.rng.Intn(8))
+		}
+		sequence = true
+	}
+	return sb.String(), sequence
+}
+
+func newJoinGen(rng *rand.Rand, db map[string]*naiveTable) *joinGen {
+	names := make([]string, 0, len(db))
+	for n := range db {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	g := &joinGen{rng: rng}
+	product := 1 // of the row counts: what the naive evaluator walks
+	for a, n := 0, 2+rng.Intn(4); a < n; a++ {
+		name := names[rng.Intn(len(names))] // with replacement: self-joins happen
+		if product *= len(db[name].rows); a >= 2 && product > maxCrossProduct {
+			break
+		}
+		g.tables = append(g.tables, name)
+		var num, ints, text []string
+		for _, c := range db[name].cols {
+			q := fmt.Sprintf("t%d.%s", a, c.Name)
+			switch {
+			case c.PrimaryKey:
+				g.pk = append(g.pk, q)
+				num = append(num, q)
+			case c.Type == sqlmini.KindText:
+				text = append(text, q)
+			case c.Type == sqlmini.KindInt:
+				num, ints = append(num, q), append(ints, q)
+			default:
+				num = append(num, q)
+			}
+		}
+		g.num, g.ints, g.text = append(g.num, num), append(g.ints, ints), append(g.text, text)
+	}
+	return g
+}
+
+func renderRows(rows []sqlmini.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		parts := make([]string, len(r))
+		for j, v := range r {
+			parts[j] = fmt.Sprintf("%d:%s", v.K, v)
+		}
+		out[i] = strings.Join(parts, "|")
+	}
+	return out
+}
+
+// TestJoinsAgainstNaiveEvaluator runs seeded random joins of two to
+// five TPC-H and TPC-App tables — equi, non-equi and mixed conditions,
+// GROUP BY, DISTINCT, ORDER BY, LIMIT — through the engine and through
+// naiveSelect. Each query runs on a plan-cache miss and again on the
+// hit, without and with secondary indexes; all four results must be
+// the naive one: as a sequence when the ORDER BY is total, else as a
+// multiset, and under a LIMIT with no ORDER BY as a sub-multiset of the
+// right size.
+func TestJoinsAgainstNaiveEvaluator(t *testing.T) {
+	const queriesPerDB = 60
+	for si, schema := range []sqlmini.Schema{tpch.Schema(), tpcapp.Schema()} {
+		for round := 0; round < 2; round++ {
+			rng := rand.New(rand.NewSource(int64(100*si + round)))
+			db := genDB(rng, schema)
+			engines := []*sqlmini.Engine{loadEngine(t, db, false), loadEngine(t, db, true)}
+			for q := 0; q < queriesPerDB; q++ {
+				sql, sequence := newJoinGen(rng, db).query()
+				st, err := sqlmini.Parse(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				sel := st.(*sqlmini.SelectStmt)
+				want := renderRows(naiveSelect(db, sel))
+				cut := -1 // LIMIT without ORDER BY
+				if len(sel.OrderBy) == 0 && sel.Limit >= 0 {
+					cut = min(sel.Limit, len(want))
+				}
+				if !sequence {
+					sort.Strings(want)
+				}
+				for ei, e := range engines {
+					// The first run plans the statement (unless an earlier
+					// query had its shape); the second must find that plan.
+					for _, pass := range []string{"first", "cached"} {
+						before := e.PlannerStats()
+						res, err := e.ExecStmt(st)
+						if err != nil {
+							t.Fatalf("%s: %v", sql, err)
+						}
+						if after := e.PlannerStats(); pass == "cached" && after.Hits != before.Hits+1 {
+							t.Fatalf("%s: second run missed the plan cache", sql)
+						}
+						got := renderRows(res.Rows)
+						if !sequence {
+							sort.Strings(got)
+						}
+						ok := reflect.DeepEqual(got, want)
+						if cut >= 0 {
+							ok = len(got) == cut && subMultiset(got, want)
+						}
+						if !ok {
+							t.Fatalf("schema %d round %d, indexes %v, %s run:\n%s\nengine %d rows %v\nnaive  %d rows %v",
+								si, round, ei == 1, pass, sql, len(got), got, len(want), want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// subMultiset reports whether sorted a is contained in sorted b.
+func subMultiset(a, b []string) bool {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] == b[0] {
+			a = a[1:]
+		}
+		b = b[1:]
+	}
+	return len(a) == 0
+}

@@ -39,6 +39,8 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -383,26 +385,21 @@ func isConstExpr(e Expr) bool {
 }
 
 // classifyConjunct resolves a conjunct's column references against the
-// textual binder and annotates the planner-relevant shapes. slotTable
-// maps binder slot index -> textual table index.
-func classifyConjunct(e Expr, tb *binder, slotTable []int) (conjunct, error) {
+// textual binder and annotates the planner-relevant shapes.
+func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
 	c := conjunct{expr: e}
 	var refs []*ColRef
 	collectColRefs(e, &refs)
 	for _, r := range refs {
-		idx, err := tb.resolve(r)
+		table, _, err := tb.resolve(r)
 		if err != nil {
 			return c, err
 		}
-		c.mask |= 1 << uint(slotTable[idx])
+		c.mask |= 1 << uint(table)
 	}
-	nTables := popcount(c.mask)
+	nTables := bits.OnesCount64(c.mask)
 
-	resolveCol := func(r *ColRef) (table, col int) {
-		idx, _ := tb.resolve(r) // already resolved above
-		return slotTable[idx], tb.slots[idx].col
-	}
-
+	// Every reference resolved above, so the lookups below cannot fail.
 	switch x := e.(type) {
 	case *BinOp:
 		switch x.Op {
@@ -410,8 +407,8 @@ func classifyConjunct(e Expr, tb *binder, slotTable []int) (conjunct, error) {
 			lc, lok := x.L.(*ColRef)
 			rc, rok := x.R.(*ColRef)
 			if lok && rok && nTables == 2 {
-				lt, lcol := resolveCol(lc)
-				rt, rcol := resolveCol(rc)
+				lt, lcol, _ := tb.resolve(lc)
+				rt, rcol, _ := tb.resolve(rc)
 				if lt != rt {
 					c.isEquiJoin = true
 					c.eqLTable, c.eqLCol = lt, lcol
@@ -421,10 +418,10 @@ func classifyConjunct(e Expr, tb *binder, slotTable []int) (conjunct, error) {
 			}
 			if nTables == 1 {
 				if lok && isConstExpr(x.R) {
-					_, col := resolveCol(lc)
+					_, col, _ := tb.resolve(lc)
 					c.kind, c.constCol, c.constVal = predEqConst, col, x.R
 				} else if rok && isConstExpr(x.L) {
-					_, col := resolveCol(rc)
+					_, col, _ := tb.resolve(rc)
 					c.kind, c.constCol, c.constVal = predEqConst, col, x.L
 				}
 			}
@@ -452,15 +449,6 @@ func classifyConjunct(e Expr, tb *binder, slotTable []int) (conjunct, error) {
 		}
 	}
 	return c, nil
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 // conjunctSelectivity estimates the fraction of a table's rows passing
@@ -562,7 +550,7 @@ func dpJoinOrder(cards []float64, edges []equiEdge) []int {
 		dp[m] = dpEnt{cost: cards[i], card: cards[i], last: i, prev: 0, ok: true}
 	}
 	for mask := uint64(1); mask <= full; mask++ {
-		if popcount(mask) < 2 {
+		if bits.OnesCount64(mask) < 2 {
 			continue
 		}
 		best := dpEnt{}
@@ -651,22 +639,25 @@ type scanNode struct {
 	keyCol  int  // probed column (pk or indexed) for accessPkEq/IdxEq
 	keyExpr Expr // const expr supplying the probe value
 
-	filter []Expr // pushed-down conjuncts, bound to this table's row
+	filter []Expr // pushed-down conjuncts; they read only this scan's row
 
 	planRows int // view row count at plan time, for drift detection
 }
 
-// joinNode joins scans[i+1] to the accumulated prefix.
+// colPos names a column of a tuple: column col of scan's row.
+type colPos struct{ scan, col int }
+
+// joinNode joins scans[i+1] to the tuples over scans[0..i].
 type joinNode struct {
-	leftKeys  []int  // key columns as prefix-layout indices
-	rightKeys []int  // key columns within the right table's row
-	extra     []Expr // residual conjuncts, bound to prefix+right layout
+	leftKeys  []colPos // key columns within the prefix tuple
+	rightKeys []int    // key columns within the joined table's row
+	extra     []Expr   // residual conjuncts over prefix and joined table
 }
 
 // orderSpec is one pre-resolved ORDER BY item.
 type orderSpec struct {
 	outIdx int  // >= 0: sort by that output column
-	expr   Expr // else: bound expression over the input row
+	expr   Expr // else: bound expression over the input tuple
 	desc   bool
 }
 
@@ -946,12 +937,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 
 	// Textual binder for conjunct classification.
 	tb := &binder{}
-	var slotTable []int
-	for i, r := range refs {
+	for _, r := range refs {
 		tb.addTable(r.alias, r.tv.t)
-		for range r.tv.t.Cols {
-			slotTable = append(slotTable, i)
-		}
 	}
 
 	// Split and classify conjuncts from WHERE and every ON.
@@ -964,15 +951,15 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 	perTable := make([][]conjunct, n)
 	var joinConjs []conjunct
 	for _, ce := range conjExprs {
-		c, err := classifyConjunct(ce, tb, slotTable)
+		c, err := classifyConjunct(ce, tb)
 		if err != nil {
 			return nil, err
 		}
-		switch popcount(c.mask) {
+		switch bits.OnesCount64(c.mask) {
 		case 0:
 			consts = append(consts, c.expr)
 		case 1:
-			ti := lowestBit(c.mask)
+			ti := bits.TrailingZeros64(c.mask)
 			perTable[ti] = append(perTable[ti], c)
 		default:
 			joinConjs = append(joinConjs, c)
@@ -1061,17 +1048,17 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 		}
 	}
 
-	// Physical layout: binder over tables in chosen order, plus the base
-	// offset of each textual table within it.
+	// Every expression of the plan binds against the tables in join
+	// order: a column becomes (scan, column within that scan's row).
+	// scanOf maps a textual table to its scan.
 	pb := &binder{}
-	physBase := make([]int, n)
-	for _, ti := range order {
-		physBase[ti] = len(pb.slots)
+	scanOf := make([]int, n)
+	for pos, ti := range order {
+		scanOf[ti] = pos
 		pb.addTable(refs[ti].alias, refs[ti].tv.t)
 	}
 
-	// Scans in physical order, with pushed-down filters bound to the
-	// single table's own row layout.
+	// Scans in join order, with their pushed-down filters.
 	for _, ti := range order {
 		r := refs[ti]
 		ac := access[ti]
@@ -1084,10 +1071,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 			keyExpr:  ac.keyExpr,
 			planRows: r.tv.rows.len(),
 		}
-		lb := &binder{}
-		lb.addTable(r.alias, r.tv.t)
 		for _, cj := range ac.rest {
-			be, err := bind(cj.expr, lb)
+			be, err := bind(cj.expr, pb)
 			if err != nil {
 				return nil, err
 			}
@@ -1098,8 +1083,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 
 	// Join steps: assign every multi-table conjunct to the first step
 	// where all its tables are placed; equi conjuncts linking the new
-	// table to the prefix become hash keys, the rest are residuals bound
-	// to the prefix+right physical layout.
+	// table to the prefix become hash keys, the rest are residuals.
 	assigned := make([]bool, len(joinConjs))
 	placed := uint64(1) << uint(order[0])
 	for pos := 1; pos < n; pos++ {
@@ -1122,7 +1106,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 				} else {
 					leftTable, leftCol, rightCol = jc.eqRTable, jc.eqRCol, jc.eqLCol
 				}
-				jn.leftKeys = append(jn.leftKeys, physBase[leftTable]+leftCol)
+				jn.leftKeys = append(jn.leftKeys, colPos{scanOf[leftTable], leftCol})
 				jn.rightKeys = append(jn.rightKeys, rightCol)
 				assigned[ci] = true
 				continue
@@ -1139,13 +1123,13 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 	}
 
 	// Output expressions. SELECT * expands in textual table order (the
-	// user-visible contract), resolving into the physical layout.
+	// user-visible contract), whatever the join order.
 	for _, it := range pst.Items {
 		if it.Star {
 			for ti := 0; ti < n; ti++ {
 				t := refs[ti].tv.t
 				for col := range t.Cols {
-					p.outExprs = append(p.outExprs, &boundCol{idx: physBase[ti] + col, name: t.Cols[col].Name})
+					p.outExprs = append(p.outExprs, &boundCol{table: scanOf[ti], col: col, name: t.Cols[col].Name})
 					p.outNames = append(p.outNames, t.Cols[col].Name)
 				}
 			}
@@ -1216,66 +1200,134 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 	return p, nil
 }
 
-func lowestBit(m uint64) int {
-	for i := 0; i < 64; i++ {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return 0
-}
-
 // ---------------------------------------------------------------------
 // Plan execution
 // ---------------------------------------------------------------------
+
+// tuples is what one join step hands to the next: n tuples over the
+// first w scans of the plan, each tuple the positions of its base rows
+// in those scans' outputs (execRun.rows). A step that matches a prefix
+// tuple with a row appends w+1 integers; no column is copied until an
+// expression reads it, whatever the width of the joined tables, and
+// the slab holds no pointer for the collector to follow. Tuples keep
+// the order the step produced them in.
+type tuples struct {
+	w   int
+	n   int
+	ids []int32 // n*w positions, tuple-major; nil when w == 1: tuple i is row i of scan 0
+}
+
+// pos returns the position of tuple i's row within scan's output.
+func (t *tuples) pos(i, scan int) int {
+	if t.ids == nil {
+		return i
+	}
+	return int(t.ids[i*t.w+scan])
+}
+
+// execRun is the state of one execution of a plan. Everything a run
+// writes lives here and nothing of it in the selectPlan, so any number
+// of goroutines may run one plan at once; base rows are referenced,
+// never written.
+type execRun struct {
+	ctx  context.Context
+	p    *selectPlan
+	res  *Result
+	rows [][]Row // output of each scan, in join order
+	ec   evalCtx // ec.tup is the current tuple, one base row per scan
+}
+
+// smallRun backs execRun.rows and the current tuple of a plan over at
+// most len(smallRun.tup) tables with one allocation, which keeps a pk
+// probe at the allocation count it had before tuples existed.
+type smallRun struct {
+	rows [2][]Row
+	tup  [2]Row
+}
+
+// load makes tuple i of in the current tuple. i < 0 stands for the
+// tuple an aggregation over no rows evaluates its plain columns
+// against: every column NULL.
+func (x *execRun) load(in *tuples, i int) {
+	if i < 0 {
+		for k := range x.p.scans {
+			x.ec.tup[k] = make(Row, len(x.p.scans[k].t.Cols))
+		}
+		return
+	}
+	if in.ids == nil {
+		x.ec.tup[0] = x.rows[0][i]
+		return
+	}
+	for k, pos := range in.ids[i*in.w : (i+1)*in.w] {
+		x.ec.tup[k] = x.rows[k][pos]
+	}
+}
+
+// poll reports the context's error every cancelCheckRows-th i.
+func (x *execRun) poll(i int) error {
+	if i%cancelCheckRows == 0 {
+		return x.ctx.Err()
+	}
+	return nil
+}
 
 // run executes the plan against one immutable view. The plan itself is
 // read-only here: any number of goroutines may run the same plan
 // concurrently.
 func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *Result) error {
 	res.Columns = p.outNames
-	ec := &evalCtx{params: params}
+	x := &execRun{ctx: ctx, p: p, res: res}
+	x.ec.params = params
+	if n := len(p.scans); n <= len(smallRun{}.tup) {
+		buf := new(smallRun)
+		x.rows, x.ec.tup = buf.rows[:n], buf.tup[:n]
+	} else {
+		x.rows, x.ec.tup = make([][]Row, n), make([]Row, n)
+	}
 	for _, cexpr := range p.consts {
-		cv, err := eval(cexpr, ec)
+		cv, err := eval(cexpr, &x.ec)
 		if err != nil {
 			return err
 		}
 		if !cv.Truth() {
-			return p.finish(ctx, nil, params, res)
+			return p.finish(x, tuples{})
 		}
 	}
-	var rows []Row
+	var cur tuples
 	for i := range p.scans {
 		s := &p.scans[i]
 		tv, ok := v.tables[s.table]
 		if !ok {
 			return unknownTableError(s.table)
 		}
-		scanned, err := s.scan(ctx, tv, params, res)
+		scanned, err := s.scan(x, i, tv)
 		if err != nil {
 			return err
 		}
+		if len(scanned) > math.MaxInt32 {
+			return fmt.Errorf("sqlmini: scan of %q yields %d rows, more than a join can address", s.table, len(scanned))
+		}
+		x.rows[i] = scanned
 		if i == 0 {
-			rows = scanned
+			cur = tuples{w: 1, n: len(scanned)}
 			continue
 		}
-		rows, err = p.joins[i-1].join(ctx, rows, scanned, params, res)
-		if err != nil {
+		if cur, err = p.joins[i-1].join(x, cur, scanned); err != nil {
 			return err
 		}
 	}
-	return p.finish(ctx, rows, params, res)
+	return p.finish(x, cur)
 }
 
-// scan produces the (filtered) base rows of one table from a view. With
-// no filter the result is the view's own shared slice (allRows);
-// callers never write the slice or the rows in it.
-func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res *Result) ([]Row, error) {
-	ec := &evalCtx{params: params}
+// scan produces the (filtered) base rows of the plan's k-th table from
+// a view. With no filter the result is the view's own shared slice
+// (allRows); callers never write the slice or the rows in it.
+func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 	switch s.access {
 	case accessPkEq:
-		res.Scanned++
-		kv, err := eval(s.keyExpr, ec)
+		x.res.Scanned++
+		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -1286,9 +1338,15 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 		if !hit {
 			return nil, nil
 		}
-		return s.filterOwned(ctx, []Row{tv.rows.at(idx)}, ec)
+		// The row comes as a one-row window of the view's own rows:
+		// filter it into a new slice, never in place.
+		one := tv.rows.window(idx)
+		if len(s.filter) == 0 {
+			return one, nil
+		}
+		return s.appendFiltered(x, k, nil, one)
 	case accessIdxEq:
-		kv, err := eval(s.keyExpr, ec)
+		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -1296,38 +1354,38 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 			return nil, nil // col = NULL matches nothing
 		}
 		if matches, indexed := tv.lookupIndex(s.keyCol, kv); indexed {
-			res.Scanned += int64(len(matches))
+			x.res.Scanned += int64(len(matches))
 			hits := make([]Row, len(matches))
 			for i, ri := range matches {
 				hits[i] = tv.rows.at(ri)
 			}
-			return s.filterOwned(ctx, hits, ec)
+			return s.filterOwned(x, k, hits)
 		}
 		// The view predates the index (pinned snapshot): scan, applying
 		// the consumed equality with the index's key semantics.
-		res.Scanned += int64(tv.rows.len())
+		x.res.Scanned += int64(tv.rows.len())
 		kk := kv.key()
 		hits := make([]Row, 0, 16)
-		for k := 0; k < tv.rows.runs(); k++ {
-			if err := ctx.Err(); err != nil {
+		for c := 0; c < tv.rows.runs(); c++ {
+			if err := x.ctx.Err(); err != nil {
 				return nil, err
 			}
-			for _, r := range tv.rows.run(k) {
+			for _, r := range tv.rows.run(c) {
 				if r[s.keyCol].key() == kk {
 					hits = append(hits, r)
 				}
 			}
 		}
-		return s.filterOwned(ctx, hits, ec)
+		return s.filterOwned(x, k, hits)
 	default:
-		res.Scanned += int64(tv.rows.len())
+		x.res.Scanned += int64(tv.rows.len())
 		if len(s.filter) == 0 {
 			return tv.allRows(), nil
 		}
 		var out []Row
-		for k := 0; k < tv.rows.runs(); k++ {
+		for c := 0; c < tv.rows.runs(); c++ {
 			var err error
-			if out, err = s.appendFiltered(ctx, out, tv.rows.run(k), ec); err != nil {
+			if out, err = s.appendFiltered(x, k, out, tv.rows.run(c)); err != nil {
 				return nil, err
 			}
 		}
@@ -1336,159 +1394,145 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 }
 
 // filterOwned filters a slice this scan built, in place.
-func (s *scanNode) filterOwned(ctx context.Context, rows []Row, ec *evalCtx) ([]Row, error) {
+func (s *scanNode) filterOwned(x *execRun, k int, rows []Row) ([]Row, error) {
 	if len(s.filter) == 0 {
 		return rows, nil
 	}
-	return s.appendFiltered(ctx, rows[:0], rows, ec)
+	return s.appendFiltered(x, k, rows[:0], rows)
 }
 
 // appendFiltered appends to dst the rows passing every pushed-down
-// conjunct (all of them when there is none). dst may be rows[:0]:
-// filtering in place never overtakes the read position.
-func (s *scanNode) appendFiltered(ctx context.Context, dst, rows []Row, ec *evalCtx) ([]Row, error) {
-	if len(s.filter) == 0 {
-		return append(dst, rows...), nil
-	}
+// conjunct, each evaluated with the row as the tuple's k-th. dst may be
+// rows[:0]: filtering in place never overtakes the read position.
+func (s *scanNode) appendFiltered(x *execRun, k int, dst, rows []Row) ([]Row, error) {
+rows:
 	for i, r := range rows {
-		if i%cancelCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := x.poll(i); err != nil {
+			return nil, err
 		}
-		ec.row = r
-		keep := true
+		x.ec.tup[k] = r
 		for _, f := range s.filter {
-			fv, err := eval(f, ec)
+			fv, err := eval(f, &x.ec)
 			if err != nil {
 				return nil, err
 			}
 			if !fv.Truth() {
-				keep = false
-				break
+				continue rows
 			}
 		}
-		if keep {
-			dst = append(dst, r)
-		}
+		dst = append(dst, r)
 	}
 	return dst, nil
 }
 
-// joinKey renders the composite hash key of a row over the given
-// column indices.
-func joinKey(r Row, cols []int) string {
-	if len(cols) == 1 {
-		return r[cols[0]].key()
+// key loads into kv the join key of one input — prefix tuple i when
+// ofLeft, else row i of the joined table — and reports whether it can
+// match at all: a key holding a NULL equals nothing, as the same
+// predicate evaluated as a residual would find.
+func (j *joinNode) key(x *execRun, left *tuples, right []Row, ofLeft bool, i int, kv []Value) bool {
+	for c := range kv {
+		var v Value
+		if ofLeft {
+			k := j.leftKeys[c]
+			v = x.rows[k.scan][left.pos(i, k.scan)][k.col]
+		} else {
+			v = right[i][j.rightKeys[c]]
+		}
+		if v.IsNull() {
+			return false
+		}
+		kv[c] = v
 	}
-	var sb strings.Builder
-	for _, c := range cols {
-		sb.WriteString(r[c].key())
-		sb.WriteByte('|')
-	}
-	return sb.String()
+	return true
 }
 
-// join combines the accumulated prefix rows with one table's rows.
-// Equi-joins hash on the smaller side; the output is always ordered
-// with the build side's counterpart as the outer sequence, which is a
-// deterministic function of the input data. Both build and probe loops
+// join extends the prefix tuples by one table's rows. Equi-joins hash
+// the smaller side and probe with the other; the output follows the
+// probe side's order, and within one probe element the build side's.
+// Both are deterministic functions of the input data, and later steps,
+// LIMIT and float aggregates depend on them. Build and probe loops
 // observe context cancellation.
-func (j *joinNode) join(ctx context.Context, left, right []Row, params []Value, res *Result) ([]Row, error) {
-	ec := &evalCtx{params: params}
-	emit := func(out []Row, lr, rr Row) ([]Row, error) {
-		nr := make(Row, 0, len(lr)+len(rr))
-		nr = append(nr, lr...)
-		nr = append(nr, rr...)
+func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
+	out := tuples{w: left.w + 1, ids: make([]int32, 0, left.n*(left.w+1))}
+
+	// emit appends the tuple (prefix tuple li, row ri) if it passes the
+	// residual conjuncts; only those ever read it before it is appended.
+	emit := func(li, ri int) error {
 		if len(j.extra) > 0 {
-			ec.row = nr
+			x.load(&left, li)
+			x.ec.tup[left.w] = right[ri]
 			for _, ex := range j.extra {
-				v, err := eval(ex, ec)
+				v, err := eval(ex, &x.ec)
 				if err != nil {
-					return out, err
+					return err
 				}
 				if !v.Truth() {
-					return out, nil
+					return nil
 				}
 			}
 		}
-		return append(out, nr), nil
+		if left.ids == nil {
+			out.ids = append(out.ids, int32(li), int32(ri))
+		} else {
+			out.ids = append(append(out.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
+		}
+		out.n++
+		return nil
 	}
 
-	if len(j.leftKeys) > 0 {
-		out := make([]Row, 0, len(left))
-		var err error
-		if len(right) <= len(left) {
-			// Build on the right, probe with the prefix rows:
-			// left-major output order.
-			ht := make(map[string][]Row, len(right))
-			for i, rr := range right {
-				if i%cancelCheckRows == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, cerr
-					}
+	if len(j.leftKeys) == 0 {
+		// Nested loop: no equi keys link this table to the prefix.
+		// Scanned counts evaluated pairs, as the pre-planner executor did.
+		for li := 0; li < left.n; li++ {
+			for ri := range right {
+				if err := x.poll(int(x.res.Scanned)); err != nil {
+					return tuples{}, err
 				}
-				k := joinKey(rr, j.rightKeys)
-				ht[k] = append(ht[k], rr)
-			}
-			for i, lr := range left {
-				if i%cancelCheckRows == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, cerr
-					}
-				}
-				for _, rr := range ht[joinKey(lr, j.leftKeys)] {
-					out, err = emit(out, lr, rr)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			return out, nil
-		}
-		// Build on the (smaller) prefix, probe with the table rows:
-		// right-major output order.
-		ht := make(map[string][]Row, len(left))
-		for i, lr := range left {
-			if i%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			k := joinKey(lr, j.leftKeys)
-			ht[k] = append(ht[k], lr)
-		}
-		for i, rr := range right {
-			if i%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			for _, lr := range ht[joinKey(rr, j.rightKeys)] {
-				out, err = emit(out, lr, rr)
-				if err != nil {
-					return nil, err
+				x.res.Scanned++
+				if err := emit(li, ri); err != nil {
+					return tuples{}, err
 				}
 			}
 		}
 		return out, nil
 	}
 
-	// Nested loop: no equi keys link this table to the prefix. Scanned
-	// counts evaluated pairs, as the pre-planner executor did.
-	out := make([]Row, 0, len(left))
-	var err error
-	for _, lr := range left {
-		for _, rr := range right {
-			if res.Scanned%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
+	// Build on the table's rows unless the prefix is smaller. A chain
+	// links the build positions sharing a key: heads maps the key to the
+	// first, next[b] leads from b to the one after it (both +1, 0 ends
+	// the chain). Building from the back and pushing in front leaves
+	// every chain in ascending position — insertion — order.
+	buildLeft := left.n < len(right)
+	nBuild, nProbe := len(right), left.n
+	if buildLeft {
+		nBuild, nProbe = nProbe, nBuild
+	}
+	heads := newKeyMap(len(j.leftKeys), nBuild)
+	next := make([]int32, nBuild)
+	kv := make([]Value, len(j.leftKeys))
+	for b := nBuild - 1; b >= 0; b-- {
+		if err := x.poll(b); err != nil {
+			return tuples{}, err
+		}
+		if j.key(x, &left, right, buildLeft, b, kv) {
+			next[b] = heads.get(kv)
+			heads.put(kv, int32(b)+1)
+		}
+	}
+	for i := 0; i < nProbe; i++ {
+		if err := x.poll(i); err != nil {
+			return tuples{}, err
+		}
+		if !j.key(x, &left, right, !buildLeft, i, kv) {
+			continue
+		}
+		for b := heads.get(kv); b != 0; b = next[b-1] {
+			li, ri := i, int(b-1)
+			if buildLeft {
+				li, ri = ri, li
 			}
-			res.Scanned++
-			out, err = emit(out, lr, rr)
-			if err != nil {
-				return nil, err
+			if err := emit(li, ri); err != nil {
+				return tuples{}, err
 			}
 		}
 	}
@@ -1496,25 +1540,47 @@ func (j *joinNode) join(ctx context.Context, left, right []Row, params []Value, 
 }
 
 // finish projects, aggregates, deduplicates, orders and limits the
-// joined rows — the pre-bound successor of the old finishSelect.
-func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res *Result) error {
+// joined tuples.
+func (p *selectPlan) finish(x *execRun, in tuples) error {
 	groupMode := len(p.aggs) > 0 || len(p.groupBy) > 0
-	// A LIMIT with nothing downstream that needs every row (grouping,
-	// DISTINCT, ORDER BY) takes the first rows: project only those.
-	if !groupMode && !p.distinct && len(p.orderBy) == 0 && p.limit >= 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
+	// A LIMIT with nothing downstream that needs every tuple (grouping,
+	// DISTINCT, ORDER BY) takes the first ones: project only those.
+	if !groupMode && !p.distinct && len(p.orderBy) == 0 && p.limit >= 0 && in.n > p.limit {
+		in.n = p.limit
 	}
 
+	// Output rows are cut from one slab. inputs[i] is the tuple output
+	// row i evaluates its ORDER BY expressions against (a group's first
+	// tuple); nil while row i still comes from tuple i.
+	nout := len(p.outExprs)
 	var outRows []Row
-	var orderInputs []Row // input (or group sample) row per output row
+	var inputs []int
+	var slab []Value
+	project := func(ec *evalCtx) error {
+		or := slab[:nout:nout]
+		for i, oe := range p.outExprs {
+			v, err := eval(oe, ec)
+			if err != nil {
+				return err
+			}
+			or[i] = v
+		}
+		slab = slab[nout:]
+		outRows = append(outRows, or)
+		return nil
+	}
 	if groupMode {
-		groups, order, err := groupRows(rows, p.groupBy, p.aggs, params)
+		groups, err := groupRows(x, in, p.groupBy, p.aggs)
 		if err != nil {
 			return err
 		}
-		for _, key := range order {
-			g := groups[key]
-			gctx := &evalCtx{row: g.sample, aggs: g.aggValues(), params: params}
+		slab = make([]Value, len(groups)*nout)
+		outRows = make([]Row, 0, len(groups))
+		inputs = make([]int, 0, len(groups))
+		gctx := &evalCtx{tup: x.ec.tup, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		for _, g := range groups {
+			x.load(&in, g.sample)
+			g.aggValues(p.aggs, gctx.aggs)
 			if p.having != nil {
 				hv, err := eval(p.having, gctx)
 				if err != nil {
@@ -1524,72 +1590,54 @@ func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res
 					continue
 				}
 			}
-			or := make(Row, len(p.outExprs))
-			for i, oe := range p.outExprs {
-				v, err := eval(oe, gctx)
-				if err != nil {
-					return err
-				}
-				or[i] = v
+			if err := project(gctx); err != nil {
+				return err
 			}
-			outRows = append(outRows, or)
-			orderInputs = append(orderInputs, g.sample)
+			inputs = append(inputs, g.sample)
 		}
 	} else {
-		ec := &evalCtx{params: params}
-		outRows = make([]Row, 0, len(rows))
-		orderInputs = rows // one output row per input row, in order
-		for ri, r := range rows {
-			if ri%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		slab = make([]Value, in.n*nout)
+		outRows = make([]Row, 0, in.n)
+		for i := 0; i < in.n; i++ {
+			if err := x.poll(i); err != nil {
+				return err
 			}
-			ec.row = r
-			or := make(Row, len(p.outExprs))
-			for i, oe := range p.outExprs {
-				v, err := eval(oe, ec)
-				if err != nil {
-					return err
-				}
-				or[i] = v
+			x.load(&in, i)
+			if err := project(&x.ec); err != nil {
+				return err
 			}
-			outRows = append(outRows, or)
 		}
 	}
 
 	if p.distinct {
-		seen := make(map[string]bool, len(outRows))
+		seen := newKeyMap(nout, len(outRows))
 		kept := outRows[:0]
-		// orderInputs may be a view's shared slice: compact into a new one.
-		keptIn := make([]Row, 0, len(orderInputs))
+		keptIn := make([]int, 0, len(outRows))
 		for i, r := range outRows {
-			var sb strings.Builder
-			for _, v := range r {
-				sb.WriteString(v.key())
-				sb.WriteByte('|')
+			if seen.get(r) != 0 {
+				continue
 			}
-			k := sb.String()
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, r)
-				keptIn = append(keptIn, orderInputs[i])
+			seen.put(r, 1)
+			kept = append(kept, r)
+			if inputs == nil {
+				keptIn = append(keptIn, i)
+			} else {
+				keptIn = append(keptIn, inputs[i])
 			}
 		}
-		outRows = kept
-		orderInputs = keptIn
+		outRows, inputs = kept, keptIn
 	}
 
 	if len(p.orderBy) > 0 {
 		var err error
-		if outRows, err = p.order(outRows, orderInputs, params); err != nil {
+		if outRows, err = p.order(x, outRows, in, inputs); err != nil {
 			return err
 		}
 	}
 	if p.limit >= 0 && len(outRows) > p.limit {
 		outRows = outRows[:p.limit]
 	}
-	res.Rows = outRows
+	x.res.Rows = outRows
 	return nil
 }
 
@@ -1640,9 +1688,11 @@ func (h *topRows) siftDown(i int) {
 
 // order sorts the output rows by the ORDER BY keys, ties in input
 // order, and returns the first LIMIT of them (all without a LIMIT).
-// Under a LIMIT k only the best k rows seen so far are kept, so the
-// sort costs O(n log k) and k key slices, not n.
-func (p *selectPlan) order(outRows, inputs []Row, params []Value) ([]Row, error) {
+// Keys that are not output columns are evaluated against tuple
+// inputs[i] of in (tuple i when inputs is nil). Under a LIMIT k only
+// the best k rows seen so far are kept, so the sort costs O(n log k)
+// and k key slices, not n.
+func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int) ([]Row, error) {
 	keep := len(outRows)
 	if p.limit >= 0 && p.limit < keep {
 		keep = p.limit
@@ -1650,16 +1700,23 @@ func (p *selectPlan) order(outRows, inputs []Row, params []Value) ([]Row, error)
 	nk := len(p.orderBy)
 	h := &topRows{specs: p.orderBy, items: make([]sortItem, 0, keep)}
 	keySlab := make([]Value, keep*nk)
-	ec := &evalCtx{params: params}
 	cand := sortItem{keys: make([]Value, nk)}
 	for i, r := range outRows {
+		loaded := false
 		for oi, spec := range p.orderBy {
 			if spec.outIdx >= 0 {
 				cand.keys[oi] = r[spec.outIdx]
 				continue
 			}
-			ec.row = inputs[i]
-			v, err := eval(spec.expr, ec)
+			if !loaded {
+				ti := i
+				if inputs != nil {
+					ti = inputs[i]
+				}
+				x.load(&in, ti)
+				loaded = true
+			}
+			v, err := eval(spec.expr, &x.ec)
 			if err != nil {
 				return nil, err
 			}

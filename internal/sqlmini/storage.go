@@ -43,6 +43,16 @@ func (s rowStore) at(i int) Row {
 	return s.tail[i-len(s.chunks)*rowChunkLen]
 }
 
+// window returns the row at position i as a one-row slice of the store
+// itself; the result must not be written.
+func (s rowStore) window(i int) []Row {
+	run, j := s.tail, i-len(s.chunks)*rowChunkLen
+	if ci := i / rowChunkLen; ci < len(s.chunks) {
+		run, j = s.chunks[ci][:], i%rowChunkLen
+	}
+	return run[j : j+1 : j+1]
+}
+
 // runs is the number of contiguous runs the store iterates as: every
 // sealed chunk, then the tail. Run k starts at position k*rowChunkLen.
 func (s rowStore) runs() int { return len(s.chunks) + 1 }

@@ -44,11 +44,13 @@ check: vet lint build race
 chaos:
 	$(GO) test -race -run 'Chaos|Recover|Failover|RedoLog' -timeout 120s ./internal/cluster/
 
-# chaos-migrate runs the online-reallocation suite under the race
-# detector: live migrations and resizes with concurrent traffic, delta
-# capture under injected writes, and a backend killed mid-copy (the
-# migration must abort cleanly or complete — never leave a partial
-# replica serving).
+# chaos-migrate runs the reallocation suite (every TestMigrateLive* and
+# TestResizeLive*) under the race detector: the placement and data
+# contract of each reallocation shape against the matching's plan, live
+# migrations and resizes with concurrent traffic, delta capture and
+# delta-log overflow under injected writes, and a backend killed
+# mid-copy (the migration must abort cleanly or complete — never leave
+# a partial replica serving, nor the backends of a failed scale-out).
 chaos-migrate:
 	$(GO) test -race -run 'MigrateLive|ResizeLive|ResizeSameCount' -count=2 -timeout 120s ./internal/cluster/
 

@@ -117,8 +117,8 @@ type backend struct {
 	// behind the pointer is immutable, mutators swap in a fresh copy, so
 	// the lock-free routing paths (eligible, executeWrite's holder scan)
 	// read it without synchronization. Mutations are serialized by their
-	// callers — stop-the-world paths under Cluster.mu, live-migration
-	// cutovers under Cluster.dispatchMu.
+	// callers — Install under Cluster.mu, live-migration cutovers and
+	// drops under Cluster.dispatchMu.
 	tables   atomic.Pointer[map[string]bool]
 	updateCh chan *updateJob
 	wg       sync.WaitGroup
@@ -129,21 +129,16 @@ type backend struct {
 	// new updates enqueue directly again while checksum verification
 	// finishes. Flipped only under the cluster's dispatch lock.
 	direct atomic.Bool
-	// redo, redoLen, redoLost, and downSince are guarded by
-	// Cluster.dispatchMu: redo appends must interleave with the global
-	// update order. The log is round-structured — replay re-applies
-	// the same round boundaries the live replicas committed — and
-	// redoLen counts the statements across all logged rounds (the
-	// RedoLogCap unit).
-	redo      []*replayRound
-	redoLen   int
-	redoLost  bool
+	// missed is the redo log: the updates this backend did not receive
+	// while it was not accepting writes. It and downSince are guarded by
+	// Cluster.dispatchMu.
+	missed    roundLog
 	downSince time.Time
 	// capture maps tables this backend is receiving through a live
 	// migration to their delta logs (guarded by Cluster.dispatchMu).
 	// A captured table is disjoint from the held set: the backend holds
 	// it only after the migration's cutover barrier.
-	capture map[string]*deltaLog
+	capture map[string]*roundLog
 }
 
 // tableSet returns the backend's current table set. The returned map
@@ -175,8 +170,8 @@ func (b *backend) holdsAny(ts []string) bool {
 	return false
 }
 
-// setTables replaces the table set wholesale (stop-the-world paths own
-// the map they pass in; it must not be mutated afterwards).
+// setTables replaces the table set wholesale (Install owns the map it
+// passes in; it must not be mutated afterwards).
 func (b *backend) setTables(ts map[string]bool) { b.tables.Store(&ts) }
 
 // addTable publishes one more held table (a live-migration cutover,
@@ -217,6 +212,12 @@ func (b *backend) acceptsWrites() bool {
 		return b.direct.Load()
 	}
 	return false
+}
+
+// enqueue hands a job to the backend's applier.
+func (b *backend) enqueue(job *updateJob) {
+	b.metrics.IncPending()
+	b.updateCh <- job
 }
 
 // updateJob is one queue entry for a backend's applier. Committed
@@ -260,8 +261,8 @@ type Cluster struct {
 	metrics *metrics.Registry
 
 	// liveMu serializes the allocation-changing operations — Install,
-	// Migrate, Resize, MigrateLive, ResizeLive: at most one reallocation
-	// runs at a time. Lock order: liveMu > mu > dispatchMu.
+	// MigrateLive, ResizeLive: at most one reallocation runs at a time.
+	// Lock order: liveMu > mu > dispatchMu.
 	liveMu sync.Mutex
 
 	mu         sync.Mutex // guards alloc, classFrags
@@ -296,7 +297,7 @@ type Cluster struct {
 	mig   MigrationStatus
 
 	// routeGen counts routing-metadata changes: every installed
-	// allocation (stop-the-world or live cutover) and every DDL write
+	// allocation (Install or live routing swap) and every DDL write
 	// bumps it. Prepared statements cache their resolved route tagged
 	// with the generation they computed it under and re-resolve on
 	// mismatch — the wire-protocol analogue of the plan cache's
@@ -434,6 +435,9 @@ func (b *backend) applyRound(job *updateJob) {
 		stmts[i] = rs.stmt
 	}
 	results := b.engine.ApplyRound(stmts)
+	// Before any writer is released: an acknowledged write must not
+	// still count as pending on its replicas.
+	b.metrics.DecPending()
 	var firstErr error
 	for i, rs := range rj.stmts {
 		r := results[i]
@@ -445,7 +449,6 @@ func (b *backend) applyRound(job *updateJob) {
 			rs.entry.complete(b, r.Err, r.Affected)
 		}
 	}
-	b.metrics.DecPending()
 	job.done <- firstErr
 }
 
@@ -522,11 +525,6 @@ func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 		for _, f := range alloc.Fragments(i) {
 			tables[TableOfFragment(f)] = true
 		}
-		list := make([]string, 0, len(tables))
-		for t := range tables {
-			list = append(list, t)
-		}
-		sort.Strings(list)
 		wg.Add(1)
 		go func(b *backend, list []string, tables map[string]bool, i int) {
 			defer wg.Done()
@@ -537,7 +535,7 @@ func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 					errs[i] = fmt.Errorf("cluster: install backend %s: %w", b.name, err)
 				}
 			}
-		}(b, list, tables, i)
+		}(b, sortedTables(tables), tables, i)
 	}
 	wg.Wait()
 	// Report the first failing backend (by backend order) with its
@@ -554,9 +552,7 @@ func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 		b.health.Set(runtime.Up)
 		b.health.ResetFailures()
 		b.direct.Store(false)
-		b.redo = nil
-		b.redoLen = 0
-		b.redoLost = false
+		b.missed.reset()
 		b.downSince = time.Time{}
 		b.capture = nil
 	}
@@ -578,12 +574,7 @@ func (c *Cluster) installRoutingLocked(alloc *core.Allocation) {
 		for _, f := range cl.Fragments() {
 			tables[TableOfFragment(f)] = true
 		}
-		list := make([]string, 0, len(tables))
-		for t := range tables {
-			list = append(list, t)
-		}
-		sort.Strings(list)
-		c.classFrags[cl.Name] = list
+		c.classFrags[cl.Name] = sortedTables(tables)
 	}
 }
 
@@ -878,33 +869,6 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 	return &Result{Backend: fmt.Sprintf("%d replicas", e.targets), Affected: e.affected}, nil
 }
 
-// appendRedoLocked logs an update a non-writable backend missed, under
-// the round tick it committed with, so replay re-applies the exact
-// round boundaries the live replicas saw. Overflow beyond
-// Config.RedoLogCap statements marks the log lost (and frees it): the
-// backend will recover by full table re-copy instead of replay. Called
-// with dispatchMu held — the log order IS the global order.
-//
-//qcpa:locks dispatchMu
-func (c *Cluster) appendRedoLocked(b *backend, tick uint64, stmt sqlmini.Statement, sql string) {
-	if b.redoLost {
-		return
-	}
-	if b.redoLen >= c.cfg.RedoLogCap {
-		b.redo = nil
-		b.redoLen = 0
-		b.redoLost = true
-		return
-	}
-	if n := len(b.redo); n == 0 || b.redo[n-1].tick != tick {
-		b.redo = append(b.redo, &replayRound{tick: tick})
-	}
-	last := b.redo[len(b.redo)-1]
-	last.stmts = append(last.stmts, replayStmt{stmt: stmt, sql: sql})
-	b.redoLen++
-	c.metrics.ObserveRedoAppend()
-}
-
 // stmtCacheCap bounds the prepared-statement cache; exceeding it evicts
 // the least-frequently-used eighth rather than flushing wholesale.
 const stmtCacheCap = 4096
@@ -959,29 +923,33 @@ func (c *Cluster) parse(sql string) (sqlmini.Statement, error) {
 //
 //qcpa:locks stmtMu
 func (c *Cluster) evictStmtLocked() {
-	counts := make([]int, 0, len(c.stmtCache))
-	for _, en := range c.stmtCache {
-		counts = append(counts, int(en.uses.Load()))
+	for _, sql := range coldestEighth(c.stmtCache, func(en *stmtEntry) int { return int(en.uses.Load()) }) {
+		delete(c.stmtCache, sql)
+	}
+}
+
+// coldestEighth returns the keys of roughly the least-used eighth of a
+// cache (at least one entry): up to that many of the entries whose use
+// count does not exceed the eighth's threshold, in sorted key order.
+func coldestEighth[V any](cache map[string]V, uses func(V) int) []string {
+	counts := make([]int, 0, len(cache))
+	for _, v := range cache {
+		counts = append(counts, uses(v))
 	}
 	sort.Ints(counts)
-	quota := len(counts) / 8
-	if quota < 1 {
-		quota = 1
-	}
+	quota := max(len(counts)/8, 1)
 	threshold := counts[quota-1]
 	cand := make([]string, 0, quota)
-	for sql, en := range c.stmtCache {
-		if int(en.uses.Load()) <= threshold {
-			cand = append(cand, sql)
+	for key, v := range cache {
+		if uses(v) <= threshold {
+			cand = append(cand, key)
 		}
 	}
 	sort.Strings(cand)
 	if len(cand) > quota {
 		cand = cand[:quota]
 	}
-	for _, sql := range cand {
-		delete(c.stmtCache, sql)
-	}
+	return cand
 }
 
 // record appends to the query history (Figure 3's journal). The
@@ -1013,27 +981,7 @@ func (c *Cluster) record(sql string, d time.Duration) {
 //
 //qcpa:locks journalMu
 func (c *Cluster) evictJournalLocked() {
-	counts := make([]int, 0, len(c.journal))
-	for _, line := range c.journal {
-		counts = append(counts, line.count)
-	}
-	sort.Ints(counts)
-	quota := len(counts) / 8
-	if quota < 1 {
-		quota = 1
-	}
-	threshold := counts[quota-1]
-	cand := make([]string, 0, quota)
-	for sql, line := range c.journal {
-		if line.count <= threshold {
-			cand = append(cand, sql)
-		}
-	}
-	sort.Strings(cand)
-	if len(cand) > quota {
-		cand = cand[:quota]
-	}
-	for _, sql := range cand {
+	for _, sql := range coldestEighth(c.journal, func(line *journalLine) int { return line.count }) {
 		delete(c.journal, sql)
 	}
 }
@@ -1103,15 +1051,7 @@ func (c *Cluster) NumBackends() int { return len(c.all()) }
 func (c *Cluster) Backend(i int) *sqlmini.Engine { return c.all()[i].engine }
 
 // Tables returns the tables held by backend i, sorted.
-func (c *Cluster) Tables(i int) []string {
-	set := c.all()[i].tableSet()
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
+func (c *Cluster) Tables(i int) []string { return sortedTables(c.all()[i].tableSet()) }
 
 // Stats summarizes a Run.
 type Stats struct {

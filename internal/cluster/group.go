@@ -341,8 +341,13 @@ func (c *Cluster) routeEntryLocked(backends []*backend, e *groupEntry, tick uint
 		e.fail(&runtime.UnavailableError{Class: e.class, Tables: e.tables})
 		return nil
 	}
+	// Both logs take the update under the round tick it commits with, so
+	// replay re-applies the exact round boundaries the live replicas saw.
+	limit := c.cfg.RedoLogCap
 	for _, i := range redo {
-		c.appendRedoLocked(backends[i], tick, e.stmt, e.sql)
+		if backends[i].missed.append(tick, e.stmt, e.sql, limit) {
+			c.metrics.ObserveRedoAppend()
+		}
 	}
 	// Live-migration delta capture: a backend mid-copy of one of the
 	// written tables records the update for catch-up replay. Captured
@@ -355,7 +360,7 @@ func (c *Cluster) routeEntryLocked(backends []*backend, e *groupEntry, tick uint
 		}
 		for _, t := range e.routeTables {
 			if dl, ok := b.capture[t]; ok && !b.holds(t) {
-				c.appendDeltaLocked(dl, tick, e.stmt, e.sql)
+				dl.append(tick, e.stmt, e.sql, limit)
 				break
 			}
 		}

@@ -78,9 +78,7 @@ func (c *Cluster) quarantine(b *backend) {
 	b.health.Set(runtime.Down)
 	b.direct.Store(false)
 	c.dispatchMu.Lock()
-	b.redo = nil
-	b.redoLen = 0
-	b.redoLost = true
+	b.missed.markLost()
 	if b.downSince.IsZero() {
 		b.downSince = time.Now()
 	}
@@ -124,16 +122,26 @@ func (c *Cluster) Recover(name string) (*CatchUpReport, error) {
 	}
 	start := time.Now()
 	rep := &CatchUpReport{Backend: name}
-	if !c.replayRedo(b, rep) {
+	// Replay the redo log; the hold that catches it drained flips the
+	// backend to direct mode, so new updates enqueue directly while
+	// verification finishes. A lost log means replay cannot repair the
+	// replica: re-copy its tables instead.
+	if _, err := c.drainOnto(b, &b.missed,
+		func(n int) error { rep.Replayed += n; return nil },
+		func() { b.direct.Store(true) },
+	); err != nil {
 		if err := c.resync(b, rep); err != nil {
 			c.quarantine(b)
 			return nil, fmt.Errorf("cluster: resync of backend %s: %w", name, err)
 		}
 	}
-	if err := c.verifyChecksums(b, rep); err != nil {
+	verified, skipped, err := c.verifyAgainstPeers(b, sortedTables(b.tableSet()))
+	if err != nil {
 		c.quarantine(b)
 		return nil, fmt.Errorf("cluster: backend %s failed verification: %w", name, err)
 	}
+	rep.Verified = verified
+	rep.Skipped = append(rep.Skipped, skipped...)
 	b.health.ResetFailures()
 	c.dispatchMu.Lock()
 	b.health.Set(runtime.Up)
@@ -145,50 +153,6 @@ func (c *Cluster) Recover(name string) (*CatchUpReport, error) {
 	return rep, nil
 }
 
-// replayRedo re-applies the backend's redo log in global order and
-// reports whether replay sufficed (false: the log was lost and the
-// caller must resync). Writes keep flowing during replay and append to
-// a fresh log; replay loops until it catches a drain with the dispatch
-// lock held, then flips the backend to direct mode — from that instant
-// new updates enqueue directly and no gap exists between the last
-// replayed and the first direct update.
-func (c *Cluster) replayRedo(b *backend, rep *CatchUpReport) bool {
-	for {
-		c.dispatchMu.Lock()
-		if b.redoLost {
-			c.dispatchMu.Unlock()
-			return false
-		}
-		batch := b.redo
-		n := b.redoLen
-		b.redo = nil
-		b.redoLen = 0
-		if len(batch) == 0 {
-			// Drained: accept writes directly from here on.
-			b.direct.Store(true)
-			c.dispatchMu.Unlock()
-			return true
-		}
-		c.dispatchMu.Unlock()
-		// Replay round by round: each logged round applies through one
-		// ApplyRound, preserving the epoch boundaries the live replicas
-		// published when they committed it.
-		jobs := make([]*updateJob, len(batch))
-		for i, rr := range batch {
-			jobs[i] = rr.job()
-			b.metrics.IncPending()
-			b.updateCh <- jobs[i]
-		}
-		for _, job := range jobs {
-			// Individual replay errors are not fatal here: checksum
-			// verification is the arbiter of whether the replica
-			// converged.
-			<-job.done
-		}
-		rep.Replayed += n
-	}
-}
-
 // resync re-copies the backend's tables from live replicas: snapshot
 // barrier jobs on the sources and a restore job on the recovering
 // backend, all enqueued under one dispatch-lock hold, so the restored
@@ -197,32 +161,18 @@ func (c *Cluster) replayRedo(b *backend, rep *CatchUpReport) bool {
 // are unavailable for everyone anyway).
 func (c *Cluster) resync(b *backend, rep *CatchUpReport) error {
 	c.dispatchMu.Lock()
-	bySource := make(map[*backend][]string)
-	var skipped []string
-	for t := range b.tableSet() {
-		src := c.liveHolderLocked(t, b)
-		if src == nil {
-			skipped = append(skipped, t)
-			continue
-		}
-		bySource[src] = append(bySource[src], t)
-	}
+	bySource, skipped := c.livePeersLocked(b, sortedTables(b.tableSet()))
 	waits := make([]*snapshotWait, 0, len(bySource))
 	for src, tables := range bySource {
-		sort.Strings(tables)
 		w := &snapshotWait{tables: tables, done: make(chan error, 1)}
 		waits = append(waits, w)
-		src.metrics.IncPending()
-		src.updateCh <- &updateJob{snapshot: w, done: make(chan error, 1)}
+		src.enqueue(&updateJob{snapshot: w, done: make(chan error, 1)})
 	}
 	restore := &updateJob{restore: waits, done: make(chan error, 1)}
-	b.metrics.IncPending()
-	b.updateCh <- restore
+	b.enqueue(restore)
 	// From this enqueue on the backend is caught up "as of" this point
 	// in the global order: later updates queue behind the restore.
-	b.redo = nil
-	b.redoLen = 0
-	b.redoLost = false
+	b.missed.reset()
 	b.direct.Store(true)
 	c.dispatchMu.Unlock()
 	if err := <-restore.done; err != nil {
@@ -232,51 +182,40 @@ func (c *Cluster) resync(b *backend, rep *CatchUpReport) error {
 		rep.Resynced = append(rep.Resynced, w.tables...)
 	}
 	sort.Strings(rep.Resynced)
-	sort.Strings(skipped)
 	rep.Skipped = append(rep.Skipped, skipped...)
 	return nil
 }
 
-// verifyChecksums compares the backend's table checksums against live
-// replicas. The checksum barrier jobs — one on the recovering backend,
-// one per source — are enqueued under a single dispatch-lock hold, so
-// each pair observes the same global-update prefix and must agree
-// bit-for-bit when the replica converged.
-func (c *Cluster) verifyChecksums(b *backend, rep *CatchUpReport) error {
+// verifyAgainstPeers compares b's copy of each listed table (sorted)
+// with a live holder's. The checksum barrier jobs — one on b, one per
+// peer — are enqueued under a single dispatchMu hold, so each pair
+// observes the same global-update prefix and must agree bit-for-bit
+// when the replica converged, even while writes keep flowing. Tables
+// with no live peer are returned as skipped: the check is vacuous for
+// them (b carries the best surviving state).
+func (c *Cluster) verifyAgainstPeers(b *backend, tables []string) (verified, skipped []string, err error) {
 	c.dispatchMu.Lock()
-	bySource := make(map[*backend][]string)
-	var verifiable, skipped []string
-	for t := range b.tableSet() {
-		src := c.liveHolderLocked(t, b)
-		if src == nil {
-			skipped = append(skipped, t)
-			continue
-		}
-		bySource[src] = append(bySource[src], t)
-		verifiable = append(verifiable, t)
+	byPeer, skipped := c.livePeersLocked(b, tables)
+	for _, ts := range byPeer {
+		verified = append(verified, ts...)
 	}
-	if len(verifiable) == 0 {
+	sort.Strings(verified)
+	if len(verified) == 0 {
 		c.dispatchMu.Unlock()
-		sort.Strings(skipped)
-		rep.Skipped = append(rep.Skipped, skipped...)
-		return nil
+		return nil, skipped, nil
 	}
-	sort.Strings(verifiable)
-	own := &updateJob{checksum: verifiable, done: make(chan error, 1)}
-	b.metrics.IncPending()
-	b.updateCh <- own
-	srcJobs := make([]*updateJob, 0, len(bySource))
-	for src, tables := range bySource {
-		sort.Strings(tables)
-		j := &updateJob{checksum: tables, done: make(chan error, 1)}
-		srcJobs = append(srcJobs, j)
-		src.metrics.IncPending()
-		src.updateCh <- j
+	own := &updateJob{checksum: verified, done: make(chan error, 1)}
+	b.enqueue(own)
+	peerJobs := make([]*updateJob, 0, len(byPeer))
+	for peer, ts := range byPeer {
+		j := &updateJob{checksum: ts, done: make(chan error, 1)}
+		peerJobs = append(peerJobs, j)
+		peer.enqueue(j)
 	}
 	c.dispatchMu.Unlock()
-	err := <-own.done
-	want := make(map[string]uint64, len(verifiable))
-	for _, j := range srcJobs {
+	err = <-own.done
+	want := make(map[string]uint64, len(verified))
+	for _, j := range peerJobs {
 		if jerr := <-j.done; jerr != nil && err == nil {
 			err = jerr
 		}
@@ -285,23 +224,37 @@ func (c *Cluster) verifyChecksums(b *backend, rep *CatchUpReport) error {
 		}
 	}
 	if err != nil {
-		return err
+		return nil, skipped, err
 	}
-	for _, t := range verifiable {
+	for _, t := range verified {
 		if own.sums[t] != want[t] {
-			return fmt.Errorf("table %s checksum mismatch (%x, live replica has %x)", t, own.sums[t], want[t])
+			return nil, skipped, fmt.Errorf("table %s checksum mismatch (%x, live replica has %x)", t, own.sums[t], want[t])
 		}
 	}
-	rep.Verified = verifiable
-	sort.Strings(skipped)
-	rep.Skipped = append(rep.Skipped, skipped...)
-	return nil
+	return verified, skipped, nil
+}
+
+// livePeersLocked groups the listed tables (sorted) by the live replica
+// other than b that a copy or a comparison of b's tables should use;
+// tables without one are returned as skipped.
+//
+//qcpa:locks dispatchMu
+func (c *Cluster) livePeersLocked(b *backend, tables []string) (byPeer map[*backend][]string, skipped []string) {
+	byPeer = make(map[*backend][]string)
+	for _, t := range tables {
+		if peer := c.liveHolderLocked(t, b); peer != nil {
+			byPeer[peer] = append(byPeer[peer], t)
+		} else {
+			skipped = append(skipped, t)
+		}
+	}
+	return byPeer, skipped
 }
 
 // liveHolderLocked returns a live replica of the table other than
 // exclude, preferring Up over Degraded, or nil when none exists.
 // Called with dispatchMu held so health states cannot flip under the
-// grouping decisions of resync/verifyChecksums (Fail and Recover's
+// grouping decisions of resync/verifyAgainstPeers (Fail and Recover's
 // final transition also hold dispatchMu).
 //
 //qcpa:locks dispatchMu
@@ -367,8 +320,8 @@ func (c *Cluster) Health() *HealthReport {
 		bh := BackendHealth{
 			Name:     b.name,
 			State:    b.health.State().String(),
-			RedoLen:  b.redoLen,
-			RedoLost: b.redoLost,
+			RedoLen:  b.missed.n,
+			RedoLost: b.missed.lost,
 		}
 		if !b.downSince.IsZero() {
 			bh.DownForMS = now.Sub(b.downSince).Milliseconds()

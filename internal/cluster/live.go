@@ -10,13 +10,18 @@ import (
 	"qcpa/internal/sqlmini"
 )
 
-// This file is the online reallocation engine (DESIGN.md §10): the
-// live counterparts of Migrate and Resize. Where the stop-the-world
-// paths hold the controller lock for the whole row-by-row copy, the
-// live paths copy in throttled batches while the cluster keeps serving,
-// and block foreground updates only for a per-table cutover barrier — a
-// single dispatchMu hold that drains the delta log and publishes the
-// new replica.
+// This file is the reallocation engine (DESIGN.md §10), the only way
+// besides Install to change the installed allocation. The new
+// allocation's backends are matched onto the physical ones with the
+// Hungarian method (Section 3.4; padded with virtual backends when the
+// count changes, Section 5), missing tables are copied from a backend
+// that already stores them (the paper's ETL data transport) in
+// throttled batches while the cluster keeps serving, only tables no
+// backend holds come from the loader, and tables nobody needs any more
+// are dropped. Foreground updates block only for a per-table cutover
+// barrier — a single dispatchMu hold that catches the delta log drained
+// and publishes the new replica. An idle cluster is the same protocol
+// with an empty delta log.
 //
 // Per-table protocol:
 //
@@ -35,7 +40,7 @@ import (
 //     dispatchMu held; that final hold publishes the table (reads and
 //     ROWA updates route to the new replica from that instant) and
 //     unregisters the capture. Its duration is the cutover pause.
-//  4. Verification: the PR-2 checksum barrier job compares the fresh
+//  4. Verification: paired checksum barrier jobs compare the fresh
 //     replica against a live holder under one dispatchMu hold —
 //     comparable even under write load. A mismatch rolls the replica
 //     back out (unroute + drop) and fails the migration.
@@ -47,6 +52,7 @@ import (
 // names only the old holders. Tables that completed earlier remain as
 // consistent extra replicas (they receive every update through ROWA)
 // and are harmless: the old allocation's routing is still installed.
+// Backends a failed scale-out created are retired again.
 
 // LiveOptions tunes the live migration engine.
 type LiveOptions struct {
@@ -84,48 +90,6 @@ type cloneWait struct {
 	table string
 	cols  []sqlmini.Column
 	rows  []sqlmini.Row
-}
-
-// deltaLog captures the ROWA updates to one in-flight table during a
-// live migration, grouped by the round they committed with so replay
-// re-applies the same round boundaries. Guarded by Cluster.dispatchMu:
-// appends interleave with the global update order, so replay order
-// equals global order. n counts statements across all captured rounds.
-type deltaLog struct {
-	rounds []*replayRound
-	n      int
-	// lost marks an overflowed capture: the copy attempt must restart
-	// from a fresh clone.
-	lost bool
-}
-
-// errDeltaOverflow aborts one copy attempt: concurrent updates to the
-// in-flight table outran the delta log's cap faster than catch-up
-// could drain it.
-var errDeltaOverflow = errors.New("cluster: live-migration delta log overflowed")
-
-// appendDeltaLocked records an update for an in-flight table under its
-// round tick. Beyond Config.RedoLogCap statements the log is marked
-// lost (same policy as the redo log): the copy restarts rather than
-// replaying an unbounded backlog.
-//
-//qcpa:locks dispatchMu
-func (c *Cluster) appendDeltaLocked(dl *deltaLog, tick uint64, stmt sqlmini.Statement, sql string) {
-	if dl.lost {
-		return
-	}
-	if dl.n >= c.cfg.RedoLogCap {
-		dl.rounds = nil
-		dl.n = 0
-		dl.lost = true
-		return
-	}
-	if n := len(dl.rounds); n == 0 || dl.rounds[n-1].tick != tick {
-		dl.rounds = append(dl.rounds, &replayRound{tick: tick})
-	}
-	last := dl.rounds[len(dl.rounds)-1]
-	last.stmts = append(last.stmts, replayStmt{stmt: stmt, sql: sql})
-	dl.n++
 }
 
 // MigrationStatus is a point-in-time view of the live migration in
@@ -241,11 +205,11 @@ func plannedMoves(backends []*backend, want []map[string]bool) []tableMove {
 	return moves
 }
 
-// MigrateLive installs a new allocation while the cluster keeps
-// serving: reads keep scheduling, ROWA updates keep applying, and the
-// only foreground stall is the per-table cutover barrier (reported as
-// MigrationReport.CutoverPause). See the file comment for the
-// protocol and abort semantics.
+// MigrateLive installs a new allocation of the current backend count
+// while the cluster keeps serving: reads keep scheduling, ROWA updates
+// keep applying, and the only foreground stall is the per-table cutover
+// barrier (reported as MigrationReport.CutoverPause). See the file
+// comment for the protocol and abort semantics.
 func (c *Cluster) MigrateLive(newAlloc *core.Allocation, load Loader, opts LiveOptions) (*MigrationReport, error) {
 	c.liveMu.Lock()
 	defer c.liveMu.Unlock()
@@ -253,16 +217,28 @@ func (c *Cluster) MigrateLive(newAlloc *core.Allocation, load Loader, opts LiveO
 		return nil, fmt.Errorf("cluster: allocation has %d backends, cluster has %d",
 			newAlloc.NumBackends(), len(c.all()))
 	}
-	return c.migrateLiveLocked(newAlloc, load, opts.withDefaults())
+	return c.reallocateLocked(newAlloc, load, opts.withDefaults())
 }
 
-// migrateLiveLocked runs the copy/catch-up/cutover protocol against
-// the installed allocation. Called with liveMu held (the one-
-// reallocation-at-a-time lock); takes c.mu only for the routing swap
-// and dispatchMu only for the short barriers.
+// ResizeLive is MigrateLive for an allocation of any backend count —
+// the elastic scaling of Section 5 on the real runtime. Scale-out
+// publishes fresh empty backends (nothing routes to them until their
+// copies cut over); scale-in copies uniquely-held tables off the
+// decommission targets — the physical backends the matching pairs with
+// virtual ones — before unpublishing them.
+func (c *Cluster) ResizeLive(newAlloc *core.Allocation, load Loader, opts LiveOptions) (*MigrationReport, error) {
+	c.liveMu.Lock()
+	defer c.liveMu.Unlock()
+	return c.reallocateLocked(newAlloc, load, opts.withDefaults())
+}
+
+// reallocateLocked runs the copy/catch-up/cutover protocol against the
+// installed allocation. Called with liveMu held (the one-reallocation-
+// at-a-time lock); takes c.mu only for the routing swap and dispatchMu
+// only for the short barriers.
 //
 //qcpa:locks liveMu
-func (c *Cluster) migrateLiveLocked(newAlloc *core.Allocation, load Loader, opts LiveOptions) (rep *MigrationReport, err error) {
+func (c *Cluster) reallocateLocked(newAlloc *core.Allocation, load Loader, opts LiveOptions) (rep *MigrationReport, err error) {
 	c.mu.Lock()
 	old := c.alloc
 	c.mu.Unlock()
@@ -273,14 +249,39 @@ func (c *Cluster) migrateLiveLocked(newAlloc *core.Allocation, load Loader, opts
 	if err != nil {
 		return nil, err
 	}
-	backends := c.all()
 	rep = &MigrationReport{Mapping: plan.Mapping}
+
+	// Scale-out: publish the grown pool. The new backends hold no
+	// tables, so no read or update routes to them yet; publishing under
+	// dispatchMu orders the swap with the update fan-out.
+	before := c.all()
+	backends := before
+	nNew := newAlloc.NumBackends()
+	if nNew > len(before) {
+		backends = append(make([]*backend, 0, nNew), before...)
+		for i := len(before); i < nNew; i++ {
+			backends = append(backends, c.newBackend(newAlloc.Backends()[i].Name))
+		}
+		c.republish(backends, nil)
+	}
+	// keep holds the physical backends some logical backend maps to; a
+	// published backend outside it is a decommission target (scale-in).
+	keep := make(map[*backend]bool, nNew)
+	for _, u := range plan.Mapping {
+		keep[backends[u]] = true
+	}
 	want := wantTables(newAlloc, plan.Mapping, len(backends))
 	moves := plannedMoves(backends, want)
 	c.beginStatus(len(moves))
 	defer func() { c.endStatus(err) }()
 	for _, mv := range moves {
 		if err = c.copyTableLive(mv.dest, mv.table, load, opts, rep); err != nil {
+			// The old routing is still installed and names no backend
+			// this call created: retire them, so the cluster is exactly
+			// as before.
+			if added := backends[len(before):]; len(added) > 0 {
+				c.republish(before, added)
+			}
 			return nil, err
 		}
 	}
@@ -291,113 +292,44 @@ func (c *Cluster) migrateLiveLocked(newAlloc *core.Allocation, load Loader, opts
 	c.mu.Unlock()
 	// Drop now-unneeded tables (unroute under dispatchMu, physical drop
 	// serialized through the applier queue).
-	if err = c.dropUnwantedLive(backends, want, nil, rep); err != nil {
+	if err = c.dropUnwantedLive(backends, want, keep, rep); err != nil {
 		return nil, err
 	}
-	return rep, nil
-}
-
-// ResizeLive is Resize without the outage: scale-out publishes fresh
-// empty backends (nothing routes to them until their copies cut over),
-// scale-in copies uniquely-held tables off the decommission targets
-// before unpublishing them. Equal backend counts delegate to the live
-// migration path.
-func (c *Cluster) ResizeLive(newAlloc *core.Allocation, load Loader, opts LiveOptions) (*MigrationReport, error) {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	opts = opts.withDefaults()
-	if newAlloc.NumBackends() == len(c.all()) {
-		return c.migrateLiveLocked(newAlloc, load, opts)
+	if nNew == len(before) {
+		return rep, nil
 	}
-	return c.resizeLiveLocked(newAlloc, load, opts)
-}
-
-// resizeLiveLocked is ResizeLive's body for a changed backend count.
-//
-//qcpa:locks liveMu
-func (c *Cluster) resizeLiveLocked(newAlloc *core.Allocation, load Loader, opts LiveOptions) (rep *MigrationReport, err error) {
-	c.mu.Lock()
-	old := c.alloc
-	c.mu.Unlock()
-	if old == nil {
-		return nil, fmt.Errorf("cluster: no installed allocation; use Install first")
-	}
-	nNew := newAlloc.NumBackends()
-	plan, decommissioned, err := matching.PlanMigration(old, newAlloc)
-	if err != nil {
-		return nil, err
-	}
-	rep = &MigrationReport{Mapping: plan.Mapping}
-
-	// Scale-out: publish the grown pool. The new backends hold no
-	// tables, so no read or update routes to them yet; publishing under
-	// dispatchMu orders the swap with the update fan-out.
-	backends := c.all()
-	if m := maxOf(plan.Mapping); m >= len(backends) {
-		grown := make([]*backend, len(backends), m+1)
-		copy(grown, backends)
-		for len(grown) <= m {
-			name := fmt.Sprintf("B%d", len(grown)+1)
-			if i := len(grown); i < nNew {
-				name = newAlloc.Backends()[i].Name
-			}
-			grown = append(grown, c.newBackend(name))
-		}
-		c.dispatchMu.Lock()
-		c.setNodes(grown)
-		c.dispatchMu.Unlock()
-		backends = grown
-	}
-	dead := make(map[int]bool, len(decommissioned))
-	for _, d := range decommissioned {
-		dead[d] = true
-	}
-	want := wantTables(newAlloc, plan.Mapping, len(backends))
-	moves := plannedMoves(backends, want)
-	c.beginStatus(len(moves))
-	defer func() { c.endStatus(err) }()
-	for _, mv := range moves {
-		if err = c.copyTableLive(mv.dest, mv.table, load, opts, rep); err != nil {
-			return nil, err
-		}
-	}
-	// Routing swap.
-	c.mu.Lock()
-	c.installRoutingLocked(newAlloc)
-	c.mu.Unlock()
-	// Drop surplus tables on survivors (the decommissioned backends are
-	// about to be retired wholesale — no point dropping table by table).
-	if err = c.dropUnwantedLive(backends, want, dead, rep); err != nil {
-		return nil, err
-	}
-	// Retire: unpublish the decommissioned backends under dispatchMu —
-	// afterwards no read can be scheduled onto them and no update can
-	// enqueue (all enqueues happen under dispatchMu) — compact the
-	// survivors into mapping order, then shut the retired appliers
-	// down. Names are preserved on survivors: unlike stop-the-world
-	// Resize, renaming here would race concurrent result reporting.
+	// The pool changed size: compact the survivors into mapping order —
+	// logical backend v of the new allocation becomes physical backend
+	// v — and retire the decommission targets. Names are preserved on
+	// survivors: renaming would race concurrent result reporting.
 	ordered := make([]*backend, nNew)
-	for v := 0; v < nNew; v++ {
-		ordered[v] = backends[plan.Mapping[v]]
-	}
-	used := make(map[*backend]bool, nNew)
-	for _, b := range ordered {
-		used[b] = true
-	}
-	c.dispatchMu.Lock()
-	c.setNodes(ordered)
-	c.dispatchMu.Unlock()
-	for _, b := range backends {
-		if !used[b] {
-			close(b.updateCh)
-			b.wg.Wait()
-		}
-	}
 	rep.Mapping = make([]int, nNew)
-	for v := range rep.Mapping {
+	for v, u := range plan.Mapping {
+		ordered[v] = backends[u]
 		rep.Mapping[v] = v
 	}
+	var retired []*backend
+	for _, b := range backends {
+		if !keep[b] {
+			retired = append(retired, b)
+		}
+	}
+	c.republish(ordered, retired)
 	return rep, nil
+}
+
+// republish swaps the published pool under dispatchMu — afterwards no
+// read can be scheduled onto a backend left out of it and no update can
+// enqueue there (all enqueues happen under dispatchMu) — and then shuts
+// the retired backends' appliers down.
+func (c *Cluster) republish(pool, retired []*backend) {
+	c.dispatchMu.Lock()
+	c.setNodes(pool)
+	c.dispatchMu.Unlock()
+	for _, b := range retired {
+		close(b.updateCh)
+		b.wg.Wait()
+	}
 }
 
 // copyTableLive ships one table onto dest while the cluster keeps
@@ -442,12 +374,11 @@ func (c *Cluster) tryCopyTableLive(dest *backend, table string, load Loader, opt
 		return c.loadTableLive(dest, table, load, opts, rep)
 	}
 	clone := &updateJob{clone: &cloneWait{table: table}, done: make(chan error, 1)}
-	src.metrics.IncPending()
-	src.updateCh <- clone
+	src.enqueue(clone)
 	if dest.capture == nil {
-		dest.capture = make(map[string]*deltaLog)
+		dest.capture = make(map[string]*roundLog)
 	}
-	dl := &deltaLog{}
+	dl := &roundLog{}
 	dest.capture[table] = dl
 	c.dispatchMu.Unlock()
 
@@ -501,63 +432,37 @@ func (c *Cluster) tryCopyTableLive(dest *backend, table string, load Loader, opt
 		}
 	}
 
-	// Phase 3: catch-up, then cutover. Replay captured deltas through
-	// the destination's applier (FIFO: replay order is global order)
-	// until a drain is caught with dispatchMu held — that hold is the
-	// cutover barrier: it publishes the table and unregisters the
-	// capture, so the next update routes to the new replica directly
-	// with no gap and no overlap.
+	// Phase 3: catch-up, then cutover. Captured deltas replay through
+	// the destination's applier until a drain is caught with dispatchMu
+	// held — that hold is the cutover barrier: it publishes the table and
+	// unregisters the capture, so the next update routes to the new
+	// replica directly with no gap and no overlap. A lost capture
+	// (errDeltaOverflow) restarts the attempt from a fresh clone.
+	c.setStatusPhase("catchup", dest.name, table)
 	replayed := 0
-	var pause time.Duration
-	for {
-		c.dispatchMu.Lock()
-		holdStart := time.Now()
-		if dl.lost {
-			delete(dest.capture, table)
-			c.dispatchMu.Unlock()
-			c.dropPartial(dest, table)
-			return errDeltaOverflow
-		}
-		batch := dl.rounds
-		n := dl.n
-		dl.rounds = nil
-		dl.n = 0
-		if len(batch) == 0 {
+	pause, err := c.drainOnto(dest, dl,
+		func(n int) error {
+			replayed += n
+			c.statusAddDelta(n)
+			if !dest.health.State().ReadEligible() {
+				return fmt.Errorf("destination went %s during catch-up", dest.health.State())
+			}
+			return nil
+		},
+		func() {
 			dest.addTable(table)
 			delete(dest.capture, table)
-			c.dispatchMu.Unlock()
-			pause = time.Since(holdStart)
-			break
-		}
-		c.dispatchMu.Unlock()
-		if !dest.health.State().ReadEligible() {
-			abort()
-			return fmt.Errorf("destination went %s during catch-up", dest.health.State())
-		}
-		c.setStatusPhase("catchup", dest.name, table)
-		// Replay round by round: each captured round applies through one
-		// ApplyRound on the destination, preserving the epoch boundaries
-		// the live replicas published.
-		jobs := make([]*updateJob, len(batch))
-		for i, rr := range batch {
-			jobs[i] = rr.job()
-			dest.metrics.IncPending()
-			dest.updateCh <- jobs[i]
-		}
-		for _, job := range jobs {
-			// Individual replay errors are not fatal: the checksum
-			// verification below is the arbiter of convergence (same
-			// policy as redo-log replay).
-			<-job.done
-		}
-		replayed += n
-		c.statusAddDelta(n)
+		})
+	if err != nil {
+		abort()
+		return err
 	}
 
-	// Phase 4: verify with the rejoin barrier job. The replica already
+	// Phase 4: verify with the rejoin barrier jobs. The replica already
 	// serves; a mismatch rolls it back out before surfacing the error.
+	// With no live peer left the check is vacuous.
 	c.setStatusPhase("cutover", dest.name, table)
-	if err := c.verifyMigratedTable(dest, table); err != nil {
+	if _, _, err := c.verifyAgainstPeers(dest, []string{table}); err != nil {
 		c.dispatchMu.Lock()
 		dest.removeTable(table)
 		c.dispatchMu.Unlock()
@@ -625,49 +530,16 @@ func (c *Cluster) anyHolderLocked(table string, exclude *backend) *backend {
 	return nil
 }
 
-// verifyMigratedTable compares the freshly cut-over replica against a
-// live holder with the PR-2 checksum barrier: both jobs are enqueued
-// under one dispatchMu hold, so they observe the same global-update
-// prefix and must agree bit-for-bit — even while writes keep flowing.
-// With no live peer left the check is vacuous (the new replica carries
-// the best surviving state).
-func (c *Cluster) verifyMigratedTable(dest *backend, table string) error {
-	c.dispatchMu.Lock()
-	src := c.liveHolderLocked(table, dest)
-	if src == nil {
-		c.dispatchMu.Unlock()
-		return nil
-	}
-	own := &updateJob{checksum: []string{table}, done: make(chan error, 1)}
-	dest.metrics.IncPending()
-	dest.updateCh <- own
-	peer := &updateJob{checksum: []string{table}, done: make(chan error, 1)}
-	src.metrics.IncPending()
-	src.updateCh <- peer
-	c.dispatchMu.Unlock()
-	err := <-own.done
-	if perr := <-peer.done; perr != nil && err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	if own.sums[table] != peer.sums[table] {
-		return fmt.Errorf("table %s checksum mismatch after live copy (%x, source %s has %x)",
-			table, own.sums[table], src.name, peer.sums[table])
-	}
-	return nil
-}
-
 // dropUnwantedLive removes tables the new allocation no longer places
 // on a backend: the table is unrouted under dispatchMu (reads stop
 // scheduling onto it, updates stop fanning out to it) and the physical
 // DROP rides the applier queue, landing after every update the backend
-// received while it still held the table. skip marks backends about to
-// be retired wholesale (live scale-in).
-func (c *Cluster) dropUnwantedLive(backends []*backend, want []map[string]bool, skip map[int]bool, rep *MigrationReport) error {
+// received while it still held the table. Backends outside keep are
+// about to be retired wholesale (scale-in): no point dropping table by
+// table.
+func (c *Cluster) dropUnwantedLive(backends []*backend, want []map[string]bool, keep map[*backend]bool, rep *MigrationReport) error {
 	for u, b := range backends {
-		if skip[u] {
+		if !keep[b] {
 			continue
 		}
 		var drop []string
@@ -685,8 +557,7 @@ func (c *Cluster) dropUnwantedLive(backends []*backend, want []map[string]bool, 
 			b.removeTable(t)
 		}
 		job := &updateJob{drop: drop, done: make(chan error, 1)}
-		b.metrics.IncPending()
-		b.updateCh <- job
+		b.enqueue(job)
 		c.dispatchMu.Unlock()
 		if err := <-job.done; err != nil {
 			return err

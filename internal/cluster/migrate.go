@@ -1,19 +1,19 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"qcpa/internal/core"
-	"qcpa/internal/matching"
-	"qcpa/internal/sqlmini"
 )
 
-// MigrationReport summarizes an in-place reallocation.
+// MigrationReport summarizes one live reallocation (MigrateLive or
+// ResizeLive).
 type MigrationReport struct {
 	// Mapping[v] is the physical backend hosting logical backend v of
-	// the new allocation.
+	// the new allocation: the Hungarian matching at an unchanged backend
+	// count, the identity after a resize compacted the pool into
+	// logical order.
 	Mapping []int `json:"mapping"`
 	// CopiedTables counts table instances shipped between backends.
 	CopiedTables int `json:"copied_tables"`
@@ -30,11 +30,10 @@ type MigrationReport struct {
 	// callers of the pre-split accounting).
 	MovedRows int64 `json:"moved_rows"`
 	// DeltaReplayed counts concurrent updates captured and replayed
-	// into in-flight tables (live path only; stop-the-world migrations
-	// have no concurrent updates by contract).
+	// into in-flight tables (0 on an idle cluster).
 	DeltaReplayed int `json:"delta_replayed"`
-	// CutoverPause is the longest per-table cutover barrier hold (live
-	// path only) — the only moment a live migration blocks updates.
+	// CutoverPause is the longest per-table cutover barrier hold — the
+	// only moment a reallocation blocks updates.
 	CutoverPause time.Duration `json:"cutover_pause_ns"`
 }
 
@@ -77,130 +76,4 @@ func sortedTables(tables map[string]bool) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Migrate installs a new allocation without wiping the cluster: the new
-// allocation's backends are matched onto the physical backends with the
-// Hungarian method (Section 3.4), missing tables are copied row-by-row
-// from a backend that already stores them (the paper's ETL data
-// transport), tables nobody needs any more are dropped, and only tables
-// no backend holds are fetched through the loader.
-//
-// The cluster must be idle during migration (the paper's allocator
-// stops the backends); Migrate takes the controller lock for the whole
-// operation. MigrateLive is the online alternative.
-func (c *Cluster) Migrate(newAlloc *core.Allocation, load Loader) (*MigrationReport, error) {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.migrateLocked(newAlloc, load)
-}
-
-// migrateLocked is Migrate's body. Called with c.mu held (and liveMu
-// serializing against concurrent reallocations) — Resize's equal-count
-// path calls it directly so no other controller operation can slip in
-// between its planning and the migration, which the old unlock/relock
-// delegation allowed.
-//
-//qcpa:locks mu
-func (c *Cluster) migrateLocked(newAlloc *core.Allocation, load Loader) (*MigrationReport, error) {
-	backends := c.all()
-	if newAlloc.NumBackends() != len(backends) {
-		return nil, fmt.Errorf("cluster: allocation has %d backends, cluster has %d",
-			newAlloc.NumBackends(), len(backends))
-	}
-	if c.alloc == nil {
-		return nil, fmt.Errorf("cluster: no installed allocation; use Install first")
-	}
-	plan, _, err := matching.PlanMigration(c.alloc, newAlloc)
-	if err != nil {
-		return nil, err
-	}
-	rep := &MigrationReport{Mapping: plan.Mapping}
-	want := wantTables(newAlloc, plan.Mapping, len(backends))
-
-	// Copy missing tables. Sources are the CURRENT holders (before any
-	// drops).
-	holders := func(table string) *backend {
-		for _, b := range backends {
-			if b.holds(table) && b.engine.Table(table) != nil {
-				return b
-			}
-		}
-		return nil
-	}
-	for u, tables := range want {
-		for _, table := range sortedTables(tables) {
-			if backends[u].holds(table) {
-				continue
-			}
-			if src := holders(table); src != nil {
-				rows, err := copyTable(src.engine, backends[u].engine, table)
-				if err != nil {
-					return nil, err
-				}
-				rep.noteCopied(rows)
-			} else {
-				if load == nil {
-					return nil, fmt.Errorf("cluster: table %q unavailable and no loader given", table)
-				}
-				if err := load(backends[u].engine, []string{table}); err != nil {
-					return nil, err
-				}
-				var rows int64
-				if t := backends[u].engine.Table(table); t != nil {
-					rows = int64(t.NumRows())
-				}
-				rep.noteLoaded(rows)
-			}
-			backends[u].addTable(table)
-		}
-	}
-
-	// Drop tables not wanted any more.
-	for u, b := range backends {
-		for _, table := range sortedTables(b.tableSet()) {
-			if want[u][table] {
-				continue
-			}
-			if b.engine.Table(table) != nil {
-				if _, err := b.engine.Exec("DROP TABLE " + table); err != nil {
-					return nil, err
-				}
-			}
-			b.removeTable(table)
-			rep.DroppedTables++
-		}
-	}
-
-	// Install the new routing metadata (logical -> physical order: the
-	// allocation's class routing works on table names, which are
-	// physical-agnostic).
-	c.installRoutingLocked(newAlloc)
-	return rep, nil
-}
-
-// copyTable ships a table's schema and rows from one engine to another,
-// returning the number of rows moved.
-func copyTable(src, dst *sqlmini.Engine, table string) (int64, error) {
-	t := src.Table(table)
-	if t == nil {
-		return 0, fmt.Errorf("cluster: source lost table %q", table)
-	}
-	if dst.Table(table) == nil {
-		cols := make([]sqlmini.Column, len(t.Cols))
-		copy(cols, t.Cols)
-		if err := dst.CreateTable(table, cols); err != nil {
-			return 0, err
-		}
-	}
-	rows, err := src.Exec("SELECT * FROM " + table)
-	if err != nil {
-		return 0, err
-	}
-	if err := dst.BulkInsert(table, rows.Rows); err != nil {
-		return 0, err
-	}
-	return int64(len(rows.Rows)), nil
 }

@@ -4,13 +4,12 @@ import (
 	"context"
 	"testing"
 
-	"qcpa/internal/core"
 	"qcpa/internal/sqlmini"
 	"qcpa/internal/workload"
 )
 
 func TestPreparedExecMatchesDirect(t *testing.T) {
-	c, _, _ := migrationFixture(t)
+	c, _, _ := liveFixture(t)
 	p, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 3`, "QA", false)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +37,7 @@ func TestPreparedExecMatchesDirect(t *testing.T) {
 }
 
 func TestPreparedArgCountMismatch(t *testing.T) {
-	c, _, _ := migrationFixture(t)
+	c, _, _ := liveFixture(t)
 	p, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 3`, "QA", false)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +51,7 @@ func TestPreparedArgCountMismatch(t *testing.T) {
 }
 
 func TestPreparedWriteROWA(t *testing.T) {
-	c, _, _ := migrationFixture(t)
+	c, _, _ := liveFixture(t)
 	p, err := c.Prepare(`UPDATE b SET b_v = 0 WHERE b_id = 0`, "", true)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,7 @@ func TestPreparedWriteROWA(t *testing.T) {
 // one generation and re-resolves — exactly once — after a migration
 // moves the routing generation.
 func TestPreparedRerouteOnMigration(t *testing.T) {
-	c, cl, loader := migrationFixture(t)
+	c, cl, loader := liveFixture(t)
 	p, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false)
 	if err != nil {
 		t.Fatal(err)
@@ -94,15 +93,8 @@ func TestPreparedRerouteOnMigration(t *testing.T) {
 	}
 
 	// Swap layout: B1{b} / B2{a,b}.
-	newAlloc := core.NewAllocation(cl, core.UniformBackends(2))
-	newAlloc.AddFragments(0, "b")
-	newAlloc.SetAssign(0, "QB", 0.5)
-	newAlloc.AddFragments(1, "a", "b")
-	newAlloc.SetAssign(1, "QA", 0.5)
-	if err := newAlloc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Migrate(newAlloc, loader); err != nil {
+	newAlloc := placed(t, cl, []string{"b"}, []string{"a", "b"})
+	if _, err := c.MigrateLive(newAlloc, loader, LiveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.RouteGeneration() == gen {
@@ -125,7 +117,7 @@ func TestPreparedRerouteOnMigration(t *testing.T) {
 // TestPreparedRerouteOnDDL checks DDL writes bump the routing
 // generation so prepared routes cannot keep pointing at a stale schema.
 func TestPreparedRerouteOnDDL(t *testing.T) {
-	c, _, _ := migrationFixture(t)
+	c, _, _ := liveFixture(t)
 	gen := c.RouteGeneration()
 	// DDL routes by class (reference analysis cannot see a table that
 	// does not exist yet); QB's fragment holders receive it.
@@ -140,7 +132,7 @@ func TestPreparedRerouteOnDDL(t *testing.T) {
 }
 
 func TestPrepareErrors(t *testing.T) {
-	c, _, _ := migrationFixture(t)
+	c, _, _ := liveFixture(t)
 	if _, err := c.Prepare(`SELEC nonsense`, "", false); err == nil {
 		t.Fatal("unparsable SQL must fail at prepare")
 	}

@@ -892,9 +892,6 @@ func (s *Server) reallocate(n int) (*cluster.MigrationReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: planning allocation: %w", err)
 	}
-	if n == s.cluster.NumBackends() {
-		return s.cluster.MigrateLive(alloc, s.cfg.Loader, s.cfg.Live)
-	}
 	return s.cluster.ResizeLive(alloc, s.cfg.Loader, s.cfg.Live)
 }
 

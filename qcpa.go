@@ -274,7 +274,8 @@ type (
 	ClusterResult = cluster.Result
 	// ClusterStats summarizes a closed-loop run.
 	ClusterStats = cluster.Stats
-	// MigrationReport summarizes an in-place Migrate or Resize.
+	// MigrationReport summarizes one live reallocation (Cluster.MigrateLive
+	// or Cluster.ResizeLive).
 	MigrationReport = cluster.MigrationReport
 	// Request is an executable query with routing metadata.
 	Request = workload.Request

@@ -84,11 +84,14 @@ bench-smoke:
 # benchtime with -benchmem (join ordering must beat textual order;
 # a plan-cache hit must allocate less than half of a cold build —
 # the ratio is pinned by TestPlanCacheHitAllocations), then the
-# executor's: one pass of the 19 TPC-H templates at SF 0.01, whose
-# B/op is what the joins' intermediates cost.
+# executor's: the 19 TPC-H templates at SF 0.01 and the 5 TPC-App reads
+# at EB 3, one sub-benchmark per template (ns, B, allocs and rows
+# scanned per op) plus /pass for all of a suite — a pass is the unit of
+# tpch-analytic work, and the per-template lines say which template a
+# change of it came from.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/bench/
-	$(GO) test -bench TPCHPass -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads' -benchmem -run '^$$' ./internal/sqlmini/
 
 # bench-wire compares the wire protocols at equal admission limits —
 # the same rotating point-query load through v1 newline-JSON, v2 binary

@@ -65,6 +65,9 @@ func miniSetup(t *testing.T) (*Cluster, *core.Allocation) {
 			if err := e.BulkInsert(tb, rows); err != nil {
 				return err
 			}
+			if err := e.CreateIndex(tb, tb+"_v"); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

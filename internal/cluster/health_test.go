@@ -350,6 +350,9 @@ func TestRedoOverflowFallsBackToResync(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("replicas disagree after resync: %x vs %x", s1, s2)
 	}
+	// The snapshot that resynced b carried its index definition: at the
+	// parent the restored copy had none.
+	requireIndexed(t, c, "b", 0, 1)
 }
 
 func TestPartialWriteFailureQuarantines(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,6 +58,11 @@ func liveFixture(t *testing.T) (*Cluster, *core.Classification, Loader) {
 			if err := e.BulkInsert(tb, rows); err != nil {
 				return err
 			}
+			// Declared the way a DBA would, after the load: the live copy
+			// must carry it (TestMigrateLiveCarriesIndexes).
+			if err := e.CreateIndex(tb, tb+"_v"); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -64,6 +70,50 @@ func liveFixture(t *testing.T) (*Cluster, *core.Classification, Loader) {
 		t.Fatal(err)
 	}
 	return c, cl, loader
+}
+
+// requireIndexed holds every listed backend's copy of table to the one
+// index the test loaders declare on <table>_v: the same Indexes as on
+// every other holder, and a plan that answers an equality on the column
+// through it. A copy that lost the definition scans, plans differently
+// from its peers, and may order rows — LIMIT ties, float sums —
+// differently from them.
+func requireIndexed(t *testing.T, c *Cluster, table string, backends ...int) {
+	t.Helper()
+	col := table + "_v"
+	for _, i := range backends {
+		e := c.Backend(i)
+		if got := e.Indexes(table); !reflect.DeepEqual(got, []string{col}) {
+			t.Errorf("backend %d: Indexes(%s) = %v, want [%s]", i, table, got, col)
+		}
+		plan, err := e.Explain(fmt.Sprintf("SELECT %s_id FROM %s WHERE %s = 3", table, table, col))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := table + ": index(" + col + ")="; !strings.HasPrefix(plan, want) {
+			t.Errorf("backend %d plans the indexed equality as\n%swant %q", i, plan, want)
+		}
+	}
+}
+
+// TestMigrateLiveCarriesIndexes: the replica a live migration copies
+// has the index set of its source. At the parent the copy carried
+// columns and rows only, and the destination scanned where the
+// loader-filled replica probed.
+func TestMigrateLiveCarriesIndexes(t *testing.T) {
+	c, cl, loader := liveFixture(t)
+	requireIndexed(t, c, "a", 0)
+	requireIndexed(t, c, "b", 0, 1)
+	if _, err := c.MigrateLive(fullAlloc(t, cl), loader, LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics().Migration; m.CopiedRows != 20 || m.LoadedRows != 0 {
+		t.Fatalf("migration metrics = %+v, want table a copied from its live holder", m)
+	}
+	requireIndexed(t, c, "a", 0, 1)
+	if s0, s1 := mustChecksum(t, c.Backend(0), "a"), mustChecksum(t, c.Backend(1), "a"); s0 != s1 {
+		t.Fatalf("replicas of a disagree: %x vs %x", s0, s1)
+	}
 }
 
 // partialAlloc is liveFixture's installed allocation: both tables on

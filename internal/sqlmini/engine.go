@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ type Table struct {
 	pkCol     int // -1 when no primary key
 	rows      rowStore
 	pk        pkIndex // pk key() -> row position
-	indexCols []int   // secondary-indexed columns, in creation order
+	indexCols []int   // secondary-indexed columns, ascending
 
 	// Publication bookkeeping (see view.go). view is the tableView cut
 	// at the last publish; touched reports any change since then. moved
@@ -42,9 +43,26 @@ func newTable(name string, cols []Column) (*Table, error) {
 				return nil, fmt.Errorf("sqlmini: table %q has multiple primary keys", name)
 			}
 			t.pkCol = i
+		} else if c.Indexed {
+			t.indexCols = append(t.indexCols, i)
 		}
 	}
 	return t, nil
+}
+
+// columns returns a copy of the schema with Indexed set on exactly the
+// columns the table indexes now: what leaves the engine with the rows.
+// Cols itself is never written (lock-free readers bind against it), so
+// it knows only the indexes the table was created with.
+func (t *Table) columns() []Column {
+	cols := slices.Clone(t.Cols)
+	for i := range cols {
+		cols[i].Indexed = false
+	}
+	for _, ci := range t.indexCols {
+		cols[ci].Indexed = true
+	}
+	return cols
 }
 
 // NumRows returns the row count.
@@ -173,12 +191,11 @@ type Engine struct {
 	// fault.go. Checked once per statement at the top of
 	// ExecStmtContext.
 	fault atomic.Pointer[Fault]
-	// plans caches bound SELECT plans per normalized statement shape;
-	// planGen is the cache generation, bumped by InvalidatePlans so
-	// plans built against a pre-DDL schema can never be served after
-	// it. See plan.go. Lock order: e.mu before plans.mu.
-	plans   planCache
-	planGen atomic.Int64
+	// plans caches bound SELECT plans per normalized statement shape.
+	// An entry names the tables and indexes it was bound to and is
+	// served only to a view that still carries them (plan.go), so DDL
+	// has nothing to flush.
+	plans planCache
 }
 
 // New returns an empty engine.
@@ -279,7 +296,6 @@ func (e *Engine) CreateTable(name string, cols []Column) error {
 	}
 	e.tables[name] = t
 	e.dirty = true
-	e.InvalidatePlans()
 	e.publishLocked()
 	return nil
 }

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -21,14 +22,24 @@ import (
 type secondaryIndex struct {
 	mu      sync.Mutex
 	col     int
-	buckets map[string][]int // value key -> row positions
 	dirty   bool
+	buckets indexBuckets
 }
 
-// CreateIndex builds a secondary hash index on table.column. Point
-// lookups (WHERE column = literal) on the table then avoid full scans.
-// Indexing the primary key is redundant (it always has one) and is
-// rejected, as is indexing the same column twice.
+// indexBuckets is a built index: value key -> row positions, ascending.
+// It is never written once the build that filled it has cleared dirty,
+// so a reader that took it under mu probes it without the lock. Keys are
+// hkeys (key.go): a probe formats and allocates nothing. NULLs are left
+// out; no equality matches them.
+type indexBuckets map[hkey][]int32
+
+// CreateIndex declares a secondary hash index on table.column. Point
+// lookups (WHERE column = literal) and join steps whose key lands on the
+// column then probe it instead of scanning the table. Indexing the
+// primary key is redundant (it always has one) and is rejected.
+// Declaring an index the column already has — from an earlier call, or
+// from Column.Indexed when the table was created — changes nothing: a
+// loader may copy a table's columns and then its Indexes.
 func (e *Engine) CreateIndex(table, column string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -43,23 +54,23 @@ func (e *Engine) CreateIndex(table, column string) error {
 	if ci == t.pkCol {
 		return fmt.Errorf("sqlmini: column %q is the primary key (already indexed)", column)
 	}
-	for _, col := range t.indexCols {
-		if col == ci {
-			return fmt.Errorf("sqlmini: column %q already indexed", column)
-		}
+	at, dup := slices.BinarySearch(t.indexCols, ci)
+	if dup {
+		return nil
 	}
-	t.indexCols = append(t.indexCols, ci)
-	// Republish so the new index definition reaches readers: views cut
-	// before this point simply scan. Cached plans chose their access
-	// paths without this index, so drop them too.
+	t.indexCols = slices.Insert(t.indexCols, at, ci)
+	// Republish so the new index definition reaches readers. Views cut
+	// before this point lack the index; plans that could use it are
+	// replaced as their statements next run (selectPlan.schemaMatches).
 	t.touched = true
 	e.dirty = true
-	e.InvalidatePlans()
 	e.publishLocked()
 	return nil
 }
 
-// Indexes returns the secondary-indexed column names of a table.
+// Indexes returns the secondary-indexed column names of a table, in
+// column order. Every copy of a table — CloneTable + CreateTable, a
+// snapshot restore — carries the same set.
 func (e *Engine) Indexes(table string) []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -74,38 +85,49 @@ func (e *Engine) Indexes(table string) []string {
 	return out
 }
 
-// hasIndex reports whether the view carries a secondary index on col.
-func (tv *tableView) hasIndex(col int) bool {
+// index returns the view's secondary index on col, or nil.
+func (tv *tableView) index(col int) *secondaryIndex {
 	for _, idx := range tv.indexes {
 		if idx.col == col {
-			return true
+			return idx
 		}
 	}
-	return false
+	return nil
 }
 
-// lookupIndex returns the matching row positions for column = v via a
-// secondary index, building the buckets from this view's rows on first
-// use. The boolean reports whether an index on that column exists.
-func (tv *tableView) lookupIndex(col int, v Value) ([]int, bool) {
-	for _, idx := range tv.indexes {
-		if idx.col != col {
-			continue
-		}
-		idx.mu.Lock()
-		if idx.dirty {
-			idx.buckets = make(map[string][]int, tv.rows.len())
-			for k := 0; k < tv.rows.runs(); k++ {
-				for j, r := range tv.rows.run(k) {
-					key := r[col].key()
-					idx.buckets[key] = append(idx.buckets[key], k*rowChunkLen+j)
-				}
-			}
-			idx.dirty = false
-		}
-		rows := idx.buckets[v.key()]
-		idx.mu.Unlock()
-		return rows, true
+// built returns the index's buckets, filling them from tv's rows on
+// first use.
+func (idx *secondaryIndex) built(tv *tableView) indexBuckets {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if !idx.dirty {
+		return idx.buckets
 	}
-	return nil, false
+	idx.buckets = make(indexBuckets)
+	pos := int32(0)
+	for k := 0; k < tv.rows.runs(); k++ {
+		for _, r := range tv.rows.run(k) {
+			if !r[idx.col].IsNull() {
+				key := keyOf(r[idx.col])
+				idx.buckets[key] = append(idx.buckets[key], pos)
+			}
+			pos++
+		}
+	}
+	idx.dirty = false
+	return idx.buckets
+}
+
+// lookup returns the positions, ascending, of the rows whose indexed
+// column equals v (never NULL). The slice is the index's own.
+func (ib indexBuckets) lookup(v Value) []int32 {
+	return ib[keyOf(v)]
+}
+
+// distinct returns the number of distinct non-NULL values of the
+// indexed column: exact where the prefix sample of estimateNDV cannot
+// tell four rows a key from one, which decides between probing and
+// hashing (joinNode.probeBelow).
+func (idx *secondaryIndex) distinct(tv *tableView) int {
+	return len(idx.built(tv))
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,6 +78,98 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 						sizes, from, c.hashed, len(got), got, len(want), want)
 				}
 			}
+		}
+	}
+}
+
+// TestIndexJoinAgreesWithResidual: a join step that probes the pk or a
+// secondary index of the table it adds returns what the same condition
+// returns when every pair of rows is held to it as a residual — NULL
+// keys never match (in the probed pair or any other, a NULL primary key
+// included), an INT 2 finds a FLOAT 2.0, the table's own filter and the
+// residuals hold for every candidate — and reads fewer rows than the
+// scan and hash join of an engine without the index. The one rule picks the access: a prefix
+// with fewer tuples than the probed column has values probes, any other
+// hashes.
+func TestIndexJoinAgreesWithResidual(t *testing.T) {
+	load := func(indexed bool) *sqlmini.Engine {
+		e := sqlmini.New()
+		if err := e.CreateTable("l", []sqlmini.Column{
+			{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true},
+			{Name: "k1", Type: sqlmini.KindInt},
+			{Name: "k2", Type: sqlmini.KindText},
+			{Name: "rid", Type: sqlmini.KindInt},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CreateTable("r", []sqlmini.Column{
+			{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true},
+			{Name: "k1", Type: sqlmini.KindFloat, Indexed: indexed},
+			{Name: "k2", Type: sqlmini.KindText},
+			{Name: "v", Type: sqlmini.KindInt},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		text := func(i int) sqlmini.Value {
+			if i%5 == 0 {
+				return sqlmini.Null
+			}
+			return sqlmini.Text(fmt.Sprintf("t%d", i%2))
+		}
+		var l, r []sqlmini.Row
+		for i := 0; i < 12; i++ {
+			k1, rid := sqlmini.Int(int64(i%8)), sqlmini.Int(int64(i*7))
+			if i%4 == 3 {
+				k1, rid = sqlmini.Null, sqlmini.Null
+			}
+			l = append(l, sqlmini.Row{sqlmini.Int(int64(i)), k1, text(i), rid})
+		}
+		for i := 0; i < 80; i++ {
+			k1 := sqlmini.Float(float64(i%16) / 2) // 0, 0.5, 1, ...: whole every other row
+			if i%7 == 6 {
+				k1 = sqlmini.Null
+			}
+			r = append(r, sqlmini.Row{sqlmini.Int(int64(i)), k1, text(i + 1), sqlmini.Int(int64(i % 3))})
+		}
+		// One row whose primary key is NULL: l.rid = r.id must not find it.
+		r = append(r, sqlmini.Row{sqlmini.Null, sqlmini.Float(1), text(1), sqlmini.Int(1)})
+		if err := e.BulkInsert("l", l); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BulkInsert("r", r); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	plain, probing := load(false), load(true)
+	for _, c := range []struct {
+		on, where string
+		residual  string // on, with every equality in a form no join can key on
+		access    string // of the join step, on the indexed engine
+	}{
+		{`l.k1 = r.k1`, ``, `l.k1 + 0 = r.k1`, "r: probe index(k1)"},
+		{`l.k1 = r.k1 AND l.k2 = r.k2`, ``, `l.k1 + 0 = r.k1 AND l.k2 LIKE r.k2`, "r: probe index(k1)"},
+		{`r.k2 = l.k2 AND r.k1 = l.k1`, ` WHERE r.v > 0 AND l.id + r.id < 60`, `r.k2 LIKE l.k2 AND r.k1 + 0 = l.k1`, "r: probe index(k1)"},
+		{`l.rid = r.id`, ` WHERE r.v < 2`, `l.rid + 0 = r.id`, "r: probe pk"},
+		// 81 rows of r arrive first: more tuples than l has keys, so l is hashed.
+		{`l.id = r.v`, ``, `l.id + 0 = r.v`, "l: hash (prefix >= 12 of pk)"},
+	} {
+		const sel = `SELECT l.id, r.id, r.k1 FROM l JOIN r ON `
+		want := mustExec(t, plain, sel+c.residual+c.where)
+		hashed := mustExec(t, plain, sel+c.on+c.where)
+		got := mustExec(t, probing, sel+c.on+c.where)
+		if len(want.Rows) == 0 || !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
+			t.Errorf("ON %s%s:\nindexed     %v\nas residual %v", c.on, c.where, sortedRows(got), sortedRows(want))
+		}
+		plan, err := probing.Explain(sel + c.on + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, c.access) {
+			t.Errorf("ON %s%s: plan\n%swant a step %q", c.on, c.where, plan, c.access)
+		}
+		if byIndex := strings.Contains(c.access, "probe index"); byIndex && got.Scanned >= hashed.Scanned {
+			t.Errorf("ON %s%s: probing scanned %d rows, hashing %d", c.on, c.where, got.Scanned, hashed.Scanned)
 		}
 	}
 }

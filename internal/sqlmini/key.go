@@ -12,7 +12,10 @@ import (
 // exactly when their key() renderings are equal: integers by value, a
 // float with an integral value folded onto that integer, any other
 // float by its bits (every NaN alike), text by content, NULL alone.
-// Unlike key() it is built without formatting or allocating.
+// Unlike key() it is built without formatting or allocating. The pk
+// index is still keyed by key() (Value.appendPKKey), so the folding rule
+// lives twice and the two copies must agree
+// (TestKeyClassesMatchValueKey).
 type hkey struct {
 	kind Kind // KindInt also covers integral floats
 	num  uint64

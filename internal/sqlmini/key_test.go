@@ -7,9 +7,9 @@ import (
 
 // TestKeyClassesMatchValueKey holds hkey (and its rendering for long
 // key lists) to the equivalence classes of Value.key(), which the pk
-// and secondary indexes still use: two values share a join bucket, a
-// group or a DISTINCT slot exactly when an index lookup would treat
-// them as the same key.
+// index still uses (secondary indexes are keyed by hkey itself): two
+// values share a join bucket, a group or a DISTINCT slot exactly when a
+// lookup in either index would treat them as the same key.
 func TestKeyClassesMatchValueKey(t *testing.T) {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1) // a NaN with another payload
 	vals := []Value{

@@ -38,8 +38,9 @@ func WriteTable(st Statement) string {
 	return ""
 }
 
-// CloneTable returns a table's schema and its rows at one point in the
-// update order. The copy is cut under the engine's read lock, so it is
+// CloneTable returns a table's schema — index definitions included,
+// as Column.Indexed — and its rows at one point in the update order.
+// The copy is cut under the engine's read lock, so it is
 // a consistent snapshot relative to concurrent writes, and the caller
 // may hold it while the engine keeps serving: the slice is the
 // caller's, while the Rows in it are the stored ones — the engine never
@@ -55,7 +56,5 @@ func (e *Engine) CloneTable(name string) ([]Column, []Row, error) {
 	if !ok {
 		return nil, nil, unknownTableError(name)
 	}
-	cols := make([]Column, len(t.Cols))
-	copy(cols, t.Cols)
-	return cols, t.rows.flat(), nil
+	return t.columns(), t.rows.flat(), nil
 }

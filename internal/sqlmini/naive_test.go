@@ -381,33 +381,137 @@ func genDB(rng *rand.Rand, schema sqlmini.Schema) map[string]*naiveTable {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		t := &naiveTable{cols: schema[n]}
+		// The loaders' schemas declare indexes; here the test decides.
+		t := &naiveTable{cols: append([]sqlmini.Column(nil), schema[n]...)}
+		for c := range t.cols {
+			t.cols[c].Indexed = false
+		}
 		for i, nrows := 0, 4+rng.Intn(9); i < nrows; i++ {
-			r := make(sqlmini.Row, len(t.cols))
-			for c, col := range t.cols {
-				switch {
-				case col.PrimaryKey:
-					r[c] = sqlmini.Int(int64(i))
-				case rng.Intn(8) == 0:
-					r[c] = sqlmini.Null
-				case col.Type == sqlmini.KindInt:
-					r[c] = sqlmini.Int(int64(rng.Intn(3)))
-				case col.Type == sqlmini.KindFloat:
-					r[c] = sqlmini.Float(float64(rng.Intn(10)) / 4)
-				default:
-					r[c] = sqlmini.Text([]string{"x", "y", "xy", ""}[rng.Intn(4)])
-				}
-			}
-			t.rows = append(t.rows, r)
+			t.rows = append(t.rows, genRow(rng, t.cols, int64(i)))
 		}
 		db[n] = t
 	}
 	return db
 }
 
-// loadEngine copies db into an engine, with a secondary index on every
-// non-key column when indexed is set.
-func loadEngine(t *testing.T, db map[string]*naiveTable, indexed bool) *sqlmini.Engine {
+// genRow draws one row with the given primary key.
+func genRow(rng *rand.Rand, cols []sqlmini.Column, pk int64) sqlmini.Row {
+	r := make(sqlmini.Row, len(cols))
+	for c, col := range cols {
+		if col.PrimaryKey {
+			r[c] = sqlmini.Int(pk)
+		} else {
+			r[c] = genValue(rng, col.Type)
+		}
+	}
+	return r
+}
+
+func genValue(rng *rand.Rand, k sqlmini.Kind) sqlmini.Value {
+	switch {
+	case rng.Intn(8) == 0:
+		return sqlmini.Null
+	case k == sqlmini.KindInt:
+		return sqlmini.Int(int64(rng.Intn(3)))
+	case k == sqlmini.KindFloat:
+		return sqlmini.Float(float64(rng.Intn(10)) / 4)
+	}
+	return sqlmini.Text([]string{"x", "y", "xy", ""}[rng.Intn(4)])
+}
+
+// sqlLit renders a generated value as a SQL literal. A whole float
+// prints as an integer; the column's type makes it a float again.
+func sqlLit(v sqlmini.Value) string {
+	if v.K == sqlmini.KindText {
+		return "'" + v.S + "'"
+	}
+	return v.String()
+}
+
+// tableNames returns db's table names, sorted.
+func tableNames(db map[string]*naiveTable) []string {
+	names := make([]string, 0, len(db))
+	for n := range db {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// copyDB copies the tables and their row lists; rows themselves are
+// replaced, never written, by mutate.
+func copyDB(db map[string]*naiveTable) map[string]*naiveTable {
+	out := make(map[string]*naiveTable, len(db))
+	for n, t := range db {
+		out[n] = &naiveTable{cols: t.cols, rows: append([]sqlmini.Row(nil), t.rows...)}
+	}
+	return out
+}
+
+// mutate applies one INSERT, one UPDATE that moves a primary key, one
+// UPDATE of another column and one DELETE, each to a random table, to
+// db and — as SQL — to every engine: what a lazily built index must
+// notice between two runs of a cached plan. serial numbers the keys it
+// hands out.
+func mutate(t *testing.T, rng *rand.Rand, db map[string]*naiveTable, engines []*sqlmini.Engine, serial *int64) {
+	names := tableNames(db)
+	exec := func(sql string) {
+		for _, e := range engines {
+			if _, err := e.Exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	pick := func() (string, *naiveTable, int) {
+		n := names[rng.Intn(len(names))]
+		nt := db[n]
+		for c, col := range nt.cols {
+			if col.PrimaryKey {
+				return n, nt, c
+			}
+		}
+		panic("naive: table " + n + " has no primary key")
+	}
+	fresh := func() int64 { *serial++; return 1000 + *serial }
+
+	n, nt, _ := pick()
+	row := genRow(rng, nt.cols, fresh())
+	lits := make([]string, len(row))
+	for c, v := range row {
+		lits[c] = sqlLit(v)
+	}
+	exec(fmt.Sprintf("INSERT INTO %s VALUES (%s)", n, strings.Join(lits, ", ")))
+	nt.rows = append(nt.rows, row)
+
+	// replace swaps in a copy of row at with column c set to v.
+	replace := func(nt *naiveTable, at, c int, v sqlmini.Value) {
+		nr := append(sqlmini.Row(nil), nt.rows[at]...)
+		nr[c] = v
+		nt.rows[at] = nr
+	}
+	n, nt, pk := pick()
+	at := rng.Intn(len(nt.rows))
+	moved := sqlmini.Int(fresh())
+	exec(fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s = %s", n, nt.cols[pk].Name, sqlLit(moved), nt.cols[pk].Name, sqlLit(nt.rows[at][pk])))
+	replace(nt, at, pk, moved)
+
+	n, nt, pk = pick()
+	if c := rng.Intn(len(nt.cols)); c != pk {
+		at, v := rng.Intn(len(nt.rows)), genValue(rng, nt.cols[c].Type)
+		exec(fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s = %s", n, nt.cols[c].Name, sqlLit(v), nt.cols[pk].Name, sqlLit(nt.rows[at][pk])))
+		replace(nt, at, c, v)
+	}
+
+	n, nt, pk = pick()
+	if len(nt.rows) > 2 {
+		at := rng.Intn(len(nt.rows))
+		exec(fmt.Sprintf("DELETE FROM %s WHERE %s = %s", n, nt.cols[pk].Name, sqlLit(nt.rows[at][pk])))
+		nt.rows = append(nt.rows[:at:at], nt.rows[at+1:]...)
+	}
+}
+
+// loadEngine copies db into an engine with no secondary index.
+func loadEngine(t *testing.T, db map[string]*naiveTable) *sqlmini.Engine {
 	e := sqlmini.New()
 	for name, nt := range db {
 		if err := e.CreateTable(name, nt.cols); err != nil {
@@ -416,15 +520,24 @@ func loadEngine(t *testing.T, db map[string]*naiveTable, indexed bool) *sqlmini.
 		if err := e.BulkInsert(name, nt.rows); err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range nt.cols {
-			if indexed && !c.PrimaryKey {
-				if err := e.CreateIndex(name, c.Name); err != nil {
+	}
+	return e
+}
+
+// indexSome declares a secondary index on about half of the non-key
+// columns — every one of them is a join column to the generator — so
+// that joins meet keys indexed on one side, both or neither, composite
+// keys with one part indexed, and int keys probing float indexes.
+func indexSome(t *testing.T, rng *rand.Rand, e *sqlmini.Engine, db map[string]*naiveTable) {
+	for _, n := range tableNames(db) {
+		for _, c := range db[n].cols {
+			if !c.PrimaryKey && rng.Intn(2) == 0 {
+				if err := e.CreateIndex(n, c.Name); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	return e
 }
 
 // maxCrossProduct bounds the combinations naiveSelect enumerates for one
@@ -456,7 +569,9 @@ func (g *joinGen) numCol(a int) string {
 func (g *joinGen) linking(k int) string {
 	j := g.rng.Intn(k)
 	a, b := g.numCol(k), g.numCol(j)
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(11) {
+	case 10: // composite key: two equalities between the same two tables
+		return a + " = " + b + " AND " + g.numCol(k) + " = " + g.numCol(j)
 	case 0, 1, 2, 3, 4:
 		if g.rng.Intn(2) == 0 {
 			a, b = b, a
@@ -621,11 +736,7 @@ func (g *joinGen) query() (sql string, sequence bool) {
 }
 
 func newJoinGen(rng *rand.Rand, db map[string]*naiveTable) *joinGen {
-	names := make([]string, 0, len(db))
-	for n := range db {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := tableNames(db)
 	g := &joinGen{rng: rng}
 	product := 1 // of the row counts: what the naive evaluator walks
 	for a, n := 0, 2+rng.Intn(4); a < n; a++ {
@@ -667,60 +778,88 @@ func renderRows(rows []sqlmini.Row) []string {
 }
 
 // TestJoinsAgainstNaiveEvaluator runs seeded random joins of two to
-// five TPC-H and TPC-App tables — equi, non-equi and mixed conditions,
-// GROUP BY, DISTINCT, ORDER BY, LIMIT — through the engine and through
-// naiveSelect. Each query runs on a plan-cache miss and again on the
-// hit, without and with secondary indexes; all four results must be
-// the naive one: as a sequence when the ORDER BY is total, else as a
-// multiset, and under a LIMIT with no ORDER BY as a sub-multiset of the
-// right size.
+// five TPC-H and TPC-App tables — equi, non-equi, composite and mixed
+// conditions, GROUP BY, DISTINCT, ORDER BY, LIMIT — through the engine
+// and through naiveSelect. Each query runs on an engine without
+// secondary indexes and on one with a random set of them, on a
+// plan-cache miss and again on the hit, and on the indexed engine also
+// against a view pinned before the indexes existed (no index to probe,
+// no cached plan that fits). Between batches of queries every engine and
+// the naive tables take an INSERT, a pk-changing UPDATE, another UPDATE
+// and a DELETE, so cached plans meet indexes that must rebuild, and the
+// pinned view must keep answering from the rows it was cut with. Every
+// result must be the naive one: as a sequence when the ORDER BY is
+// total, else as a multiset, and under a LIMIT with no ORDER BY as a
+// sub-multiset of the right size.
 func TestJoinsAgainstNaiveEvaluator(t *testing.T) {
-	const queriesPerDB = 60
+	const queriesPerDB, queriesPerBatch = 60, 15
 	for si, schema := range []sqlmini.Schema{tpch.Schema(), tpcapp.Schema()} {
 		for round := 0; round < 2; round++ {
 			rng := rand.New(rand.NewSource(int64(100*si + round)))
 			db := genDB(rng, schema)
-			engines := []*sqlmini.Engine{loadEngine(t, db, false), loadEngine(t, db, true)}
+			plain, indexed := loadEngine(t, db), loadEngine(t, db)
+			pinnedDB, pinned := copyDB(db), indexed.AcquireView()
+			indexSome(t, rng, indexed, db)
+			var serial int64
 			for q := 0; q < queriesPerDB; q++ {
+				if q > 0 && q%queriesPerBatch == 0 {
+					mutate(t, rng, db, []*sqlmini.Engine{plain, indexed}, &serial)
+				}
 				sql, sequence := newJoinGen(rng, db).query()
 				st, err := sqlmini.Parse(sql)
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
 				sel := st.(*sqlmini.SelectStmt)
-				want := renderRows(naiveSelect(db, sel))
-				cut := -1 // LIMIT without ORDER BY
-				if len(sel.OrderBy) == 0 && sel.Limit >= 0 {
-					cut = min(sel.Limit, len(want))
+				// naive evaluates the query over db, once per table state.
+				naive := func(db map[string]*naiveTable) []string {
+					want := renderRows(naiveSelect(db, sel))
+					if !sequence {
+						sort.Strings(want)
+					}
+					return want
 				}
-				if !sequence {
-					sort.Strings(want)
+				// check holds one engine result to a naive one.
+				check := func(want []string, what string, res *sqlmini.Result, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					got := renderRows(res.Rows)
+					cut := -1 // LIMIT without ORDER BY
+					if len(sel.OrderBy) == 0 && sel.Limit >= 0 {
+						cut = min(sel.Limit, len(want))
+					}
+					if !sequence {
+						sort.Strings(got)
+					}
+					ok := reflect.DeepEqual(got, want)
+					if cut >= 0 {
+						ok = len(got) == cut && subMultiset(got, want)
+					}
+					if !ok {
+						t.Fatalf("schema %d round %d query %d, %s:\n%s\nengine %d rows %v\nnaive  %d rows %v",
+							si, round, q, what, sql, len(got), got, len(want), want)
+					}
 				}
-				for ei, e := range engines {
+				want := naive(db)
+				for ei, e := range []*sqlmini.Engine{plain, indexed} {
 					// The first run plans the statement (unless an earlier
 					// query had its shape); the second must find that plan.
 					for _, pass := range []string{"first", "cached"} {
 						before := e.PlannerStats()
 						res, err := e.ExecStmt(st)
-						if err != nil {
-							t.Fatalf("%s: %v", sql, err)
-						}
 						if after := e.PlannerStats(); pass == "cached" && after.Hits != before.Hits+1 {
 							t.Fatalf("%s: second run missed the plan cache", sql)
 						}
-						got := renderRows(res.Rows)
-						if !sequence {
-							sort.Strings(got)
-						}
-						ok := reflect.DeepEqual(got, want)
-						if cut >= 0 {
-							ok = len(got) == cut && subMultiset(got, want)
-						}
-						if !ok {
-							t.Fatalf("schema %d round %d, indexes %v, %s run:\n%s\nengine %d rows %v\nnaive  %d rows %v",
-								si, round, ei == 1, pass, sql, len(got), got, len(want), want)
-						}
+						check(want, fmt.Sprintf("indexes %v, %s run", ei == 1, pass), res, err)
 					}
+				}
+				before := indexed.PlannerStats()
+				res, err := indexed.QueryView(pinned, sql)
+				check(naive(pinnedDB), "pinned pre-index view", res, err)
+				if after := indexed.PlannerStats(); after.Entries != before.Entries || after.Invalidations != before.Invalidations {
+					t.Fatalf("%s: the pinned view's run touched the plan cache: %+v -> %+v", sql, before, after)
 				}
 			}
 		}

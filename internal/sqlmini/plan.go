@@ -13,28 +13,37 @@ package sqlmini
 //     maps shape -> fully bound plan, so repeated query classes skip
 //     parsing's downstream work entirely: binder resolution, conjunct
 //     analysis, join ordering, and output binding all happen once per
-//     class. Invalidation: DDL (CREATE/DROP TABLE, CREATE INDEX) and
-//     snapshot restores bump a generation counter and drop every entry
-//     (live-migration cutover restores through the same paths); row-count
-//     drift beyond 4x triggers a per-plan rebuild; a pinned view whose
-//     schema no longer matches the plan falls back to an uncached
-//     transient plan.
+//     class. A cached plan is valid for a view, not for a generation: it
+//     names the tables (by *Table identity) and the index sets it was
+//     bound to, and its own lookup drops it when the current view no
+//     longer carries them (DROP+CREATE, a restore, CREATE INDEX) or a
+//     row count has drifted 4x. Nothing flushes the cache; plans on
+//     tables a migration did not touch survive it. A pinned view that
+//     does not match gets an uncached transient plan.
 //
 //   - Cost-based join ordering. Joins of up to maxDPTables tables get an
 //     exact dynamic program over subsets (left-deep, bitmask-indexed
 //     slices — no map iteration anywhere near the choice); larger graphs
-//     fall back to a greedy nearest-neighbor order. Costs come from the
-//     per-view statistics in tablestats.go: scan cardinality after
-//     pushdown, equi-join selectivity 1/max(ndv_l, ndv_r), hash join
-//     build+probe+output, nested loop |L|x|R|.
+//     fall back to a greedy nearest-neighbor order. Neither takes a
+//     table no equi key connects to the prefix while a connected one
+//     remains. The model prices what runs (joinGraph.step): a scan costs
+//     the rows it reads, a hash join build + probe + output, an index
+//     step prefix x (1 + bucket) and no scan, a keyless step every pair.
+//     Cardinalities come from the per-view statistics in tablestats.go:
+//     scan output after pushdown, equi selectivity 1/max(ndv_l, ndv_r),
+//     once per pair of tables however many keys link them.
 //
-//   - Predicate pushdown. WHERE and ON are split into conjuncts at plan
-//     time; conjuncts referencing a single table run at that table's
-//     scan (or pick its access path: pk probe, secondary-index probe),
-//     equality conjuncts linking two tables become hash-join keys, and
-//     everything else runs at the first join step where all referenced
-//     tables are available — nothing filters the full join product
-//     anymore.
+//   - Access paths. WHERE and ON are split into conjuncts at plan time.
+//     A conjunct on one table runs at that table's scan, or picks its
+//     access (pk probe, secondary-index probe); an equality linking two
+//     tables becomes a join key; everything else runs at the first step
+//     where all its tables are present. A join step reaches the table it
+//     adds in one of two ways, chosen per run by one rule
+//     (joinNode.probeBelow): when a key lands on the table's pk or on a
+//     secondary index and the prefix holds fewer tuples than that column
+//     has distinct values, it probes the index per prefix tuple and never
+//     scans the table; otherwise it scans (filtering) and hash-joins.
+//     selectPlan.describe prints the choice.
 
 import (
 	"context"
@@ -50,9 +59,10 @@ import (
 )
 
 // maxDPTables is the largest join graph planned by exact DP; beyond it
-// the greedy order kicks in. 6 tables = 63 subsets, far below where DP
-// cost would show up next to execution.
-const maxDPTables = 6
+// the greedy order kicks in. 10 tables = 1023 subsets of at most 10
+// transitions each: microseconds, once per cached plan. (At 6, TPC-H q8
+// — 7 tables — fell to the greedy order.)
+const maxDPTables = 10
 
 // planCacheCap bounds the plan cache. When full, the least-frequently
 // used eighth is evicted (ties broken in sorted key order), matching the
@@ -488,55 +498,131 @@ func conjunctSelectivity(c conjunct, tv *tableView) float64 {
 // Join ordering
 // ---------------------------------------------------------------------
 
-// equiEdge is one equi-join conjunct viewed as a weighted edge of the
-// join graph.
+// equiEdge is the equi-join relationship between two tables as a
+// weighted edge of the join graph. However many keys link the pair — a
+// composite foreign key is one relationship, and multiplying its keys'
+// selectivities underestimates its output by orders of magnitude — the
+// edge carries the most selective key's selectivity, and for each side
+// the smallest bucket a key reaches that side through.
 type equiEdge struct {
-	a, b int // textual table indices
+	a, b int // textual table indices, a < b
 	sel  float64
+	// bucketA (bucketB) is how many rows of a (b) one key value finds
+	// through a's (b's) primary key or a secondary index: what a join
+	// step adding that table by probing reads per prefix tuple. 0 when
+	// no key of the edge lands on either.
+	bucketA, bucketB float64
 }
 
-// joinStepCost models joining an accumulated intermediate of leftCard
-// rows with a base table of rightCard rows. Connected pairs hash-join
-// (build + probe + output); disconnected pairs nested-loop (every
-// pair). Returns (cost, output cardinality).
-func joinStepCost(leftCard, rightCard float64, edges []equiEdge, placed uint64, next int) (float64, float64) {
-	sel := 1.0
-	connected := false
-	for _, e := range edges {
-		if (e.a == next && placed&(1<<uint(e.b)) != 0) ||
-			(e.b == next && placed&(1<<uint(e.a)) != 0) {
-			connected = true
-			sel *= e.sel
+// joinGraph is what the join order is chosen from, per textual table.
+type joinGraph struct {
+	rows  []float64 // rows in the table
+	read  []float64 // rows its own access path reads: all of them, one pk row, one index bucket
+	cards []float64 // rows its scan hands on, after the pushed-down filters
+	edges []equiEdge
+}
+
+// link records one equi key between tables a and b.
+func (g *joinGraph) link(a, b int, sel, bucketA, bucketB float64) {
+	if a > b {
+		a, b, bucketA, bucketB = b, a, bucketB, bucketA
+	}
+	tighter := func(old, bucket float64) float64 {
+		if bucket > 0 && (old == 0 || bucket < old) {
+			return bucket
+		}
+		return old
+	}
+	for i := range g.edges {
+		if e := &g.edges[i]; e.a == a && e.b == b {
+			e.sel = min(e.sel, sel)
+			e.bucketA, e.bucketB = tighter(e.bucketA, bucketA), tighter(e.bucketB, bucketB)
+			return
 		}
 	}
-	out := leftCard * rightCard * sel
-	if out < 0 {
-		out = 0
-	}
-	if connected {
-		return leftCard + rightCard + out, out
-	}
-	return leftCard*rightCard + out, out
+	g.edges = append(g.edges, equiEdge{a: a, b: b, sel: sel, bucketA: bucketA, bucketB: bucketB})
 }
 
-// chooseJoinOrder picks the join order for textual tables with the
-// given post-pushdown cardinalities. Exact left-deep DP up to
-// maxDPTables, greedy beyond. The result is a permutation of 0..n-1 and
-// is a pure function of (cards, edges): bitmask-indexed slices and
-// ascending iteration keep it bit-identical across runs.
-func chooseJoinOrder(cards []float64, edges []equiEdge) []int {
-	n := len(cards)
+// joinStep is the model's account of one join step: what it costs and
+// how many tuples it hands on.
+type joinStep struct{ cost, out float64 }
+
+// step models joining table next to an accumulated prefix of leftCard
+// tuples over the placed tables, as the executor will run it:
+//
+//   - no key: nested loop — the scan, then every pair;
+//   - a key that lands on next's pk or an index, and a prefix that
+//     reads less of the table through it than a scan would (the rule of
+//     joinNode.probeBelow): prefix x (1 + bucket) probes and candidates,
+//     and no scan;
+//   - otherwise hash join: the scan, then build + probe.
+//
+// Each adds the tuples it emits.
+func (g *joinGraph) step(leftCard float64, placed uint64, next int) joinStep {
+	keyed := false
+	sel, bucket := 1.0, 0.0
+	for _, e := range g.edges {
+		var b float64
+		switch {
+		case e.a == next && placed&(1<<uint(e.b)) != 0:
+			b = e.bucketA
+		case e.b == next && placed&(1<<uint(e.a)) != 0:
+			b = e.bucketB
+		default:
+			continue
+		}
+		keyed = true
+		sel *= e.sel
+		if b > 0 && (bucket == 0 || b < bucket) {
+			bucket = b
+		}
+	}
+	out := leftCard * g.cards[next] * sel
+	switch {
+	case !keyed:
+		return joinStep{g.read[next] + leftCard*g.cards[next] + out, out}
+	case bucket > 0 && leftCard*bucket < g.rows[next]:
+		return joinStep{leftCard*(1+bucket) + out, out}
+	default:
+		return joinStep{g.read[next] + leftCard + g.cards[next] + out, out}
+	}
+}
+
+// connected returns the unplaced tables an equi key links to a placed
+// one. While there is one, neither ordering takes a table outside this
+// set: a keyless step multiplies the prefix by a whole table.
+func (g *joinGraph) connected(placed uint64) uint64 {
+	var out uint64
+	for _, e := range g.edges {
+		a, b := uint64(1)<<uint(e.a), uint64(1)<<uint(e.b)
+		if placed&a != 0 {
+			out |= b
+		}
+		if placed&b != 0 {
+			out |= a
+		}
+	}
+	return out &^ placed
+}
+
+// chooseJoinOrder picks the join order for the graph's tables. Exact
+// left-deep DP up to maxDPTables, greedy beyond. The result is a
+// permutation of 0..n-1 and a pure function of the graph:
+// bitmask-indexed slices and ascending iteration keep it bit-identical
+// across runs.
+func (g *joinGraph) chooseJoinOrder() []int {
+	n := len(g.cards)
 	if n <= 1 {
 		return []int{0}
 	}
 	if n <= maxDPTables {
-		return dpJoinOrder(cards, edges)
+		return g.dpJoinOrder()
 	}
-	return greedyJoinOrder(cards, edges)
+	return g.greedyJoinOrder()
 }
 
-func dpJoinOrder(cards []float64, edges []equiEdge) []int {
-	n := len(cards)
+func (g *joinGraph) dpJoinOrder() []int {
+	n := len(g.cards)
 	full := uint64(1)<<uint(n) - 1
 	type dpEnt struct {
 		cost, card float64
@@ -547,7 +633,7 @@ func dpJoinOrder(cards []float64, edges []equiEdge) []int {
 	dp := make([]dpEnt, full+1)
 	for i := 0; i < n; i++ {
 		m := uint64(1) << uint(i)
-		dp[m] = dpEnt{cost: cards[i], card: cards[i], last: i, prev: 0, ok: true}
+		dp[m] = dpEnt{cost: g.read[i], card: g.cards[i], last: i, prev: 0, ok: true}
 	}
 	for mask := uint64(1); mask <= full; mask++ {
 		if bits.OnesCount64(mask) < 2 {
@@ -562,12 +648,15 @@ func dpJoinOrder(cards []float64, edges []equiEdge) []int {
 			prev := mask &^ bit
 			pe := dp[prev]
 			if !pe.ok {
+				continue // prev is reachable only through a keyless step
+			}
+			if conn := g.connected(prev); conn != 0 && conn&bit == 0 {
 				continue
 			}
-			stepCost, out := joinStepCost(pe.card, cards[j], edges, prev, j)
-			total := pe.cost + cards[j] + stepCost
+			st := g.step(pe.card, prev, j)
+			total := pe.cost + st.cost
 			if !best.ok || total < best.cost {
-				best = dpEnt{cost: total, card: out, last: j, prev: prev, ok: true}
+				best = dpEnt{cost: total, card: st.out, last: j, prev: prev, ok: true}
 			}
 		}
 		dp[mask] = best
@@ -578,41 +667,38 @@ func dpJoinOrder(cards []float64, edges []equiEdge) []int {
 		order = append(order, e.last)
 		mask = e.prev
 	}
-	// Reverse: backtracking produced last-to-first.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order) // backtracking produced last-to-first
 	return order
 }
 
-func greedyJoinOrder(cards []float64, edges []equiEdge) []int {
-	n := len(cards)
+func (g *joinGraph) greedyJoinOrder() []int {
+	n := len(g.cards)
 	order := make([]int, 0, n)
 	start := 0
 	for i := 1; i < n; i++ {
-		if cards[i] < cards[start] {
+		if g.cards[i] < g.cards[start] {
 			start = i
 		}
 	}
 	order = append(order, start)
 	placed := uint64(1) << uint(start)
-	curCard := cards[start]
+	curCard := g.cards[start]
 	for len(order) < n {
+		conn := g.connected(placed)
 		best := -1
-		var bestTotal, bestCard float64
+		var bestStep joinStep
 		for j := 0; j < n; j++ {
-			if placed&(1<<uint(j)) != 0 {
+			bit := uint64(1) << uint(j)
+			if placed&bit != 0 || (conn != 0 && conn&bit == 0) {
 				continue
 			}
-			stepCost, out := joinStepCost(curCard, cards[j], edges, placed, j)
-			total := cards[j] + stepCost
-			if best < 0 || total < bestTotal {
-				best, bestTotal, bestCard = j, total, out
+			if st := g.step(curCard, placed, j); best < 0 || st.cost < bestStep.cost {
+				best, bestStep = j, st
 			}
 		}
 		order = append(order, best)
 		placed |= 1 << uint(best)
-		curCard = bestCard
+		curCard = bestStep.out
 	}
 	return order
 }
@@ -634,6 +720,11 @@ type scanNode struct {
 	table string
 	alias string
 	t     *Table // schema identity captured at plan time
+	// indexes is how many secondary indexes the table's view carried at
+	// plan time. A table's index set only grows, so an equal count means
+	// the same set: the plan chose among exactly the access paths a view
+	// of t with this count offers.
+	indexes int
 
 	access  accessKind
 	keyCol  int  // probed column (pk or indexed) for accessPkEq/IdxEq
@@ -641,7 +732,8 @@ type scanNode struct {
 
 	filter []Expr // pushed-down conjuncts; they read only this scan's row
 
-	planRows int // view row count at plan time, for drift detection
+	planRows int     // view row count at plan time, for drift detection
+	estRows  float64 // tuples the model expects after this step
 }
 
 // colPos names a column of a tuple: column col of scan's row.
@@ -652,6 +744,18 @@ type joinNode struct {
 	leftKeys  []colPos // key columns within the prefix tuple
 	rightKeys []int    // key columns within the joined table's row
 	extra     []Expr   // residual conjuncts over prefix and joined table
+
+	// probe is the key pair whose right column is the joined table's
+	// primary key or carries a secondary index — the one with the
+	// smallest bucket — or -1. probeBelow is that column's distinct
+	// count at plan time. The one rule that picks the step's access: a
+	// run whose prefix holds fewer than probeBelow tuples probes the
+	// index once per tuple and never scans the table; any other run
+	// scans it and hash-joins. Below that size the probes read less of
+	// the table than the scan would (prefix x bucket < rows); from it on
+	// they read all of it, through the index, in prefix order.
+	probe      int
+	probeBelow int
 }
 
 // orderSpec is one pre-resolved ORDER BY item.
@@ -664,7 +768,6 @@ type orderSpec struct {
 // selectPlan is a fully bound, immutable, concurrently executable plan
 // for one normalized SELECT class.
 type selectPlan struct {
-	gen    int64 // plan-cache generation the plan was built under
 	tables int
 
 	consts []Expr // conjuncts referencing no columns
@@ -683,18 +786,114 @@ type selectPlan struct {
 	reordered bool // join order differs from textual order
 }
 
-// schemaMatches reports whether the plan can execute against v: every
-// scanned table must exist with the same schema identity (the *Table
-// pointer is stable for a table's lifetime; DROP+CREATE and restores
-// produce a new one).
+// schemaMatches reports whether the plan was made for v: every scanned
+// table must exist with the same schema identity (the *Table pointer is
+// stable for a table's lifetime; DROP+CREATE and restores produce a new
+// one) and the index set the plan chose its access paths from.
 func (p *selectPlan) schemaMatches(v *readView) bool {
 	for i := range p.scans {
-		tv, ok := v.tables[p.scans[i].table]
-		if !ok || tv.t != p.scans[i].t {
+		s := &p.scans[i]
+		tv, ok := v.tables[s.table]
+		if !ok || tv.t != s.t || len(tv.indexes) != s.indexes {
 			return false
 		}
 	}
 	return true
+}
+
+// describe renders the plan one line per step, in join order: the
+// table, how the step reaches it, the conjuncts pushed down to it, and
+// the tuples the model expects the step to hand on. The access is
+//
+//	full             scan of every row (first step)
+//	pk=              primary-key probe by a constant
+//	index(col)=      secondary-index probe by a constant
+//	probe pk         join step: pk probe per prefix tuple, no scan
+//	probe index(col) join step: index probe per prefix tuple, no scan
+//	hash             join step: scan, then hash join on the equi keys
+//	cross            join step: scan, then every pair (no equi key)
+//
+// A join step that can probe is shown as a run with the model's prefix
+// would execute it; the bound follows in parentheses either way, since
+// each run applies it to its own prefix.
+func (p *selectPlan) describe() string {
+	var sb strings.Builder
+	for i := range p.scans {
+		s := &p.scans[i]
+		access := "full"
+		switch s.access {
+		case accessPkEq:
+			access = "pk="
+		case accessIdxEq:
+			access = "index(" + s.t.Cols[s.keyCol].Name + ")="
+		}
+		if i > 0 {
+			j := &p.joins[i-1]
+			switch {
+			case j.probe >= 0:
+				via := "pk"
+				if col := j.rightKeys[j.probe]; col != s.t.pkCol {
+					via = "index(" + s.t.Cols[col].Name + ")"
+				}
+				if p.scans[i-1].estRows < float64(j.probeBelow) {
+					access = fmt.Sprintf("probe %s (prefix < %d)", via, j.probeBelow)
+				} else {
+					access = fmt.Sprintf("hash (prefix >= %d of %s)", j.probeBelow, via)
+				}
+			case len(j.leftKeys) == 0:
+				access = "cross"
+			case s.access == accessFull:
+				access = "hash"
+			}
+		}
+		filters := make([]string, len(s.filter))
+		for k, f := range s.filter {
+			filters[k] = exprString(f)
+		}
+		name := s.table
+		if s.alias != s.table {
+			name += " " + s.alias
+		}
+		fmt.Fprintf(&sb, "%s: %s [%s] ~%.4g\n", name, access, strings.Join(filters, " AND "), s.estRows)
+	}
+	return sb.String()
+}
+
+// exprString renders a bound, parameterized expression for describe.
+func exprString(e Expr) string {
+	switch x := e.(type) {
+	case *Lit:
+		if x.V.K == KindText {
+			return "'" + x.V.S + "'"
+		}
+		return x.V.String()
+	case *boundParam:
+		return "?"
+	case *boundCol:
+		return x.name
+	case *UnOp:
+		return x.Op + " " + exprString(x.E)
+	case *BinOp:
+		return "(" + exprString(x.L) + " " + x.Op + " " + exprString(x.R) + ")"
+	case *Between:
+		return exprString(x.E) + negated(x.Negate) + " BETWEEN " + exprString(x.Lo) + " AND " + exprString(x.Hi)
+	case *InList:
+		items := make([]string, len(x.List))
+		for i, le := range x.List {
+			items[i] = exprString(le)
+		}
+		return exprString(x.E) + negated(x.Negate) + " IN (" + strings.Join(items, ", ") + ")"
+	case *IsNull:
+		return exprString(x.E) + " IS" + negated(x.Negate) + " NULL"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+func negated(not bool) string {
+	if not {
+		return " NOT"
+	}
+	return ""
 }
 
 // drifted reports whether any scanned table's row count moved more than
@@ -729,7 +928,8 @@ type planEntry struct {
 }
 
 // planCache maps canonical statement shape -> bound plan, with LFU
-// eviction and generation-based invalidation. The hit path takes only
+// eviction; an entry the current view no longer matches is dropped by
+// the lookup that finds it. The hit path takes only
 // the read lock plus atomic counter bumps — concurrent snapshot reads
 // must not serialize on the planner (the whole point of PR 6's
 // lock-free read epochs). mu (write) guards the map itself; the
@@ -746,11 +946,11 @@ type planCache struct {
 	reordered     atomic.Int64
 }
 
-// lookup returns the cached plan for key if it is valid for generation
-// gen and view v. current marks v as the engine's latest view: only
-// then do drift-stale entries get dropped (a pinned historical view
-// must not evict plans that are fine for the present).
-func (c *planCache) lookup(key string, gen int64, v *readView, current bool) *selectPlan {
+// lookup returns the cached plan for key if it is valid for view v.
+// current marks v as the engine's latest view: only then is an entry
+// that does not match dropped (a pinned historical view must not evict
+// plans that are fine for the present).
+func (c *planCache) lookup(key string, v *readView, current bool) *selectPlan {
 	c.mu.RLock()
 	en := c.entries[key]
 	c.mu.RUnlock()
@@ -759,15 +959,12 @@ func (c *planCache) lookup(key string, gen int64, v *readView, current bool) *se
 		return nil
 	}
 	p := en.plan
-	stale := p.gen != gen
-	if !stale && p.schemaMatches(v) && !p.drifted(v) {
+	if p.schemaMatches(v) && !p.drifted(v) {
 		en.uses.Add(1)
 		c.hits.Add(1)
 		return p
 	}
-	// Stale: drop the entry — always on a generation mismatch, but on
-	// schema/drift mismatch only for the current view.
-	if stale || current {
+	if current {
 		c.mu.Lock()
 		if c.entries[key] == en { // keep a racing replacement
 			delete(c.entries, key)
@@ -780,9 +977,9 @@ func (c *planCache) lookup(key string, gen int64, v *readView, current bool) *se
 }
 
 // store caches a freshly built plan, evicting the least-frequently-used
-// eighth when full. A plan built under an older generation than the
-// current one is dropped by the next lookup's gen check, so no re-check
-// is needed here.
+// eighth when full. A plan built against a view that a racing publish
+// has since replaced is dropped by the next lookup's match, so no
+// re-check is needed here.
 func (c *planCache) store(key string, p *selectPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -828,19 +1025,11 @@ func (c *planCache) notePlan(p *selectPlan) {
 	}
 }
 
-// clear drops every entry (generation invalidation).
-func (c *planCache) clear() {
-	c.mu.Lock()
-	c.entries = nil
-	c.mu.Unlock()
-	c.invalidations.Add(1)
-}
-
 // PlannerStats is a snapshot of the engine's planner counters.
 type PlannerStats struct {
 	Hits          int64 // plan-cache hits
 	Misses        int64 // plan-cache misses (plan built)
-	Invalidations int64 // generation bumps + stale-entry drops
+	Invalidations int64 // entries dropped because the current view no longer matched
 	Evictions     int64 // LFU evictions
 	Entries       int64 // current cached plans
 	JoinPlans     int64 // plans built covering >= 2 tables
@@ -864,16 +1053,6 @@ func (e *Engine) PlannerStats() PlannerStats {
 	}
 }
 
-// InvalidatePlans drops every cached plan and bumps the plan
-// generation, so in-flight builds against the old schema cannot be
-// served afterwards. Runs on DDL, CREATE INDEX, and snapshot restores
-// (which is how live-migration cutover lands tables); safe to call at
-// any time.
-func (e *Engine) InvalidatePlans() {
-	e.planGen.Add(1)
-	e.plans.clear()
-}
-
 // ---------------------------------------------------------------------
 // Plan building
 // ---------------------------------------------------------------------
@@ -883,13 +1062,12 @@ func (e *Engine) InvalidatePlans() {
 // against a pinned historical view (or racing a concurrent publish) are
 // transient.
 func (e *Engine) planFor(st *SelectStmt, v *readView) (*selectPlan, []Value, error) {
-	gen := e.planGen.Load()
 	key, params, _ := canonSelect(st, false)
 	current := v == e.view.Load()
-	if p := e.plans.lookup(key, gen, v, current); p != nil {
+	if p := e.plans.lookup(key, v, current); p != nil {
 		return p, params, nil
 	}
-	p, err := e.buildPlan(st, v, gen)
+	p, err := e.buildPlan(st, v)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -900,9 +1078,32 @@ func (e *Engine) planFor(st *SelectStmt, v *readView) (*selectPlan, []Value, err
 	return p, params, nil
 }
 
+// Explain returns the plan a SELECT gets against the engine's current
+// view, one line per step (selectPlan.describe): join order, access per
+// step, pushed-down filters, estimated rows. It is exported only because
+// internal/cluster's tests assert a copied replica's access path from
+// outside this package; there is no SQL statement for it. The plan is
+// built afresh and thrown away: inspecting a statement neither reads nor
+// changes the plan cache or its counters.
+func (e *Engine) Explain(sql string) (string, error) {
+	st, err := Parse(sql)
+	if err != nil {
+		return "", err
+	}
+	sel, ok := st.(*SelectStmt)
+	if !ok {
+		return "", fmt.Errorf("sqlmini: Explain requires SELECT, got %T", st)
+	}
+	p, err := e.buildPlan(sel, e.loadView())
+	if err != nil {
+		return "", err
+	}
+	return p.describe(), nil
+}
+
 // buildPlan compiles one SELECT against a view: normalization, conjunct
 // analysis, access-path selection, join ordering, and output binding.
-func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan, error) {
+func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	_, _, pst := canonSelect(st, true)
 
 	// Textual table list.
@@ -966,7 +1167,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 		}
 	}
 
-	// Access path and post-pushdown cardinality per textual table.
+	// Access path, rows read and post-pushdown cardinality per textual
+	// table.
 	type accessChoice struct {
 		kind    accessKind
 		keyCol  int
@@ -974,7 +1176,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 		rest    []conjunct
 	}
 	access := make([]accessChoice, n)
-	cards := make([]float64, n)
+	g := &joinGraph{rows: make([]float64, n), read: make([]float64, n), cards: make([]float64, n)}
 	for i, r := range refs {
 		t := r.tv.t
 		choice := accessChoice{kind: accessFull}
@@ -989,55 +1191,47 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 		}
 		if consumed < 0 {
 			for ci, cj := range perTable[i] {
-				if cj.kind != predEqConst {
-					continue
-				}
-				if r.tv.hasIndex(cj.constCol) {
+				if cj.kind == predEqConst && r.tv.index(cj.constCol) != nil {
 					choice = accessChoice{kind: accessIdxEq, keyCol: cj.constCol, keyExpr: cj.constVal}
 					consumed = ci
 					break
 				}
 			}
 		}
-		card := float64(r.tv.rows.len())
-		if card < 1 {
-			card = 1
-		}
+		rows := max(float64(r.tv.rows.len()), 1)
+		card := rows
 		for ci, cj := range perTable[i] {
 			card *= conjunctSelectivity(cj, r.tv)
 			if ci != consumed {
 				choice.rest = append(choice.rest, cj)
 			}
 		}
-		if card < 1e-3 {
-			card = 1e-3
-		}
 		access[i] = choice
-		cards[i] = card
+		g.rows[i], g.read[i], g.cards[i] = rows, rows, max(card, 1e-3)
+		if choice.kind != accessFull {
+			g.read[i] = r.tv.bucket(choice.keyCol)
+		}
 	}
 
-	// Equi edges for the cost model.
-	var edges []equiEdge
+	// Equi edges for the cost model. A table with an access path of its
+	// own is not probed by a join step: its scan already reads a bucket.
+	bucket := func(table, col int) float64 {
+		if access[table].kind != accessFull {
+			return 0
+		}
+		return refs[table].tv.bucket(col)
+	}
 	for _, jc := range joinConjs {
 		if !jc.isEquiJoin {
 			continue
 		}
-		ndvL := refs[jc.eqLTable].tv.ndvEstimate(jc.eqLCol)
-		ndvR := refs[jc.eqRTable].tv.ndvEstimate(jc.eqRCol)
-		ndv := ndvL
-		if ndvR > ndv {
-			ndv = ndvR
-		}
-		if ndv < 1 {
-			ndv = 1
-		}
-		edges = append(edges, equiEdge{a: jc.eqLTable, b: jc.eqRTable, sel: 1 / ndv})
+		ndv := max(refs[jc.eqLTable].tv.ndvEstimate(jc.eqLCol), refs[jc.eqRTable].tv.ndvEstimate(jc.eqRCol))
+		g.link(jc.eqLTable, jc.eqRTable, 1/ndv, bucket(jc.eqLTable, jc.eqLCol), bucket(jc.eqRTable, jc.eqRCol))
 	}
 
-	order := chooseJoinOrder(cards, edges)
+	order := g.chooseJoinOrder()
 
 	p := &selectPlan{
-		gen:    gen,
 		tables: n,
 		consts: consts,
 		limit:  pst.Limit,
@@ -1066,6 +1260,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 			table:    r.name,
 			alias:    r.alias,
 			t:        r.tv.t,
+			indexes:  len(r.tv.indexes),
 			access:   ac.kind,
 			keyCol:   ac.keyCol,
 			keyExpr:  ac.keyExpr,
@@ -1083,14 +1278,17 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 
 	// Join steps: assign every multi-table conjunct to the first step
 	// where all its tables are placed; equi conjuncts linking the new
-	// table to the prefix become hash keys, the rest are residuals.
+	// table to the prefix become join keys, the rest are residuals.
 	assigned := make([]bool, len(joinConjs))
 	placed := uint64(1) << uint(order[0])
+	p.scans[0].estRows = g.cards[order[0]]
 	for pos := 1; pos < n; pos++ {
 		right := order[pos]
 		rightBit := uint64(1) << uint(right)
 		nowPlaced := placed | rightBit
-		jn := joinNode{}
+		jn := joinNode{probe: -1}
+		probeBucket := 0.0
+		p.scans[pos].estRows = g.step(p.scans[pos-1].estRows, placed, right).out
 		for ci := range joinConjs {
 			if assigned[ci] {
 				continue
@@ -1105,6 +1303,11 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 					leftTable, leftCol, rightCol = jc.eqLTable, jc.eqLCol, jc.eqRCol
 				} else {
 					leftTable, leftCol, rightCol = jc.eqRTable, jc.eqRCol, jc.eqLCol
+				}
+				// The key with the smallest bucket probes; the first of equals.
+				if b := bucket(right, rightCol); b > 0 && (jn.probe < 0 || b < probeBucket) {
+					jn.probe, probeBucket = len(jn.rightKeys), b
+					jn.probeBelow = int(refs[right].tv.ndvEstimate(rightCol))
 				}
 				jn.leftKeys = append(jn.leftKeys, colPos{scanOf[leftTable], leftCol})
 				jn.rightKeys = append(jn.rightKeys, rightCol)
@@ -1301,12 +1504,19 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 		if !ok {
 			return unknownTableError(s.table)
 		}
+		if tv.rows.len() > math.MaxInt32 {
+			return fmt.Errorf("sqlmini: %q holds %d rows, more than a join can address", s.table, tv.rows.len())
+		}
+		if i > 0 && cur.n < p.joins[i-1].probeBelow {
+			var err error
+			if cur, err = p.joins[i-1].probeJoin(x, cur, s, tv); err != nil {
+				return err
+			}
+			continue
+		}
 		scanned, err := s.scan(x, i, tv)
 		if err != nil {
 			return err
-		}
-		if len(scanned) > math.MaxInt32 {
-			return fmt.Errorf("sqlmini: scan of %q yields %d rows, more than a join can address", s.table, len(scanned))
 		}
 		x.rows[i] = scanned
 		if i == 0 {
@@ -1334,7 +1544,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 		if kv.IsNull() {
 			return nil, nil // pk = NULL matches nothing
 		}
-		idx, hit := tv.pk.get(kv.key())
+		idx, hit := tv.pk.find(kv)
 		if !hit {
 			return nil, nil
 		}
@@ -1353,28 +1563,12 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 		if kv.IsNull() {
 			return nil, nil // col = NULL matches nothing
 		}
-		if matches, indexed := tv.lookupIndex(s.keyCol, kv); indexed {
-			x.res.Scanned += int64(len(matches))
-			hits := make([]Row, len(matches))
-			for i, ri := range matches {
-				hits[i] = tv.rows.at(ri)
-			}
-			return s.filterOwned(x, k, hits)
-		}
-		// The view predates the index (pinned snapshot): scan, applying
-		// the consumed equality with the index's key semantics.
-		x.res.Scanned += int64(tv.rows.len())
-		kk := kv.key()
-		hits := make([]Row, 0, 16)
-		for c := 0; c < tv.rows.runs(); c++ {
-			if err := x.ctx.Err(); err != nil {
-				return nil, err
-			}
-			for _, r := range tv.rows.run(c) {
-				if r[s.keyCol].key() == kk {
-					hits = append(hits, r)
-				}
-			}
+		// schemaMatches holds the plan to views that carry the index.
+		matches := tv.index(s.keyCol).built(tv).lookup(kv)
+		x.res.Scanned += int64(len(matches))
+		hits := make([]Row, len(matches))
+		for i, ri := range matches {
+			hits[i] = tv.rows.at(int(ri))
 		}
 		return s.filterOwned(x, k, hits)
 	default:
@@ -1402,27 +1596,33 @@ func (s *scanNode) filterOwned(x *execRun, k int, rows []Row) ([]Row, error) {
 }
 
 // appendFiltered appends to dst the rows passing every pushed-down
-// conjunct, each evaluated with the row as the tuple's k-th. dst may be
-// rows[:0]: filtering in place never overtakes the read position.
+// conjunct. dst may be rows[:0]: filtering in place never overtakes the
+// read position.
 func (s *scanNode) appendFiltered(x *execRun, k int, dst, rows []Row) ([]Row, error) {
-rows:
 	for i, r := range rows {
 		if err := x.poll(i); err != nil {
 			return nil, err
 		}
-		x.ec.tup[k] = r
-		for _, f := range s.filter {
-			fv, err := eval(f, &x.ec)
-			if err != nil {
-				return nil, err
-			}
-			if !fv.Truth() {
-				continue rows
-			}
+		if ok, err := s.passes(x, k, r); err != nil {
+			return nil, err
+		} else if ok {
+			dst = append(dst, r)
 		}
-		dst = append(dst, r)
 	}
 	return dst, nil
+}
+
+// passes evaluates the pushed-down conjuncts with r as the tuple's
+// k-th row, the only one they read.
+func (s *scanNode) passes(x *execRun, k int, r Row) (bool, error) {
+	x.ec.tup[k] = r
+	for _, f := range s.filter {
+		fv, err := eval(f, &x.ec)
+		if err != nil || !fv.Truth() {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // key loads into kv the join key of one input — prefix tuple i when
@@ -1446,6 +1646,113 @@ func (j *joinNode) key(x *execRun, left *tuples, right []Row, ofLeft bool, i int
 	return true
 }
 
+// joinOut collects the tuples one join step emits: prefix tuples of
+// left extended by rows of right.
+type joinOut struct {
+	extra []Expr // the step's residual conjuncts
+	left  tuples
+	right []Row
+	out   tuples
+}
+
+func (j *joinNode) begin(left tuples, right []Row) joinOut {
+	return joinOut{extra: j.extra, left: left, right: right,
+		out: tuples{w: left.w + 1, ids: make([]int32, 0, left.n*(left.w+1))}}
+}
+
+// emit appends the tuple (prefix tuple li, row ri) if it passes the
+// residual conjuncts; only those ever read it before it is appended.
+// (x is a parameter, not a field: held in the joinOut it would escape,
+// and every execution would pay for its execRun on the heap.)
+func (o *joinOut) emit(x *execRun, li, ri int) error {
+	left := &o.left
+	if len(o.extra) > 0 {
+		x.load(left, li)
+		x.ec.tup[left.w] = o.right[ri]
+		for _, ex := range o.extra {
+			v, err := eval(ex, &x.ec)
+			if err != nil {
+				return err
+			}
+			if !v.Truth() {
+				return nil
+			}
+		}
+	}
+	if left.ids == nil {
+		o.out.ids = append(o.out.ids, int32(li), int32(ri))
+	} else {
+		o.out.ids = append(append(o.out.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
+	}
+	o.out.n++
+	return nil
+}
+
+// probeJoin extends the prefix tuples by the rows of s's table that an
+// index finds for them; the table is never scanned. Per prefix tuple it
+// looks the probe key up in the primary key or the secondary index,
+// and holds each candidate to what a scan and hash join would have:
+// the table's pushed-down filters, the other key pairs, the residuals.
+// The tuples name their rows by position in the whole table
+// (tv.allRows); they come in prefix order, and within one prefix tuple
+// in position order. Scanned counts the candidates examined (one per pk
+// probe). A NULL key matches nothing, on either side.
+func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView) (tuples, error) {
+	k := left.w
+	rows := tv.allRows()
+	x.rows[k] = rows
+	o := j.begin(left, rows)
+	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
+	var ib indexBuckets
+	byPk := pcol == tv.t.pkCol
+	if !byPk {
+		ib = tv.index(pcol).built(tv) // schemaMatches holds the plan to views that carry it
+	}
+	var one [1]int32
+	for li := 0; li < left.n; li++ {
+		if err := x.poll(li); err != nil {
+			return tuples{}, err
+		}
+		kv := x.rows[pk.scan][left.pos(li, pk.scan)][pk.col]
+		if kv.IsNull() {
+			continue
+		}
+		var cands []int32
+		if byPk {
+			x.res.Scanned++
+			if at, hit := tv.pk.find(kv); hit {
+				one[0] = int32(at)
+				cands = one[:]
+			}
+		} else {
+			cands = ib.lookup(kv)
+			x.res.Scanned += int64(len(cands))
+		}
+	cands:
+		for _, ri := range cands {
+			r := rows[ri]
+			for c, lk := range j.leftKeys {
+				if c == j.probe {
+					continue
+				}
+				lv, rv := x.rows[lk.scan][left.pos(li, lk.scan)][lk.col], r[j.rightKeys[c]]
+				if lv.IsNull() || rv.IsNull() || keyOf(lv) != keyOf(rv) {
+					continue cands
+				}
+			}
+			if ok, err := s.passes(x, k, r); err != nil {
+				return tuples{}, err
+			} else if !ok {
+				continue
+			}
+			if err := o.emit(x, li, int(ri)); err != nil {
+				return tuples{}, err
+			}
+		}
+	}
+	return o.out, nil
+}
+
 // join extends the prefix tuples by one table's rows. Equi-joins hash
 // the smaller side and probe with the other; the output follows the
 // probe side's order, and within one probe element the build side's.
@@ -1453,32 +1760,7 @@ func (j *joinNode) key(x *execRun, left *tuples, right []Row, ofLeft bool, i int
 // LIMIT and float aggregates depend on them. Build and probe loops
 // observe context cancellation.
 func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
-	out := tuples{w: left.w + 1, ids: make([]int32, 0, left.n*(left.w+1))}
-
-	// emit appends the tuple (prefix tuple li, row ri) if it passes the
-	// residual conjuncts; only those ever read it before it is appended.
-	emit := func(li, ri int) error {
-		if len(j.extra) > 0 {
-			x.load(&left, li)
-			x.ec.tup[left.w] = right[ri]
-			for _, ex := range j.extra {
-				v, err := eval(ex, &x.ec)
-				if err != nil {
-					return err
-				}
-				if !v.Truth() {
-					return nil
-				}
-			}
-		}
-		if left.ids == nil {
-			out.ids = append(out.ids, int32(li), int32(ri))
-		} else {
-			out.ids = append(append(out.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
-		}
-		out.n++
-		return nil
-	}
+	o := j.begin(left, right)
 
 	if len(j.leftKeys) == 0 {
 		// Nested loop: no equi keys link this table to the prefix.
@@ -1489,12 +1771,12 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
 					return tuples{}, err
 				}
 				x.res.Scanned++
-				if err := emit(li, ri); err != nil {
+				if err := o.emit(x, li, ri); err != nil {
 					return tuples{}, err
 				}
 			}
 		}
-		return out, nil
+		return o.out, nil
 	}
 
 	// Build on the table's rows unless the prefix is smaller. A chain
@@ -1531,12 +1813,12 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
 			if buildLeft {
 				li, ri = ri, li
 			}
-			if err := emit(li, ri); err != nil {
+			if err := o.emit(x, li, ri); err != nil {
 				return tuples{}, err
 			}
 		}
 	}
-	return out, nil
+	return o.out, nil
 }
 
 // finish projects, aggregates, deduplicates, orders and limits the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -160,54 +161,92 @@ func TestPlanCacheHitWithParams(t *testing.T) {
 	}
 }
 
-// TestPlanInvalidation: DDL, CREATE INDEX, and snapshot restores bump
-// the generation so stale plans cannot be served.
+// TestPlanInvalidation: a cached plan is valid for a view, not for a
+// generation. Nothing flushes the cache; a change to a table replaces
+// exactly the plans that touch it, each dropped by its own next lookup,
+// and plans on other tables keep hitting.
 func TestPlanInvalidation(t *testing.T) {
 	e := newTestDB(t)
-	mustExec(t, e, `SELECT name FROM item WHERE id = 1`)
-	base := e.PlannerStats()
-	if base.Entries < 1 {
-		t.Fatalf("no cached plan: %+v", base)
+	const (
+		onItem   = `SELECT name FROM item WHERE id = 1`
+		onOrders = `SELECT cust FROM orders WHERE oid = 10`
+		onBoth   = `SELECT o.oid FROM orders o JOIN item i ON o.item_id = i.id`
+	)
+	all := []string{onItem, onOrders, onBoth}
+	for _, q := range all {
+		mustExec(t, e, q)
 	}
+	// expect runs every statement once and checks which were served from
+	// the cache and which had their entry dropped and rebuilt.
+	expect := func(step string, replaced ...string) {
+		t.Helper()
+		for _, q := range all {
+			before := e.PlannerStats()
+			mustExec(t, e, q)
+			after := e.PlannerStats()
+			hit := after.Hits == before.Hits+1
+			dropped := after.Invalidations == before.Invalidations+1
+			if want := slices.Contains(replaced, q); hit == want || dropped != want {
+				t.Errorf("%s: %q hit=%v dropped=%v, want replaced=%v", step, q, hit, dropped, want)
+			}
+			if after.Entries != int64(len(all)) {
+				t.Errorf("%s: %d cached plans after %q, want %d", step, after.Entries, q, len(all))
+			}
+		}
+	}
+	expect("warm cache")
 
+	before := e.PlannerStats()
 	mustExec(t, e, `CREATE TABLE extra (a INT PRIMARY KEY)`)
-	ps := e.PlannerStats()
-	if ps.Invalidations <= base.Invalidations || ps.Entries != 0 {
-		t.Fatalf("CREATE TABLE did not invalidate: %+v -> %+v", base, ps)
+	if after := e.PlannerStats(); after.Entries != before.Entries || after.Invalidations != before.Invalidations {
+		t.Fatalf("an unrelated CREATE TABLE touched the cache: %+v -> %+v", before, after)
 	}
+	expect("unrelated CREATE TABLE")
 
-	mustExec(t, e, `SELECT name FROM item WHERE id = 1`)
-	base = e.PlannerStats()
+	// CREATE INDEX: the plans on item no longer match its index set. A
+	// view pinned before it lacks the index; it gets a transient plan and
+	// evicts nothing.
+	old := e.AcquireView()
 	if err := e.CreateIndex("item", "stock"); err != nil {
 		t.Fatal(err)
 	}
-	ps = e.PlannerStats()
-	if ps.Invalidations <= base.Invalidations || ps.Entries != 0 {
-		t.Fatalf("CREATE INDEX did not invalidate: %+v -> %+v", base, ps)
+	expect("CREATE INDEX item(stock)", onItem, onBoth)
+	const byStock = `SELECT name FROM item WHERE stock = 100`
+	if r := mustExec(t, e, byStock); r.Scanned != 1 {
+		t.Fatalf("Scanned = %d, want 1 via the new index", r.Scanned)
 	}
-	// The re-built plan uses the new index access path.
-	r := mustExec(t, e, `SELECT name FROM item WHERE stock = 100`)
-	if r.Scanned != 1 {
-		t.Fatalf("Scanned = %d, want 1 via new index", r.Scanned)
+	before = e.PlannerStats()
+	r, err := e.QueryView(old, byStock)
+	if err != nil || len(r.Rows) != 1 || r.Scanned != 4 {
+		t.Fatalf("pre-index view: rows %v scanned %d err %v, want 1 row from a full scan", r.Rows, r.Scanned, err)
 	}
+	if after := e.PlannerStats(); after.Entries != before.Entries || after.Invalidations != before.Invalidations {
+		t.Fatalf("a pinned pre-index view evicted: %+v -> %+v", before, after)
+	}
+	if r := mustExec(t, e, byStock); r.Scanned != 1 {
+		t.Fatalf("Scanned = %d after the pinned run, want 1: the cached plan was replaced", r.Scanned)
+	}
+	all = append(all, byStock)
+	expect("pinned pre-index view")
 
-	// Restore (the migration-cutover path) invalidates too.
+	// DROP + CREATE: a new *Table under the old name.
+	mustExec(t, e, `DROP TABLE orders`)
+	mustExec(t, e, `CREATE TABLE orders (oid INT PRIMARY KEY, item_id INT, qty INT, cust TEXT)`)
+	mustExec(t, e, `INSERT INTO orders VALUES (10, 1, 3, 'ann')`)
+	expect("DROP+CREATE orders", onOrders, onBoth)
+
+	// Restore over a referenced table (how a resync lands one).
 	var buf bytes.Buffer
-	if err := e.SnapshotTables(&buf, []string{"extra"}); err != nil {
+	if err := e.SnapshotTables(&buf, []string{"item"}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := New()
-	if _, err := e2.Exec(`CREATE TABLE t (a INT PRIMARY KEY)`); err != nil {
+	mustExec(t, e, `DROP TABLE item`)
+	if err := e.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e2, `SELECT a FROM t`)
-	base2 := e2.PlannerStats()
-	if err := e2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ps2 := e2.PlannerStats()
-	if ps2.Invalidations <= base2.Invalidations || ps2.Entries != 0 {
-		t.Fatalf("Restore did not invalidate: %+v -> %+v", base2, ps2)
+	expect("Restore item", onItem, onBoth, byStock)
+	if got := e.Indexes("item"); len(got) != 1 || got[0] != "stock" {
+		t.Fatalf("Indexes(item) after Restore = %v, want [stock]", got)
 	}
 }
 

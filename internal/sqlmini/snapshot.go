@@ -22,8 +22,9 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
-// Snapshot serializes the complete engine state (schema and rows) with
-// encoding/gob. It is the data-transport format of the physical
+// Snapshot serializes the complete engine state (schema, index
+// definitions and rows) with encoding/gob. It is the data-transport
+// format of the physical
 // allocation: the prototype ships snapshots between backends during
 // reallocation and keeps cold copies for recovery.
 func (e *Engine) Snapshot(w io.Writer) error {
@@ -37,8 +38,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		t := e.tables[n]
-		st := snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows.flat()}
-		snap.Tables = append(snap.Tables, st)
+		snap.Tables = append(snap.Tables, snapshotTable{Name: n, Cols: t.columns(), Rows: t.rows.flat()})
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -55,7 +55,7 @@ func (e *Engine) SnapshotTables(w io.Writer, tables []string) error {
 		if !ok {
 			return unknownTableError(n)
 		}
-		snap.Tables = append(snap.Tables, snapshotTable{Name: n, Cols: t.Cols, Rows: t.rows.flat()})
+		snap.Tables = append(snap.Tables, snapshotTable{Name: n, Cols: t.columns(), Rows: t.rows.flat()})
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -90,9 +90,5 @@ func (e *Engine) Restore(r io.Reader) error {
 		e.tables[st.Name] = t
 		e.dirty = true
 	}
-	// Restore lands whole tables at once (reallocation / migration
-	// cutover): any cached plan may now target the wrong schema or a
-	// wildly different cardinality.
-	e.InvalidatePlans()
 	return nil
 }

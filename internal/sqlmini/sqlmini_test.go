@@ -901,8 +901,13 @@ func TestCreateIndexErrors(t *testing.T) {
 	if err := e.CreateIndex("orders", "cust"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateIndex("orders", "cust"); err == nil {
-		t.Error("duplicate index accepted")
+	// Declaring it again is a no-op: a loader copies a table's columns
+	// (which carry Indexed) and then its Indexes.
+	if err := e.CreateIndex("orders", "cust"); err != nil {
+		t.Errorf("re-declaring an index: %v", err)
+	}
+	if got := e.Indexes("orders"); len(got) != 1 {
+		t.Errorf("Indexes after re-declaring = %v", got)
 	}
 	if e.Indexes("missing") != nil {
 		t.Error("Indexes on missing table not nil")

@@ -164,7 +164,7 @@ type pkIndex struct {
 
 // pkSlot returns a key's directory and shard number: the low bits of
 // FNV-1a over the key, with the high half folded in.
-func pkSlot(key string) (int, int) {
+func pkSlot[K string | []byte](key K) (int, int) {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -174,16 +174,26 @@ func pkSlot(key string) (int, int) {
 	return int(h % pkFan), int(h / pkFan % pkFan)
 }
 
+// shard returns the shard at slot (a, b); nil when nothing is in it.
+func (p pkIndex) shard(a, b int) map[string]int {
+	if p.root == nil || p.root[a] == nil {
+		return nil
+	}
+	return p.root[a][b]
+}
+
 func (p pkIndex) get(key string) (int, bool) {
-	if p.root == nil {
-		return 0, false
-	}
-	a, b := pkSlot(key)
-	d := p.root[a]
-	if d == nil {
-		return 0, false
-	}
-	i, ok := d[b][key]
+	i, ok := p.shard(pkSlot(key))[key]
+	return i, ok
+}
+
+// find is get for a value rather than its rendered key: it renders on
+// the stack and allocates nothing, which is what a join step probing
+// once per prefix tuple needs.
+func (p pkIndex) find(v Value) (int, bool) {
+	var buf [32]byte
+	key := v.appendPKKey(buf[:0])
+	i, ok := p.shard(pkSlot(key))[string(key)]
 	return i, ok
 }
 

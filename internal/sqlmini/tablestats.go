@@ -39,6 +39,11 @@ func (tv *tableView) ndvEstimate(col int) float64 {
 	if tv.t != nil && col == tv.t.pkCol {
 		return float64(n)
 	}
+	// An indexed column has its exact count for the price of the build
+	// its first probe would pay anyway.
+	if idx := tv.index(col); idx != nil {
+		return max(float64(idx.distinct(tv)), 1)
+	}
 	tv.stats.mu.Lock()
 	defer tv.stats.mu.Unlock()
 	if tv.stats.ndv == nil {
@@ -50,6 +55,17 @@ func (tv *tableView) ndvEstimate(col int) float64 {
 	v := estimateNDV(tv.rows, col)
 	tv.stats.ndv[col] = v
 	return v
+}
+
+// bucket returns how many rows one value of column col finds through
+// the view's primary key or a secondary index on it — rows / distinct
+// values — and 0 when the column has neither: the unit both the cost
+// model and the probe-or-hash rule count index reads in.
+func (tv *tableView) bucket(col int) float64 {
+	if col != tv.t.pkCol && tv.index(col) == nil {
+		return 0
+	}
+	return max(float64(tv.rows.len()), 1) / tv.ndvEstimate(col)
 }
 
 // tableStats caches lazily computed per-column statistics for one

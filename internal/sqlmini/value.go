@@ -159,29 +159,46 @@ func (v Value) String() string {
 
 // key renders a canonical form for grouping and index keys.
 func (v Value) key() string {
+	var buf [32]byte
+	return string(v.appendPKKey(buf[:0]))
+}
+
+// appendPKKey appends the key() form of v — the format pkIndex is keyed
+// by — to b. A caller that only looks the key up passes a stack buffer
+// and converts in the map index expression, which allocates nothing.
+// The float folding below and keyOf's (key.go, the secondary indexes'
+// format) must stay the same rule: a join probes either index with the
+// other table's value and expects 2 to find 2.0 in both
+// (TestKeyClassesMatchValueKey).
+func (v Value) appendPKKey(b []byte) []byte {
 	switch v.K {
 	case KindNull:
-		return "\x00"
+		return append(b, 0)
 	case KindInt:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, 'i'), v.I, 10)
 	case KindFloat:
 		if v.F == float64(int64(v.F)) {
-			return "i" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(append(b, 'i'), int64(v.F), 10)
 		}
-		return "f" + strconv.FormatFloat(v.F, 'b', -1, 64)
+		return strconv.AppendFloat(append(b, 'f'), v.F, 'b', -1, 64)
 	default:
-		return "s" + v.S
+		return append(append(b, 's'), v.S...)
 	}
 }
 
 // Row is a tuple of values.
 type Row []Value
 
-// Column describes one table column.
+// Column describes one table column. Indexed declares a secondary hash
+// index on it (index.go): CreateTable and Restore build the table with
+// one, and CloneTable and Snapshot set it on every column the table
+// indexes — CreateIndex's included — so a copy of a table carries the
+// index set of its source through any transport that carries columns.
 type Column struct {
 	Name       string
 	Type       Kind
 	PrimaryKey bool
+	Indexed    bool
 }
 
 // coerce converts a value to the column type on insert/update, allowing

@@ -63,7 +63,7 @@ type tableView struct {
 	t       *Table // schema only — never touch t.rows/t.pk through this
 	rows    rowStore
 	pk      pkIndex
-	indexes []*secondaryIndex // one per indexed column, in creation order
+	indexes []*secondaryIndex // one per indexed column, ascending
 	stats   tableStats        // lazily filled planner statistics (tablestats.go)
 	flat    flatRows          // lazily flattened row headers (allRows)
 }
@@ -109,9 +109,10 @@ func (t *Table) cutView() *tableView {
 	prev := t.view
 	tv := &tableView{t: t, rows: t.rows, pk: t.pk, indexes: make([]*secondaryIndex, len(t.indexCols))}
 	for i, col := range t.indexCols {
-		if prev != nil && i < len(prev.indexes) && !t.moved && !t.changed[col] {
-			tv.indexes[i] = prev.indexes[i]
-		} else {
+		if prev != nil && !t.moved && !t.changed[col] {
+			tv.indexes[i] = prev.index(col)
+		}
+		if tv.indexes[i] == nil {
 			tv.indexes[i] = &secondaryIndex{col: col, dirty: true}
 		}
 	}
@@ -246,14 +247,12 @@ func (e *Engine) execWriteLocked(st Statement) (*Result, error) {
 			return nil, err
 		}
 		e.tables[s.Table] = t
-		e.InvalidatePlans()
 		return &Result{}, nil
 	case *DropTableStmt:
 		if _, ok := e.tables[s.Table]; !ok {
 			return nil, unknownTableError(s.Table)
 		}
 		delete(e.tables, s.Table)
-		e.InvalidatePlans()
 		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st)

@@ -30,10 +30,20 @@ import (
 	"qcpa/internal/workload"
 )
 
-// Schema returns the bookseller schema (7 tables).
+// Schema returns the bookseller schema (7 tables) with its two
+// secondary indexes: item(i_subject), which the search interaction
+// filters by, and orders(o_c_id), through which orderStatus reaches one
+// customer's orders instead of scanning them all. Both sit on columns
+// no update template assigns, so a round of updates leaves them built.
+// order_line(ol_o_id) is the index left out on purpose: the table takes
+// the mix's INSERTs, every insert dirties a lazily built index, and no
+// read template joins through it.
 func Schema() sqlmini.Schema {
 	I, F, T := sqlmini.KindInt, sqlmini.KindFloat, sqlmini.KindText
 	col := func(name string, k sqlmini.Kind) sqlmini.Column { return sqlmini.Column{Name: name, Type: k} }
+	idx := func(name string, k sqlmini.Kind) sqlmini.Column {
+		return sqlmini.Column{Name: name, Type: k, Indexed: true}
+	}
 	pk := func(name string) sqlmini.Column { return sqlmini.Column{Name: name, Type: I, PrimaryKey: true} }
 	return sqlmini.Schema{
 		"country":  {pk("co_id"), col("co_name", T), col("co_currency", T)},
@@ -41,8 +51,8 @@ func Schema() sqlmini.Schema {
 		"customer": {pk("c_id"), col("c_uname", T), col("c_passwd", T), col("c_fname", T), col("c_lname", T), col("c_addr_id", I), col("c_phone", T), col("c_email", T), col("c_discount", F), col("c_balance", F)},
 		"author":   {pk("a_id"), col("a_fname", T), col("a_lname", T)},
 		"item": {pk("i_id"), col("i_title", T), col("i_a_id", I), col("i_pub_date", I), col("i_publisher", T),
-			col("i_subject", T), col("i_desc", T), col("i_srp", F), col("i_cost", F), col("i_stock", I)},
-		"orders": {pk("o_id"), col("o_c_id", I), col("o_date", I), col("o_sub_total", F), col("o_tax", F),
+			idx("i_subject", T), col("i_desc", T), col("i_srp", F), col("i_cost", F), col("i_stock", I)},
+		"orders": {pk("o_id"), idx("o_c_id", I), col("o_date", I), col("o_sub_total", F), col("o_tax", F),
 			col("o_total", F), col("o_ship_type", T), col("o_ship_date", I), col("o_status", T)},
 		"order_line": {pk("ol_id"), col("ol_o_id", I), col("ol_i_id", I), col("ol_qty", I), col("ol_discount", F), col("ol_comment", T)},
 	}
@@ -270,14 +280,6 @@ func Load(e *sqlmini.Engine, tables []string, rows map[string]int64, seed int64)
 			if err := e.BulkInsert(t, batch); err != nil {
 				return err
 			}
-		}
-	}
-	// Secondary indexes the web interactions profit from (the search
-	// interactions filter items by subject; everything else is
-	// keyed access or joins).
-	if want["item"] {
-		if err := e.CreateIndex("item", "i_subject"); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -524,12 +524,12 @@ func TestDriftDetection(t *testing.T) {
 	}
 }
 
-// TestMixedThroughput: read throughput on the real cluster must not
-// collapse as concurrent clients grow — snapshot reads execute without
-// the engine lock and updates batch into group-committed rounds, so
-// the read-heavy mix at 8 clients must at least hold the 1-client
-// rate (the ≥2x scaling headline needs multi-core hosts; this floor
-// is what a 1-core CI runner can assert deterministically).
+// TestMixedThroughput: the real-cluster throughput figure (E23) has
+// both of its series, one point per client count, every point a
+// positive rate. How the rate moves with clients is a wall-clock
+// quantity: figure E23 reports it, and this suite holds no clock
+// (ROADMAP item 1a — beside a one-core hog "read throughput fell with
+// clients" failed a quarter of its runs on either side of any change).
 func TestMixedThroughput(t *testing.T) {
 	tab, err := MixedThroughput(Quick())
 	if err != nil {
@@ -545,10 +545,6 @@ func TestMixedThroughput(t *testing.T) {
 				t.Fatalf("%s point %d is %v, want > 0", name, i, y)
 			}
 		}
-	}
-	light := tab.Get("10% updates")
-	if light.Y[len(light.Y)-1] < light.Y[0]*0.9 {
-		t.Fatalf("read throughput fell with clients: %v", light.Y)
 	}
 }
 

@@ -3,39 +3,55 @@ package sqlmini
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 )
 
-// secondaryIndex is a hash index over one column, built lazily on the
-// first indexed lookup from the rows of the view doing the lookup. The
-// Table holds only the definitions (indexCols); the instances hang off
-// the published tableViews. A new view shares its predecessor's
-// instance — built or not — whenever the writes in between added or
-// moved no row and changed no stored value of the column (cutView), so
-// the buckets are the same whichever of the sharing views builds them;
-// otherwise it starts a fresh, dirty one. This favors the CDBS read
-// patterns (long read phases, updates that leave the indexed columns
-// alone) without putting index maintenance on the write path. The
-// index's own mutex serializes the lazy build among concurrent readers.
+// secondaryIndex is the index a table declares on one column
+// (Column.Indexed, CreateIndex). It has two members, each built lazily,
+// on its first use, from the rows of the view that needs it:
 //
-//qcpa:lazycache idempotent build from immutable rows, serialized by mu; shared only by views whose rows yield identical buckets
+//   - buckets, a hash from value to row positions: what an equality with
+//     a constant and a join step probe. A lookup is one hash, whatever
+//     the table's size.
+//   - order, the row positions sorted by Compare(value), then position:
+//     what a hash cannot serve. A range predicate finds its run of
+//     matches with two binary searches, and ORDER BY col LIMIT k walks
+//     the first k entries. Equality stays on the buckets: a binary search
+//     is a dozen or more dependent cache misses, and a join step would
+//     pay them once per prefix tuple.
+//
+// The Table holds only the definitions (indexCols); the instances hang
+// off the published tableViews. A new view shares its predecessor's
+// instance — either member built or not — whenever the writes in between
+// added or moved no row and changed no stored value of the column
+// (cutView), so both members are the same whichever of the sharing views
+// builds them; otherwise it starts a fresh, empty one. This favors the
+// CDBS read patterns (long read phases, updates that leave the indexed
+// columns alone) without putting index maintenance on the write path.
+// The index's own mutex serializes the lazy builds among concurrent
+// readers.
+//
+//qcpa:lazycache idempotent builds from immutable rows, serialized by mu; shared only by views whose rows yield identical buckets and order
 type secondaryIndex struct {
 	mu      sync.Mutex
 	col     int
-	dirty   bool
-	buckets indexBuckets
+	buckets indexBuckets // nil until built
+	order   *indexOrder  // nil until built
 }
 
-// indexBuckets is a built index: value key -> row positions, ascending.
-// It is never written once the build that filled it has cleared dirty,
-// so a reader that took it under mu probes it without the lock. Keys are
+// indexBuckets is the built hash member: value key -> row positions,
+// ascending. It is never written once the build that filled it has
+// returned, so a reader that took it under mu probes it without the lock. Keys are
 // hkeys (key.go): a probe formats and allocates nothing. NULLs are left
 // out; no equality matches them.
 type indexBuckets map[hkey][]int32
 
-// CreateIndex declares a secondary hash index on table.column. Point
-// lookups (WHERE column = literal) and join steps whose key lands on the
-// column then probe it instead of scanning the table. Indexing the
+// CreateIndex declares a secondary index on table.column. Point lookups
+// (WHERE column = literal) and join steps whose key lands on the column
+// then probe it instead of scanning the table, a range predicate on the
+// column reads the rows it matches, and ORDER BY column LIMIT k the first
+// k in that order (secondaryIndex). Indexing the
 // primary key is redundant (it always has one) and is rejected.
 // Declaring an index the column already has — from an earlier call, or
 // from Column.Indexed when the table was created — changes nothing: a
@@ -100,7 +116,7 @@ func (tv *tableView) index(col int) *secondaryIndex {
 func (idx *secondaryIndex) built(tv *tableView) indexBuckets {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	if !idx.dirty {
+	if idx.buckets != nil {
 		return idx.buckets
 	}
 	idx.buckets = make(indexBuckets)
@@ -114,7 +130,6 @@ func (idx *secondaryIndex) built(tv *tableView) indexBuckets {
 			pos++
 		}
 	}
-	idx.dirty = false
 	return idx.buckets
 }
 
@@ -130,4 +145,98 @@ func (ib indexBuckets) lookup(v Value) []int32 {
 // hashing (joinNode.probeBelow).
 func (idx *secondaryIndex) distinct(tv *tableView) int {
 	return len(idx.built(tv))
+}
+
+// indexOrder is the built ordered member: every row position of the
+// view, sorted by Compare of the indexed column's value, ties in
+// ascending position. Compare puts NULL below every value, so the first
+// nulls entries are the rows holding NULL, which no range predicate
+// matches. Like the buckets it is never written after its build.
+type indexOrder struct {
+	pos   []int32
+	nulls int
+}
+
+// ordered returns the index's ordered member, sorting tv's rows on first
+// use. The column is copied out first: sorting through the row headers
+// would miss the cache on every comparison.
+func (idx *secondaryIndex) ordered(tv *tableView) *indexOrder {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if idx.order != nil {
+		return idx.order
+	}
+	keys := make([]Value, 0, tv.rows.len())
+	for k := 0; k < tv.rows.runs(); k++ {
+		for _, r := range tv.rows.run(k) {
+			keys = append(keys, r[idx.col])
+		}
+	}
+	o := &indexOrder{pos: make([]int32, len(keys))}
+	for i, v := range keys {
+		o.pos[i] = int32(i)
+		if v.IsNull() {
+			o.nulls++
+		}
+	}
+	// (value, position) is a total order: any correct sort gives this one.
+	slices.SortFunc(o.pos, func(a, b int32) int {
+		if c := Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	idx.order = o
+	return o
+}
+
+// bound is one end of the interval a range predicate keeps: the constant
+// and whether the end itself is inside. A nil expr leaves the end open.
+type bound struct {
+	expr Expr
+	incl bool
+}
+
+// run returns the entries [from, to) of the order whose value lies
+// between lo and hi, evaluating the ends against ec: two binary searches
+// through col of tv's rows, which are the rows the order was built from
+// or share every value of col with them. A NULL end keeps nothing — the
+// predicate it came from is NULL for every row — and so does an inverted
+// interval.
+func (o *indexOrder) run(tv *tableView, col int, lo, hi bound, ec *evalCtx) (from, to int, err error) {
+	from, to = o.nulls, len(o.pos)
+	// cut returns the first entry of [from, to) whose value compares to
+	// b's above min, or to; an open end answers open.
+	cut := func(b bound, min, open int) (int, error) {
+		if b.expr == nil {
+			return open, nil
+		}
+		v, err := eval(b.expr, ec)
+		if err != nil {
+			return 0, err
+		}
+		if v.IsNull() {
+			from = to
+			return to, nil
+		}
+		return from + sort.Search(to-from, func(i int) bool {
+			return Compare(tv.rows.at(int(o.pos[from+i]))[col], v) > min
+		}), nil
+	}
+	// The run starts at the first value >= lo (> lo when lo is outside)
+	// and ends before the first value > hi (>= hi).
+	loMin, hiMin := 0, -1
+	if lo.incl {
+		loMin = -1
+	}
+	if hi.incl {
+		hiMin = 0
+	}
+	if from, err = cut(lo, loMin, from); err != nil {
+		return 0, 0, err
+	}
+	if to, err = cut(hi, hiMin, to); err != nil {
+		return 0, 0, err
+	}
+	return from, max(from, to), nil
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,7 +77,12 @@ func orderedDigest(res *sqlmini.Result) string {
 // one; the index-join planner re-recorded q2, q5, q8, q9, q10, q14 and
 // q19 — the templates whose join order or access changed the order
 // rows meet an aggregate or a LIMIT in — after the multiset golden
-// below, recorded before it, passed unedited.
+// below, recorded before it, passed unedited. The ordered index access
+// re-recorded q5 and q14, the two whose join order it changed (both now
+// start from the date interval: orders' in q5, lineitem's in q14), so
+// their float sums add in another order; again the multiset golden
+// passed unedited first. newProducts, now an ordered walk, kept its
+// digest: its ties were in item position order before, too.
 var joinOrderGolden = map[string]string{
 	"q1":              "6/fefc07c5e37550c9",
 	"q1#1":            "6/f9f2759a78431ee7",
@@ -86,7 +92,7 @@ var joinOrderGolden = map[string]string{
 	"q3#1":            "10/d86f921c2f6a9f82",
 	"q3#2":            "10/7547e35b8228884c",
 	"q4":              "5/3711b5b0df674932",
-	"q5":              "5/28433a4883b45c16",
+	"q5":              "5/887fd654be42bc8d",
 	"q6":              "1/123962b9422e56c8",
 	"q6#1":            "1/fef25b3656c01469",
 	"q6#2":            "1/36a4bb9030c5994d",
@@ -97,9 +103,9 @@ var joinOrderGolden = map[string]string{
 	"q11":             "80/c5687f8c0c02d23b",
 	"q12":             "2/9a85f0933b3cf8f2",
 	"q13":             "100/632092fde9fa34f6",
-	"q14":             "1/1be4dfd3d6217344",
-	"q14#1":           "1/b9f595bd7217af50",
-	"q14#2":           "1/ece4fffb7ff32cfd",
+	"q14":             "1/48d0f6b716db2139",
+	"q14#1":           "1/1fa9939778e19e97",
+	"q14#2":           "1/efc0cbd1dedda63b",
 	"q15":             "1/c8311ac1834beb44",
 	"q16":             "100/45001aa11175d4c5",
 	"q18":             "100/51d957c3d7b8d038",
@@ -245,8 +251,8 @@ var recordShapes = flag.Bool("record-shapes", false, "rewrite "+shapesGoldenFile
 
 // TestPlanShapes pins the plans of the 19 TPC-H templates at SF 0.01
 // and the 5 TPC-App reads at EB 3 — the sizes the benchmark runs them
-// at — to the golden, and holds them to what the index-join planner is
-// for, whatever the golden says.
+// at — to the golden, and holds them to what the index-join planner and
+// the ordered index access are for, whatever the golden says.
 func TestPlanShapes(t *testing.T) {
 	app := sqlmini.New()
 	if err := tpcapp.Load(app, nil, tpcapp.RowCounts(3), orderSeed); err != nil {
@@ -276,8 +282,8 @@ func TestPlanShapes(t *testing.T) {
 			}
 			fmt.Fprintf(&sb, "== %s\n%s", tpl.Name, plan)
 			for _, line := range strings.Split(strings.TrimSuffix(plan, "\n"), "\n") {
-				access, _, _ := strings.Cut(line, " [")
-				steps[tpl.Name] = append(steps[tpl.Name], access)
+				// The filters open at the last " [": an interval has one of its own.
+				steps[tpl.Name] = append(steps[tpl.Name], line[:strings.LastIndex(line, " [")])
 				est, err := strconv.ParseFloat(line[strings.LastIndex(line, "~")+1:], 64)
 				if err != nil {
 					t.Fatalf("%s: no estimate in %q", tpl.Name, line)
@@ -328,9 +334,33 @@ func TestPlanShapes(t *testing.T) {
 	for _, name := range []string{"q13", "q15", "q18"} {
 		every(name, 1, func(a string) bool { return strings.HasPrefix(a, "hash") }, "a hash join")
 	}
-	// Selective prefixes probe all the way.
-	for _, name := range []string{"q3", "q4", "q11", "q14", "q16", "q19", "q22"} {
+	// Selective prefixes probe all the way. (q14 does at run time — its 30
+	// days of lineitem are 680 rows — but the model's guess for any two-ended
+	// interval, 9 % of the table, is above part's 2,000 keys.)
+	for _, name := range []string{"q3", "q4", "q11", "q16", "q19", "q22"} {
 		every(name, 1, probes, "a probe")
+	}
+	// An interval of an indexed date column is read through the index where
+	// the model expects a small run, and from there on by probes: q4 and q10
+	// no longer scan orders, q6, q12, q14 and q15 no longer scan lineitem.
+	// q1 keeps 96 % of lineitem: it stays a scan.
+	for _, name := range []string{"q4", "q5", "q6", "q10", "q12", "q14", "q15"} {
+		if first := steps[name][0]; !strings.Contains(first, ": index(") || !strings.Contains(first, " in [?, ?) (run < ") {
+			t.Errorf("%s starts from %q, want the interval of a date index", name, first)
+		}
+	}
+	if first := steps["q1"][0]; !strings.HasPrefix(first, "lineitem: full") {
+		t.Errorf("q1 starts from %q, want a full scan of lineitem", first)
+	}
+	// The 50 newest products are the first 50 entries of the date index,
+	// each probing its author; searching stops at the fiftieth hit.
+	if got, want := steps["newProducts"], []string{"item: index(i_pub_date) in (?, +inf) desc limit 50", "author: probe pk (prefix < 2500)"}; !slices.Equal(got, want) {
+		t.Errorf("newProducts runs as %q, want %q", got, want)
+	}
+	for name, want := range map[string]string{"searchSubject": "item: index(i_subject)= limit 50", "searchTitle": "item: full limit 50"} {
+		if got := steps[name]; len(got) != 1 || got[0] != want {
+			t.Errorf("%s runs as %q, want %q", name, got, want)
+		}
 	}
 	if first := steps["q9"][0]; !strings.HasPrefix(first, "part: ") {
 		t.Errorf("q9 starts from %q, want part", first)

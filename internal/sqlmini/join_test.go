@@ -2,6 +2,7 @@ package sqlmini_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -171,6 +172,86 @@ func TestIndexJoinAgreesWithResidual(t *testing.T) {
 		if byIndex := strings.Contains(c.access, "probe index"); byIndex && got.Scanned >= hashed.Scanned {
 			t.Errorf("ON %s%s: probing scanned %d rows, hashing %d", c.on, c.where, got.Scanned, hashed.Scanned)
 		}
+	}
+}
+
+// TestComparisonAgreesWithKeys: "=" matches the same pairs whether it
+// runs as a hash-join key, an index probe or a filter, and an interval
+// keeps the same rows through the index's order as through the filter —
+// for the two kinds of value Compare used to order differently from the
+// keys: a NaN (it compared equal to every number, while its key matches
+// only NaN) and integers beyond 2^53 (neighbours compared equal through
+// float64, while their keys differ).
+func TestComparisonAgreesWithKeys(t *testing.T) {
+	const big = int64(1) << 53
+	load := func(indexed bool) *sqlmini.Engine {
+		e := sqlmini.New()
+		for _, name := range []string{"li", "ri", "lf", "rf"} {
+			kind := sqlmini.KindInt
+			if name[1] == 'f' {
+				kind = sqlmini.KindFloat
+			}
+			if err := e.CreateTable(name, []sqlmini.Column{
+				{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true},
+				{Name: "k", Type: kind, Indexed: indexed && name[0] == 'r'},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var rows []sqlmini.Row
+			add := func(v sqlmini.Value) { rows = append(rows, sqlmini.Row{sqlmini.Int(int64(len(rows))), v}) }
+			add(sqlmini.Null)
+			if kind == sqlmini.KindInt {
+				for _, k := range []int64{5, big, big + 1, big + 2, -big - 1} {
+					add(sqlmini.Int(k))
+				}
+			} else {
+				for _, k := range []float64{5, 0, math.NaN(), math.Inf(1), math.Inf(-1), float64(big)} {
+					add(sqlmini.Float(k))
+				}
+			}
+			for i := 0; name[0] == 'r' && i < 24; i++ { // the probed side is the larger one
+				if kind == sqlmini.KindInt {
+					add(sqlmini.Int(int64(100 + i)))
+				} else {
+					add(sqlmini.Float(100.5 + float64(i)))
+				}
+			}
+			if err := e.BulkInsert(name, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	plain, indexed := load(false), load(true)
+	for _, from := range []string{`li l JOIN ri r`, `lf l JOIN rf r`, `li l JOIN rf r`, `lf l JOIN ri r`} {
+		const sel = `SELECT l.id, r.id FROM `
+		want := sortedRows(mustExec(t, plain, sel+from+` ON l.k + 0 = r.k`)) // every pair, through Compare
+		for _, e := range []*sqlmini.Engine{plain, indexed} {
+			if got := sortedRows(mustExec(t, e, sel+from+` ON l.k = r.k`)); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("FROM %s ON l.k = r.k: as a key %v, as a residual %v", from, got, want)
+			}
+		}
+	}
+	for _, c := range []struct{ where, access string }{
+		{fmt.Sprintf(`ri WHERE k = %d`, big+1), "index(k)="},
+		{fmt.Sprintf(`ri WHERE k > %d AND k <= %d`, big, big+2), "index(k) in"},
+		{`rf WHERE k <= 5`, "index(k) in"},               // NaN sorts below every number
+		{`rf WHERE k >= 5.0 AND k < 101`, "index(k) in"}, // and not above one
+	} {
+		const sel = `SELECT id FROM `
+		want, got := mustExec(t, plain, sel+c.where), mustExec(t, indexed, sel+c.where)
+		if len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s: through the index %v, through the filter %v", c.where, got.Rows, want.Rows)
+		}
+		if plan, err := indexed.Explain(sel + c.where); err != nil || !strings.Contains(plan, c.access) {
+			t.Errorf("%s: plan %q (%v), want access %q", c.where, plan, err, c.access)
+		}
+		if got.Scanned != int64(len(got.Rows)) {
+			t.Errorf("%s: read %d rows through the index for %d matches", c.where, got.Scanned, len(got.Rows))
+		}
+	}
+	if got := fmt.Sprint(mustExec(t, plain, fmt.Sprintf(`SELECT id FROM ri WHERE k = %d`, big+1)).Rows); got != "[[3]]" {
+		t.Errorf("k = 2^53+1 as a filter matches %s, want [[3]]", got)
 	}
 }
 

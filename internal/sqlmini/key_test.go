@@ -9,7 +9,9 @@ import (
 // key lists) to the equivalence classes of Value.key(), which the pk
 // index still uses (secondary indexes are keyed by hkey itself): two
 // values share a join bucket, a group or a DISTINCT slot exactly when a
-// lookup in either index would treat them as the same key.
+// lookup in either index would treat them as the same key. Compare has
+// the same classes — what a filter calls equal is what the keys match —
+// and orders them totally, which sorting an index's order relies on.
 func TestKeyClassesMatchValueKey(t *testing.T) {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1) // a NaN with another payload
 	vals := []Value{
@@ -29,6 +31,17 @@ func TestKeyClassesMatchValueKey(t *testing.T) {
 			ra, rb := string(appendKey(nil, a)), string(appendKey(nil, b))
 			if got := ra == rb; got != want {
 				t.Errorf("rendering of %v == rendering of %v is %v, key() says %v", a, b, got, want)
+			}
+			if got := Compare(a, b) == 0; got != want {
+				t.Errorf("Compare(%v, %v) == 0 is %v, key() says %v", a, b, got, want)
+			}
+			if Compare(a, b) != -Compare(b, a) {
+				t.Errorf("Compare(%v, %v) = %d, reversed %d", a, b, Compare(a, b), Compare(b, a))
+			}
+			for _, c := range vals {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("Compare is not transitive over %v <= %v <= %v", a, b, c)
+				}
 			}
 		}
 	}

@@ -876,3 +876,286 @@ func subMultiset(a, b []string) bool {
 	}
 	return len(a) == 0
 }
+
+// ---------------------------------------------------------------------
+// Generated intervals, ordered walks and bare LIMITs
+// ---------------------------------------------------------------------
+
+// rangeSchema is what rangeGen queries: t, whose columns a (INT), b
+// (FLOAT) and s (TEXT) take intervals and ORDER BYs, and two smaller
+// tables a join can lose t's rows in.
+var rangeSchema = sqlmini.Schema{
+	"t": {{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true}, {Name: "a", Type: sqlmini.KindInt},
+		{Name: "b", Type: sqlmini.KindFloat}, {Name: "s", Type: sqlmini.KindText}, {Name: "c", Type: sqlmini.KindInt}},
+	"u": {{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true}, {Name: "a", Type: sqlmini.KindInt},
+		{Name: "f", Type: sqlmini.KindFloat}, {Name: "s", Type: sqlmini.KindText}},
+	"w": {{Name: "id", Type: sqlmini.KindInt, PrimaryKey: true}, {Name: "k", Type: sqlmini.KindInt},
+		{Name: "g", Type: sqlmini.KindFloat}},
+}
+
+// rangeDB fills rangeSchema: t with some fifty rows over a dozen values a
+// column — duplicates of every key, a NULL in one row of eight — so that
+// an interval is sometimes a small share of the table (read through the
+// index) and sometimes not (scanned).
+func rangeDB(rng *rand.Rand) map[string]*naiveTable {
+	db := map[string]*naiveTable{}
+	for _, spec := range []struct {
+		name string
+		rows int
+	}{{"t", 44 + rng.Intn(16)}, {"u", 10 + rng.Intn(5)}, {"w", 5 + rng.Intn(4)}} {
+		nt := &naiveTable{cols: rangeSchema[spec.name]}
+		for i := 0; i < spec.rows; i++ {
+			r := make(sqlmini.Row, len(nt.cols))
+			for c, col := range nt.cols {
+				switch {
+				case col.PrimaryKey:
+					r[c] = sqlmini.Int(int64(i))
+				case rng.Intn(8) == 0:
+					r[c] = sqlmini.Null
+				case col.Type == sqlmini.KindInt && col.Name == "c":
+					r[c] = sqlmini.Int(int64(rng.Intn(3)))
+				case col.Type == sqlmini.KindInt:
+					r[c] = sqlmini.Int(int64(rng.Intn(12)))
+				case col.Type == sqlmini.KindFloat:
+					r[c] = sqlmini.Float(float64(rng.Intn(24)) / 2)
+				default:
+					r[c] = sqlmini.Text([]string{"", "x", "xy", "y", "yx", "z"}[rng.Intn(6)])
+				}
+			}
+			nt.rows = append(nt.rows, r)
+		}
+		db[spec.name] = nt
+	}
+	return db
+}
+
+// rangeGen writes the statements the ordered index access answers.
+type rangeGen struct{ rng *rand.Rand }
+
+func (g *rangeGen) pick(s ...string) string { return s[g.rng.Intn(len(s))] }
+
+// lit returns a constant to hold a column of t against: mostly of the
+// column's kind, sometimes of another (2 against 2.0, a text bound on a
+// numeric column and the reverse), now and then NULL.
+func (g *rangeGen) lit(col string) string {
+	if g.rng.Intn(10) == 0 {
+		return "NULL"
+	}
+	num := g.pick(fmt.Sprint(g.rng.Intn(14)-1), fmt.Sprintf("%d.0", g.rng.Intn(12)), fmt.Sprintf("%d.5", g.rng.Intn(12)))
+	text := g.pick("''", "'x'", "'xy'", "'y'", "'yy'")
+	if (col == "t.s") != (g.rng.Intn(8) == 0) {
+		return text
+	}
+	return num
+}
+
+// interval returns one to three conjuncts holding col between constants:
+// a bound with the column on either side, BETWEEN, NOT BETWEEN, or two
+// bounds — which may leave nothing between them, or cross.
+func (g *rangeGen) interval(col string) string {
+	op := func() string { return g.pick("<", "<=", ">", ">=") }
+	switch g.rng.Intn(7) {
+	case 0:
+		return fmt.Sprintf("%s %s %s", g.lit(col), op(), col)
+	case 1:
+		return fmt.Sprintf("%s BETWEEN %s AND %s", col, g.lit(col), g.lit(col))
+	case 2:
+		return fmt.Sprintf("%s NOT BETWEEN %s AND %s", col, g.lit(col), g.lit(col))
+	case 3:
+		return fmt.Sprintf("%s %s %s AND %s %s %s", col, g.pick(">", ">="), g.lit(col), col, g.pick("<", "<="), g.lit(col))
+	case 4:
+		v := g.lit(col) // nothing, or one value, between the ends
+		return fmt.Sprintf("%s %s %s AND %s %s %s", col, g.pick(">", ">="), v, col, g.pick("<", "<="), v)
+	case 5:
+		return fmt.Sprintf("%s %s %s AND %s %s %s AND %s %s %s", col, op(), g.lit(col), col, op(), g.lit(col), col, op(), g.lit(col))
+	}
+	return fmt.Sprintf("%s %s %s", col, op(), g.lit(col))
+}
+
+// other returns a conjunct on t no index serves.
+func (g *rangeGen) other() string {
+	return g.pick("t.c <> 1", "t.b + 1 > 4", "t.s LIKE 'x%'", "t.a IS NOT NULL", "t.id < 30", "t.c IN (0, 2)")
+}
+
+// query returns a statement and, when it has an ORDER BY, that the
+// first output column is its key.
+func (g *rangeGen) query() (sql string, ordered bool) {
+	col := g.pick("t.a", "t.a", "t.b", "t.s")
+	var where []string
+	for g.rng.Intn(3) > 0 {
+		where = append(where, g.interval(g.pick(col, col, "t.a", "t.b")))
+	}
+	if g.rng.Intn(3) == 0 {
+		where = append(where, g.other())
+	}
+	limit := func() string { return " LIMIT " + g.pick("0", "1", "2", "3", "5", "8", "13", "1000") }
+	switch g.rng.Intn(6) {
+	case 0: // the interval alone
+		sql = "SELECT t.id, t.a, t.b FROM t"
+	case 1: // a bare LIMIT over a filtered scan, an interval or an equality probe
+		if g.rng.Intn(2) == 0 {
+			where = append(where, fmt.Sprintf("%s = %s", col, g.lit(col)))
+		}
+		return "SELECT t.id, t.s FROM t" + whereClause(where) + limit(), false
+	case 2: // an interval under a join and an aggregate
+		return "SELECT COUNT(*), SUM(u.f) FROM t JOIN u ON u.a = t.c" + whereClause(where), false
+	default: // ORDER BY col [DESC] LIMIT k: alone, or under a join that drops tuples
+		from := "t"
+		switch g.rng.Intn(4) {
+		case 0:
+			from = "t JOIN u ON " + g.pick("u.a = t.c", "u.id = t.a", "u.a = t.a AND u.f > t.b", "u.s = t.s")
+		case 1:
+			from = "u JOIN t ON t.c = u.a JOIN w ON " + g.pick("w.k = u.a", "w.id = t.c AND w.g < t.b", "w.k = t.c AND w.g >= u.f")
+		}
+		sql = fmt.Sprintf("SELECT %s AS o0, t.id, t.c FROM %s%s ORDER BY %s%s", col, from, whereClause(where), g.pick("o0", col), g.pick("", " DESC"))
+		if g.rng.Intn(5) > 0 {
+			sql += limit()
+		}
+		return sql, true
+	}
+	return sql + whereClause(where), false
+}
+
+func whereClause(conjuncts []string) string {
+	if len(conjuncts) == 0 {
+		return ""
+	}
+	return " WHERE " + strings.Join(conjuncts, " AND ")
+}
+
+// checkOrderedPrefix holds got, the engine's answer to ORDER BY <first
+// column> [LIMIT k], to all, the naive rows in that order without the
+// LIMIT. The ORDER BY does not say which of the rows tied at the LIMIT's
+// boundary survive, and the engine's choice follows its join order, so:
+// got has the right length and all's keys row for row; its rows before
+// the boundary key are all's, as a multiset; its rows at the boundary
+// key are among all's rows with that key.
+func checkOrderedPrefix(got, all []sqlmini.Row, k int) error {
+	if k < 0 || k > len(all) {
+		k = len(all)
+	}
+	if len(got) != k {
+		return fmt.Errorf("%d rows, want %d", len(got), k)
+	}
+	if k == 0 {
+		return nil
+	}
+	for i, r := range got {
+		if sqlmini.Compare(r[0], all[i][0]) != 0 || r[0].IsNull() != all[i][0].IsNull() {
+			return fmt.Errorf("row %d has key %v, want %v", i, r[0], all[i][0])
+		}
+	}
+	boundary := got[k-1][0]
+	split := func(rows []sqlmini.Row) (before, at []string) {
+		for _, r := range rows {
+			if sqlmini.Compare(r[0], boundary) == 0 {
+				at = append(at, renderRows([]sqlmini.Row{r})...)
+			} else {
+				before = append(before, renderRows([]sqlmini.Row{r})...)
+			}
+		}
+		sort.Strings(before)
+		sort.Strings(at)
+		return before, at
+	}
+	gotBefore, gotAt := split(got)
+	last := k // all's rows with the boundary key may go on past k
+	for last < len(all) && sqlmini.Compare(all[last][0], boundary) == 0 {
+		last++
+	}
+	wantBefore, wantAt := split(all[:last])
+	if !reflect.DeepEqual(gotBefore, wantBefore) {
+		return fmt.Errorf("rows before the boundary key %v: %v, want %v", boundary, gotBefore, wantBefore)
+	}
+	if !subMultiset(gotAt, wantAt) {
+		return fmt.Errorf("rows at the boundary key %v: %v, want some of %v", boundary, gotAt, wantAt)
+	}
+	return nil
+}
+
+// TestOrderedAccessAgainstNaiveEvaluator runs generated intervals —
+// bounds of the column's kind and of another, BETWEEN and NOT BETWEEN,
+// ends that meet or cross, on indexed and unindexed columns holding
+// NULLs and duplicates — ORDER BY <column> [DESC] LIMIT k alone and
+// under joins that drop tuples, k from 0 to beyond the table, and bare
+// LIMITs over scans and probes, through the engine and through
+// naiveSelect. Every statement runs without indexes and with them, on
+// the plan-cache miss and on the hit, against the current view and
+// against a view pinned before the last batch of writes: an INSERT, a
+// pk-changing UPDATE, an UPDATE of some column (which the next view's
+// index shares or rebuilds, depending) and a DELETE. An index changes
+// which rows are read, never the order they come in: where both engines
+// start from t — every statement here but the joins under ORDER BY —
+// the indexed engine's rows are the plain one's, as a sequence.
+func TestOrderedAccessAgainstNaiveEvaluator(t *testing.T) {
+	const queriesPerDB, queriesPerBatch = 160, 20
+	for round := 0; round < 3; round++ {
+		rng := rand.New(rand.NewSource(int64(7000 + round)))
+		db := rangeDB(rng)
+		plain, indexed := loadEngine(t, db), loadEngine(t, db)
+		for _, ic := range [][2]string{{"t", "a"}, {"t", "b"}, {"t", "s"}, {"u", "a"}, {"w", "k"}} {
+			if ic[1] == "a" || rng.Intn(4) > 0 {
+				if err := indexed.CreateIndex(ic[0], ic[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		engines := []*sqlmini.Engine{plain, indexed}
+		pinnedDB, pinned := copyDB(db), []sqlmini.View{plain.AcquireView(), indexed.AcquireView()}
+		var serial int64
+		g := &rangeGen{rng: rng}
+		for q := 0; q < queriesPerDB; q++ {
+			if q > 0 && q%queriesPerBatch == 0 {
+				pinnedDB, pinned = copyDB(db), []sqlmini.View{plain.AcquireView(), indexed.AcquireView()}
+				mutate(t, rng, db, engines, &serial)
+			}
+			sql, ordered := g.query()
+			st, err := sqlmini.Parse(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			sel := st.(*sqlmini.SelectStmt)
+			unlimited := *sel
+			unlimited.Limit = -1
+			for vi, state := range []map[string]*naiveTable{db, pinnedDB} {
+				all := naiveSelect(state, &unlimited)
+				var plainRows []string
+				for ei, e := range engines {
+					for _, pass := range []string{"first", "cached"} {
+						var res *sqlmini.Result
+						if vi == 0 {
+							res, err = e.ExecStmt(st)
+						} else {
+							res, err = e.QueryView(pinned[ei], sql)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", sql, err)
+						}
+						if ordered {
+							err = checkOrderedPrefix(res.Rows, all, sel.Limit)
+						} else {
+							got, want := renderRows(res.Rows), renderRows(all)
+							sort.Strings(got)
+							sort.Strings(want)
+							if sel.Limit < 0 && !reflect.DeepEqual(got, want) {
+								err = fmt.Errorf("%d rows %v, want %d rows %v", len(got), got, len(want), want)
+							} else if sel.Limit >= 0 && (len(got) != min(sel.Limit, len(want)) || !subMultiset(got, want)) {
+								err = fmt.Errorf("%d rows %v, want %d of %v", len(got), got, min(sel.Limit, len(want)), want)
+							}
+						}
+						if got := renderRows(res.Rows); ei == 0 {
+							plainRows = got
+						} else if len(sel.Joins) == 0 && err == nil && !reflect.DeepEqual(got, plainRows) && len(got)+len(plainRows) > 0 {
+							err = fmt.Errorf("rows %v, without indexes %v", got, plainRows)
+						}
+						if err != nil {
+							plan, _ := e.Explain(sql)
+							t.Fatalf("round %d query %d, indexes %v, %s run, pinned view %v:\n%s\n%v\nplan (current view):\n%s",
+								round, q, ei == 1, pass, vi == 1, sql, err, plan)
+						}
+					}
+				}
+			}
+		}
+	}
+}

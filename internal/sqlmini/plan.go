@@ -43,7 +43,13 @@ package sqlmini
 //     secondary index and the prefix holds fewer tuples than that column
 //     has distinct values, it probes the index per prefix tuple and never
 //     scans the table; otherwise it scans (filtering) and hash-joins.
-//     selectPlan.describe prints the choice.
+//     A scan whose conjuncts hold an indexed column between constants
+//     reads the interval's run through the index's ordered member when
+//     that is a small share of the table (rangeScanFactor), and the rows
+//     come in the order the filtered scan would have kept them in. ORDER
+//     BY <indexed column> LIMIT k may walk that order instead of sorting
+//     (selectPlan.walk), and a one-table LIMIT with no ORDER BY stops its
+//     scan at the k-th row. selectPlan.describe prints the choices.
 
 import (
 	"context"
@@ -77,6 +83,15 @@ const planDriftFactor = 4
 // barely matters under this size and tiny tables cross any ratio with a
 // handful of inserts.
 const planDriftMinRows = 64
+
+// rangeScanFactor is the one rule that picks how a scan reads an
+// interval of an indexed column (scanNode.rangeCol): through the index's
+// ordered member when the interval's run — counted exactly by two binary
+// searches before any row is read — times this factor is below the
+// table's row count, else by scanning and filtering as if there were no
+// index. BenchmarkRangeScan measures the crossover; CHANGES.md (PR 18)
+// quotes it.
+const rangeScanFactor = 4
 
 // boundParam is a literal extracted by statement normalization: the
 // idx-th "?" of the canonical shape. Execution supplies the actual
@@ -337,9 +352,16 @@ type conjunct struct {
 
 	// Single-table constant shape and selectivity class.
 	kind     predKind
-	constCol int  // column (within its table) for predEqConst
+	constCol int  // column (within its table) for predEqConst and intervals
 	constVal Expr // Lit/boundParam for predEqConst
 	inLen    int
+
+	// interval marks a predRange / predBetween that holds a bare column
+	// between constants: col < k, k <= col, col BETWEEN k AND k. lo and hi
+	// are the ends it sets; an index on the column finds the rows between
+	// them without reading the others.
+	interval bool
+	lo, hi   bound
 }
 
 // splitConjuncts flattens top-level ANDs. Splitting is semantics
@@ -438,6 +460,19 @@ func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
 		case "<", "<=", ">", ">=":
 			if nTables == 1 {
 				c.kind = predRange
+				col, k, op := x.L, x.R, x.Op
+				if isConstExpr(col) { // k < col reads col > k
+					col, k, op = k, col, strings.NewReplacer("<", ">", ">", "<").Replace(op)
+				}
+				if cr, ok := col.(*ColRef); ok && isConstExpr(k) {
+					_, c.constCol, _ = tb.resolve(cr)
+					c.interval = true
+					if b := (bound{expr: k, incl: len(op) == 2}); op[0] == '>' {
+						c.lo = b
+					} else {
+						c.hi = b
+					}
+				}
 			}
 		case "LIKE":
 			if nTables == 1 {
@@ -447,6 +482,11 @@ func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
 	case *Between:
 		if nTables == 1 {
 			c.kind = predBetween
+			if cr, ok := x.E.(*ColRef); ok && !x.Negate && isConstExpr(x.Lo) && isConstExpr(x.Hi) {
+				_, c.constCol, _ = tb.resolve(cr)
+				c.interval = true
+				c.lo, c.hi = bound{expr: x.Lo, incl: true}, bound{expr: x.Hi, incl: true}
+			}
 		}
 	case *InList:
 		if nTables == 1 {
@@ -605,23 +645,24 @@ func (g *joinGraph) connected(placed uint64) uint64 {
 	return out &^ placed
 }
 
-// chooseJoinOrder picks the join order for the graph's tables. Exact
-// left-deep DP up to maxDPTables, greedy beyond. The result is a
-// permutation of 0..n-1 and a pure function of the graph:
-// bitmask-indexed slices and ascending iteration keep it bit-identical
-// across runs.
-func (g *joinGraph) chooseJoinOrder() []int {
+// chooseJoinOrder picks the join order for the graph's tables and
+// returns it with the model's cost for it; first >= 0 fixes the table
+// the order starts from (an ordered walk's). Exact left-deep DP up to
+// maxDPTables, greedy beyond. The order is a permutation of 0..n-1 and
+// a pure function of the graph: bitmask-indexed slices and ascending
+// iteration keep it bit-identical across runs.
+func (g *joinGraph) chooseJoinOrder(first int) ([]int, float64) {
 	n := len(g.cards)
 	if n <= 1 {
-		return []int{0}
+		return []int{0}, g.read[0]
 	}
 	if n <= maxDPTables {
-		return g.dpJoinOrder()
+		return g.dpJoinOrder(first)
 	}
-	return g.greedyJoinOrder()
+	return g.greedyJoinOrder(first)
 }
 
-func (g *joinGraph) dpJoinOrder() []int {
+func (g *joinGraph) dpJoinOrder(first int) ([]int, float64) {
 	n := len(g.cards)
 	full := uint64(1)<<uint(n) - 1
 	type dpEnt struct {
@@ -632,8 +673,9 @@ func (g *joinGraph) dpJoinOrder() []int {
 	}
 	dp := make([]dpEnt, full+1)
 	for i := 0; i < n; i++ {
-		m := uint64(1) << uint(i)
-		dp[m] = dpEnt{cost: g.read[i], card: g.cards[i], last: i, prev: 0, ok: true}
+		if first < 0 || i == first {
+			dp[uint64(1)<<uint(i)] = dpEnt{cost: g.read[i], card: g.cards[i], last: i, prev: 0, ok: true}
+		}
 	}
 	for mask := uint64(1); mask <= full; mask++ {
 		if bits.OnesCount64(mask) < 2 {
@@ -648,7 +690,7 @@ func (g *joinGraph) dpJoinOrder() []int {
 			prev := mask &^ bit
 			pe := dp[prev]
 			if !pe.ok {
-				continue // prev is reachable only through a keyless step
+				continue // prev is reachable only through a keyless step, or lacks first
 			}
 			if conn := g.connected(prev); conn != 0 && conn&bit == 0 {
 				continue
@@ -668,21 +710,23 @@ func (g *joinGraph) dpJoinOrder() []int {
 		mask = e.prev
 	}
 	slices.Reverse(order) // backtracking produced last-to-first
-	return order
+	return order, dp[full].cost
 }
 
-func (g *joinGraph) greedyJoinOrder() []int {
+func (g *joinGraph) greedyJoinOrder(start int) ([]int, float64) {
 	n := len(g.cards)
 	order := make([]int, 0, n)
-	start := 0
-	for i := 1; i < n; i++ {
-		if g.cards[i] < g.cards[start] {
-			start = i
+	if start < 0 {
+		start = 0
+		for i := 1; i < n; i++ {
+			if g.cards[i] < g.cards[start] {
+				start = i
+			}
 		}
 	}
 	order = append(order, start)
 	placed := uint64(1) << uint(start)
-	curCard := g.cards[start]
+	cost, curCard := g.read[start], g.cards[start]
 	for len(order) < n {
 		conn := g.connected(placed)
 		best := -1
@@ -698,9 +742,23 @@ func (g *joinGraph) greedyJoinOrder() []int {
 		}
 		order = append(order, best)
 		placed |= 1 << uint(best)
-		curCard = bestStep.out
+		cost, curCard = cost+bestStep.cost, bestStep.out
 	}
-	return order
+	return order, cost
+}
+
+// joined estimates the tuples the join of every table hands on, which
+// no order changes: each table's pushed-down cardinality and each
+// linked pair's selectivity enter it once.
+func (g *joinGraph) joined() float64 {
+	out := 1.0
+	for _, c := range g.cards {
+		out *= c
+	}
+	for _, e := range g.edges {
+		out *= e.sel
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -731,6 +789,27 @@ type scanNode struct {
 	keyExpr Expr // const expr supplying the probe value
 
 	filter []Expr // pushed-down conjuncts; they read only this scan's row
+
+	// A scan of every row (accessFull) whose filter holds an indexed
+	// column between constants carries that range: the column (-1: none),
+	// the interval, and inRange, the filter without the conjuncts the
+	// interval came from — what is left to check on a row the index's
+	// ordered member found inside it. Each run that scans the table
+	// applies one rule (rangeScanFactor) to the exact size of the
+	// interval's run: small enough, it reads those rows through the index,
+	// in position order; else it scans and filters. An ordered walk
+	// (selectPlan.walk) reads its first table through the same fields,
+	// with or without ends.
+	rangeCol int
+	lo, hi   bound
+	inRange  []Expr
+	runShare float64 // the model's estimate of the interval's share of the table
+
+	// limit is how many rows the statement can use of this scan, -1 for
+	// all of them: the LIMIT of a one-table statement with no ORDER BY,
+	// grouping or DISTINCT, which takes whichever rows come first. The
+	// scan stops at that many passing rows.
+	limit int
 
 	planRows int     // view row count at plan time, for drift detection
 	estRows  float64 // tuples the model expects after this step
@@ -783,6 +862,14 @@ type selectPlan struct {
 	orderBy  []orderSpec
 	limit    int
 
+	// walk marks an ORDER BY <indexed column> LIMIT k answered in index
+	// order: scans[0] is that column's table, read through the ordered
+	// member of its index (scanNode.rangeCol) in key order, a window at a
+	// time, until k tuples have come through the join steps — which keep
+	// the prefix's order — or the index ends. finish then sorts nothing.
+	walk     bool
+	walkDesc bool
+
 	reordered bool // join order differs from textual order
 }
 
@@ -802,33 +889,66 @@ func (p *selectPlan) schemaMatches(v *readView) bool {
 }
 
 // describe renders the plan one line per step, in join order: the
-// table, how the step reaches it, the conjuncts pushed down to it, and
-// the tuples the model expects the step to hand on. The access is
+// table, how the step reaches it, the conjuncts it checks on each row it
+// reaches, and the tuples the model expects the step to hand on. The
+// access is
 //
-//	full             scan of every row (first step)
-//	pk=              primary-key probe by a constant
-//	index(col)=      secondary-index probe by a constant
-//	probe pk         join step: pk probe per prefix tuple, no scan
-//	probe index(col) join step: index probe per prefix tuple, no scan
-//	hash             join step: scan, then hash join on the equi keys
-//	cross            join step: scan, then every pair (no equi key)
+//	full                     scan of every row (first step)
+//	pk=                      primary-key probe by a constant
+//	index(col)=              secondary-index probe by a constant
+//	index(col) in [lo, hi)   the rows of an interval, through the index's order
+//	index(col) asc|desc      ordered walk: rows in index order, a window at a time
+//	probe pk                 join step: pk probe per prefix tuple, no scan
+//	probe index(col)         join step: index probe per prefix tuple, no scan
+//	hash                     join step: scan, then hash join on the equi keys
+//	cross                    join step: scan, then every pair (no equi key)
 //
-// A join step that can probe is shown as a run with the model's prefix
-// would execute it; the bound follows in parentheses either way, since
-// each run applies it to its own prefix.
+// with "limit k" where the step stops at k rows. A join step that can
+// probe is shown as a run with the model's prefix would execute it; the
+// bound follows in parentheses either way, since each run applies it to
+// its own prefix. The same goes for an interval: it is shown as the
+// model's estimate of its run would be read — "index(col) in [lo, hi)
+// (run < n)", or "full (run >= n of index(col) in [lo, hi))" — and each
+// run measures its own against n. A join step that scans its table
+// names the scan after the join.
 func (p *selectPlan) describe() string {
 	var sb strings.Builder
 	for i := range p.scans {
 		s := &p.scans[i]
-		access := "full"
-		switch s.access {
-		case accessPkEq:
+		walked := p.walk && i == 0
+		// The scan by itself.
+		access, filter := "full", s.filter
+		switch {
+		case s.access == accessPkEq:
 			access = "pk="
-		case accessIdxEq:
+		case s.access == accessIdxEq:
 			access = "index(" + s.t.Cols[s.keyCol].Name + ")="
+		case s.rangeCol >= 0:
+			access = "index(" + s.t.Cols[s.rangeCol].Name + ")"
+			if s.lo.expr != nil || s.hi.expr != nil {
+				access += " in " + intervalString(s.lo, s.hi)
+			}
+			below := (s.planRows + rangeScanFactor - 1) / rangeScanFactor
+			switch {
+			case walked && p.walkDesc:
+				access, filter = access+" desc", s.inRange
+			case walked:
+				access, filter = access+" asc", s.inRange
+			case s.runShare*rangeScanFactor < 1:
+				access, filter = fmt.Sprintf("%s (run < %d)", access, below), s.inRange
+			default:
+				access = fmt.Sprintf("full (run >= %d of %s)", below, access)
+			}
 		}
+		if walked {
+			access += fmt.Sprintf(" limit %d", p.limit)
+		} else if s.limit >= 0 {
+			access += fmt.Sprintf(" limit %d", s.limit)
+		}
+		// The join step that adds it.
 		if i > 0 {
 			j := &p.joins[i-1]
+			join := ""
 			switch {
 			case j.probe >= 0:
 				via := "pk"
@@ -836,18 +956,23 @@ func (p *selectPlan) describe() string {
 					via = "index(" + s.t.Cols[col].Name + ")"
 				}
 				if p.scans[i-1].estRows < float64(j.probeBelow) {
-					access = fmt.Sprintf("probe %s (prefix < %d)", via, j.probeBelow)
+					access, filter = fmt.Sprintf("probe %s (prefix < %d)", via, j.probeBelow), s.filter
 				} else {
-					access = fmt.Sprintf("hash (prefix >= %d of %s)", j.probeBelow, via)
+					join = fmt.Sprintf("hash (prefix >= %d of %s)", j.probeBelow, via)
 				}
 			case len(j.leftKeys) == 0:
-				access = "cross"
+				join = "cross"
 			case s.access == accessFull:
-				access = "hash"
+				join = "hash"
+			}
+			if join != "" && s.rangeCol >= 0 {
+				access = join + ", " + access
+			} else if join != "" {
+				access = join
 			}
 		}
-		filters := make([]string, len(s.filter))
-		for k, f := range s.filter {
+		filters := make([]string, len(filter))
+		for k, f := range filter {
 			filters[k] = exprString(f)
 		}
 		name := s.table
@@ -857,6 +982,24 @@ func (p *selectPlan) describe() string {
 		fmt.Fprintf(&sb, "%s: %s [%s] ~%.4g\n", name, access, strings.Join(filters, " AND "), s.estRows)
 	}
 	return sb.String()
+}
+
+// intervalString renders an interval's ends the way mathematics writes
+// them: [lo, hi] with a round bracket at an end that is outside, -inf /
+// +inf at one that is open.
+func intervalString(lo, hi bound) string {
+	l, r := "(-inf", "+inf)"
+	if lo.expr != nil {
+		if l = "(" + exprString(lo.expr); lo.incl {
+			l = "[" + exprString(lo.expr)
+		}
+	}
+	if hi.expr != nil {
+		if r = exprString(hi.expr) + ")"; hi.incl {
+			r = exprString(hi.expr) + "]"
+		}
+	}
+	return l + ", " + r
 }
 
 // exprString renders a bound, parameterized expression for describe.
@@ -1101,6 +1244,121 @@ func (e *Engine) Explain(sql string) (string, error) {
 	return p.describe(), nil
 }
 
+// tableAccess is how a scan reaches its table, chosen from the table's
+// own conjuncts — the access fields of the scanNode it will become — and
+// which of the conjuncts the choice used up: consumed, the equality a
+// probe by a constant makes true of every row it finds, and loFrom and
+// hiFrom, where a range's ends came from (one end each, so a second
+// bound on the same side stays a filter). -1 for none.
+type tableAccess struct {
+	scanNode
+	consumed, loFrom, hiFrom int
+}
+
+// chooseAccess picks the access of one table: by the constant of an
+// equality on the primary key, else on an indexed column, else by
+// reading every row — where the first indexed column a conjunct holds
+// between constants gives the scan its range. orderCol >= 0 asks for an
+// ordered walk of that indexed column instead: no probe by a constant,
+// and a range on that column alone, with ends or without.
+func chooseAccess(tv *tableView, conjs []conjunct, orderCol int) tableAccess {
+	ac := tableAccess{consumed: -1, loFrom: -1, hiFrom: -1}
+	ac.access, ac.rangeCol, ac.runShare, ac.limit = accessFull, orderCol, 1, -1
+	if orderCol < 0 {
+		for ci, cj := range conjs {
+			if cj.kind == predEqConst && cj.constCol == tv.t.pkCol {
+				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessPkEq, cj.constCol, cj.constVal, ci
+				return ac
+			}
+		}
+		for ci, cj := range conjs {
+			if cj.kind == predEqConst && tv.index(cj.constCol) != nil {
+				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessIdxEq, cj.constCol, cj.constVal, ci
+				return ac
+			}
+		}
+	}
+	for ci, cj := range conjs {
+		if !cj.interval || (ac.rangeCol >= 0 && cj.constCol != ac.rangeCol) || tv.index(cj.constCol) == nil {
+			continue
+		}
+		if (cj.lo.expr != nil && ac.lo.expr != nil) || (cj.hi.expr != nil && ac.hi.expr != nil) {
+			continue // that end is taken
+		}
+		ac.rangeCol = cj.constCol
+		if cj.lo.expr != nil {
+			ac.lo, ac.loFrom = cj.lo, ci
+		}
+		if cj.hi.expr != nil {
+			ac.hi, ac.hiFrom = cj.hi, ci
+		}
+		ac.runShare *= conjunctSelectivity(cj, tv)
+	}
+	return ac
+}
+
+// reads is the model's count of the rows the access reads: one pk row,
+// one index bucket, the interval's run where the model's estimate of it
+// passes the rule each run applies to the real one (rangeScanFactor),
+// else the table.
+func (ac *tableAccess) reads(tv *tableView) float64 {
+	rows := max(float64(tv.rows.len()), 1)
+	switch {
+	case ac.access != accessFull:
+		return tv.bucket(ac.keyCol)
+	case ac.rangeCol >= 0 && ac.runShare*rangeScanFactor < 1:
+		return rows * ac.runShare
+	}
+	return rows
+}
+
+// outputColumns names the statement's output columns — an item's alias,
+// else its column's name, else colN by position; SELECT * expands in
+// textual table order — and gives, beside each name, the column
+// reference behind it (nil for a computed item).
+func outputColumns(st *SelectStmt, tb *binder) (names []string, srcs []*ColRef) {
+	for _, it := range st.Items {
+		if it.Star {
+			for _, bt := range tb.tables {
+				for _, c := range bt.table.Cols {
+					names, srcs = append(names, c.Name), append(srcs, &ColRef{Table: bt.alias, Column: c.Name})
+				}
+			}
+			continue
+		}
+		src, _ := it.Expr.(*ColRef)
+		name := it.Alias
+		if name == "" && src != nil {
+			name = src.Column
+		} else if name == "" {
+			name = fmt.Sprintf("col%d", len(names)+1)
+		}
+		names, srcs = append(names, name), append(srcs, src)
+	}
+	return names, srcs
+}
+
+// orderColumn resolves the ORDER BY of a statement with exactly one
+// item to the textual table and the column it sorts by, when that is a
+// plain column: the one behind the first output column an unqualified
+// name selects or, when it selects none, the reference itself.
+func orderColumn(st *SelectStmt, tb *binder, outNames []string, outSrcs []*ColRef) (table, col int, ok bool) {
+	if len(st.OrderBy) != 1 {
+		return 0, 0, false
+	}
+	cr, isCol := st.OrderBy[0].Expr.(*ColRef)
+	if !isCol {
+		return 0, 0, false
+	}
+	if at := slices.Index(outNames, cr.Column); cr.Table == "" && at >= 0 {
+		if cr = outSrcs[at]; cr == nil {
+			return 0, 0, false // sorts by a computed output
+		}
+	}
+	table, col, err := tb.resolve(cr)
+	return table, col, err == nil
+}
+
 // buildPlan compiles one SELECT against a view: normalization, conjunct
 // analysis, access-path selection, join ordering, and output binding.
 func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
@@ -1169,54 +1427,22 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 
 	// Access path, rows read and post-pushdown cardinality per textual
 	// table.
-	type accessChoice struct {
-		kind    accessKind
-		keyCol  int
-		keyExpr Expr
-		rest    []conjunct
-	}
-	access := make([]accessChoice, n)
+	access := make([]tableAccess, n)
 	g := &joinGraph{rows: make([]float64, n), read: make([]float64, n), cards: make([]float64, n)}
 	for i, r := range refs {
-		t := r.tv.t
-		choice := accessChoice{kind: accessFull}
-		consumed := -1
-		// Prefer a primary-key probe, then a secondary-index probe.
-		for ci, cj := range perTable[i] {
-			if cj.kind == predEqConst && t.pkCol >= 0 && cj.constCol == t.pkCol {
-				choice = accessChoice{kind: accessPkEq, keyCol: t.pkCol, keyExpr: cj.constVal}
-				consumed = ci
-				break
-			}
-		}
-		if consumed < 0 {
-			for ci, cj := range perTable[i] {
-				if cj.kind == predEqConst && r.tv.index(cj.constCol) != nil {
-					choice = accessChoice{kind: accessIdxEq, keyCol: cj.constCol, keyExpr: cj.constVal}
-					consumed = ci
-					break
-				}
-			}
-		}
+		access[i] = chooseAccess(r.tv, perTable[i], -1)
 		rows := max(float64(r.tv.rows.len()), 1)
 		card := rows
-		for ci, cj := range perTable[i] {
+		for _, cj := range perTable[i] {
 			card *= conjunctSelectivity(cj, r.tv)
-			if ci != consumed {
-				choice.rest = append(choice.rest, cj)
-			}
 		}
-		access[i] = choice
-		g.rows[i], g.read[i], g.cards[i] = rows, rows, max(card, 1e-3)
-		if choice.kind != accessFull {
-			g.read[i] = r.tv.bucket(choice.keyCol)
-		}
+		g.rows[i], g.read[i], g.cards[i] = rows, access[i].reads(r.tv), max(card, 1e-3)
 	}
 
 	// Equi edges for the cost model. A table with an access path of its
 	// own is not probed by a join step: its scan already reads a bucket.
 	bucket := func(table, col int) float64 {
-		if access[table].kind != accessFull {
+		if access[table].access != accessFull {
 			return 0
 		}
 		return refs[table].tv.bucket(col)
@@ -1229,12 +1455,44 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		g.link(jc.eqLTable, jc.eqRTable, 1/ndv, bucket(jc.eqLTable, jc.eqLCol), bucket(jc.eqRTable, jc.eqRCol))
 	}
 
-	order := g.chooseJoinOrder()
+	order, cost := g.chooseJoinOrder(-1)
 
 	p := &selectPlan{
 		tables: n,
 		consts: consts,
 		limit:  pst.Limit,
+	}
+
+	// A LIMIT with no grouping, aggregate or DISTINCT needs only the rows
+	// that come first: whichever they are without an ORDER BY (the scan of
+	// a one-table statement stops there), and under ORDER BY <indexed
+	// column> the first in that index's order. An ordered walk starts from
+	// the column's table and reads a share of its index entries: the LIMIT
+	// over the tuples the whole join would hand on. The model prices that
+	// plan — the table's reads and cardinality cut to the share, the other
+	// steps chosen for so small a prefix — against the best plan in any
+	// order plus one unit per tuple for projecting and sorting its output.
+	var aggs []*Agg
+	for _, it := range pst.Items {
+		collectAggs(it.Expr, &aggs)
+	}
+	firstRows := pst.Limit >= 0 && len(aggs) == 0 && len(pst.GroupBy) == 0 && pst.Having == nil && !pst.Distinct
+	if firstRows && n == 1 && len(pst.OrderBy) == 0 {
+		access[0].limit = pst.Limit
+	}
+	outNames, outSrcs := outputColumns(pst, tb)
+	p.outNames = outNames
+	if wt, wcol, ok := orderColumn(pst, tb, outNames, outSrcs); ok && firstRows && refs[wt].tv.index(wcol) != nil {
+		wa := chooseAccess(refs[wt].tv, perTable[wt], wcol)
+		out := g.joined()
+		share := min(float64(pst.Limit)/out, 1)
+		gw := *g
+		gw.read, gw.cards = slices.Clone(g.read), slices.Clone(g.cards)
+		gw.read[wt], gw.cards[wt] = share*wa.runShare*g.rows[wt], max(share*g.cards[wt], 1e-3)
+		if worder, wcost := gw.chooseJoinOrder(wt); wcost < cost+out {
+			g, order, access[wt] = &gw, worder, wa
+			p.walk, p.walkDesc = true, pst.OrderBy[0].Desc
+		}
 	}
 	for pos, ti := range order {
 		if ti != pos {
@@ -1256,22 +1514,21 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	for _, ti := range order {
 		r := refs[ti]
 		ac := access[ti]
-		s := scanNode{
-			table:    r.name,
-			alias:    r.alias,
-			t:        r.tv.t,
-			indexes:  len(r.tv.indexes),
-			access:   ac.kind,
-			keyCol:   ac.keyCol,
-			keyExpr:  ac.keyExpr,
-			planRows: r.tv.rows.len(),
-		}
-		for _, cj := range ac.rest {
+		s := ac.scanNode
+		s.table, s.alias, s.t = r.name, r.alias, r.tv.t
+		s.indexes, s.planRows = len(r.tv.indexes), r.tv.rows.len()
+		for ci, cj := range perTable[ti] {
+			if ci == ac.consumed {
+				continue
+			}
 			be, err := bind(cj.expr, pb)
 			if err != nil {
 				return nil, err
 			}
 			s.filter = append(s.filter, be)
+			if ci != ac.loFrom && ci != ac.hiFrom {
+				s.inRange = append(s.inRange, be)
+			}
 		}
 		p.scans = append(p.scans, s)
 	}
@@ -1333,7 +1590,6 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 				t := refs[ti].tv.t
 				for col := range t.Cols {
 					p.outExprs = append(p.outExprs, &boundCol{table: scanOf[ti], col: col, name: t.Cols[col].Name})
-					p.outNames = append(p.outNames, t.Cols[col].Name)
 				}
 			}
 			continue
@@ -1343,15 +1599,6 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			return nil, err
 		}
 		p.outExprs = append(p.outExprs, be)
-		name := it.Alias
-		if name == "" {
-			if bc, ok := be.(*boundCol); ok {
-				name = bc.name
-			} else {
-				name = fmt.Sprintf("col%d", len(p.outNames)+1)
-			}
-		}
-		p.outNames = append(p.outNames, name)
 	}
 
 	// Aggregates, grouping, HAVING.
@@ -1435,9 +1682,25 @@ func (t *tuples) pos(i, scan int) int {
 type execRun struct {
 	ctx  context.Context
 	p    *selectPlan
+	v    *readView
 	res  *Result
 	rows [][]Row // output of each scan, in join order
 	ec   evalCtx // ec.tup is the current tuple, one base row per scan
+
+	// An ordered walk sends one window of prefix tuples after another
+	// through the join steps. kept[i] is what step i keeps between
+	// windows, nil for any other plan.
+	kept []stepState
+}
+
+// stepState is what a join step of an ordered walk decides or builds on
+// its first window and reuses on the later ones: how it reaches its
+// table — tuples name rows by position in the step's output, so the
+// step must not change it under them — and the hash table over a
+// scanned table's rows.
+type stepState struct {
+	reached, probes bool
+	build           *hashBuild
 }
 
 // smallRun backs execRun.rows and the current tuple of a plan over at
@@ -1480,7 +1743,7 @@ func (x *execRun) poll(i int) error {
 // concurrently.
 func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *Result) error {
 	res.Columns = p.outNames
-	x := &execRun{ctx: ctx, p: p, res: res}
+	x := &execRun{ctx: ctx, p: p, v: v, res: res}
 	x.ec.params = params
 	if n := len(p.scans); n <= len(smallRun{}.tup) {
 		buf := new(smallRun)
@@ -1497,42 +1760,162 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 			return p.finish(x, tuples{})
 		}
 	}
-	var cur tuples
 	for i := range p.scans {
-		s := &p.scans[i]
-		tv, ok := v.tables[s.table]
+		tv, ok := v.tables[p.scans[i].table]
 		if !ok {
-			return unknownTableError(s.table)
+			return unknownTableError(p.scans[i].table)
 		}
 		if tv.rows.len() > math.MaxInt32 {
-			return fmt.Errorf("sqlmini: %q holds %d rows, more than a join can address", s.table, tv.rows.len())
+			return fmt.Errorf("sqlmini: %q holds %d rows, more than a join can address", p.scans[i].table, tv.rows.len())
 		}
-		if i > 0 && cur.n < p.joins[i-1].probeBelow {
-			var err error
-			if cur, err = p.joins[i-1].probeJoin(x, cur, s, tv); err != nil {
-				return err
-			}
-			continue
-		}
-		scanned, err := s.scan(x, i, tv)
-		if err != nil {
-			return err
-		}
-		x.rows[i] = scanned
-		if i == 0 {
-			cur = tuples{w: 1, n: len(scanned)}
-			continue
-		}
-		if cur, err = p.joins[i-1].join(x, cur, scanned); err != nil {
-			return err
-		}
+	}
+	if p.walk {
+		return p.runWalk(x)
+	}
+	first, err := p.scans[0].scan(x, 0, v.tables[p.scans[0].table])
+	if err != nil {
+		return err
+	}
+	x.rows[0] = first
+	cur, err := x.joinAll(tuples{w: 1, n: len(first)})
+	if err != nil {
+		return err
 	}
 	return p.finish(x, cur)
 }
 
+// joinAll takes tuples over the first scan through every join step.
+func (x *execRun) joinAll(cur tuples) (tuples, error) {
+	for i := 1; i < len(x.p.scans); i++ {
+		var err error
+		if cur, err = x.step(i, cur); err != nil {
+			return tuples{}, err
+		}
+	}
+	return cur, nil
+}
+
+// step extends the prefix tuples by scan i: by probing its table per
+// tuple where the step's rule allows (joinNode.probeBelow), else by
+// scanning it and joining. An ordered walk comes here once per window
+// and does as the first window did, scanning and building at most once.
+func (x *execRun) step(i int, cur tuples) (tuples, error) {
+	s, j := &x.p.scans[i], &x.p.joins[i-1]
+	tv := x.v.tables[s.table]
+	probes, first := cur.n < j.probeBelow, true
+	var keep *stepState
+	if x.kept != nil {
+		if keep = &x.kept[i]; keep.reached {
+			probes, first = keep.probes, false
+		}
+		keep.reached, keep.probes = true, probes
+	}
+	if probes {
+		return j.probeJoin(x, cur, s, tv)
+	}
+	if first {
+		scanned, err := s.scan(x, i, tv)
+		if err != nil {
+			return tuples{}, err
+		}
+		x.rows[i] = scanned
+	}
+	return j.join(x, cur, x.rows[i], keep)
+}
+
+// indexWalk hands out the entries of a run of an index's order in the
+// order ORDER BY col [DESC] asks for, ties in ascending position either
+// way: ascending that is the run as it stands; descending it is the
+// run's groups of equal values taken from the back, each group forwards.
+type indexWalk struct {
+	tv   *tableView
+	col  int
+	desc bool
+	run  []int32 // the part not handed out yet (less group, descending)
+	// group is what is left of the equal-valued group a descending walk
+	// is handing out.
+	group []int32
+}
+
+// next appends up to n entries to dst.
+func (w *indexWalk) next(dst []int32, n int) []int32 {
+	if !w.desc {
+		n = min(n, len(w.run))
+		dst, w.run = append(dst, w.run[:n]...), w.run[n:]
+		return dst
+	}
+	for n > 0 && len(w.group)+len(w.run) > 0 {
+		if len(w.group) == 0 {
+			end := len(w.run)
+			at := end - 1
+			v := w.tv.rows.at(int(w.run[at]))[w.col]
+			for at > 0 && Compare(w.tv.rows.at(int(w.run[at-1]))[w.col], v) == 0 {
+				at--
+			}
+			w.group, w.run = w.run[at:end], w.run[:at]
+		}
+		k := min(n, len(w.group))
+		dst, w.group = append(dst, w.group[:k]...), w.group[k:]
+		n -= k
+	}
+	return dst
+}
+
+// runWalk executes a plan whose first scan walks an index in ORDER BY
+// order (selectPlan.walk). It takes a window of entries — LIMIT of them,
+// then twice as many each time — fetches the rows, keeps those passing
+// the scan's filter and sends them through the join steps, until LIMIT
+// tuples have come out or the interval is exhausted: every step keeps
+// the order of its prefix, so the tuples are the first of the whole
+// join's in ORDER BY order, ties in the order a scan of the table would
+// have met them. Scanned counts the entries fetched and what the join
+// steps examine.
+func (p *selectPlan) runWalk(x *execRun) error {
+	s := &p.scans[0]
+	tv := x.v.tables[s.table]
+	o := tv.index(s.rangeCol).ordered(tv) // schemaMatches holds the plan to views that carry the index
+	from, to := 0, len(o.pos)             // without ends the NULLs are in: lowest, as Compare has them
+	if s.lo.expr != nil || s.hi.expr != nil {
+		var err error
+		if from, to, err = o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec); err != nil {
+			return err
+		}
+	}
+	w := indexWalk{tv: tv, col: s.rangeCol, desc: p.walkDesc, run: o.pos[from:to]}
+	x.kept = make([]stepState, len(p.scans))
+	all := tuples{w: len(p.scans)}
+	var window []int32
+	for size := p.limit; all.n < p.limit && len(w.run)+len(w.group) > 0; size *= 2 {
+		if err := x.ctx.Err(); err != nil {
+			return err
+		}
+		window = w.next(window[:0], size)
+		x.res.Scanned += int64(len(window))
+		cur := tuples{w: 1}
+		for _, ri := range window {
+			r := tv.rows.at(int(ri))
+			if ok, err := s.passes(x, 0, r, s.inRange); err != nil {
+				return err
+			} else if ok {
+				cur.ids = append(cur.ids, int32(len(x.rows[0])))
+				x.rows[0] = append(x.rows[0], r)
+			}
+		}
+		cur.n = len(cur.ids)
+		cur, err := x.joinAll(cur)
+		if err != nil {
+			return err
+		}
+		all.ids, all.n = append(all.ids, cur.ids...), all.n+cur.n
+	}
+	return p.finish(x, all)
+}
+
 // scan produces the (filtered) base rows of the plan's k-th table from
-// a view. With no filter the result is the view's own shared slice
-// (allRows); callers never write the slice or the rows in it.
+// a view, in position order, stopping at s.limit of them. With no filter
+// and no limit the result is the view's own shared slice (allRows);
+// callers never write the slice or the rows in it. Scanned counts the
+// rows examined.
 func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 	switch s.access {
 	case accessPkEq:
@@ -1548,13 +1931,12 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 		if !hit {
 			return nil, nil
 		}
-		// The row comes as a one-row window of the view's own rows:
-		// filter it into a new slice, never in place.
+		// The row comes as a one-row window of the view's own rows.
 		one := tv.rows.window(idx)
-		if len(s.filter) == 0 {
-			return one, nil
+		if ok, err := s.passes(x, k, one[0], s.filter); err != nil || !ok {
+			return nil, err
 		}
-		return s.appendFiltered(x, k, nil, one)
+		return one, nil
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
@@ -1564,59 +1946,82 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
 			return nil, nil // col = NULL matches nothing
 		}
 		// schemaMatches holds the plan to views that carry the index.
-		matches := tv.index(s.keyCol).built(tv).lookup(kv)
-		x.res.Scanned += int64(len(matches))
-		hits := make([]Row, len(matches))
-		for i, ri := range matches {
-			hits[i] = tv.rows.at(int(ri))
+		return s.fetch(x, k, tv, tv.index(s.keyCol).built(tv).lookup(kv), s.filter)
+	}
+	if s.rangeCol >= 0 {
+		o := tv.index(s.rangeCol).ordered(tv)
+		from, to, err := o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec)
+		if err != nil {
+			return nil, err
 		}
-		return s.filterOwned(x, k, hits)
-	default:
+		if (to-from)*rangeScanFactor < tv.rows.len() {
+			return s.fetchRun(x, k, tv, o.pos[from:to])
+		}
+	}
+	if len(s.filter) == 0 && s.limit < 0 {
 		x.res.Scanned += int64(tv.rows.len())
-		if len(s.filter) == 0 {
-			return tv.allRows(), nil
-		}
-		var out []Row
-		for c := 0; c < tv.rows.runs(); c++ {
-			var err error
-			if out, err = s.appendFiltered(x, k, out, tv.rows.run(c)); err != nil {
+		return tv.allRows(), nil
+	}
+	var out []Row
+	for c := 0; c < tv.rows.runs(); c++ {
+		for i, r := range tv.rows.run(c) {
+			if s.limit >= 0 && len(out) >= s.limit {
+				return out, nil
+			}
+			if err := x.poll(i); err != nil {
 				return nil, err
 			}
+			x.res.Scanned++
+			if ok, err := s.passes(x, k, r, s.filter); err != nil {
+				return nil, err
+			} else if ok {
+				out = append(out, r)
+			}
 		}
-		return out, nil
 	}
+	return out, nil
 }
 
-// filterOwned filters a slice this scan built, in place.
-func (s *scanNode) filterOwned(x *execRun, k int, rows []Row) ([]Row, error) {
-	if len(s.filter) == 0 {
-		return rows, nil
-	}
-	return s.appendFiltered(x, k, rows[:0], rows)
+// fetchRun returns the rows of a run of the range's index that pass the
+// rest of the filter, in position order: the rows, and the order, a scan
+// of the table would have kept.
+func (s *scanNode) fetchRun(x *execRun, k int, tv *tableView, run []int32) ([]Row, error) {
+	at := slices.Clone(run)
+	slices.Sort(at)
+	return s.fetch(x, k, tv, at, s.inRange)
 }
 
-// appendFiltered appends to dst the rows passing every pushed-down
-// conjunct. dst may be rows[:0]: filtering in place never overtakes the
-// read position.
-func (s *scanNode) appendFiltered(x *execRun, k int, dst, rows []Row) ([]Row, error) {
-	for i, r := range rows {
+// fetch returns the rows at the given positions that pass conds, in the
+// order given, stopping at s.limit of them.
+func (s *scanNode) fetch(x *execRun, k int, tv *tableView, at []int32, conds []Expr) ([]Row, error) {
+	most := len(at)
+	if s.limit >= 0 {
+		most = min(most, s.limit)
+	}
+	out := make([]Row, 0, most)
+	for i, ri := range at {
+		if s.limit >= 0 && len(out) >= s.limit {
+			break
+		}
 		if err := x.poll(i); err != nil {
 			return nil, err
 		}
-		if ok, err := s.passes(x, k, r); err != nil {
+		x.res.Scanned++
+		r := tv.rows.at(int(ri))
+		if ok, err := s.passes(x, k, r, conds); err != nil {
 			return nil, err
 		} else if ok {
-			dst = append(dst, r)
+			out = append(out, r)
 		}
 	}
-	return dst, nil
+	return out, nil
 }
 
-// passes evaluates the pushed-down conjuncts with r as the tuple's
-// k-th row, the only one they read.
-func (s *scanNode) passes(x *execRun, k int, r Row) (bool, error) {
+// passes evaluates conds — pushed-down conjuncts of this scan — with r
+// as the tuple's k-th row, the only one they read.
+func (s *scanNode) passes(x *execRun, k int, r Row, conds []Expr) (bool, error) {
 	x.ec.tup[k] = r
-	for _, f := range s.filter {
+	for _, f := range conds {
 		fv, err := eval(f, &x.ec)
 		if err != nil || !fv.Truth() {
 			return false, err
@@ -1740,7 +2145,7 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 					continue cands
 				}
 			}
-			if ok, err := s.passes(x, k, r); err != nil {
+			if ok, err := s.passes(x, k, r, s.filter); err != nil {
 				return tuples{}, err
 			} else if !ok {
 				continue
@@ -1753,13 +2158,23 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 	return o.out, nil
 }
 
+// hashBuild is a hash join's build table. A chain links the build
+// positions sharing a key: heads maps the key to the first, next[b]
+// leads from b to the one after it (both +1, 0 ends the chain).
+type hashBuild struct {
+	heads *keyMap
+	next  []int32
+}
+
 // join extends the prefix tuples by one table's rows. Equi-joins hash
 // the smaller side and probe with the other; the output follows the
 // probe side's order, and within one probe element the build side's.
 // Both are deterministic functions of the input data, and later steps,
-// LIMIT and float aggregates depend on them. Build and probe loops
-// observe context cancellation.
-func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
+// LIMIT and float aggregates depend on them. A step of an ordered walk
+// (keep non-nil) always probes with the prefix, whose order it must
+// keep, and builds on the table's rows once for all its windows. Build
+// and probe loops observe context cancellation.
+func (j *joinNode) join(x *execRun, left tuples, right []Row, keep *stepState) (tuples, error) {
 	o := j.begin(left, right)
 
 	if len(j.leftKeys) == 0 {
@@ -1779,26 +2194,32 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
 		return o.out, nil
 	}
 
-	// Build on the table's rows unless the prefix is smaller. A chain
-	// links the build positions sharing a key: heads maps the key to the
-	// first, next[b] leads from b to the one after it (both +1, 0 ends
-	// the chain). Building from the back and pushing in front leaves
-	// every chain in ascending position — insertion — order.
-	buildLeft := left.n < len(right)
+	// Build on the table's rows unless the prefix is smaller. Building
+	// from the back and pushing in front leaves every chain in ascending
+	// position — insertion — order.
+	buildLeft := keep == nil && left.n < len(right)
 	nBuild, nProbe := len(right), left.n
 	if buildLeft {
 		nBuild, nProbe = nProbe, nBuild
 	}
-	heads := newKeyMap(len(j.leftKeys), nBuild)
-	next := make([]int32, nBuild)
 	kv := make([]Value, len(j.leftKeys))
-	for b := nBuild - 1; b >= 0; b-- {
-		if err := x.poll(b); err != nil {
-			return tuples{}, err
+	var hb *hashBuild
+	if keep != nil {
+		hb = keep.build
+	}
+	if hb == nil {
+		hb = &hashBuild{heads: newKeyMap(len(j.leftKeys), nBuild), next: make([]int32, nBuild)}
+		for b := nBuild - 1; b >= 0; b-- {
+			if err := x.poll(b); err != nil {
+				return tuples{}, err
+			}
+			if j.key(x, &left, right, buildLeft, b, kv) {
+				hb.next[b] = hb.heads.get(kv)
+				hb.heads.put(kv, int32(b)+1)
+			}
 		}
-		if j.key(x, &left, right, buildLeft, b, kv) {
-			next[b] = heads.get(kv)
-			heads.put(kv, int32(b)+1)
+		if keep != nil {
+			keep.build = hb
 		}
 	}
 	for i := 0; i < nProbe; i++ {
@@ -1808,7 +2229,7 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
 		if !j.key(x, &left, right, !buildLeft, i, kv) {
 			continue
 		}
-		for b := heads.get(kv); b != 0; b = next[b-1] {
+		for b := hb.heads.get(kv); b != 0; b = hb.next[b-1] {
 			li, ri := i, int(b-1)
 			if buildLeft {
 				li, ri = ri, li
@@ -1826,8 +2247,10 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row) (tuples, error) {
 func (p *selectPlan) finish(x *execRun, in tuples) error {
 	groupMode := len(p.aggs) > 0 || len(p.groupBy) > 0
 	// A LIMIT with nothing downstream that needs every tuple (grouping,
-	// DISTINCT, ORDER BY) takes the first ones: project only those.
-	if !groupMode && !p.distinct && len(p.orderBy) == 0 && p.limit >= 0 && in.n > p.limit {
+	// DISTINCT, ORDER BY) takes the first ones: project only those. An
+	// ordered walk's tuples come in ORDER BY order already.
+	sorted := len(p.orderBy) == 0 || p.walk
+	if !groupMode && !p.distinct && sorted && p.limit >= 0 && in.n > p.limit {
 		in.n = p.limit
 	}
 
@@ -1910,7 +2333,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		outRows, inputs = kept, keptIn
 	}
 
-	if len(p.orderBy) > 0 {
+	if !sorted {
 		var err error
 		if outRows, err = p.order(x, outRows, in, inputs); err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -469,5 +470,85 @@ func TestCanonKeyShapes(t *testing.T) {
 			t.Fatalf("key collision between %q and %q: %q", prev, sql, k)
 		}
 		seen[k] = sql
+	}
+}
+
+// BenchmarkRangeScan measures both ways a scan can read an interval of
+// an indexed column, at seven shares of a 60,000-row table (lineitem's
+// size at the benchmark's scale factor), under one more conjunct that
+// keeps half the rows (as q6 and q12 carry): "index" finds the
+// interval's run in the index's order and fetches its rows in position
+// order, whatever rangeScanFactor says; "scan" filters every row of an
+// unindexed copy. Both hand on the same rows. "build" is what the first
+// ordered use of the index on a view pays once. rangeScanFactor is
+// chosen from these numbers (CHANGES.md, PR 18).
+func BenchmarkRangeScan(b *testing.B) {
+	const n, domain = 60000, 2556
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(rng.Intn(domain))), Float(float64(rng.Intn(50))), Text("DELIVER IN PERSON"), Text("lc")}
+	}
+	e := New()
+	for _, name := range []string{"indexed", "plain"} {
+		cols := []Column{{Name: "id", Type: KindInt, PrimaryKey: true}, {Name: "d", Type: KindInt, Indexed: name == "indexed"},
+			{Name: "q", Type: KindFloat}, {Name: "a", Type: KindText}, {Name: "c", Type: KindText}}
+		if err := e.CreateTable(name, cols); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.BulkInsert(name, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	v := e.loadView()
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			(&secondaryIndex{col: 1}).ordered(v.tables["indexed"])
+		}
+	})
+	for _, share := range []float64{0.001, 0.01, 0.05, 0.125, 0.25, 0.5, 1} {
+		hi := int(share * domain)
+		for _, table := range []string{"indexed", "plain"} {
+			st, err := Parse(fmt.Sprintf(`SELECT q FROM %s WHERE d >= 0 AND d < %d AND q < 24`, table, max(hi, 1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, params, err := e.planFor(st.(*SelectStmt), v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, tv := &p.scans[0], v.tables[table]
+			how := "scan"
+			if table == "indexed" {
+				how = "index"
+				if s.rangeCol < 0 {
+					b.Fatalf("no range on %s", table)
+				}
+			}
+			b.Run(fmt.Sprintf("%g%%/%s", share*100, how), func(b *testing.B) {
+				b.ReportAllocs()
+				var got []Row
+				res := &Result{}
+				for i := 0; i < b.N; i++ {
+					x := &execRun{ctx: context.Background(), p: p, v: v, res: res, rows: make([][]Row, 1)}
+					x.ec.params, x.ec.tup = params, make([]Row, 1)
+					res.Scanned = 0
+					if how == "scan" {
+						got, err = s.scan(x, 0, tv)
+					} else {
+						o := tv.index(s.rangeCol).ordered(tv)
+						var from, to int
+						if from, to, err = o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec); err == nil {
+							got, err = s.fetchRun(x, 0, tv, o.pos[from:to])
+						}
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Scanned), "scanned/op")
+				b.ReportMetric(float64(len(got)), "rows/op")
+			})
+		}
 	}
 }

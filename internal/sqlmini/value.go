@@ -12,6 +12,7 @@
 package sqlmini
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -104,43 +105,52 @@ func (v Value) AsFloat() (float64, bool) {
 	}
 }
 
-// Compare orders two values: NULL < numbers < text; numbers compare
-// numerically with int/float coercion; text compares lexically.
-// The result is -1, 0, or 1.
+// Compare orders two values: NULL < numbers < text; numbers compare by
+// numeric value whatever their kinds, text lexically. It is a total
+// order — what sorting an index's permutation needs — and it is exact:
+// two integers compare as integers (2^53 and 2^53+1 differ, as they do
+// to the pk index and to hkey), an integer and a float without rounding
+// either, and NaN is below every other number and equal to itself, as
+// cmp.Compare orders floats. Two values compare equal exactly when
+// keyOf gives them one key (TestKeyClassesMatchValueKey), so a filter,
+// a hash join and an index probe agree on what "=" matches. The result
+// is -1, 0, or 1.
 func Compare(a, b Value) int {
-	rank := func(v Value) int {
-		switch v.K {
-		case KindNull:
-			return 0
-		case KindInt, KindFloat:
-			return 1
-		default:
-			return 2
-		}
-	}
-	ra, rb := rank(a), rank(b)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
-	}
-	switch ra {
-	case 0:
-		return 0
-	case 1:
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
-	default:
+	switch {
+	case a.K == KindInt && b.K == KindInt:
+		return cmp.Compare(a.I, b.I)
+	case a.K == KindFloat && b.K == KindFloat:
+		return cmp.Compare(a.F, b.F)
+	case a.K == KindInt && b.K == KindFloat:
+		return compareIntFloat(a.I, b.F)
+	case a.K == KindFloat && b.K == KindInt:
+		return -compareIntFloat(b.I, a.F)
+	case a.K == KindText && b.K == KindText:
 		return strings.Compare(a.S, b.S)
 	}
+	// Different classes (or two NULLs): NULL < numbers < text.
+	return cmp.Compare(kindRank[a.K], kindRank[b.K])
+}
+
+var kindRank = [...]int8{KindNull: 0, KindInt: 1, KindFloat: 1, KindText: 2}
+
+// compareIntFloat compares i with f exactly: float64(i) would round an
+// integer beyond 2^53 onto its neighbour.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 1 // NaN sorts below every number
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	// |f| < 2^63: truncation is exact, and beyond 2^53 f is whole.
+	t := int64(f)
+	if i != t {
+		return cmp.Compare(i, t)
+	}
+	return cmp.Compare(0, f-float64(t))
 }
 
 // String renders the value for debugging and result printing.

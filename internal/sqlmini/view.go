@@ -113,7 +113,7 @@ func (t *Table) cutView() *tableView {
 			tv.indexes[i] = prev.index(col)
 		}
 		if tv.indexes[i] == nil {
-			tv.indexes[i] = &secondaryIndex{col: col, dirty: true}
+			tv.indexes[i] = &secondaryIndex{col: col}
 		}
 	}
 	if prev != nil && !t.moved {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -404,6 +405,31 @@ func TestSharedStorageProperty(t *testing.T) {
 								return
 							}
 						}
+						// An interval and an ordered walk: once grp is indexed both
+						// read the index's ordered member, which whichever reader
+						// gets to a new view first builds while the others wait.
+						res, err = e.Exec(fmt.Sprintf(`SELECT id, grp FROM p WHERE grp >= %d AND grp < %d`, g, g+1))
+						if err != nil {
+							t.Errorf("reader: %v", err)
+							return
+						}
+						for _, row := range res.Rows {
+							if row[1].I != g {
+								t.Errorf("reader: grp interval [%d, %d) returned row %v", g, g+1, row)
+								return
+							}
+						}
+						res, err = e.Exec(`SELECT grp, id FROM p ORDER BY grp DESC LIMIT 5`)
+						if err != nil {
+							t.Errorf("reader: %v", err)
+							return
+						}
+						for i := 1; i < len(res.Rows); i++ {
+							if res.Rows[i][0].I > res.Rows[i-1][0].I {
+								t.Errorf("reader: ORDER BY grp DESC returned %v", res.Rows)
+								return
+							}
+						}
 						id := rrng.Int63n(universe)
 						res, err = e.Exec(fmt.Sprintf(`SELECT id, tag FROM p WHERE id = %d`, id))
 						if err != nil || len(res.Rows) > 1 || (len(res.Rows) == 1 && res.Rows[0][0].I != id) {
@@ -480,6 +506,82 @@ func TestSharedStorageProperty(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("live checksum %x differs from a from-scratch rebuild's %x", got, want)
+			}
+
+			// The ordered member of every index, on every pinned view, is
+			// what sorting that view's rows from scratch gives.
+			checkOrder := func(what string, tv *tableView, rows []Row) {
+				t.Helper()
+				for _, idx := range tv.indexes {
+					want := make([]int32, len(rows))
+					for i := range want {
+						want[i] = int32(i)
+					}
+					slices.SortStableFunc(want, func(a, b int32) int { return Compare(rows[a][idx.col], rows[b][idx.col]) })
+					if o := idx.ordered(tv); !slices.Equal(o.pos, want) || o.nulls != 0 {
+						t.Fatalf("%s: order of column %d is %v (%d NULLs), a fresh sort gives %v", what, idx.col, o.pos, o.nulls, want)
+					}
+				}
+			}
+			for _, p := range pins {
+				checkOrder(fmt.Sprintf("view pinned after round %d", p.round), p.view.v.tables["p"], p.want)
+			}
+			// And it obeys the sharing rule of the buckets, one kind of write
+			// at a time: a write that adds or moves no row and leaves grp's
+			// values alone hands the next view the same built order — the
+			// same slice, nothing sorted again — and any other write an index
+			// that sorts the new rows.
+			const grpCol = 1
+			built := func() *indexOrder {
+				tv := e.loadView().tables["p"]
+				return tv.index(grpCol).ordered(tv)
+			}
+			last := built()
+			for _, w := range []struct {
+				kind   string
+				shares bool
+				write  func() string // changes the model, returns the SQL ("" when it did the write itself)
+			}{
+				{"UPDATE of another column", true, func() string {
+					m.rows[0][3] = Text("rewritten")
+					return fmt.Sprintf(`UPDATE p SET tag = 'rewritten' WHERE id = %d`, m.rows[0][0].I)
+				}},
+				{"pk-changing UPDATE", true, func() string {
+					old, nid := m.rows[1][0].I, m.takeAbsent(rng)
+					m.rows[1][0] = Int(nid)
+					return fmt.Sprintf(`UPDATE p SET id = %d WHERE id = %d`, nid, old)
+				}},
+				{"CreateIndex on another column", true, func() string {
+					if err := e.CreateIndex("p", "tag"); err != nil {
+						t.Fatal(err)
+					}
+					return ""
+				}},
+				{"UPDATE of the indexed column", false, func() string {
+					g := (m.rows[2][grpCol].I + 1) % propGroups
+					m.rows[2][grpCol] = Int(g)
+					return fmt.Sprintf(`UPDATE p SET grp = %d WHERE id = %d`, g, m.rows[2][0].I)
+				}},
+				{"INSERT", false, func() string {
+					id := m.takeAbsent(rng)
+					m.rows = append(m.rows, Row{Int(id), Int(3), Int(4), Text("new")})
+					return fmt.Sprintf(`INSERT INTO p VALUES (%d, 3, 4, 'new')`, id)
+				}},
+				{"DELETE", false, func() string {
+					id := m.rows[0][0].I
+					m.rows = m.rows[1:]
+					return fmt.Sprintf(`DELETE FROM p WHERE id = %d`, id)
+				}},
+			} {
+				if sql := w.write(); sql != "" {
+					mustExec(t, e, sql)
+				}
+				checkOrder("after "+w.kind, e.loadView().tables["p"], m.rows)
+				now := built()
+				if shared := now == last; shared != w.shares {
+					t.Fatalf("%s: the next view shares the built order: %v, want %v", w.kind, shared, w.shares)
+				}
+				last = now
 			}
 		})
 	}

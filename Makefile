@@ -101,13 +101,16 @@ bench-planner:
 bench-wire:
 	$(GO) run ./cmd/qcpa-bench -wire
 
-# fuzz-smoke runs each wire-protocol fuzz target briefly against its
-# seed corpus plus a few seconds of fresh inputs: the frame decoder and
-# the v1 line reader must never panic on arbitrary bytes. CI runs this
-# on every push; longer campaigns can raise -fuzztime locally.
+# fuzz-smoke runs each fuzz target briefly against its seed corpus plus
+# a few seconds of fresh inputs: the frame decoder and the v1 line
+# reader must never panic on arbitrary bytes, and any SQL text that
+# parses must execute the same as a binding of its own literals
+# (FuzzBindLiterals, seeded with the TPC-H and TPC-App templates). CI
+# runs this on every push; longer campaigns can raise -fuzztime locally.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzBindLiterals -fuzztime 5s ./internal/sqlmini/
 
 clean:
 	$(GO) clean ./...

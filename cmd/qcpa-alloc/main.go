@@ -142,7 +142,7 @@ func loadSchema(path string) (qcpa.Schema, error) {
 		if err != nil {
 			return nil, fmt.Errorf("schema: %w", err)
 		}
-		ct, ok := parsed.(*sqlmini.CreateTableStmt)
+		ct, ok := parsed.AST.(*sqlmini.CreateTableStmt)
 		if !ok {
 			return nil, fmt.Errorf("schema: %q is not a CREATE TABLE", stmt)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"qcpa/internal/sqlmini"
@@ -13,11 +14,21 @@ func BenchmarkSqlminiJoinOrder(b *testing.B) {
 	microJoinOrder(b)
 }
 
-// coldShape gives st a LIMIT no execution has used yet. LIMIT is part of
-// the statement's shape, so the plan cache misses and the plan is built
-// cold; the limits are far above any result size and change no output.
-func coldShape(st sqlmini.Statement, i int) {
-	st.(*sqlmini.SelectStmt).Limit = 1<<30 + i
+// coldShapes parses plannerJoinSQL n times, each with a LIMIT no other
+// text carries. LIMIT is part of a statement's shape, so the plan cache
+// misses on every one and its plan is built cold; the limits are far
+// above any result size and change no output. Parsing happens here, not
+// in what the callers measure.
+func coldShapes(tb testing.TB, n int) []sqlmini.Statement {
+	stmts := make([]sqlmini.Statement, n)
+	for i := range stmts {
+		st, err := sqlmini.Parse(fmt.Sprintf("%s LIMIT %d", plannerJoinSQL, 1<<30+i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stmts[i] = st
+	}
+	return stmts
 }
 
 // BenchmarkPlanCacheHit compares a cold plan build (a shape the cache
@@ -36,11 +47,15 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		if _, err := e.ExecStmt(st); err != nil {
 			b.Fatal(err)
 		}
+		var shapes []sqlmini.Statement
+		if cold {
+			shapes = coldShapes(b, b.N)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if cold {
-				coldShape(st, i)
+				st = shapes[i]
 			}
 			if _, err := e.ExecStmt(st); err != nil {
 				b.Fatal(err)
@@ -59,17 +74,10 @@ func TestPlanCacheHitAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sqlmini.Parse(plannerJoinSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ExecStmt(st); err != nil {
-		t.Fatal(err)
-	}
-	shapes := 0
+	shapes := coldShapes(t, 51) // AllocsPerRun(50) runs its function 51 times
+	var st sqlmini.Statement
 	cold := testing.AllocsPerRun(50, func() {
-		shapes++
-		coldShape(st, shapes)
+		st, shapes = shapes[0], shapes[1:]
 		if _, err := e.ExecStmt(st); err != nil {
 			t.Error(err)
 		}

@@ -810,7 +810,7 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 	// class's tables, and fanning the update to a non-holder would
 	// error there and quarantine it).
 	routeTables := tables
-	if wt := sqlmini.WriteTable(stmt); wt != "" {
+	if wt := stmt.WriteTable(); wt != "" {
 		routeTables = []string{wt}
 	}
 	// Hand the update to the group-commit dispatcher (group.go): it
@@ -860,7 +860,7 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 			c.quarantine(bad)
 		}
 	}
-	switch stmt.(type) {
+	switch stmt.AST.(type) {
 	case *sqlmini.CreateTableStmt, *sqlmini.DropTableStmt:
 		// DDL changed the schema the reference-based routing fallback
 		// analyzes against: prepared routes must re-resolve.
@@ -897,7 +897,7 @@ func (c *Cluster) parse(sql string) (sqlmini.Statement, error) {
 	}
 	stmt, err := sqlmini.Parse(sql)
 	if err != nil {
-		return nil, err
+		return sqlmini.Statement{}, err
 	}
 	c.stmtMu.Lock()
 	if en, ok := c.stmtCache[sql]; ok { // raced with another parser

@@ -115,7 +115,6 @@ func (e *groupEntry) complete(b *backend, err error, affected int) {
 // redo/delta replay rounds (no writer waits on them).
 type roundStmt struct {
 	stmt  sqlmini.Statement
-	sql   string
 	entry *groupEntry
 }
 
@@ -126,25 +125,22 @@ type roundJob struct {
 	stmts []roundStmt
 }
 
-// replayStmt and replayRound are the redo-log / delta-capture form of a
-// round: statements only, grouped by the round tick they were part of,
-// so replay re-applies them with the same boundaries (and the same
-// one-epoch-per-round visibility) as the live replicas saw.
-type replayStmt struct {
-	stmt sqlmini.Statement
-	sql  string
-}
-
+// replayRound is the redo-log / delta-capture form of a round: the
+// statements — each the same (shape, params) value its round applied,
+// which shares nothing a later execution could change — grouped by the
+// round tick they were part of, so replay re-applies them with the same
+// boundaries (and the same one-epoch-per-round visibility) as the live
+// replicas saw.
 type replayRound struct {
 	tick  uint64
-	stmts []replayStmt
+	stmts []sqlmini.Statement
 }
 
 // job converts a logged round into an applier round job.
 func (rr *replayRound) job() *updateJob {
 	stmts := make([]roundStmt, len(rr.stmts))
-	for i, rs := range rr.stmts {
-		stmts[i] = roundStmt{stmt: rs.stmt, sql: rs.sql}
+	for i, st := range rr.stmts {
+		stmts[i] = roundStmt{stmt: st}
 	}
 	return &updateJob{round: &roundJob{stmts: stmts}, done: make(chan error, 1)}
 }
@@ -257,7 +253,7 @@ func (c *Cluster) dispatchRound(batch []*groupEntry) {
 			if rounds[i] == nil {
 				rounds[i] = &roundJob{}
 			}
-			rounds[i].stmts = append(rounds[i].stmts, roundStmt{stmt: e.stmt, sql: e.sql, entry: e})
+			rounds[i].stmts = append(rounds[i].stmts, roundStmt{stmt: e.stmt, entry: e})
 		}
 		admitted++
 		c.metrics.ObserveFanout(len(targets))
@@ -345,7 +341,7 @@ func (c *Cluster) routeEntryLocked(backends []*backend, e *groupEntry, tick uint
 	// replay re-applies the exact round boundaries the live replicas saw.
 	limit := c.cfg.RedoLogCap
 	for _, i := range redo {
-		if backends[i].missed.append(tick, e.stmt, e.sql, limit) {
+		if backends[i].missed.append(tick, e.stmt, limit) {
 			c.metrics.ObserveRedoAppend()
 		}
 	}
@@ -360,7 +356,7 @@ func (c *Cluster) routeEntryLocked(backends []*backend, e *groupEntry, tick uint
 		}
 		for _, t := range e.routeTables {
 			if dl, ok := b.capture[t]; ok && !b.holds(t) {
-				dl.append(tick, e.stmt, e.sql, limit)
+				dl.append(tick, e.stmt, limit)
 				break
 			}
 		}

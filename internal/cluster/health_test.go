@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -264,12 +265,27 @@ func TestRedoLogReplayOnRecovery(t *testing.T) {
 	if err := c.Fail("B2"); err != nil {
 		t.Fatal(err)
 	}
-	const writes = 5
-	for i := 0; i < writes; i++ {
+	const writes = 10
+	for i := 0; i < writes/2; i++ {
 		sql := fmt.Sprintf(`UPDATE b SET b_v = %d WHERE b_id = %d`, 1000+i, i)
 		if _, err := c.Execute(workload.Request{SQL: sql, Class: "UB", Write: true}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The other half are prepared, and their caller reuses one args slice:
+	// the redo log must hold the values each call executed with, not
+	// whatever the slice holds by the time B2 replays.
+	prep, err := c.Prepare(`UPDATE b SET b_v = 0 WHERE b_id = 0`, "UB", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := make([]sqlmini.Value, 2)
+	for i := writes / 2; i < writes; i++ {
+		args[0], args[1] = sqlmini.Int(int64(1000+i)), sqlmini.Int(int64(i))
+		if _, err := c.ExecPrepared(context.Background(), prep, args); err != nil {
+			t.Fatal(err)
+		}
+		args[0], args[1] = sqlmini.Int(-1), sqlmini.Int(0)
 	}
 	// B1 applied them, B2 missed them.
 	r1, err := c.Backend(1).Exec(`SELECT b_v FROM b WHERE b_id = 0`)
@@ -312,6 +328,15 @@ func TestRedoLogReplayOnRecovery(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatalf("replicas disagree after replay: %x vs %x", s1, s2)
+	}
+	for i := 0; i < writes; i++ {
+		r, err := c.Backend(1).Exec(fmt.Sprintf(`SELECT b_v FROM b WHERE b_id = %d`, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 1 || r.Rows[0][0].I != int64(1000+i) {
+			t.Fatalf("B2 replayed b_id %d as %v, want %d", i, r.Rows, 1000+i)
+		}
 	}
 	if c.Metrics().Reliability.Catchups != 1 {
 		t.Fatal("catch-up not observed in metrics")

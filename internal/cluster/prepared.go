@@ -3,24 +3,28 @@
 // half of the wire protocol's prepare/exec commands — the serving-tier
 // analogue of sqlmini's plan cache, one layer up: the plan cache makes
 // repeated shapes cheap per backend, Prepared makes them cheap per
-// request by skipping the parser and the routing analysis entirely.
+// request by skipping the parser and the routing analysis entirely. An
+// execution is the prepared statement's shape paired with the request's
+// args (sqlmini.BindLiterals); the handle holds nothing an execution
+// writes.
 
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"qcpa/internal/sqlmini"
 	"qcpa/internal/workload"
 )
 
-// Prepared is a statement bound to this cluster: its parse, its write
-// flag, and a cached route (the tables an eligible backend must hold)
-// tagged with the routing generation it was resolved under. Safe for
-// concurrent Exec calls.
+// Prepared is a statement bound to this cluster: its parse (the shape
+// every execution shares, and the template text's own literals for an
+// execution without args), its write flag, and a cached route (the
+// tables an eligible backend must hold) tagged with the routing
+// generation it was resolved under. Safe for concurrent Exec calls.
 type Prepared struct {
 	// SQL is the template text the statement was prepared from; its
 	// literals are the bindable positions, and journal entries for every
@@ -40,20 +44,6 @@ type Prepared struct {
 	// was computed under; a generation mismatch (allocation installed,
 	// live cutover, DDL) re-resolves before executing.
 	route atomic.Pointer[preparedRoute]
-	// clones pools pre-cloned statements with direct literal pointers so
-	// a hot read exec rebinds in place instead of deep-copying the AST.
-	// Only reads pool (poolable): write statements are retained by redo
-	// logs and migration deltas past the execution call, so each write
-	// exec must keep its own copy.
-	clones   sync.Pool
-	poolable bool
-}
-
-// boundClone is one pooled statement instance: the clone and its
-// literal nodes in binding order.
-type boundClone struct {
-	stmt sqlmini.Statement
-	lits []*sqlmini.Lit
 }
 
 type preparedRoute struct {
@@ -76,14 +66,12 @@ func (c *Cluster) Prepare(sql, class string, write bool) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, isSelect := stmt.(*sqlmini.SelectStmt)
 	p := &Prepared{
 		SQL:         sql,
 		Class:       class,
 		Write:       write,
-		NumLiterals: sqlmini.CountLiterals(stmt),
+		NumLiterals: stmt.NumLiterals,
 		stmt:        stmt,
-		poolable:    isSelect && !write,
 	}
 	gen := c.routeGen.Load()
 	tables, err := c.resolveTables(class, stmt, sql)
@@ -97,7 +85,13 @@ func (c *Cluster) Prepare(sql, class string, write bool) (*Prepared, error) {
 // ExecPrepared executes a prepared statement with args bound to its
 // literal positions in textual order (pass no args to run the template
 // verbatim). Parsing is skipped entirely; the route is reused unless
-// the routing generation moved.
+// the routing generation moved. Binding pairs the statement's shape
+// with args — nothing is copied or rewritten, so any number of
+// executions run concurrently. args stays the caller's: a read is done
+// with it when ExecPrepared returns, and a write — which the round it
+// commits in, a Down replica's redo log and a migration's delta log
+// hold past that, even past a caller whose context ended first — takes
+// its one copy here.
 func (c *Cluster) ExecPrepared(ctx context.Context, p *Prepared, args []sqlmini.Value) (*Result, error) {
 	if c.stopped.Load() {
 		return nil, fmt.Errorf("cluster: closed")
@@ -108,40 +102,20 @@ func (c *Cluster) ExecPrepared(ctx context.Context, p *Prepared, args []sqlmini.
 		defer cancel()
 	}
 	stmt := p.stmt
-	var bc *boundClone
 	if len(args) > 0 {
-		if p.poolable {
-			if len(args) != p.NumLiterals {
-				return nil, fmt.Errorf("sqlmini: statement has %d literal positions, got %d args", p.NumLiterals, len(args))
-			}
-			bc, _ = p.clones.Get().(*boundClone)
-			if bc == nil {
-				s, lits := sqlmini.CloneLiterals(p.stmt)
-				bc = &boundClone{stmt: s, lits: lits}
-			}
-			for i := range args {
-				bc.lits[i].V = args[i]
-			}
-			stmt = bc.stmt
-		} else {
-			bound, err := sqlmini.BindLiterals(stmt, args)
-			if err != nil {
-				return nil, err
-			}
-			stmt = bound
+		if p.Write {
+			args = slices.Clone(args)
+		}
+		var err error
+		if stmt, err = sqlmini.BindLiterals(stmt, args); err != nil {
+			return nil, err
 		}
 	}
 	tables, err := c.preparedTables(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.executeRouted(ctx, stmt, workload.Request{SQL: p.SQL, Class: p.Class, Write: p.Write}, tables)
-	if bc != nil {
-		// The engine is done with the clone once executeRouted returns
-		// (read plans parameterize literals away); recycle it.
-		p.clones.Put(bc)
-	}
-	return res, err
+	return c.executeRouted(ctx, stmt, workload.Request{SQL: p.SQL, Class: p.Class, Write: p.Write}, tables)
 }
 
 // preparedTables returns the statement's route, re-resolving when the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"qcpa/internal/sqlmini"
@@ -34,6 +35,40 @@ func TestPreparedExecMatchesDirect(t *testing.T) {
 	if len(res.Data) != 1 || res.Data[0][0].I != 3 {
 		t.Fatalf("verbatim template returned %+v", res.Data)
 	}
+}
+
+// TestPreparedConcurrentExec: executions of one Prepared share its shape
+// and nothing else, so goroutines binding different args at once each
+// get the row they asked for (run under -race).
+func TestPreparedConcurrentExec(t *testing.T) {
+	c, _, _ := liveFixture(t)
+	p, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 3`, "QA", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			args := make([]sqlmini.Value, 1)
+			for i := 0; i < rounds; i++ {
+				id := int64((w + i*workers) % 20)
+				args[0] = sqlmini.Int(id)
+				res, err := c.ExecPrepared(context.Background(), p, args)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Data) != 1 || res.Data[0][0].I != id {
+					t.Errorf("worker %d asked for a_id %d, got %+v", w, id, res.Data)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPreparedArgCountMismatch(t *testing.T) {

@@ -31,7 +31,7 @@ type roundLog struct {
 // lost instead: replaying an unbounded backlog is worse than copying.
 //
 //qcpa:locks dispatchMu
-func (l *roundLog) append(tick uint64, stmt sqlmini.Statement, sql string, limit int) bool {
+func (l *roundLog) append(tick uint64, stmt sqlmini.Statement, limit int) bool {
 	if l.lost {
 		return false
 	}
@@ -43,7 +43,7 @@ func (l *roundLog) append(tick uint64, stmt sqlmini.Statement, sql string, limit
 		l.rounds = append(l.rounds, &replayRound{tick: tick})
 	}
 	last := l.rounds[len(l.rounds)-1]
-	last.stmts = append(last.stmts, replayStmt{stmt: stmt, sql: sql})
+	last.stmts = append(last.stmts, stmt)
 	l.n++
 	return true
 }

@@ -25,14 +25,7 @@ func JoinOrderRobustness(opts Options) (*Table, error) {
 		Notes: "pessimal SQL names the selective dimension last; cost-based join ordering makes both forms run dimension-first, so the curves coincide; absolute numbers depend on host cores",
 	}
 	sizes := []int{opts.Requests / 4, opts.Requests}
-	queries := []struct {
-		name string
-		sql  string
-	}{
-		{"pessimal order", `SELECT b1.v FROM jbig1 b1 JOIN jbig2 b2 ON b2.b1_id = b1.id JOIN jdim d ON d.id = b1.dim_id WHERE d.tag = 't0'`},
-		{"optimal order", `SELECT b1.v FROM jdim d JOIN jbig1 b1 ON b1.dim_id = d.id JOIN jbig2 b2 ON b2.b1_id = b1.id WHERE d.tag = 't0'`},
-	}
-	for _, q := range queries {
+	for _, q := range starJoinQueries {
 		s := Series{Name: q.name}
 		for _, n := range sizes {
 			qps, err := joinQPS(n, q.sql)
@@ -45,6 +38,12 @@ func JoinOrderRobustness(opts Options) (*Table, error) {
 		t.Series = append(t.Series, s)
 	}
 	return t, nil
+}
+
+// starJoinQueries are the two texts of E24's star join.
+var starJoinQueries = []struct{ name, sql string }{
+	{"pessimal order", `SELECT b1.v FROM jbig1 b1 JOIN jbig2 b2 ON b2.b1_id = b1.id JOIN jdim d ON d.id = b1.dim_id WHERE d.tag = 't0'`},
+	{"optimal order", `SELECT b1.v FROM jdim d JOIN jbig1 b1 ON b1.dim_id = d.id JOIN jbig2 b2 ON b2.b1_id = b1.id WHERE d.tag = 't0'`},
 }
 
 // joinQPS loads the star schema at the given fact-table size and times

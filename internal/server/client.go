@@ -495,10 +495,9 @@ func (c *Client) Prepare(sql, class string, write bool) (*Stmt, error) {
 	if !resp.OK {
 		return nil, ResponseError(resp)
 	}
-	stmt, _ := sqlmini.Parse(sql)
 	nargs := 0
-	if stmt != nil {
-		nargs = sqlmini.CountLiterals(stmt)
+	if stmt, err := sqlmini.Parse(sql); err == nil {
+		nargs = stmt.NumLiterals
 	}
 	return &Stmt{c: c, handle: resp.Handle, sql: sql, nargs: nargs}, nil
 }

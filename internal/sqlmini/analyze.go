@@ -67,9 +67,10 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 		aliases: make(map[string]string),
 		tables:  make(map[string]bool),
 		columns: make(map[string]bool),
+		params:  st.Params,
 	}
 	info := &QueryInfo{}
-	switch s := st.(type) {
+	switch s := st.AST.(type) {
 	case *SelectStmt:
 		if err := a.addTable(s.Table, s.Alias); err != nil {
 			return nil, err
@@ -93,11 +94,8 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 				return nil, err
 			}
 		}
-		if s.Where != nil {
-			if err := a.walk(s.Where); err != nil {
-				return nil, err
-			}
-			a.extractPredicates(s.Where)
+		if err := a.where(s.Where); err != nil {
+			return nil, err
 		}
 		for _, g := range s.GroupBy {
 			if err := a.walk(g); err != nil {
@@ -138,25 +136,19 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 				return nil, err
 			}
 		}
-		if s.Where != nil {
-			if err := a.walk(s.Where); err != nil {
-				return nil, err
-			}
-			a.extractPredicates(s.Where)
+		if err := a.where(s.Where); err != nil {
+			return nil, err
 		}
 	case *DeleteStmt:
 		info.Write = true
 		if err := a.addTable(s.Table, ""); err != nil {
 			return nil, err
 		}
-		if s.Where != nil {
-			if err := a.walk(s.Where); err != nil {
-				return nil, err
-			}
-			a.extractPredicates(s.Where)
+		if err := a.where(s.Where); err != nil {
+			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("sqlmini: cannot analyze %T", st)
+		return nil, fmt.Errorf("sqlmini: cannot analyze %T", st.AST)
 	}
 
 	// Always include primary keys of referenced tables.
@@ -185,6 +177,7 @@ type analyzer struct {
 	aliases map[string]string // alias -> table
 	tables  map[string]bool
 	columns map[string]bool
+	params  []Value // the statement's literal values, by Lit.Slot
 	preds   []Predicate
 }
 
@@ -243,47 +236,26 @@ func (a *analyzer) addColumn(tableRef, column string) error {
 	return nil
 }
 
-func (a *analyzer) walk(e Expr) error {
-	switch x := e.(type) {
-	case nil, *Lit:
-		return nil
-	case *ColRef:
-		return a.addColumn(x.Table, x.Column)
-	case *UnOp:
-		return a.walk(x.E)
-	case *BinOp:
-		if err := a.walk(x.L); err != nil {
-			return err
+// walk records every column e references.
+func (a *analyzer) walk(e Expr) (err error) {
+	walkExpr(e, func(x Expr) bool {
+		if cr, ok := x.(*ColRef); ok && err == nil {
+			err = a.addColumn(cr.Table, cr.Column)
 		}
-		return a.walk(x.R)
-	case *Between:
-		if err := a.walk(x.E); err != nil {
-			return err
-		}
-		if err := a.walk(x.Lo); err != nil {
-			return err
-		}
-		return a.walk(x.Hi)
-	case *InList:
-		if err := a.walk(x.E); err != nil {
-			return err
-		}
-		for _, le := range x.List {
-			if err := a.walk(le); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *IsNull:
-		return a.walk(x.E)
-	case *Agg:
-		if x.E != nil {
-			return a.walk(x.E)
-		}
-		return nil
-	}
-	return fmt.Errorf("sqlmini: cannot analyze expression %T", e)
+		return err == nil
+	})
+	return err
 }
+
+// where records a WHERE clause: its column references and its
+// predicates.
+func (a *analyzer) where(e Expr) error {
+	a.extractPredicates(e)
+	return a.walk(e)
+}
+
+// flipped is a comparison read from its right operand: k < col is col > k.
+var flipped = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 // extractPredicates collects top-level AND-connected column-vs-literal
 // comparisons for horizontal classification.
@@ -300,25 +272,15 @@ func (a *analyzer) extractPredicates(e Expr) {
 			cr, crOK := x.L.(*ColRef)
 			lit, litOK := x.R.(*Lit)
 			op := x.Op
-			if !crOK || !litOK {
-				// literal op column: flip.
+			if !crOK || !litOK { // literal op column
 				cr, crOK = x.R.(*ColRef)
 				lit, litOK = x.L.(*Lit)
-				switch x.Op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
+				op = flipped[op]
 			}
 			if crOK && litOK {
 				tbl, err := a.resolveTable(cr.Table, cr.Column)
 				if err == nil {
-					a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: op, Value: lit.V})
+					a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: op, Value: a.params[lit.Slot]})
 				}
 			}
 		}
@@ -329,7 +291,7 @@ func (a *analyzer) extractPredicates(e Expr) {
 		if ok && loOK && hiOK && !x.Negate {
 			tbl, err := a.resolveTable(cr.Table, cr.Column)
 			if err == nil {
-				a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: "BETWEEN", Value: lo.V, Hi: hi.V})
+				a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: "BETWEEN", Value: a.params[lo.Slot], Hi: a.params[hi.Slot]})
 			}
 		}
 	}

@@ -3,8 +3,11 @@ package sqlmini
 // Expr is a SQL expression node.
 type Expr interface{ isExpr() }
 
-// Lit is a literal value.
-type Lit struct{ V Value }
+// Lit is a literal position: the Slot-th literal of its statement in
+// textual order. The value is not in the tree — an execution supplies
+// it as Statement.Params[Slot] — so statements that differ only in
+// their literals share one shape, one plan and one tree.
+type Lit struct{ Slot int }
 
 // ColRef references a column, optionally table-qualified.
 type ColRef struct {
@@ -54,8 +57,8 @@ type Agg struct {
 	Distinct bool
 
 	// slot is the node's position among its plan's aggregates, set on
-	// the plan's own bound copy (collectAggs): where eval finds the
-	// group's value for it.
+	// the plan's own bound copy (buildPlan): where eval finds the group's
+	// value for it.
 	slot int
 }
 
@@ -88,8 +91,8 @@ type OrderItem struct {
 	Desc bool
 }
 
-// Statement is a parsed SQL statement.
-type Statement interface{ isStmt() }
+// Stmt is the root of a statement's syntax tree.
+type Stmt interface{ isStmt() }
 
 // SelectStmt is a SELECT query.
 type SelectStmt struct {

@@ -255,8 +255,8 @@ func (e *Engine) ExecStmtContext(ctx context.Context, st Statement) (*Result, er
 	if err := e.checkFault(); err != nil {
 		return nil, err
 	}
-	if s, ok := st.(*SelectStmt); ok {
-		return e.execSelect(ctx, s, e.loadView())
+	if _, ok := st.AST.(*SelectStmt); ok {
+		return e.execSelect(ctx, st, e.loadView())
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -52,8 +52,8 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 
 // evalCtx carries what an expression is evaluated against: the current
 // tuple as one base row per bound table (tup[k] is the row of table k;
-// a single-table statement has a tuple of one), the statement's
-// extracted literal parameters (plan.go normalization), and, in
+// a single-table statement has a tuple of one), the params of the
+// statement being executed (a Lit reads params[Slot]), and, in
 // aggregate mode, the current group's aggregate values by Agg.slot.
 // Rows in tup are only read: they may belong to a published view.
 type evalCtx struct {
@@ -67,11 +67,9 @@ type evalCtx struct {
 func eval(e Expr, ctx *evalCtx) (Value, error) {
 	switch x := e.(type) {
 	case *Lit:
-		return x.V, nil
+		return ctx.params[x.Slot], nil
 	case *boundCol:
 		return ctx.tup[x.table][x.col], nil
-	case *boundParam:
-		return ctx.params[x.idx], nil
 	case *ColRef:
 		return Null, fmt.Errorf("sqlmini: unbound column %q", x.Column)
 	case *Agg:
@@ -255,27 +253,22 @@ func evalBin(x *BinOp, ctx *evalCtx) (Value, error) {
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one char).
-func likeMatch(s, pattern string) bool {
-	// Dynamic programming over pattern and string positions.
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
+func likeMatch(s, p string) bool {
 	if p == "" {
 		return s == ""
 	}
 	switch p[0] {
 	case '%':
 		for i := 0; i <= len(s); i++ {
-			if likeRec(s[i:], p[1:]) {
+			if likeMatch(s[i:], p[1:]) {
 				return true
 			}
 		}
 		return false
 	case '_':
-		return s != "" && likeRec(s[1:], p[1:])
+		return s != "" && likeMatch(s[1:], p[1:])
 	default:
-		return s != "" && s[0] == p[0] && likeRec(s[1:], p[1:])
+		return s != "" && s[0] == p[0] && likeMatch(s[1:], p[1:])
 	}
 }
 
@@ -288,109 +281,95 @@ type boundCol struct {
 
 func (*boundCol) isExpr() {}
 
-// bind rewrites an expression tree, resolving every ColRef through the
-// binder. It returns a new tree; the input is not modified.
-func bind(e Expr, b *binder) (Expr, error) {
-	switch x := e.(type) {
-	case nil:
-		return nil, nil
-	case *Lit:
-		return x, nil
-	case *boundCol:
-		return x, nil
-	case *boundParam:
-		return x, nil
-	case *ColRef:
-		table, col, err := b.resolve(x)
-		if err != nil {
-			return nil, err
-		}
-		return &boundCol{table: table, col: col, name: x.Column}, nil
-	case *UnOp:
-		inner, err := bind(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: x.Op, E: inner}, nil
-	case *BinOp:
-		l, err := bind(x.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bind(x.R, b)
-		if err != nil {
-			return nil, err
-		}
-		return &BinOp{Op: x.Op, L: l, R: r}, nil
-	case *Between:
-		ee, err := bind(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := bind(x.Lo, b)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := bind(x.Hi, b)
-		if err != nil {
-			return nil, err
-		}
-		return &Between{E: ee, Lo: lo, Hi: hi, Negate: x.Negate}, nil
-	case *InList:
-		ee, err := bind(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]Expr, len(x.List))
-		for i, le := range x.List {
-			bl, err := bind(le, b)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = bl
-		}
-		return &InList{E: ee, List: list, Negate: x.Negate}, nil
-	case *IsNull:
-		ee, err := bind(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: ee, Negate: x.Negate}, nil
-	case *Agg:
-		ee, err := bind(x.E, b)
-		if err != nil {
-			return nil, err
-		}
-		return &Agg{Func: x.Func, E: ee, Distinct: x.Distinct}, nil
-	}
-	return nil, fmt.Errorf("sqlmini: cannot bind %T", e)
+// rebinder is one bind pass: the binder and the first error it met.
+type rebinder struct {
+	b   *binder
+	err error
 }
 
-// collectAggs gathers the aggregate nodes of a bound expression tree
-// the caller owns, numbering each with its position in out: the slot
-// its value takes in a group's aggregate values.
-func collectAggs(e Expr, out *[]*Agg) {
+// bind rewrites an expression tree, resolving every ColRef through the
+// binder. It returns a new tree; the input is not modified (a Lit is
+// immutable and shared).
+func bind(e Expr, b *binder) (Expr, error) {
+	r := rebinder{b: b}
+	out := r.expr(e)
+	return out, r.err
+}
+
+func (r *rebinder) expr(e Expr) Expr {
 	switch x := e.(type) {
-	case *Agg:
-		x.slot = len(*out)
-		*out = append(*out, x)
+	case nil:
+		return nil
+	case *Lit, *boundCol:
+		return x
+	case *ColRef:
+		table, col, err := r.b.resolve(x)
+		if err != nil && r.err == nil {
+			r.err = err
+		}
+		return &boundCol{table: table, col: col, name: x.Column}
 	case *UnOp:
-		collectAggs(x.E, out)
+		return &UnOp{Op: x.Op, E: r.expr(x.E)}
 	case *BinOp:
-		collectAggs(x.L, out)
-		collectAggs(x.R, out)
+		return &BinOp{Op: x.Op, L: r.expr(x.L), R: r.expr(x.R)}
 	case *Between:
-		collectAggs(x.E, out)
-		collectAggs(x.Lo, out)
-		collectAggs(x.Hi, out)
+		return &Between{E: r.expr(x.E), Lo: r.expr(x.Lo), Hi: r.expr(x.Hi), Negate: x.Negate}
 	case *InList:
-		collectAggs(x.E, out)
+		list := make([]Expr, len(x.List))
+		ee := r.expr(x.E)
+		for i, le := range x.List {
+			list[i] = r.expr(le)
+		}
+		return &InList{E: ee, List: list, Negate: x.Negate}
+	case *IsNull:
+		return &IsNull{E: r.expr(x.E), Negate: x.Negate}
+	case *Agg:
+		return &Agg{Func: x.Func, E: r.expr(x.E), Distinct: x.Distinct}
+	}
+	if r.err == nil {
+		r.err = fmt.Errorf("sqlmini: cannot bind %T", e)
+	}
+	return e
+}
+
+// walkExpr calls f on e and then, when f returns true, on the
+// expressions directly under it, in textual order. It writes nothing.
+func walkExpr(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *UnOp:
+		walkExpr(x.E, f)
+	case *BinOp:
+		walkExpr(x.L, f)
+		walkExpr(x.R, f)
+	case *Between:
+		walkExpr(x.E, f)
+		walkExpr(x.Lo, f)
+		walkExpr(x.Hi, f)
+	case *InList:
+		walkExpr(x.E, f)
 		for _, le := range x.List {
-			collectAggs(le, out)
+			walkExpr(le, f)
 		}
 	case *IsNull:
-		collectAggs(x.E, out)
+		walkExpr(x.E, f)
+	case *Agg:
+		walkExpr(x.E, f)
 	}
+}
+
+// collectAggs gathers the aggregate nodes of an expression tree, in
+// textual order (an aggregate's own operand is not searched).
+func collectAggs(e Expr, out *[]*Agg) {
+	walkExpr(e, func(x Expr) bool {
+		a, ok := x.(*Agg)
+		if ok {
+			*out = append(*out, a)
+		}
+		return !ok
+	})
 }
 
 // cancelCheckRows is how many rows a scan processes between context
@@ -404,46 +383,45 @@ const cancelCheckRows = 4096
 // at publish time, so the scan races with nothing. Planning (binding,
 // access-path and join-order choice, predicate pushdown) happens in
 // plan.go and is cached per normalized statement shape.
-func (e *Engine) execSelect(ctx context.Context, st *SelectStmt, v *readView) (*Result, error) {
-	p, params, err := e.planFor(st, v)
+func (e *Engine) execSelect(ctx context.Context, st Statement, v *readView) (*Result, error) {
+	p, err := e.planFor(st.Shape, v)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	if err := p.run(ctx, v, params, res); err != nil {
+	if err := p.run(ctx, v, st.Params, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // pkLookup detects "pk = literal" (optionally table-qualified) in a
-// WHERE clause that consists of exactly that condition.
-func pkLookup(where Expr, t *Table, alias string) (Value, bool) {
+// WHERE clause that consists of exactly that condition, and returns the
+// literal.
+func pkLookup(where Expr, t *Table, alias string) (*Lit, bool) {
 	bo, ok := where.(*BinOp)
 	if !ok || bo.Op != "=" {
-		return Null, false
+		return nil, false
 	}
 	cr, lit := bo.L, bo.R
 	c, ok := cr.(*ColRef)
 	if !ok {
-		c, ok = lit.(*ColRef)
-		if !ok {
-			return Null, false
+		if c, ok = lit.(*ColRef); !ok {
+			return nil, false
 		}
-		cr, lit = lit, cr
-		_ = cr
+		lit = cr
 	}
 	l, ok := lit.(*Lit)
 	if !ok {
-		return Null, false
+		return nil, false
 	}
 	if c.Table != "" && c.Table != alias {
-		return Null, false
+		return nil, false
 	}
 	if t.pkCol < 0 || t.Cols[t.pkCol].Name != c.Column {
-		return Null, false
+		return nil, false
 	}
-	return l.V, true
+	return l, true
 }
 
 // group accumulates aggregate state for one group.
@@ -579,7 +557,7 @@ func groupRows(x *execRun, in tuples, groupExprs []Expr, aggs []*Agg) ([]*group,
 }
 
 // execInsert runs an INSERT. Caller holds the write lock.
-func (e *Engine) execInsert(st *InsertStmt) (*Result, error) {
+func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, unknownTableError(st.Table)
@@ -598,7 +576,7 @@ func (e *Engine) execInsert(st *InsertStmt) (*Result, error) {
 			colIdx = append(colIdx, i)
 		}
 	}
-	ctx := &evalCtx{}
+	ctx := &evalCtx{params: params}
 	// Evaluate every VALUES row, then store them in one batch. A row
 	// that fails to evaluate ends the statement after the rows before
 	// it went in, exactly as if each row were appended as it was built.
@@ -647,20 +625,16 @@ func evalInsertRow(exprs []Expr, colIdx []int, width int, ctx *evalCtx) (Row, er
 }
 
 // execUpdate runs an UPDATE. Caller holds the write lock.
-func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
+func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, unknownTableError(st.Table)
 	}
 	b := &binder{}
 	b.addTable(st.Table, t)
-	var where Expr
-	var err error
-	if st.Where != nil {
-		where, err = bind(st.Where, b)
-		if err != nil {
-			return nil, err
-		}
+	where, err := bind(st.Where, b) // nil binds to nil
+	if err != nil {
+		return nil, err
 	}
 	type setOp struct {
 		col  int
@@ -680,7 +654,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	}
 
 	res := &Result{}
-	ctx := &evalCtx{tup: make([]Row, 1)} // the statement's one table
+	ctx := &evalCtx{tup: make([]Row, 1), params: params} // the statement's one table
 
 	// Matched rows are rewritten as private copies (the stored Row may
 	// back a published view) and collected; the row store takes them in
@@ -720,10 +694,10 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 		return nil
 	}
 	// A failing row ends the statement; the rows before it stay updated.
-	if v, ok := pkLookup(st.Where, t, st.Table); ok {
+	if l, ok := pkLookup(st.Where, t, st.Table); ok {
 		// Fast path: WHERE pk = literal.
 		res.Scanned++
-		if idx, hit := t.pk.get(v.key()); hit {
+		if idx, hit := t.pk.get(params[l.Slot].key()); hit {
 			err = apply(idx, t.rows.at(idx))
 		}
 	} else {
@@ -759,23 +733,19 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 }
 
 // execDelete runs a DELETE. Caller holds the write lock.
-func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
+func (e *Engine) execDelete(st *DeleteStmt, params []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, unknownTableError(st.Table)
 	}
 	b := &binder{}
 	b.addTable(st.Table, t)
-	var where Expr
-	var err error
-	if st.Where != nil {
-		where, err = bind(st.Where, b)
-		if err != nil {
-			return nil, err
-		}
+	where, err := bind(st.Where, b) // nil binds to nil
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
-	ctx := &evalCtx{tup: make([]Row, 1)} // the statement's one table
+	ctx := &evalCtx{tup: make([]Row, 1), params: params} // the statement's one table
 	kept := make([]Row, 0, t.rows.len())
 	for k := 0; k < t.rows.runs(); k++ {
 		for _, r := range t.rows.run(k) {

@@ -3,7 +3,6 @@ package sqlmini
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind enumerates lexical token types.
@@ -52,7 +51,7 @@ func lex(src string) ([]token, error) {
 			for i < n && src[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isIdentChar(c) && (c < '0' || c > '9'): // ASCII only: a byte of anything else is an error below
 			j := i
 			for j < n && (isIdentChar(src[j])) {
 				j++

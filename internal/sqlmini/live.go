@@ -22,22 +22,6 @@ func unknownTableError(name string) error {
 // IsMissingTable reports whether err is an unknown-table error.
 func IsMissingTable(err error) bool { return errors.Is(err, ErrUnknownTable) }
 
-// WriteTable returns the table a write statement targets, or "" for
-// reads and statements routing does not special-case. The cluster uses
-// it to fan an update out to the holders of the actually-written table
-// (a class can span more tables than any one of its statements).
-func WriteTable(st Statement) string {
-	switch s := st.(type) {
-	case *InsertStmt:
-		return s.Table
-	case *UpdateStmt:
-		return s.Table
-	case *DeleteStmt:
-		return s.Table
-	}
-	return ""
-}
-
 // CloneTable returns a table's schema — index definitions included,
 // as Column.Indexed — and its rows at one point in the update order.
 // The copy is cut under the engine's read lock, so it is

@@ -30,6 +30,7 @@ type naiveTable struct {
 type naiveCol struct{ alias, name string }
 
 type naiveEnv struct {
+	lits   []sqlmini.Value // the statement's literal values, by Lit.Slot
 	layout []naiveCol
 	row    sqlmini.Row   // the concatenated row
 	group  []sqlmini.Row // aggregates range over these; nil outside aggregation
@@ -76,7 +77,7 @@ func (env *naiveEnv) eval(e sqlmini.Expr) sqlmini.Value {
 	null := sqlmini.Null
 	switch x := e.(type) {
 	case *sqlmini.Lit:
-		return x.V
+		return env.lits[x.Slot]
 	case *sqlmini.ColRef:
 		at := -1
 		for i, c := range env.layout {
@@ -232,15 +233,16 @@ func hasAgg(e sqlmini.Expr) bool {
 	return false
 }
 
-// naiveSelect evaluates st over db. The result is in the order the
-// naive evaluation produces; with an ORDER BY it is sorted (stably) and
-// cut to LIMIT, without one LIMIT is left to the caller.
-func naiveSelect(db map[string]*naiveTable, st *sqlmini.SelectStmt) []sqlmini.Row {
+// naiveSelect evaluates st, with lits its literal values, over db. The
+// result is in the order the naive evaluation produces; with an ORDER
+// BY it is sorted (stably) and cut to LIMIT, without one LIMIT is left
+// to the caller.
+func naiveSelect(db map[string]*naiveTable, st *sqlmini.SelectStmt, lits []sqlmini.Value) []sqlmini.Row {
 	names, aliases, conds := []string{st.Table}, []string{st.Alias}, []sqlmini.Expr{st.Where}
 	for _, j := range st.Joins {
 		names, aliases, conds = append(names, j.Table), append(aliases, j.Alias), append(conds, j.On)
 	}
-	env := &naiveEnv{}
+	env := &naiveEnv{lits: lits}
 	for i, n := range names {
 		if aliases[i] == "" {
 			aliases[i] = n
@@ -810,10 +812,10 @@ func TestJoinsAgainstNaiveEvaluator(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
-				sel := st.(*sqlmini.SelectStmt)
+				sel := st.AST.(*sqlmini.SelectStmt)
 				// naive evaluates the query over db, once per table state.
 				naive := func(db map[string]*naiveTable) []string {
-					want := renderRows(naiveSelect(db, sel))
+					want := renderRows(naiveSelect(db, sel, st.Params))
 					if !sequence {
 						sort.Strings(want)
 					}
@@ -1114,11 +1116,11 @@ func TestOrderedAccessAgainstNaiveEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			sel := st.(*sqlmini.SelectStmt)
+			sel := st.AST.(*sqlmini.SelectStmt)
 			unlimited := *sel
 			unlimited.Limit = -1
 			for vi, state := range []map[string]*naiveTable{db, pinnedDB} {
-				all := naiveSelect(state, &unlimited)
+				all := naiveSelect(state, &unlimited, st.Params)
 				var plainRows []string
 				for ei, e := range engines {
 					for _, pass := range []string{"first", "cached"} {

@@ -2,208 +2,61 @@ package sqlmini
 
 import "fmt"
 
-// Literal binding for prepared statements. A client prepares a
-// statement once from its SQL text (whose literals act as placeholder
-// positions) and then executes it repeatedly, shipping only fresh
-// values. BindLiterals substitutes the i-th argument for the i-th
-// literal of the statement in textual order — the same clause order the
-// parser produced them in — on a fresh deep copy, so concurrent
-// executions of one prepared statement never share mutable AST nodes.
-//
-// Binding is value-level only: it cannot change the statement's shape,
-// so the plan cache's canonical form (plan.go) — which normalizes
-// literals away — keeps hitting the same entry for every execution.
+// The statement form. Parse turns SQL text into a Statement — an
+// immutable Shape (the syntax tree with every literal a numbered slot,
+// and the plan-cache key rendered from it once) plus the literal values
+// of one execution — and that pair is what everything downstream holds:
+// the executors, the plan cache, the analyzer, the cluster's statement
+// cache, prepared handles, group-commit rounds and replay logs. A
+// prepared statement executes by pairing the template's shape with fresh
+// values (BindLiterals); nothing walks, copies or rewrites a tree per
+// execution, and a retained statement shares nothing mutable with the
+// one that keeps executing.
 
-// CountLiterals returns the number of literal positions a statement
-// exposes for binding, in the order BindLiterals fills them.
-func CountLiterals(st Statement) int {
-	n := 0
-	walkStmtLits(st, func(*Lit) { n++ })
-	return n
+// Statement is a parsed statement: its Shape — shared, and never written
+// once Parse returns — and the values of one execution, one per literal
+// position in textual order. The zero Statement is no statement.
+type Statement struct {
+	*Shape
+	Params []Value
 }
 
-// BindLiterals returns a deep copy of st with its literals replaced by
-// args, in textual order. The binding is all-or-none: len(args) must
-// equal CountLiterals(st). With zero args (and zero literals) the
-// original statement is returned unchanged — it is never mutated either
-// way.
-func BindLiterals(st Statement, args []Value) (Statement, error) {
-	want := CountLiterals(st)
-	if len(args) != want {
-		return nil, fmt.Errorf("sqlmini: statement has %d literal positions, got %d args", want, len(args))
-	}
-	if want == 0 {
-		return st, nil
-	}
-	i := 0
-	out := cloneStmt(st, func(l *Lit) *Lit {
-		nl := &Lit{V: args[i]}
-		i++
-		return nl
-	})
-	return out, nil
+// Shape is the immutable part of a Statement: the syntax tree with
+// every literal a numbered slot (Lit) and what Parse derived from it
+// once. Two SQL texts that differ only in literal values parse to equal
+// keys, so they share one plan-cache entry.
+type Shape struct {
+	AST         Stmt
+	NumLiterals int
+	// key is the canonical rendering of a SELECT (canonKey), the plan
+	// cache's key; "" for every other statement.
+	key string
 }
 
-// CloneLiterals deep-copies st and returns the copy's literal nodes in
-// textual order (the same order BindLiterals fills). Writing fresh
-// values into those nodes rebinds the clone in place — the basis for
-// pooled executions that skip the per-exec deep copy. Only safe when
-// nothing retains the statement past the execution call (reads; writes
-// are retained by redo logs and migration deltas).
-func CloneLiterals(st Statement) (Statement, []*Lit) {
-	var lits []*Lit
-	out := cloneStmt(st, func(l *Lit) *Lit {
-		nl := &Lit{V: l.V}
-		lits = append(lits, nl)
-		return nl
-	})
-	return out, lits
-}
-
-// walkStmtLits visits every literal of a statement in textual order.
-func walkStmtLits(st Statement, f func(*Lit)) {
-	switch s := st.(type) {
-	case *SelectStmt:
-		for _, it := range s.Items {
-			walkExprLits(it.Expr, f)
-		}
-		for _, j := range s.Joins {
-			walkExprLits(j.On, f)
-		}
-		walkExprLits(s.Where, f)
-		for _, g := range s.GroupBy {
-			walkExprLits(g, f)
-		}
-		walkExprLits(s.Having, f)
-		for _, o := range s.OrderBy {
-			walkExprLits(o.Expr, f)
-		}
+// WriteTable returns the table a write statement targets, or "" for
+// reads and DDL. The cluster uses it to fan an update out to the holders
+// of the actually-written table (a class can span more tables than any
+// one of its statements).
+func (s *Shape) WriteTable() string {
+	switch x := s.AST.(type) {
 	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				walkExprLits(e, f)
-			}
-		}
+		return x.Table
 	case *UpdateStmt:
-		for _, set := range s.Set {
-			walkExprLits(set.Expr, f)
-		}
-		walkExprLits(s.Where, f)
+		return x.Table
 	case *DeleteStmt:
-		walkExprLits(s.Where, f)
+		return x.Table
 	}
+	return ""
 }
 
-func walkExprLits(e Expr, f func(*Lit)) {
-	switch x := e.(type) {
-	case nil:
-	case *Lit:
-		f(x)
-	case *ColRef:
-	case *BinOp:
-		walkExprLits(x.L, f)
-		walkExprLits(x.R, f)
-	case *UnOp:
-		walkExprLits(x.E, f)
-	case *Between:
-		walkExprLits(x.E, f)
-		walkExprLits(x.Lo, f)
-		walkExprLits(x.Hi, f)
-	case *InList:
-		walkExprLits(x.E, f)
-		for _, v := range x.List {
-			walkExprLits(v, f)
-		}
-	case *IsNull:
-		walkExprLits(x.E, f)
-	case *Agg:
-		walkExprLits(x.E, f)
+// BindLiterals returns tmpl's shape with args as its params: args[i]
+// takes the place of the i-th literal of the SQL text, in textual order.
+// The binding is all-or-none — len(args) must equal tmpl.NumLiterals —
+// and tmpl itself is unchanged. args is not copied: the result reads it
+// for as long as it is executed or retained.
+func BindLiterals(tmpl Statement, args []Value) (Statement, error) {
+	if len(args) != tmpl.NumLiterals {
+		return Statement{}, fmt.Errorf("sqlmini: statement has %d literal positions, got %d args", tmpl.NumLiterals, len(args))
 	}
-}
-
-// cloneStmt deep-copies a statement, mapping each literal through lit.
-// DDL statements have no literals and are returned as-is.
-func cloneStmt(st Statement, lit func(*Lit) *Lit) Statement {
-	switch s := st.(type) {
-	case *SelectStmt:
-		ns := *s
-		ns.Items = make([]SelectItem, len(s.Items))
-		for i, it := range s.Items {
-			ns.Items[i] = SelectItem{Expr: cloneExpr(it.Expr, lit), Alias: it.Alias, Star: it.Star}
-		}
-		ns.Joins = make([]JoinClause, len(s.Joins))
-		for i, j := range s.Joins {
-			ns.Joins[i] = JoinClause{Table: j.Table, Alias: j.Alias, On: cloneExpr(j.On, lit)}
-		}
-		ns.Where = cloneExpr(s.Where, lit)
-		ns.GroupBy = make([]Expr, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			ns.GroupBy[i] = cloneExpr(g, lit)
-		}
-		ns.Having = cloneExpr(s.Having, lit)
-		ns.OrderBy = make([]OrderItem, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			ns.OrderBy[i] = OrderItem{Expr: cloneExpr(o.Expr, lit), Desc: o.Desc}
-		}
-		return &ns
-	case *InsertStmt:
-		ns := *s
-		ns.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			nr := make([]Expr, len(row))
-			for j, e := range row {
-				nr[j] = cloneExpr(e, lit)
-			}
-			ns.Rows[i] = nr
-		}
-		return &ns
-	case *UpdateStmt:
-		ns := *s
-		ns.Set = make([]struct {
-			Column string
-			Expr   Expr
-		}, len(s.Set))
-		for i, set := range s.Set {
-			ns.Set[i].Column = set.Column
-			ns.Set[i].Expr = cloneExpr(set.Expr, lit)
-		}
-		ns.Where = cloneExpr(s.Where, lit)
-		return &ns
-	case *DeleteStmt:
-		ns := *s
-		ns.Where = cloneExpr(s.Where, lit)
-		return &ns
-	default:
-		return st
-	}
-}
-
-func cloneExpr(e Expr, lit func(*Lit) *Lit) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Lit:
-		return lit(x)
-	case *ColRef:
-		nx := *x
-		return &nx
-	case *BinOp:
-		return &BinOp{Op: x.Op, L: cloneExpr(x.L, lit), R: cloneExpr(x.R, lit)}
-	case *UnOp:
-		return &UnOp{Op: x.Op, E: cloneExpr(x.E, lit)}
-	case *Between:
-		return &Between{E: cloneExpr(x.E, lit), Lo: cloneExpr(x.Lo, lit), Hi: cloneExpr(x.Hi, lit), Negate: x.Negate}
-	case *InList:
-		nl := make([]Expr, len(x.List))
-		for i, v := range x.List {
-			nl[i] = cloneExpr(v, lit)
-		}
-		return &InList{E: cloneExpr(x.E, lit), List: nl, Negate: x.Negate}
-	case *IsNull:
-		return &IsNull{E: cloneExpr(x.E, lit), Negate: x.Negate}
-	case *Agg:
-		return &Agg{Func: x.Func, E: cloneExpr(x.E, lit), Distinct: x.Distinct}
-	default:
-		return e
-	}
+	return Statement{Shape: tmpl.Shape, Params: args}, nil
 }

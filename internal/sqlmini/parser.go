@@ -5,31 +5,45 @@ import (
 	"strconv"
 )
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement. The Statement's params are the
+// text's own literals.
 func Parse(src string) (Statement, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return Statement{}, err
 	}
 	p := &parser{toks: toks, src: src}
-	st, err := p.statement()
+	ast, err := p.statement()
 	if err != nil {
-		return nil, err
+		return Statement{}, err
 	}
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected %q after statement", p.peek().text)
+		return Statement{}, p.errf("unexpected %q after statement", p.peek().text)
 	}
-	return st, nil
+	sh := &Shape{AST: ast, NumLiterals: len(p.params)}
+	if sel, ok := ast.(*SelectStmt); ok {
+		sh.key = canonKey(sel)
+	}
+	return Statement{Shape: sh, Params: p.params}, nil
 }
 
 type parser struct {
 	toks []token
 	i    int
 	src  string
+	// params collects the literal values in textual order; each becomes
+	// a Lit naming its slot.
+	params []Value
+}
+
+// lit records a literal value and returns the node for its slot.
+func (p *parser) lit(v Value) Expr {
+	p.params = append(p.params, v)
+	return &Lit{Slot: len(p.params) - 1}
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -78,7 +92,7 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
-func (p *parser) statement() (Statement, error) {
+func (p *parser) statement() (Stmt, error) {
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return nil, p.errf("expected statement keyword, got %q", t.text)
@@ -100,7 +114,7 @@ func (p *parser) statement() (Statement, error) {
 	return nil, p.errf("unsupported statement %q", t.text)
 }
 
-func (p *parser) selectStmt() (Statement, error) {
+func (p *parser) selectStmt() (Stmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
@@ -228,7 +242,7 @@ func (p *parser) selectStmt() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) insertStmt() (Statement, error) {
+func (p *parser) insertStmt() (Stmt, error) {
 	if err := p.expectKw("INSERT"); err != nil {
 		return nil, err
 	}
@@ -284,7 +298,7 @@ func (p *parser) insertStmt() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) updateStmt() (Statement, error) {
+func (p *parser) updateStmt() (Stmt, error) {
 	if err := p.expectKw("UPDATE"); err != nil {
 		return nil, err
 	}
@@ -326,7 +340,7 @@ func (p *parser) updateStmt() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) deleteStmt() (Statement, error) {
+func (p *parser) deleteStmt() (Stmt, error) {
 	if err := p.expectKw("DELETE"); err != nil {
 		return nil, err
 	}
@@ -348,7 +362,7 @@ func (p *parser) deleteStmt() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) createStmt() (Statement, error) {
+func (p *parser) createStmt() (Stmt, error) {
 	if err := p.expectKw("CREATE"); err != nil {
 		return nil, err
 	}
@@ -411,7 +425,7 @@ func (p *parser) createStmt() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) dropStmt() (Statement, error) {
+func (p *parser) dropStmt() (Stmt, error) {
 	if err := p.expectKw("DROP"); err != nil {
 		return nil, err
 	}
@@ -437,7 +451,7 @@ func (p *parser) dropStmt() (Statement, error) {
 //	         | IS [NOT] NULL)?
 //	addExpr := mulExpr ((+|-) mulExpr)*
 //	mulExpr := unary ((*|/) unary)*
-//	unary   := - unary | primary
+//	unary   := - number | - unary | primary
 //	primary := literal | agg | colref | ( expr )
 func (p *parser) expr() (Expr, error) { return p.orExpr() }
 
@@ -617,6 +631,12 @@ func (p *parser) mulExpr() (Expr, error) {
 
 func (p *parser) unary() (Expr, error) {
 	if p.acceptSym("-") {
+		// A minus directly on a number is that number's sign: "-7" is one
+		// literal, so it binds, probes and classifies like any other
+		// constant (and MinInt64, whose magnitude alone overflows, parses).
+		if k := p.peek().kind; k == tokInt || k == tokFloat {
+			return p.number("-")
+		}
 		e, err := p.unary()
 		if err != nil {
 			return nil, err
@@ -626,31 +646,39 @@ func (p *parser) unary() (Expr, error) {
 	return p.primary()
 }
 
+// number parses the numeric token at hand, with the sign unary found
+// before it, as one literal.
+func (p *parser) number(sign string) (Expr, error) {
+	t := p.peek()
+	if t.kind == tokInt {
+		v, err := strconv.ParseInt(sign+t.text, 10, 64)
+		if err != nil {
+			return nil, p.errf("bad integer %q", sign+t.text)
+		}
+		p.next()
+		return p.lit(Int(v)), nil
+	}
+	v, err := strconv.ParseFloat(sign+t.text, 64)
+	if err != nil {
+		return nil, p.errf("bad float %q", sign+t.text)
+	}
+	p.next()
+	return p.lit(Float(v)), nil
+}
+
 func (p *parser) primary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
-		p.next()
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad integer %q", t.text)
-		}
-		return &Lit{Int(v)}, nil
-	case tokFloat:
-		p.next()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errf("bad float %q", t.text)
-		}
-		return &Lit{Float(v)}, nil
+	case tokInt, tokFloat:
+		return p.number("")
 	case tokString:
 		p.next()
-		return &Lit{Text(t.text)}, nil
+		return p.lit(Text(t.text)), nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.next()
-			return &Lit{Null}, nil
+			return p.lit(Null), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.next()
 			if err := p.expectSym("("); err != nil {

@@ -72,6 +72,8 @@ func TestParserRejects(t *testing.T) {
 		`SELECT 99999999999999999999999999 FROM t`,
 		`SELECT 'open string FROM t`,
 		"SELECT \x01 FROM t",
+		"SELECT a\xeb FROM t", // a Latin-1 letter byte is no identifier character
+		"SELECT \xc3\xa9 FROM t",
 		`GRANT ALL ON t`,
 	}
 	for _, sql := range bad {
@@ -88,7 +90,7 @@ func TestParserNotLookahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := st.(*SelectStmt)
+	sel := st.AST.(*SelectStmt)
 	bo, ok := sel.Where.(*BinOp)
 	if !ok || bo.Op != "AND" {
 		t.Fatalf("where = %#v", sel.Where)

@@ -6,12 +6,13 @@ package sqlmini
 
 // This file is the sqlmini query planner (DESIGN.md §13):
 //
-//   - Normalized-statement plan cache. A deterministic AST walk renders
-//     every SELECT to a canonical shape string with literals replaced by
-//     "?" (the same normalization the cluster's query journal applies to
-//     SQL text) and extracts the literal values as parameters. The cache
-//     maps shape -> fully bound plan, so repeated query classes skip
-//     parsing's downstream work entirely: binder resolution, conjunct
+//   - Normalized-statement plan cache. Parse renders every SELECT once,
+//     by a deterministic AST walk, to a canonical shape string with
+//     literals replaced by "?" (the same normalization the cluster's
+//     query journal applies to SQL text); the literal values travel
+//     beside the shape as the statement's params. The cache maps that
+//     key -> fully bound plan, so repeated query classes skip parsing's
+//     downstream work entirely: binder resolution, conjunct
 //     analysis, join ordering, and output binding all happen once per
 //     class. A cached plan is valid for a view, not for a generation: it
 //     names the tables (by *Table identity) and the index sets it was
@@ -93,232 +94,104 @@ const planDriftMinRows = 64
 // quotes it.
 const rangeScanFactor = 4
 
-// boundParam is a literal extracted by statement normalization: the
-// idx-th "?" of the canonical shape. Execution supplies the actual
-// values through evalCtx.params, so one cached plan serves every
-// literal binding of its query class.
-type boundParam struct{ idx int }
-
-func (*boundParam) isExpr() {}
-
 // ---------------------------------------------------------------------
 // Statement normalization
 // ---------------------------------------------------------------------
 
-// canonizer renders a SELECT to its canonical shape, collecting literal
-// values in order. With build set it additionally produces a
-// parameterized copy of each expression (literals replaced by
-// boundParam) for the plan builder to bind.
-type canonizer struct {
-	sb     strings.Builder
-	params []Value
-	build  bool
+// canonizer renders a SELECT to its canonical shape: a deterministic
+// walk that writes every literal as "?", so two texts that differ only
+// in literal values render the same string.
+type canonizer struct{ strings.Builder }
+
+func (c *canonizer) put(parts ...string) {
+	for _, p := range parts {
+		c.WriteString(p)
+	}
 }
 
-func (c *canonizer) expr(e Expr) Expr {
+// node writes "(head mark e1 e2 ...)"; mark is written when on.
+func (c *canonizer) node(head string, on bool, mark string, es ...Expr) {
+	c.put("(", head)
+	if on {
+		c.put(mark)
+	}
+	for _, e := range es {
+		c.put(" ")
+		c.expr(e)
+	}
+	c.put(")")
+}
+
+func (c *canonizer) expr(e Expr) {
 	switch x := e.(type) {
 	case nil:
-		c.sb.WriteByte('_')
-		return nil
+		c.put("_")
 	case *Lit:
-		c.sb.WriteByte('?')
-		idx := len(c.params)
-		c.params = append(c.params, x.V)
-		if c.build {
-			return &boundParam{idx: idx}
-		}
-		return x
-	case *boundParam:
-		c.sb.WriteByte('?')
-		c.params = append(c.params, Null)
-		return x
+		c.put("?")
 	case *ColRef:
-		c.sb.WriteString("c<")
-		c.sb.WriteString(x.Table)
-		c.sb.WriteByte('.')
-		c.sb.WriteString(x.Column)
-		c.sb.WriteByte('>')
-		return x
+		c.put("c<", x.Table, ".", x.Column, ">")
 	case *BinOp:
-		c.sb.WriteByte('(')
-		c.sb.WriteString(x.Op)
-		c.sb.WriteByte(' ')
-		l := c.expr(x.L)
-		c.sb.WriteByte(' ')
-		r := c.expr(x.R)
-		c.sb.WriteByte(')')
-		if c.build {
-			return &BinOp{Op: x.Op, L: l, R: r}
-		}
-		return x
+		c.node(x.Op, false, "", x.L, x.R)
 	case *UnOp:
-		c.sb.WriteString("(u")
-		c.sb.WriteString(x.Op)
-		c.sb.WriteByte(' ')
-		inner := c.expr(x.E)
-		c.sb.WriteByte(')')
-		if c.build {
-			return &UnOp{Op: x.Op, E: inner}
-		}
-		return x
+		c.node("u", true, x.Op, x.E)
 	case *Between:
-		c.sb.WriteString("(bt")
-		if x.Negate {
-			c.sb.WriteByte('!')
-		}
-		c.sb.WriteByte(' ')
-		ee := c.expr(x.E)
-		c.sb.WriteByte(' ')
-		lo := c.expr(x.Lo)
-		c.sb.WriteByte(' ')
-		hi := c.expr(x.Hi)
-		c.sb.WriteByte(')')
-		if c.build {
-			return &Between{E: ee, Lo: lo, Hi: hi, Negate: x.Negate}
-		}
-		return x
+		c.node("bt", x.Negate, "!", x.E, x.Lo, x.Hi)
 	case *InList:
-		c.sb.WriteString("(in")
-		if x.Negate {
-			c.sb.WriteByte('!')
-		}
-		c.sb.WriteByte(' ')
-		ee := c.expr(x.E)
-		list := make([]Expr, len(x.List))
-		for i, le := range x.List {
-			c.sb.WriteByte(' ')
-			list[i] = c.expr(le)
-		}
-		c.sb.WriteByte(')')
-		if c.build {
-			return &InList{E: ee, List: list, Negate: x.Negate}
-		}
-		return x
+		c.node("in", x.Negate, "!", append([]Expr{x.E}, x.List...)...)
 	case *IsNull:
-		c.sb.WriteString("(nul")
-		if x.Negate {
-			c.sb.WriteByte('!')
-		}
-		c.sb.WriteByte(' ')
-		ee := c.expr(x.E)
-		c.sb.WriteByte(')')
-		if c.build {
-			return &IsNull{E: ee, Negate: x.Negate}
-		}
-		return x
-	case *Agg:
-		c.sb.WriteString("(agg:")
-		c.sb.WriteString(x.Func)
-		if x.Distinct {
-			c.sb.WriteString(":d")
-		}
-		c.sb.WriteByte(' ')
-		var ee Expr
-		if x.E == nil {
-			c.sb.WriteByte('*')
-		} else {
-			ee = c.expr(x.E)
-		}
-		c.sb.WriteByte(')')
-		if c.build {
-			return &Agg{Func: x.Func, E: ee, Distinct: x.Distinct}
-		}
-		return x
+		c.node("nul", x.Negate, "!", x.E)
+	case *Agg: // COUNT(*) has a nil operand, which renders "_"
+		c.node("agg:"+x.Func, x.Distinct, ":d", x.E)
 	}
-	// Unknown node kinds make the statement unplannable through the
-	// cache; binding will reject them with a precise error.
-	c.sb.WriteString("!?")
-	return e
 }
 
-// canonSelect renders the canonical shape of st, extracts its literal
-// parameters, and (when build is set) returns a parameterized copy.
-func canonSelect(st *SelectStmt, build bool) (string, []Value, *SelectStmt) {
-	c := &canonizer{build: build}
-	var out *SelectStmt
-	if build {
-		out = &SelectStmt{
-			Distinct: st.Distinct,
-			Table:    st.Table,
-			Alias:    st.Alias,
-			Limit:    st.Limit,
-		}
-	}
-	c.sb.WriteByte('S')
+// canonKey renders the canonical shape of st: the plan cache's key.
+// Parse calls it once per text; no execution does.
+func canonKey(st *SelectStmt) string {
+	c := &canonizer{}
+	c.put("S")
 	if st.Distinct {
-		c.sb.WriteByte('D')
+		c.put("D")
 	}
 	for _, it := range st.Items {
-		c.sb.WriteString("|i:")
 		if it.Star {
-			c.sb.WriteByte('*')
-			if build {
-				out.Items = append(out.Items, SelectItem{Star: true})
-			}
+			c.put("|i:*")
 			continue
 		}
-		ex := c.expr(it.Expr)
+		c.put("|i:")
+		c.expr(it.Expr)
 		if it.Alias != "" {
-			c.sb.WriteString(":a<")
-			c.sb.WriteString(it.Alias)
-			c.sb.WriteByte('>')
-		}
-		if build {
-			out.Items = append(out.Items, SelectItem{Expr: ex, Alias: it.Alias})
+			c.put(":a<", it.Alias, ">")
 		}
 	}
-	c.sb.WriteString("|f:")
-	c.sb.WriteString(st.Table)
-	c.sb.WriteString(":a<")
-	c.sb.WriteString(st.Alias)
-	c.sb.WriteByte('>')
+	c.put("|f:", st.Table, ":a<", st.Alias, ">")
 	for _, j := range st.Joins {
-		c.sb.WriteString("|j:")
-		c.sb.WriteString(j.Table)
-		c.sb.WriteString(":a<")
-		c.sb.WriteString(j.Alias)
-		c.sb.WriteString(">:")
-		on := c.expr(j.On)
-		if build {
-			out.Joins = append(out.Joins, JoinClause{Table: j.Table, Alias: j.Alias, On: on})
-		}
+		c.put("|j:", j.Table, ":a<", j.Alias, ">:")
+		c.expr(j.On)
 	}
 	if st.Where != nil {
-		c.sb.WriteString("|w:")
-		w := c.expr(st.Where)
-		if build {
-			out.Where = w
-		}
+		c.put("|w:")
+		c.expr(st.Where)
 	}
 	for _, g := range st.GroupBy {
-		c.sb.WriteString("|g:")
-		bg := c.expr(g)
-		if build {
-			out.GroupBy = append(out.GroupBy, bg)
-		}
+		c.put("|g:")
+		c.expr(g)
 	}
 	if st.Having != nil {
-		c.sb.WriteString("|h:")
-		h := c.expr(st.Having)
-		if build {
-			out.Having = h
-		}
+		c.put("|h:")
+		c.expr(st.Having)
 	}
 	for _, ob := range st.OrderBy {
-		c.sb.WriteString("|o:")
-		oe := c.expr(ob.Expr)
+		c.put("|o:")
+		c.expr(ob.Expr)
 		if ob.Desc {
-			c.sb.WriteString(":d")
-		}
-		if build {
-			out.OrderBy = append(out.OrderBy, OrderItem{Expr: oe, Desc: ob.Desc})
+			c.put(":d")
 		}
 	}
 	if st.Limit >= 0 {
-		c.sb.WriteString("|l:")
-		c.sb.WriteString(strconv.Itoa(st.Limit))
+		c.put("|l:", strconv.Itoa(st.Limit))
 	}
-	return c.sb.String(), c.params, out
+	return c.String()
 }
 
 // ---------------------------------------------------------------------
@@ -342,7 +215,7 @@ const (
 // conjunct is one AND-term of WHERE/ON, annotated with the (textual)
 // tables it references and the patterns the planner exploits.
 type conjunct struct {
-	expr Expr   // parameterized, unbound
+	expr Expr   // unbound
 	mask uint64 // bitmask of textual table indices referenced
 
 	// Equi-join shape: tblL.colL = tblR.colR across two tables.
@@ -353,7 +226,7 @@ type conjunct struct {
 	// Single-table constant shape and selectivity class.
 	kind     predKind
 	constCol int  // column (within its table) for predEqConst and intervals
-	constVal Expr // Lit/boundParam for predEqConst
+	constVal Expr // the Lit of a predEqConst
 	inLen    int
 
 	// interval marks a predRange / predBetween that holds a bare column
@@ -382,38 +255,18 @@ func splitConjuncts(e Expr, out *[]Expr) {
 
 // collectColRefs gathers every column reference of an expression.
 func collectColRefs(e Expr, out *[]*ColRef) {
-	switch x := e.(type) {
-	case *ColRef:
-		*out = append(*out, x)
-	case *UnOp:
-		collectColRefs(x.E, out)
-	case *BinOp:
-		collectColRefs(x.L, out)
-		collectColRefs(x.R, out)
-	case *Between:
-		collectColRefs(x.E, out)
-		collectColRefs(x.Lo, out)
-		collectColRefs(x.Hi, out)
-	case *InList:
-		collectColRefs(x.E, out)
-		for _, le := range x.List {
-			collectColRefs(le, out)
+	walkExpr(e, func(x Expr) bool {
+		if cr, ok := x.(*ColRef); ok {
+			*out = append(*out, cr)
 		}
-	case *IsNull:
-		collectColRefs(x.E, out)
-	case *Agg:
-		collectColRefs(x.E, out)
-	}
+		return true
+	})
 }
 
-// isConstExpr reports whether e evaluates without a row (literal or
-// extracted parameter).
+// isConstExpr reports whether e evaluates without a row: a literal.
 func isConstExpr(e Expr) bool {
-	switch e.(type) {
-	case *Lit, *boundParam:
-		return true
-	}
-	return false
+	_, ok := e.(*Lit)
+	return ok
 }
 
 // classifyConjunct resolves a conjunct's column references against the
@@ -462,7 +315,7 @@ func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
 				c.kind = predRange
 				col, k, op := x.L, x.R, x.Op
 				if isConstExpr(col) { // k < col reads col > k
-					col, k, op = k, col, strings.NewReplacer("<", ">", ">", "<").Replace(op)
+					col, k, op = k, col, flipped[op]
 				}
 				if cr, ok := col.(*ColRef); ok && isConstExpr(k) {
 					_, c.constCol, _ = tb.resolve(cr)
@@ -1002,15 +855,10 @@ func intervalString(lo, hi bound) string {
 	return l + ", " + r
 }
 
-// exprString renders a bound, parameterized expression for describe.
+// exprString renders a bound expression for describe.
 func exprString(e Expr) string {
 	switch x := e.(type) {
 	case *Lit:
-		if x.V.K == KindText {
-			return "'" + x.V.S + "'"
-		}
-		return x.V.String()
-	case *boundParam:
 		return "?"
 	case *boundCol:
 		return x.name
@@ -1200,25 +1048,24 @@ func (e *Engine) PlannerStats() PlannerStats {
 // Plan building
 // ---------------------------------------------------------------------
 
-// planFor returns a plan for st valid against v, consulting the cache.
-// Plans built against the engine's current view are cached; plans built
-// against a pinned historical view (or racing a concurrent publish) are
-// transient.
-func (e *Engine) planFor(st *SelectStmt, v *readView) (*selectPlan, []Value, error) {
-	key, params, _ := canonSelect(st, false)
+// planFor returns a plan for the SELECT shape sh valid against v,
+// consulting the cache under the key Parse rendered. Plans built against
+// the engine's current view are cached; plans built against a pinned
+// historical view (or racing a concurrent publish) are transient.
+func (e *Engine) planFor(sh *Shape, v *readView) (*selectPlan, error) {
 	current := v == e.view.Load()
-	if p := e.plans.lookup(key, v, current); p != nil {
-		return p, params, nil
+	if p := e.plans.lookup(sh.key, v, current); p != nil {
+		return p, nil
 	}
-	p, err := e.buildPlan(st, v)
+	p, err := e.buildPlan(sh.AST.(*SelectStmt), v)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.plans.notePlan(p)
 	if current {
-		e.plans.store(key, p)
+		e.plans.store(sh.key, p)
 	}
-	return p, params, nil
+	return p, nil
 }
 
 // Explain returns the plan a SELECT gets against the engine's current
@@ -1233,9 +1080,9 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sel, ok := st.(*SelectStmt)
+	sel, ok := st.AST.(*SelectStmt)
 	if !ok {
-		return "", fmt.Errorf("sqlmini: Explain requires SELECT, got %T", st)
+		return "", fmt.Errorf("sqlmini: Explain requires SELECT, got %T", st.AST)
 	}
 	p, err := e.buildPlan(sel, e.loadView())
 	if err != nil {
@@ -1359,17 +1206,16 @@ func orderColumn(st *SelectStmt, tb *binder, outNames []string, outSrcs []*ColRe
 	return table, col, err == nil
 }
 
-// buildPlan compiles one SELECT against a view: normalization, conjunct
-// analysis, access-path selection, join ordering, and output binding.
+// buildPlan compiles one SELECT against a view: conjunct analysis,
+// access-path selection, join ordering, and output binding. st is only
+// read: bind copies every expression the plan keeps.
 func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
-	_, _, pst := canonSelect(st, true)
-
 	// Textual table list.
 	type tableRef struct {
 		name, alias string
 		tv          *tableView
 	}
-	refs := make([]tableRef, 0, 1+len(pst.Joins))
+	refs := make([]tableRef, 0, 1+len(st.Joins))
 	addRef := func(name, alias string) error {
 		tv, ok := v.tables[name]
 		if !ok {
@@ -1381,10 +1227,10 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		refs = append(refs, tableRef{name, alias, tv})
 		return nil
 	}
-	if err := addRef(pst.Table, pst.Alias); err != nil {
+	if err := addRef(st.Table, st.Alias); err != nil {
 		return nil, err
 	}
-	for _, j := range pst.Joins {
+	for _, j := range st.Joins {
 		if err := addRef(j.Table, j.Alias); err != nil {
 			return nil, err
 		}
@@ -1402,8 +1248,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 
 	// Split and classify conjuncts from WHERE and every ON.
 	var conjExprs []Expr
-	splitConjuncts(pst.Where, &conjExprs)
-	for _, j := range pst.Joins {
+	splitConjuncts(st.Where, &conjExprs)
+	for _, j := range st.Joins {
 		splitConjuncts(j.On, &conjExprs)
 	}
 	var consts []Expr
@@ -1460,7 +1306,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	p := &selectPlan{
 		tables: n,
 		consts: consts,
-		limit:  pst.Limit,
+		limit:  st.Limit,
 	}
 
 	// A LIMIT with no grouping, aggregate or DISTINCT needs only the rows
@@ -1473,25 +1319,25 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	// steps chosen for so small a prefix — against the best plan in any
 	// order plus one unit per tuple for projecting and sorting its output.
 	var aggs []*Agg
-	for _, it := range pst.Items {
+	for _, it := range st.Items {
 		collectAggs(it.Expr, &aggs)
 	}
-	firstRows := pst.Limit >= 0 && len(aggs) == 0 && len(pst.GroupBy) == 0 && pst.Having == nil && !pst.Distinct
-	if firstRows && n == 1 && len(pst.OrderBy) == 0 {
-		access[0].limit = pst.Limit
+	firstRows := st.Limit >= 0 && len(aggs) == 0 && len(st.GroupBy) == 0 && st.Having == nil && !st.Distinct
+	if firstRows && n == 1 && len(st.OrderBy) == 0 {
+		access[0].limit = st.Limit
 	}
-	outNames, outSrcs := outputColumns(pst, tb)
+	outNames, outSrcs := outputColumns(st, tb)
 	p.outNames = outNames
-	if wt, wcol, ok := orderColumn(pst, tb, outNames, outSrcs); ok && firstRows && refs[wt].tv.index(wcol) != nil {
+	if wt, wcol, ok := orderColumn(st, tb, outNames, outSrcs); ok && firstRows && refs[wt].tv.index(wcol) != nil {
 		wa := chooseAccess(refs[wt].tv, perTable[wt], wcol)
 		out := g.joined()
-		share := min(float64(pst.Limit)/out, 1)
+		share := min(float64(st.Limit)/out, 1)
 		gw := *g
 		gw.read, gw.cards = slices.Clone(g.read), slices.Clone(g.cards)
 		gw.read[wt], gw.cards[wt] = share*wa.runShare*g.rows[wt], max(share*g.cards[wt], 1e-3)
 		if worder, wcost := gw.chooseJoinOrder(wt); wcost < cost+out {
 			g, order, access[wt] = &gw, worder, wa
-			p.walk, p.walkDesc = true, pst.OrderBy[0].Desc
+			p.walk, p.walkDesc = true, st.OrderBy[0].Desc
 		}
 	}
 	for pos, ti := range order {
@@ -1584,7 +1430,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 
 	// Output expressions. SELECT * expands in textual table order (the
 	// user-visible contract), whatever the join order.
-	for _, it := range pst.Items {
+	for _, it := range st.Items {
 		if it.Star {
 			for ti := 0; ti < n; ti++ {
 				t := refs[ti].tv.t
@@ -1605,25 +1451,28 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	for _, oe := range p.outExprs {
 		collectAggs(oe, &p.aggs)
 	}
-	if pst.Having != nil {
-		h, err := bind(pst.Having, pb)
+	if st.Having != nil {
+		h, err := bind(st.Having, pb)
 		if err != nil {
 			return nil, err
 		}
 		p.having = h
 		collectAggs(p.having, &p.aggs)
 	}
-	for _, g := range pst.GroupBy {
+	for i, a := range p.aggs { // nodes of the plan's own bound copies
+		a.slot = i
+	}
+	for _, g := range st.GroupBy {
 		bg, err := bind(g, pb)
 		if err != nil {
 			return nil, err
 		}
 		p.groupBy = append(p.groupBy, bg)
 	}
-	p.distinct = pst.Distinct
+	p.distinct = st.Distinct
 
 	// ORDER BY: output column by name, else bound input-row expression.
-	for _, ob := range pst.OrderBy {
+	for _, ob := range st.OrderBy {
 		spec := orderSpec{outIdx: -1, desc: ob.Desc}
 		if cr, ok := ob.Expr.(*ColRef); ok && cr.Table == "" {
 			for i, on := range p.outNames {

@@ -55,11 +55,10 @@ func planOrder(e *Engine, sql string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("not a SELECT: %T", st)
+	if _, ok := st.AST.(*SelectStmt); !ok {
+		return nil, fmt.Errorf("not a SELECT: %T", st.AST)
 	}
-	p, _, err := e.planFor(sel, e.loadView())
+	p, err := e.planFor(st.Shape, e.loadView())
 	if err != nil {
 		return nil, err
 	}
@@ -159,6 +158,35 @@ func TestPlanCacheHitWithParams(t *testing.T) {
 	r2 := mustExec(t, e, `SELECT cust, SUM(qty) AS s FROM orders WHERE qty > 2 GROUP BY cust ORDER BY cust`)
 	if len(r1.Rows) == len(r2.Rows) {
 		t.Fatalf("different params, same output size: %v vs %v", r1.Rows, r2.Rows)
+	}
+}
+
+// TestPreparedReadAllocations pins what the engine spends on a prepared
+// pk read once its plan is cached: binding pairs the template's shape
+// with the args (no copy of the tree), the plan is found under the key
+// Parse rendered (no walk of the tree), and the allocations left are the
+// run's own — its state, the result and the one row.
+func TestPreparedReadAllocations(t *testing.T) {
+	e := newTestDB(t)
+	tmpl, err := Parse(`SELECT name FROM item WHERE id = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []Value{Int(3)}
+	ctx := context.Background()
+	exec := func() {
+		st, err := BindLiterals(tmpl, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.ExecStmtContext(ctx, st)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "cherry" {
+			t.Fatalf("rows = %v, err = %v", res, err)
+		}
+	}
+	exec() // builds and caches the plan
+	if got := testing.AllocsPerRun(200, exec); got > 5 {
+		t.Fatalf("a prepared pk read allocates %.0f objects in the engine, want <= 5", got)
 	}
 }
 
@@ -393,7 +421,7 @@ func TestHashJoinCancellation(t *testing.T) {
 	cancel()
 	// execSelect directly: ExecStmtContext rejects a canceled context up
 	// front, but the join loops must also notice cancellation mid-run.
-	if _, err := e.execSelect(ctx, st.(*SelectStmt), e.loadView()); !errors.Is(err, context.Canceled) {
+	if _, err := e.execSelect(ctx, st, e.loadView()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from the hash-join loop", err)
 	}
 }
@@ -445,8 +473,7 @@ func TestCanonKeyShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, _, _ := canonSelect(st.(*SelectStmt), false)
-		return k
+		return st.key
 	}
 	if key(`SELECT id FROM item WHERE id = 1`) != key(`SELECT id FROM item WHERE id = 99`) {
 		t.Fatal("literal variation must share one key")
@@ -513,7 +540,7 @@ func BenchmarkRangeScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p, params, err := e.planFor(st.(*SelectStmt), v)
+			p, err := e.planFor(st.Shape, v)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -531,7 +558,7 @@ func BenchmarkRangeScan(b *testing.B) {
 				res := &Result{}
 				for i := 0; i < b.N; i++ {
 					x := &execRun{ctx: context.Background(), p: p, v: v, res: res, rows: make([][]Row, 1)}
-					x.ec.params, x.ec.tup = params, make([]Row, 1)
+					x.ec.params, x.ec.tup = st.Params, make([]Row, 1)
 					res.Scanned = 0
 					if how == "scan" {
 						got, err = s.scan(x, 0, tv)

@@ -177,15 +177,14 @@ func (e *Engine) QueryView(v View, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqlmini: QueryView requires SELECT, got %T", st)
+	if _, ok := st.AST.(*SelectStmt); !ok {
+		return nil, fmt.Errorf("sqlmini: QueryView requires SELECT, got %T", st.AST)
 	}
 	rv := v.v
 	if rv == nil {
 		rv = emptyView
 	}
-	return e.execSelect(context.Background(), sel, rv)
+	return e.execSelect(context.Background(), st, rv)
 }
 
 // RoundResult is the per-statement outcome of ApplyRound.
@@ -231,13 +230,13 @@ func (e *Engine) ApplyRound(stmts []Statement) []RoundResult {
 // e.mu (write) and is responsible for publishing afterwards.
 func (e *Engine) execWriteLocked(st Statement) (*Result, error) {
 	e.dirty = true
-	switch s := st.(type) {
+	switch s := st.AST.(type) {
 	case *InsertStmt:
-		return e.execInsert(s)
+		return e.execInsert(s, st.Params)
 	case *UpdateStmt:
-		return e.execUpdate(s)
+		return e.execUpdate(s, st.Params)
 	case *DeleteStmt:
-		return e.execDelete(s)
+		return e.execDelete(s, st.Params)
 	case *CreateTableStmt:
 		if _, dup := e.tables[s.Table]; dup {
 			return nil, fmt.Errorf("sqlmini: table %q already exists", s.Table)
@@ -255,5 +254,5 @@ func (e *Engine) execWriteLocked(st Statement) (*Result, error) {
 		delete(e.tables, s.Table)
 		return &Result{}, nil
 	}
-	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st)
+	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st.AST)
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-json check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner bench-wire fuzz-smoke clean
+.PHONY: all build test vet race lint lint-json check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
 
 all: check
 
@@ -16,9 +16,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs qcpa-lint, the repo's own go/analysis suite: the four
-# per-package analyzers (detrange, detsource, lockorder, atomicfield)
-# plus the four whole-program call-graph analyzers (lockgraph, ctxflow,
+# lint runs qcpa-lint, the repo's own go/analysis suite: the three
+# per-package analyzers (detrange, detsource, atomicfield) plus the
+# four whole-program call-graph analyzers (lockgraph, ctxflow,
 # leakcheck, viewmutate) — see DESIGN.md §9. Analyzers run in parallel
 # (bounded by GOMAXPROCS); output order is deterministic. Zero findings
 # is the contract; waivers are //qcpa:* comments with a stated reason.
@@ -71,12 +71,16 @@ chaos-group:
 chaos-overload:
 	$(GO) test -race -run 'Overload|Drain|Pipelin|TooLarge|Oversized|Deadline|Circuit|Retr|Breaker|ConnLimit' -count=2 -timeout 120s ./internal/server/
 
+# bench runs the repo's benchmark (BENCHMARK.json, benchmark/README.md):
+# four seeded workloads behind a loopback listener, every response
+# checked, medians with recorded spread. All performance statements are
+# made in its metrics.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	bash benchmark/run.sh
 
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration across all packages, so benchmark code can never rot. Wired
-# into CI; the recorded baselines come from `qcpa-bench -json` instead.
+# into CI; measurements come from `make bench` instead.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
@@ -90,16 +94,8 @@ bench-smoke:
 # tpch-analytic work, and the per-template lines say which template a
 # change of it came from.
 bench-planner:
-	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/bench/
+	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
 	$(GO) test -bench 'TPCHPass|TPCAppReads' -benchmem -run '^$$' ./internal/sqlmini/
-
-# bench-wire compares the wire protocols at equal admission limits —
-# the same rotating point-query load through v1 newline-JSON, v2 binary
-# frames, and v2 prepared handles — then probes v2 connection scale up
-# to the fd limit. The full run (recorded into BENCH_*.json baselines
-# via `qcpa-bench -json`) is the acceptance gate for the v2 speedup.
-bench-wire:
-	$(GO) run ./cmd/qcpa-bench -wire
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # a few seconds of fresh inputs: the frame decoder and the v1 line

@@ -1,6 +1,7 @@
 // Command qcpa-bench regenerates the paper's evaluation tables and
-// figures (Section 4 and Section 5) as text tables, and records
-// machine-readable perf baselines.
+// figures (Section 4 and Section 5) as text tables, each followed by
+// its one-line headline (id, metric name, value). Performance is
+// measured by benchmark/, not here.
 //
 // Usage:
 //
@@ -8,8 +9,6 @@
 //	qcpa-bench -quick          # small, fast configuration
 //	qcpa-bench -run E01,E06    # selected experiments only
 //	qcpa-bench -backends 10 -runs 10 -requests 8000
-//	qcpa-bench -quick -json    # write BENCH_<date>.json (wall time +
-//	                           # headline per figure, ns/op micros)
 //
 // Experiment ids follow DESIGN.md (E01..E22 figures, A1..A6 ablations).
 package main
@@ -21,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"qcpa/internal/bench"
 	"qcpa/internal/experiments"
 )
 
@@ -34,19 +32,8 @@ func main() {
 		requests = flag.Int("requests", 0, "simulated requests per measurement (default 4000)")
 		optMax   = flag.Int("optimal-max", 0, "largest cluster for the MILP sweep (default 4)")
 		seed     = flag.Int64("seed", 1, "base RNG seed")
-		jsonOut  = flag.Bool("json", false, "write a machine-readable perf baseline instead of text tables")
-		outPath  = flag.String("out", "", "baseline file path (default BENCH_<date>.json)")
-		wireOnly = flag.Bool("wire", false, "run only the wire-protocol comparison (v1 JSON vs v2 binary vs prepared)")
 	)
 	flag.Parse()
-
-	if *wireOnly {
-		if _, err := bench.RunWire(*quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opts := experiments.Options{Seed: *seed}
 	if *quick {
@@ -74,14 +61,6 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if err := writeBaseline(opts, want, *quick, *outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	ran := 0
 	for _, e := range experiments.AllExperiments() {
 		if want != nil && !want[e.ID] {
@@ -94,7 +73,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(tab)
-		fmt.Printf("   (%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%-4s %s = %.6g   (%v)\n\n", e.ID, e.Metric, e.Value(tab), time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
@@ -105,36 +84,4 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
-}
-
-// writeBaseline runs the selected figures plus the component
-// microbenchmarks and writes the BENCH_<date>.json baseline. Progress
-// goes to stderr so the file path on stdout stays scriptable.
-func writeBaseline(opts experiments.Options, want map[string]bool, quick bool, path string) error {
-	date := time.Now().Format("2006-01-02")
-	if path == "" {
-		path = "BENCH_" + date + ".json"
-	}
-	report := bench.NewReport(date, quick, opts.WithDefaults())
-	figs, err := bench.RunFigures(opts, want, os.Stderr)
-	if err != nil {
-		return err
-	}
-	report.Figures = figs
-	report.Micro = bench.RunMicro(os.Stderr)
-	over, err := bench.RunOverload(quick, os.Stderr)
-	if err != nil {
-		return err
-	}
-	report.Overload = over
-	wire, err := bench.RunWire(quick, os.Stderr)
-	if err != nil {
-		return err
-	}
-	report.Wire = wire
-	if err := report.Write(path); err != nil {
-		return err
-	}
-	fmt.Println(path)
-	return nil
 }

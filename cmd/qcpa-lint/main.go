@@ -1,8 +1,8 @@
 // Command qcpa-lint runs the repo's static-analysis suite (see
 // internal/analysis). Phase 1 checks each package in isolation —
-// detrange, detsource, lockorder, atomicfield — and phase 2 builds a
+// detrange, detsource, atomicfield — and phase 2 builds a
 // whole-program call graph and runs the interprocedural analyzers:
-// lockgraph (deadlock cycles, //qcpa:locks validation), ctxflow
+// lockgraph (//qcpa:locks validation, deadlock cycles, re-locks), ctxflow
 // (context propagation on request paths), leakcheck (goroutine
 // termination), and viewmutate (publish-then-immutable views).
 // Together they make the determinism and concurrency contracts of the

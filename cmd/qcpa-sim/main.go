@@ -4,7 +4,6 @@
 //	qcpa-sim cluster              # real-engine cluster workload run
 //	qcpa-sim cluster -chaos       # same, with backends killed and revived mid-run
 //	qcpa-sim elastic              # real-engine scale-out/in with live data movement
-//	qcpa-sim wire                 # v1 vs v2 wire-protocol comparison + conn scale
 //	qcpa-sim autoscale -scale 40  # the paper's full 40x trace scale
 package main
 
@@ -18,7 +17,6 @@ import (
 
 	"qcpa"
 	"qcpa/internal/autoscale"
-	"qcpa/internal/bench"
 	"qcpa/internal/cluster"
 	"qcpa/internal/core"
 	"qcpa/internal/runtime"
@@ -68,19 +66,13 @@ func main() {
 		seed := fs.Int64("seed", 7, "RNG seed")
 		_ = fs.Parse(os.Args[2:])
 		runElastic(*requests, *seed)
-	case "wire":
-		quick := fs.Bool("quick", false, "short durations and a small connection-scale target")
-		_ = fs.Parse(os.Args[2:])
-		if _, err := bench.RunWire(*quick, os.Stdout); err != nil {
-			fatal(err)
-		}
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qcpa-sim <autoscale|cluster|elastic|wire> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qcpa-sim <autoscale|cluster|elastic> [flags]")
 	os.Exit(2)
 }
 

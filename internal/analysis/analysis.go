@@ -10,7 +10,7 @@
 // importer (see load.go), which works offline and adds no module
 // dependency.
 //
-// Analyzers:
+// Per-package analyzers:
 //
 //   - detrange:    range over a map in a determinism-critical file (a
 //     det-critical package, or a //qcpa:deterministic opt-in) must be
@@ -18,11 +18,19 @@
 //     waiver.
 //   - detsource:   wall-clock reads and the global math/rand source are
 //     forbidden in determinism-critical files.
-//   - lockorder:   functions annotated //qcpa:locks <mu> may only be
-//     called with that mutex held.
 //   - atomicfield: struct fields must not mix atomic and plain access,
 //     and word-sized atomics must use the typed sync/atomic
 //     values (alignment by construction).
+//
+// Whole-program analyzers, over the call graph of every loaded package:
+//
+//   - lockgraph:   functions annotated //qcpa:locks <mu> may only be
+//     called with that mutex held (also through unannotated helpers);
+//     no lock-order cycles; no re-lock of a held mutex.
+//   - ctxflow:     a function given a context must pass it on.
+//   - leakcheck:   every spawned goroutine has a way to stop.
+//   - viewmutate:  //qcpa:published values are never written after
+//     publication.
 //
 // The contract, the waiver syntax, and how to run the suite locally are
 // documented in DESIGN.md §9.
@@ -93,11 +101,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Suite returns every analyzer, in the order the driver runs them:
-// the four per-package phase-1 analyzers followed by the four
+// the three per-package phase-1 analyzers followed by the four
 // whole-program phase-2 analyzers.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		DetRange, DetSource, LockOrder, AtomicField,
+		DetRange, DetSource, AtomicField,
 		LockGraph, CtxFlow, LeakCheck, ViewMutate,
 	}
 }

@@ -43,10 +43,6 @@ type FuncNode struct {
 
 	// Calls are the node's outgoing call sites, in source order.
 	Calls []*CallSite
-	// Refs are escaping function literals defined in this node's body:
-	// reachability flows through them even though no call edge exists.
-	Refs []*FuncNode
-
 	// enclosing is the node lexically containing a literal (nil for
 	// declarations).
 	enclosing *FuncNode
@@ -161,9 +157,6 @@ type CallerEdge struct {
 
 // FuncOf returns the node for a declared function object, or nil.
 func (p *Program) FuncOf(obj *types.Func) *FuncNode { return p.byObj[obj] }
-
-// LitOf returns the node for a function literal, or nil.
-func (p *Program) LitOf(lit *ast.FuncLit) *FuncNode { return p.byLit[lit] }
 
 // Callers returns the reverse edges into n.
 func (p *Program) Callers(n *FuncNode) []CallerEdge { return p.callers[n] }
@@ -349,7 +342,7 @@ func (p *Program) indexLits(pkg *Package, encl *FuncNode, body *ast.BlockStmt) {
 	walk(body, encl)
 }
 
-// resolveCalls fills n.Calls and n.Refs from n's own body, not
+// resolveCalls fills n.Calls from n's own body, not
 // descending into nested literals (those are their own nodes).
 func (p *Program) resolveCalls(n *FuncNode) {
 	body := n.Body()
@@ -370,12 +363,11 @@ func (p *Program) resolveCalls(n *FuncNode) {
 			site.Defer = deferCalls[s]
 			n.Calls = append(n.Calls, site)
 		case *ast.FuncLit:
-			// Reached only for the immediate child literal: escaping
-			// reachability edge unless it is immediately invoked (then
-			// resolveSite already linked it).
+			// Reached only for the immediate child literal: it escapes
+			// unless it is immediately invoked (then resolveSite
+			// already linked it).
 			lit := p.byLit[s]
 			if lit != nil && !isImmediateCall(body, s) {
-				n.Refs = append(n.Refs, lit)
 				p.escapedLits[sigKeyOfLit(n.Pkg, s)] = append(p.escapedLits[sigKeyOfLit(n.Pkg, s)], lit)
 			}
 		}
@@ -536,39 +528,6 @@ func sigKeyOfLit(pkg *Package, lit *ast.FuncLit) string {
 		}
 	}
 	return "?"
-}
-
-// Reachable computes the closure of nodes reachable from roots through
-// call edges (including go and defer sites) and literal reference
-// edges.
-func (p *Program) Reachable(roots []*FuncNode) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	var queue []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, site := range n.Calls {
-			for _, callee := range site.Callees {
-				if !seen[callee] {
-					seen[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-		for _, ref := range n.Refs {
-			if !seen[ref] {
-				seen[ref] = true
-				queue = append(queue, ref)
-			}
-		}
-	}
-	return seen
 }
 
 // inspectOwn walks a function body's own statements and expressions,

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// LockGraph is the whole-program half of the locking contract. Where
-// lockorder checks each package's direct call sites in isolation,
-// lockgraph builds a global lock-acquisition graph over every loaded
-// package and the call graph connecting them, and reports:
+// LockGraph checks the locking contract over the whole program. It
+// builds a global lock-acquisition graph over every loaded package and
+// the call graph connecting them, and reports:
 //
 //   - lock-order cycles: mutex A held while acquiring B somewhere, B
 //     held while acquiring A somewhere else (directly or through any
@@ -20,15 +19,16 @@ import (
 //     any schedule ever exercises it;
 //   - interprocedural contract violations: a call to a //qcpa:locks-
 //     annotated function from a context where the mutex is not provably
-//     held, where "provably" now includes inference through unannotated
+//     held, where "provably" includes inference through unannotated
 //     intermediaries (a private helper whose every caller holds the
-//     mutex inherits that fact, instead of being a blind spot as in the
-//     per-package direct-caller check);
+//     mutex inherits that fact);
+//   - re-locks: Lock on a mutex that is held on every path reaching it
+//     ("double lock"), or that the function's own annotation or every
+//     caller says is held when it starts ("deadlock on entry");
 //   - unresolvable annotations: a //qcpa:locks directive whose mutex
 //     name matches no field of the receiver type (resolved through
 //     embedding), no unique mutex field in the package, and no
-//     package-level mutex — the annotation was dead weight before this
-//     pass.
+//     package-level mutex.
 //
 // Mutex identity is type-qualified — pkg.Type.field for struct fields
 // (resolved through embedded structs and promoted sync.Mutex methods),
@@ -36,7 +36,8 @@ import (
 // per-instance and excluded. Two instances of the same field (a.mu and
 // b.mu) share a node; self-edges are therefore ignored rather than
 // reported as cycles (instance-order deadlocks among siblings are out
-// of scope, see DESIGN.md §9).
+// of scope, see DESIGN.md §9), and nesting two instances reads as a
+// re-lock.
 var LockGraph = &Analyzer{
 	Name:       "lockgraph",
 	Doc:        "global lock-acquisition graph: deadlock cycles and interprocedural //qcpa:locks validation",
@@ -417,10 +418,6 @@ func (st *lockGraphState) computeAcqStar() {
 				for _, callee := range site.Callees {
 					for id := range st.acqStar[callee] {
 						if !target[id] {
-							if target == nil {
-								target = make(map[string]bool)
-								st.acqStar[n] = target
-							}
 							target[id] = true
 							changed = true
 						}
@@ -467,28 +464,22 @@ func (st *lockGraphState) flowNode(n *FuncNode, reports *lockGraphReports) {
 		return
 	}
 	f := &lgFlow{st: st, node: n, reports: reports}
-	held := cloneSet(st.entries[n])
-	if held == nil {
-		held = make(map[string]bool)
-	}
-	f.block(body, held)
+	f.block(body, cloneSet(st.entries[n]))
 }
 
+// cloneSet copies a held set; the copy of a nil set is empty, not nil.
 func cloneSet(s map[string]bool) map[string]bool {
-	if s == nil {
-		return nil
-	}
 	c := make(map[string]bool, len(s))
 	for k, v := range s {
-		// Copying a small bool set is order-insensitive.
 		c[k] = v
 	}
 	return c
 }
 
-// lgFlow mirrors lockorder's conservative walker (branch intersection,
-// loops keep entry state unless the body changes it) on qualified
-// mutex ids.
+// lgFlow walks one body in control-flow order, tracking which qualified
+// mutex ids are provably held. The tracking is conservative: branches
+// merge by intersection (held only if held on every surviving path),
+// loops keep the entry state unless the body changes it.
 type lgFlow struct {
 	st      *lockGraphState
 	node    *FuncNode
@@ -503,27 +494,14 @@ func (f *lgFlow) block(b *ast.BlockStmt, held map[string]bool) {
 
 func (f *lgFlow) stmt(s ast.Stmt, held map[string]bool) {
 	switch s := s.(type) {
-	case *ast.ExprStmt:
-		f.expr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			f.expr(e, held)
-		}
-		for _, e := range s.Lhs {
-			f.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			f.expr(e, held)
-		}
 	case *ast.IfStmt:
 		if s.Init != nil {
 			f.stmt(s.Init, held)
 		}
 		f.expr(s.Cond, held)
-		thenHeld := cloneBoolSet(held)
+		thenHeld := cloneSet(held)
 		f.block(s.Body, thenHeld)
-		elseHeld := cloneBoolSet(held)
+		elseHeld := cloneSet(held)
 		if s.Else != nil {
 			f.stmt(s.Else, elseHeld)
 		}
@@ -544,7 +522,7 @@ func (f *lgFlow) stmt(s ast.Stmt, held map[string]bool) {
 		if s.Cond != nil {
 			f.expr(s.Cond, held)
 		}
-		bodyHeld := cloneBoolSet(held)
+		bodyHeld := cloneSet(held)
 		f.block(s.Body, bodyHeld)
 		if s.Post != nil {
 			f.stmt(s.Post, bodyHeld)
@@ -552,7 +530,7 @@ func (f *lgFlow) stmt(s ast.Stmt, held map[string]bool) {
 		intersectInto(held, bodyHeld)
 	case *ast.RangeStmt:
 		f.expr(s.X, held)
-		bodyHeld := cloneBoolSet(held)
+		bodyHeld := cloneSet(held)
 		f.block(s.Body, bodyHeld)
 		intersectInto(held, bodyHeld)
 	case *ast.SwitchStmt:
@@ -583,31 +561,11 @@ func (f *lgFlow) stmt(s ast.Stmt, held map[string]bool) {
 		f.call(s.Call, map[string]bool{}, true)
 	case *ast.LabeledStmt:
 		f.stmt(s.Stmt, held)
-	case *ast.IncDecStmt:
-		f.expr(s.X, held)
-	case *ast.SendStmt:
-		f.expr(s.Chan, held)
-		f.expr(s.Value, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						f.expr(v, held)
-					}
-				}
-			}
-		}
+	default:
+		// A statement without nested blocks: every call in it, in
+		// source order.
+		f.expr(s, held)
 	}
-}
-
-func cloneBoolSet(s map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(s))
-	for k, v := range s {
-		// Small bool set copy: order-insensitive.
-		c[k] = v
-	}
-	return c
 }
 
 func mergeInto(held map[string]bool, branches []map[string]bool) {
@@ -616,11 +574,7 @@ func mergeInto(held map[string]bool, branches []map[string]bool) {
 	}
 	merged := branches[0]
 	for _, b := range branches[1:] {
-		for k, v := range merged {
-			if v && !b[k] {
-				merged[k] = false
-			}
-		}
+		intersectInto(merged, b)
 	}
 	for k := range held {
 		held[k] = merged[k]
@@ -639,11 +593,40 @@ func intersectInto(held, other map[string]bool) {
 	}
 }
 
+// terminates reports whether a block always transfers control away
+// (return, branch, panic) at its end.
+func terminates(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	return stmtTerminates(b.List[len(b.List)-1])
+}
+
+func stmtTerminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	case *ast.BlockStmt:
+		return terminates(s)
+	case *ast.IfStmt:
+		return terminates(s.Body) && s.Else != nil && stmtTerminates(s.Else)
+	case *ast.LabeledStmt:
+		return stmtTerminates(s.Stmt)
+	}
+	return false
+}
+
 func (f *lgFlow) clauses(b *ast.BlockStmt, held map[string]bool) {
 	var merge []map[string]bool
 	hasDefault := false
 	for _, cl := range b.List {
-		clHeld := cloneBoolSet(held)
+		clHeld := cloneSet(held)
 		var body []ast.Stmt
 		switch cl := cl.(type) {
 		case *ast.CaseClause:
@@ -674,12 +657,12 @@ func (f *lgFlow) clauses(b *ast.BlockStmt, held map[string]bool) {
 		}
 	}
 	if !hasDefault {
-		merge = append(merge, cloneBoolSet(held))
+		merge = append(merge, cloneSet(held))
 	}
 	mergeInto(held, merge)
 }
 
-func (f *lgFlow) expr(e ast.Expr, held map[string]bool) {
+func (f *lgFlow) expr(e ast.Node, held map[string]bool) {
 	if e == nil {
 		return
 	}
@@ -706,6 +689,13 @@ func (f *lgFlow) call(call *ast.CallExpr, held map[string]bool, detached bool) {
 		if op == 1 {
 			if !detached {
 				if f.reports != nil {
+					if held[id] {
+						what := "locked while already held on every path here: double lock"
+						if st.entries[f.node][id] {
+							what = "held on entry (//qcpa:locks, or every caller holds it) and locked again here: deadlock on entry"
+						}
+						f.reports.addf(call.Pos(), "%s is %s", st.display[id], what)
+					}
 					for from, h := range held {
 						if h {
 							st.addEdge(from, id, call.Pos())

@@ -15,10 +15,6 @@ func TestDetSource(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.DetSource, "detsource")
 }
 
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.LockOrder, "lockorder")
-}
-
 func TestAtomicField(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.AtomicField, "atomicfield")
 }
@@ -73,8 +69,8 @@ func TestDetCritical(t *testing.T) {
 
 func TestSuite(t *testing.T) {
 	suite := analysis.Suite()
-	if len(suite) != 8 {
-		t.Fatalf("Suite() has %d analyzers, want 8", len(suite))
+	if len(suite) != 7 {
+		t.Fatalf("Suite() has %d analyzers, want 7", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {
@@ -89,7 +85,7 @@ func TestSuite(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	perPkg := []string{"detrange", "detsource", "lockorder", "atomicfield"}
+	perPkg := []string{"detrange", "detsource", "atomicfield"}
 	program := []string{"lockgraph", "ctxflow", "leakcheck", "viewmutate"}
 	for _, want := range append(perPkg, program...) {
 		if !seen[want] {

@@ -1,7 +1,7 @@
-// Package lockorder exercises the lockorder analyzer: calls to
-// //qcpa:locks-annotated functions with and without the mutex held,
-// across branches, goroutines, defers, and stored closures.
-package lockorder
+// Direct-call-site cases: calls to //qcpa:locks-annotated functions
+// with and without the mutex held, across branches, goroutines, defers,
+// and stored closures; re-locking a held mutex.
+package lockgraph
 
 import "sync"
 
@@ -39,14 +39,14 @@ func (c *counter) BumpDeferred() {
 }
 
 func (c *counter) BumpUnlocked() {
-	c.bumpLocked() // want "without holding it"
+	c.bumpLocked() // want "not provably held"
 }
 
 func (c *counter) BumpAfterUnlock() {
 	c.mu.Lock()
 	c.bumpLocked()
 	c.mu.Unlock()
-	c.bumpLocked() // want "without holding it"
+	c.bumpLocked() // want "not provably held"
 }
 
 // relockLocked is annotated but re-acquires its own precondition mutex.
@@ -67,20 +67,20 @@ func (c *counter) DoubleLock() {
 func (c *counter) BumpInGoroutine() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	go c.bumpLocked() // want "goroutine/deferred call"
+	go c.bumpLocked() // want "never held in a goroutine/deferred call"
 }
 
 func (c *counter) BumpInGoroutineLit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	go func() {
-		c.bumpLocked() // want "without holding it"
+		c.bumpLocked() // want "not provably held"
 	}()
 }
 
 func (c *counter) BumpDeferredCall() {
 	c.mu.Lock()
-	defer c.bumpLocked() // want "goroutine/deferred call"
+	defer c.bumpLocked() // want "never held in a goroutine/deferred call"
 	c.mu.Unlock()
 }
 
@@ -88,7 +88,7 @@ func (c *counter) BumpStoredClosure() func() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f := func() {
-		c.bumpLocked() // want "without holding it"
+		c.bumpLocked() // want "not provably held"
 	}
 	return f
 }
@@ -116,5 +116,5 @@ func (c *counter) LeakyBranch(cond bool) {
 	if cond {
 		c.mu.Unlock()
 	}
-	c.bumpLocked() // want "without holding it"
+	c.bumpLocked() // want "not provably held"
 }

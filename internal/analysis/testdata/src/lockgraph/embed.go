@@ -2,7 +2,7 @@
 // promoted types must resolve through the embedding, both when the
 // mutex itself is an embedded sync.Mutex (promoted Lock/Unlock) and
 // when the annotated method is promoted from an embedded struct.
-package lockorder
+package lockgraph
 
 import "sync"
 
@@ -23,7 +23,7 @@ func (r *reg) Add() {
 }
 
 func (r *reg) AddUnlocked() {
-	r.addLocked() // want "without holding it"
+	r.addLocked() // want "not provably held"
 }
 
 //qcpa:locks Mutex
@@ -54,7 +54,7 @@ func (o *outer) BumpHeld() {
 }
 
 func (o *outer) BumpUnlocked() {
-	o.bumpInnerLocked() // want "without holding it"
+	o.bumpInnerLocked() // want "not provably held"
 }
 
 // deep embeds reg one level further: Lock/Unlock promote through two

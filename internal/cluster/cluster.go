@@ -36,6 +36,7 @@ import (
 	"qcpa/internal/runtime"
 	"qcpa/internal/runtime/metrics"
 	"qcpa/internal/sqlmini"
+	"qcpa/internal/stats"
 	"qcpa/internal/workload"
 )
 
@@ -915,41 +916,15 @@ func (c *Cluster) parse(sql string) (sqlmini.Statement, error) {
 	return stmt, nil
 }
 
-// evictStmtLocked drops roughly the least-frequently-used eighth of the
-// statement cache (at least one entry). Like evictJournalLocked,
-// candidates at the count threshold go in sorted SQL order, not map
-// order, so which of several equally-cold entries leave is reproducible
-// run to run.
+// evictStmtLocked drops the least-frequently-used eighth of the
+// statement cache (at least one entry), equally cold entries in sorted
+// SQL order.
 //
 //qcpa:locks stmtMu
 func (c *Cluster) evictStmtLocked() {
-	for _, sql := range coldestEighth(c.stmtCache, func(en *stmtEntry) int { return int(en.uses.Load()) }) {
+	for _, sql := range stats.ColdestEighth(c.stmtCache, func(en *stmtEntry) int64 { return en.uses.Load() }) {
 		delete(c.stmtCache, sql)
 	}
-}
-
-// coldestEighth returns the keys of roughly the least-used eighth of a
-// cache (at least one entry): up to that many of the entries whose use
-// count does not exceed the eighth's threshold, in sorted key order.
-func coldestEighth[V any](cache map[string]V, uses func(V) int) []string {
-	counts := make([]int, 0, len(cache))
-	for _, v := range cache {
-		counts = append(counts, uses(v))
-	}
-	sort.Ints(counts)
-	quota := max(len(counts)/8, 1)
-	threshold := counts[quota-1]
-	cand := make([]string, 0, quota)
-	for key, v := range cache {
-		if uses(v) <= threshold {
-			cand = append(cand, key)
-		}
-	}
-	sort.Strings(cand)
-	if len(cand) > quota {
-		cand = cand[:quota]
-	}
-	return cand
 }
 
 // record appends to the query history (Figure 3's journal). The
@@ -973,15 +948,14 @@ func (c *Cluster) record(sql string, d time.Duration) {
 	c.journalMu.Unlock()
 }
 
-// evictJournalLocked drops roughly the least-frequent eighth of the
-// journal (at least one entry). Candidates at the count threshold are
-// evicted in sorted SQL order, not map order, so which of several
-// equally-cold entries go is reproducible run to run (the journal feeds
+// evictJournalLocked drops the least-frequent eighth of the journal (at
+// least one entry). Equally cold entries go in sorted SQL order, not map
+// order, so the survivors are reproducible run to run (the journal feeds
 // the classification, which feeds Result).
 //
 //qcpa:locks journalMu
 func (c *Cluster) evictJournalLocked() {
-	for _, sql := range coldestEighth(c.journal, func(line *journalLine) int { return line.count }) {
+	for _, sql := range stats.ColdestEighth(c.journal, func(line *journalLine) int64 { return int64(line.count) }) {
 		delete(c.journal, sql)
 	}
 }

@@ -39,6 +39,23 @@ func TestEvictJournalDropsLeastFrequent(t *testing.T) {
 			t.Fatalf("entry with count %d: present = %v, want %v", i+1, ok, want)
 		}
 	}
+
+	// The coldest entry goes even when its key sorts last: uses
+	// {z:1, a:2, b:2, ..., o:2}, quota two, evicts z and a — not a and b.
+	clear(c.journal)
+	c.journal["z"] = &journalLine{count: 1}
+	for k := 'a'; k <= 'o'; k++ {
+		c.journal[string(k)] = &journalLine{count: 2}
+	}
+	c.evictJournalLocked()
+	for _, key := range []string{"z", "a"} {
+		if _, ok := c.journal[key]; ok {
+			t.Fatalf("entry %q survived the eviction of the coldest two", key)
+		}
+	}
+	if _, ok := c.journal["b"]; !ok || len(c.journal) != 14 {
+		t.Fatalf("journal after evict: b present = %v, %d entries; want b kept, 14 entries", ok, len(c.journal))
+	}
 }
 
 // TestEvictJournalTiesAndSingleton covers the edge cases: an all-equal

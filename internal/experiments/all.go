@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"qcpa/internal/core"
 	"qcpa/internal/sim"
 )
@@ -22,8 +24,8 @@ func measureWithPolicy(a *core.Allocation, st *setup, opts Options, policy int) 
 }
 
 // Experiment pairs an id with its generator and its headline metric:
-// the single number a perf baseline records for the figure (and the
-// metric every figure benchmark reports via b.ReportMetric).
+// the single number cmd/qcpa-bench prints under the figure's table and
+// TestRunAllQuick compares with testdata/headlines.golden.
 type Experiment struct {
 	ID     string
 	Run    func(Options) (*Table, error)
@@ -31,68 +33,48 @@ type Experiment struct {
 	Value  func(*Table) float64 // extracts the headline from the table
 }
 
-// lastOf returns the final Y of a named series (0 if absent).
+// headline builds a Value: f over the Y values of the named series, 0
+// when the series is absent or empty.
+func headline(name string, f func(y []float64) float64) func(*Table) float64 {
+	return func(t *Table) float64 {
+		s := t.Get(name)
+		if s == nil || len(s.Y) == 0 {
+			return 0
+		}
+		return f(s.Y)
+	}
+}
+
 func lastOf(name string) func(*Table) float64 {
-	return func(t *Table) float64 {
-		s := t.Get(name)
-		if s == nil || len(s.Y) == 0 {
-			return 0
-		}
-		return s.Y[len(s.Y)-1]
-	}
+	return headline(name, func(y []float64) float64 { return y[len(y)-1] })
 }
 
-// firstOf returns the first Y of a named series (0 if absent).
 func firstOf(name string) func(*Table) float64 {
-	return func(t *Table) float64 {
-		s := t.Get(name)
-		if s == nil || len(s.Y) == 0 {
-			return 0
-		}
-		return s.Y[0]
-	}
+	return headline(name, func(y []float64) float64 { return y[0] })
 }
 
-// peakOf returns the maximum Y of a named series.
 func peakOf(name string) func(*Table) float64 {
-	return func(t *Table) float64 {
-		s := t.Get(name)
-		peak := 0.0
-		if s != nil {
-			for _, v := range s.Y {
-				if v > peak {
-					peak = v
-				}
-			}
-		}
-		return peak
-	}
+	return headline(name, func(y []float64) float64 { return max(0, slices.Max(y)) })
 }
 
-// meanOf returns the average Y of a named series.
 func meanOf(name string) func(*Table) float64 {
-	return func(t *Table) float64 {
-		s := t.Get(name)
-		if s == nil || len(s.Y) == 0 {
-			return 0
-		}
+	return headline(name, func(y []float64) float64 {
 		sum := 0.0
-		for _, v := range s.Y {
+		for _, v := range y {
 			sum += v
 		}
-		return sum / float64(len(s.Y))
-	}
+		return sum / float64(len(y))
+	})
 }
 
-// nthOf returns series Y[i] (0 if out of range).
+// nthOf is Y[i] of the series, 0 if out of range.
 func nthOf(name string, i int) func(*Table) float64 {
-	return func(t *Table) float64 {
-		s := t.Get(name)
-		if s == nil || i >= len(s.Y) {
+	return headline(name, func(y []float64) float64 {
+		if i >= len(y) {
 			return 0
 		}
-		return s.Y[i]
-	}
+		return y[i]
+	})
 }
 
 // AllExperiments lists every regenerable figure/table in DESIGN.md
@@ -128,27 +110,4 @@ func AllExperiments() []Experiment {
 		{"A6", AblationHeterogeneity, "aware_rps", lastOf("aware (Eq. 7 loads)")},
 		{"E24", JoinOrderRobustness, "pessimal_order_qps", lastOf("pessimal order")},
 	}
-}
-
-// ByID returns the experiment with the given id (nil if unknown).
-func ByID(id string) *Experiment {
-	for _, e := range AllExperiments() {
-		if e.ID == id {
-			return &e
-		}
-	}
-	return nil
-}
-
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(opts Options) ([]*Table, error) {
-	var out []*Table
-	for _, e := range AllExperiments() {
-		t, err := e.Run(opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

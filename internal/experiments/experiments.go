@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 4 and Section 5). Each Fig* function produces a
 // Table whose series correspond to the lines of the original plot; the
-// cmd/qcpa-bench binary prints them and bench_test.go wraps each one in
-// a testing.B benchmark.
+// cmd/qcpa-bench binary prints them, and the package's tests check
+// their shapes and their headline values (testdata/headlines.golden).
 //
 // Absolute numbers differ from the paper (the substrate is a simulator
 // and an embedded engine, not a 16-node PostgreSQL cluster), but the
@@ -77,7 +77,7 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Quick returns options sized for unit tests and smoke benches.
+// Quick returns options sized for unit tests and smoke runs.
 // Parallelism is pinned to 1 so CI exercises the sequential reference
 // path.
 func Quick() Options {

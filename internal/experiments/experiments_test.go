@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -488,21 +490,40 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestRunAllQuick executes the complete suite once in quick mode.
+// TestRunAllQuick executes the complete suite once in quick mode and
+// compares every experiment's headline with the recorded baseline,
+// testdata/headlines.golden (its header says which headlines are
+// wall-clock quantities and how to regenerate it).
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	tables, err := RunAll(Quick())
+	data, err := os.ReadFile("testdata/headlines.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(AllExperiments()) {
-		t.Fatalf("tables = %d, want %d", len(tables), len(AllExperiments()))
+	var golden []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			golden = append(golden, line)
+		}
 	}
-	for _, tab := range tables {
+	all := AllExperiments()
+	if len(golden) != len(all) {
+		t.Fatalf("headlines.golden has %d lines, want one per experiment (%d)", len(golden), len(all))
+	}
+	for i, e := range all {
+		tab, err := e.Run(Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if tab.String() == "" {
 			t.Fatalf("%s renders empty", tab.ID)
+		}
+		name := fmt.Sprintf("%-4s %s = ", e.ID, e.Metric)
+		got := name + fmt.Sprintf("%.6g", e.Value(tab))
+		if golden[i] != got && golden[i] != name+"wall-clock" {
+			t.Errorf("headline %q, golden %q", got, golden[i])
 		}
 	}
 }

@@ -114,15 +114,19 @@ func (rc *rawClient) readResponse(t *testing.T) *Response {
 // one of success, typed shed, or typed drain — zero silent drops, and
 // every shed carrying a retry-after hint.
 func TestOverloadEveryRequestAnswered(t *testing.T) {
+	const maxInflight, queueDepth = 2, 2
+	const conns, workers, perWorker = 8, 3, 30
+	if conns*workers < 4*(maxInflight+queueDepth) {
+		t.Fatalf("swarm of %d offers less than 4x the admission capacity %d", conns*workers, maxInflight+queueDepth)
+	}
 	_, c, addr := startLimitedServer(t, Limits{
-		MaxInflight: 2, QueueDepth: 2, ConnInflight: 4, RetryAfter: 5 * time.Millisecond,
+		MaxInflight: maxInflight, QueueDepth: queueDepth, ConnInflight: 4, RetryAfter: 5 * time.Millisecond,
 	})
 	c.Backend(0).SetFault(&sqlmini.Fault{Latency: time.Millisecond})
 	c.Backend(1).SetFault(&sqlmini.Fault{Latency: time.Millisecond})
 
-	const conns, workers, perWorker = 8, 3, 30
 	var (
-		mu                        sync.Mutex
+		mu                           sync.Mutex
 		ok, shed, untypedShed, other int
 	)
 	var wg sync.WaitGroup
@@ -309,7 +313,6 @@ func TestDeadlinePropagation(t *testing.T) {
 			} else {
 				req.TimeoutMS = 50
 			}
-			start := time.Now()
 			resp, err := client.Do(req)
 			if err == nil || resp == nil || resp.Code != CodeDeadline {
 				t.Fatalf("resp=%+v err=%v, want code %q", resp, err, CodeDeadline)
@@ -318,10 +321,12 @@ func TestDeadlinePropagation(t *testing.T) {
 			if !errors.As(err, &we) || we.Code != CodeDeadline {
 				t.Fatalf("err = %v (%T), want WireError{deadline}", err, err)
 			}
-			// The rejection must beat the hog's 400ms service time: the
-			// deadline fired in the queue, not after execution.
-			if d := time.Since(start); d > 300*time.Millisecond {
-				t.Fatalf("deadline rejection took %v", d)
+			// The rejection must arrive while the hog still holds the
+			// slot: the deadline fired in the queue, not after execution.
+			select {
+			case <-hog:
+				t.Fatal("deadline rejection arrived after the hog finished")
+			default:
 			}
 			<-hog
 		})

@@ -58,11 +58,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"qcpa/internal/stats"
 )
 
 // maxDPTables is the largest join graph planned by exact DP; beyond it
@@ -978,26 +979,8 @@ func (c *planCache) store(key string, p *selectPlan) {
 		c.entries = make(map[string]*planEntry)
 	}
 	if _, exists := c.entries[key]; !exists && len(c.entries) >= planCacheCap {
-		type keyUses struct {
-			k string
-			u int64
-		}
-		all := make([]keyUses, 0, len(c.entries))
-		for k, en := range c.entries {
-			all = append(all, keyUses{k, en.uses.Load()})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].u != all[j].u {
-				return all[i].u < all[j].u
-			}
-			return all[i].k < all[j].k
-		})
-		drop := planCacheCap / 8
-		if drop < 1 {
-			drop = 1
-		}
-		for i := 0; i < drop && i < len(all); i++ {
-			delete(c.entries, all[i].k)
+		for _, k := range stats.ColdestEighth(c.entries, func(en *planEntry) int64 { return en.uses.Load() }) {
+			delete(c.entries, k)
 			c.evictions.Add(1)
 		}
 	}

@@ -4,7 +4,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -145,4 +147,27 @@ func (h *Histogram) Merge(o *Histogram) {
 	for b, w := range o.counts {
 		h.counts[b] += w
 	}
+}
+
+// ColdestEighth returns the keys of the least-used eighth of a cache
+// (at least one entry): the entries ordered by (uses, key), cut at the
+// quota. The key breaks ties so that which of several equally cold
+// entries leave is reproducible run to run.
+func ColdestEighth[V any](cache map[string]V, uses func(V) int64) []string {
+	type entry struct {
+		key  string
+		uses int64
+	}
+	all := make([]entry, 0, len(cache))
+	for k, v := range cache {
+		all = append(all, entry{k, uses(v)})
+	}
+	slices.SortFunc(all, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.uses, b.uses), cmp.Compare(a.key, b.key))
+	})
+	keys := make([]string, min(max(len(all)/8, 1), len(all)))
+	for i := range keys {
+		keys[i] = all[i].key
+	}
+	return keys
 }

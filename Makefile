@@ -92,10 +92,12 @@ bench-smoke:
 # at EB 3, one sub-benchmark per template (ns, B, allocs and rows
 # scanned per op) plus /pass for all of a suite — a pass is the unit of
 # tpch-analytic work, and the per-template lines say which template a
-# change of it came from.
+# change of it came from — and the scan kernels' (a vector filter, the
+# same under aggregates of bare columns, a GROUP BY on an integer key,
+# over lineitem; ns/row and B/op).
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
-	$(GO) test -bench 'TPCHPass|TPCAppReads' -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels' -benchmem -run '^$$' ./internal/sqlmini/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # a few seconds of fresh inputs: the frame decoder and the v1 line

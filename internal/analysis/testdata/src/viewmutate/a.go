@@ -91,3 +91,52 @@ func (t *tableSnap) fill(v int) {
 func (h *holder) swap(s *snapshot) {
 	h.cur = s
 }
+
+// A column-major chunk: the vector is published, and it is written only
+// in its builder form — a distinct type with the same fields, converted
+// to the published one when it is full (sqlmini's colVec / vecBuilder).
+//
+//qcpa:published sealed vectors are shared by every chunk version after them
+type vec struct {
+	ints []int64
+}
+
+//qcpa:published sealed chunks are shared by every view cut after them
+type chunk struct {
+	cols []vec
+}
+
+type vecBuilder vec
+
+func (b *vecBuilder) set(i int, x int64) {
+	b.ints[i] = x
+}
+
+func seal(xs []int64) *chunk {
+	b := &vecBuilder{ints: make([]int64, len(xs))}
+	for i, x := range xs {
+		b.set(i, x)
+	}
+	return &chunk{cols: []vec{vec(*b)}}
+}
+
+// with path-copies one vector: the copy is a local under construction.
+func (c *chunk) with(col, i int, x int64) *chunk {
+	out := &chunk{cols: append([]vec(nil), c.cols...)}
+	b := vecBuilder{ints: append([]int64(nil), c.cols[col].ints...)}
+	b.set(i, x)
+	out.cols[col] = vec(b)
+	return out
+}
+
+func pokeVector(c *chunk) {
+	c.cols[0].ints[3] = 1 // want "writes through vec"
+}
+
+func swapVector(c *chunk, v vec) {
+	c.cols[0] = v // want "writes through chunk"
+}
+
+func (v *vec) put(i int, x int64) {
+	v.ints[i] = x // want "writes through vec"
+}

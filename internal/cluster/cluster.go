@@ -235,7 +235,7 @@ type updateJob struct {
 	sums     map[string]uint64 // checksum result, valid after done
 	snapshot *snapshotWait     // serialize these tables at this queue position
 	restore  []*snapshotWait   // await and install these snapshots
-	clone    *cloneWait        // deep-copy a table at this queue position
+	clone    *cloneWait        // cut a table at this queue position
 	drop     []string          // drop these tables at this queue position
 }
 
@@ -410,8 +410,8 @@ func (b *backend) applyUpdates() {
 			b.metrics.DecPending()
 			job.done <- err
 		case job.clone != nil:
-			cols, rows, err := b.engine.CloneTable(job.clone.table)
-			job.clone.cols, job.clone.rows = cols, rows
+			cut, err := b.engine.CutTable(job.clone.table)
+			job.clone.cut = cut
 			b.metrics.DecPending()
 			job.done <- err
 		case job.drop != nil:

@@ -83,13 +83,12 @@ func (o LiveOptions) withDefaults() LiveOptions {
 	return o
 }
 
-// cloneWait carries a consistent table copy from a source backend's
-// applier (which cuts it at an exact global-order position) to the
-// migration goroutine.
+// cloneWait carries a consistent cut of a table from a source backend's
+// applier (which takes it at an exact global-order position) to the
+// migration goroutine, which materialises it a batch at a time.
 type cloneWait struct {
 	table string
-	cols  []sqlmini.Column
-	rows  []sqlmini.Row
+	cut   *sqlmini.TableCut
 }
 
 // MigrationStatus is a point-in-time view of the live migration in
@@ -402,11 +401,11 @@ func (c *Cluster) tryCopyTableLive(dest *backend, table string, load Loader, opt
 	// A previous aborted attempt (or a stale pre-migration era) may
 	// have left a copy behind; restart from the fresh clone.
 	c.dropPartial(dest, table)
-	if err := dest.engine.CreateTable(table, cw.cols); err != nil {
+	if err := dest.engine.CreateTable(table, cw.cut.Columns()); err != nil {
 		abort()
 		return err
 	}
-	total := len(cw.rows)
+	total := cw.cut.NumRows()
 	if total == 0 && opts.onBatch != nil {
 		opts.onBatch(dest.name, table)
 	}
@@ -415,7 +414,7 @@ func (c *Cluster) tryCopyTableLive(dest *backend, table string, load Loader, opt
 		if end > total {
 			end = total
 		}
-		if err := dest.engine.BulkInsert(table, cw.rows[off:end]); err != nil {
+		if err := dest.engine.BulkInsert(table, cw.cut.Rows(off, end)); err != nil {
 			abort()
 			return err
 		}

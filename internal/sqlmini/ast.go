@@ -60,6 +60,10 @@ type Agg struct {
 	// the plan's own bound copy (buildPlan): where eval finds the group's
 	// value for it.
 	slot int
+	// bare, set there too, is the operand of a SUM, AVG or COUNT when it
+	// is a plain INT or FLOAT column: group.add reads the column's number
+	// without evaluating E.
+	bare *boundCol
 }
 
 func (*Lit) isExpr()     {}

@@ -43,7 +43,31 @@ func (e *Engine) Checksums(names []string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// tableChecksumLocked hashes schema then rows; caller holds e.mu.
+// FNV-1a, 64 bit: hash/fnv's constants, inlined so that hashing a value
+// allocates neither a hash.Hash64 nor the value's key string.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// fnvAddValue folds one value of a row into the row's hash: its key()
+// form, then 0xff.
+func fnvAddValue(h uint64, v Value) uint64 {
+	var buf [32]byte
+	return (fnvAdd(h, v.appendPKKey(buf[:0])) ^ 0xff) * fnvPrime64
+}
+
+// tableChecksumLocked hashes schema then rows; caller holds e.mu. A
+// sealed chunk is hashed a column at a time, every row's running hash
+// taking that column's value in turn, which gives each row the hash a
+// walk along it would.
 func tableChecksumLocked(t *Table) uint64 {
 	h := fnv.New64a()
 	for _, c := range t.Cols {
@@ -56,16 +80,28 @@ func tableChecksumLocked(t *Table) uint64 {
 		}
 	}
 	sum := h.Sum64()
-	var rows uint64
-	for k := 0; k < t.rows.runs(); k++ {
-		for _, r := range t.rows.run(k) {
-			rh := fnv.New64a()
-			for _, v := range r {
-				rh.Write([]byte(v.key()))
-				rh.Write([]byte{0xff})
-			}
-			rows += rh.Sum64() // modular addition: order-independent
+	var rows uint64 // row hashes combine by modular addition: order-independent
+	for _, c := range t.rows.chunks {
+		var hs [rowChunkLen]uint64
+		for i := range hs {
+			hs[i] = fnvOffset64
 		}
+		for col := range c.cols {
+			v := &c.cols[col]
+			for i := range hs {
+				hs[i] = fnvAddValue(hs[i], v.get(i))
+			}
+		}
+		for _, rh := range hs {
+			rows += rh
+		}
+	}
+	for _, r := range t.rows.tail {
+		rh := uint64(fnvOffset64)
+		for _, v := range r {
+			rh = fnvAddValue(rh, v)
+		}
+		rows += rh
 	}
 	// Mix in the row count so {r, r} vs {r} with a colliding sum still
 	// differ, and combine with the schema hash.

@@ -2,12 +2,28 @@ package sqlmini
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrUnknownTable is the sentinel wrapped by every unknown-table
+// statement error. The cluster's read path matches it (IsMissingTable)
+// to tell a stale route — the table was dropped by a live-migration
+// cutover after the read was scheduled — from a genuine statement
+// error that would fail identically on every replica.
+var ErrUnknownTable = errors.New("sqlmini: unknown table")
+
+// unknownTableError formats the canonical unknown-table error.
+func unknownTableError(name string) error {
+	return fmt.Errorf("%w %q", ErrUnknownTable, name)
+}
+
+// IsMissingTable reports whether err is an unknown-table error.
+func IsMissingTable(err error) bool { return errors.Is(err, ErrUnknownTable) }
 
 // Table is an in-memory row store with an optional primary-key hash
 // index.
@@ -32,7 +48,7 @@ type Table struct {
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
-	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols)), pkCol: -1, changed: make([]bool, len(cols))}
+	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols)), pkCol: -1, rows: newRowStore(cols), changed: make([]bool, len(cols))}
 	for i, c := range cols {
 		if _, dup := t.colIdx[c.Name]; dup {
 			return nil, fmt.Errorf("sqlmini: duplicate column %q in table %q", c.Name, name)
@@ -84,44 +100,38 @@ func (t *Table) PrimaryKey() string {
 	return t.Cols[t.pkCol].Name
 }
 
-// insertRows validates, coerces (in place — the caller hands over rows
-// it owns) and stores rows in order, stopping at the first row that
-// fails: the rows before it stay inserted, as with one INSERT per row.
-// It returns how many went in. This is the one insert path: a SQL
-// INSERT, BulkInsert and Restore all land here, so every batch fills
-// the row store and the pk shards it touches once, pre-sized.
+// insertRows validates and stores rows in order, stopping at the first
+// row that fails: the rows before it stay inserted, as with one INSERT
+// per row. It returns how many went in. The rows are only read — the
+// store copies their values out, coerced to the column types — so the
+// caller keeps them. This is the one insert path: a SQL INSERT,
+// BulkInsert and Restore all land here, so every batch fills the row
+// store and the pk shards it touches once, pre-sized.
 func (t *Table) insertRows(rows []Row) (int, error) {
 	var err error
+	var keys []string
+	if t.pkCol >= 0 {
+		keys = make([]string, len(rows))
+	}
 	for i, r := range rows {
-		if cerr := t.coerceRow(r); cerr != nil {
+		if cerr := t.checkRow(r); cerr != nil {
 			rows, err = rows[:i], cerr
 			break
 		}
-	}
-	n, dupErr := t.storeRows(rows)
-	if dupErr != nil {
-		err = dupErr
-	}
-	return n, err
-}
-
-// storeRows indexes and appends rows that already have the table's
-// types, never writing them. It stops before the first row whose pk is
-// taken and returns how many went in.
-func (t *Table) storeRows(rows []Row) (int, error) {
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	var err error
-	if t.pkCol >= 0 {
-		keys := make([]string, len(rows))
-		for i, r := range rows {
-			keys[i] = r[t.pkCol].key()
+		if t.pkCol >= 0 {
+			pk, _ := coerce(r[t.pkCol], t.Cols[t.pkCol].Type)
+			keys[i] = pk.key()
 		}
+	}
+	if len(rows) == 0 {
+		return 0, err
+	}
+	if t.pkCol >= 0 {
 		var n int
-		t.pk, n = t.pk.insertAll(keys, t.rows.len())
+		t.pk, n = t.pk.insertAll(keys[:len(rows)], t.rows.len())
 		if n < len(rows) {
-			rows, err = rows[:n], fmt.Errorf("sqlmini: duplicate primary key %s in table %q", rows[n][t.pkCol], t.Name)
+			dup, _ := coerce(rows[n][t.pkCol], t.Cols[t.pkCol].Type)
+			rows, err = rows[:n], fmt.Errorf("sqlmini: duplicate primary key %s in table %q", dup, t.Name)
 		}
 	}
 	if len(rows) > 0 {
@@ -131,18 +141,19 @@ func (t *Table) storeRows(rows []Row) (int, error) {
 	return len(rows), err
 }
 
-// coerceRow checks a row's arity and coerces its values to the column
-// types in place.
-func (t *Table) coerceRow(r Row) error {
+// checkRow checks a row's arity and that every value can be stored in
+// its column (coerce).
+func (t *Table) checkRow(r Row) error {
 	if len(r) != len(t.Cols) {
 		return fmt.Errorf("sqlmini: table %q expects %d values, got %d", t.Name, len(t.Cols), len(r))
 	}
 	for i := range r {
-		v, err := coerce(r[i], t.Cols[i].Type)
-		if err != nil {
+		if r[i].K == t.Cols[i].Type {
+			continue // the common case, without the call
+		}
+		if _, err := coerce(r[i], t.Cols[i].Type); err != nil {
 			return fmt.Errorf("%w (column %q)", err, t.Cols[i].Name)
 		}
-		r[i] = v
 	}
 	return nil
 }
@@ -151,9 +162,9 @@ func (t *Table) coerceRow(r Row) error {
 // unique): DELETE's compaction moves every later row, so the row store
 // and the pk index are filled from scratch.
 func (t *Table) rebuild(rows []Row) {
-	t.rows, t.pk = rowStore{}, pkIndex{}
+	t.rows, t.pk = rowStore{kinds: t.rows.kinds}, pkIndex{}
 	t.touched, t.moved = true, true
-	if _, err := t.storeRows(rows); err != nil {
+	if _, err := t.insertRows(rows); err != nil {
 		panic("sqlmini: rebuilding " + t.Name + " from its own rows: " + err.Error())
 	}
 }
@@ -301,8 +312,9 @@ func (e *Engine) CreateTable(name string, cols []Column) error {
 }
 
 // BulkInsert appends rows without going through SQL (the cluster's
-// data-loading path). Rows are validated and indexed like SQL inserts;
-// the whole batch becomes readable in one published epoch.
+// data-loading path). Rows are validated and indexed like SQL inserts
+// and only read: the caller keeps them. The whole batch becomes readable
+// in one published epoch.
 func (e *Engine) BulkInsert(table string, rows []Row) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -312,12 +324,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	defer e.publishLocked()
 	e.dirty = true
-	// insertRows coerces in place; the caller keeps its rows.
-	own := make([]Row, len(rows))
-	for i, r := range rows {
-		own[i] = append(Row(nil), r...)
-	}
-	_, err := t.insertRows(own)
+	_, err := t.insertRows(rows)
 	return err
 }
 

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // binder resolves column references against the tables of a statement,
@@ -51,13 +52,13 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 }
 
 // evalCtx carries what an expression is evaluated against: the current
-// tuple as one base row per bound table (tup[k] is the row of table k;
+// tuple as one cursor per bound table (cur[k] names the row of table k;
 // a single-table statement has a tuple of one), the params of the
 // statement being executed (a Lit reads params[Slot]), and, in
 // aggregate mode, the current group's aggregate values by Agg.slot.
-// Rows in tup are only read: they may belong to a published view.
+// What the cursors name is only read: it may belong to a published view.
 type evalCtx struct {
-	tup    []Row
+	cur    []cursor
 	params []Value
 	aggs   []Value
 }
@@ -69,7 +70,7 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 	case *Lit:
 		return ctx.params[x.Slot], nil
 	case *boundCol:
-		return ctx.tup[x.table][x.col], nil
+		return ctx.cur[x.table].value(x.col), nil
 	case *ColRef:
 		return Null, fmt.Errorf("sqlmini: unbound column %q", x.Column)
 	case *Agg:
@@ -462,6 +463,16 @@ func (g *group) add(aggs []*Agg, ctx *evalCtx) error {
 			g.count[i]++
 			continue
 		}
+		if a.bare != nil {
+			// The column's own number, straight from its vector: what the
+			// steps below make of the Value eval would box it in.
+			if f, isInt, ok := ctx.cur[a.bare.table].num(a.bare.col); ok {
+				g.count[i]++
+				g.sum[i] += f
+				g.sawInt[i] = g.sawInt[i] && isInt
+			}
+			continue
+		}
 		v, err := eval(a.E, ctx)
 		if err != nil {
 			return err
@@ -525,25 +536,52 @@ func (g *group) aggValues(aggs []*Agg, out []Value) {
 }
 
 // groupRows partitions the tuples by the group expressions and
-// accumulates the aggregates. Groups come back in first-seen order.
-func groupRows(x *execRun, in tuples, groupExprs []Expr, aggs []*Agg) ([]*group, error) {
+// accumulates the aggregates. Groups come back in first-seen order. A
+// single group expression that is a bare INT column (intKey) is hashed
+// as the int64 it is, NULL a group of its own; any other key goes
+// through eval and the keyMap's hkeys.
+func groupRows(x *execRun, in tuples, groupExprs []Expr, intKey *boundCol, aggs []*Agg) ([]*group, error) {
 	var groups []*group
-	index := newKeyMap(len(groupExprs), 0) // group key -> position in groups, +1
+	var index *keyMap // group key -> position in groups, +1
+	var nullGroup int32
+	if intKey != nil {
+		index = newIntKeyMap(0)
+	} else {
+		index = newKeyMap(len(groupExprs), 0)
+	}
 	kv := make([]Value, len(groupExprs))
 	for i := 0; i < in.n; i++ {
 		x.load(&in, i)
-		for c, ge := range groupExprs {
-			v, err := eval(ge, &x.ec)
-			if err != nil {
-				return nil, err
+		var gi int32
+		var k int64
+		var notNull bool
+		if intKey != nil {
+			if k, notNull = x.ec.cur[intKey.table].int(intKey.col); notNull {
+				gi = index.ints[k]
+			} else {
+				gi = nullGroup
 			}
-			kv[c] = v
+		} else {
+			for c, ge := range groupExprs {
+				v, err := eval(ge, &x.ec)
+				if err != nil {
+					return nil, err
+				}
+				kv[c] = v
+			}
+			gi = index.get(kv)
 		}
-		gi := index.get(kv)
 		if gi == 0 {
 			groups = append(groups, newGroup(i, aggs))
 			gi = int32(len(groups))
-			index.put(kv, gi)
+			switch {
+			case intKey == nil:
+				index.put(kv, gi)
+			case notNull:
+				index.ints[k] = gi
+			default:
+				nullGroup = gi
+			}
 		}
 		if err := groups[gi-1].add(aggs, &x.ec); err != nil {
 			return nil, err
@@ -653,40 +691,52 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		sets[i] = setOp{ci, be}
 	}
 
-	res := &Result{}
-	ctx := &evalCtx{tup: make([]Row, 1), params: params} // the statement's one table
+	// The columns the statement assigns, ascending, each once.
+	var setCols []int
+	for _, so := range sets {
+		if at, dup := slices.BinarySearch(setCols, so.col); !dup {
+			setCols = slices.Insert(setCols, at, so.col)
+		}
+	}
 
-	// Matched rows are rewritten as private copies (the stored Row may
-	// back a published view) and collected; the row store takes them in
-	// one replace at the end, copying each touched chunk once. The pk
-	// index is persistent, so a pk-changing row updates it right away
-	// and the uniqueness check of the next row sees it.
+	res := &Result{}
+	ctx := &evalCtx{cur: make([]cursor, 1), params: params} // the statement's one table
+
+	// A matched row is rewritten as a private copy (the stored one may
+	// back a published view), which later SET expressions see, and
+	// collected; the row store takes the copies in one replace at the end,
+	// copying each touched chunk's vectors of the assigned columns once.
+	// The pk index is persistent, so a pk-changing row updates it right
+	// away and the uniqueness check of the next row sees it.
 	var idxs []int
 	var news []Row
-	apply := func(idx int, old Row) error {
-		nr := make(Row, len(old))
-		copy(nr, old)
-		ctx.tup[0] = nr
-		for _, s := range sets {
-			v, err := eval(s.expr, ctx)
+	old := make([]Value, len(setCols)) // the stored values of setCols
+	apply := func(idx int) error {
+		nr := t.rows.at(idx)
+		for k, col := range setCols {
+			old[k] = nr[col]
+		}
+		ctx.cur[0] = cursor{row: nr}
+		for _, so := range sets {
+			v, err := eval(so.expr, ctx)
 			if err != nil {
 				return err
 			}
-			if nr[s.col], err = coerce(v, t.Cols[s.col].Type); err != nil {
+			if nr[so.col], err = coerce(v, t.Cols[so.col].Type); err != nil {
 				return err
 			}
 		}
-		if t.pkCol >= 0 && nr[t.pkCol] != old[t.pkCol] {
-			if ok, nk := old[t.pkCol].key(), nr[t.pkCol].key(); nk != ok {
+		if k, set := slices.BinarySearch(setCols, t.pkCol); set && nr[t.pkCol] != old[k] {
+			if ok, nk := old[k].key(), nr[t.pkCol].key(); nk != ok {
 				if _, dup := t.pk.get(nk); dup {
 					return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
 				}
 				t.pk = t.pk.del(ok).set(nk, idx)
 			}
 		}
-		for _, s := range sets {
-			if nr[s.col] != old[s.col] {
-				t.changed[s.col] = true
+		for k, col := range setCols {
+			if nr[col] != old[k] {
+				t.changed[col] = true
 			}
 		}
 		idxs = append(idxs, idx)
@@ -698,31 +748,23 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		// Fast path: WHERE pk = literal.
 		res.Scanned++
 		if idx, hit := t.pk.get(params[l.Slot].key()); hit {
-			err = apply(idx, t.rows.at(idx))
+			err = apply(idx)
 		}
 	} else {
-	scan:
-		for k := 0; k < t.rows.runs(); k++ {
-			for j, r := range t.rows.run(k) {
-				res.Scanned++
-				if where != nil {
-					ctx.tup[0] = r
-					var v Value
-					if v, err = eval(where, ctx); err != nil {
-						break scan
-					}
-					if !v.Truth() {
-						continue
-					}
-				}
-				if err = apply(k*rowChunkLen+j, r); err != nil {
-					break scan
+		for idx, n := 0, t.rows.len(); idx < n && err == nil; idx++ {
+			res.Scanned++
+			if where != nil {
+				t.rows.seek(&ctx.cur[0], idx)
+				var v Value
+				if v, err = eval(where, ctx); err != nil || !v.Truth() {
+					continue
 				}
 			}
+			err = apply(idx)
 		}
 	}
 	if len(idxs) > 0 {
-		t.rows = t.rows.replace(idxs, news)
+		t.rows = t.rows.replace(idxs, news, setCols)
 		t.touched = true
 	}
 	if err != nil {
@@ -745,31 +787,34 @@ func (e *Engine) execDelete(st *DeleteStmt, params []Value) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	ctx := &evalCtx{tup: make([]Row, 1), params: params} // the statement's one table
-	kept := make([]Row, 0, t.rows.len())
-	for k := 0; k < t.rows.runs(); k++ {
-		for _, r := range t.rows.run(k) {
-			res.Scanned++
-			del := true
-			if where != nil {
-				ctx.tup[0] = r
-				v, err := eval(where, ctx)
-				if err != nil {
-					return nil, err
-				}
-				del = v.Truth()
+	ctx := &evalCtx{cur: make([]cursor, 1), params: params} // the statement's one table
+	n := t.rows.len()
+	dead := make([]bool, n)
+	for idx := 0; idx < n; idx++ {
+		res.Scanned++
+		dead[idx] = true
+		if where != nil {
+			t.rows.seek(&ctx.cur[0], idx)
+			v, err := eval(where, ctx)
+			if err != nil {
+				return nil, err
 			}
-			if del {
-				res.Affected++
-			} else {
-				kept = append(kept, r)
-			}
+			dead[idx] = v.Truth()
+		}
+		if dead[idx] {
+			res.Affected++
 		}
 	}
 	// Compaction moves every row behind a deleted one, so a DELETE that
-	// hit anything refills the table; one that hit nothing changes
-	// nothing.
+	// hit anything refills the table from the rows it kept; one that hit
+	// nothing changes nothing.
 	if res.Affected > 0 {
+		kept := make([]Row, 0, n-res.Affected)
+		for idx := 0; idx < n; idx++ {
+			if !dead[idx] {
+				kept = append(kept, t.rows.at(idx))
+			}
+		}
 		t.rebuild(kept)
 	}
 	return res, nil

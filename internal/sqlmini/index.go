@@ -120,16 +120,12 @@ func (idx *secondaryIndex) built(tv *tableView) indexBuckets {
 		return idx.buckets
 	}
 	idx.buckets = make(indexBuckets)
-	pos := int32(0)
-	for k := 0; k < tv.rows.runs(); k++ {
-		for _, r := range tv.rows.run(k) {
-			if !r[idx.col].IsNull() {
-				key := keyOf(r[idx.col])
-				idx.buckets[key] = append(idx.buckets[key], pos)
-			}
-			pos++
+	tv.rows.each(idx.col, func(pos int, v Value) {
+		if !v.IsNull() {
+			key := keyOf(v)
+			idx.buckets[key] = append(idx.buckets[key], int32(pos))
 		}
-	}
+	})
 	return idx.buckets
 }
 
@@ -158,8 +154,7 @@ type indexOrder struct {
 }
 
 // ordered returns the index's ordered member, sorting tv's rows on first
-// use. The column is copied out first: sorting through the row headers
-// would miss the cache on every comparison.
+// use, by a flat copy of the column.
 func (idx *secondaryIndex) ordered(tv *tableView) *indexOrder {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -167,11 +162,7 @@ func (idx *secondaryIndex) ordered(tv *tableView) *indexOrder {
 		return idx.order
 	}
 	keys := make([]Value, 0, tv.rows.len())
-	for k := 0; k < tv.rows.runs(); k++ {
-		for _, r := range tv.rows.run(k) {
-			keys = append(keys, r[idx.col])
-		}
-	}
+	tv.rows.each(idx.col, func(_ int, v Value) { keys = append(keys, v) })
 	o := &indexOrder{pos: make([]int32, len(keys))}
 	for i, v := range keys {
 		o.pos[i] = int32(i)
@@ -220,7 +211,7 @@ func (o *indexOrder) run(tv *tableView, col int, lo, hi bound, ec *evalCtx) (fro
 			return to, nil
 		}
 		return from + sort.Search(to-from, func(i int) bool {
-			return Compare(tv.rows.at(int(o.pos[from+i]))[col], v) > min
+			return Compare(tv.rows.value(int(o.pos[from+i]), col), v) > min
 		}), nil
 	}
 	// The run starts at the first value >= lo (> lo when lo is outside)

@@ -442,3 +442,31 @@ func BenchmarkTPCAppReads(b *testing.B) {
 	}
 	benchStatements(b, e, names, sqls)
 }
+
+// BenchmarkScanKernels times what the column vectors are read by, over
+// lineitem at SF 0.01: a four-conjunct filter that keeps few rows, the
+// same under SUM of a bare column, and a GROUP BY on an integer key.
+// ns/row is per row of the table (every statement reads all of them).
+func BenchmarkScanKernels(b *testing.B) {
+	e := loadTPCH(b)
+	rows := float64(e.Table("lineitem").NumRows())
+	for _, bc := range []struct{ name, sql string }{
+		{"filter", `SELECT l_key FROM lineitem WHERE l_commitdate >= 365 AND l_commitdate < 730 AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`},
+		{"filter+aggregate", `SELECT SUM(l_extendedprice), AVG(l_quantity), COUNT(l_tax) FROM lineitem WHERE l_commitdate >= 365 AND l_discount BETWEEN 0.02 AND 0.09`},
+		{"group-by-int", `SELECT l_linenumber, SUM(l_quantity), COUNT(*) FROM lineitem GROUP BY l_linenumber`},
+	} {
+		st, err := sqlmini.Parse(bc.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ExecStmt(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
+}

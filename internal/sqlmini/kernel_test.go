@@ -1,0 +1,231 @@
+package sqlmini
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// kernelTable is the differential tests' table: an INT and a FLOAT
+// column drawn from the values the comparison rules single out — NULL,
+// NaN, both zeros, infinities, the ends of int64, and 2^53+1 with its
+// float neighbours, which float64(i) rounds together — plus an INT key
+// and a group column. Two sealed chunks (the first with NULLs, the
+// second without, so both forms of a vector are read) and a tail.
+func kernelTable(t testing.TB) (*Engine, []Row) {
+	t.Helper()
+	ints := []Value{Null, Int(0), Int(-1), Int(1), Int(7), Int(1 << 53), Int(1<<53 + 1), Int(-(1<<53 + 1)), Int(math.MaxInt64), Int(math.MinInt64)}
+	floats := []Value{Null, Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(7), Float(-7.25), Float(1 << 53), Float(1<<53 + 2),
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxInt64)}
+	rng := rand.New(rand.NewSource(23))
+	rows := make([]Row, 2*rowChunkLen+100)
+	for i := range rows {
+		iv, fv, kv := ints[rng.Intn(len(ints))], floats[rng.Intn(len(floats))], Int(int64(rng.Intn(40)))
+		if i >= rowChunkLen && i < 2*rowChunkLen { // the null-free chunk
+			iv, fv = ints[1+rng.Intn(len(ints)-1)], floats[1+rng.Intn(len(floats)-1)]
+		} else if rng.Intn(8) == 0 {
+			kv = Null
+		}
+		rows[i] = Row{Int(int64(i)), iv, fv, kv, Text(fmt.Sprintf("g%d", i%3))}
+	}
+	e := New()
+	if err := e.CreateTable("k", []Column{{Name: "id", Type: KindInt, PrimaryKey: true}, {Name: "i", Type: KindInt},
+		{Name: "f", Type: KindFloat}, {Name: "jk", Type: KindInt}, {Name: "g", Type: KindText}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BulkInsert("k", rows); err != nil {
+		t.Fatal(err)
+	}
+	return e, rows
+}
+
+// TestKernelsAgainstEval holds every filter kernel to eval, element by
+// element: each comparison and BETWEEN, the column on either side, an
+// INT and a FLOAT column, against literals of every kind — integers
+// next to the floats that round onto them, NaN, NULL, text — starting
+// from every row of a chunk and from a selection another kernel has
+// narrowed. Literals below and above every element give the empty and
+// the full selection.
+func TestKernelsAgainstEval(t *testing.T) {
+	e, _ := kernelTable(t)
+	tv := e.loadView().tables["k"]
+	lits := []Value{Null, Text("7"), Int(0), Int(7), Int(1 << 53), Int(1<<53 + 1), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(7), Float(1 << 53), Float(1<<53 + 2), Float(math.NaN()),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxInt64), Float(-1e300)}
+	var conds []Expr
+	for col := 1; col <= 2; col++ {
+		c := &boundCol{col: col, name: tv.t.Cols[col].Name}
+		for op := range opMask {
+			conds = append(conds, &BinOp{Op: op, L: c, R: &Lit{Slot: 0}}, &BinOp{Op: op, L: &Lit{Slot: 0}, R: c})
+		}
+		conds = append(conds, &Between{E: c, Lo: &Lit{Slot: 0}, Hi: &Lit{Slot: 1}})
+	}
+	ec := &evalCtx{cur: make([]cursor, 1), params: make([]Value, 2)}
+	odd := make([]uint16, 0, rowChunkLen/2)
+	for i := 1; i < rowChunkLen; i += 2 {
+		odd = append(odd, uint16(i))
+	}
+	sizes := map[int]bool{}
+	for _, cond := range conds {
+		vec, rest := vecConds([]Expr{cond}, tv.t)
+		if len(vec) == 0 || len(rest) != 0 {
+			t.Fatalf("%s: no kernel", exprString(cond))
+		}
+		for _, lo := range lits {
+			for _, hi := range lits {
+				ec.params[0], ec.params[1] = lo, hi
+				for ci, c := range tv.rows.chunks {
+					for _, start := range [][]uint16{everyRow[:], odd} {
+						sel := slices.Clone(start)
+						for i := range vec {
+							sel = vec[i].narrow(sel, c, ec.params[vec[i].lit.Slot])
+						}
+						var want []uint16
+						ec.cur[0].chunk = c
+						for _, off := range start {
+							ec.cur[0].off = int(off)
+							v, err := eval(cond, ec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if v.Truth() {
+								want = append(want, off)
+							}
+						}
+						if !slices.Equal(sel, want) {
+							t.Fatalf("%s with %v, %v on chunk %d from %d rows: the kernel keeps %d rows, eval %d\nkernel %v\neval   %v",
+								exprString(cond), lo, hi, ci, len(start), len(sel), len(want), sel, want)
+						}
+						sizes[len(sel)] = true
+					}
+				}
+				if _, between := cond.(*Between); !between {
+					break // one literal: hi is not read
+				}
+			}
+		}
+	}
+	if !sizes[0] || !sizes[rowChunkLen] {
+		t.Fatalf("the literals never gave an empty and a full selection: sizes %v", sizes)
+	}
+}
+
+// generic returns a plan for the same statement with every
+// specialisation taken out: its scans evaluate their whole filter, its
+// aggregates go through eval, its keys through hkeys.
+func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
+	t.Helper()
+	p, err := e.buildPlan(st.AST.(*SelectStmt), e.loadView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.scans {
+		p.scans[i].vec, p.scans[i].rest = nil, p.scans[i].filter
+	}
+	for i := range p.joins {
+		p.joins[i].ints = false
+	}
+	for _, a := range p.aggs {
+		a.bare = nil
+	}
+	p.groupInt = nil
+	return p
+}
+
+// TestSpecialisedPlansAgainstGeneric runs statements that take each
+// plan-time specialisation — vector filters, aggregates of a bare
+// column, integer join and group keys — beside the same plan with all
+// of them taken out (generic): same rows in the same order, bit for bit
+// (a float sum depends on its order of addition), and the same Scanned.
+// The table holds NULL keys and operands, NaN, both zeros and integers
+// past 2^53.
+func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
+	e, _ := kernelTable(t)
+	mustExec(t, e, `CREATE TABLE d (dk INT PRIMARY KEY, tag TEXT, w FLOAT)`)
+	for i := 0; i < 60; i += 2 {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO d VALUES (%d, 'd%d', %d.5)`, i, i, i))
+	}
+	used := map[string]bool{}
+	for _, sql := range []string{
+		`SELECT jk, SUM(i), AVG(i), COUNT(i), SUM(f), AVG(f), COUNT(f), COUNT(*), MIN(i), MAX(f), COUNT(DISTINCT i) FROM k GROUP BY jk`,
+		`SELECT g, SUM(f), AVG(i), COUNT(*) FROM k WHERE i >= 0 AND f <= 7 GROUP BY g`,
+		`SELECT SUM(f), SUM(i), COUNT(f) FROM k WHERE f BETWEEN -8 AND 9007199254740992`,
+		`SELECT id, i, f FROM k WHERE i = 9007199254740993 AND f <> 0.5`,
+		`SELECT id FROM k WHERE 7 < i AND g = 'g1' AND f > 0`,
+		`SELECT id FROM k WHERE i > 0 AND i + 1 > 5 AND f < 100`,
+		`SELECT id FROM k WHERE f > 1 LIMIT 7`,
+		`SELECT id, tag FROM k JOIN d ON dk = jk WHERE f >= 0`,
+		`SELECT tag, SUM(f), COUNT(i) FROM d JOIN k ON jk = dk GROUP BY tag`,
+		`SELECT a.id, b.id FROM k a JOIN k b ON a.jk = b.i WHERE a.id < 40`,
+		`SELECT jk, COUNT(*) FROM k GROUP BY jk HAVING COUNT(*) > 50 ORDER BY jk DESC`,
+		`SELECT SUM(i) FROM k WHERE i < -9223372036854775807`,
+	} {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		v := e.loadView()
+		spec, err := e.buildPlan(st.AST.(*SelectStmt), v)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for i := range spec.scans {
+			used["vector filter"] = used["vector filter"] || len(spec.scans[i].vec) > 0
+			used["hoist stopped at a fallible conjunct"] = used["hoist stopped at a fallible conjunct"] || (len(spec.scans[i].vec) > 0 && len(spec.scans[i].rest) > 1)
+		}
+		for i := range spec.joins {
+			used["integer join key"] = used["integer join key"] || spec.joins[i].ints
+		}
+		for _, a := range spec.aggs {
+			used["bare aggregate"] = used["bare aggregate"] || a.bare != nil
+		}
+		used["integer group key"] = used["integer group key"] || spec.groupInt != nil
+		got, want := &Result{}, &Result{}
+		if err := spec.run(context.Background(), v, st.Params, got); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if err := generic(t, e, st).run(context.Background(), v, st.Params, want); err != nil {
+			t.Fatalf("%s: generic: %v", sql, err)
+		}
+		if got.Scanned != want.Scanned || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d rows from %d scanned, generic %d from %d", sql, len(got.Rows), got.Scanned, len(want.Rows), want.Scanned)
+		}
+		for i := range got.Rows {
+			for c, g := range got.Rows[i] {
+				if w := want.Rows[i][c]; g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("%s: row %d column %d is %v, generic %v", sql, i, c, g, w)
+				}
+			}
+		}
+	}
+	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "bare aggregate", "integer group key"} {
+		if !used[what] {
+			t.Errorf("no statement took the specialisation %q", what)
+		}
+	}
+}
+
+// TestVecCondsKeepErrors: a kernel is not hoisted over a conjunct that
+// can fail, so the error a row raises there still comes out when a
+// later comparison would have dropped the row.
+func TestVecCondsKeepErrors(t *testing.T) {
+	e, _ := kernelTable(t)
+	if _, err := e.Exec(`SELECT id FROM k WHERE g + 1 > 0 AND i > 9223372036854775806`); err == nil {
+		t.Fatal("arithmetic on a text column raised no error")
+	}
+	plan, err := e.Explain(`SELECT id FROM k WHERE i > 3 AND g + 1 > 0 AND f < 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := Parse(`SELECT id FROM k WHERE i > 3 AND g + 1 > 0 AND f < 2`)
+	p, err := e.buildPlan(st.AST.(*SelectStmt), e.loadView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := &p.scans[0]; len(s.vec) != 1 || len(s.rest) != 2 {
+		t.Fatalf("%d kernels and %d conjuncts left to eval, want the first comparison alone hoisted\n%s", len(s.vec), len(s.rest), plan)
+	}
+}

@@ -63,6 +63,7 @@ func appendKey(buf []byte, v Value) []byte {
 // shared between executions.
 type keyMap struct {
 	arity int
+	ints  map[int64]int32 // newIntKeyMap's only member, read and written directly
 	one   map[hkey]int32
 	two   map[[2]hkey]int32
 	many  map[string]int32
@@ -80,6 +81,14 @@ func newKeyMap(arity, sizeHint int) *keyMap {
 		m.many = make(map[string]int32, sizeHint)
 	}
 	return m
+}
+
+// newIntKeyMap returns a keyMap for one-value lists whose value is
+// always an INT (a join of two INT columns, GROUP BY an INT column): the
+// caller keys ints by the integer itself, which separates exactly the
+// values hkeys would.
+func newIntKeyMap(sizeHint int) *keyMap {
+	return &keyMap{arity: 1, ints: make(map[int64]int32, sizeHint)}
 }
 
 func (m *keyMap) render(vals []Value) {

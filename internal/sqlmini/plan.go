@@ -643,6 +643,12 @@ type scanNode struct {
 	keyExpr Expr // const expr supplying the probe value
 
 	filter []Expr // pushed-down conjuncts; they read only this scan's row
+	// A scan of every row splits filter (vecConds): vec, the comparisons
+	// it checks on a sealed chunk's column vectors, and rest, what eval
+	// makes of the rows those leave. Reading rows by position — a probe,
+	// an index's run — evaluates filter (or inRange) as it stands.
+	vec  []vecCond
+	rest []Expr
 
 	// A scan of every row (accessFull) whose filter holds an indexed
 	// column between constants carries that range: the column (-1: none),
@@ -689,6 +695,11 @@ type joinNode struct {
 	// they read all of it, through the index, in prefix order.
 	probe      int
 	probeBelow int
+
+	// ints marks a step whose one key pair joins two columns declared INT:
+	// its hash table is keyed by the int64 itself (joinNode.intKey), which
+	// matches exactly the pairs the hkeys of the two Values would.
+	ints bool
 }
 
 // orderSpec is one pre-resolved ORDER BY item.
@@ -711,6 +722,7 @@ type selectPlan struct {
 	outNames []string
 	aggs     []*Agg
 	groupBy  []Expr
+	groupInt *boundCol // the one GROUP BY expression when it is a bare INT column: grouped by the int64
 	having   Expr
 	distinct bool
 	orderBy  []orderSpec
@@ -1359,8 +1371,12 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 				s.inRange = append(s.inRange, be)
 			}
 		}
+		s.vec, s.rest = vecConds(s.filter, s.t)
 		p.scans = append(p.scans, s)
 	}
+
+	// The declared type of a bound column picks the specialisations below.
+	colType := func(scan, col int) Kind { return p.scans[scan].t.Cols[col].Type }
 
 	// Join steps: assign every multi-table conjunct to the first step
 	// where all its tables are placed; equi conjuncts linking the new
@@ -1407,6 +1423,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			jn.extra = append(jn.extra, be)
 			assigned[ci] = true
 		}
+		jn.ints = len(jn.leftKeys) == 1 && colType(pos, jn.rightKeys[0]) == KindInt &&
+			colType(jn.leftKeys[0].scan, jn.leftKeys[0].col) == KindInt
 		p.joins = append(p.joins, jn)
 		placed = nowPlaced
 	}
@@ -1444,6 +1462,13 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	}
 	for i, a := range p.aggs { // nodes of the plan's own bound copies
 		a.slot = i
+		// SUM, AVG and COUNT keep a count and a float sum (group.add): of
+		// a bare numeric column they add the vector's element as it is.
+		if bc, ok := a.E.(*boundCol); ok && !a.Distinct && (a.Func == "SUM" || a.Func == "AVG" || a.Func == "COUNT") {
+			if kind := colType(bc.table, bc.col); kind == KindInt || kind == KindFloat {
+				a.bare = bc
+			}
+		}
 	}
 	for _, g := range st.GroupBy {
 		bg, err := bind(g, pb)
@@ -1451,6 +1476,11 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			return nil, err
 		}
 		p.groupBy = append(p.groupBy, bg)
+	}
+	if len(p.groupBy) == 1 {
+		if bc, ok := p.groupBy[0].(*boundCol); ok && colType(bc.table, bc.col) == KindInt {
+			p.groupInt = bc
+		}
 	}
 	p.distinct = st.Distinct
 
@@ -1488,36 +1518,39 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 
 // tuples is what one join step hands to the next: n tuples over the
 // first w scans of the plan, each tuple the positions of its base rows
-// in those scans' outputs (execRun.rows). A step that matches a prefix
-// tuple with a row appends w+1 integers; no column is copied until an
-// expression reads it, whatever the width of the joined tables, and
-// the slab holds no pointer for the collector to follow. Tuples keep
-// the order the step produced them in.
+// in those scans' tables. A step that matches a prefix tuple with a row
+// appends w+1 integers; no column is copied until an expression reads
+// it, whatever the width of the joined tables, and the slab holds no
+// pointer for the collector to follow. Tuples keep the order the step
+// produced them in. A scan's output is tuples of width one — the
+// positions of the rows it kept — and may be an index's own slice: ids
+// is never written once handed on.
 type tuples struct {
-	w   int
-	n   int
-	ids []int32 // n*w positions, tuple-major; nil when w == 1: tuple i is row i of scan 0
+	w    int
+	n    int
+	ids  []int32 // n*w positions, tuple-major; nil when w == 1 and tuple i is the row at position from+i
+	from int     // with nil ids: where the run of rows starts (a whole table's at 0, a pk probe's at its row)
 }
 
-// pos returns the position of tuple i's row within scan's output.
+// pos returns the position of tuple i's row of the given scan.
 func (t *tuples) pos(i, scan int) int {
 	if t.ids == nil {
-		return i
+		return t.from + i
 	}
 	return int(t.ids[i*t.w+scan])
 }
 
 // execRun is the state of one execution of a plan. Everything a run
 // writes lives here and nothing of it in the selectPlan, so any number
-// of goroutines may run one plan at once; base rows are referenced,
+// of goroutines may run one plan at once; the stores are referenced,
 // never written.
 type execRun struct {
-	ctx  context.Context
-	p    *selectPlan
-	v    *readView
-	res  *Result
-	rows [][]Row // output of each scan, in join order
-	ec   evalCtx // ec.tup is the current tuple, one base row per scan
+	ctx    context.Context
+	p      *selectPlan
+	v      *readView
+	res    *Result
+	stores []*rowStore // the rows of each scan's table, in join order
+	ec     evalCtx     // ec.cur is the current tuple, one cursor per scan
 
 	// An ordered walk sends one window of prefix tuples after another
 	// through the join steps. kept[i] is what step i keeps between
@@ -1527,20 +1560,19 @@ type execRun struct {
 
 // stepState is what a join step of an ordered walk decides or builds on
 // its first window and reuses on the later ones: how it reaches its
-// table — tuples name rows by position in the step's output, so the
-// step must not change it under them — and the hash table over a
-// scanned table's rows.
+// table, the output of its scan, and the hash table over it.
 type stepState struct {
 	reached, probes bool
+	right           tuples
 	build           *hashBuild
 }
 
-// smallRun backs execRun.rows and the current tuple of a plan over at
-// most len(smallRun.tup) tables with one allocation, which keeps a pk
-// probe at the allocation count it had before tuples existed.
+// smallRun backs the per-scan state of a plan over at most
+// len(smallRun.cur) tables with one allocation, which keeps a pk probe
+// at the allocation count it had before tuples existed.
 type smallRun struct {
-	rows [2][]Row
-	tup  [2]Row
+	stores [2]*rowStore
+	cur    [2]cursor
 }
 
 // load makes tuple i of in the current tuple. i < 0 stands for the
@@ -1549,16 +1581,16 @@ type smallRun struct {
 func (x *execRun) load(in *tuples, i int) {
 	if i < 0 {
 		for k := range x.p.scans {
-			x.ec.tup[k] = make(Row, len(x.p.scans[k].t.Cols))
+			x.ec.cur[k] = cursor{row: make(Row, len(x.p.scans[k].t.Cols))}
 		}
 		return
 	}
 	if in.ids == nil {
-		x.ec.tup[0] = x.rows[0][i]
+		x.stores[0].seek(&x.ec.cur[0], in.from+i)
 		return
 	}
 	for k, pos := range in.ids[i*in.w : (i+1)*in.w] {
-		x.ec.tup[k] = x.rows[k][pos]
+		x.stores[k].seek(&x.ec.cur[k], int(pos))
 	}
 }
 
@@ -1577,11 +1609,11 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	res.Columns = p.outNames
 	x := &execRun{ctx: ctx, p: p, v: v, res: res}
 	x.ec.params = params
-	if n := len(p.scans); n <= len(smallRun{}.tup) {
+	if n := len(p.scans); n <= len(smallRun{}.cur) {
 		buf := new(smallRun)
-		x.rows, x.ec.tup = buf.rows[:n], buf.tup[:n]
+		x.stores, x.ec.cur = buf.stores[:n], buf.cur[:n]
 	} else {
-		x.rows, x.ec.tup = make([][]Row, n), make([]Row, n)
+		x.stores, x.ec.cur = make([]*rowStore, n), make([]cursor, n)
 	}
 	for _, cexpr := range p.consts {
 		cv, err := eval(cexpr, &x.ec)
@@ -1600,6 +1632,7 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 		if tv.rows.len() > math.MaxInt32 {
 			return fmt.Errorf("sqlmini: %q holds %d rows, more than a join can address", p.scans[i].table, tv.rows.len())
 		}
+		x.stores[i] = &tv.rows
 	}
 	if p.walk {
 		return p.runWalk(x)
@@ -1608,8 +1641,7 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	if err != nil {
 		return err
 	}
-	x.rows[0] = first
-	cur, err := x.joinAll(tuples{w: 1, n: len(first)})
+	cur, err := x.joinAll(first)
 	if err != nil {
 		return err
 	}
@@ -1645,14 +1677,19 @@ func (x *execRun) step(i int, cur tuples) (tuples, error) {
 	if probes {
 		return j.probeJoin(x, cur, s, tv)
 	}
+	var right tuples
 	if first {
-		scanned, err := s.scan(x, i, tv)
-		if err != nil {
+		var err error
+		if right, err = s.scan(x, i, tv); err != nil {
 			return tuples{}, err
 		}
-		x.rows[i] = scanned
+		if keep != nil {
+			keep.right = right
+		}
+	} else {
+		right = keep.right
 	}
-	return j.join(x, cur, x.rows[i], keep)
+	return j.join(x, cur, right, keep)
 }
 
 // indexWalk hands out the entries of a run of an index's order in the
@@ -1680,8 +1717,8 @@ func (w *indexWalk) next(dst []int32, n int) []int32 {
 		if len(w.group) == 0 {
 			end := len(w.run)
 			at := end - 1
-			v := w.tv.rows.at(int(w.run[at]))[w.col]
-			for at > 0 && Compare(w.tv.rows.at(int(w.run[at-1]))[w.col], v) == 0 {
+			v := w.tv.rows.value(int(w.run[at]), w.col)
+			for at > 0 && Compare(w.tv.rows.value(int(w.run[at-1]), w.col), v) == 0 {
 				at--
 			}
 			w.group, w.run = w.run[at:end], w.run[:at]
@@ -1695,13 +1732,12 @@ func (w *indexWalk) next(dst []int32, n int) []int32 {
 
 // runWalk executes a plan whose first scan walks an index in ORDER BY
 // order (selectPlan.walk). It takes a window of entries — LIMIT of them,
-// then twice as many each time — fetches the rows, keeps those passing
-// the scan's filter and sends them through the join steps, until LIMIT
-// tuples have come out or the interval is exhausted: every step keeps
-// the order of its prefix, so the tuples are the first of the whole
-// join's in ORDER BY order, ties in the order a scan of the table would
-// have met them. Scanned counts the entries fetched and what the join
-// steps examine.
+// then twice as many each time — keeps those whose rows pass the scan's
+// filter and sends them through the join steps, until LIMIT tuples have
+// come out or the interval is exhausted: every step keeps the order of
+// its prefix, so the tuples are the first of the whole join's in ORDER
+// BY order, ties in the order a scan of the table would have met them.
+// Scanned counts the entries fetched and what the join steps examine.
 func (p *selectPlan) runWalk(x *execRun) error {
 	s := &p.scans[0]
 	tv := x.v.tables[s.table]
@@ -1723,14 +1759,12 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		}
 		window = w.next(window[:0], size)
 		x.res.Scanned += int64(len(window))
-		cur := tuples{w: 1}
+		cur := tuples{w: 1, ids: make([]int32, 0, len(window))}
 		for _, ri := range window {
-			r := tv.rows.at(int(ri))
-			if ok, err := s.passes(x, 0, r, s.inRange); err != nil {
+			if ok, err := s.passes(x, 0, int(ri), s.inRange); err != nil {
 				return err
 			} else if ok {
-				cur.ids = append(cur.ids, int32(len(x.rows[0])))
-				x.rows[0] = append(x.rows[0], r)
+				cur.ids = append(cur.ids, ri)
 			}
 		}
 		cur.n = len(cur.ids)
@@ -1743,118 +1777,160 @@ func (p *selectPlan) runWalk(x *execRun) error {
 	return p.finish(x, all)
 }
 
-// scan produces the (filtered) base rows of the plan's k-th table from
-// a view, in position order, stopping at s.limit of them. With no filter
-// and no limit the result is the view's own shared slice (allRows);
-// callers never write the slice or the rows in it. Scanned counts the
-// rows examined.
-func (s *scanNode) scan(x *execRun, k int, tv *tableView) ([]Row, error) {
+// scan produces the positions of the (filtered) rows of the plan's k-th
+// table in a view, in position order, stopping at s.limit of them.
+// Scanned counts the rows examined.
+func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 	switch s.access {
 	case accessPkEq:
 		x.res.Scanned++
 		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 		if kv.IsNull() {
-			return nil, nil // pk = NULL matches nothing
+			return tuples{w: 1}, nil // pk = NULL matches nothing
 		}
 		idx, hit := tv.pk.find(kv)
 		if !hit {
-			return nil, nil
+			return tuples{w: 1}, nil
 		}
-		// The row comes as a one-row window of the view's own rows.
-		one := tv.rows.window(idx)
-		if ok, err := s.passes(x, k, one[0], s.filter); err != nil || !ok {
-			return nil, err
+		if ok, err := s.passes(x, k, idx, s.filter); err != nil || !ok {
+			return tuples{w: 1}, err
 		}
-		return one, nil
+		return tuples{w: 1, n: 1, from: idx}, nil
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 		if kv.IsNull() {
-			return nil, nil // col = NULL matches nothing
+			return tuples{w: 1}, nil // col = NULL matches nothing
 		}
 		// schemaMatches holds the plan to views that carry the index.
-		return s.fetch(x, k, tv, tv.index(s.keyCol).built(tv).lookup(kv), s.filter)
+		return s.fetch(x, k, tv.index(s.keyCol).built(tv).lookup(kv), s.filter)
 	}
 	if s.rangeCol >= 0 {
 		o := tv.index(s.rangeCol).ordered(tv)
 		from, to, err := o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec)
 		if err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 		if (to-from)*rangeScanFactor < tv.rows.len() {
-			return s.fetchRun(x, k, tv, o.pos[from:to])
+			return s.fetchRun(x, k, o.pos[from:to])
 		}
 	}
 	if len(s.filter) == 0 && s.limit < 0 {
 		x.res.Scanned += int64(tv.rows.len())
-		return tv.allRows(), nil
+		return tuples{w: 1, n: tv.rows.len()}, nil
 	}
-	var out []Row
-	for c := 0; c < tv.rows.runs(); c++ {
-		for i, r := range tv.rows.run(c) {
-			if s.limit >= 0 && len(out) >= s.limit {
+	return s.scanAll(x, k, &tv.rows)
+}
+
+// scanAll reads every row: a sealed chunk at a time — the conjuncts that
+// run on a column vector (s.vec) narrow a selection of the chunk's rows,
+// the others (s.rest) are evaluated on what is left of it — then the
+// tail, row by row.
+func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
+	out := tuples{w: 1}
+	if s.limit == 0 {
+		return out, nil
+	}
+	var buf [rowChunkLen]uint16
+	cur := &x.ec.cur[k]
+	for ci, c := range rows.chunks {
+		if err := x.ctx.Err(); err != nil {
+			return tuples{}, err
+		}
+		sel := buf[:copy(buf[:], everyRow[:])]
+		for _, vc := range s.vec {
+			sel = vc.narrow(sel, c, x.ec.params[vc.lit.Slot])
+		}
+		cur.chunk = c
+		for _, off := range sel {
+			cur.off = int(off)
+			if ok, err := passes(s.rest, &x.ec); err != nil {
+				return tuples{}, err
+			} else if !ok {
+				continue
+			}
+			out.ids = append(out.ids, int32(ci*rowChunkLen+int(off)))
+			if len(out.ids) == s.limit {
+				x.res.Scanned += int64(off) + 1
+				out.n = len(out.ids)
 				return out, nil
 			}
-			if err := x.poll(i); err != nil {
-				return nil, err
-			}
-			x.res.Scanned++
-			if ok, err := s.passes(x, k, r, s.filter); err != nil {
-				return nil, err
-			} else if ok {
-				out = append(out, r)
-			}
+		}
+		x.res.Scanned += rowChunkLen
+	}
+	cur.chunk = nil
+	for i, r := range rows.tail {
+		x.res.Scanned++
+		cur.row = r
+		if ok, err := passes(s.filter, &x.ec); err != nil {
+			return tuples{}, err
+		} else if !ok {
+			continue
+		}
+		out.ids = append(out.ids, int32(len(rows.chunks)*rowChunkLen+i))
+		if len(out.ids) == s.limit {
+			break
 		}
 	}
+	out.n = len(out.ids)
 	return out, nil
 }
 
 // fetchRun returns the rows of a run of the range's index that pass the
 // rest of the filter, in position order: the rows, and the order, a scan
 // of the table would have kept.
-func (s *scanNode) fetchRun(x *execRun, k int, tv *tableView, run []int32) ([]Row, error) {
+func (s *scanNode) fetchRun(x *execRun, k int, run []int32) (tuples, error) {
 	at := slices.Clone(run)
 	slices.Sort(at)
-	return s.fetch(x, k, tv, at, s.inRange)
+	return s.fetch(x, k, at, s.inRange)
 }
 
-// fetch returns the rows at the given positions that pass conds, in the
-// order given, stopping at s.limit of them.
-func (s *scanNode) fetch(x *execRun, k int, tv *tableView, at []int32, conds []Expr) ([]Row, error) {
+// fetch returns those of the given positions whose rows pass conds, in
+// the order given, stopping at s.limit of them. at is only read, and is
+// itself the result when nothing narrows it.
+func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []Expr) (tuples, error) {
+	if len(conds) == 0 && s.limit < 0 {
+		x.res.Scanned += int64(len(at))
+		return tuples{w: 1, n: len(at), ids: at}, nil
+	}
 	most := len(at)
 	if s.limit >= 0 {
 		most = min(most, s.limit)
 	}
-	out := make([]Row, 0, most)
+	out := make([]int32, 0, most)
 	for i, ri := range at {
 		if s.limit >= 0 && len(out) >= s.limit {
 			break
 		}
 		if err := x.poll(i); err != nil {
-			return nil, err
+			return tuples{}, err
 		}
 		x.res.Scanned++
-		r := tv.rows.at(int(ri))
-		if ok, err := s.passes(x, k, r, conds); err != nil {
-			return nil, err
+		if ok, err := s.passes(x, k, int(ri), conds); err != nil {
+			return tuples{}, err
 		} else if ok {
-			out = append(out, r)
+			out = append(out, ri)
 		}
 	}
-	return out, nil
+	return tuples{w: 1, n: len(out), ids: out}, nil
 }
 
-// passes evaluates conds — pushed-down conjuncts of this scan — with r
-// as the tuple's k-th row, the only one they read.
-func (s *scanNode) passes(x *execRun, k int, r Row, conds []Expr) (bool, error) {
-	x.ec.tup[k] = r
+// passes evaluates conds — pushed-down conjuncts of this scan — with the
+// row at position pos as the tuple's k-th row, the only one they read.
+func (s *scanNode) passes(x *execRun, k, pos int, conds []Expr) (bool, error) {
+	x.stores[k].seek(&x.ec.cur[k], pos)
+	return passes(conds, &x.ec)
+}
+
+// passes reports whether every one of conds holds of the current tuple.
+func passes(conds []Expr, ec *evalCtx) (bool, error) {
 	for _, f := range conds {
-		fv, err := eval(f, &x.ec)
+		fv, err := eval(f, ec)
 		if err != nil || !fv.Truth() {
 			return false, err
 		}
@@ -1863,17 +1939,17 @@ func (s *scanNode) passes(x *execRun, k int, r Row, conds []Expr) (bool, error) 
 }
 
 // key loads into kv the join key of one input — prefix tuple i when
-// ofLeft, else row i of the joined table — and reports whether it can
-// match at all: a key holding a NULL equals nothing, as the same
+// ofLeft, else tuple i of the joined table's scan — and reports whether
+// it can match at all: a key holding a NULL equals nothing, as the same
 // predicate evaluated as a residual would find.
-func (j *joinNode) key(x *execRun, left *tuples, right []Row, ofLeft bool, i int, kv []Value) bool {
+func (j *joinNode) key(x *execRun, left, right *tuples, ofLeft bool, i int, kv []Value) bool {
 	for c := range kv {
 		var v Value
 		if ofLeft {
 			k := j.leftKeys[c]
-			v = x.rows[k.scan][left.pos(i, k.scan)][k.col]
+			v = x.stores[k.scan].value(left.pos(i, k.scan), k.col)
 		} else {
-			v = right[i][j.rightKeys[c]]
+			v = x.stores[left.w].value(right.pos(i, 0), j.rightKeys[c])
 		}
 		if v.IsNull() {
 			return false
@@ -1883,41 +1959,45 @@ func (j *joinNode) key(x *execRun, left *tuples, right []Row, ofLeft bool, i int
 	return true
 }
 
+// intKey is key for a step whose one key pair joins two INT columns
+// (joinNode.ints): the key as the int64 it is stored as.
+func (j *joinNode) intKey(x *execRun, left, right *tuples, ofLeft bool, i int) (int64, bool) {
+	if ofLeft {
+		k := j.leftKeys[0]
+		return x.stores[k.scan].int(left.pos(i, k.scan), k.col)
+	}
+	return x.stores[left.w].int(right.pos(i, 0), j.rightKeys[0])
+}
+
 // joinOut collects the tuples one join step emits: prefix tuples of
-// left extended by rows of right.
+// left extended by rows of the joined table.
 type joinOut struct {
 	extra []Expr // the step's residual conjuncts
 	left  tuples
-	right []Row
 	out   tuples
 }
 
-func (j *joinNode) begin(left tuples, right []Row) joinOut {
-	return joinOut{extra: j.extra, left: left, right: right,
+func (j *joinNode) begin(left tuples) joinOut {
+	return joinOut{extra: j.extra, left: left,
 		out: tuples{w: left.w + 1, ids: make([]int32, 0, left.n*(left.w+1))}}
 }
 
-// emit appends the tuple (prefix tuple li, row ri) if it passes the
-// residual conjuncts; only those ever read it before it is appended.
-// (x is a parameter, not a field: held in the joinOut it would escape,
-// and every execution would pay for its execRun on the heap.)
+// emit appends the tuple (prefix tuple li, the joined table's row at
+// position ri) if it passes the residual conjuncts; only those ever read
+// it before it is appended. (x is a parameter, not a field: held in the
+// joinOut it would escape, and every execution would pay for its execRun
+// on the heap.)
 func (o *joinOut) emit(x *execRun, li, ri int) error {
 	left := &o.left
 	if len(o.extra) > 0 {
 		x.load(left, li)
-		x.ec.tup[left.w] = o.right[ri]
-		for _, ex := range o.extra {
-			v, err := eval(ex, &x.ec)
-			if err != nil {
-				return err
-			}
-			if !v.Truth() {
-				return nil
-			}
+		x.stores[left.w].seek(&x.ec.cur[left.w], ri)
+		if ok, err := passes(o.extra, &x.ec); err != nil || !ok {
+			return err
 		}
 	}
 	if left.ids == nil {
-		o.out.ids = append(o.out.ids, int32(li), int32(ri))
+		o.out.ids = append(o.out.ids, int32(left.from+li), int32(ri))
 	} else {
 		o.out.ids = append(append(o.out.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
 	}
@@ -1930,15 +2010,12 @@ func (o *joinOut) emit(x *execRun, li, ri int) error {
 // looks the probe key up in the primary key or the secondary index,
 // and holds each candidate to what a scan and hash join would have:
 // the table's pushed-down filters, the other key pairs, the residuals.
-// The tuples name their rows by position in the whole table
-// (tv.allRows); they come in prefix order, and within one prefix tuple
-// in position order. Scanned counts the candidates examined (one per pk
+// The tuples come in prefix order, and within one prefix tuple in
+// position order. Scanned counts the candidates examined (one per pk
 // probe). A NULL key matches nothing, on either side.
 func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView) (tuples, error) {
 	k := left.w
-	rows := tv.allRows()
-	x.rows[k] = rows
-	o := j.begin(left, rows)
+	o := j.begin(left)
 	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
 	var ib indexBuckets
 	byPk := pcol == tv.t.pkCol
@@ -1950,7 +2027,7 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 		if err := x.poll(li); err != nil {
 			return tuples{}, err
 		}
-		kv := x.rows[pk.scan][left.pos(li, pk.scan)][pk.col]
+		kv := x.stores[pk.scan].value(left.pos(li, pk.scan), pk.col)
 		if kv.IsNull() {
 			continue
 		}
@@ -1967,17 +2044,16 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 		}
 	cands:
 		for _, ri := range cands {
-			r := rows[ri]
 			for c, lk := range j.leftKeys {
 				if c == j.probe {
 					continue
 				}
-				lv, rv := x.rows[lk.scan][left.pos(li, lk.scan)][lk.col], r[j.rightKeys[c]]
+				lv, rv := x.stores[lk.scan].value(left.pos(li, lk.scan), lk.col), tv.rows.value(int(ri), j.rightKeys[c])
 				if lv.IsNull() || rv.IsNull() || keyOf(lv) != keyOf(rv) {
 					continue cands
 				}
 			}
-			if ok, err := s.passes(x, k, r, s.filter); err != nil {
+			if ok, err := s.passes(x, k, int(ri), s.filter); err != nil {
 				return tuples{}, err
 			} else if !ok {
 				continue
@@ -1998,27 +2074,27 @@ type hashBuild struct {
 	next  []int32
 }
 
-// join extends the prefix tuples by one table's rows. Equi-joins hash
-// the smaller side and probe with the other; the output follows the
-// probe side's order, and within one probe element the build side's.
-// Both are deterministic functions of the input data, and later steps,
-// LIMIT and float aggregates depend on them. A step of an ordered walk
-// (keep non-nil) always probes with the prefix, whose order it must
+// join extends the prefix tuples by the rows a scan of one table kept.
+// Equi-joins hash the smaller side and probe with the other; the output
+// follows the probe side's order, and within one probe element the build
+// side's. Both are deterministic functions of the input data, and later
+// steps, LIMIT and float aggregates depend on them. A step of an ordered
+// walk (keep non-nil) always probes with the prefix, whose order it must
 // keep, and builds on the table's rows once for all its windows. Build
 // and probe loops observe context cancellation.
-func (j *joinNode) join(x *execRun, left tuples, right []Row, keep *stepState) (tuples, error) {
-	o := j.begin(left, right)
+func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples, error) {
+	o := j.begin(left)
 
 	if len(j.leftKeys) == 0 {
 		// Nested loop: no equi keys link this table to the prefix.
 		// Scanned counts evaluated pairs, as the pre-planner executor did.
 		for li := 0; li < left.n; li++ {
-			for ri := range right {
+			for ri := 0; ri < right.n; ri++ {
 				if err := x.poll(int(x.res.Scanned)); err != nil {
 					return tuples{}, err
 				}
 				x.res.Scanned++
-				if err := o.emit(x, li, ri); err != nil {
+				if err := o.emit(x, li, right.pos(ri, 0)); err != nil {
 					return tuples{}, err
 				}
 			}
@@ -2029,8 +2105,8 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row, keep *stepState) (
 	// Build on the table's rows unless the prefix is smaller. Building
 	// from the back and pushing in front leaves every chain in ascending
 	// position — insertion — order.
-	buildLeft := keep == nil && left.n < len(right)
-	nBuild, nProbe := len(right), left.n
+	buildLeft := keep == nil && left.n < right.n
+	nBuild, nProbe := right.n, left.n
 	if buildLeft {
 		nBuild, nProbe = nProbe, nBuild
 	}
@@ -2040,12 +2116,22 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row, keep *stepState) (
 		hb = keep.build
 	}
 	if hb == nil {
-		hb = &hashBuild{heads: newKeyMap(len(j.leftKeys), nBuild), next: make([]int32, nBuild)}
+		hb = &hashBuild{next: make([]int32, nBuild)}
+		if j.ints {
+			hb.heads = newIntKeyMap(nBuild)
+		} else {
+			hb.heads = newKeyMap(len(j.leftKeys), nBuild)
+		}
 		for b := nBuild - 1; b >= 0; b-- {
 			if err := x.poll(b); err != nil {
 				return tuples{}, err
 			}
-			if j.key(x, &left, right, buildLeft, b, kv) {
+			if j.ints {
+				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
+					hb.next[b] = hb.heads.ints[k]
+					hb.heads.ints[k] = int32(b) + 1
+				}
+			} else if j.key(x, &left, &right, buildLeft, b, kv) {
 				hb.next[b] = hb.heads.get(kv)
 				hb.heads.put(kv, int32(b)+1)
 			}
@@ -2058,15 +2144,20 @@ func (j *joinNode) join(x *execRun, left tuples, right []Row, keep *stepState) (
 		if err := x.poll(i); err != nil {
 			return tuples{}, err
 		}
-		if !j.key(x, &left, right, !buildLeft, i, kv) {
-			continue
+		var b int32
+		if j.ints {
+			if k, ok := j.intKey(x, &left, &right, !buildLeft, i); ok {
+				b = hb.heads.ints[k]
+			}
+		} else if j.key(x, &left, &right, !buildLeft, i, kv) {
+			b = hb.heads.get(kv)
 		}
-		for b := hb.heads.get(kv); b != 0; b = hb.next[b-1] {
+		for ; b != 0; b = hb.next[b-1] {
 			li, ri := i, int(b-1)
 			if buildLeft {
 				li, ri = ri, li
 			}
-			if err := o.emit(x, li, ri); err != nil {
+			if err := o.emit(x, li, right.pos(ri, 0)); err != nil {
 				return tuples{}, err
 			}
 		}
@@ -2107,14 +2198,14 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		return nil
 	}
 	if groupMode {
-		groups, err := groupRows(x, in, p.groupBy, p.aggs)
+		groups, err := groupRows(x, in, p.groupBy, p.groupInt, p.aggs)
 		if err != nil {
 			return err
 		}
 		slab = make([]Value, len(groups)*nout)
 		outRows = make([]Row, 0, len(groups))
 		inputs = make([]int, 0, len(groups))
-		gctx := &evalCtx{tup: x.ec.tup, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		gctx := &evalCtx{cur: x.ec.cur, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
 		for _, g := range groups {
 			x.load(&in, g.sample)
 			g.aggValues(p.aggs, gctx.aggs)

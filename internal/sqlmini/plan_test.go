@@ -546,7 +546,7 @@ func TestNDVEstimate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, Row{Int(int64(i)), Int(int64(i % 7))})
 	}
-	store := rowStore{}.append(rows)
+	store := newRowStore([]Column{{Type: KindInt}, {Type: KindInt}}).append(rows)
 	if got := estimateNDV(store, 0); got != float64(n) {
 		t.Fatalf("key-like ndv = %v, want %d", got, n)
 	}
@@ -648,11 +648,11 @@ func BenchmarkRangeScan(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%g%%/%s", share*100, how), func(b *testing.B) {
 				b.ReportAllocs()
-				var got []Row
+				var got tuples
 				res := &Result{}
 				for i := 0; i < b.N; i++ {
-					x := &execRun{ctx: context.Background(), p: p, v: v, res: res, rows: make([][]Row, 1)}
-					x.ec.params, x.ec.tup = st.Params, make([]Row, 1)
+					x := &execRun{ctx: context.Background(), p: p, v: v, res: res, stores: []*rowStore{&tv.rows}}
+					x.ec.params, x.ec.cur = st.Params, make([]cursor, 1)
 					res.Scanned = 0
 					if how == "scan" {
 						got, err = s.scan(x, 0, tv)
@@ -660,7 +660,7 @@ func BenchmarkRangeScan(b *testing.B) {
 						o := tv.index(s.rangeCol).ordered(tv)
 						var from, to int
 						if from, to, err = o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec); err == nil {
-							got, err = s.fetchRun(x, 0, tv, o.pos[from:to])
+							got, err = s.fetchRun(x, 0, o.pos[from:to])
 						}
 					}
 					if err != nil {
@@ -668,7 +668,7 @@ func BenchmarkRangeScan(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(res.Scanned), "scanned/op")
-				b.ReportMetric(float64(len(got)), "rows/op")
+				b.ReportMetric(float64(got.n), "rows/op")
 			})
 		}
 	}

@@ -1,85 +1,296 @@
 package sqlmini
 
+import "slices"
+
 // This file holds the two structure-shared containers a Table and its
-// published tableViews are made of: rowStore (row headers) and pkIndex
+// published tableViews are made of: rowStore (the rows) and pkIndex
 // (primary key -> row position). Both are persistent in the functional
 // sense: every mutator returns a new value that shares all untouched
 // nodes with the old one, and nothing an earlier value can reach is ever
-// written. A committed write therefore copies what it touches — one
-// chunk and the spine, one pk shard and its two directory nodes — and
-// not the table. view.go states the sharing rules these types rely on.
+// written. A committed write therefore copies what it touches — the
+// vectors of the columns it assigns in one chunk and the spine, one pk
+// shard and its two directory nodes — and not the table. view.go states
+// the sharing rules these types rely on.
 
-// rowChunkLen is the number of row headers in a sealed chunk. A one-row
-// UPDATE copies one chunk (rowChunkLen headers) plus the spine (one
-// pointer per chunk); 1024 keeps the two comparable up to about a
-// million rows, so the copy stays flat across the table sizes in use.
+// rowChunkLen is the number of rows in a sealed chunk: a numeric column
+// of one chunk is an 8 KiB vector. A one-row UPDATE of k columns copies
+// those k vectors, the chunk's vector headers and the spine (one pointer
+// per chunk); 1024 keeps the three comparable up to about a million
+// rows, so the copy stays flat across the table sizes in use.
 const rowChunkLen = 1024
 
-// rowChunk is a sealed run of exactly rowChunkLen row headers.
-//
-//qcpa:published sealed chunks are shared by every table version and view cut after them; replace copies before writing
-type rowChunk [rowChunkLen]Row
+// nullMap marks the NULL positions of one column vector.
+type nullMap [rowChunkLen / 64]uint64
 
-// rowStore holds a table's row headers in position order: full sealed
-// chunks behind a spine, then a tail slab of fewer than rowChunkLen
-// rows. A table smaller than one chunk is just its tail.
+func (m *nullMap) has(i int) bool { return m[i>>6]>>(uint(i)&63)&1 != 0 }
+
+// colVec is one column of a sealed chunk: rowChunkLen values in the one
+// slice the column's declared type selects (none for a column declared
+// without a type, which holds only NULLs). A stored value is NULL or of
+// exactly that type (coerce), so nothing else is kept per value. nulls
+// is nil while the vector holds no NULL; the element under a NULL is
+// zero.
+//
+//qcpa:published a sealed vector is shared by every chunk version, table version and view cut after it; replace copies before writing
+type colVec struct {
+	kind   Kind
+	ints   []int64
+	floats []float64
+	strs   []string
+	nulls  *nullMap
+}
+
+// vecBuilder is a colVec still being built, the only form a vector is
+// written in: seal and colVec.with fill one and convert it to the colVec
+// they hand out, after which nothing writes it.
+type vecBuilder colVec
+
+func newVecBuilder(kind Kind) *vecBuilder {
+	b := &vecBuilder{kind: kind}
+	switch kind {
+	case KindInt:
+		b.ints = make([]int64, rowChunkLen)
+	case KindFloat:
+		b.floats = make([]float64, rowChunkLen)
+	case KindText:
+		b.strs = make([]string, rowChunkLen)
+	}
+	return b
+}
+
+// set stores val, already of the vector's kind or NULL, as element i.
+// The null map appears with the first NULL and goes with the last.
+func (b *vecBuilder) set(i int, val Value) {
+	if val.K == KindNull {
+		if b.nulls == nil {
+			b.nulls = new(nullMap)
+		}
+		b.nulls[i>>6] |= 1 << (uint(i) & 63)
+		val = Value{}
+	} else if b.nulls != nil && b.nulls.has(i) {
+		b.nulls[i>>6] &^= 1 << (uint(i) & 63)
+		if *b.nulls == (nullMap{}) {
+			b.nulls = nil
+		}
+	}
+	switch b.kind {
+	case KindInt:
+		b.ints[i] = val.I
+	case KindFloat:
+		b.floats[i] = val.F
+	case KindText:
+		b.strs[i] = val.S
+	}
+}
+
+// get returns element i as a Value.
+func (v *colVec) get(i int) Value {
+	if v.nulls != nil && v.nulls.has(i) {
+		return Null
+	}
+	switch v.kind {
+	case KindInt:
+		return Value{K: KindInt, I: v.ints[i]}
+	case KindFloat:
+		return Value{K: KindFloat, F: v.floats[i]}
+	case KindText:
+		return Value{K: KindText, S: v.strs[i]}
+	}
+	return Null
+}
+
+// with returns a copy of the vector holding rows[k][col] at position
+// idxs[k] of the chunk; it shares nothing with the receiver.
+func (v *colVec) with(idxs []int, rows []Row, col int) colVec {
+	b := &vecBuilder{kind: v.kind, ints: slices.Clone(v.ints), floats: slices.Clone(v.floats), strs: slices.Clone(v.strs)}
+	if v.nulls != nil {
+		m := *v.nulls
+		b.nulls = &m
+	}
+	for k, i := range idxs {
+		b.set(i%rowChunkLen, rows[k][col])
+	}
+	return colVec(*b)
+}
+
+// rowChunk is a sealed run of exactly rowChunkLen rows, column-major:
+// one vector per declared column. A scan that reads three columns of a
+// wide table touches three vectors, and a numeric vector holds no
+// pointer for the collector to follow.
+//
+//qcpa:published sealed chunks are shared by every table version and view cut after them; replace copies the header and the written vectors
+type rowChunk struct {
+	cols []colVec
+}
+
+// row materialises row i of the chunk.
+func (c *rowChunk) row(i int) Row {
+	r := make(Row, len(c.cols))
+	for col := range c.cols {
+		r[col] = c.cols[col].get(i)
+	}
+	return r
+}
+
+// rowStore holds a table's rows in position order: full sealed chunks
+// behind a spine, then a row-major tail of fewer than rowChunkLen rows.
+// A table smaller than one chunk is just its tail. kinds are the
+// declared column types, which a sealed chunk's vectors take.
 //
 // A rowStore value is copied into every tableView. Two slices in it may
 // share backing arrays with later versions: append writes the spine and
 // the tail only beyond the lengths every earlier copy was cut with, so
-// readers — bounded by their own lengths — never see those writes.
+// readers — bounded by their own lengths — never see those writes. The
+// Rows in the tail are the store's own and never written once appended.
 type rowStore struct {
+	kinds  []Kind
 	chunks []*rowChunk
 	tail   []Row
 }
 
-func (s rowStore) len() int { return len(s.chunks)*rowChunkLen + len(s.tail) }
+func newRowStore(cols []Column) rowStore {
+	kinds := make([]Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = c.Type
+	}
+	return rowStore{kinds: kinds}
+}
 
-// at returns the row at position i.
-func (s rowStore) at(i int) Row {
+func (s *rowStore) len() int { return len(s.chunks)*rowChunkLen + len(s.tail) }
+
+// cursor names one row of a store: a sealed chunk and an offset in it,
+// or a row-major Row (a tail row; a row a statement built). It is what
+// a bound column reads through, so reaching a row costs no copy and
+// reading one of its columns touches that column's vector alone.
+type cursor struct {
+	chunk *rowChunk // nil: the row is row
+	off   int
+	row   Row
+}
+
+// value returns column col of the row.
+func (c *cursor) value(col int) Value {
+	if c.chunk != nil {
+		return c.chunk.cols[col].get(c.off)
+	}
+	return c.row[col]
+}
+
+// num returns column col — declared INT or FLOAT — as a float64,
+// whether it is an integer, and false for ok when it is NULL.
+func (c *cursor) num(col int) (f float64, isInt, ok bool) {
+	if c.chunk == nil {
+		v := c.row[col]
+		f, ok = v.AsFloat()
+		return f, v.K == KindInt, ok
+	}
+	v := &c.chunk.cols[col]
+	if v.nulls != nil && v.nulls.has(c.off) {
+		return 0, false, false
+	}
+	if v.kind == KindInt {
+		return float64(v.ints[c.off]), true, true
+	}
+	return v.floats[c.off], false, true
+}
+
+// int returns column col — declared INT — and false when it is NULL.
+func (c *cursor) int(col int) (int64, bool) {
+	if c.chunk == nil {
+		v := c.row[col]
+		return v.I, v.K == KindInt
+	}
+	v := &c.chunk.cols[col]
+	if v.nulls != nil && v.nulls.has(c.off) {
+		return 0, false
+	}
+	return v.ints[c.off], true
+}
+
+// seek points c at the row at position i.
+func (s *rowStore) seek(c *cursor, i int) {
 	if ci := i / rowChunkLen; ci < len(s.chunks) {
-		return s.chunks[ci][i%rowChunkLen]
+		c.chunk, c.off = s.chunks[ci], i%rowChunkLen
+		return
 	}
-	return s.tail[i-len(s.chunks)*rowChunkLen]
+	c.chunk, c.row = nil, s.tail[i-len(s.chunks)*rowChunkLen]
 }
 
-// window returns the row at position i as a one-row slice of the store
-// itself; the result must not be written.
-func (s rowStore) window(i int) []Row {
-	run, j := s.tail, i-len(s.chunks)*rowChunkLen
+// value returns column col of the row at position i.
+func (s *rowStore) value(i, col int) Value {
 	if ci := i / rowChunkLen; ci < len(s.chunks) {
-		run, j = s.chunks[ci][:], i%rowChunkLen
+		return s.chunks[ci].cols[col].get(i % rowChunkLen)
 	}
-	return run[j : j+1 : j+1]
+	return s.tail[i-len(s.chunks)*rowChunkLen][col]
 }
 
-// runs is the number of contiguous runs the store iterates as: every
-// sealed chunk, then the tail. Run k starts at position k*rowChunkLen.
-func (s rowStore) runs() int { return len(s.chunks) + 1 }
-
-// run returns run k; the result must not be written.
-func (s rowStore) run(k int) []Row {
-	if k < len(s.chunks) {
-		return s.chunks[k][:]
-	}
-	return s.tail
+// int returns column col — declared INT — of the row at position i, and
+// false when it is NULL.
+func (s *rowStore) int(i, col int) (int64, bool) {
+	var c cursor
+	s.seek(&c, i)
+	return c.int(col)
 }
 
-// flat returns the row headers as one new slice.
-func (s rowStore) flat() []Row {
-	out := make([]Row, 0, s.len())
-	for k := 0; k < s.runs(); k++ {
-		out = append(out, s.run(k)...)
+// at returns the row at position i as a Row of the caller's own.
+func (s *rowStore) at(i int) Row {
+	if ci := i / rowChunkLen; ci < len(s.chunks) {
+		return s.chunks[ci].row(i % rowChunkLen)
+	}
+	return slices.Clone(s.tail[i-len(s.chunks)*rowChunkLen])
+}
+
+// rows materialises the rows at positions [from, to), cut from one
+// slab; a sealed chunk's share of them is filled a vector at a time.
+func (s *rowStore) rows(from, to int) []Row {
+	w := len(s.kinds)
+	out, slab := make([]Row, to-from), make([]Value, (to-from)*w)
+	for i := range out {
+		out[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	sealed := len(s.chunks) * rowChunkLen
+	for at := from; at < min(to, sealed); {
+		c, lo := s.chunks[at/rowChunkLen], at%rowChunkLen
+		hi := min(rowChunkLen, lo+to-at)
+		for col := range c.cols {
+			v := &c.cols[col]
+			for i := lo; i < hi; i++ {
+				out[at-from+i-lo][col] = v.get(i)
+			}
+		}
+		at += hi - lo
+	}
+	for at := max(from, sealed); at < to; at++ {
+		copy(out[at-from], s.tail[at-sealed])
 	}
 	return out
 }
 
-// append returns the store extended by rows, in order. It fills the
-// tail in place (beyond every earlier copy's length, see rowStore) and
-// seals it into a chunk whenever it reaches rowChunkLen; whole chunks'
-// worth of input go straight into new chunks. Only the newest version
-// of a store may be appended to — a Table replaces its store with the
-// result, so its history never forks.
+// each calls f with column col of every row, in position order.
+func (s *rowStore) each(col int, f func(pos int, v Value)) {
+	pos := 0
+	for _, c := range s.chunks {
+		v := &c.cols[col]
+		for i := 0; i < rowChunkLen; i++ {
+			f(pos, v.get(i))
+			pos++
+		}
+	}
+	for _, r := range s.tail {
+		f(pos, r[col])
+		pos++
+	}
+}
+
+// append returns the store extended by rows, in order; every value is
+// coerced to its column's type on the way in, which the caller has
+// checked it can be. The rows themselves are only read: a sealed chunk
+// copies the values into its vectors and the tail takes a copy of the
+// row. It fills the tail in place (beyond every earlier copy's length,
+// see rowStore) and seals it into a chunk whenever it reaches
+// rowChunkLen; whole chunks' worth of input go straight into new
+// chunks. Only the newest version of a store may be appended to — a
+// Table replaces its store with the result, so its history never forks.
 func (s rowStore) append(rows []Row) rowStore {
 	for len(rows) > 0 {
 		if len(s.tail) == 0 && len(rows) >= rowChunkLen {
@@ -87,8 +298,15 @@ func (s rowStore) append(rows []Row) rowStore {
 			rows = rows[rowChunkLen:]
 			continue
 		}
-		k := min(rowChunkLen-len(s.tail), len(rows))
-		s.tail = append(s.tail, rows[:k]...)
+		w, k := len(s.kinds), min(rowChunkLen-len(s.tail), len(rows))
+		slab := make([]Value, k*w)
+		for i, r := range rows[:k] {
+			own := slab[i*w : (i+1)*w : (i+1)*w]
+			for col, v := range r {
+				own[col], _ = coerce(v, s.kinds[col])
+			}
+			s.tail = append(s.tail, own)
+		}
 		rows = rows[k:]
 		if len(s.tail) == rowChunkLen {
 			s.seal(s.tail)
@@ -98,46 +316,76 @@ func (s rowStore) append(rows []Row) rowStore {
 	return s
 }
 
-// seal adds a chunk holding a copy of the rowChunkLen rows in full.
+// seal adds a chunk holding the rowChunkLen rows in full, coerced. It
+// reads the rows once, in order, and fills every vector as it goes.
 func (s *rowStore) seal(full []Row) {
-	c := new(rowChunk)
-	copy(c[:], full)
-	s.chunks = append(s.chunks, c)
+	bs := make([]vecBuilder, len(s.kinds))
+	for col, kind := range s.kinds {
+		bs[col] = *newVecBuilder(kind)
+	}
+	for i, r := range full {
+		for col := range bs {
+			val := r[col]
+			if val.K != bs[col].kind {
+				val, _ = coerce(val, bs[col].kind)
+			}
+			bs[col].set(i, val)
+		}
+	}
+	cols := make([]colVec, len(bs))
+	for col := range bs {
+		cols[col] = colVec(bs[col])
+	}
+	s.chunks = append(s.chunks, &rowChunk{cols: cols})
 }
 
-// replace returns the store with rows[k] at position idxs[k]; idxs is
-// strictly ascending. The spine and every touched chunk (or the tail)
-// are copied once; everything else is shared with the receiver.
-func (s rowStore) replace(idxs []int, rows []Row) rowStore {
+// replace returns the store with rows[k]'s values of the columns cols
+// at position idxs[k]; the rows hold their column types already, are the
+// caller's to give away, and equal the stored ones in every other
+// column. idxs is strictly ascending. The spine, every touched chunk's
+// header and its vectors of cols (or the tail's row headers) are copied
+// once; everything else — every other vector — is shared with the
+// receiver.
+func (s rowStore) replace(idxs []int, rows []Row, cols []int) rowStore {
 	if len(idxs) == 0 {
 		return s
 	}
 	sealed := len(s.chunks) * rowChunkLen
 	out := s
 	if idxs[0] < sealed {
-		out.chunks = append([]*rowChunk(nil), s.chunks...)
+		out.chunks = slices.Clone(s.chunks)
 	}
 	if idxs[len(idxs)-1] >= sealed {
 		// Keep the capacity: the next INSERT appends without regrowing.
 		out.tail = make([]Row, len(s.tail), cap(s.tail))
 		copy(out.tail, s.tail)
 	}
-	var c *rowChunk
-	copied := -1 // index of the chunk c is the copy of
-	for k, i := range idxs {
+	for k := 0; k < len(idxs); {
+		i := idxs[k]
 		if i >= sealed {
 			out.tail[i-sealed] = rows[k]
+			k++
 			continue
 		}
-		if ci := i / rowChunkLen; ci != copied {
-			c = new(rowChunk)
-			*c = *s.chunks[ci]
-			out.chunks[ci] = c
-			copied = ci
+		ci, end := i/rowChunkLen, k+1
+		for end < len(idxs) && idxs[end] < (ci+1)*rowChunkLen {
+			end++
 		}
-		c[i%rowChunkLen] = rows[k]
+		out.chunks[ci] = s.chunks[ci].with(idxs[k:end], rows[k:end], cols)
+		k = end
 	}
 	return out
+}
+
+// with returns a copy of the chunk that holds rows[k]'s values of the
+// columns cols at position idxs[k]: new vectors for those columns, the
+// receiver's own for the others.
+func (c *rowChunk) with(idxs []int, rows []Row, cols []int) *rowChunk {
+	vecs := slices.Clone(c.cols)
+	for _, col := range cols {
+		vecs[col] = c.cols[col].with(idxs, rows, col)
+	}
+	return &rowChunk{cols: vecs}
 }
 
 // pkFan is the fan-out of each of the pk index's two directory levels:

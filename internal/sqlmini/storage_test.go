@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -62,44 +63,118 @@ func bytesPerRound(tb testing.TB, e *Engine, rounds [][]Statement) uint64 {
 }
 
 // TestWriteAllocationIndependentOfTableSize bounds what a committed
-// single-row write allocates, in bytes and with no clock: a pk UPDATE
-// round and an INSERT round each stay under a fixed budget on a
-// 200k-row table, and cost no more there than on a 20k-row one beyond a
-// small allowance (the spine and the pk shard do grow, by bytes per
-// thousand rows). Copying anything proportional to the table — the pk
-// map and the header slice were, before storage.go — would overshoot
-// both by orders of magnitude.
+// single-row write allocates, in bytes and with no clock. A pk UPDATE
+// round that assigns k columns copies those k vectors of one chunk
+// (8 KiB a numeric column, 16 KiB a text one) and a fixed remainder: it
+// stays under that budget on a 200k-row table, costs no more there than
+// on a 20k-row one beyond a small allowance (the spine and the pk shard
+// do grow, by bytes per thousand rows), and each further column adds
+// about its vector and nothing else. An INSERT round is held to the
+// same two bounds. Copying anything proportional to the table — or the
+// chunk's other vectors — would overshoot.
 func TestWriteAllocationIndependentOfTableSize(t *testing.T) {
 	const (
-		budget    = 64 << 10
+		fixed     = 8 << 10 // spine, chunk header, the row, the statement, the view
 		allowance = 8 << 10
 		rounds    = 64
+		numeric   = 8 * rowChunkLen
+		text      = 16 * rowChunkLen
 	)
-	measure := func(n int) (update, insert uint64) {
+	writes := []struct {
+		op     string
+		sql    func(i, n int) string
+		budget uint64
+	}{
+		{"UPDATE of 1 column", func(i, n int) string {
+			return fmt.Sprintf(`UPDATE acct SET balance = %d WHERE id = %d`, i+1, (i*7919)%n)
+		}, numeric + fixed},
+		{"UPDATE of 2 columns", func(i, n int) string {
+			return fmt.Sprintf(`UPDATE acct SET balance = %d, branch = %d WHERE id = %d`, i+1, i%100, (i*7919)%n)
+		}, 2*numeric + fixed},
+		{"UPDATE of 3 columns", func(i, n int) string {
+			return fmt.Sprintf(`UPDATE acct SET balance = %d, branch = %d, note = 'm' WHERE id = %d`, i+1, i%100, (i*7919)%n)
+		}, 2*numeric + text + fixed},
+		{"INSERT", func(i, n int) string { return fmt.Sprintf(`INSERT INTO acct VALUES (%d, 1, 0, 'n')`, n+i) }, 64 << 10},
+	}
+	measure := func(n int) []uint64 {
 		e := loadAcct(t, n)
-		var upd, ins []string
-		for i := 0; i < rounds; i++ {
-			upd = append(upd, fmt.Sprintf(`UPDATE acct SET balance = %d WHERE id = %d`, i+1, (i*7919)%n))
-			ins = append(ins, fmt.Sprintf(`INSERT INTO acct VALUES (%d, 1, 0, 'n')`, n+i))
+		bytesPerRound(t, e, roundsOf(t, []string{writes[0].sql(0, n)})) // first publish after the load
+		out := make([]uint64, len(writes))
+		for w, write := range writes {
+			sqls := make([]string, rounds)
+			for i := range sqls {
+				sqls[i] = write.sql(i+1, n)
+			}
+			out[w] = bytesPerRound(t, e, roundsOf(t, sqls))
 		}
-		updRounds, insRounds := roundsOf(t, upd), roundsOf(t, ins)
-		bytesPerRound(t, e, updRounds[:1]) // first publish after the load
-		return bytesPerRound(t, e, updRounds[1:]), bytesPerRound(t, e, insRounds)
+		return out
 	}
-	smallUpd, smallIns := measure(20_000)
-	bigUpd, bigIns := measure(200_000)
-	t.Logf("bytes per single-row round: UPDATE %d (20k rows) %d (200k rows); INSERT %d (20k) %d (200k)", smallUpd, bigUpd, smallIns, bigIns)
-	for _, c := range []struct {
-		op         string
-		small, big uint64
-	}{{"UPDATE", smallUpd, bigUpd}, {"INSERT", smallIns, bigIns}} {
-		if c.big > budget {
-			t.Errorf("a single-row %s round on 200k rows allocates %d bytes, over the %d budget", c.op, c.big, budget)
+	small, big := measure(20_000), measure(200_000)
+	for w, write := range writes {
+		t.Logf("bytes per single-row %s round: %d (20k rows) %d (200k rows), budget %d", write.op, small[w], big[w], write.budget)
+		if big[w] > write.budget {
+			t.Errorf("a single-row %s round on 200k rows allocates %d bytes, over the %d budget", write.op, big[w], write.budget)
 		}
-		if c.big > c.small+allowance {
-			t.Errorf("a single-row %s round allocates %d bytes on 200k rows against %d on 20k: it grows with the table", c.op, c.big, c.small)
+		if big[w] > small[w]+allowance {
+			t.Errorf("a single-row %s round allocates %d bytes on 200k rows against %d on 20k: it grows with the table", write.op, big[w], small[w])
 		}
 	}
+}
+
+// checksumFixture is a small fixed table — NULLs, integral and other
+// floats, an integer widened into the FLOAT column, -Inf, NaN, the empty
+// string — that sits on both sides of the seal boundary.
+func checksumFixture(t *testing.T) *Engine {
+	t.Helper()
+	e := New()
+	if err := e.CreateTable("fx", []Column{
+		{Name: "id", Type: KindInt, PrimaryKey: true},
+		{Name: "n", Type: KindInt},
+		{Name: "f", Type: KindFloat},
+		{Name: "s", Type: KindText},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Row, rowChunkLen+6)
+	for i := range rows {
+		r := Row{Int(int64(i)), Int(int64(i*i - 500)), Float(float64(i) / 4), Text(fmt.Sprintf("s%d", i%13))}
+		switch i % 7 {
+		case 1:
+			r[1] = Null
+		case 2:
+			r[2] = Int(int64(i)) // widened on the way in
+		case 3:
+			r[3] = Null
+		case 4:
+			r[2], r[3] = Float(math.Inf(-1)), Text("")
+		case 5:
+			r[2] = Float(math.NaN())
+		}
+		rows[i] = r
+	}
+	if err := e.BulkInsert("fx", rows); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestTableChecksumPinned pins the 64-bit digest of checksumFixture,
+// after its load and after two UPDATEs, to the values the row-major
+// engine before the column vectors computed for it (commit 1da71cf):
+// replicas of mixed versions compare checksums, and a recorded one must
+// keep its meaning.
+func TestTableChecksumPinned(t *testing.T) {
+	e := checksumFixture(t)
+	check := func(when string, want uint64) {
+		t.Helper()
+		if got, err := e.TableChecksum("fx"); err != nil || got != want {
+			t.Fatalf("%s: checksum %#x, %v; pinned %#x", when, got, err, want)
+		}
+	}
+	check("after the load", 0xcb5c1709cfd0a596)
+	mustExec(t, e, `UPDATE fx SET n = 7, s = 'x' WHERE id = 3`)
+	mustExec(t, e, `UPDATE fx SET f = 2.5 WHERE id = 1029`)
+	check("after two updates", 0x3e53769998f24e9a)
 }
 
 // BenchmarkApplyRoundSingleRow is one committed single-row pk UPDATE —

@@ -101,9 +101,9 @@ func (s *tableStats) unchanged(changed []bool) []float64 {
 func estimateNDV(rows rowStore, col int) float64 {
 	n := rows.len()
 	sample := min(n, statsSampleRows)
-	seen := make(map[string]struct{}, sample)
+	seen := make(map[hkey]struct{}, sample)
 	for i := 0; i < sample; i++ {
-		seen[rows.at(i)[col].key()] = struct{}{}
+		seen[keyOf(rows.value(i, col))] = struct{}{}
 	}
 	d := len(seen)
 	if d < 1 {

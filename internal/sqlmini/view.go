@@ -3,7 +3,6 @@ package sqlmini
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -23,27 +22,27 @@ import (
 //     publishing copies nothing and a view pins exactly the nodes its
 //     epoch could reach.
 //   - Nodes are written only while being built, before any view or
-//     table version can reach them: sealed row chunks, pk directories
-//     and the shard maps they own are immutable afterwards. UPDATE
-//     copies the spine and the chunk (or tail) it rewrites; a pk write
-//     copies the root, one directory and one shard; an UPDATE that
-//     assigns no pk column leaves the index alone.
+//     table version can reach them: sealed chunks and their column
+//     vectors, pk directories and the shard maps they own are immutable
+//     afterwards. UPDATE copies the spine, the touched chunk's vector
+//     headers and its vectors of the columns it assigns (or the tail's
+//     row headers); a pk write copies the root, one directory and one
+//     shard; an UPDATE that assigns no pk column leaves the index alone.
 //   - The one in-place write is INSERT's: it appends to the tail slab
 //     and to the spine beyond the lengths every existing view was cut
 //     with. Readers are bounded by their own lengths, and a table's
 //     history is linear (one writer, each version replaces the last),
 //     so no two versions ever claim the same free slot.
-//   - Row contents are shared across epochs, so UPDATE copies the
-//     touched row before assigning into it (never writes through a
-//     possibly-published Row).
+//   - A tail Row is shared across epochs, so UPDATE assigns into a copy
+//     of the touched row (never writes through a possibly-published
+//     Row) and the store copies every row it is handed.
 //   - Schema (Cols, colIdx, pkCol) is immutable after CREATE TABLE, so
 //     views reference the live *Table for binding. Everything else on
 //     the Table belongs to the writer.
 //
-// Secondary indexes, NDV estimates and the flattened header slice are
-// lazily built caches hanging off a view (index.go, tablestats.go,
-// flatRows below). A table the epoch did not touch keeps its view,
-// caches included. A touched table gets a new view that
+// Secondary indexes and NDV estimates are lazily built caches hanging
+// off a view (index.go, tablestats.go). A table the epoch did not touch
+// keeps its view, caches included. A touched table gets a new view that
 // inherits each built cache the round provably left valid — no row
 // added or moved, and no stored value of that column changed — and
 // starts the others empty.
@@ -65,30 +64,7 @@ type tableView struct {
 	pk      pkIndex
 	indexes []*secondaryIndex // one per indexed column, ascending
 	stats   tableStats        // lazily filled planner statistics (tablestats.go)
-	flat    flatRows          // lazily flattened row headers (allRows)
 }
-
-// flatRows caches a view's row headers as one slice, for the scans that
-// return the whole table: joins and projection consume flat slices, and
-// a read-mostly table is scanned many times per view.
-//
-//qcpa:lazycache built once from the view's immutable rows, serialized by once
-type flatRows struct {
-	once sync.Once
-	rows []Row
-}
-
-// allRows returns every row of the view in position order. The slice is
-// shared by all readers of the view and must not be written.
-func (tv *tableView) allRows() []Row {
-	if len(tv.rows.chunks) == 0 {
-		return tv.rows.tail // under one chunk the store is already flat
-	}
-	tv.flat.once.Do(tv.flatten)
-	return tv.flat.rows
-}
-
-func (tv *tableView) flatten() { tv.flat.rows = tv.rows.flat() }
 
 // emptyView backs reads against an engine that has never published
 // (zero-value engines constructed without New).

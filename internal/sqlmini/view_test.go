@@ -193,7 +193,7 @@ func TestPinnedViewIsImmutable(t *testing.T) {
 }
 
 // propModel is the property test's oracle: the table's rows in position
-// order (id, grp, val, tag), maintained beside the engine by the same
+// order (id, grp, val, tag, amt), maintained beside the engine by the same
 // operations. INSERT appends, UPDATE rewrites in place, DELETE compacts
 // keeping order — the engine's observable scan order.
 type propModel struct {
@@ -242,9 +242,10 @@ func (m *propModel) step(rng *rand.Rand) string {
 	switch k := rng.Intn(20); {
 	case k < 5 || len(m.rows) < 4:
 		id := m.takeAbsent(rng)
-		r := Row{Int(id), Int(int64(rng.Intn(propGroups))), Int(int64(rng.Intn(propVals))), Text(fmt.Sprintf("t%d", id))}
+		r := Row{Int(id), Int(int64(rng.Intn(propGroups))), Int(int64(rng.Intn(propVals))), Text(fmt.Sprintf("t%d", id)), Float(float64(id % 5))}
 		m.rows = append(m.rows, r)
-		return fmt.Sprintf(`INSERT INTO p VALUES (%d, %d, %d, '%s')`, id, r[1].I, r[2].I, r[3].S)
+		// amt's literal is an integer: the FLOAT column widens it.
+		return fmt.Sprintf(`INSERT INTO p VALUES (%d, %d, %d, '%s', %d)`, id, r[1].I, r[2].I, r[3].S, id%5)
 	case k < 9:
 		r, v := present(), int64(rng.Intn(propVals))
 		r[2] = Int(v)
@@ -309,7 +310,7 @@ func checkAgainst(t *testing.T, what string, query func(string) (*Result, error)
 			t.Fatalf("%s: %s\n got %v\nwant %v", what, sql, got, want)
 		}
 	}
-	sql := `SELECT id, grp, val, tag FROM p`
+	sql := `SELECT id, grp, val, tag, amt FROM p`
 	same(sql, ask(sql), want)
 	byID := make(map[int64]Row, len(want))
 	for _, r := range want {
@@ -320,7 +321,7 @@ func checkAgainst(t *testing.T, what string, query func(string) (*Result, error)
 		if r, ok := byID[id]; ok {
 			exp = []Row{r}
 		}
-		sql := fmt.Sprintf(`SELECT id, grp, val, tag FROM p WHERE id = %d`, id)
+		sql := fmt.Sprintf(`SELECT id, grp, val, tag, amt FROM p WHERE id = %d`, id)
 		same(sql, ask(sql), exp)
 	}
 	probe := func(col string, ci int, v int64) {
@@ -355,19 +356,30 @@ func TestSharedStorageProperty(t *testing.T) {
 	for _, n := range []int{7, rowChunkLen - 1, rowChunkLen, rowChunkLen + 1, 2*rowChunkLen + 3} {
 		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
-			universe := int64(n + 4*rounds)
+			universe := int64(n + 4*rounds + rowChunkLen) // the last of them fill a tail up to its seal
+			const schema = `CREATE TABLE p (id INT PRIMARY KEY, grp INT, val INT, tag TEXT, amt FLOAT)`
 			e := New()
-			mustExec(t, e, `CREATE TABLE p (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)`)
+			mustExec(t, e, schema)
 			m := &propModel{}
 			for id := int64(0); id < universe; id++ {
 				if id < int64(n) {
-					m.rows = append(m.rows, Row{Int(id), Int(id % propGroups), Int(id % propVals), Text(fmt.Sprintf("t%d", id))})
+					m.rows = append(m.rows, Row{Int(id), Int(id % propGroups), Int(id % propVals), Text(fmt.Sprintf("t%d", id)), Float(float64(id % 5))})
 				} else {
 					m.absent = append(m.absent, id)
 				}
 			}
-			if err := e.BulkInsert("p", m.rows); err != nil {
+			// The load hands amt over as integers, which the FLOAT column
+			// widens on the way into its vector; the caller's rows stay as
+			// they were.
+			load := m.clone()
+			for _, r := range load {
+				r[4] = Int(int64(r[4].F))
+			}
+			if err := e.BulkInsert("p", load); err != nil {
 				t.Fatal(err)
+			}
+			if load[0][4] != Int(0) {
+				t.Fatalf("BulkInsert rewrote its caller's row: %v", load[0])
 			}
 
 			var stop atomic.Bool
@@ -486,7 +498,7 @@ func TestSharedStorageProperty(t *testing.T) {
 			checkAgainst(t, "live engine", e.Exec, m.rows, universe)
 
 			fresh := New()
-			mustExec(t, fresh, `CREATE TABLE p (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)`)
+			mustExec(t, fresh, schema)
 			if err := fresh.BulkInsert("p", m.rows); err != nil {
 				t.Fatal(err)
 			}
@@ -564,8 +576,8 @@ func TestSharedStorageProperty(t *testing.T) {
 				}},
 				{"INSERT", false, func() string {
 					id := m.takeAbsent(rng)
-					m.rows = append(m.rows, Row{Int(id), Int(3), Int(4), Text("new")})
-					return fmt.Sprintf(`INSERT INTO p VALUES (%d, 3, 4, 'new')`, id)
+					m.rows = append(m.rows, Row{Int(id), Int(3), Int(4), Text("new"), Float(1.5)})
+					return fmt.Sprintf(`INSERT INTO p VALUES (%d, 3, 4, 'new', 1.5)`, id)
 				}},
 				{"DELETE", false, func() string {
 					id := m.rows[0][0].I
@@ -583,6 +595,83 @@ func TestSharedStorageProperty(t *testing.T) {
 				}
 				last = now
 			}
+
+			// A sealed chunk obeys the same rule a column at a time: a view cut
+			// before a write keeps reading the vectors it was cut with, and the
+			// view after it shares every vector the write did not assign. First
+			// fill the tail up to its seal, one INSERT at a time, under a pinned
+			// view that must go on seeing the tail it was cut with.
+			tailPin, tailWant := e.AcquireView(), m.clone()
+			chunks := len(e.loadView().tables["p"].rows.chunks)
+			for len(m.rows)%rowChunkLen != 0 {
+				id := m.takeAbsent(rng)
+				m.rows = append(m.rows, Row{Int(id), Int(1), Int(2), Text("fill"), Float(3)})
+				mustExec(t, e, fmt.Sprintf(`INSERT INTO p VALUES (%d, 1, 2, 'fill', 3)`, id))
+			}
+			if rs := e.loadView().tables["p"].rows; len(rs.chunks) != chunks+1 || len(rs.tail) != 0 {
+				t.Fatalf("%d rows sit in %d chunks and a tail of %d, want %d chunks and no tail", len(m.rows), len(rs.chunks), len(rs.tail), chunks+1)
+			}
+			checkAgainst(t, "view pinned before its tail was sealed", func(sql string) (*Result, error) { return e.QueryView(tailPin, sql) }, tailWant, universe)
+
+			const valCol, tagCol, amtCol = 2, 3, 4
+			shares := func(a, b *colVec) bool {
+				if a.nulls != b.nulls {
+					return false
+				}
+				switch a.kind {
+				case KindInt:
+					return &a.ints[0] == &b.ints[0]
+				case KindFloat:
+					return &a.floats[0] == &b.floats[0]
+				}
+				return &a.strs[0] == &b.strs[0]
+			}
+			at := len(m.rows) - 3 // a row of the chunk just sealed
+			ci, off := at/rowChunkLen, at%rowChunkLen
+			for _, w := range []struct {
+				kind   string
+				set    string
+				assign map[int]Value // what the write stores, by column
+				nulls  map[int]bool  // whether the column's vector has a null map afterwards
+			}{
+				{"UPDATE of one column", `val = val + 1000`, map[int]Value{valCol: Int(m.rows[at][valCol].I + 1000)}, nil},
+				{"UPDATE to NULL", `tag = NULL`, map[int]Value{tagCol: Null}, map[int]bool{tagCol: true}},
+				{"UPDATE of a NULL", `tag = 'back'`, map[int]Value{tagCol: Text("back")}, map[int]bool{tagCol: false}},
+				{"UPDATE widening an integer", `amt = 7`, map[int]Value{amtCol: Float(7)}, nil},
+				{"UPDATE of two columns", `val = 1, amt = 2.5`, map[int]Value{valCol: Int(1), amtCol: Float(2.5)}, nil},
+			} {
+				before, old := e.loadView().tables["p"].rows, slices.Clone(m.rows[at])
+				mustExec(t, e, fmt.Sprintf(`UPDATE p SET %s WHERE id = %d`, w.set, m.rows[at][0].I))
+				after := e.loadView().tables["p"].rows
+				for c := range after.chunks {
+					if same := after.chunks[c] == before.chunks[c]; same != (c != ci) {
+						t.Fatalf("%s: chunk %d shared with the view before: %v", w.kind, c, same)
+					}
+				}
+				for col := range old {
+					nv, written := w.assign[col]
+					if !written {
+						nv = old[col]
+					}
+					m.rows[at][col] = nv
+					if got := before.value(at, col); got != old[col] {
+						t.Fatalf("%s: the view cut before it reads column %d as %v, was %v", w.kind, col, got, old[col])
+					}
+					if got := after.value(at, col); got != nv {
+						t.Fatalf("%s: column %d reads %v, want %v", w.kind, col, got, nv)
+					}
+					if shared := shares(&after.chunks[ci].cols[col], &before.chunks[ci].cols[col]); shared == written {
+						t.Fatalf("%s: column %d's vector shared with the view before: %v", w.kind, col, shared)
+					}
+					if want, ok := w.nulls[col]; ok {
+						v := &after.chunks[ci].cols[col]
+						if has := v.nulls != nil; has != want || (has && !v.nulls.has(off)) {
+							t.Fatalf("%s: column %d's null map present: %v, want %v", w.kind, col, has, want)
+						}
+					}
+				}
+			}
+			checkAgainst(t, "live engine after the vector writes", e.Exec, m.rows, universe)
 		})
 	}
 }

@@ -100,14 +100,13 @@ bench-planner:
 	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels' -benchmem -run '^$$' ./internal/sqlmini/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
-# a few seconds of fresh inputs: the frame decoder and the v1 line
-# reader must never panic on arbitrary bytes, and any SQL text that
-# parses must execute the same as a binding of its own literals
-# (FuzzBindLiterals, seeded with the TPC-H and TPC-App templates). CI
-# runs this on every push; longer campaigns can raise -fuzztime locally.
+# a few seconds of fresh inputs: the frame decoder must never panic on
+# arbitrary bytes, and any SQL text that parses must execute the same as
+# a binding of its own literals (FuzzBindLiterals, seeded with the TPC-H
+# and TPC-App templates). CI runs this on every push; longer campaigns
+# can raise -fuzztime locally.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBindLiterals -fuzztime 5s ./internal/sqlmini/
 
 clean:

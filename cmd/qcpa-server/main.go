@@ -65,13 +65,12 @@ func main() {
 		connInfl  = flag.Int("conn-inflight", 0, "max pipelined requests per connection, 0 = default 32, -1 = unlimited (server mode)")
 		queueCap  = flag.Int("queue-depth", 0, "admission wait-queue depth before shedding, 0 = default 2x max-inflight, -1 = unlimited (server mode)")
 		drainWait = flag.Duration("drain-timeout", 0, "how long Close waits for inflight requests, 0 = default 5s (server mode)")
-		protocol  = flag.Int("protocol", 0, "wire protocol: 0 = negotiate newest, 1 = v1 newline-JSON, 2 = v2 binary frames (client mode)")
 	)
 	flag.Parse()
 
 	switch {
 	case *connect != "":
-		runClient(*connect, *sql, *class, *cmd, *backend, *backends, *write, *protocol)
+		runClient(*connect, *sql, *class, *cmd, *backend, *backends, *write)
 	case *listen != "":
 		runServer(*listen, *backends, *strategy, *policy,
 			cluster.Config{Timeout: *timeout, MaxRetries: *retries, Backoff: *backoff, RedoLogCap: *redoCap,
@@ -168,8 +167,8 @@ func runServer(addr string, n int, strategy, policy string, cfg cluster.Config, 
 	_ = srv.Close()
 }
 
-func runClient(addr, sql, class, cmd, backend string, backends int, write bool, protocol int) {
-	client, err := server.DialOptions(addr, server.ClientOptions{Protocol: protocol})
+func runClient(addr, sql, class, cmd, backend string, backends int, write bool) {
+	client, err := server.Dial(addr)
 	if err != nil {
 		fatal(err)
 	}
@@ -218,8 +217,8 @@ func runClient(addr, sql, class, cmd, backend string, backends int, write bool, 
 			if wi.Flushes > 0 {
 				batch = float64(wi.FramesOut) / float64(wi.Flushes)
 			}
-			fmt.Printf("wire: %d v1 / %d v2 conns, %d frames in, %d out over %d flushes (batch %.2f), %d bad frames\n",
-				wi.ConnsV1, wi.ConnsV2, wi.FramesIn, wi.FramesOut, wi.Flushes, batch, wi.BadFrames)
+			fmt.Printf("wire: %d frames in, %d out over %d flushes (batch %.2f), %d bad frames\n",
+				wi.FramesIn, wi.FramesOut, wi.Flushes, batch, wi.BadFrames)
 			fmt.Printf("prepared: %d prepares, %d execs via handle, %d handles open, %d reroutes\n",
 				wi.Prepares, wi.PreparedExecs, wi.Handles, p.PreparedReroutes)
 		}

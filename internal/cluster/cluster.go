@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -222,10 +221,10 @@ func (b *backend) enqueue(job *updateJob) {
 }
 
 // updateJob is one queue entry for a backend's applier. Committed
-// group rounds carry their ordered statements in round; recovery
-// enqueues control jobs (checksum barriers, snapshot sources, restores)
-// through the same queue so they observe a well-defined position in the
-// global round order.
+// group rounds carry their ordered statements in round; recovery and
+// live migration enqueue control jobs (checksum barriers, clones,
+// restores, drops) through the same queue so they observe a
+// well-defined position in the global round order.
 type updateJob struct {
 	round *roundJob // one group-committed round (or a replayed one)
 	done  chan error
@@ -233,18 +232,9 @@ type updateJob struct {
 	// Control-job fields (at most one set; round is nil then).
 	checksum []string          // compute checksums of these tables
 	sums     map[string]uint64 // checksum result, valid after done
-	snapshot *snapshotWait     // serialize these tables at this queue position
-	restore  []*snapshotWait   // await and install these snapshots
 	clone    *cloneWait        // cut a table at this queue position
+	restore  []*updateJob      // await these clone jobs and install their cuts
 	drop     []string          // drop these tables at this queue position
-}
-
-// snapshotWait carries a table snapshot from a source backend's applier
-// to the recovering backend's restore job.
-type snapshotWait struct {
-	tables []string
-	buf    bytes.Buffer
-	done   chan error
 }
 
 // Cluster is the controller plus its backends.
@@ -385,10 +375,10 @@ func (c *Cluster) newBackend(name string) *backend {
 // applyUpdates drains the backend's update queue in FIFO order — the
 // single applier guarantees that this backend applies rounds in
 // exactly the order the controller enqueued them. Besides committed
-// rounds it serves recovery's control jobs: checksum barriers,
-// snapshot sources, and restores, which thereby observe an exact
-// position in the global round order (every round is either wholly
-// before or wholly after them on all replicas).
+// rounds it serves the control jobs: checksum barriers, clones,
+// restores and drops, which thereby observe an exact position in the
+// global round order (every round is either wholly before or wholly
+// after them on all replicas).
 func (b *backend) applyUpdates() {
 	defer b.wg.Done()
 	for job := range b.updateCh {
@@ -399,11 +389,6 @@ func (b *backend) applyUpdates() {
 			sums, err := b.engine.Checksums(job.checksum)
 			job.sums = sums
 			b.metrics.DecPending()
-			job.done <- err
-		case job.snapshot != nil:
-			err := b.engine.SnapshotTables(&job.snapshot.buf, job.snapshot.tables)
-			b.metrics.DecPending()
-			job.snapshot.done <- err
 			job.done <- err
 		case job.restore != nil:
 			err := b.applyRestore(job.restore)
@@ -453,29 +438,39 @@ func (b *backend) applyRound(job *updateJob) {
 	job.done <- firstErr
 }
 
-// applyRestore installs snapshots produced by source backends' barrier
-// jobs: it waits for each snapshot to be cut, drops the local copies,
-// and restores. Updates enqueued behind the restore then apply to the
+// applyRestore installs the tables cut by source backends' clone jobs —
+// the live copy's transport: it waits for every cut, drops the local
+// copies, and rebuilds each table from its cut (index definitions
+// included). Updates enqueued behind the restore then apply to the
 // fresh data, so the backend ends bit-identical to its sources.
-func (b *backend) applyRestore(waits []*snapshotWait) error {
-	for _, w := range waits {
-		if err := <-w.done; err != nil {
-			return fmt.Errorf("cluster: snapshot source: %w", err)
+func (b *backend) applyRestore(clones []*updateJob) error {
+	for _, j := range clones {
+		if err := <-j.done; err != nil {
+			return fmt.Errorf("cluster: resync source: %w", err)
 		}
 	}
-	for _, w := range waits {
-		for _, table := range w.tables {
-			if b.engine.Table(table) != nil {
-				if _, err := b.engine.Exec("DROP TABLE " + table); err != nil {
-					return err
-				}
-			}
+	if err := b.applyDrop(cloneTables(clones)); err != nil {
+		return err
+	}
+	for _, j := range clones {
+		table, cut := j.clone.table, j.clone.cut
+		if err := b.engine.CreateTable(table, cut.Columns()); err != nil {
+			return err
 		}
-		if err := b.engine.Restore(&w.buf); err != nil {
+		if err := b.engine.BulkInsert(table, cut.Rows(0, cut.NumRows())); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cloneTables lists the tables the clone jobs cut, in job order.
+func cloneTables(clones []*updateJob) []string {
+	tables := make([]string, len(clones))
+	for i, j := range clones {
+		tables[i] = j.clone.table
+	}
+	return tables
 }
 
 // applyDrop removes tables at this queue position: serialized with the

@@ -10,13 +10,13 @@ import (
 
 // This file is the cluster's fault-tolerance layer: the administrative
 // Fail/Recover transitions of the per-backend health state machine
-// (runtime.Health), the redo-log replay and snapshot-resync catch-up
+// (runtime.Health), the redo-log replay and table-resync catch-up
 // paths, cross-replica checksum verification, and the k-safety-aware
 // availability report.
 //
 // Correctness of catch-up hinges on one invariant: every enqueue that
 // changes replica state — plain ROWA updates, redo appends, and the
-// control jobs below (checksum barriers, snapshot sources, restores) —
+// control jobs below (checksum barriers, clones, restores) —
 // happens under Cluster.dispatchMu, and every backend drains its queue
 // with a single FIFO applier. Control jobs enqueued on several backends
 // under ONE dispatchMu hold therefore observe the same global-update
@@ -153,22 +153,25 @@ func (c *Cluster) Recover(name string) (*CatchUpReport, error) {
 	return rep, nil
 }
 
-// resync re-copies the backend's tables from live replicas: snapshot
-// barrier jobs on the sources and a restore job on the recovering
-// backend, all enqueued under one dispatch-lock hold, so the restored
-// state plus the updates queued behind it equals the sources' state.
-// Tables with no live holder are skipped (reported, not fatal — they
-// are unavailable for everyone anyway).
+// resync re-copies the backend's tables from live replicas with the
+// live copy's transport: a clone job per table on its source and a
+// restore job on the recovering backend, all enqueued under one
+// dispatch-lock hold, so the restored state plus the updates queued
+// behind it equals the sources' state. Tables with no live holder are
+// skipped (reported, not fatal — they are unavailable for everyone
+// anyway).
 func (c *Cluster) resync(b *backend, rep *CatchUpReport) error {
 	c.dispatchMu.Lock()
 	bySource, skipped := c.livePeersLocked(b, sortedTables(b.tableSet()))
-	waits := make([]*snapshotWait, 0, len(bySource))
+	var clones []*updateJob
 	for src, tables := range bySource {
-		w := &snapshotWait{tables: tables, done: make(chan error, 1)}
-		waits = append(waits, w)
-		src.enqueue(&updateJob{snapshot: w, done: make(chan error, 1)})
+		for _, t := range tables {
+			j := &updateJob{clone: &cloneWait{table: t}, done: make(chan error, 1)}
+			clones = append(clones, j)
+			src.enqueue(j)
+		}
 	}
-	restore := &updateJob{restore: waits, done: make(chan error, 1)}
+	restore := &updateJob{restore: clones, done: make(chan error, 1)}
 	b.enqueue(restore)
 	// From this enqueue on the backend is caught up "as of" this point
 	// in the global order: later updates queue behind the restore.
@@ -178,9 +181,7 @@ func (c *Cluster) resync(b *backend, rep *CatchUpReport) error {
 	if err := <-restore.done; err != nil {
 		return err
 	}
-	for _, w := range waits {
-		rep.Resynced = append(rep.Resynced, w.tables...)
-	}
+	rep.Resynced = append(rep.Resynced, cloneTables(clones)...)
 	sort.Strings(rep.Resynced)
 	rep.Skipped = append(rep.Skipped, skipped...)
 	return nil

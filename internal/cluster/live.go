@@ -85,7 +85,8 @@ func (o LiveOptions) withDefaults() LiveOptions {
 
 // cloneWait carries a consistent cut of a table from a source backend's
 // applier (which takes it at an exact global-order position) to the
-// migration goroutine, which materialises it a batch at a time.
+// migration goroutine, which materialises it a batch at a time, or to a
+// recovering backend's restore job, which installs it whole.
 type cloneWait struct {
 	table string
 	cut   *sqlmini.TableCut

@@ -6,20 +6,49 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // last returns the final Y value of a series.
 func last(s *Series) float64 { return s.Y[len(s.Y)-1] }
 
+// quick memoises the Quick() tables by experiment ID, so each figure
+// runs once per test process: TestRunAllQuick and the shape tests read
+// the same tables.
+var quick = struct {
+	sync.Mutex
+	tabs map[string]*Table
+}{tabs: make(map[string]*Table)}
+
+// quickTable returns experiment id's Quick() table, running the
+// experiment on first use.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	quick.Lock()
+	defer quick.Unlock()
+	if tab, ok := quick.tabs[id]; ok {
+		return tab
+	}
+	for _, e := range AllExperiments() {
+		if e.ID == id {
+			tab, err := e.Run(Quick())
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			quick.tabs[id] = tab
+			return tab
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
+}
+
 // TestFig4aShape: partial replication beats full replication, which
 // beats random (the Figure 4(a) ordering), and all but random scale
 // with the cluster.
 func TestFig4aShape(t *testing.T) {
-	tab, err := Fig4aTPCHThroughput(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E01")
 	full, table, column, random := tab.Get("full"), tab.Get("table"), tab.Get("column"), tab.Get("random")
 	if full == nil || table == nil || column == nil || random == nil {
 		t.Fatal("missing series")
@@ -51,10 +80,7 @@ func TestFig4aShape(t *testing.T) {
 // TestFig4bDeviationSmall: the paper reports at most 6% deviation for
 // the read-only workload; allow a loose 15% in the small quick run.
 func TestFig4bDeviationSmall(t *testing.T) {
-	tab, err := Fig4bTPCHDeviation(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E02")
 	avg, minS, maxS := tab.Get("average"), tab.Get("minimum"), tab.Get("maximum")
 	for i := range avg.Y {
 		if minS.Y[i] > avg.Y[i]+1e-9 || maxS.Y[i] < avg.Y[i]-1e-9 {
@@ -70,11 +96,7 @@ func TestFig4bDeviationSmall(t *testing.T) {
 // bit below (the fact tables dominate); column-based is far lower; the
 // optimal is never above the heuristic.
 func TestFig4cShape(t *testing.T) {
-	opts := Quick()
-	tab, err := Fig4cReplicationDegree(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E03")
 	full, table, column, opt := tab.Get("full"), tab.Get("table"), tab.Get("column"), tab.Get("optimal-table")
 	for i, x := range full.X {
 		if math.Abs(full.Y[i]-x) > 1e-9 {
@@ -108,10 +130,7 @@ func TestFig4cShape(t *testing.T) {
 // allocation installs faster than full replication for larger clusters
 // (less data to ship per backend).
 func TestFig4dShape(t *testing.T) {
-	tab, err := Fig4dAllocationTime(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E04")
 	full, column := tab.Get("full"), tab.Get("column")
 	if last(column) >= last(full) {
 		t.Fatalf("column install (%.3f) not below full (%.3f) at max backends", last(column), last(full))
@@ -121,10 +140,7 @@ func TestFig4dShape(t *testing.T) {
 // TestFig4eShape: both scale factors scale nearly linearly and
 // column-based keeps up with full replication.
 func TestFig4eShape(t *testing.T) {
-	tab, err := Fig4eTPCHScaling(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E05")
 	for _, s := range tab.Series {
 		if s.Y[0] != 1 {
 			t.Fatalf("%s: baseline not 1", s.Name)
@@ -140,11 +156,7 @@ func TestFig4eShape(t *testing.T) {
 // partial allocations keep climbing — the paper's 2.4x gap at 10
 // backends (smaller here in quick mode, but strictly ordered).
 func TestFig4fShape(t *testing.T) {
-	opts := Quick()
-	tab, err := Fig4fTPCAppSpeedup(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E06")
 	full, table, column := tab.Get("full"), tab.Get("table"), tab.Get("column")
 	n := float64(len(full.Y))
 	amdahl := 1 / (0.75/n + 0.25)
@@ -159,10 +171,7 @@ func TestFig4fShape(t *testing.T) {
 // TestFig4gOrdering: absolute throughput — both partial allocations
 // beat full replication at the top end.
 func TestFig4gOrdering(t *testing.T) {
-	tab, err := Fig4gTPCAppThroughput(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E07")
 	full, table, column := tab.Get("full"), tab.Get("table"), tab.Get("column")
 	if last(table) <= last(full) {
 		t.Fatalf("table %.0f not above full %.0f", last(table), last(full))
@@ -175,15 +184,7 @@ func TestFig4gOrdering(t *testing.T) {
 // TestFig4hDeviationLargerThanReadOnly: the read-write deviation
 // exceeds the read-only one (Figure 4(h) vs 4(b)).
 func TestFig4hDeviationLargerThanReadOnly(t *testing.T) {
-	opts := Quick()
-	rw, err := Fig4hTPCAppDeviation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := Fig4bTPCHDeviation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rw, ro := quickTable(t, "E08"), quickTable(t, "E02")
 	rel := func(tab *Table) float64 {
 		avg, minS, maxS := tab.Get("average"), tab.Get("minimum"), tab.Get("maximum")
 		i := len(avg.Y) - 1
@@ -201,10 +202,7 @@ func TestFig4hDeviationLargerThanReadOnly(t *testing.T) {
 // (the paper even measures a slowdown at 10 nodes) while the partial
 // allocations keep scaling.
 func TestFig4iShape(t *testing.T) {
-	tab, err := Fig4iTPCAppLargeScale(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E09")
 	full, table, column := tab.Get("full"), tab.Get("table"), tab.Get("column")
 	if last(full) >= last(table) || last(full) >= last(column) {
 		t.Fatalf("full (%.2f) not below partial (%.2f/%.2f)", last(full), last(table), last(column))
@@ -217,10 +215,7 @@ func TestFig4iShape(t *testing.T) {
 
 // TestFig4jShape: the read-write workload is harder to balance.
 func TestFig4jShape(t *testing.T) {
-	tab, err := Fig4jLoadBalance(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E10")
 	h, app := tab.Get("TPC-H"), tab.Get("TPC-App")
 	if last(app) < last(h)-1e-9 {
 		t.Fatalf("TPC-App deviation %.3f below TPC-H %.3f", last(app), last(h))
@@ -234,11 +229,7 @@ func TestFig4jShape(t *testing.T) {
 // TestFig4kShape: TPC-H's hottest table lands everywhere; TPC-App's
 // write-only order_line table stays on exactly one backend.
 func TestFig4kShape(t *testing.T) {
-	opts := Quick()
-	tab, err := Fig4kReplicationHistogramTable(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E11")
 	h, app := tab.Get("TPC-H"), tab.Get("TPC-App")
 	n := len(h.Y)
 	if h.Y[n-1] < 1 {
@@ -264,10 +255,7 @@ func TestFig4kShape(t *testing.T) {
 // fragments and a strong single-replica mode (the algorithm's effort to
 // reduce replication).
 func TestFig4lShape(t *testing.T) {
-	tab, err := Fig4lReplicationHistogramColumn(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E12")
 	h := tab.Get("TPC-H")
 	sum := 0.0
 	for _, v := range h.Y {
@@ -284,10 +272,7 @@ func TestFig4lShape(t *testing.T) {
 // TestFig5aShape: the active-node curve follows the diurnal request
 // curve.
 func TestFig5aShape(t *testing.T) {
-	tab, err := Fig5aAutoscaleNodes(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E13")
 	reqs, nodes := tab.Get("requests/10min"), tab.Get("active nodes")
 	if len(reqs.Y) != len(nodes.Y) {
 		t.Fatal("series misaligned")
@@ -310,10 +295,7 @@ func TestFig5aShape(t *testing.T) {
 // TestFig5bShape: scaling costs only a modest latency premium and stays
 // bounded.
 func TestFig5bShape(t *testing.T) {
-	tab, err := Fig5bAutoscaleLatency(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E14")
 	w, wo := tab.Get("with scaling"), tab.Get("without scaling")
 	var wSum, woSum float64
 	for i := range w.Y {
@@ -331,10 +313,7 @@ func TestFig5bShape(t *testing.T) {
 // TestFig6Rendering: the class-mix figure covers the full day for all
 // five classes.
 func TestFig6Rendering(t *testing.T) {
-	tab, err := Fig6ClassDistribution(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E15")
 	if len(tab.Series) != 5 {
 		t.Fatalf("series = %d", len(tab.Series))
 	}
@@ -347,10 +326,7 @@ func TestFig6Rendering(t *testing.T) {
 
 // TestSpeedupModel: predictions bound the measurements.
 func TestSpeedupModel(t *testing.T) {
-	tab, err := SpeedupModelTable(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E18")
 	pf, mf := tab.Get("full predicted"), tab.Get("full measured")
 	pp, mp := tab.Get("partial bound"), tab.Get("table measured")
 	i := len(pf.Y) - 1
@@ -364,10 +340,7 @@ func TestSpeedupModel(t *testing.T) {
 
 // TestRobustnessTable reproduces the 25% -> 27% => 3.7 example.
 func TestRobustnessTable(t *testing.T) {
-	tab, err := RobustnessTable(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E19")
 	s := tab.Get("speedup")
 	if s.Y[0] != 4 {
 		t.Fatalf("undrifted speedup = %v, want 4", s.Y[0])
@@ -385,10 +358,7 @@ func TestRobustnessTable(t *testing.T) {
 // TestKSafetyTable: replication grows with k; read-only speedup is
 // unaffected while the update workload pays.
 func TestKSafetyTable(t *testing.T) {
-	tab, err := KSafetyTable(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E20")
 	repH, spH := tab.Get("TPC-H replication"), tab.Get("TPC-H speedup")
 	repA, spA := tab.Get("TPC-App replication"), tab.Get("TPC-App speedup")
 	for i := 1; i < len(repH.Y); i++ {
@@ -410,11 +380,7 @@ func TestKSafetyTable(t *testing.T) {
 
 // TestAblations exercises the four ablation tables.
 func TestAblations(t *testing.T) {
-	opts := Quick()
-	a1, err := AblationSolvers(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := quickTable(t, "A1")
 	gs, ms, os := a1.Get("greedy scale"), a1.Get("memetic scale"), a1.Get("optimal scale")
 	for i := range gs.Y {
 		if ms.Y[i] > gs.Y[i]+1e-9 {
@@ -424,27 +390,18 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("optimal scale above memetic at %v", gs.X[i])
 		}
 	}
-	a2, err := AblationGranularity(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := quickTable(t, "A2")
 	classes := a2.Get("classes")
 	if classes.Y[1] <= classes.Y[0] {
 		t.Fatal("column-based must yield more classes")
 	}
-	a3, err := AblationScheduler(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a3 := quickTable(t, "A3")
 	lp := a3.Get("least-pending")
 	rnd := a3.Get("random")
 	if last(lp) < last(rnd)*0.95 {
 		t.Fatalf("least-pending %.2f clearly below random %.2f", last(lp), last(rnd))
 	}
-	a4, err := AblationMatching(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a4 := quickTable(t, "A4")
 	hung, naive := a4.Get("hungarian"), a4.Get("naive")
 	for i := range hung.Y {
 		if hung.Y[i] > naive.Y[i]+1e-9 {
@@ -456,10 +413,7 @@ func TestAblations(t *testing.T) {
 // TestClusterSmoke: the real-engine path produces throughput on 1-3
 // backends.
 func TestClusterSmoke(t *testing.T) {
-	tab, err := ClusterSmoke(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E21")
 	s := tab.Get("table-based")
 	for i, v := range s.Y {
 		if v <= 0 {
@@ -513,10 +467,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatalf("headlines.golden has %d lines, want one per experiment (%d)", len(golden), len(all))
 	}
 	for i, e := range all {
-		tab, err := e.Run(Quick())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := quickTable(t, e.ID)
 		if tab.String() == "" {
 			t.Fatalf("%s renders empty", tab.ID)
 		}
@@ -532,10 +483,7 @@ func TestRunAllQuick(t *testing.T) {
 // trigger reallocation during the day; the whole-day allocation stays
 // quieter.
 func TestDriftDetection(t *testing.T) {
-	tab, err := DriftDetection(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E22")
 	day := tab.Get("whole-day allocation")
 	night := tab.Get("night-only allocation")
 	if last(night) <= last(day) {
@@ -553,10 +501,7 @@ func TestDriftDetection(t *testing.T) {
 // (ROADMAP item 1a — beside a one-core hog "read throughput fell with
 // clients" failed a quarter of its runs on either side of any change).
 func TestMixedThroughput(t *testing.T) {
-	tab, err := MixedThroughput(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "E23")
 	for _, name := range []string{"10% updates", "50% updates"} {
 		s := tab.Get(name)
 		if s == nil || len(s.Y) != 4 {
@@ -573,10 +518,7 @@ func TestMixedThroughput(t *testing.T) {
 // TestAblationHeterogeneity: the heterogeneity-aware allocation must
 // not lose to treating the unequal cluster as uniform.
 func TestAblationHeterogeneity(t *testing.T) {
-	tab, err := AblationHeterogeneity(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "A6")
 	aware, naive := tab.Get("aware (Eq. 7 loads)"), tab.Get("naive (uniform loads)")
 	if last(aware) < last(naive)*0.97 {
 		t.Fatalf("aware %.0f clearly below naive %.0f", last(aware), last(naive))

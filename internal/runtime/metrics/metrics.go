@@ -94,20 +94,17 @@ type Admission struct {
 	admitted      atomic.Int64 // requests that won an execution slot
 	shed          atomic.Int64 // requests rejected with the typed overload error
 	drained       atomic.Int64 // requests rejected with the typed draining error
-	tooLarge      atomic.Int64 // oversized request lines answered and resynced
+	tooLarge      atomic.Int64 // oversized request frames answered and resynced
 	expired       atomic.Int64 // requests whose deadline passed while queued
 	queued        atomic.Int64 // admission queue depth (gauge)
 	queueWait     stats.ExpHistogram // microseconds from enqueue to slot grant
 
-	// Wire-protocol series (the v2 binary protocol and the prepared-
-	// statement handles of DESIGN.md §12). Connections are counted per
-	// negotiated protocol; frames/flushes expose the v2 writer's batch
-	// ratio; handles is the open prepared-statement gauge.
-	connsV1       atomic.Int64 // connections that spoke v1 newline-JSON
-	connsV2       atomic.Int64 // connections that negotiated v2 binary frames
-	framesIn      atomic.Int64 // v2 request frames decoded
-	framesOut     atomic.Int64 // v2 response frames written
-	flushes       atomic.Int64 // v2 writer flushes (framesOut/flushes = batch ratio)
+	// Wire-protocol series (the frame protocol and the prepared-
+	// statement handles of DESIGN.md §12): frames/flushes expose the
+	// writer's batch ratio; handles is the open prepared-statement gauge.
+	framesIn      atomic.Int64 // request frames decoded
+	framesOut     atomic.Int64 // response frames written
+	flushes       atomic.Int64 // writer flushes (framesOut/flushes = batch ratio)
 	badFrames     atomic.Int64 // undecodable or unknown-type frames answered bad_request
 	prepares      atomic.Int64 // prepare commands served
 	preparedExecs atomic.Int64 // exec commands served through a handle
@@ -151,7 +148,7 @@ func (a *Admission) ObserveShed() { a.shed.Add(1) }
 // draining.
 func (a *Admission) ObserveDrained() { a.drained.Add(1) }
 
-// ObserveTooLarge records an oversized request line that was answered
+// ObserveTooLarge records an oversized request frame that was answered
 // with the typed too-large error and resynced past.
 func (a *Admission) ObserveTooLarge() { a.tooLarge.Add(1) }
 
@@ -162,22 +159,13 @@ func (a *Admission) ObserveDeadlineExpired() { a.expired.Add(1) }
 // Shed returns the shed counter (tests and the overload bench read it).
 func (a *Admission) Shed() int64 { return a.shed.Load() }
 
-// ObserveProtoConn records a connection's negotiated wire protocol.
-func (a *Admission) ObserveProtoConn(v2 bool) {
-	if v2 {
-		a.connsV2.Add(1)
-	} else {
-		a.connsV1.Add(1)
-	}
-}
-
-// ObserveFrameIn records one decoded v2 request frame.
+// ObserveFrameIn records one decoded request frame.
 func (a *Admission) ObserveFrameIn() { a.framesIn.Add(1) }
 
-// ObserveFrameOut records one written v2 response frame.
+// ObserveFrameOut records one written response frame.
 func (a *Admission) ObserveFrameOut() { a.framesOut.Add(1) }
 
-// ObserveFlush records one v2 writer flush (possibly covering many
+// ObserveFlush records one writer flush (possibly covering many
 // coalesced frames).
 func (a *Admission) ObserveFlush() { a.flushes.Add(1) }
 
@@ -209,9 +197,7 @@ func (a *Admission) Snapshot() AdmissionSnapshot {
 		Queued:          a.queued.Load(),
 		QueueWait:       latencySnapshot(&a.queueWait),
 		Wire: WireSnapshot{
-			ConnsV1:       a.connsV1.Load(),
-			ConnsV2:       a.connsV2.Load(),
-			FramesIn:      a.framesIn.Load(),
+			FramesIn:     a.framesIn.Load(),
 			FramesOut:     a.framesOut.Load(),
 			Flushes:       a.flushes.Load(),
 			BadFrames:     a.badFrames.Load(),
@@ -483,7 +469,7 @@ type GroupCommitSnapshot struct {
 
 // AdmissionSnapshot summarizes the server edge's overload-protection
 // series: connection counts, admitted/shed/drained requests, oversized
-// lines, queued-past-deadline expiries, the queue-depth gauge, and the
+// frames, queued-past-deadline expiries, the queue-depth gauge, and the
 // queue-wait histogram.
 type AdmissionSnapshot struct {
 	Conns           int64           `json:"conns"`
@@ -499,14 +485,11 @@ type AdmissionSnapshot struct {
 	Wire            WireSnapshot    `json:"wire"`
 }
 
-// WireSnapshot summarizes the wire-protocol series: connections per
-// negotiated protocol, v2 frame and flush counts (their ratio is the
-// response batch factor), rejected frames, and the prepared-statement
-// handle traffic.
+// WireSnapshot summarizes the wire-protocol series: frame and flush
+// counts (their ratio is the response batch factor), rejected frames,
+// and the prepared-statement handle traffic.
 type WireSnapshot struct {
-	ConnsV1       int64 `json:"conns_v1"`
-	ConnsV2       int64 `json:"conns_v2"`
-	FramesIn      int64 `json:"frames_in"`
+	FramesIn     int64 `json:"frames_in"`
 	FramesOut     int64 `json:"frames_out"`
 	Flushes       int64 `json:"flushes"`
 	BadFrames     int64 `json:"bad_frames"`

@@ -34,11 +34,10 @@ type Limits struct {
 	// WriteTimeout bounds one response write so a stalled client cannot
 	// pin execution slots forever (default 10s).
 	WriteTimeout time.Duration
-	// MaxLineBytes caps one request line — and, on a v2 connection, one
-	// frame (default 1 MiB). An oversized request gets a typed
-	// too-large error and the connection resyncs (at the next newline,
-	// or exactly past the frame's declared length) instead of dropping.
-	MaxLineBytes int
+	// MaxFrameBytes caps one request frame (default 1 MiB). An
+	// oversized frame gets a typed too-large error and the connection
+	// resyncs exactly past its declared length instead of dropping.
+	MaxFrameBytes int
 	// MaxStmts caps the prepared-statement handles one connection may
 	// hold open (default 512); past the cap, prepare fails until a
 	// handle is closed. Negative means unlimited.
@@ -70,8 +69,8 @@ func (l Limits) withDefaults() Limits {
 	if l.WriteTimeout <= 0 {
 		l.WriteTimeout = 10 * time.Second
 	}
-	if l.MaxLineBytes <= 0 {
-		l.MaxLineBytes = 1 << 20
+	if l.MaxFrameBytes <= 0 {
+		l.MaxFrameBytes = 1 << 20
 	}
 	l.MaxStmts = defaultCap(l.MaxStmts, 512)
 	return l

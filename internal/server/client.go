@@ -21,9 +21,9 @@ import (
 // selects sensible defaults; negative MaxRetries disables retries and
 // negative BreakerThreshold disables the circuit breaker.
 type ClientOptions struct {
-	// Protocol selects the wire protocol: 0 or 2 negotiates the v2
-	// binary frame protocol (falling back to v1 if the server answers
-	// in JSON), 1 forces newline-JSON.
+	// Protocol names the wire protocol version. The controller speaks
+	// only version 2, so 0 and 2 are accepted and any other value is an
+	// error.
 	Protocol int
 	// MaxRetries bounds the resends of one Do call after typed
 	// retryable rejections (overload, unavailable). Default 3; -1
@@ -49,9 +49,6 @@ type ClientOptions struct {
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Protocol == 0 {
-		o.Protocol = 2
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
 	}
@@ -79,6 +76,14 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
+// checkProtocol rejects a Protocol the controller does not speak.
+func (o ClientOptions) checkProtocol() error {
+	if o.Protocol != 0 && o.Protocol != wireVersion {
+		return fmt.Errorf("server: wire protocol %d is not supported (the controller speaks only %d)", o.Protocol, wireVersion)
+	}
+	return nil
+}
+
 // Client is a pipelined client for the controller protocol, safe for
 // concurrent use: every request carries an id, writes are serialized,
 // and a background reader demultiplexes responses by id — N goroutines
@@ -96,13 +101,7 @@ type Client struct {
 	rng  *rand.Rand // concurrency-safe (runtime.NewLockedRand)
 
 	wmu  sync.Mutex // serializes request writes and owns wbuf
-	wbuf []byte     // v2 frame scratch, reused across sends
-
-	// protoReady closes once the protocol is settled: immediately for a
-	// forced-v1 client, after the hello handshake (or its v1 fallback)
-	// otherwise. Senders wait on it; v2 is only read afterwards.
-	protoReady chan struct{}
-	v2         bool
+	wbuf []byte     // frame scratch, reused across sends
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -119,8 +118,12 @@ type Client struct {
 func Dial(addr string) (*Client, error) { return DialOptions(addr, ClientOptions{}) }
 
 // DialOptions connects to a controller with explicit overload-reaction
-// options.
+// options. An unsupported Protocol is an error before anything is
+// dialed.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
+	if err := opts.checkProtocol(); err != nil {
+		return nil, err
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -129,25 +132,25 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // NewClient wraps an established connection (tests and in-process
-// benchmarks dial their own).
+// benchmarks dial their own). With an unsupported Protocol nothing is
+// sent and every call fails with that error.
 func NewClient(conn net.Conn, opts ClientOptions) *Client {
 	opts = opts.withDefaults()
 	c := &Client{
-		opts:       opts,
-		conn:       conn,
-		rng:        runtime.NewLockedRand(opts.Seed),
-		protoReady: make(chan struct{}),
-		waiters:    make(map[uint64]chan *Response),
+		opts:    opts,
+		conn:    conn,
+		rng:     runtime.NewLockedRand(opts.Seed),
+		waiters: make(map[uint64]chan *Response),
 	}
 	c.breaker.threshold = opts.BreakerThreshold
 	c.breaker.cooldown = opts.BreakerCooldown
 	c.budget.max = opts.RetryBudget
 	c.budget.tokens = opts.RetryBudget
-	if opts.Protocol >= 2 {
-		// Open with the v2 preamble; the server's first byte tells us
-		// whether it understood (a write error surfaces via readLoop).
-		c.conn.Write(wirePreamble[:])
+	if c.readErr = opts.checkProtocol(); c.readErr != nil {
+		return c
 	}
+	// Open with the preamble; a write error surfaces via readLoop.
+	c.conn.Write(wirePreamble[:])
 	c.readWG.Add(1)
 	go c.readLoop()
 	return c
@@ -163,74 +166,17 @@ func (c *Client) Close() error {
 	return err
 }
 
-// readLoop settles the protocol, then demultiplexes responses to their
-// waiting Do calls by id. A response without an id (a pre-id server,
-// or an error generated before the request parsed) is matched to the
-// sole waiter when exactly one is outstanding.
+// readLoop reads the hello frame, then demultiplexes responses to their
+// waiting Do calls by id. A response without an id (an error generated
+// before the request decoded, or a connection-cap rejection) is matched
+// to the sole waiter when exactly one is outstanding.
 func (c *Client) readLoop() {
 	defer c.readWG.Done()
 	br := bufio.NewReader(c.conn)
-	if c.opts.Protocol >= 2 {
-		err := c.handshake(br)
-		close(c.protoReady)
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-	} else {
-		close(c.protoReady)
+	if err := handshake(br); err != nil {
+		c.failAll(err)
+		return
 	}
-	if c.v2 {
-		c.readFramesLoop(br)
-	} else {
-		c.readLinesLoop(br)
-	}
-}
-
-// handshake reads the server's first byte after our preamble: a hello
-// frame confirms v2; a JSON line means a server that answered in v1
-// before seeing the preamble consumed (a connection-cap rejection) —
-// fall back to v1 and let the line loop deliver it.
-func (c *Client) handshake(br *bufio.Reader) error {
-	first, err := br.Peek(1)
-	if err != nil {
-		return err
-	}
-	if first[0] == '{' {
-		c.v2 = false
-		return nil
-	}
-	typ, payload, _, err := readFrame(br, absMaxFrame)
-	if err != nil {
-		return fmt.Errorf("server: v2 handshake failed: %w", err)
-	}
-	if typ != frameHello || len(payload) < 1 {
-		return fmt.Errorf("server: v2 handshake: unexpected frame type %#x", typ)
-	}
-	if payload[0] < wireVersion {
-		return fmt.Errorf("server: v2 handshake: unsupported version %d", payload[0])
-	}
-	c.v2 = true
-	return nil
-}
-
-func (c *Client) readLinesLoop(br *bufio.Reader) {
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			c.failAll(fmt.Errorf("server: undecodable response: %w", err))
-			return
-		}
-		c.deliver(&resp)
-	}
-}
-
-func (c *Client) readFramesLoop(br *bufio.Reader) {
 	var rbuf []byte // frame scratch, reused — decodeResponse copies out
 	for {
 		typ, payload, _, err := readFrameBuf(br, absMaxFrame, &rbuf)
@@ -254,6 +200,21 @@ func (c *Client) readFramesLoop(br *bufio.Reader) {
 		}
 		c.deliver(resp)
 	}
+}
+
+// handshake reads the server's hello frame, the answer to our preamble.
+func handshake(br *bufio.Reader) error {
+	typ, payload, _, err := readFrame(br, absMaxFrame)
+	if err != nil {
+		return fmt.Errorf("server: handshake failed: %w", err)
+	}
+	if typ != frameHello || len(payload) < 1 {
+		return fmt.Errorf("server: handshake: unexpected frame type %#x", typ)
+	}
+	if payload[0] < wireVersion {
+		return fmt.Errorf("server: handshake: unsupported version %d", payload[0])
+	}
+	return nil
 }
 
 // deliver routes one response to its waiter.
@@ -296,9 +257,6 @@ func (c *Client) failAll(err error) {
 //
 //qcpa:nocancel the wire client is deadline-driven: conn deadlines bound the write, and readLoop closes every waiter channel on shutdown or read error
 func (c *Client) roundTrip(req Request) (*Response, error) {
-	// The protocol settles with the server's first byte; encode for the
-	// one that won.
-	<-c.protoReady
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -315,30 +273,17 @@ func (c *Client) roundTrip(req Request) (*Response, error) {
 	c.waiters[req.ID] = ch
 	c.mu.Unlock()
 
-	var err error
-	if c.v2 {
-		// One buffer, one write: [u32 len][type][payload]. The buffer is
-		// owned by wmu and reused, so steady-state sends allocate
-		// nothing.
-		c.wmu.Lock()
-		data := append(c.wbuf[:0], 0, 0, 0, 0, frameRequest)
-		data, err = encodeRequest(data, &req)
-		if err == nil {
-			binary.BigEndian.PutUint32(data[:4], uint32(len(data)-4))
-			_, err = c.conn.Write(data)
-		}
-		c.wbuf = data
-		c.wmu.Unlock()
-	} else {
-		var data []byte
-		data, err = json.Marshal(&req)
-		if err == nil {
-			data = append(data, '\n')
-			c.wmu.Lock()
-			_, err = c.conn.Write(data)
-			c.wmu.Unlock()
-		}
+	// One buffer, one write: [u32 len][type][payload]. The buffer is
+	// owned by wmu and reused, so steady-state sends allocate nothing.
+	c.wmu.Lock()
+	data := append(c.wbuf[:0], 0, 0, 0, 0, frameRequest)
+	data, err := encodeRequest(data, &req)
+	if err == nil {
+		binary.BigEndian.PutUint32(data[:4], uint32(len(data)-4))
+		_, err = c.conn.Write(data)
 	}
+	c.wbuf = data
+	c.wmu.Unlock()
 	if err != nil {
 		c.dropWaiter(req.ID)
 		return nil, err
@@ -504,8 +449,7 @@ func (c *Client) Prepare(sql, class string, write bool) (*Stmt, error) {
 
 // Exec executes the prepared statement with args bound to its literal
 // positions (pass none to run the template verbatim). Arguments may be
-// nil, integers, floats, or strings; over v2 they are typed binary
-// values, over v1 exact JSON numbers.
+// nil, integers, floats, or strings; they travel as typed binary values.
 func (st *Stmt) Exec(args ...interface{}) (*Response, error) {
 	return st.ExecContext(context.Background(), args...)
 }

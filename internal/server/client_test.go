@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +77,41 @@ func TestRetryBudget(t *testing.T) {
 	rb.mu.Unlock()
 	if tokens > 2 {
 		t.Fatalf("budget %v exceeds its cap 2", tokens)
+	}
+}
+
+// TestClientRejectsUnsupportedProtocol checks the controller's one
+// protocol is the only one a client accepts: Protocol 1 fails at
+// DialOptions, and a NewClient with it sends nothing and fails every
+// call; 0 and 2 both speak it.
+func TestClientRejectsUnsupportedProtocol(t *testing.T) {
+	_, _, addr := startServer(t)
+	if c, err := DialOptions(addr, ClientOptions{Protocol: 1}); err == nil {
+		c.Close()
+		t.Fatal("DialOptions accepted Protocol 1")
+	}
+	cliConn, srvConn := net.Pipe()
+	defer srvConn.Close()
+	c := NewClient(cliConn, ClientOptions{Protocol: 1})
+	defer c.Close()
+	if _, err := c.Do(Request{Cmd: "stats"}); err == nil {
+		t.Fatal("a Protocol 1 client answered a call")
+	}
+	srvConn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	var b [1]byte
+	if n, err := srvConn.Read(b[:]); err == nil || n > 0 {
+		t.Fatalf("a Protocol 1 client wrote %d bytes", n)
+	}
+	for _, proto := range []int{0, 2} {
+		c, err := DialOptions(addr, ClientOptions{Protocol: proto})
+		if err != nil {
+			t.Fatalf("Protocol %d: %v", proto, err)
+		}
+		resp, err := c.Query(`SELECT a_v FROM a WHERE a_id = 1`, "QA")
+		c.Close()
+		if err != nil || !resp.OK {
+			t.Fatalf("Protocol %d query: resp=%+v err=%v", proto, resp, err)
+		}
 	}
 }
 

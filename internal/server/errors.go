@@ -15,12 +15,12 @@ import (
 //	             retry (the request never executed — safe to resend)
 //	draining     the server is shutting down; retry against another
 //	             controller, not this one
-//	too_large    the request line exceeded MaxLineBytes; the connection
-//	             was resynced and lives on
-//	deadline     the request's deadline_ms/timeout_ms budget expired
+//	too_large    the request frame exceeded MaxFrameBytes; the
+//	             connection was resynced and lives on
+//	deadline     the request's DeadlineMS budget expired
 //	unavailable  no live replica could serve the request (retryable —
 //	             a failed backend may recover)
-//	bad_request  the line (or frame) was not a valid request
+//	bad_request  the frame was not a valid request
 //	bad_handle   an exec/close referenced a prepared handle this
 //	             connection does not hold (closed, never prepared, or a
 //	             different connection's) — re-prepare and retry

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -40,7 +38,6 @@ func FuzzFrameDecode(f *testing.F) {
 	bomb := appendUvarint(nil, 1)                   // id
 	bomb = append(bomb, 0, 0)                      // cmd, flags
 	bomb = appendUvarint(bomb, 0)                  // deadline
-	bomb = appendUvarint(bomb, 0)                  // timeout
 	bomb = appendUvarint(bomb, 0)                  // handle
 	bomb = appendString(bomb, "")                  // sql
 	bomb = appendString(bomb, "")                  // class
@@ -64,29 +61,7 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzReadLine checks the v1 line reader never panics, never returns a
-// line over the limit, and always either consumes through a newline or
-// reports an error.
-func FuzzReadLine(f *testing.F) {
-	f.Add([]byte("{\"sql\":\"SELECT 1\"}\n"), 64)
-	f.Add([]byte(strings.Repeat("x", 100)+"\r\n"), 32)
-	f.Add([]byte(strings.Repeat("x", 32)+"\r\n"), 32)
-	f.Add([]byte("\n"), 1)
-	f.Add([]byte("no newline at all"), 16)
-	f.Add([]byte("\r\r\r\n"), 2)
-	f.Fuzz(func(t *testing.T, data []byte, max int) {
-		if max < 1 || max > 1<<16 {
-			return
-		}
-		br := bufio.NewReaderSize(bytes.NewReader(data), 16)
-		line, tooLong, err := readLine(br, max)
-		if err == nil && !tooLong && len(line) > max {
-			t.Fatalf("readLine returned %d bytes past the %d limit", len(line), max)
-		}
-	})
-}
-
-// rawV2Conn dials the server, completes the v2 handshake manually, and
+// rawV2Conn dials the server, completes the handshake manually, and
 // returns the raw connection for byte-level abuse.
 func rawV2Conn(t *testing.T, addr string) net.Conn {
 	t.Helper()
@@ -107,12 +82,12 @@ func rawV2Conn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// TestServerSurvivesWireGarbage feeds each class of malformed v2 input
-// to a live server and checks the contract: a typed error response or a
+// TestServerSurvivesWireGarbage feeds each class of malformed input to
+// a live server and checks the contract: a typed error response or a
 // clean close — never a hang — and the server keeps serving well-formed
 // clients afterward.
 func TestServerSurvivesWireGarbage(t *testing.T) {
-	s, _, addr := startLimitedServer(t, Limits{MaxLineBytes: 4096})
+	s, _, addr := startLimitedServer(t, Limits{MaxFrameBytes: 4096})
 	goodReq := func() []byte {
 		payload, _ := encodeRequest(nil, &Request{
 			ID: 1, SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA",
@@ -149,25 +124,32 @@ func TestServerSurvivesWireGarbage(t *testing.T) {
 			conn.Write([]byte{0, 0, 0, 50, frameRequest, 1, 2, 3})
 			conn.Close()
 		}, ""},
-		{"bad-preamble-closes", func(t *testing.T, conn net.Conn) {
-			// Handled before the handshake helper: dial raw.
-		}, ""},
+	}
+	// A connection that does not open with the preamble — a garbled one,
+	// or a JSON request line — gets no answer and a clean close.
+	for _, tc := range []struct{ name, opening string }{
+		{"bad-preamble-closes", "QxyzSELECT"},
+		{"json-opening-closes", `{"cmd":"stats"}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.Write([]byte(tc.opening))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("expected clean close, got %v", err)
+			}
+			if len(got) != 0 {
+				t.Fatalf("server answered %q to an opening without the preamble", got)
+			}
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.name == "bad-preamble-closes" {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer conn.Close()
-				conn.Write([]byte("QxyzSELECT"))
-				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, err := io.ReadAll(conn); err != nil {
-					t.Fatalf("expected clean close, got %v", err)
-				}
-				return
-			}
 			conn := rawV2Conn(t, addr)
 			tc.send(t, conn)
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))

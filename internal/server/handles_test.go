@@ -2,72 +2,62 @@ package server
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 )
 
 // TestPreparedHandlesOverBothProtocols runs the full prepare/exec/close
-// lifecycle over the binary v2 protocol and the JSON v1 protocol: the
-// handle commands are protocol-neutral.
+// lifecycle on one connection of each protocol the client accepts. The
+// binary frame protocol (v2) is the only one left, so there is one case.
 func TestPreparedHandlesOverBothProtocols(t *testing.T) {
 	_, _, addr := startServer(t)
-	for _, proto := range []int{1, 2} {
-		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
-			client, err := DialOptions(addr, ClientOptions{Protocol: proto})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
+	t.Run("v2", func(t *testing.T) {
+		testPreparedHandleLifecycle(t, addr, ClientOptions{Protocol: 2})
+	})
+}
 
-			st, err := client.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Handle() == 0 {
-				t.Fatal("prepare returned the zero handle")
-			}
-			if st.NumArgs() != 1 {
-				t.Fatalf("NumArgs = %d, want 1", st.NumArgs())
-			}
-			for id := int64(0); id < 4; id++ {
-				resp, err := st.Exec(id)
-				if err != nil {
-					t.Fatalf("exec id %d: %v", id, err)
-				}
-				// a_v = 2*a_id in the fixture; v1 JSON delivers float64,
-				// v2 delivers int64.
-				var got int64
-				switch v := resp.Rows[0][0].(type) {
-				case int64:
-					got = v
-				case float64:
-					got = int64(v)
-				default:
-					t.Fatalf("row value type %T", v)
-				}
-				if got != 2*id {
-					t.Fatalf("exec id %d: a_v = %d, want %d", id, got, 2*id)
-				}
-			}
-			// Template runs verbatim with no args.
-			if resp, err := st.Exec(); err != nil || !resp.OK {
-				t.Fatalf("verbatim exec: resp=%+v err=%v", resp, err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Exec after close: typed bad_handle, and the connection
-			// survives to serve a plain query.
-			_, err = st.Exec(int64(1))
-			var we *WireError
-			if !errors.As(err, &we) || we.Code != CodeBadHandle {
-				t.Fatalf("exec after close: err = %v, want bad_handle", err)
-			}
-			if resp, err := client.Query(`SELECT a_v FROM a WHERE a_id = 1`, "QA"); err != nil || !resp.OK {
-				t.Fatalf("connection dead after bad_handle: resp=%+v err=%v", resp, err)
-			}
-		})
+func testPreparedHandleLifecycle(t *testing.T, addr string, opts ClientOptions) {
+	client, err := DialOptions(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	st, err := client.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Handle() == 0 {
+		t.Fatal("prepare returned the zero handle")
+	}
+	if st.NumArgs() != 1 {
+		t.Fatalf("NumArgs = %d, want 1", st.NumArgs())
+	}
+	for id := int64(0); id < 4; id++ {
+		resp, err := st.Exec(id)
+		if err != nil {
+			t.Fatalf("exec id %d: %v", id, err)
+		}
+		// a_v = 2*a_id in the fixture, delivered as int64.
+		if got, ok := resp.Rows[0][0].(int64); !ok || got != 2*id {
+			t.Fatalf("exec id %d: a_v = %#v, want int64 %d", id, resp.Rows[0][0], 2*id)
+		}
+	}
+	// Template runs verbatim with no args.
+	if resp, err := st.Exec(); err != nil || !resp.OK {
+		t.Fatalf("verbatim exec: resp=%+v err=%v", resp, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Exec after close: typed bad_handle, and the connection survives to
+	// serve a plain query.
+	_, err = st.Exec(int64(1))
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeBadHandle {
+		t.Fatalf("exec after close: err = %v, want bad_handle", err)
+	}
+	if resp, err := client.Query(`SELECT a_v FROM a WHERE a_id = 1`, "QA"); err != nil || !resp.OK {
+		t.Fatalf("connection dead after bad_handle: resp=%+v err=%v", resp, err)
 	}
 }
 
@@ -153,32 +143,4 @@ func TestPreparedHandlesAreConnectionScoped(t *testing.T) {
 	if resp != nil && resp.Code != CodeBadHandle {
 		t.Fatalf("code = %q, want bad_handle", resp.Code)
 	}
-}
-
-// TestMixedProtocolsShareOnePort drives v1 and v2 clients concurrently
-// against the same listener: the first-byte sniff must route each
-// connection to its protocol without cross-talk.
-func TestMixedProtocolsShareOnePort(t *testing.T) {
-	_, _, addr := startServer(t)
-	var wg sync.WaitGroup
-	for _, proto := range []int{1, 2, 1, 2} {
-		wg.Add(1)
-		go func(proto int) {
-			defer wg.Done()
-			client, err := DialOptions(addr, ClientOptions{Protocol: proto})
-			if err != nil {
-				t.Errorf("v%d dial: %v", proto, err)
-				return
-			}
-			defer client.Close()
-			for i := 0; i < 10; i++ {
-				resp, err := client.Query(`SELECT a_v FROM a WHERE a_id = 2`, "QA")
-				if err != nil || !resp.OK {
-					t.Errorf("v%d query: resp=%+v err=%v", proto, resp, err)
-					return
-				}
-			}
-		}(proto)
-	}
-	wg.Wait()
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -71,26 +69,23 @@ func startLimitedServer(t *testing.T, limits Limits) (*Server, *cluster.Cluster,
 	return srv, c, ln.Addr().String()
 }
 
-// rawClient views the wire protocol directly, bypassing the Client's
-// id management — for tests that need explicit ids and raw lines.
-type rawClient struct {
-	conn net.Conn
-	br   *bufio.Reader
-}
+// rawClient speaks frames by hand on one handshaken connection,
+// bypassing the Client's id management — for tests that need explicit
+// ids and raw frames.
+type rawClient struct{ conn net.Conn }
 
 func dialRaw(t *testing.T, addr string) *rawClient {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	return &rawClient{conn: rawV2Conn(t, addr)}
+}
+
+func (rc *rawClient) send(t *testing.T, req Request) {
+	t.Helper()
+	payload, err := encodeRequest(nil, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	return &rawClient{conn: conn, br: bufio.NewReaderSize(conn, 1<<20)}
-}
-
-func (rc *rawClient) writeLine(t *testing.T, line string) {
-	t.Helper()
-	if _, err := rc.conn.Write([]byte(line + "\n")); err != nil {
+	if err := writeFrame(rc.conn, frameRequest, payload); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,15 +93,15 @@ func (rc *rawClient) writeLine(t *testing.T, line string) {
 func (rc *rawClient) readResponse(t *testing.T) *Response {
 	t.Helper()
 	rc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	line, err := rc.br.ReadBytes('\n')
+	typ, payload, _, err := readFrame(rc.conn, 1<<20)
+	if err != nil || typ != frameResponse {
+		t.Fatalf("response frame: typ=%#x err=%v", typ, err)
+	}
+	resp, err := decodeResponse(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatalf("undecodable response %q: %v", line, err)
-	}
-	return &resp
+	return resp
 }
 
 // TestOverloadEveryRequestAnswered is the chaos contract: a swarm at
@@ -131,10 +126,8 @@ func TestOverloadEveryRequestAnswered(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
-		// Half the swarm speaks v1 JSON, half v2 binary: the admission
-		// gates must hold identically for both on one port.
 		client, err := DialOptions(addr, ClientOptions{
-			MaxRetries: -1, BreakerThreshold: -1, Seed: int64(i + 1), Protocol: 1 + i%2,
+			MaxRetries: -1, BreakerThreshold: -1, Seed: int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -247,27 +240,26 @@ func TestCloseDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestResync sends lines beyond MaxLineBytes — both one
-// that fits the read buffer and one that overflows it — and checks the
-// connection answers each with the typed too-large error, then keeps
-// serving (the old Scanner path silently killed the connection).
+// TestOversizedRequestResync sends frames beyond MaxFrameBytes — both
+// one that fits the server's 64 KiB read buffer and one that overflows
+// it — and checks the connection answers each with the typed too-large
+// error, then keeps serving.
 func TestOversizedRequestResync(t *testing.T) {
-	srv, _, addr := startLimitedServer(t, Limits{MaxLineBytes: 1024})
+	srv, _, addr := startLimitedServer(t, Limits{MaxFrameBytes: 1024})
 	rc := dialRaw(t, addr)
 
 	// Oversized but within the 64 KiB reader buffer.
-	rc.writeLine(t, `{"sql": "`+strings.Repeat("x", 2048)+`"}`)
+	rc.send(t, Request{ID: 1, SQL: strings.Repeat("x", 2048)})
 	if resp := rc.readResponse(t); resp.Code != CodeTooLarge {
 		t.Fatalf("small-oversize response = %+v, want code %q", resp, CodeTooLarge)
 	}
-	// Oversized beyond the reader buffer (exercises the ErrBufferFull
-	// discard path).
-	rc.writeLine(t, `{"sql": "`+strings.Repeat("y", 128<<10)+`"}`)
+	// Oversized beyond the reader buffer: the discard streams through it.
+	rc.send(t, Request{ID: 2, SQL: strings.Repeat("y", 128<<10)})
 	if resp := rc.readResponse(t); resp.Code != CodeTooLarge {
 		t.Fatalf("big-oversize response = %+v, want code %q", resp, CodeTooLarge)
 	}
 	// The connection is resynced: a normal request still works.
-	rc.writeLine(t, `{"id": 3, "sql": "SELECT a_v FROM a WHERE a_id = 2", "class": "QA"}`)
+	rc.send(t, Request{ID: 3, SQL: "SELECT a_v FROM a WHERE a_id = 2", Class: "QA"})
 	resp := rc.readResponse(t)
 	if !resp.OK || resp.ID != 3 {
 		t.Fatalf("post-resync response = %+v", resp)
@@ -277,25 +269,28 @@ func TestOversizedRequestResync(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation checks that deadline_ms (and its timeout_ms
-// alias) bounds a request end to end: a deadline that expires while the
-// request waits in the admission queue yields the typed deadline error.
+// TestDeadlinePropagation checks that deadline_ms bounds a request end
+// to end: a deadline that expires while the request waits in the
+// admission queue yields the typed deadline error. A budget too large
+// for a time.Duration is no deadline at all, never one wrapped around
+// to under a millisecond.
 func TestDeadlinePropagation(t *testing.T) {
 	for _, tc := range []struct {
-		field string
-		proto int
+		name       string
+		deadlineMS int64
+		expires    bool
 	}{
-		{"deadline_ms", 2}, {"timeout_ms", 2},
-		{"deadline_ms_v1", 1}, {"timeout_ms_v1", 1},
+		{"deadline_ms", 50, true},
+		// ≈585 years: multiplied out to nanoseconds it wraps to 448µs.
+		{"deadline_ms_beyond_duration", 18446744073710, false},
 	} {
-		field, proto := tc.field, tc.proto
-		t.Run(field, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			_, c, addr := startLimitedServer(t, Limits{
 				MaxInflight: 1, QueueDepth: 4, ConnInflight: 8,
 			})
 			c.Backend(0).SetFault(&sqlmini.Fault{Latency: 400 * time.Millisecond})
 
-			client, err := DialOptions(addr, ClientOptions{MaxRetries: -1, BreakerThreshold: -1, Protocol: proto})
+			client, err := DialOptions(addr, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,13 +302,14 @@ func TestDeadlinePropagation(t *testing.T) {
 			}()
 			time.Sleep(50 * time.Millisecond) // hog owns the only slot
 
-			req := Request{SQL: `SELECT a_v FROM a WHERE a_id = 1`, Class: "QA"}
-			if strings.HasPrefix(field, "deadline_ms") {
-				req.DeadlineMS = 50
-			} else {
-				req.TimeoutMS = 50
+			resp, err := client.Do(Request{SQL: `SELECT a_v FROM a WHERE a_id = 1`, Class: "QA", DeadlineMS: tc.deadlineMS})
+			if !tc.expires {
+				if err != nil || !resp.OK {
+					t.Fatalf("resp=%+v err=%v, want success (no deadline)", resp, err)
+				}
+				<-hog
+				return
 			}
-			resp, err := client.Do(req)
 			if err == nil || resp == nil || resp.Code != CodeDeadline {
 				t.Fatalf("resp=%+v err=%v, want code %q", resp, err, CodeDeadline)
 			}
@@ -342,9 +338,9 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	c.Backend(0).SetFault(&sqlmini.Fault{Latency: 400 * time.Millisecond})
 
 	rc := dialRaw(t, addr)
-	rc.writeLine(t, `{"id": 1, "sql": "SELECT a_v FROM a WHERE a_id = 1", "class": "QA"}`)
+	rc.send(t, Request{ID: 1, SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
 	time.Sleep(50 * time.Millisecond) // let the slow request occupy B1
-	rc.writeLine(t, `{"id": 2, "sql": "SELECT b_v FROM b WHERE b_id = 1", "class": "QB"}`)
+	rc.send(t, Request{ID: 2, SQL: "SELECT b_v FROM b WHERE b_id = 1", Class: "QB"})
 
 	first, second := rc.readResponse(t), rc.readResponse(t)
 	if first.ID != 2 || second.ID != 1 {
@@ -359,15 +355,16 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 }
 
 // TestConnLimitRejectsTyped checks a connection beyond MaxConns gets
-// one typed overload response instead of a silent close.
+// the hello frame and one typed overload response instead of a silent
+// close.
 func TestConnLimitRejectsTyped(t *testing.T) {
 	_, _, addr := startLimitedServer(t, Limits{MaxConns: 1})
 	keep := dialRaw(t, addr)
-	keep.writeLine(t, `{"id": 1, "sql": "SELECT a_v FROM a WHERE a_id = 1", "class": "QA"}`)
+	keep.send(t, Request{ID: 1, SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
 	if resp := keep.readResponse(t); !resp.OK {
 		t.Fatalf("first connection should serve: %+v", resp)
 	}
-	over := dialRaw(t, addr)
+	over := dialRaw(t, addr) // completes the handshake: hello arrived
 	resp := over.readResponse(t)
 	if resp.Code != CodeOverload || resp.RetryAfterMS <= 0 {
 		t.Fatalf("over-limit connection response = %+v, want typed overload with retry-after", resp)

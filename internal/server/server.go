@@ -1,76 +1,49 @@
 // Package server exposes a cluster controller over TCP, completing the
 // paper's three-tier architecture (Figure 1): clients connect to the
 // controller, which schedules their queries onto the backends. The wire
-// protocol is newline-delimited JSON — one request object per line, one
-// response object per line. Requests may carry a client-chosen "id"
-// that the server echoes in the response; a connection with ids may
-// pipeline freely: every request executes in its own goroutine and
-// responses complete OUT OF ORDER through a dedicated per-connection
-// writer. Without ids, responses are only matchable by having one
-// request outstanding at a time (the pre-pipelining discipline).
+// protocol is length-prefixed binary frames (wire.go): a connection
+// opens with the preamble "QCP\x02", the server answers a hello frame,
+// and from then on every Request and Response is one frame. A
+// connection that opens with anything else is closed unanswered.
 //
-// Request:
-//
-//	{"id": 7, "sql": "SELECT ...", "class": "Q1", "write": false,
-//	 "deadline_ms": 250}
-//
-// Response:
-//
-//	{"id": 7, "ok": true, "backend": "B2", "columns": [...],
-//	 "rows": [[...]], "affected": 0, "duration_us": 123}
+// Every request carries a client-chosen id that the server echoes, so a
+// connection pipelines freely: each request executes in its own
+// goroutine and responses complete OUT OF ORDER through a dedicated
+// per-connection writer.
 //
 // The edge is overload-robust (see admission.go): accepted connections
 // are capped, each connection's inflight requests are bounded (a full
 // pipeline stops being read — TCP backpressure), and a global admission
 // semaphore with a bounded wait queue fronts execution. Beyond the
-// queue, requests are shed with a typed error carrying a retry hint:
+// queue, requests are shed with code "overload" and a retry-after hint.
+// A request's DeadlineMS bounds it end to end — queue wait included —
+// as a context deadline propagated into Cluster.ExecuteContext; expiry
+// yields code "deadline". Close drains gracefully: the listener closes,
+// new requests get code "draining", inflight requests finish within
+// Limits.DrainTimeout (then they are canceled), and every enqueued
+// response is flushed before its connection closes.
 //
-//	{"id": 7, "ok": false, "code": "overload", "retry_after_ms": 50,
-//	 "error": "server: overloaded, retry after 50ms"}
-//
-// "deadline_ms" (or its alias "timeout_ms") bounds the request end to
-// end — queue wait included — as a context deadline propagated into
-// Cluster.ExecuteContext; expiry yields code "deadline". Close drains
-// gracefully: the listener closes, new requests get code "draining",
-// inflight requests finish within Limits.DrainTimeout (then they are
-// canceled), and every enqueued response is flushed before its
-// connection closes.
-//
-// A request with "cmd": "history" returns the controller's recorded
-// query journal instead (the input to reallocation); "cmd": "stats"
-// returns per-backend table sets; "cmd": "metrics" returns the runtime
-// layer's counters — per backend: reads, writes, errors, the pending
-// gauge, and read/write latency histograms — plus the active
-// scheduling policy, the ROWA fan-out width series, and the edge's
-// admission series (connections, admitted/shed/drained, queue depth,
-// queue-wait histogram).
-//
-// The fault-tolerance layer is administered over the same protocol:
-// "cmd": "health" returns per-backend health states, redo-log depths,
-// per-class live replica counts, and the k-safety at-risk map (which
-// classes lose their last live replica if a given backend dies);
-// "cmd": "fail" with "backend": "B2" takes a backend out of service;
-// "cmd": "recover" brings it back and returns the catch-up report
-// (updates replayed, tables resynced, checksums verified).
-//
-// Online reallocation is driven over the same protocol: "cmd":
-// "migrate" asks the configured planner for a fresh allocation (from
-// the recorded query history) and installs it with the live-migration
-// engine — the cluster keeps serving while tables copy in throttled
-// batches; "cmd": "resize" with "backends": N does the same at a new
-// backend count (live scale-out/scale-in); "cmd": "migration" reports
-// the progress of the run in flight and, with pipelining, can be
-// polled on the SAME connection while a migrate/resize is executing.
+// Besides SQL (and the prepared-statement commands "prepare", "exec"
+// and "close"), Request.Cmd names an administrative command, answered
+// in a JSON-bodied frame: "history" (the recorded query journal, the
+// input to reallocation), "stats" (per-backend table sets), "metrics"
+// (the runtime layer's per-backend counters and histograms, the ROWA
+// fan-out, and the edge's admission and wire series), "health"
+// (per-backend states, redo-log depths, per-class live replicas and the
+// k-safety at-risk map), "fail" / "recover" with Backend (take a backend
+// out of service, bring it back with a catch-up report), "migrate" /
+// "resize" with Backends (replan and install live, at the current or a
+// new backend count), and "migration" (progress of the run in flight,
+// pollable on the same connection while a migrate or resize executes).
 package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -84,38 +57,39 @@ import (
 	"qcpa/internal/workload"
 )
 
-// Request is one client message.
+// Request is one client message: the payload of a request frame.
 type Request struct {
 	// ID is echoed in the response so pipelined requests can complete
-	// out of order. 0 means "no id" (the response omits it too).
-	ID    uint64 `json:"id,omitempty"`
-	Cmd   string `json:"cmd,omitempty"` // "", "history", "stats", "metrics", "health", "fail", "recover", "migrate", "resize", "migration"
-	SQL   string `json:"sql,omitempty"`
-	Class string `json:"class,omitempty"`
-	Write bool   `json:"write,omitempty"`
+	// out of order. Client sets it on every request.
+	ID uint64
+	// Cmd is "" for SQL, "prepare" / "exec" / "close" for prepared
+	// statements, or an administrative command (see the package doc).
+	Cmd string
+	// SQL is the statement of a plain request or of "prepare".
+	SQL string
+	// Class is the query-class hint routing the statement.
+	Class string
+	// Write routes the statement as an update (ROWA to every replica).
+	Write bool
 	// DeadlineMS bounds the request end to end (admission queue wait
 	// included), measured from arrival: the server derives a context
 	// deadline from it and propagates it into execution. Expiry yields
-	// code "deadline".
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// TimeoutMS is honored identically to DeadlineMS (the effective
-	// budget is the smaller of the two when both are set). It exists so
-	// a per-request timeout works even for clients that do not thread
-	// full deadline propagation.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// code "deadline". 0 means no deadline, and so does a budget too
+	// large for a time.Duration.
+	DeadlineMS int64
 	// Backend names the target of the administrative "fail" and
 	// "recover" commands.
-	Backend string `json:"backend,omitempty"`
+	Backend string
 	// Backends is the target backend count of the "resize" command.
-	Backends int `json:"backends,omitempty"`
+	Backends int
 	// Handle targets a prepared statement: "exec" runs it, "close"
 	// releases it. Handles are connection-scoped — they come from a
 	// "prepare" on the same connection.
-	Handle uint64 `json:"handle,omitempty"`
+	Handle uint64
 	// Args bind the prepared statement's literal positions in textual
-	// order (all or none). Over v1 JSON, numbers decode exactly
-	// (integers stay integers); over v2 they are typed on the wire.
-	Args []interface{} `json:"args,omitempty"`
+	// order (all or none), typed on the wire as null, int64, float64 or
+	// string.
+	Args []interface{}
 }
 
 // Config carries the server's reallocation hooks and edge limits. The
@@ -344,33 +318,37 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// rejectConn answers a connection beyond the MaxConns cap with one
-// typed overload response, then closes it — a shed connection is told
-// when to come back, never silently dropped.
+// rejectConn answers a connection beyond the MaxConns cap with the
+// hello frame and one typed overload response, then closes it — a shed
+// connection is told when to come back, never silently dropped. The
+// preamble is awaited for at most a second; without it the connection
+// is closed unanswered, like any other that does not open with it.
 func (s *Server) rejectConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	resp := Response{
+	conn.SetDeadline(time.Now().Add(time.Second))
+	var pre [4]byte
+	if _, err := io.ReadFull(bufio.NewReader(conn), pre[:]); err != nil || pre != wirePreamble {
+		return
+	}
+	// No admin payload, so the binary encoding cannot fail; write
+	// errors need no handling, the connection closes either way.
+	typ, payload, _ := encodeResponseFrame(nil, &Response{
 		Code:         CodeOverload,
 		RetryAfterMS: s.adm.retryAfterMS(0),
 		Error:        "server: connection limit reached",
-	}
-	data, err := json.Marshal(&resp)
-	if err != nil {
-		return
-	}
-	conn.Write(append(data, '\n'))
+	})
+	w := bufio.NewWriter(conn)
+	writeFrame(w, frameHello, []byte{wireVersion})
+	writeFrame(w, typ, payload)
+	w.Flush()
 }
 
 // connState is the per-connection plumbing shared by the reader, the
 // writer, and the request goroutines.
 type connState struct {
 	conn net.Conn
-	// v2 marks a connection that negotiated the binary protocol; the
-	// writer then frames responses instead of encoding JSON lines.
-	v2 bool
-	mx *metrics.Admission
+	mx   *metrics.Admission
 	// resp carries completed responses to the writer. Capacity covers
 	// the connection's inflight bound plus the reader's inline error
 	// responses, so request goroutines never block here in the steady
@@ -446,13 +424,14 @@ func (cs *connState) send(r *Response) {
 	}
 }
 
-// writeLoop is the connection's dedicated writer: it serializes
-// responses in completion order, flushing whenever the queue runs dry —
-// on a pipelined connection that coalesces a burst of completed
-// responses into one flush (the v2 batch factor is frames_out/flushes
-// in the wire metrics). A write error (or WriteTimeout expiry — a
-// client that stopped reading) kills the connection and turns the loop
-// into a drain so request goroutines never block on a dead peer.
+// writeLoop is the connection's dedicated writer: it sends the hello
+// frame, then serializes responses in completion order, flushing
+// whenever the queue runs dry — on a pipelined connection that
+// coalesces a burst of completed responses into one flush (the batch
+// factor is frames_out/flushes in the wire metrics). A write error (or
+// WriteTimeout expiry — a client that stopped reading) kills the
+// connection and turns the loop into a drain so request goroutines
+// never block on a dead peer.
 func (cs *connState) writeLoop(writeTimeout time.Duration) {
 	defer close(cs.writerDone)
 	w := bufio.NewWriter(cs.conn)
@@ -462,17 +441,12 @@ func (cs *connState) writeLoop(writeTimeout time.Duration) {
 		close(cs.dead)
 		cs.conn.Close() // unblocks the reader too
 	}
-	var enc *json.Encoder
-	if cs.v2 {
-		// The hello frame confirms the negotiated version before any
-		// response; flushed immediately so the client can start sending.
-		if err := writeFrame(w, frameHello, []byte{wireVersion}); err != nil {
-			fail()
-		} else if err := w.Flush(); err != nil {
-			fail()
-		}
-	} else {
-		enc = json.NewEncoder(w)
+	// The hello frame confirms the version before any response; flushed
+	// immediately so the client can start sending.
+	if err := writeFrame(w, frameHello, []byte{wireVersion}); err != nil {
+		fail()
+	} else if err := w.Flush(); err != nil {
+		fail()
 	}
 	var scratch []byte
 	for r := range cs.resp {
@@ -482,33 +456,26 @@ func (cs *connState) writeLoop(writeTimeout time.Duration) {
 		if writeTimeout > 0 {
 			cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
-		if cs.v2 {
-			typ, payload, err := encodeResponseFrame(scratch[:0], r)
-			if err != nil {
-				// An admin payload that failed to marshal: degrade to a
-				// plain error so the request still gets an answer.
-				typ, payload, _ = encodeResponseFrame(scratch[:0], &Response{
-					ID: r.ID, Error: "internal error: " + err.Error(),
-				})
-			}
-			if err := writeFrame(w, typ, payload); err != nil {
-				fail()
-				continue
-			}
-			scratch = payload[:0]
-			cs.mx.ObserveFrameOut()
-		} else if err := enc.Encode(r); err != nil {
+		typ, payload, err := encodeResponseFrame(scratch[:0], r)
+		if err != nil {
+			// An admin payload that failed to marshal: degrade to a
+			// plain error so the request still gets an answer.
+			typ, payload, _ = encodeResponseFrame(scratch[:0], &Response{
+				ID: r.ID, Error: "internal error: " + err.Error(),
+			})
+		}
+		if err := writeFrame(w, typ, payload); err != nil {
 			fail()
 			continue
 		}
+		scratch = payload[:0]
+		cs.mx.ObserveFrameOut()
 		if len(cs.resp) == 0 {
 			if err := w.Flush(); err != nil {
 				fail()
 				continue
 			}
-			if cs.v2 {
-				cs.mx.ObserveFlush()
-			}
+			cs.mx.ObserveFlush()
 		}
 	}
 	if alive {
@@ -516,33 +483,21 @@ func (cs *connState) writeLoop(writeTimeout time.Duration) {
 	}
 }
 
-// handle is the per-connection reader. It sniffs the first byte to
-// negotiate the protocol — the v2 preamble's 'Q' against a JSON line's
-// '{' — then runs the matching read loop. Either way every request is
-// gated identically (draining, per-connection inflight, drain barrier)
-// and served in its own goroutine so pipelined requests complete out
-// of order.
+// handle is the per-connection reader. The connection must open with
+// the preamble or it is closed unanswered; then every request frame is
+// gated (draining, per-connection inflight, drain barrier) and served
+// in its own goroutine so pipelined requests complete out of order.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != wirePreamble {
 		conn.Close()
 		return
 	}
-	v2 := first[0] == wirePreamble[0]
-	if v2 {
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil || pre != wirePreamble {
-			conn.Close()
-			return
-		}
-	}
-	s.mx.ObserveProtoConn(v2)
 	cs := &connState{
 		conn:       conn,
-		v2:         v2,
 		mx:         s.mx,
 		resp:       make(chan *Response, minInt(s.limits.ConnInflight, 1024)+8),
 		dead:       make(chan struct{}),
@@ -554,11 +509,7 @@ func (s *Server) handle(conn net.Conn) {
 		defer s.wg.Done()
 		cs.writeLoop(s.limits.WriteTimeout)
 	}()
-	if v2 {
-		s.readFrames(cs, br)
-	} else {
-		s.readLines(cs, br)
-	}
+	s.readFrames(cs, br)
 	cs.reqs.Wait()
 	close(cs.resp)
 	<-cs.writerDone
@@ -568,54 +519,20 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// readLines is the v1 loop: newline-delimited JSON objects.
-func (s *Server) readLines(cs *connState, br *bufio.Reader) {
-	for {
-		line, tooLong, err := readLine(br, s.limits.MaxLineBytes)
-		if tooLong {
-			s.mx.ObserveTooLarge()
-			cs.send(&Response{
-				Code:  CodeTooLarge,
-				Error: fmt.Sprintf("server: request line exceeds %d bytes", s.limits.MaxLineBytes),
-			})
-			if err != nil {
-				return
-			}
-			continue
-		}
-		if err != nil {
-			return
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		// UseNumber keeps prepared-exec args exact: integer literals
-		// stay integers instead of rounding through float64.
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber()
-		if jerr := dec.Decode(&req); jerr != nil {
-			cs.send(&Response{ID: req.ID, Code: CodeBadRequest, Error: "bad request: " + jerr.Error()})
-			continue
-		}
-		s.gate(cs, req)
-	}
-}
-
-// readFrames is the v2 loop: length-prefixed binary frames. The length
-// prefix makes oversized-frame resync exact (discard the payload,
-// answer too_large, keep the connection); an undecodable or
-// unknown-type frame is answered bad_request and the connection lives
-// on. Only a garbage length or a truncated stream closes it.
+// readFrames is the connection's read loop. The length prefix makes
+// oversized-frame resync exact (discard the payload, answer too_large,
+// keep the connection); an undecodable or unknown-type frame is
+// answered bad_request and the connection lives on. Only a garbage
+// length or a truncated stream closes it.
 func (s *Server) readFrames(cs *connState, br *bufio.Reader) {
 	var rbuf []byte // frame scratch, reused — decodeRequest copies out
 	for {
-		typ, payload, tooBig, err := readFrameBuf(br, s.limits.MaxLineBytes, &rbuf)
+		typ, payload, tooBig, err := readFrameBuf(br, s.limits.MaxFrameBytes, &rbuf)
 		if tooBig {
 			s.mx.ObserveTooLarge()
 			cs.send(&Response{
 				Code:  CodeTooLarge,
-				Error: fmt.Sprintf("server: frame exceeds %d bytes", s.limits.MaxLineBytes),
+				Error: fmt.Sprintf("server: frame exceeds %d bytes", s.limits.MaxFrameBytes),
 			})
 			if err != nil {
 				return
@@ -642,11 +559,9 @@ func (s *Server) readFrames(cs *connState, br *bufio.Reader) {
 	}
 }
 
-// gate runs the shared pre-execution gates — draining, the
-// per-connection inflight bound (TCP backpressure, not an error), and
-// the drain barrier — then hands the request to its own goroutine.
-// Both protocol loops funnel through here, so every Limits gate
-// applies identically to v1 lines and v2 frames.
+// gate runs the pre-execution gates — draining, the per-connection
+// inflight bound (TCP backpressure, not an error), and the drain
+// barrier — then hands the request to its own goroutine.
 func (s *Server) gate(cs *connState, req Request) {
 	if s.draining.Load() {
 		s.mx.ObserveDrained()
@@ -697,21 +612,14 @@ func (s *Server) serve(cs *connState, req Request) {
 }
 
 // requestContext derives the request's execution context from the
-// server's base context plus the client's deadline_ms/timeout_ms
-// budget (the smaller wins when both are set), measured from arrival so
-// admission queue wait counts against it.
+// server's base context plus the client's DeadlineMS budget, measured
+// from arrival so admission queue wait counts against it. A budget
+// beyond what a time.Duration holds (≈292 years) is no deadline:
+// multiplied out it would wrap around to an arbitrary, possibly
+// sub-millisecond one.
 func (s *Server) requestContext(req *Request) (context.Context, context.CancelFunc) {
-	var budget time.Duration
-	if req.DeadlineMS > 0 {
-		budget = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; budget == 0 || t < budget {
-			budget = t
-		}
-	}
-	if budget > 0 {
-		return context.WithTimeout(s.baseCtx, budget)
+	if ms := req.DeadlineMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		return context.WithTimeout(s.baseCtx, time.Duration(ms)*time.Millisecond)
 	}
 	return context.WithCancel(s.baseCtx)
 }
@@ -882,8 +790,8 @@ func (s *Server) execute(ctx context.Context, cs *connState, req Request) Respon
 
 // reallocate plans a fresh allocation for n backends and installs it
 // with the live engine. It runs synchronously in the requesting
-// request's goroutine; other requests — including {"cmd":"migration"}
-// polls on the same pipelined connection — keep executing throughout.
+// request's goroutine; other requests — including "migration" polls on
+// the same pipelined connection — keep executing throughout.
 func (s *Server) reallocate(n int) (*cluster.MigrationReport, error) {
 	if s.cfg.Planner == nil {
 		return nil, errors.New("server: no planner configured for online reallocation")
@@ -893,66 +801,6 @@ func (s *Server) reallocate(n int) (*cluster.MigrationReport, error) {
 		return nil, fmt.Errorf("server: planning allocation: %w", err)
 	}
 	return s.cluster.ResizeLive(alloc, s.cfg.Loader, s.cfg.Live)
-}
-
-// readLine reads one newline-terminated line of at most max bytes.
-// An oversized line reports tooLong=true after discarding through the
-// terminating newline, so the connection resyncs on the next request
-// instead of dying (the old bufio.Scanner path killed it silently).
-func readLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err error) {
-	var buf []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		// ReadSlice's fragment is only valid until the next read: copy.
-		buf = append(buf, frag...)
-		switch err {
-		case nil:
-			// Judge the payload with the framing stripped, so a request
-			// of exactly max bytes passes whether it ends in LF or CRLF
-			// (counting the CR used to shed valid boundary requests).
-			line := trimEOL(buf)
-			if len(line) > max {
-				return nil, true, nil
-			}
-			return line, false, nil
-		case bufio.ErrBufferFull:
-			// Early bound before the newline arrives: allow the payload
-			// plus the largest framing (CRLF); the exact check happens
-			// above once the terminator is seen.
-			if len(buf) > max+2 {
-				return nil, true, discardToNewline(br)
-			}
-		default:
-			return nil, false, err
-		}
-	}
-}
-
-// discardToNewline skips the remainder of an oversized line.
-func discardToNewline(br *bufio.Reader) error {
-	for {
-		_, err := br.ReadSlice('\n')
-		switch err {
-		case nil:
-			return nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return err
-		}
-	}
-}
-
-// trimEOL strips the trailing newline (and optional carriage return),
-// matching the old bufio.ScanLines framing.
-func trimEOL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	return b
 }
 
 func minInt(a, b int) int {

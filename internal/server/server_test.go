@@ -254,26 +254,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestMalformedLine(t *testing.T) {
-	_, _, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no error response")
-	}
-}
-
 func TestServerCloseIdempotent(t *testing.T) {
 	srv, _, _ := startServer(t)
 	if err := srv.Close(); err != nil {

@@ -1,19 +1,16 @@
-// Binary wire protocol v2 (DESIGN.md §12): length-prefixed frames
-// replacing the newline-JSON framing on the hot path, negotiated per
-// connection so v1 and v2 clients share one port.
+// The wire protocol (DESIGN.md §12): length-prefixed binary frames.
 //
-// Handshake: a v2 client opens with the 4-byte preamble "QCP\x02". The
-// server sniffs the first byte of every connection — '{' (or anything
-// else) keeps the newline-JSON loop, 'Q' consumes the preamble and
-// answers a hello frame carrying the negotiated version, after which
-// both sides speak frames. Old clients never see the difference.
+// Handshake: a client opens with the 4-byte preamble "QCP\x02"; the
+// server answers a hello frame carrying its version, after which both
+// sides speak frames. A connection that opens with anything else is
+// closed unanswered.
 //
 // Frame grammar (all integers big-endian, varints unsigned LEB128):
 //
 //	frame    := len(u32) type(u8) payload(len-1 bytes)
 //	hello    := 0x01 version(u8)
 //	request  := 0x10 id(uvarint) cmd(u8) flags(u8) deadline_ms(uvarint)
-//	            timeout_ms(uvarint) handle(uvarint) sql(str) class(str)
+//	            handle(uvarint) sql(str) class(str)
 //	            backend(str) backends(uvarint) nargs(uvarint) value*
 //	response := 0x20 id(uvarint) flags(u8) code(str) error(str)
 //	            retry_after_ms(uvarint) backend(str) duration_us(uvarint)
@@ -25,9 +22,9 @@
 //	row      := nvals(uvarint) value*
 //
 // The frame length covers the type byte and is bounded by
-// Limits.MaxLineBytes (the same knob that bounds a v1 line): an
-// oversized frame is answered with the typed too_large error and its
-// payload discarded — the length prefix makes resync exact. A frame
+// Limits.MaxFrameBytes: an oversized frame is answered with the typed
+// too_large error and its payload discarded — the length prefix makes
+// resync exact. A frame
 // that fails to decode (or carries an unknown type) is answered with
 // bad_request and the connection lives on; only a malformed length
 // (beyond the absolute cap) or a truncated read closes it.
@@ -45,9 +42,7 @@ import (
 	"qcpa/internal/sqlmini"
 )
 
-// wirePreamble opens a v2 connection; its first byte is what the
-// server's protocol sniff keys on (a JSON request line always starts
-// with '{' or whitespace).
+// wirePreamble opens every connection.
 var wirePreamble = [4]byte{'Q', 'C', 'P', 0x02}
 
 // wireVersion is the protocol version carried in the hello frame.
@@ -307,7 +302,6 @@ func encodeRequest(b []byte, req *Request) ([]byte, error) {
 	}
 	b = append(b, flags)
 	b = appendUvarint(b, clampU(req.DeadlineMS))
-	b = appendUvarint(b, clampU(req.TimeoutMS))
 	b = appendUvarint(b, req.Handle)
 	b = appendString(b, req.SQL)
 	b = appendString(b, req.Class)
@@ -337,7 +331,6 @@ func decodeRequest(payload []byte) (Request, error) {
 	flags := r.byte()
 	req.Write = flags&reqFlagWrite != 0
 	req.DeadlineMS = int64(r.uvarint())
-	req.TimeoutMS = int64(r.uvarint())
 	req.Handle = r.uvarint()
 	req.SQL = r.string()
 	req.Class = r.string()
@@ -466,10 +459,8 @@ func decodeResponse(payload []byte) (*Response, error) {
 	return resp, nil
 }
 
-// toValue converts a request argument (from either protocol) into an
-// engine value: v2 arguments arrive as nil/int64/float64/string, v1
-// JSON arguments as nil/json.Number/string (the v1 reader decodes with
-// UseNumber so integers survive exactly).
+// toValue converts a decoded request argument (nil, int64, float64 or
+// string) into an engine value.
 func toValue(v interface{}) (sqlmini.Value, error) {
 	switch x := v.(type) {
 	case nil:
@@ -480,15 +471,6 @@ func toValue(v interface{}) (sqlmini.Value, error) {
 		return sqlmini.Float(x), nil
 	case string:
 		return sqlmini.Text(x), nil
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return sqlmini.Int(i), nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return sqlmini.Null, fmt.Errorf("server: bad numeric arg %q", x.String())
-		}
-		return sqlmini.Float(f), nil
 	case sqlmini.Value:
 		return x, nil
 	default:

@@ -1,73 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestReadLineBoundary pins the MaxLineBytes boundary for both line
-// terminators: a payload of exactly max bytes must pass whether the
-// client frames it with LF or CRLF (the CR is framing, not payload).
-func TestReadLineBoundary(t *testing.T) {
-	const max = 32
-	payload := strings.Repeat("x", max)
-	over := strings.Repeat("x", max+1)
-	cases := []struct {
-		name    string
-		input   string
-		want    string
-		tooLong bool
-	}{
-		{"exact-lf", payload + "\n", payload, false},
-		{"exact-crlf", payload + "\r\n", payload, false},
-		{"over-lf", over + "\n", "", true},
-		{"over-crlf", over + "\r\n", "", true},
-		{"under-crlf", payload[:max-1] + "\r\n", payload[:max-1], false},
-		{"empty-lf", "\n", "", false},
-		{"empty-crlf", "\r\n", "", false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			br := bufio.NewReader(strings.NewReader(tc.input))
-			line, tooLong, err := readLine(br, max)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tooLong != tc.tooLong {
-				t.Fatalf("tooLong = %v, want %v", tooLong, tc.tooLong)
-			}
-			if !tc.tooLong && string(line) != tc.want {
-				t.Fatalf("line = %q, want %q", line, tc.want)
-			}
-		})
-	}
-}
-
-// TestReadLineBufferFullResync drives the early-bound path (payload
-// larger than the bufio buffer) and checks the reader resyncs at the
-// newline so the following request still parses.
-func TestReadLineBufferFullResync(t *testing.T) {
-	const max = 32
-	input := strings.Repeat("x", 4*max) + "\nok\n"
-	br := bufio.NewReaderSize(strings.NewReader(input), 16)
-	_, tooLong, err := readLine(br, max)
-	if err != nil || !tooLong {
-		t.Fatalf("oversized line: tooLong=%v err=%v", tooLong, err)
-	}
-	line, tooLong, err := readLine(br, max)
-	if err != nil || tooLong || string(line) != "ok" {
-		t.Fatalf("after resync: line=%q tooLong=%v err=%v", line, tooLong, err)
-	}
-}
-
-// TestRequestCodecRoundTrip round-trips requests through the v2 frame
+// TestRequestCodecRoundTrip round-trips requests through the frame
 // payload encoding, including an out-of-table cmd (the extension path)
 // and typed arguments.
 func TestRequestCodecRoundTrip(t *testing.T) {
@@ -80,7 +23,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		}},
 		{ID: 9, Cmd: "bogus", SQL: "x"},
 		{ID: 2, SQL: "UPDATE b SET b_v = 1", Class: "UB", Write: true,
-			DeadlineMS: 1, TimeoutMS: 7, Backend: "b0", Backends: 3},
+			DeadlineMS: 1, Backend: "b0", Backends: 3},
 	}
 	for _, want := range reqs {
 		payload, err := encodeRequest(nil, &want)
@@ -93,8 +36,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		}
 		if got.ID != want.ID || got.Cmd != want.Cmd || got.SQL != want.SQL ||
 			got.Class != want.Class || got.Write != want.Write ||
-			got.DeadlineMS != want.DeadlineMS || got.TimeoutMS != want.TimeoutMS ||
-			got.Handle != want.Handle || got.Backend != want.Backend ||
+			got.DeadlineMS != want.DeadlineMS || got.Handle != want.Handle || got.Backend != want.Backend ||
 			got.Backends != want.Backends || len(got.Args) != len(want.Args) {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
 		}
@@ -274,11 +216,14 @@ func TestRetryAfterHintScaling(t *testing.T) {
 }
 
 // fakeV2Server answers the preamble with a hello frame over one side of
-// a net.Pipe and hands each request frame to the test.
+// a net.Pipe and hands each request frame to the test. Like the real
+// server's writer, it has sent hello before the test can respond.
 func fakeV2Server(t *testing.T) (*Client, net.Conn) {
 	t.Helper()
 	cliConn, srvConn := net.Pipe()
+	hello := make(chan struct{})
 	go func() {
+		defer close(hello)
 		var pre [4]byte
 		if _, err := io.ReadFull(srvConn, pre[:]); err != nil || pre != wirePreamble {
 			srvConn.Close()
@@ -287,6 +232,7 @@ func fakeV2Server(t *testing.T) (*Client, net.Conn) {
 		writeFrame(srvConn, frameHello, []byte{wireVersion})
 	}()
 	c := NewClient(cliConn, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
+	<-hello
 	t.Cleanup(func() { c.Close(); srvConn.Close() })
 	return c, srvConn
 }
@@ -322,8 +268,7 @@ func respondOK(t *testing.T, conn net.Conn, id uint64) {
 
 // TestDoContextSubMillisecondDeadline checks a context with less than
 // 1ms remaining serializes deadline_ms as 1 — never the truncated 0
-// that a server reads as "no deadline" — and that an explicit
-// timeout_ms alias rides along untouched.
+// that a server reads as "no deadline".
 func TestDoContextSubMillisecondDeadline(t *testing.T) {
 	c, srv := fakeV2Server(t)
 	got := make(chan Request, 1)
@@ -334,7 +279,7 @@ func TestDoContextSubMillisecondDeadline(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
 	defer cancel()
-	resp, err := c.DoContext(ctx, Request{SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA", TimeoutMS: 7})
+	resp, err := c.DoContext(ctx, Request{SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
 	if err != nil {
 		// The 500us budget may expire before the round trip completes;
 		// what matters is what went on the wire, checked below.
@@ -348,9 +293,6 @@ func TestDoContextSubMillisecondDeadline(t *testing.T) {
 	case req := <-got:
 		if req.DeadlineMS != 1 {
 			t.Fatalf("deadline_ms = %d on the wire, want 1 (0 means no deadline)", req.DeadlineMS)
-		}
-		if req.TimeoutMS != 7 {
-			t.Fatalf("timeout_ms = %d on the wire, want 7", req.TimeoutMS)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("request never reached the server")

@@ -289,9 +289,8 @@ var NewCluster = cluster.New
 
 // Server types (see internal/server).
 type (
-	// Server serves a cluster controller over TCP: v1 newline-JSON and
-	// the v2 length-prefixed binary protocol on one port, sniffed per
-	// connection from the first byte (DESIGN.md §12).
+	// Server serves a cluster controller over TCP in length-prefixed
+	// binary frames (DESIGN.md §12).
 	Server = server.Server
 	// ServerRequest is one client message.
 	ServerRequest = server.Request
@@ -299,8 +298,7 @@ type (
 	ServerResponse = server.Response
 	// Client is a pipelined, overload-aware controller client.
 	Client = server.Client
-	// ClientOptions tunes the client's retry/backoff/breaker reaction
-	// and pins the wire protocol (Protocol: 1 JSON, 2 binary, 0 newest).
+	// ClientOptions tunes the client's retry/backoff/breaker reaction.
 	ClientOptions = server.ClientOptions
 	// Stmt is a server-side prepared-statement handle: parsed and routed
 	// once at Prepare, executed repeatedly shipping only argument values.

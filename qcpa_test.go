@@ -272,8 +272,7 @@ func TestClusterFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dial negotiates v2, whose binary value encoding preserves integer
-	// typing (v1 JSON delivered every number as float64).
+	// The binary value encoding preserves integer typing.
 	if v, ok := got.Rows[0][0].(int64); !ok || v != 99 {
 		t.Fatalf("value over TCP = %v (%T)", got.Rows[0][0], got.Rows[0][0])
 	}

@@ -69,7 +69,7 @@ chaos-group:
 # retry-after hint), or typed drain — zero silent drops — plus graceful
 # drain with goroutine-leak and out-of-order pipelining checks.
 chaos-overload:
-	$(GO) test -race -run 'Overload|Drain|Pipelin|TooLarge|Oversized|Deadline|Circuit|Retr|Breaker|ConnLimit' -count=2 -timeout 120s ./internal/server/
+	$(GO) test -race -run 'Overload|Drain|Pipelin|Panic|TooLarge|Oversized|Deadline|Circuit|Retr|Breaker|ConnLimit' -count=2 -timeout 120s ./internal/server/
 
 # bench runs the repo's benchmark (BENCHMARK.json, benchmark/README.md):
 # four seeded workloads behind a loopback listener, every response

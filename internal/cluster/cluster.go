@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -247,7 +248,7 @@ type Cluster struct {
 	// dispatchMu when a swap must not race an enqueue).
 	nodes atomic.Pointer[[]*backend]
 
-	policy  runtime.Policy
+	policy  *runtime.Policy
 	rng     *rand.Rand // concurrency-safe (runtime.NewLockedRand)
 	metrics *metrics.Registry
 
@@ -574,17 +575,17 @@ func (c *Cluster) installRoutingLocked(alloc *core.Allocation) {
 	}
 }
 
-// eligible returns the backends holding every table the class needs.
+// eligible appends to dst the backends holding every table the class
+// needs.
 // An unknown or empty class falls back to backends holding the tables
 // referenced by the statement itself (parsed lazily by Execute).
-func (c *Cluster) eligible(tables []string) []*backend {
-	var out []*backend
+func (c *Cluster) eligible(dst []*backend, tables []string) []*backend {
 	for _, b := range c.all() {
 		if b.holdsAll(tables) {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // Result reports one executed request.
@@ -689,11 +690,24 @@ func (c *Cluster) pickRead(elig []*backend) *backend {
 }
 
 // readCandidates filters the eligible backends down to live replicas
-// not yet tried by this request, preferring Up over Degraded ones.
-func readCandidates(elig []*backend, tried map[*backend]bool) []*backend {
+// not yet tried by this request, preferring Up over Degraded ones. When
+// nothing was tried yet and every eligible backend is Up — a first
+// attempt on a healthy cluster — it returns elig itself and allocates
+// nothing.
+func readCandidates(elig, tried []*backend) []*backend {
+	allUp := len(tried) == 0
+	for _, b := range elig {
+		if b.health.State() != runtime.Up {
+			allUp = false
+			break
+		}
+	}
+	if allUp {
+		return elig
+	}
 	var up, degraded []*backend
 	for _, b := range elig {
-		if tried[b] {
+		if slices.Contains(tried, b) {
 			continue
 		}
 		switch b.health.State() {
@@ -716,19 +730,23 @@ func readCandidates(elig []*backend, tried map[*backend]bool) []*backend {
 // Down — or has already failed this request — returns a typed
 // *runtime.UnavailableError naming the query class.
 func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class string, tables []string) (*Result, error) {
-	elig := c.eligible(tables)
+	// The first attempt's candidates stay on the stack; only a failover
+	// (which recomputes eligibility) allocates.
+	var buf [8]*backend
+	elig := c.eligible(buf[:0], tables)
 	if len(elig) == 0 {
 		return nil, fmt.Errorf("cluster: no backend holds tables %v", tables)
 	}
 	backoff := runtime.Backoff{Base: c.cfg.Backoff}
-	tried := make(map[*backend]bool, len(elig))
+	// tried stays nil until a replica fails this request.
+	var tried []*backend
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			// A live-migration cutover may have published new holders
 			// between attempts; recompute eligibility so failover can
 			// land on them.
-			if e2 := c.eligible(tables); len(e2) > 0 {
+			if e2 := c.eligible(nil, tables); len(e2) > 0 {
 				elig = e2
 			}
 		}
@@ -775,7 +793,7 @@ func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class
 				// between routing and execution. Not the backend's fault
 				// and not a genuine statement error — fail over without
 				// a health penalty.
-				tried[best] = true
+				tried = append(tried, best)
 				lastErr = err
 				continue
 			}
@@ -784,7 +802,7 @@ func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class
 			return nil, err
 		}
 		lastErr = err
-		tried[best] = true
+		tried = append(tried, best)
 		best.metrics.ObserveFailover()
 		if _, wentDown := best.health.NoteFailure(failThreshold); wentDown {
 			c.noteAutoDown(best)

@@ -340,7 +340,7 @@ func (c *Cluster) Health() *HealthReport {
 	c.mu.Unlock()
 	sort.Strings(classes)
 	for _, cl := range classes {
-		elig := c.eligible(frags[cl])
+		elig := c.eligible(nil, frags[cl])
 		live := 0
 		var last *backend
 		for _, b := range elig {

@@ -19,17 +19,41 @@ import (
 )
 
 // Policy selects which of n eligible backends receives the next read.
-// Implementations must be safe for concurrent use: the live cluster
-// calls Pick from many request goroutines at once.
-type Policy interface {
-	// Name returns the canonical flag spelling of the policy.
-	Name() string
-	// Pick returns a position in [0, n). pending reports the number of
-	// in-flight plus queued requests of the backend at position i; rng
-	// is the caller's randomness source (only consulted by randomized
-	// policies, which draw from it exactly once per call so seeded runs
-	// are reproducible).
-	Pick(n int, pending func(i int) int, rng *rand.Rand) int
+// It is safe for concurrent use: the live cluster calls Pick from many
+// request goroutines at once. It is a concrete type rather than an
+// interface so that Pick's pending function does not escape — a caller
+// passes a closure over a stack-held candidate slice without a heap
+// allocation per read.
+type Policy struct {
+	kind Kind
+	next atomic.Uint64 // RoundRobin's cursor
+}
+
+// Name returns the canonical flag spelling of the policy.
+func (p *Policy) Name() string { return p.kind.String() }
+
+// Pick returns a position in [0, n). pending reports the number of
+// in-flight plus queued requests of the backend at position i; rng is
+// the caller's randomness source (only consulted by RandomEligible,
+// which draws from it exactly once per call so seeded runs are
+// reproducible).
+func (p *Policy) Pick(n int, pending func(i int) int, rng *rand.Rand) int {
+	switch p.kind {
+	case RandomEligible:
+		if rng == nil {
+			return 0
+		}
+		return rng.Intn(n)
+	case RoundRobin:
+		return int((p.next.Add(1) - 1) % uint64(n))
+	}
+	best, bestP := 0, pending(0)
+	for i := 1; i < n; i++ {
+		if q := pending(i); q < bestP {
+			best, bestP = i, q
+		}
+	}
+	return best
 }
 
 // Kind enumerates the built-in policies.
@@ -61,16 +85,7 @@ func (k Kind) String() string {
 // (RoundRobin) get their own state, so each cluster or simulator run
 // cycles independently. An out-of-range kind behaves as LeastPending,
 // matching the historical simulator default.
-func (k Kind) New() Policy {
-	switch k {
-	case RandomEligible:
-		return randomEligible{}
-	case RoundRobin:
-		return &roundRobin{}
-	default:
-		return leastPending{}
-	}
-}
+func (k Kind) New() *Policy { return &Policy{kind: k} }
 
 // Kinds lists the built-in policy kinds in flag order.
 func Kinds() []Kind { return []Kind{LeastPending, RandomEligible, RoundRobin} }
@@ -87,39 +102,6 @@ func ParseKind(s string) (Kind, error) {
 		return RoundRobin, nil
 	}
 	return 0, fmt.Errorf("runtime: unknown scheduling policy %q (want least-pending, random, or round-robin)", s)
-}
-
-type leastPending struct{}
-
-func (leastPending) Name() string { return "least-pending" }
-
-func (leastPending) Pick(n int, pending func(i int) int, _ *rand.Rand) int {
-	best, bestP := 0, pending(0)
-	for i := 1; i < n; i++ {
-		if p := pending(i); p < bestP {
-			best, bestP = i, p
-		}
-	}
-	return best
-}
-
-type randomEligible struct{}
-
-func (randomEligible) Name() string { return "random" }
-
-func (randomEligible) Pick(n int, _ func(i int) int, rng *rand.Rand) int {
-	if rng == nil {
-		return 0
-	}
-	return rng.Intn(n)
-}
-
-type roundRobin struct{ next atomic.Uint64 }
-
-func (*roundRobin) Name() string { return "round-robin" }
-
-func (r *roundRobin) Pick(n int, _ func(i int) int, _ *rand.Rand) int {
-	return int((r.next.Add(1) - 1) % uint64(n))
 }
 
 // lockedSource is a rand.Source64 guarded by a mutex, so one *rand.Rand

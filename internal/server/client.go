@@ -86,9 +86,11 @@ func (o ClientOptions) checkProtocol() error {
 
 // Client is a pipelined client for the controller protocol, safe for
 // concurrent use: every request carries an id, writes are serialized,
-// and a background reader demultiplexes responses by id — N goroutines
-// calling Do share one connection with their requests in flight
-// simultaneously.
+// and responses are demultiplexed by id — N goroutines calling Do share
+// one connection with their requests in flight simultaneously. There is
+// no reader goroutine: one waiting caller at a time holds the reader
+// baton and reads frames, delivering each to its caller, until its own
+// response arrives; a lone caller so reads its own answer.
 //
 // The client is overload-aware: typed overload/unavailable rejections
 // are retried with the server's retry_after_ms hint plus capped
@@ -103,6 +105,11 @@ type Client struct {
 	wmu  sync.Mutex // serializes request writes and owns wbuf
 	wbuf []byte     // frame scratch, reused across sends
 
+	// reading is the one-slot reader baton; its holder owns br and rbuf.
+	reading chan struct{}
+	br      *bufio.Reader
+	rbuf    []byte // frame scratch, reused — decodeResponse copies out
+
 	mu      sync.Mutex
 	nextID  uint64
 	waiters map[uint64]chan *Response
@@ -111,7 +118,6 @@ type Client struct {
 
 	breaker breaker
 	budget  retryBudget
-	readWG  sync.WaitGroup
 }
 
 // Dial connects to a controller with default options.
@@ -119,7 +125,8 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, ClientOptions
 
 // DialOptions connects to a controller with explicit overload-reaction
 // options. An unsupported Protocol is an error before anything is
-// dialed.
+// dialed, and so is a peer that does not answer the preamble with the
+// hello frame.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 	if err := opts.checkProtocol(); err != nil {
 		return nil, err
@@ -128,18 +135,26 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(conn, opts), nil
+	c := NewClient(conn, opts)
+	if c.readErr != nil {
+		return nil, c.readErr
+	}
+	return c, nil
 }
 
 // NewClient wraps an established connection (tests and in-process
-// benchmarks dial their own). With an unsupported Protocol nothing is
-// sent and every call fails with that error.
+// benchmarks dial their own): it sends the preamble and reads the hello
+// frame before it returns. With an unsupported Protocol nothing is sent
+// and every call fails with that error; a failed handshake closes the
+// connection, and every call fails with the handshake's error.
 func NewClient(conn net.Conn, opts ClientOptions) *Client {
 	opts = opts.withDefaults()
 	c := &Client{
 		opts:    opts,
 		conn:    conn,
 		rng:     runtime.NewLockedRand(opts.Seed),
+		reading: make(chan struct{}, 1),
+		br:      bufio.NewReader(conn),
 		waiters: make(map[uint64]chan *Response),
 	}
 	c.breaker.threshold = opts.BreakerThreshold
@@ -149,10 +164,9 @@ func NewClient(conn net.Conn, opts ClientOptions) *Client {
 	if c.readErr = opts.checkProtocol(); c.readErr != nil {
 		return c
 	}
-	// Open with the preamble; a write error surfaces via readLoop.
-	c.conn.Write(wirePreamble[:])
-	c.readWG.Add(1)
-	go c.readLoop()
+	if c.readErr = c.handshake(); c.readErr != nil {
+		conn.Close()
+	}
 	return c
 }
 
@@ -161,50 +175,40 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.Close()
-	c.readWG.Wait()
-	return err
+	return c.conn.Close()
 }
 
-// readLoop reads the hello frame, then demultiplexes responses to their
-// waiting Do calls by id. A response without an id (an error generated
-// before the request decoded, or a connection-cap rejection) is matched
-// to the sole waiter when exactly one is outstanding.
-func (c *Client) readLoop() {
-	defer c.readWG.Done()
-	br := bufio.NewReader(c.conn)
-	if err := handshake(br); err != nil {
-		c.failAll(err)
-		return
+// readOne reads one response frame and delivers it to its caller. Only
+// the holder of the reader baton calls it.
+func (c *Client) readOne() error {
+	typ, payload, _, err := readFrameBuf(c.br, absMaxFrame, &c.rbuf)
+	if err != nil {
+		return err
 	}
-	var rbuf []byte // frame scratch, reused — decodeResponse copies out
-	for {
-		typ, payload, _, err := readFrameBuf(br, absMaxFrame, &rbuf)
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		var resp *Response
-		switch typ {
-		case frameResponse:
-			resp, err = decodeResponse(payload)
-		case frameRespJSON:
-			resp = &Response{}
-			err = json.Unmarshal(payload, resp)
-		default:
-			err = fmt.Errorf("unknown frame type %#x", typ)
-		}
-		if err != nil {
-			c.failAll(fmt.Errorf("server: undecodable response: %w", err))
-			return
-		}
-		c.deliver(resp)
+	var resp *Response
+	switch typ {
+	case frameResponse:
+		resp, err = decodeResponse(payload)
+	case frameRespJSON:
+		resp = &Response{}
+		err = json.Unmarshal(payload, resp)
+	default:
+		err = fmt.Errorf("unknown frame type %#x", typ)
 	}
+	if err != nil {
+		return fmt.Errorf("server: undecodable response: %w", err)
+	}
+	c.deliver(resp)
+	return nil
 }
 
-// handshake reads the server's hello frame, the answer to our preamble.
-func handshake(br *bufio.Reader) error {
-	typ, payload, _, err := readFrame(br, absMaxFrame)
+// handshake opens the connection with the preamble and reads the
+// server's hello frame in answer.
+func (c *Client) handshake() error {
+	if _, err := c.conn.Write(wirePreamble[:]); err != nil {
+		return fmt.Errorf("server: handshake failed: %w", err)
+	}
+	typ, payload, _, err := readFrame(c.br, absMaxFrame)
 	if err != nil {
 		return fmt.Errorf("server: handshake failed: %w", err)
 	}
@@ -217,7 +221,12 @@ func handshake(br *bufio.Reader) error {
 	return nil
 }
 
-// deliver routes one response to its waiter.
+// deliver routes one response to its waiter. A response without an id
+// (an error generated before the request decoded, or a connection-cap
+// rejection) is matched to the sole waiter when exactly one is
+// outstanding.
+//
+//qcpa:nocancel the send never blocks: each waiter channel has one slot and receives at most one response
 func (c *Client) deliver(resp *Response) {
 	c.mu.Lock()
 	ch, ok := c.waiters[resp.ID]
@@ -235,7 +244,8 @@ func (c *Client) deliver(resp *Response) {
 	}
 }
 
-// failAll terminates every outstanding waiter with the read error.
+// failAll terminates every outstanding waiter with the read error; the
+// calls that follow fail with it too.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	if c.readErr == nil {
@@ -255,7 +265,7 @@ func (c *Client) failAll(err error) {
 // roundTrip sends one request and waits for its response. Transport
 // errors (dial lost, server gone) surface as plain errors.
 //
-//qcpa:nocancel the wire client is deadline-driven: conn deadlines bound the write, and readLoop closes every waiter channel on shutdown or read error
+//qcpa:nocancel the wire client is deadline-driven: conn deadlines bound the write, and a failed read closes every waiter channel (see await)
 func (c *Client) roundTrip(req Request) (*Response, error) {
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -288,17 +298,42 @@ func (c *Client) roundTrip(req Request) (*Response, error) {
 		c.dropWaiter(req.ID)
 		return nil, err
 	}
-	resp, ok := <-ch
-	if !ok || resp == nil {
-		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("server: connection closed")
-		}
-		return nil, err
+	if resp, ok := c.await(ch); ok && resp != nil {
+		return resp, nil
 	}
-	return resp, nil
+	c.mu.Lock()
+	err = c.readErr
+	c.mu.Unlock()
+	if err == nil {
+		err = errors.New("server: connection closed")
+	}
+	return nil, err
+}
+
+// await receives from ch; ok is false when a read error closed it.
+// While no one else is reading, the caller takes the reader baton and
+// reads frames — delivering each to its caller — until its own response
+// arrives; then it passes the baton on to the next waiter. A read error
+// fails every waiter, ch included.
+//
+//qcpa:nocancel the wire client is deadline-driven: a closed or failed connection ends the read, and failAll closes every waiter channel
+func (c *Client) await(ch chan *Response) (resp *Response, ok bool) {
+	select {
+	case resp, ok = <-ch:
+		return resp, ok
+	case c.reading <- struct{}{}:
+	}
+	for {
+		select {
+		case resp, ok = <-ch:
+			<-c.reading // pass the baton on
+			return resp, ok
+		default:
+		}
+		if err := c.readOne(); err != nil {
+			c.failAll(err)
+		}
+	}
 }
 
 func (c *Client) dropWaiter(id uint64) {
@@ -389,26 +424,22 @@ func (c *Client) retryDelay(attempt int, hintMS int64) time.Duration {
 
 // Query executes a read.
 func (c *Client) Query(sql, class string) (*Response, error) {
-	resp, err := c.Do(Request{SQL: sql, Class: class})
-	if err != nil {
-		return resp, err
-	}
-	if !resp.OK {
-		return resp, ResponseError(resp)
-	}
-	return resp, nil
+	return c.call(context.Background(), Request{SQL: sql, Class: class})
 }
 
 // Exec executes a write (routed via ROWA to all replicas).
 func (c *Client) Exec(sql, class string) (*Response, error) {
-	resp, err := c.Do(Request{SQL: sql, Class: class, Write: true})
+	return c.call(context.Background(), Request{SQL: sql, Class: class, Write: true})
+}
+
+// call is DoContext for the typed helpers: a response that is not OK is
+// also an error.
+func (c *Client) call(ctx context.Context, req Request) (*Response, error) {
+	resp, err := c.DoContext(ctx, req)
 	if err != nil {
 		return resp, err
 	}
-	if !resp.OK {
-		return resp, ResponseError(resp)
-	}
-	return resp, nil
+	return resp, ResponseError(resp)
 }
 
 // Stmt is a server-side prepared statement: the statement was parsed
@@ -433,12 +464,9 @@ func (st *Stmt) NumArgs() int { return st.nargs }
 // The SQL's literals become argument positions bound by Exec in
 // textual order; class and write route it exactly like Query/Exec.
 func (c *Client) Prepare(sql, class string, write bool) (*Stmt, error) {
-	resp, err := c.Do(Request{Cmd: "prepare", SQL: sql, Class: class, Write: write})
+	resp, err := c.call(context.Background(), Request{Cmd: "prepare", SQL: sql, Class: class, Write: write})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	nargs := 0
 	if stmt, err := sqlmini.Parse(sql); err == nil {
@@ -464,23 +492,13 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...interface{}) (*Response
 		}
 		wire[i] = v
 	}
-	resp, err := st.c.DoContext(ctx, Request{Cmd: "exec", Handle: st.handle, Args: wire})
-	if err != nil {
-		return resp, err
-	}
-	if !resp.OK {
-		return resp, ResponseError(resp)
-	}
-	return resp, nil
+	return st.c.call(ctx, Request{Cmd: "exec", Handle: st.handle, Args: wire})
 }
 
 // Close releases the server-side handle.
 func (st *Stmt) Close() error {
-	resp, err := st.c.Do(Request{Cmd: "close", Handle: st.handle})
-	if err != nil {
-		return err
-	}
-	return ResponseError(resp)
+	_, err := st.c.call(context.Background(), Request{Cmd: "close", Handle: st.handle})
+	return err
 }
 
 // wireArg normalizes a caller-supplied argument to the wire's value
@@ -515,37 +533,25 @@ func wireArg(a interface{}) (interface{}, error) {
 
 // Health fetches the controller's availability report.
 func (c *Client) Health() (*cluster.HealthReport, error) {
-	resp, err := c.Do(Request{Cmd: "health"})
+	resp, err := c.call(context.Background(), Request{Cmd: "health"})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	return resp.Health, nil
 }
 
 // Fail administratively takes a backend out of service.
 func (c *Client) Fail(backend string) error {
-	resp, err := c.Do(Request{Cmd: "fail", Backend: backend})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return ResponseError(resp)
-	}
-	return nil
+	_, err := c.call(context.Background(), Request{Cmd: "fail", Backend: backend})
+	return err
 }
 
 // Recover brings a failed backend back and returns its catch-up
 // report.
 func (c *Client) Recover(backend string) (*cluster.CatchUpReport, error) {
-	resp, err := c.Do(Request{Cmd: "recover", Backend: backend})
+	resp, err := c.call(context.Background(), Request{Cmd: "recover", Backend: backend})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	return resp.CatchUp, nil
 }
@@ -555,12 +561,9 @@ func (c *Client) Recover(backend string) (*cluster.CatchUpReport, error) {
 // finishes; poll MigrationStatus concurrently (same client is fine —
 // the connection pipelines) for progress.
 func (c *Client) Migrate() (*cluster.MigrationReport, error) {
-	resp, err := c.Do(Request{Cmd: "migrate"})
+	resp, err := c.call(context.Background(), Request{Cmd: "migrate"})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	return resp.Report, nil
 }
@@ -568,12 +571,9 @@ func (c *Client) Migrate() (*cluster.MigrationReport, error) {
 // Resize asks the controller to replan at a new backend count and
 // scale live.
 func (c *Client) Resize(backends int) (*cluster.MigrationReport, error) {
-	resp, err := c.Do(Request{Cmd: "resize", Backends: backends})
+	resp, err := c.call(context.Background(), Request{Cmd: "resize", Backends: backends})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	return resp.Report, nil
 }
@@ -581,12 +581,9 @@ func (c *Client) Resize(backends int) (*cluster.MigrationReport, error) {
 // MigrationStatus fetches the progress of the migration in flight (or
 // the outcome of the last finished one).
 func (c *Client) MigrationStatus() (*cluster.MigrationStatus, error) {
-	resp, err := c.Do(Request{Cmd: "migration"})
+	resp, err := c.call(context.Background(), Request{Cmd: "migration"})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK {
-		return nil, ResponseError(resp)
 	}
 	return resp.Migration, nil
 }

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,6 +115,53 @@ func TestClientRejectsUnsupportedProtocol(t *testing.T) {
 		if err != nil || !resp.OK {
 			t.Fatalf("Protocol %d query: resp=%+v err=%v", proto, resp, err)
 		}
+	}
+}
+
+// TestDialFailsWithoutHello checks the client handshakes at dial: a
+// peer that answers the preamble with anything but the hello frame —
+// bytes that are no frame at all, or a frame of another type — fails
+// DialOptions itself, not the first call.
+func TestDialFailsWithoutHello(t *testing.T) {
+	var frame bytes.Buffer
+	writeFrame(&frame, frameResponse, nil)
+	for _, tc := range []struct {
+		name   string
+		answer []byte
+	}{
+		{"http", []byte("HTTP/1.1 400 Bad Request\r\n\r\n")},
+		{"response-frame", frame.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var pre [4]byte
+				if _, err := io.ReadFull(conn, pre[:]); err == nil {
+					conn.Write(tc.answer)
+				}
+				// Hold the connection open: the client must fail on what
+				// it read, not on a close.
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				conn.Read(pre[:])
+			}()
+			c, err := DialOptions(ln.Addr().String(), ClientOptions{})
+			if err == nil {
+				c.Close()
+				t.Fatal("DialOptions accepted a peer that did not answer hello")
+			}
+			if !strings.Contains(err.Error(), "handshake") {
+				t.Fatalf("err = %v, want a handshake error", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -143,4 +144,44 @@ func TestPreparedHandlesAreConnectionScoped(t *testing.T) {
 	if resp != nil && resp.Code != CodeBadHandle {
 		t.Fatalf("code = %q, want bad_handle", resp.Code)
 	}
+}
+
+// BenchmarkPreparedRoundTrip is the wire path of a prepared pk probe:
+// two connections, each running exec closed-loop, so the op is one
+// round trip through decode, admission, the cluster read, encode and
+// flush — the server's per-request cost with the engine's kept small.
+func BenchmarkPreparedRoundTrip(b *testing.B) {
+	_, _, addr := startServer(b)
+	const conns = 2
+	stmts := make([]*Stmt, conns)
+	for i := range stmts {
+		client, err := Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		if stmts[i], err = client.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, st := range stmts {
+		n := b.N / conns
+		if i == 0 {
+			n += b.N % conns
+		}
+		wg.Add(1)
+		go func(st *Stmt, n int) {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				if resp, err := st.Exec(int64(j % 5)); err != nil || !resp.OK {
+					b.Errorf("exec: resp=%+v err=%v", resp, err)
+					return
+				}
+			}
+		}(st, n)
+	}
+	wg.Wait()
 }

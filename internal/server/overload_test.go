@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
@@ -16,7 +17,18 @@ import (
 
 // startLimitedServer is startServer with explicit edge limits: the same
 // 2-backend cluster (tables a+b / b) behind ServeConfig.
-func startLimitedServer(t *testing.T, limits Limits) (*Server, *cluster.Cluster, string) {
+func startLimitedServer(t testing.TB, limits Limits) (*Server, *cluster.Cluster, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := serveLimited(t, ln, limits)
+	return srv, c, ln.Addr().String()
+}
+
+// serveLimited is startLimitedServer on a given listener.
+func serveLimited(t testing.TB, ln net.Listener, limits Limits) (*Server, *cluster.Cluster) {
 	t.Helper()
 	cl := core.NewClassification()
 	cl.AddFragment(core.Fragment{ID: "a", Size: 1})
@@ -60,14 +72,46 @@ func startLimitedServer(t *testing.T, limits Limits) (*Server, *cluster.Cluster,
 	if err := c.Install(alloc, load); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := ServeConfig(ln, c, Config{Limits: limits})
 	t.Cleanup(func() { srv.Close() })
-	return srv, c, ln.Addr().String()
+	return srv, c
 }
+
+// pipeListener accepts the server ends of in-memory net.Pipe
+// connections: a write on one blocks until the peer reads it, so a test
+// decides when the server's writes complete.
+type pipeListener struct {
+	conns     chan net.Conn
+	done      chan struct{}
+	closeOnce sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+// dial hands the listener a server end and returns the client end.
+func (l *pipeListener) dial() net.Conn {
+	cli, srv := net.Pipe()
+	l.conns <- srv
+	return cli
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.closeOnce.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
 // rawClient speaks frames by hand on one handshaken connection,
 // bypassing the Client's id management — for tests that need explicit
@@ -332,7 +376,7 @@ func TestDeadlinePropagation(t *testing.T) {
 // TestPipelinedOutOfOrder drives one raw connection with two ids: a
 // slow request (QA, backend B1 has an injected latency) then a fast one
 // (QB on B2). The fast response must arrive first, proving requests
-// complete out of order through the per-connection writer.
+// complete out of order, each written by the goroutine that served it.
 func TestPipelinedOutOfOrder(t *testing.T) {
 	_, c, addr := startLimitedServer(t, Limits{ConnInflight: 8})
 	c.Backend(0).SetFault(&sqlmini.Fault{Latency: 400 * time.Millisecond})
@@ -352,6 +396,146 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	if first.Backend != "B2" || second.Backend != "B1" {
 		t.Fatalf("backends = %s, %s; want B2, B1", first.Backend, second.Backend)
 	}
+}
+
+// TestPipelinedGoroutinesExitWithConnection saturates one connection
+// at ConnInflight with pipelined slow requests, so the connection grows
+// its full set of serving goroutines, and checks that they all exit —
+// idle ones included — once the client closes.
+func TestPipelinedGoroutinesExitWithConnection(t *testing.T) {
+	const inflight = 4
+	_, c, addr := startLimitedServer(t, Limits{ConnInflight: inflight})
+	c.Backend(0).SetFault(&sqlmini.Fault{Latency: 20 * time.Millisecond})
+	before := runtime.NumGoroutine()
+
+	client, err := DialOptions(addr, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3*inflight; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := client.Query(`SELECT a_v FROM a WHERE a_id = 1`, "QA"); err != nil || !resp.OK {
+				t.Errorf("pipelined query: resp=%+v err=%v", resp, err)
+			}
+		}()
+	}
+	wg.Wait()
+	// The connection's reader plus its serving goroutines, now idle.
+	if n := runtime.NumGoroutine(); n < before+1+inflight {
+		t.Fatalf("goroutines %d, want at least baseline %d + reader + %d serving", n, before, inflight)
+	}
+	client.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines %d > baseline %d after the client closed\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPanicKeepsConnectionServing checks a serving goroutine survives a
+// panicking request: with one inflight slot the connection has a single
+// serving goroutine, so the requests after the panic are answered by
+// the goroutine that recovered from it.
+func TestPanicKeepsConnectionServing(t *testing.T) {
+	srv, _, addr := startLimitedServer(t, Limits{ConnInflight: 1})
+	srv.cfg.Planner = func(int) (*core.Allocation, error) { panic("planner exploded") }
+	client, err := DialOptions(addr, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	resp, err := client.Do(Request{Cmd: "migrate"})
+	if err != nil || resp.OK || !strings.Contains(resp.Error, "planner exploded") {
+		t.Fatalf("panicking request: resp=%+v err=%v, want an internal-error response", resp, err)
+	}
+	for i := 0; i < 3; i++ {
+		if resp, err := client.Query(`SELECT a_v FROM a WHERE a_id = 2`, "QA"); err != nil || !resp.OK {
+			t.Fatalf("request %d after the panic: resp=%+v err=%v", i, resp, err)
+		}
+	}
+}
+
+// TestPipelinedBurstCoalescesFlushes pipelines a burst of requests
+// while a slow backend holds the only execution slot, over an in-memory
+// pipe the test does not read yet: the requests past the queue are shed
+// at once, the first response's flush blocks on the pipe, and the other
+// serving goroutines queue behind it. The burst must leave in fewer
+// flushes than frames — writers queued behind one another share a
+// flush, the last one queued flushing for all.
+func TestPipelinedBurstCoalescesFlushes(t *testing.T) {
+	const burst, admitted = 32, 2 // one executing, one queued
+	ln := newPipeListener()
+	srv, c := serveLimited(t, ln, Limits{
+		MaxInflight: 1, QueueDepth: 1, ConnInflight: burst, RetryAfter: time.Millisecond,
+	})
+	c.Backend(0).SetFault(&sqlmini.Fault{Latency: 50 * time.Millisecond})
+	conn := ln.dial()
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(wirePreamble[:]); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := readFrame(conn, 1<<20); err != nil || typ != frameHello {
+		t.Fatalf("handshake: typ=%#x err=%v", typ, err)
+	}
+	before := srv.Admission()
+
+	// A pipe write blocks until the peer reads, so send from a goroutine
+	// while the responses stay unread.
+	sent := make(chan error, 1)
+	go func() {
+		var buf bytes.Buffer
+		for i := 1; i <= burst; i++ {
+			payload, err := encodeRequest(nil, &Request{ID: uint64(i), SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
+			if err != nil {
+				sent <- err
+				return
+			}
+			writeFrame(&buf, frameRequest, payload)
+		}
+		_, err := conn.Write(buf.Bytes())
+		sent <- err
+	}()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for srv.Admission().Shed-before.Shed < burst-admitted {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the shed goroutines queue to write
+
+	seen := make(map[uint64]bool)
+	for i := 0; i < burst; i++ {
+		typ, payload, _, err := readFrame(conn, 1<<20)
+		if err != nil || typ != frameResponse {
+			t.Fatalf("response frame: typ=%#x err=%v", typ, err)
+		}
+		resp, err := decodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK && resp.Code != CodeOverload {
+			t.Fatalf("response %+v, want success or typed shed", resp)
+		}
+		seen[resp.ID] = true
+	}
+	if len(seen) != burst {
+		t.Fatalf("%d distinct ids answered, want %d", len(seen), burst)
+	}
+	after := srv.Admission().Wire
+	frames, flushes := after.FramesOut-before.Wire.FramesOut, after.Flushes-before.Wire.Flushes
+	if frames != burst || flushes >= frames {
+		t.Fatalf("burst wrote %d frames in %d flushes, want %d frames in fewer flushes", frames, flushes, burst)
+	}
+	t.Logf("burst: %d frames, %d flushes", frames, flushes)
 }
 
 // TestConnLimitRejectsTyped checks a connection beyond MaxConns gets

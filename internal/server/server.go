@@ -7,9 +7,10 @@
 // connection that opens with anything else is closed unanswered.
 //
 // Every request carries a client-chosen id that the server echoes, so a
-// connection pipelines freely: each request executes in its own
-// goroutine and responses complete OUT OF ORDER through a dedicated
-// per-connection writer.
+// connection pipelines freely: each request runs on one of the
+// connection's serving goroutines (an idle one is reused, with the stack
+// it already grew), which writes the response itself, so responses
+// complete OUT OF ORDER; the last writer queued flushes for all.
 //
 // The edge is overload-robust (see admission.go): accepted connections
 // are capped, each connection's inflight requests are bounded (a full
@@ -126,18 +127,18 @@ type Response struct {
 	Code string `json:"code,omitempty"`
 	// RetryAfterMS is the backoff hint of a CodeOverload (and
 	// CodeUnavailable) rejection.
-	RetryAfterMS int64             `json:"retry_after_ms,omitempty"`
-	Backend      string            `json:"backend,omitempty"`
-	Columns      []string          `json:"columns,omitempty"`
-	Rows         [][]interface{}   `json:"rows,omitempty"`
-	Affected     int               `json:"affected,omitempty"`
-	DurationUS   int64             `json:"duration_us,omitempty"`
+	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
+	Backend      string          `json:"backend,omitempty"`
+	Columns      []string        `json:"columns,omitempty"`
+	Rows         [][]interface{} `json:"rows,omitempty"`
+	Affected     int             `json:"affected,omitempty"`
+	DurationUS   int64           `json:"duration_us,omitempty"`
 	// Handle is the server-side id minted by cmd "prepare"; subsequent
 	// "exec" requests on the same connection reference it.
-	Handle uint64 `json:"handle,omitempty"`
-	History      []HistoryEntry    `json:"history,omitempty"`
-	Tables       [][]string        `json:"tables,omitempty"`
-	Metrics      *metrics.Snapshot `json:"metrics,omitempty"`
+	Handle  uint64            `json:"handle,omitempty"`
+	History []HistoryEntry    `json:"history,omitempty"`
+	Tables  [][]string        `json:"tables,omitempty"`
+	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 	// Health is the availability report of cmd "health": per-backend
 	// states and redo-log depths, per-class live replica counts, and
 	// the k-safety at-risk map.
@@ -214,8 +215,8 @@ func (s *Server) Admission() metrics.AdmissionSnapshot { return s.mx.Snapshot() 
 // Close drains the server (the cluster itself is not closed): it stops
 // accepting, rejects new requests with the typed draining error, waits
 // up to Limits.DrainTimeout for inflight requests, cancels whatever is
-// still running, flushes every enqueued response, and tears the
-// connections down. A request admitted before Close always gets a
+// still running, and tears the connections down once every response is
+// written and flushed. A request admitted before Close always gets a
 // response (canceled stragglers get code "draining").
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -245,10 +246,9 @@ func (s *Server) Close() error {
 	}
 	s.cancel()
 
-	// Stop the readers. Each handler then joins its request goroutines
-	// (their responses are already enqueued), closes the response
-	// channel, and its writer flushes everything before the connection
-	// closes — no admitted request goes unanswered.
+	// Stop the readers. Each handler then joins its serving goroutines
+	// (every response is already written and flushed) before the
+	// connection closes — no admitted request goes unanswered.
 	s.mu.Lock()
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
@@ -344,28 +344,35 @@ func (s *Server) rejectConn(conn net.Conn) {
 	w.Flush()
 }
 
-// connState is the per-connection plumbing shared by the reader, the
-// writer, and the request goroutines.
+// connState is the per-connection plumbing shared by the reader and
+// the serving goroutines.
 type connState struct {
-	conn net.Conn
-	mx   *metrics.Admission
-	// resp carries completed responses to the writer. Capacity covers
-	// the connection's inflight bound plus the reader's inline error
-	// responses, so request goroutines never block here in the steady
-	// state.
-	resp chan *Response
-	// dead is closed by the writer when the connection failed mid-write:
-	// senders stop waiting, remaining responses are discarded.
-	dead       chan struct{}
-	writerDone chan struct{}
-	// reqs joins this connection's request goroutines before resp
-	// closes.
-	reqs sync.WaitGroup
+	conn         net.Conn
+	mx           *metrics.Admission
+	writeTimeout time.Duration
+	// work hands a gated request to an idle serving goroutine; the
+	// reader closes it when it stops, and the idle goroutines exit.
+	work chan Request
+	// workers counts the serving goroutines (reader-owned); reqs joins
+	// them before the connection closes.
+	workers int
+	reqs    sync.WaitGroup
 	// connSem bounds this connection's inflight requests (TCP
-	// backpressure: a full pipeline stops being read).
+	// backpressure: a full pipeline stops being read), and so the
+	// number of serving goroutines.
 	connSem chan struct{}
 	// stmts is the connection's prepared-statement handle table.
 	stmts stmtTable
+
+	// queued counts writers waiting for or holding wmu; the one that
+	// brings it back to zero flushes.
+	queued  atomic.Int32
+	wmu     sync.Mutex // guards w, scratch (encoding buffer) and dead
+	w       *bufio.Writer
+	scratch []byte
+	// dead is set when a write failed (or WriteTimeout expired — a client
+	// that stopped reading); later responses are discarded.
+	dead bool
 }
 
 // stmtTable maps connection-scoped handles to prepared statements.
@@ -416,77 +423,56 @@ func (t *stmtTable) drop() int {
 	return n
 }
 
-// send enqueues one response unless the connection already died.
+// send writes one response unless the connection already died. The
+// writer that finds no other queued behind it flushes, so responses
+// completed together coalesce into one flush (the batch factor is
+// frames_out/flushes in the wire metrics).
 func (cs *connState) send(r *Response) {
-	select {
-	case cs.resp <- r:
-	case <-cs.dead:
+	cs.queued.Add(1)
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	last := cs.queued.Add(-1) == 0
+	if cs.dead {
+		return
+	}
+	cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
+	typ, payload, err := encodeResponseFrame(cs.scratch[:0], r)
+	if err != nil {
+		// An admin payload that failed to marshal: degrade to a plain
+		// error so the request still gets an answer.
+		typ, payload, _ = encodeResponseFrame(cs.scratch[:0], &Response{
+			ID: r.ID, Error: "internal error: " + err.Error(),
+		})
+	}
+	cs.scratch = payload[:0]
+	if err := writeFrame(cs.w, typ, payload); err != nil {
+		cs.fail()
+		return
+	}
+	cs.mx.ObserveFrameOut()
+	if last {
+		if err := cs.w.Flush(); err != nil {
+			cs.fail()
+			return
+		}
+		cs.mx.ObserveFlush()
 	}
 }
 
-// writeLoop is the connection's dedicated writer: it sends the hello
-// frame, then serializes responses in completion order, flushing
-// whenever the queue runs dry — on a pipelined connection that
-// coalesces a burst of completed responses into one flush (the batch
-// factor is frames_out/flushes in the wire metrics). A write error (or
-// WriteTimeout expiry — a client that stopped reading) kills the
-// connection and turns the loop into a drain so request goroutines
-// never block on a dead peer.
-func (cs *connState) writeLoop(writeTimeout time.Duration) {
-	defer close(cs.writerDone)
-	w := bufio.NewWriter(cs.conn)
-	alive := true
-	fail := func() {
-		alive = false
-		close(cs.dead)
-		cs.conn.Close() // unblocks the reader too
-	}
-	// The hello frame confirms the version before any response; flushed
-	// immediately so the client can start sending.
-	if err := writeFrame(w, frameHello, []byte{wireVersion}); err != nil {
-		fail()
-	} else if err := w.Flush(); err != nil {
-		fail()
-	}
-	var scratch []byte
-	for r := range cs.resp {
-		if !alive {
-			continue
-		}
-		if writeTimeout > 0 {
-			cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		typ, payload, err := encodeResponseFrame(scratch[:0], r)
-		if err != nil {
-			// An admin payload that failed to marshal: degrade to a
-			// plain error so the request still gets an answer.
-			typ, payload, _ = encodeResponseFrame(scratch[:0], &Response{
-				ID: r.ID, Error: "internal error: " + err.Error(),
-			})
-		}
-		if err := writeFrame(w, typ, payload); err != nil {
-			fail()
-			continue
-		}
-		scratch = payload[:0]
-		cs.mx.ObserveFrameOut()
-		if len(cs.resp) == 0 {
-			if err := w.Flush(); err != nil {
-				fail()
-				continue
-			}
-			cs.mx.ObserveFlush()
-		}
-	}
-	if alive {
-		w.Flush()
-	}
+// fail marks the connection dead after a write error and closes it,
+// which unblocks the reader too. Called with wmu held.
+func (cs *connState) fail() {
+	cs.dead = true
+	cs.conn.Close()
 }
 
 // handle is the per-connection reader. The connection must open with
-// the preamble or it is closed unanswered; then every request frame is
-// gated (draining, per-connection inflight, drain barrier) and served
-// in its own goroutine so pipelined requests complete out of order.
+// the preamble or it is closed unanswered; then it answers the hello
+// frame, and every request frame is gated (draining, per-connection
+// inflight, drain barrier) and handed to a serving goroutine, so
+// pipelined requests complete out of order. Once the reader stops, the
+// serving goroutines finish, write their responses and exit before the
+// connection closes.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -497,22 +483,20 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	cs := &connState{
-		conn:       conn,
-		mx:         s.mx,
-		resp:       make(chan *Response, minInt(s.limits.ConnInflight, 1024)+8),
-		dead:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-		connSem:    make(chan struct{}, minInt(s.limits.ConnInflight, 1<<16)),
+		conn:         conn,
+		mx:           s.mx,
+		writeTimeout: s.limits.WriteTimeout,
+		work:         make(chan Request),
+		connSem:      make(chan struct{}, min(s.limits.ConnInflight, 1<<16)),
+		w:            bufio.NewWriter(conn),
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		cs.writeLoop(s.limits.WriteTimeout)
-	}()
-	s.readFrames(cs, br)
+	// The hello frame confirms the version before any response; flushed
+	// immediately so the client can start sending.
+	if writeFrame(cs.w, frameHello, []byte{wireVersion}) == nil && cs.w.Flush() == nil {
+		s.readFrames(cs, br)
+	}
+	close(cs.work)
 	cs.reqs.Wait()
-	close(cs.resp)
-	<-cs.writerDone
 	conn.Close()
 	if n := cs.stmts.drop(); n > 0 {
 		s.mx.ObserveStmtClosed(int64(n))
@@ -561,7 +545,10 @@ func (s *Server) readFrames(cs *connState, br *bufio.Reader) {
 
 // gate runs the pre-execution gates — draining, the per-connection
 // inflight bound (TCP backpressure, not an error), and the drain
-// barrier — then hands the request to its own goroutine.
+// barrier — then hands the request to an idle serving goroutine, or
+// spawns one when none is idle. A connection never has more serving
+// goroutines than inflight slots: at that count, one that is not
+// serving is on its way back to idle, and the hand-off waits for it.
 func (s *Server) gate(cs *connState, req Request) {
 	if s.draining.Load() {
 		s.mx.ObserveDrained()
@@ -584,17 +571,38 @@ func (s *Server) gate(cs *connState, req Request) {
 		cs.send(&Response{ID: req.ID, Code: CodeDraining, Error: (&DrainingError{}).Error()})
 		return
 	}
+	select {
+	case cs.work <- req:
+		return
+	default:
+	}
+	if cs.workers == cap(cs.connSem) {
+		cs.work <- req
+		return
+	}
+	cs.workers++
 	cs.reqs.Add(1)
 	s.wg.Add(1)
-	go s.serve(cs, req)
+	go s.worker(cs, req)
+}
+
+// worker is one serving goroutine of a connection: it serves req, then
+// each request handed to it while idle, until the reader closes work.
+// Reusing it keeps the stack that execution grew, instead of growing a
+// fresh one per request.
+func (s *Server) worker(cs *connState, req Request) {
+	defer s.wg.Done()
+	defer cs.reqs.Done()
+	for ok := true; ok; req, ok = <-cs.work {
+		s.serve(cs, req)
+	}
 }
 
 // serve runs one request: deadline derivation, global admission, then
-// execution. The response is enqueued before the inflight barrier is
+// execution. The response is written before the inflight barrier is
 // released, so a graceful drain never leaves an admitted request
 // unanswered.
 func (s *Server) serve(cs *connState, req Request) {
-	defer s.wg.Done()
 	ctx, cancel := s.requestContext(&req)
 	var resp Response
 	if err := s.adm.acquire(ctx, s.drainCh); err != nil {
@@ -608,20 +616,20 @@ func (s *Server) serve(cs *connState, req Request) {
 	cs.send(&resp)
 	<-cs.connSem
 	s.inflight.Done()
-	cs.reqs.Done()
 }
 
 // requestContext derives the request's execution context from the
 // server's base context plus the client's DeadlineMS budget, measured
-// from arrival so admission queue wait counts against it. A budget
-// beyond what a time.Duration holds (≈292 years) is no deadline:
-// multiplied out it would wrap around to an arbitrary, possibly
-// sub-millisecond one.
+// from arrival so admission queue wait counts against it. Without a
+// budget the request runs under the base context itself — force-drain
+// cancels it there — and derives nothing. A budget beyond what a
+// time.Duration holds (≈292 years) is no deadline: multiplied out it
+// would wrap around to an arbitrary, possibly sub-millisecond one.
 func (s *Server) requestContext(req *Request) (context.Context, context.CancelFunc) {
 	if ms := req.DeadlineMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 		return context.WithTimeout(s.baseCtx, time.Duration(ms)*time.Millisecond)
 	}
-	return context.WithCancel(s.baseCtx)
+	return s.baseCtx, func() {}
 }
 
 // rejectResponse maps an admission failure to its typed wire form.
@@ -801,13 +809,6 @@ func (s *Server) reallocate(n int) (*cluster.MigrationReport, error) {
 		return nil, fmt.Errorf("server: planning allocation: %w", err)
 	}
 	return s.cluster.ResizeLive(alloc, s.cfg.Loader, s.cfg.Live)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // jsonValue converts an engine value into a JSON-friendly Go value.

@@ -14,7 +14,7 @@ import (
 
 // startServer spins up a 2-backend cluster (tables a+b / b) behind a
 // TCP listener on a random port.
-func startServer(t *testing.T) (*Server, *cluster.Cluster, string) {
+func startServer(t testing.TB) (*Server, *cluster.Cluster, string) {
 	t.Helper()
 	cl := core.NewClassification()
 	cl.AddFragment(core.Fragment{ID: "a", Size: 1})

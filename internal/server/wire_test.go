@@ -216,14 +216,12 @@ func TestRetryAfterHintScaling(t *testing.T) {
 }
 
 // fakeV2Server answers the preamble with a hello frame over one side of
-// a net.Pipe and hands each request frame to the test. Like the real
-// server's writer, it has sent hello before the test can respond.
+// a net.Pipe and hands each request frame to the test. NewClient reads
+// that hello before it returns, as it does from the real server.
 func fakeV2Server(t *testing.T) (*Client, net.Conn) {
 	t.Helper()
 	cliConn, srvConn := net.Pipe()
-	hello := make(chan struct{})
 	go func() {
-		defer close(hello)
 		var pre [4]byte
 		if _, err := io.ReadFull(srvConn, pre[:]); err != nil || pre != wirePreamble {
 			srvConn.Close()
@@ -232,7 +230,6 @@ func fakeV2Server(t *testing.T) (*Client, net.Conn) {
 		writeFrame(srvConn, frameHello, []byte{wireVersion})
 	}()
 	c := NewClient(cliConn, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
-	<-hello
 	t.Cleanup(func() { c.Close(); srvConn.Close() })
 	return c, srvConn
 }

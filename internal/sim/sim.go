@@ -172,7 +172,7 @@ type simulator struct {
 	dispatched    map[int]float64 // reqID -> dispatch time
 	latencies     []float64
 	busyTime      []float64
-	policy        runtime.Policy
+	policy        *runtime.Policy
 	rng           *rand.Rand
 	completed     int
 	unavailable   int

@@ -48,11 +48,12 @@ chaos:
 # TestResizeLive*) under the race detector: the placement and data
 # contract of each reallocation shape against the matching's plan, live
 # migrations and resizes with concurrent traffic, delta capture and
-# delta-log overflow under injected writes, and a backend killed
-# mid-copy (the migration must abort cleanly or complete — never leave
-# a partial replica serving, nor the backends of a failed scale-out).
+# delta-log overflow under injected writes, a backend killed mid-copy
+# (the migration must abort cleanly or complete — never leave a partial
+# replica serving, nor the backends of a failed scale-out), and prepared
+# handles following the placement a migration installs.
 chaos-migrate:
-	$(GO) test -race -run 'MigrateLive|ResizeLive|ResizeSameCount' -count=2 -timeout 120s ./internal/cluster/
+	$(GO) test -race -run 'MigrateLive|ResizeLive|ResizeSameCount|PreparedRerouteOnMigration' -count=2 -timeout 120s ./internal/cluster/
 
 # chaos-group runs the group-commit suite under the race detector:
 # backends killed mid-round while concurrent writers stream batched

@@ -219,8 +219,8 @@ func runClient(addr, sql, class, cmd, backend string, backends int, write bool) 
 			}
 			fmt.Printf("wire: %d frames in, %d out over %d flushes (batch %.2f), %d bad frames\n",
 				wi.FramesIn, wi.FramesOut, wi.Flushes, batch, wi.BadFrames)
-			fmt.Printf("prepared: %d prepares, %d execs via handle, %d handles open, %d reroutes\n",
-				wi.Prepares, wi.PreparedExecs, wi.Handles, p.PreparedReroutes)
+			fmt.Printf("prepared: %d prepares, %d execs via handle, %d handles open\n",
+				wi.Prepares, wi.PreparedExecs, wi.Handles)
 		}
 	case resp.Health != nil:
 		h := resp.Health

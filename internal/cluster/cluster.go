@@ -116,11 +116,14 @@ type backend struct {
 	metrics *metrics.Backend
 	// tables is the backend's routing table set, copy-on-write: the map
 	// behind the pointer is immutable, mutators swap in a fresh copy, so
-	// the lock-free routing paths (eligible, executeWrite's holder scan)
-	// read it without synchronization. Mutations are serialized by their
-	// callers — Install under Cluster.mu, live-migration cutovers and
-	// drops under Cluster.dispatchMu.
-	tables   atomic.Pointer[map[string]bool]
+	// the lock-free routing paths (eligible, executeRead's stale check,
+	// executeWrite's holder scan) read it without synchronization. It
+	// maps each held table to the stamp of the publish that added it, so
+	// a table dropped and copied back is told apart from one held
+	// throughout. Mutations, and stamp with them, are serialized by their
+	// callers — Install and live migrations under Cluster.liveMu.
+	tables   atomic.Pointer[map[string]uint64]
+	stamp    uint64
 	updateCh chan *updateJob
 	wg       sync.WaitGroup
 	readSem  chan struct{}
@@ -144,16 +147,31 @@ type backend struct {
 
 // tableSet returns the backend's current table set. The returned map
 // must not be mutated — see the tables field.
-func (b *backend) tableSet() map[string]bool { return *b.tables.Load() }
+func (b *backend) tableSet() map[string]uint64 { return *b.tables.Load() }
 
 // holds reports whether the backend currently holds a table.
-func (b *backend) holds(t string) bool { return b.tableSet()[t] }
+func (b *backend) holds(t string) bool {
+	_, ok := b.tableSet()[t]
+	return ok
+}
 
 // holdsAll reports whether the backend holds every listed table.
 func (b *backend) holdsAll(ts []string) bool {
 	set := b.tableSet()
 	for _, t := range ts {
-		if !set[t] {
+		if _, ok := set[t]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// heldThroughout reports whether the listed tables are all in the later
+// table set under the stamps they had in the earlier one: the backend
+// held each of them the whole time in between.
+func heldThroughout(before, after map[string]uint64, ts []string) bool {
+	for _, t := range ts {
+		if s, ok := before[t]; !ok || after[t] != s {
 			return false
 		}
 	}
@@ -164,26 +182,33 @@ func (b *backend) holdsAll(ts []string) bool {
 func (b *backend) holdsAny(ts []string) bool {
 	set := b.tableSet()
 	for _, t := range ts {
-		if set[t] {
+		if _, ok := set[t]; ok {
 			return true
 		}
 	}
 	return false
 }
 
-// setTables replaces the table set wholesale (Install owns the map it
-// passes in; it must not be mutated afterwards).
-func (b *backend) setTables(ts map[string]bool) { b.tables.Store(&ts) }
+// setTables replaces the table set wholesale (Install).
+func (b *backend) setTables(tables map[string]bool) {
+	ts := make(map[string]uint64, len(tables))
+	for t := range tables {
+		b.stamp++
+		ts[t] = b.stamp
+	}
+	b.tables.Store(&ts)
+}
 
 // addTable publishes one more held table (a live-migration cutover,
 // under dispatchMu).
 func (b *backend) addTable(t string) {
 	old := b.tableSet()
-	ts := make(map[string]bool, len(old)+1)
-	for k := range old {
-		ts[k] = true
+	ts := make(map[string]uint64, len(old)+1)
+	for k, s := range old {
+		ts[k] = s
 	}
-	ts[t] = true
+	b.stamp++
+	ts[t] = b.stamp
 	b.tables.Store(&ts)
 }
 
@@ -191,10 +216,10 @@ func (b *backend) addTable(t string) {
 // dispatchMu).
 func (b *backend) removeTable(t string) {
 	old := b.tableSet()
-	ts := make(map[string]bool, len(old))
-	for k := range old {
+	ts := make(map[string]uint64, len(old))
+	for k, s := range old {
 		if k != t {
-			ts[k] = true
+			ts[k] = s
 		}
 	}
 	b.tables.Store(&ts)
@@ -254,12 +279,12 @@ type Cluster struct {
 
 	// liveMu serializes the allocation-changing operations — Install,
 	// MigrateLive, ResizeLive: at most one reallocation runs at a time.
-	// Lock order: liveMu > mu > dispatchMu.
+	// Lock order: liveMu > dispatchMu > journalMu.
 	liveMu sync.Mutex
 
-	mu         sync.Mutex // guards alloc, classFrags
-	alloc      *core.Allocation
-	classFrags map[string][]string // class -> required tables
+	// routes is the installed routing, published under liveMu and read
+	// lock-free by every request (nil before the first Install).
+	routes atomic.Pointer[routing]
 
 	dispatchMu sync.Mutex // global update (round) order
 	// roundTick numbers committed rounds; redo/delta appends carry it
@@ -282,19 +307,8 @@ type Cluster struct {
 	journalMu sync.Mutex
 	journal   map[string]*journalLine
 
-	stmtMu    sync.RWMutex
-	stmtCache map[string]*stmtEntry
-
 	migMu sync.Mutex // guards mig (live-migration progress)
 	mig   MigrationStatus
-
-	// routeGen counts routing-metadata changes: every installed
-	// allocation (Install or live routing swap) and every DDL write
-	// bumps it. Prepared statements cache their resolved route tagged
-	// with the generation they computed it under and re-resolve on
-	// mismatch — the wire-protocol analogue of the plan cache's
-	// generation invalidation.
-	routeGen atomic.Uint64
 
 	stopped atomic.Bool
 }
@@ -343,7 +357,6 @@ func New(cfg Config) (*Cluster, error) {
 		rng:       runtime.NewLockedRand(cfg.PolicySeed),
 		metrics:   metrics.NewRegistry(),
 		journal:   make(map[string]*journalLine),
-		stmtCache: make(map[string]*stmtEntry),
 		groupFull: make(chan struct{}, 1),
 	}
 	c.groupCond = sync.NewCond(&c.groupMu)
@@ -503,9 +516,11 @@ func (c *Cluster) Close() {
 }
 
 // Install wipes every backend and bulk-loads the tables its fragments
-// require under the given allocation. classFrags is derived from the
-// allocation's classification. The loader receives the table list each
-// backend needs.
+// require under the given allocation, then publishes the allocation's
+// routing. The loader receives the table list each backend needs.
+// Install is a call made before traffic starts: requests running during
+// the wipe see empty or half-loaded backends. Reallocating a serving
+// cluster is MigrateLive's job.
 func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 	c.liveMu.Lock()
 	defer c.liveMu.Unlock()
@@ -513,15 +528,10 @@ func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 	if alloc.NumBackends() != len(backends) {
 		return fmt.Errorf("cluster: allocation has %d backends, cluster has %d", alloc.NumBackends(), len(backends))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var wg sync.WaitGroup
 	errs := make([]error, len(backends))
 	for i, b := range backends {
-		tables := map[string]bool{}
-		for _, f := range alloc.Fragments(i) {
-			tables[TableOfFragment(f)] = true
-		}
+		tables := fragmentTables(alloc.Fragments(i))
 		wg.Add(1)
 		go func(b *backend, list []string, tables map[string]bool, i int) {
 			defer wg.Done()
@@ -554,31 +564,52 @@ func (c *Cluster) Install(alloc *core.Allocation, load Loader) error {
 		b.capture = nil
 	}
 	c.dispatchMu.Unlock()
-	c.installRoutingLocked(alloc)
+	c.routes.Store(newRouting(alloc))
 	return nil
 }
 
-// installRoutingLocked swaps the routing metadata — the installed
-// allocation and the class -> tables map — to a new allocation.
-//
-//qcpa:locks mu
-func (c *Cluster) installRoutingLocked(alloc *core.Allocation) {
-	c.routeGen.Add(1)
-	c.alloc = alloc
-	c.classFrags = make(map[string][]string)
-	for _, cl := range alloc.Classification().Classes() {
-		tables := map[string]bool{}
-		for _, f := range cl.Fragments() {
-			tables[TableOfFragment(f)] = true
-		}
-		c.classFrags[cl.Name] = sortedTables(tables)
-	}
+// routing is an installed allocation with the tables each of its
+// classes needs. It is immutable once published: installing an
+// allocation publishes a new one.
+type routing struct {
+	alloc   *core.Allocation
+	classes map[string][]string // class -> required tables, sorted
 }
 
-// eligible appends to dst the backends holding every table the class
-// needs.
-// An unknown or empty class falls back to backends holding the tables
-// referenced by the statement itself (parsed lazily by Execute).
+func newRouting(alloc *core.Allocation) *routing {
+	r := &routing{alloc: alloc, classes: make(map[string][]string)}
+	for _, cl := range alloc.Classification().Classes() {
+		r.classes[cl.Name] = sortedTables(fragmentTables(cl.Fragments()))
+	}
+	return r
+}
+
+// fragmentTables folds fragments into the set of tables storing them.
+func fragmentTables(frags []core.FragmentID) map[string]bool {
+	tables := make(map[string]bool, len(frags))
+	for _, f := range frags {
+		tables[TableOfFragment(f)] = true
+	}
+	return tables
+}
+
+// route maps a request to the tables its backend must hold: its class's
+// tables when the installed routing knows the class, otherwise the
+// tables the statement names (a statement that names none, i.e. DDL,
+// needs a class).
+func (c *Cluster) route(class string, stmt sqlmini.Statement, sql string) ([]string, error) {
+	if r := c.routes.Load(); r != nil {
+		if tables, ok := r.classes[class]; ok {
+			return tables, nil
+		}
+	}
+	if len(stmt.Tables) == 0 {
+		return nil, fmt.Errorf("cluster: cannot route %q: it names no table and has no known class", sql)
+	}
+	return stmt.Tables, nil
+}
+
+// eligible appends to dst the backends holding every listed table.
 func (c *Cluster) eligible(dst []*backend, tables []string) []*backend {
 	for _, b := range c.all() {
 		if b.holdsAll(tables) {
@@ -624,41 +655,15 @@ func (c *Cluster) ExecuteContext(ctx context.Context, req workload.Request) (*Re
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
 		defer cancel()
 	}
-	stmt, err := c.parse(req.SQL)
+	stmt, err := sqlmini.Parse(req.SQL)
 	if err != nil {
 		return nil, err
 	}
-	tables, err := c.resolveTables(req.Class, stmt, req.SQL)
+	tables, err := c.route(req.Class, stmt, req.SQL)
 	if err != nil {
 		return nil, err
 	}
 	return c.executeRouted(ctx, stmt, req, tables)
-}
-
-// resolveTables maps a request to the tables its backend must hold:
-// the class's fragment tables when the class is known, otherwise the
-// statement's own table references under the union schema.
-func (c *Cluster) resolveTables(class string, stmt sqlmini.Statement, sql string) ([]string, error) {
-	c.mu.Lock()
-	tables, ok := c.classFrags[class]
-	c.mu.Unlock()
-	if ok {
-		return tables, nil
-	}
-	// Route by the statement's own table references.
-	backends := c.all()
-	schema := sqlmini.SchemaOf(backends[0].engine)
-	// Use the union schema of all backends for analysis.
-	for _, b := range backends[1:] {
-		for t, cols := range sqlmini.SchemaOf(b.engine) {
-			schema[t] = cols
-		}
-	}
-	info, err := sqlmini.AnalyzeStmt(stmt, schema)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: cannot route %q: %w", sql, err)
-	}
-	return info.Tables, nil
 }
 
 // executeRouted runs an already-parsed, already-routed request and
@@ -723,6 +728,10 @@ func readCandidates(elig, tried []*backend) []*backend {
 	return degraded
 }
 
+// errStaleRoute is a read attempt discarded because its backend stopped
+// holding one of its tables while it ran.
+var errStaleRoute = errors.New("cluster: the backend's tables changed during the read")
+
 // executeRead schedules a read onto a live replica and fails over on
 // error: up to Config.MaxRetries additional replicas are tried (never
 // the same one twice per request), with full-jitter exponential
@@ -767,6 +776,7 @@ func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class
 			}
 		}
 		best := c.pickRead(cand)
+		held := best.tableSet() // the table set this attempt is routed by
 		best.metrics.IncPending()
 		select {
 		case best.readSem <- struct{}{}:
@@ -779,24 +789,26 @@ func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class
 		<-best.readSem
 		best.metrics.ObserveRead(time.Since(start), err != nil)
 		best.metrics.DecPending()
+		if err != nil && ctx.Err() != nil {
+			// The caller's deadline expired; the backend is not to blame.
+			return nil, ctx.Err()
+		}
+		if !heldThroughout(held, best.tableSet(), tables) {
+			// Stale route: a live migration unrouted one of the tables
+			// between routing and the end of the read. It unroutes a table
+			// before dropping it and before a later copy recreates it, so
+			// the read may have found the table missing or a copy in
+			// flight. Not the backend's fault and not a statement error —
+			// fail over without a health penalty.
+			tried = append(tried, best)
+			lastErr = errStaleRoute
+			continue
+		}
 		if err == nil {
 			best.health.NoteSuccess()
 			return &Result{Backend: best.name, Rows: len(r.Rows), Scanned: r.Scanned, Columns: r.Columns, Data: r.Rows}, nil
 		}
-		if ctx.Err() != nil {
-			// The caller's deadline expired; the backend is not to blame.
-			return nil, ctx.Err()
-		}
 		if !sqlmini.IsEngineFailure(err) {
-			if sqlmini.IsMissingTable(err) && !best.holdsAll(tables) {
-				// Stale route: a live-migration drop removed the table
-				// between routing and execution. Not the backend's fault
-				// and not a genuine statement error — fail over without
-				// a health penalty.
-				tried = append(tried, best)
-				lastErr = err
-				continue
-			}
 			// A statement error fails identically on every replica —
 			// surface it without burning retries or blaming the backend.
 			return nil, err
@@ -874,70 +886,7 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 			c.quarantine(bad)
 		}
 	}
-	switch stmt.AST.(type) {
-	case *sqlmini.CreateTableStmt, *sqlmini.DropTableStmt:
-		// DDL changed the schema the reference-based routing fallback
-		// analyzes against: prepared routes must re-resolve.
-		c.routeGen.Add(1)
-	}
 	return &Result{Backend: fmt.Sprintf("%d replicas", e.targets), Affected: e.affected}, nil
-}
-
-// stmtCacheCap bounds the prepared-statement cache; exceeding it evicts
-// the least-frequently-used eighth rather than flushing wholesale.
-const stmtCacheCap = 4096
-
-// stmtEntry is one cached parse with its use count. The counter is
-// atomic so cache hits can bump it under the read lock.
-type stmtEntry struct {
-	stmt sqlmini.Statement
-	uses atomic.Int64
-}
-
-// parse returns the cached parse of a statement — the prototype's
-// prepared-statement behavior: a workload's distinguishable queries are
-// parsed once, no matter how many backends or repetitions execute them.
-// The cache is bounded: an unbounded stream of distinct texts (e.g.
-// generated point lookups) evicts the least-frequently-used eighth at
-// the cap (matching the journal's policy), so the hot classes a real
-// workload repeats stay parsed.
-func (c *Cluster) parse(sql string) (sqlmini.Statement, error) {
-	c.stmtMu.RLock()
-	en, ok := c.stmtCache[sql]
-	c.stmtMu.RUnlock()
-	if ok {
-		en.uses.Add(1)
-		return en.stmt, nil
-	}
-	stmt, err := sqlmini.Parse(sql)
-	if err != nil {
-		return sqlmini.Statement{}, err
-	}
-	c.stmtMu.Lock()
-	if en, ok := c.stmtCache[sql]; ok { // raced with another parser
-		en.uses.Add(1)
-		c.stmtMu.Unlock()
-		return en.stmt, nil
-	}
-	if len(c.stmtCache) > stmtCacheCap {
-		c.evictStmtLocked()
-	}
-	ne := &stmtEntry{stmt: stmt}
-	ne.uses.Store(1)
-	c.stmtCache[sql] = ne
-	c.stmtMu.Unlock()
-	return stmt, nil
-}
-
-// evictStmtLocked drops the least-frequently-used eighth of the
-// statement cache (at least one entry), equally cold entries in sorted
-// SQL order.
-//
-//qcpa:locks stmtMu
-func (c *Cluster) evictStmtLocked() {
-	for _, sql := range stats.ColdestEighth(c.stmtCache, func(en *stmtEntry) int64 { return en.uses.Load() }) {
-		delete(c.stmtCache, sql)
-	}
 }
 
 // record appends to the query history (Figure 3's journal). The
@@ -1026,7 +975,6 @@ func (c *Cluster) Metrics() *metrics.Snapshot {
 		snap.Planner.Add(bs.Planner)
 		snap.Backends = append(snap.Backends, bs)
 	}
-	snap.Planner.PreparedReroutes = c.metrics.PreparedReroutes()
 	return snap
 }
 

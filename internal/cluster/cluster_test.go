@@ -190,6 +190,9 @@ func TestExecuteErrors(t *testing.T) {
 	if _, err := c.Execute(workload.Request{SQL: `SELECT x FROM missing`}); err == nil {
 		t.Error("unroutable query accepted")
 	}
+	if _, err := c.Execute(workload.Request{SQL: `DROP TABLE a`, Write: true}); err == nil {
+		t.Error("DDL without a class accepted")
+	}
 	// A class whose tables no backend holds completely.
 	if _, err := c.Execute(workload.Request{SQL: `SELECT b_v FROM b`, Class: "QA", Write: false}); err != nil {
 		t.Errorf("QA-classified b query should still run (class tables a on B1): %v", err)
@@ -347,35 +350,5 @@ func TestROWAConsistencyAcrossReplicas(t *testing.T) {
 	}
 	if r0.Rows[0][0].I != r1.Rows[0][0].I {
 		t.Fatalf("replica contents diverged: %v vs %v", r0.Rows[0][0], r1.Rows[0][0])
-	}
-}
-
-// TestStatementCache: repeated texts are parsed once and still execute
-// correctly; the cache flushes rather than growing without bound.
-func TestStatementCache(t *testing.T) {
-	c, _ := miniSetup(t)
-	for i := 0; i < 50; i++ {
-		if _, err := c.Execute(workload.Request{SQL: `SELECT a_v FROM a WHERE a_id = 1`, Class: "QA"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.stmtMu.RLock()
-	size := len(c.stmtCache)
-	c.stmtMu.RUnlock()
-	if size != 1 {
-		t.Fatalf("cache size = %d, want 1", size)
-	}
-	// Flood with distinct texts; the cache must stay bounded.
-	for i := 0; i < 5000; i++ {
-		sql := fmt.Sprintf(`SELECT a_v FROM a WHERE a_id = %d`, i)
-		if _, err := c.Execute(workload.Request{SQL: sql, Class: "QA"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.stmtMu.RLock()
-	size = len(c.stmtCache)
-	c.stmtMu.RUnlock()
-	if size > 4097 {
-		t.Fatalf("cache grew to %d", size)
 	}
 }

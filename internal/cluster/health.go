@@ -330,17 +330,16 @@ func (c *Cluster) Health() *HealthReport {
 		rep.Backends = append(rep.Backends, bh)
 	}
 	c.dispatchMu.Unlock()
-	c.mu.Lock()
-	classes := make([]string, 0, len(c.classFrags))
-	frags := make(map[string][]string, len(c.classFrags))
-	for cl, tables := range c.classFrags {
-		classes = append(classes, cl)
-		frags[cl] = tables
+	var classes []string
+	routes := c.routes.Load()
+	if routes != nil {
+		for cl := range routes.classes {
+			classes = append(classes, cl)
+		}
 	}
-	c.mu.Unlock()
 	sort.Strings(classes)
 	for _, cl := range classes {
-		elig := c.eligible(nil, frags[cl])
+		elig := c.eligible(nil, routes.classes[cl])
 		live := 0
 		var last *backend
 		for _, b := range elig {

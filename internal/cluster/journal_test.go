@@ -92,75 +92,3 @@ func TestEvictJournalTiesAndSingleton(t *testing.T) {
 		t.Fatalf("singleton journal holds %d after evict, want 0", got)
 	}
 }
-
-// TestStmtCacheWholesaleFlush fills the prepared-statement cache past
-// its bound with distinct texts and checks the eviction policy that
-// replaced the old wholesale flush: the insert past the cap drops the
-// least-frequently-used eighth, frequently re-parsed statements
-// survive, and parsing keeps working after.
-func TestStmtCacheWholesaleFlush(t *testing.T) {
-	c, err := New(Config{Backends: core.UniformBackends(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sqlAt := func(i int) string { return fmt.Sprintf("SELECT a_v FROM a WHERE a_id = %d", i) }
-	for i := 0; i <= stmtCacheCap; i++ {
-		if _, err := c.parse(sqlAt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Heat up a subset so it outranks the single-use bulk.
-	for k := 0; k < 3; k++ {
-		for i := 0; i < 100; i++ {
-			if _, err := c.parse(sqlAt(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	c.stmtMu.RLock()
-	n := len(c.stmtCache)
-	c.stmtMu.RUnlock()
-	if n != stmtCacheCap+1 { // eviction triggers on the insert after the bound, not at it
-		t.Fatalf("cache holds %d before evict, want %d", n, stmtCacheCap+1)
-	}
-	// The next distinct statement triggers eviction of an eighth.
-	if _, err := c.parse(sqlAt(stmtCacheCap + 1)); err != nil {
-		t.Fatal(err)
-	}
-	want := stmtCacheCap + 1 - (stmtCacheCap+1)/8 + 1
-	c.stmtMu.RLock()
-	n = len(c.stmtCache)
-	c.stmtMu.RUnlock()
-	if n != want {
-		t.Fatalf("cache holds %d after evict, want %d", n, want)
-	}
-	// Hot statements and the triggering statement survived.
-	c.stmtMu.RLock()
-	for i := 0; i < 100; i++ {
-		if _, ok := c.stmtCache[sqlAt(i)]; !ok {
-			c.stmtMu.RUnlock()
-			t.Fatalf("hot statement %d evicted", i)
-		}
-	}
-	_, ok := c.stmtCache[sqlAt(stmtCacheCap+1)]
-	c.stmtMu.RUnlock()
-	if !ok {
-		t.Fatal("triggering statement not cached")
-	}
-	// An evicted statement re-parses and re-enters the cache.
-	c.stmtMu.Lock()
-	for sql := range c.stmtCache {
-		delete(c.stmtCache, sql)
-	}
-	c.stmtMu.Unlock()
-	if _, err := c.parse(sqlAt(0)); err != nil {
-		t.Fatal(err)
-	}
-	c.stmtMu.RLock()
-	_, ok = c.stmtCache[sqlAt(0)]
-	c.stmtMu.RUnlock()
-	if !ok {
-		t.Fatal("re-parsed statement not cached")
-	}
-}

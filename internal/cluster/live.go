@@ -234,18 +234,16 @@ func (c *Cluster) ResizeLive(newAlloc *core.Allocation, load Loader, opts LiveOp
 
 // reallocateLocked runs the copy/catch-up/cutover protocol against the
 // installed allocation. Called with liveMu held (the one-reallocation-
-// at-a-time lock); takes c.mu only for the routing swap and dispatchMu
-// only for the short barriers.
+// at-a-time lock, under which the routing is published); takes
+// dispatchMu only for the short barriers.
 //
 //qcpa:locks liveMu
 func (c *Cluster) reallocateLocked(newAlloc *core.Allocation, load Loader, opts LiveOptions) (rep *MigrationReport, err error) {
-	c.mu.Lock()
-	old := c.alloc
-	c.mu.Unlock()
+	old := c.routes.Load()
 	if old == nil {
 		return nil, fmt.Errorf("cluster: no installed allocation; use Install first")
 	}
-	plan, _, err := matching.PlanMigration(old, newAlloc)
+	plan, _, err := matching.PlanMigration(old.alloc, newAlloc)
 	if err != nil {
 		return nil, err
 	}
@@ -287,9 +285,7 @@ func (c *Cluster) reallocateLocked(newAlloc *core.Allocation, load Loader, opts 
 	}
 	// Routing swap: the new classes route correctly from here on —
 	// every destination published its tables at its cutover barrier.
-	c.mu.Lock()
-	c.installRoutingLocked(newAlloc)
-	c.mu.Unlock()
+	c.routes.Store(newRouting(newAlloc))
 	// Drop now-unneeded tables (unroute under dispatchMu, physical drop
 	// serialized through the applier queue).
 	if err = c.dropUnwantedLive(backends, want, keep, rep); err != nil {

@@ -285,11 +285,8 @@ func TestMigrateLiveUnderLoad(t *testing.T) {
 }
 
 // TestMigrateLiveClasslessReadsAcrossDrops: a request without a class —
-// ad hoc or through a prepared handle — is routed by its statement's
-// table references under the union schema of all backends, read while
-// live migrations add and drop replicas. Reading a backend's schema as
-// "list the names, then fetch each table" crashed when a cutover
-// dropped the table in between; it now comes from one published view.
+// ad hoc or through a prepared handle — is routed by the tables its
+// statement names while live migrations add and drop replicas.
 func TestMigrateLiveClasslessReadsAcrossDrops(t *testing.T) {
 	c, cl, loader := liveFixture(t)
 	prep, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 4`, "", false)
@@ -335,10 +332,127 @@ func TestMigrateLiveClasslessReadsAcrossDrops(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMigrateLiveClasslessPreparedReads: handles prepared with class ""
+// serve concurrent reads while MigrateLive alternates two placements —
+// a read routed to a replica a cutover then drops fails over to a
+// holder, and none fails. Routing such a handle used to read the
+// backends' schemas, and a drop between listing a backend's tables and
+// fetching one crashed the read.
+func TestMigrateLiveClasslessPreparedReads(t *testing.T) {
+	c, cl, loader := liveFixture(t)
+	var handles []*Prepared
+	for _, sql := range []string{`SELECT a_v FROM a WHERE a_id = 4`, `SELECT b_v FROM b WHERE b_id = 4`} {
+		p, err := c.Prepare(sql, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, p)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads, failed atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := c.ExecPrepared(context.Background(), handles[(i+w)%2], nil)
+				reads.Add(1)
+				if err != nil {
+					if failed.Add(1) == 1 {
+						t.Errorf("classless prepared read failed mid-migration: %v", err)
+					}
+				} else if len(res.Data) != 1 || res.Data[0][0].I != 4 {
+					t.Errorf("classless prepared read returned %+v", res.Data)
+				}
+			}
+		}(w)
+	}
+	opts := LiveOptions{BatchRows: 4, BatchPause: 50 * time.Microsecond}
+	for cycle := 0; cycle < 20 && !t.Failed(); cycle++ {
+		if _, err := c.MigrateLive(fullAlloc(t, cl), loader, opts); err != nil {
+			t.Errorf("cycle %d, replicate: %v", cycle, err)
+		}
+		if _, err := c.MigrateLive(partialAlloc(t, cl), loader, opts); err != nil {
+			t.Errorf("cycle %d, drop: %v", cycle, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d classless prepared reads failed", n, reads.Load())
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no read ran during the migrations")
+	}
+}
+
+// TestMigrateLiveStaleReadFailsOver pins the stale-route check: a read
+// routed to backend 1 while it held a, and held back until one migration
+// has dropped a there and the next is copying it back, must not answer
+// from the copy in flight; it fails over to backend 0.
+func TestMigrateLiveStaleReadFailsOver(t *testing.T) {
+	c, cl, loader := liveFixture(t)
+	if _, err := c.MigrateLive(fullAlloc(t, cl), loader, LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b0, b1 := c.all()[0], c.all()[1]
+	b0.metrics.IncPending() // least-pending routes the read to b1
+	defer b0.metrics.DecPending()
+	for i := 0; i < cap(b1.readSem); i++ {
+		b1.readSem <- struct{}{} // the routed read waits for a connection
+	}
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := c.Execute(workload.Request{SQL: `SELECT a_v FROM a WHERE a_id = 4`, Class: "QA"})
+		done <- result{res, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); b1.metrics.Pending() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the read was not routed to backend 1")
+		}
+	}
+	if _, err := c.MigrateLive(partialAlloc(t, cl), loader, LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var got *result
+	opts := LiveOptions{BatchRows: 4, onBatch: func(dest, _ string) {
+		if got != nil || dest != b1.name {
+			return
+		}
+		<-b1.readSem // one connection: the read runs against the first 4 rows
+		select {
+		case r := <-done:
+			got = &r
+		case <-time.After(5 * time.Second):
+			got = &result{}
+			t.Error("the read did not finish")
+		}
+	}}
+	if _, err := c.MigrateLive(fullAlloc(t, cl), loader, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || got.err != nil || got.res == nil {
+		t.Fatalf("read = %+v", got)
+	}
+	if got.res.Backend != b0.name || len(got.res.Data) != 1 || got.res.Data[0][0].I != 4 {
+		t.Fatalf("read answered %+v from %s, want a_v 4 from %s", got.res.Data, got.res.Backend, b0.name)
+	}
+}
+
 // tpcAppCluster builds an n-backend cluster with the TPC-App schema
 // loaded and a greedy allocation installed, returning the loader and
-// the classification for planning a reallocation.
-func tpcAppCluster(t *testing.T, n int, loadRows map[string]int64) (*Cluster, *core.Classification, Loader) {
+// the classification (to plan a reallocation or bind a mix's classes).
+func tpcAppCluster(t testing.TB, n int, loadRows map[string]int64) (*Cluster, *classify.Result, Loader) {
 	t.Helper()
 	mix, err := tpcapp.Mix(1)
 	if err != nil {
@@ -365,7 +479,7 @@ func tpcAppCluster(t *testing.T, n int, loadRows map[string]int64) (*Cluster, *c
 	if err := c.Install(alloc, loader); err != nil {
 		t.Fatal(err)
 	}
-	return c, res.Classification, loader
+	return c, res, loader
 }
 
 // TestMigrateLiveMovesExactlyThePlan checks a TPC-App reallocation
@@ -377,9 +491,9 @@ func TestMigrateLiveMovesExactlyThePlan(t *testing.T) {
 	loadRows := map[string]int64{
 		"country": 92, "author": 100, "item": 300, "customer": 400, "address": 800, "orders": 600, "order_line": 1500,
 	}
-	c, cl, loader := tpcAppCluster(t, 3, loadRows)
-	full := core.FullReplication(cl, core.UniformBackends(3))
-	plan, _, err := matching.PlanMigration(c.alloc, full)
+	c, res, loader := tpcAppCluster(t, 3, loadRows)
+	full := core.FullReplication(res.Classification, core.UniformBackends(3))
+	plan, _, err := matching.PlanMigration(c.routes.Load().alloc, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +705,7 @@ func TestMigrateLiveDeltaOverflow(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, cl, loader := liveFixture(t)
 			c.cfg.RedoLogCap = 3
-			installed, gen := c.alloc, c.RouteGeneration()
+			installed := c.routes.Load()
 			dest := c.all()[1]
 			attempts, injected := 0, 0
 			opts := LiveOptions{
@@ -634,7 +748,7 @@ func TestMigrateLiveDeltaOverflow(t *testing.T) {
 				if c.Backend(1).Table("a") != nil {
 					t.Error("destination kept a partial copy of a")
 				}
-				if !reflect.DeepEqual(c.Tables(1), []string{"b"}) || c.alloc != installed || c.RouteGeneration() != gen {
+				if !reflect.DeepEqual(c.Tables(1), []string{"b"}) || c.routes.Load() != installed {
 					t.Errorf("routing changed by the failed migration: B2 holds %v", c.Tables(1))
 				}
 				if m := c.Metrics().Migration; m.Aborts != 1 {

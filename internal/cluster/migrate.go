@@ -60,16 +60,13 @@ func wantTables(alloc *core.Allocation, mapping []int, n int) []map[string]bool 
 		want[i] = make(map[string]bool)
 	}
 	for v := 0; v < alloc.NumBackends(); v++ {
-		u := mapping[v]
-		for _, f := range alloc.Fragments(v) {
-			want[u][TableOfFragment(f)] = true
-		}
+		want[mapping[v]] = fragmentTables(alloc.Fragments(v))
 	}
 	return want
 }
 
-// sortedTables returns a want set's tables in deterministic order.
-func sortedTables(tables map[string]bool) []string {
+// sortedTables returns a table set's tables in deterministic order.
+func sortedTables[V any](tables map[string]V) []string {
 	names := make([]string, 0, len(tables))
 	for t := range tables {
 		names = append(names, t)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qcpa/internal/sqlmini"
-	"qcpa/internal/workload"
 )
 
 func TestPreparedExecMatchesDirect(t *testing.T) {
@@ -108,61 +107,38 @@ func TestPreparedWriteROWA(t *testing.T) {
 	}
 }
 
-// TestPreparedRerouteOnMigration checks a cached route survives within
-// one generation and re-resolves — exactly once — after a migration
-// moves the routing generation.
+// TestPreparedRerouteOnMigration: a handle keeps no route of its own,
+// so once a migration gives class QA's table a new holder, the next exec
+// can run there. Backend 0 is made the busier one, so least-pending
+// prefers backend 1 as soon as it holds a.
 func TestPreparedRerouteOnMigration(t *testing.T) {
 	c, cl, loader := liveFixture(t)
 	p, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := c.RouteGeneration()
-	for i := 0; i < 3; i++ {
-		if _, err := c.ExecPrepared(context.Background(), p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.Metrics().Planner.PreparedReroutes; n != 0 {
-		t.Fatalf("stable generation re-resolved %d times", n)
-	}
-
-	// Swap layout: B1{b} / B2{a,b}.
-	newAlloc := placed(t, cl, []string{"b"}, []string{"a", "b"})
-	if _, err := c.MigrateLive(newAlloc, loader, LiveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if c.RouteGeneration() == gen {
-		t.Fatal("migration did not move the routing generation")
-	}
-	for i := 0; i < 3; i++ {
+	old, fresh := c.all()[0], c.all()[1]
+	old.metrics.IncPending()
+	defer old.metrics.DecPending()
+	exec := func() string {
+		t.Helper()
 		res, err := c.ExecPrepared(context.Background(), p, nil)
 		if err != nil {
-			t.Fatalf("prepared exec after migration: %v", err)
+			t.Fatal(err)
 		}
-		if len(res.Data) != 1 {
-			t.Fatalf("post-migration exec returned %+v", res.Data)
+		if len(res.Data) != 1 || res.Data[0][0].I != 1 {
+			t.Fatalf("exec on %s returned %+v", res.Backend, res.Data)
 		}
+		return res.Backend
 	}
-	if n := c.Metrics().Planner.PreparedReroutes; n != 1 {
-		t.Fatalf("re-resolved %d times after one migration, want 1", n)
+	if got := exec(); got != old.name {
+		t.Fatalf("before the migration the exec ran on %s, want the only holder %s", got, old.name)
 	}
-}
-
-// TestPreparedRerouteOnDDL checks DDL writes bump the routing
-// generation so prepared routes cannot keep pointing at a stale schema.
-func TestPreparedRerouteOnDDL(t *testing.T) {
-	c, _, _ := liveFixture(t)
-	gen := c.RouteGeneration()
-	// DDL routes by class (reference analysis cannot see a table that
-	// does not exist yet); QB's fragment holders receive it.
-	if _, err := c.Execute(workload.Request{
-		SQL: `CREATE TABLE t (t_id INT PRIMARY KEY, t_v INT)`, Class: "QB", Write: true,
-	}); err != nil {
+	if _, err := c.MigrateLive(fullAlloc(t, cl), loader, LiveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if c.RouteGeneration() == gen {
-		t.Fatal("CREATE TABLE did not move the routing generation")
+	if got := exec(); got != fresh.name {
+		t.Fatalf("after the migration the exec ran on %s, want the new holder %s", got, fresh.name)
 	}
 }
 
@@ -170,6 +146,9 @@ func TestPrepareErrors(t *testing.T) {
 	c, _, _ := liveFixture(t)
 	if _, err := c.Prepare(`SELEC nonsense`, "", false); err == nil {
 		t.Fatal("unparsable SQL must fail at prepare")
+	}
+	if _, err := c.Prepare(`DROP TABLE a`, "", true); err == nil {
+		t.Fatal("DDL without a class names no table and must fail to route at prepare")
 	}
 	c.Close()
 	if _, err := c.Prepare(`SELECT a_v FROM a WHERE a_id = 1`, "QA", false); err == nil {

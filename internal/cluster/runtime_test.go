@@ -268,10 +268,7 @@ func TestInstallErrorNamesBackend(t *testing.T) {
 		}
 		return nil
 	}
-	c.mu.Lock()
-	alloc := c.alloc
-	c.mu.Unlock()
-	err := c.Install(alloc, load)
+	err := c.Install(c.routes.Load().alloc, load)
 	if err == nil {
 		t.Fatal("loader failure not reported")
 	}

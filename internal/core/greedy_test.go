@@ -369,6 +369,10 @@ func TestGreedyPropertyValid(t *testing.T) {
 			t.Logf("seed %d n %d: speedup %v exceeds Eq.17 bound %v", seed, n, a.Speedup(), bound)
 			return false
 		}
+		if err := a.CheckAggregates(); err != nil {
+			t.Logf("seed %d n %d: %v", seed, n, err)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -425,6 +429,11 @@ func TestGreedyKSafeProperty(t *testing.T) {
 				t.Logf("seed %d n %d k %d: class %s has %d replicas, want >= %d", seed, n, k, c.Name, got, k+1)
 				return false
 			}
+		}
+		a.Scale() // cache the scale so CheckAggregates checks it too
+		if err := a.CheckAggregates(); err != nil {
+			t.Logf("seed %d n %d k %d: %v", seed, n, k, err)
+			return false
 		}
 		return true
 	}

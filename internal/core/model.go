@@ -690,9 +690,6 @@ func (a *Allocation) AssignedClasses(b int) []string {
 // is cached across mutations and rescanned lazily (O(|B|)) only after a
 // mutation lowered the maximum backend's load.
 func (a *Allocation) Scale() float64 {
-	if aggCheck {
-		a.checkAggregatesOrPanic()
-	}
 	if !a.scaleOK {
 		a.scale, a.scaleB = 1, -1
 		for b := range a.backends {
@@ -728,9 +725,6 @@ func (a *Allocation) DataSize(b int) float64 {
 // TotalDataSize returns the summed size over all backends (the numerator
 // of Eq. 28), maintained incrementally.
 func (a *Allocation) TotalDataSize() float64 {
-	if aggCheck {
-		a.checkAggregatesOrPanic()
-	}
 	return a.totalSize
 }
 
@@ -857,9 +851,8 @@ func (a *Allocation) CopyFrom(src *Allocation) {
 // CheckAggregates recomputes every incrementally maintained aggregate
 // from the underlying maps and reports the first one that drifted
 // beyond tolerance from its running value. It is the debug cross-check
-// for the invariants documented in DESIGN.md ("Performance"): tests
-// call it directly, and the qcpaaggcheck build tag wires it into every
-// Scale/TotalDataSize call.
+// for the invariants documented in DESIGN.md ("Performance"); the
+// greedy and memetic property tests call it on every result.
 func (a *Allocation) CheckAggregates() error {
 	const tol = 1e-6
 	totalSize := 0.0
@@ -900,12 +893,6 @@ func (a *Allocation) CheckAggregates() error {
 		}
 	}
 	return nil
-}
-
-func (a *Allocation) checkAggregatesOrPanic() {
-	if err := a.CheckAggregates(); err != nil {
-		panic(err)
-	}
 }
 
 // LoadMatrix returns the per-backend, per-class assigned weights as a

@@ -219,10 +219,6 @@ type Registry struct {
 	redoAppends atomic.Int64
 	catchup     stats.ExpHistogram // milliseconds
 
-	// preparedReroutes counts prepared statements re-resolving their
-	// cached route after a routing-generation bump.
-	preparedReroutes atomic.Int64
-
 	// Group-commit series: per-round batch sizes and per-update commit
 	// wait (submit to round dispatch).
 	groupBatch stats.ExpHistogram // updates per round
@@ -253,14 +249,6 @@ func (r *Registry) ObserveUnavailable() { r.unavailable.Add(1) }
 // ObserveRedoAppend records one update diverted to a Down backend's
 // redo log.
 func (r *Registry) ObserveRedoAppend() { r.redoAppends.Add(1) }
-
-// ObservePreparedReroute records a prepared statement re-resolving its
-// route after a routing-generation bump (installed allocation, live
-// cutover, or DDL).
-func (r *Registry) ObservePreparedReroute() { r.preparedReroutes.Add(1) }
-
-// PreparedReroutes returns the prepared-route recomputation count.
-func (r *Registry) PreparedReroutes() int64 { return r.preparedReroutes.Load() }
 
 // ObserveCatchUp records one completed recovery and its catch-up time.
 func (r *Registry) ObserveCatchUp(d time.Duration) { r.catchup.Observe(d.Milliseconds()) }
@@ -403,9 +391,10 @@ type PlannerSnapshot struct {
 	PlanEntries       int64 `json:"plan_entries"`
 	JoinPlans         int64 `json:"join_plans"`
 	JoinReordered     int64 `json:"join_reordered"`
-	// PreparedReroutes counts prepared statements that re-resolved
-	// their cached route after a routing-generation bump. Cluster-level
-	// (per-backend snapshots report zero); filled by Cluster.Metrics.
+	// PreparedReroutes always reads 0: prepared executions route like
+	// any other request and keep no route to re-resolve. The field stays
+	// only because the benchmark harness still reads it; the harness's
+	// next change drops both.
 	PreparedReroutes int64 `json:"prepared_reroutes,omitempty"`
 }
 

@@ -37,20 +37,6 @@ type QueryInfo struct {
 // workload generators both provide one.
 type Schema map[string][]Column
 
-// SchemaOf extracts the schema of an engine. It reads one published
-// view, so the table set is consistent even while a live-migration
-// cutover drops tables concurrently.
-func SchemaOf(e *Engine) Schema {
-	v := e.loadView()
-	s := make(Schema, len(v.tables))
-	for name, tv := range v.tables {
-		cols := make([]Column, len(tv.t.Cols))
-		copy(cols, tv.t.Cols)
-		s[name] = cols
-	}
-	return s
-}
-
 // Analyze parses and analyzes one SQL statement against a schema.
 func Analyze(sql string, schema Schema) (*QueryInfo, error) {
 	st, err := Parse(sql)

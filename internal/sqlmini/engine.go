@@ -2,7 +2,6 @@ package sqlmini
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -10,20 +9,10 @@ import (
 	"sync/atomic"
 )
 
-// ErrUnknownTable is the sentinel wrapped by every unknown-table
-// statement error. The cluster's read path matches it (IsMissingTable)
-// to tell a stale route — the table was dropped by a live-migration
-// cutover after the read was scheduled — from a genuine statement
-// error that would fail identically on every replica.
-var ErrUnknownTable = errors.New("sqlmini: unknown table")
-
 // unknownTableError formats the canonical unknown-table error.
 func unknownTableError(name string) error {
-	return fmt.Errorf("%w %q", ErrUnknownTable, name)
+	return fmt.Errorf("sqlmini: unknown table %q", name)
 }
-
-// IsMissingTable reports whether err is an unknown-table error.
-func IsMissingTable(err error) bool { return errors.Is(err, ErrUnknownTable) }
 
 // Table is an in-memory row store with an optional primary-key hash
 // index.

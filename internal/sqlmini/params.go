@@ -1,13 +1,16 @@
 package sqlmini
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The statement form. Parse turns SQL text into a Statement — an
 // immutable Shape (the syntax tree with every literal a numbered slot,
 // and the plan-cache key rendered from it once) plus the literal values
 // of one execution — and that pair is what everything downstream holds:
-// the executors, the plan cache, the analyzer, the cluster's statement
-// cache, prepared handles, group-commit rounds and replay logs. A
+// the executors, the plan cache, the analyzer, the cluster's router,
+// prepared handles, group-commit rounds and replay logs. A
 // prepared statement executes by pairing the template's shape with fresh
 // values (BindLiterals); nothing walks, copies or rewrites a tree per
 // execution, and a retained statement shares nothing mutable with the
@@ -28,6 +31,11 @@ type Statement struct {
 type Shape struct {
 	AST         Stmt
 	NumLiterals int
+	// Tables is the statement's footprint: the tables it references (a
+	// SELECT's FROM and JOIN tables, a write's target), sorted and
+	// distinct; nil for DDL. The cluster routes a statement with no
+	// query class to the backends holding all of them. Read-only.
+	Tables []string
 	// key is the canonical rendering of a SELECT (canonKey), the plan
 	// cache's key; "" for every other statement.
 	key string
@@ -38,15 +46,31 @@ type Shape struct {
 // of the actually-written table (a class can span more tables than any
 // one of its statements).
 func (s *Shape) WriteTable() string {
-	switch x := s.AST.(type) {
-	case *InsertStmt:
-		return x.Table
-	case *UpdateStmt:
-		return x.Table
-	case *DeleteStmt:
-		return x.Table
+	if _, read := s.AST.(*SelectStmt); read || len(s.Tables) == 0 {
+		return ""
 	}
-	return ""
+	return s.Tables[0]
+}
+
+// footprint lists the tables ast references, for Shape.Tables.
+func footprint(ast Stmt) []string {
+	switch x := ast.(type) {
+	case *SelectStmt:
+		tables := make([]string, 0, 1+len(x.Joins))
+		tables = append(tables, x.Table)
+		for _, j := range x.Joins {
+			tables = append(tables, j.Table)
+		}
+		slices.Sort(tables)
+		return slices.Compact(tables)
+	case *InsertStmt:
+		return []string{x.Table}
+	case *UpdateStmt:
+		return []string{x.Table}
+	case *DeleteStmt:
+		return []string{x.Table}
+	}
+	return nil
 }
 
 // BindLiterals returns tmpl's shape with args as its params: args[i]

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"qcpa/internal/sqlmini"
+	"qcpa/internal/workload"
 	"qcpa/internal/workload/tpcapp"
 	"qcpa/internal/workload/tpch"
 )
@@ -233,4 +235,52 @@ func FuzzBindLiterals(f *testing.F) {
 			t.Fatalf("%s: template params changed from %v to %v", sql, own, tmpl.Params)
 		}
 	})
+}
+
+// TestShapeFootprint: the footprint Parse records on a Shape is the
+// table set the analyzer derives against the full schema, for every
+// TPC-H and TPC-App template (the canonical text and one generated
+// instance), and DDL has none.
+func TestShapeFootprint(t *testing.T) {
+	app, err := tpcapp.Mix(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, suite := range []struct {
+		schema    sqlmini.Schema
+		templates []workload.Template
+	}{
+		{tpch.Schema(), tpch.Queries()},
+		{tpcapp.Schema(), app.Templates()},
+	} {
+		for _, tmpl := range suite.templates {
+			texts := []string{tmpl.Journal}
+			if tmpl.Gen != nil {
+				texts = append(texts, tmpl.Gen(rng))
+			}
+			for _, sql := range texts {
+				st, err := sqlmini.Parse(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", tmpl.Name, err)
+				}
+				info, err := sqlmini.AnalyzeStmt(st, suite.schema)
+				if err != nil {
+					t.Fatalf("%s: %v", tmpl.Name, err)
+				}
+				if !slices.Equal(st.Tables, info.Tables) {
+					t.Errorf("%s: footprint %v, analyzer %v", tmpl.Name, st.Tables, info.Tables)
+				}
+			}
+		}
+	}
+	for _, sql := range []string{`CREATE TABLE t (id INT PRIMARY KEY)`, `DROP TABLE t`} {
+		st, err := sqlmini.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tables != nil {
+			t.Errorf("%s: footprint %v, want none", sql, st.Tables)
+		}
+	}
 }

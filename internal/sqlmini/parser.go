@@ -24,7 +24,7 @@ func Parse(src string) (Statement, error) {
 	if p.peek().kind != tokEOF {
 		return Statement{}, p.errf("unexpected %q after statement", p.peek().text)
 	}
-	sh := &Shape{AST: ast, NumLiterals: len(p.params)}
+	sh := &Shape{AST: ast, NumLiterals: len(p.params), Tables: footprint(ast)}
 	if sel, ok := ast.(*SelectStmt); ok {
 		sh.key = canonKey(sel)
 	}

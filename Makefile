@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-json check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
+.PHONY: all build test vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
 
 all: check
 
@@ -30,6 +30,11 @@ lint:
 # fails the build with a readable annotation.
 lint-json:
 	$(GO) run ./cmd/qcpa-lint -json ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing the
+# files gofmt would change.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # check is the CI gate: vet, lint, build, then the full suite under the
 # race detector (the parallel ROWA fan-out and the server are concurrent

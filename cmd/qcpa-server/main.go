@@ -42,23 +42,23 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "", "address to serve on (server mode)")
-		connect  = flag.String("connect", "", "controller address (client mode)")
-		sql      = flag.String("sql", "", "statement to execute (client mode)")
-		class    = flag.String("class", "", "query class hint (client mode)")
-		write    = flag.Bool("write", false, "route as update (client mode)")
-		cmd      = flag.String("cmd", "", "protocol command: history | stats | metrics | health | fail | recover | migrate | resize | migration (client mode)")
-		backend  = flag.String("backend", "", "target of -cmd fail/recover (client mode)")
-		backends = flag.Int("backends", 3, "number of backends (server mode); target count of -cmd resize (client mode)")
-		strategy = flag.String("strategy", "table", "classification granularity: table | column")
-		policy   = flag.String("policy", "least-pending", "read scheduling policy: least-pending | random | round-robin (server mode)")
-		timeout  = flag.Duration("timeout", 0, "per-request timeout, 0 = none (server mode)")
-		retries  = flag.Int("max-retries", 2, "read failover retries after the first attempt (server mode)")
-		backoff  = flag.Duration("backoff", 0, "base delay for full-jitter retry backoff, 0 = library default (server mode)")
-		redoCap  = flag.Int("redo-cap", 0, "per-backend redo-log cap before falling back to full resync, 0 = default (server mode)")
-		migBatch = flag.Int("migrate-batch", 0, "rows per live-migration restore batch, 0 = default (server mode)")
-		migPause = flag.Duration("migrate-pause", 0, "pause between live-migration batches, 0 = full speed (server mode)")
-		groupMax = flag.Int("group-batch", 0, "max updates per group-commit round, 0 = default (server mode)")
+		listen    = flag.String("listen", "", "address to serve on (server mode)")
+		connect   = flag.String("connect", "", "controller address (client mode)")
+		sql       = flag.String("sql", "", "statement to execute (client mode)")
+		class     = flag.String("class", "", "query class hint (client mode)")
+		write     = flag.Bool("write", false, "route as update (client mode)")
+		cmd       = flag.String("cmd", "", "protocol command: history | stats | metrics | health | fail | recover | migrate | resize | migration (client mode)")
+		backend   = flag.String("backend", "", "target of -cmd fail/recover (client mode)")
+		backends  = flag.Int("backends", 3, "number of backends (server mode); target count of -cmd resize (client mode)")
+		strategy  = flag.String("strategy", "table", "classification granularity: table | column")
+		policy    = flag.String("policy", "least-pending", "read scheduling policy: least-pending | random | round-robin (server mode)")
+		timeout   = flag.Duration("timeout", 0, "per-request timeout, 0 = none (server mode)")
+		retries   = flag.Int("max-retries", 2, "read failover retries after the first attempt (server mode)")
+		backoff   = flag.Duration("backoff", 0, "base delay for full-jitter retry backoff, 0 = library default (server mode)")
+		redoCap   = flag.Int("redo-cap", 0, "per-backend redo-log cap before falling back to full resync, 0 = default (server mode)")
+		migBatch  = flag.Int("migrate-batch", 0, "rows per live-migration restore batch, 0 = default (server mode)")
+		migPause  = flag.Duration("migrate-pause", 0, "pause between live-migration batches, 0 = full speed (server mode)")
+		groupMax  = flag.Int("group-batch", 0, "max updates per group-commit round, 0 = default (server mode)")
 		groupWait = flag.Duration("group-wait", 0, "group-commit linger for batch building, 0 = commit immediately (server mode)")
 		maxConns  = flag.Int("max-conns", 0, "max accepted connections, 0 = default 1024, -1 = unlimited (server mode)")
 		maxInfl   = flag.Int("max-inflight", 0, "max requests executing concurrently, 0 = default 256, -1 = unlimited (server mode)")

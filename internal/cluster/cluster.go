@@ -57,13 +57,14 @@ func TableOfFragment(f core.FragmentID) string {
 // generator's Load function curried with its row counts).
 type Loader func(e *sqlmini.Engine, tables []string) error
 
+// readWorkers is the number of concurrent read connections per
+// backend, mirroring the prototype's connection pools.
+const readWorkers = 2
+
 // Config configures a cluster.
 type Config struct {
 	// Backends names the backends and their relative performance.
 	Backends []core.Backend
-	// ReadWorkers is the number of concurrent read connections per
-	// backend (default 2), mirroring the prototype's connection pools.
-	ReadWorkers int
 	// Policy selects the read-scheduling policy (default LeastPending,
 	// the paper's strategy). The implementations are shared with the
 	// simulator via internal/runtime.
@@ -332,9 +333,6 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends")
 	}
-	if cfg.ReadWorkers <= 0 {
-		cfg.ReadWorkers = 2
-	}
 	if cfg.FanoutWorkers <= 0 {
 		cfg.FanoutWorkers = len(cfg.Backends)
 		if cfg.FanoutWorkers > 8 {
@@ -378,7 +376,7 @@ func (c *Cluster) newBackend(name string) *backend {
 		engine:   sqlmini.New(),
 		metrics:  metrics.NewBackend(),
 		updateCh: make(chan *updateJob, 1024),
-		readSem:  make(chan struct{}, c.cfg.ReadWorkers),
+		readSem:  make(chan struct{}, readWorkers),
 	}
 	be.setTables(make(map[string]bool))
 	be.wg.Add(1)

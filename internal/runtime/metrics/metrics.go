@@ -88,15 +88,15 @@ func (b *Backend) Snapshot(name string) BackendSnapshot {
 // backend counters, every write path is a handful of atomics so the
 // wire hot path stays cheap.
 type Admission struct {
-	conns         atomic.Int64 // live connections (gauge)
-	connsTotal    atomic.Int64 // connections ever accepted
-	connsRejected atomic.Int64 // connections refused at the MaxConns cap
-	admitted      atomic.Int64 // requests that won an execution slot
-	shed          atomic.Int64 // requests rejected with the typed overload error
-	drained       atomic.Int64 // requests rejected with the typed draining error
-	tooLarge      atomic.Int64 // oversized request frames answered and resynced
-	expired       atomic.Int64 // requests whose deadline passed while queued
-	queued        atomic.Int64 // admission queue depth (gauge)
+	conns         atomic.Int64       // live connections (gauge)
+	connsTotal    atomic.Int64       // connections ever accepted
+	connsRejected atomic.Int64       // connections refused at the MaxConns cap
+	admitted      atomic.Int64       // requests that won an execution slot
+	shed          atomic.Int64       // requests rejected with the typed overload error
+	drained       atomic.Int64       // requests rejected with the typed draining error
+	tooLarge      atomic.Int64       // oversized request frames answered and resynced
+	expired       atomic.Int64       // requests whose deadline passed while queued
+	queued        atomic.Int64       // admission queue depth (gauge)
 	queueWait     stats.ExpHistogram // microseconds from enqueue to slot grant
 
 	// Wire-protocol series (the frame protocol and the prepared-
@@ -197,7 +197,7 @@ func (a *Admission) Snapshot() AdmissionSnapshot {
 		Queued:          a.queued.Load(),
 		QueueWait:       latencySnapshot(&a.queueWait),
 		Wire: WireSnapshot{
-			FramesIn:     a.framesIn.Load(),
+			FramesIn:      a.framesIn.Load(),
 			FramesOut:     a.framesOut.Load(),
 			Flushes:       a.flushes.Load(),
 			BadFrames:     a.badFrames.Load(),
@@ -361,13 +361,13 @@ func latencySnapshot(h *stats.ExpHistogram) LatencySnapshot {
 
 // BackendSnapshot is the wire form of one backend's counters.
 type BackendSnapshot struct {
-	Name         string          `json:"name"`
-	State        string          `json:"state,omitempty"`
-	Reads        int64           `json:"reads"`
-	Writes       int64           `json:"writes"`
-	Errors       int64           `json:"errors"`
-	Pending      int64           `json:"pending"`
-	Failovers    int64           `json:"failovers,omitempty"`
+	Name      string `json:"name"`
+	State     string `json:"state,omitempty"`
+	Reads     int64  `json:"reads"`
+	Writes    int64  `json:"writes"`
+	Errors    int64  `json:"errors"`
+	Pending   int64  `json:"pending"`
+	Failovers int64  `json:"failovers,omitempty"`
 	// Epoch is the backend engine's published read epoch — one per
 	// committed round (or standalone write). Replicas that applied the
 	// same rounds report comparable advancement.
@@ -478,7 +478,7 @@ type AdmissionSnapshot struct {
 // counts (their ratio is the response batch factor), rejected frames,
 // and the prepared-statement handle traffic.
 type WireSnapshot struct {
-	FramesIn     int64 `json:"frames_in"`
+	FramesIn      int64 `json:"frames_in"`
 	FramesOut     int64 `json:"frames_out"`
 	Flushes       int64 `json:"flushes"`
 	BadFrames     int64 `json:"bad_frames"`

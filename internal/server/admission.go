@@ -31,9 +31,6 @@ type Limits struct {
 	// RetryAfter is the base of the overload retry hint; the hint grows
 	// with queue pressure up to roughly 2x (default 50ms).
 	RetryAfter time.Duration
-	// WriteTimeout bounds one response write so a stalled client cannot
-	// pin execution slots forever (default 10s).
-	WriteTimeout time.Duration
 	// MaxFrameBytes caps one request frame (default 1 MiB). An
 	// oversized frame gets a typed too-large error and the connection
 	// resyncs exactly past its declared length instead of dropping.
@@ -65,9 +62,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.RetryAfter <= 0 {
 		l.RetryAfter = 50 * time.Millisecond
-	}
-	if l.WriteTimeout <= 0 {
-		l.WriteTimeout = 10 * time.Second
 	}
 	if l.MaxFrameBytes <= 0 {
 		l.MaxFrameBytes = 1 << 20

@@ -35,15 +35,15 @@ func FuzzFrameDecode(f *testing.F) {
 	// Type-byte garbage with a plausible length.
 	f.Add([]byte{0, 0, 0, 2, 0x7f, 0xaa})
 	// Argument-count bomb: nargs far beyond the payload.
-	bomb := appendUvarint(nil, 1)                   // id
-	bomb = append(bomb, 0, 0)                      // cmd, flags
-	bomb = appendUvarint(bomb, 0)                  // deadline
-	bomb = appendUvarint(bomb, 0)                  // handle
-	bomb = appendString(bomb, "")                  // sql
-	bomb = appendString(bomb, "")                  // class
-	bomb = appendString(bomb, "")                  // backend
-	bomb = appendUvarint(bomb, 0)                  // backends
-	bomb = appendUvarint(bomb, 1<<40)              // nargs: lie
+	bomb := appendUvarint(nil, 1)     // id
+	bomb = append(bomb, 0, 0)         // cmd, flags
+	bomb = appendUvarint(bomb, 0)     // deadline
+	bomb = appendUvarint(bomb, 0)     // handle
+	bomb = appendString(bomb, "")     // sql
+	bomb = appendString(bomb, "")     // class
+	bomb = appendString(bomb, "")     // backend
+	bomb = appendUvarint(bomb, 0)     // backends
+	bomb = appendUvarint(bomb, 1<<40) // nargs: lie
 	buf.Reset()
 	writeFrame(&buf, frameRequest, bomb)
 	f.Add(buf.Bytes())

@@ -399,14 +399,15 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 }
 
 // TestPipelinedGoroutinesExitWithConnection saturates one connection
-// at ConnInflight with pipelined slow requests, so the connection grows
-// its full set of serving goroutines, and checks that they all exit —
-// idle ones included — once the client closes.
+// at ConnInflight with pipelined requests, so the connection grows its
+// full set of serving goroutines, and checks that they all exit — idle
+// ones included — once the client closes. The test holds the one
+// execution slot until all ConnInflight requests wait for it in the
+// admission queue, so every serving goroutine is provably started.
 func TestPipelinedGoroutinesExitWithConnection(t *testing.T) {
 	const inflight = 4
-	_, c, addr := startLimitedServer(t, Limits{ConnInflight: inflight})
-	c.Backend(0).SetFault(&sqlmini.Fault{Latency: 20 * time.Millisecond})
-	before := runtime.NumGoroutine()
+	srv, _, addr := startLimitedServer(t, Limits{ConnInflight: inflight, MaxInflight: 1, QueueDepth: inflight})
+	srv.adm.sem <- struct{}{} // the latch: hold the only execution slot
 
 	client, err := DialOptions(addr, ClientOptions{MaxRetries: -1, BreakerThreshold: -1})
 	if err != nil {
@@ -422,21 +423,36 @@ func TestPipelinedGoroutinesExitWithConnection(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
-	// The connection's reader plus its serving goroutines, now idle.
-	if n := runtime.NumGoroutine(); n < before+1+inflight {
-		t.Fatalf("goroutines %d, want at least baseline %d + reader + %d serving", n, before, inflight)
+	for deadline := time.Now().Add(5 * time.Second); srv.mx.Queued() != inflight; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission queue %d, want the connection's %d requests", srv.mx.Queued(), inflight)
+		}
 	}
+	var cs *connState
+	srv.mu.Lock()
+	for _, c := range srv.conns {
+		cs = c // the server's one connection
+	}
+	srv.mu.Unlock()
+	// Each queued request holds its own serving goroutine, and the
+	// connection has no more than its inflight slots.
+	if cs.workers != inflight {
+		t.Fatalf("serving goroutines %d with %d requests in flight, want %d", cs.workers, inflight, inflight)
+	}
+	srv.adm.release()
+	wg.Wait()
 	client.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines %d > baseline %d after the client closed\n%s",
-				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		cs.reqs.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("serving goroutines outlived their connection\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -173,7 +173,7 @@ type Server struct {
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	closed bool
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*connState // nil until the handler has read the preamble
 }
 
 // Serve starts accepting connections on ln; it returns immediately.
@@ -199,7 +199,7 @@ func ServeConfig(ln net.Listener, c *cluster.Cluster, cfg Config) *Server {
 		adm:     newAdmission(limits, mx),
 		mx:      mx,
 		drainCh: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[net.Conn]*connState),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -269,7 +269,7 @@ func (s *Server) track(conn net.Conn) (ok, full bool) {
 	if len(s.conns) >= s.limits.MaxConns {
 		return false, true
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[conn] = nil
 	return true, false
 }
 
@@ -344,12 +344,15 @@ func (s *Server) rejectConn(conn net.Conn) {
 	w.Flush()
 }
 
+// writeTimeout bounds one response write so a stalled client cannot
+// pin execution slots forever.
+const writeTimeout = 10 * time.Second
+
 // connState is the per-connection plumbing shared by the reader and
 // the serving goroutines.
 type connState struct {
-	conn         net.Conn
-	mx           *metrics.Admission
-	writeTimeout time.Duration
+	conn net.Conn
+	mx   *metrics.Admission
 	// work hands a gated request to an idle serving goroutine; the
 	// reader closes it when it stops, and the idle goroutines exit.
 	work chan Request
@@ -370,7 +373,7 @@ type connState struct {
 	wmu     sync.Mutex // guards w, scratch (encoding buffer) and dead
 	w       *bufio.Writer
 	scratch []byte
-	// dead is set when a write failed (or WriteTimeout expired — a client
+	// dead is set when a write failed (or writeTimeout expired — a client
 	// that stopped reading); later responses are discarded.
 	dead bool
 }
@@ -435,7 +438,7 @@ func (cs *connState) send(r *Response) {
 	if cs.dead {
 		return
 	}
-	cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
+	cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	typ, payload, err := encodeResponseFrame(cs.scratch[:0], r)
 	if err != nil {
 		// An admin payload that failed to marshal: degrade to a plain
@@ -483,13 +486,15 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	cs := &connState{
-		conn:         conn,
-		mx:           s.mx,
-		writeTimeout: s.limits.WriteTimeout,
-		work:         make(chan Request),
-		connSem:      make(chan struct{}, min(s.limits.ConnInflight, 1<<16)),
-		w:            bufio.NewWriter(conn),
+		conn:    conn,
+		mx:      s.mx,
+		work:    make(chan Request),
+		connSem: make(chan struct{}, min(s.limits.ConnInflight, 1<<16)),
+		w:       bufio.NewWriter(conn),
 	}
+	s.mu.Lock()
+	s.conns[conn] = cs
+	s.mu.Unlock()
 	// The hello frame confirms the version before any response; flushed
 	// immediately so the client can start sending.
 	if writeFrame(cs.w, frameHello, []byte{wireVersion}) == nil && cs.w.Flush() == nil {

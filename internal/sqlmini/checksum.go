@@ -2,6 +2,8 @@ package sqlmini
 
 import (
 	"hash/fnv"
+	"math"
+	"strconv"
 )
 
 // TableChecksum returns an order-independent checksum of a table's
@@ -44,7 +46,8 @@ func (e *Engine) Checksums(names []string) (map[string]uint64, error) {
 }
 
 // FNV-1a, 64 bit: hash/fnv's constants, inlined so that hashing a value
-// allocates neither a hash.Hash64 nor the value's key string.
+// or a pk allocates neither a hash.Hash64 nor a key string. It is the
+// package's one hash of a rendered key: the checksum's and pkSlot's.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -57,11 +60,28 @@ func fnvAdd(h uint64, b []byte) uint64 {
 	return h
 }
 
-// fnvAddValue folds one value of a row into the row's hash: its key()
-// form, then 0xff.
+// fnvAddValue folds one value of a row into the row's hash: its key
+// (appendSumKey), then 0xff.
 func fnvAddValue(h uint64, v Value) uint64 {
 	var buf [32]byte
-	return (fnvAdd(h, v.appendPKKey(buf[:0])) ^ 0xff) * fnvPrime64
+	return (fnvAdd(h, appendSumKey(buf[:0], v)) ^ 0xff) * fnvPrime64
+}
+
+// appendSumKey appends the form of v's hkey the checksum hashes: NULL as
+// a 0 byte, an integer key as 'i' and its decimal digits, any other
+// float as 'f' and its 'b' formatting, text as 's' and its bytes. The
+// digests TestTableChecksumPinned holds are taken over this form.
+func appendSumKey(b []byte, v Value) []byte {
+	k := keyOf(v)
+	switch k.kind {
+	case KindInt:
+		return strconv.AppendInt(append(b, 'i'), int64(k.num), 10)
+	case KindFloat:
+		return strconv.AppendFloat(append(b, 'f'), math.Float64frombits(k.num), 'b', -1, 64)
+	case KindText:
+		return append(append(b, 's'), k.str...)
+	}
+	return append(b, 0)
 }
 
 // tableChecksumLocked hashes schema then rows; caller holds e.mu. A

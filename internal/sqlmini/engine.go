@@ -22,7 +22,7 @@ type Table struct {
 	colIdx    map[string]int
 	pkCol     int // -1 when no primary key
 	rows      rowStore
-	pk        pkIndex // pk key() -> row position
+	pk        pkIndex // pk key (appendKey) -> row position
 	indexCols []int   // secondary-indexed columns, ascending
 
 	// Publication bookkeeping (see view.go). view is the tableView cut
@@ -93,9 +93,10 @@ func (t *Table) PrimaryKey() string {
 // row that fails: the rows before it stay inserted, as with one INSERT
 // per row. It returns how many went in. The rows are only read — the
 // store copies their values out, coerced to the column types — so the
-// caller keeps them. This is the one insert path: a SQL INSERT,
-// BulkInsert and Restore all land here, so every batch fills the row
-// store and the pk shards it touches once, pre-sized.
+// caller keeps them. This is the one insert path: a SQL INSERT and
+// BulkInsert (which installs a CutTable's rows) land here, so every
+// batch fills the row store and the pk shards it touches once,
+// pre-sized.
 func (t *Table) insertRows(rows []Row) (int, error) {
 	var err error
 	var keys []string
@@ -109,7 +110,8 @@ func (t *Table) insertRows(rows []Row) (int, error) {
 		}
 		if t.pkCol >= 0 {
 			pk, _ := coerce(r[t.pkCol], t.Cols[t.pkCol].Type)
-			keys[i] = pk.key()
+			var buf [32]byte
+			keys[i] = string(appendKey(buf[:0], pk))
 		}
 	}
 	if len(rows) == 0 {

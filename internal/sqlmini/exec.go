@@ -726,13 +726,13 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 				return err
 			}
 		}
-		if k, set := slices.BinarySearch(setCols, t.pkCol); set && nr[t.pkCol] != old[k] {
-			if ok, nk := old[k].key(), nr[t.pkCol].key(); nk != ok {
-				if _, dup := t.pk.get(nk); dup {
-					return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
-				}
-				t.pk = t.pk.del(ok).set(nk, idx)
+		if k, set := slices.BinarySearch(setCols, t.pkCol); set && keyOf(nr[t.pkCol]) != keyOf(old[k]) {
+			if _, dup := t.pk.find(nr[t.pkCol]); dup {
+				return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
 			}
+			var ob, nb [32]byte
+			ok, nk := appendKey(ob[:0], old[k]), appendKey(nb[:0], nr[t.pkCol])
+			t.pk = t.pk.del(string(ok)).set(string(nk), idx)
 		}
 		for k, col := range setCols {
 			if nr[col] != old[k] {
@@ -747,7 +747,7 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 	if l, ok := pkLookup(st.Where, t, st.Table); ok {
 		// Fast path: WHERE pk = literal.
 		res.Scanned++
-		if idx, hit := t.pk.get(params[l.Slot].key()); hit {
+		if idx, hit := t.pk.find(params[l.Slot]); hit {
 			err = apply(idx)
 		}
 	} else {

@@ -85,8 +85,8 @@ func (e *Engine) CreateIndex(table, column string) error {
 }
 
 // Indexes returns the secondary-indexed column names of a table, in
-// column order. Every copy of a table — CloneTable + CreateTable, a
-// snapshot restore — carries the same set.
+// column order. Every copy of a table — a CutTable (or CloneTable)
+// installed by CreateTable + BulkInsert — carries the same set.
 func (e *Engine) Indexes(table string) []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

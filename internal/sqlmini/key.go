@@ -8,14 +8,14 @@ import (
 	"math"
 )
 
-// hkey is a Value as a comparable map key. Two values get equal hkeys
-// exactly when their key() renderings are equal: integers by value, a
-// float with an integral value folded onto that integer, any other
-// float by its bits (every NaN alike), text by content, NULL alone.
-// Unlike key() it is built without formatting or allocating. The pk
-// index is still keyed by key() (Value.appendPKKey), so the folding rule
-// lives twice and the two copies must agree
-// (TestKeyClassesMatchValueKey).
+// hkey is a Value's identity as a comparable map key: integers by
+// value, a float with an integral value folded onto that integer, any
+// other float by its bits (every NaN alike), text by content, NULL
+// alone. keyOf is the package's one rule for which values are the same
+// key: the pk index (appendKey's rendering), secondary indexes, joins,
+// grouping, the NDV sample and the checksum (appendSumKey) all take
+// their keys from it, and Compare agrees with it (TestKeyClasses). It
+// is built without formatting or allocating.
 type hkey struct {
 	kind Kind // KindInt also covers integral floats
 	num  uint64
@@ -40,13 +40,18 @@ func keyOf(v Value) hkey {
 	return hkey{}
 }
 
-// appendKey appends a self-delimiting rendering of v's hkey.
+// appendKey appends a self-delimiting rendering of v's hkey: the key
+// form of the pk index and of keyMap's lists of three or more values.
+// Numbers are uvarints, so a small integer's key is a few bytes: with
+// fixed 8-byte numbers a batched bulk load measured slower, its key
+// strings in a larger size class and its shard copies hashing twice
+// the memory.
 func appendKey(buf []byte, v Value) []byte {
 	k := keyOf(v)
 	buf = append(buf, byte(k.kind))
 	switch k.kind {
 	case KindInt, KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, k.num)
+		buf = binary.AppendUvarint(buf, k.num)
 	case KindText:
 		buf = binary.AppendUvarint(buf, uint64(len(k.str)))
 		buf = append(buf, k.str...)

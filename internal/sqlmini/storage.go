@@ -394,7 +394,7 @@ func (c *rowChunk) with(idxs []int, rows []Row, cols []int) *rowChunk {
 const pkFan = 64
 
 // pkDir is the second directory level: pkFan shards, each a plain map
-// from key() form to row position (nil when empty).
+// from a key's appendKey rendering to row position (nil when empty).
 //
 //qcpa:published directories and the shard maps they own are shared by every index version and view cut after them
 type pkDir [pkFan]map[string]int
@@ -404,20 +404,17 @@ type pkDir [pkFan]map[string]int
 //qcpa:published shared by every index version and view cut after it
 type pkRoot [pkFan]*pkDir
 
-// pkIndex maps a primary key's key() form to its row position. The
-// zero value is the empty index.
+// pkIndex maps a primary key, rendered by appendKey, to its row
+// position. The zero value is the empty index.
 type pkIndex struct {
 	root *pkRoot
 }
 
 // pkSlot returns a key's directory and shard number: the low bits of
-// FNV-1a over the key, with the high half folded in.
-func pkSlot[K string | []byte](key K) (int, int) {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
+// FNV-1a over the key, the bits above them folded in (FNV's lowest bits
+// mix least).
+func pkSlot(key []byte) (int, int) {
+	h := fnvAdd(fnvOffset64, key)
 	h ^= h >> 16
 	return int(h % pkFan), int(h / pkFan % pkFan)
 }
@@ -430,17 +427,12 @@ func (p pkIndex) shard(a, b int) map[string]int {
 	return p.root[a][b]
 }
 
-func (p pkIndex) get(key string) (int, bool) {
-	i, ok := p.shard(pkSlot(key))[key]
-	return i, ok
-}
-
-// find is get for a value rather than its rendered key: it renders on
-// the stack and allocates nothing, which is what a join step probing
-// once per prefix tuple needs.
+// find returns v's row position. It renders v's key on the stack and
+// allocates nothing, which is what a join step probing once per prefix
+// tuple needs.
 func (p pkIndex) find(v Value) (int, bool) {
 	var buf [32]byte
-	key := v.appendPKKey(buf[:0])
+	key := appendKey(buf[:0], v)
 	i, ok := p.shard(pkSlot(key))[string(key)]
 	return i, ok
 }
@@ -453,7 +445,7 @@ func (p pkIndex) del(key string) pkIndex { return p.with(key, 0, false) }
 
 // with path-copies the root, the directory and the shard key falls in.
 func (p pkIndex) with(key string, idx int, present bool) pkIndex {
-	a, b := pkSlot(key)
+	a, b := pkSlot([]byte(key))
 	root, dir := new(pkRoot), new(pkDir)
 	var old map[string]int
 	if p.root != nil {
@@ -486,7 +478,7 @@ func (p pkIndex) with(key string, idx int, present bool) pkIndex {
 // small batch into a large table copies only the shards it lands in.
 func (p pkIndex) insertAll(keys []string, base int) (pkIndex, int) {
 	if len(keys) == 1 {
-		if _, dup := p.get(keys[0]); dup {
+		if _, dup := p.shard(pkSlot([]byte(keys[0])))[keys[0]]; dup {
 			return p, 0
 		}
 		return p.set(keys[0], base), 1
@@ -494,7 +486,7 @@ func (p pkIndex) insertAll(keys []string, base int) (pkIndex, int) {
 	slots := make([]uint16, len(keys))
 	var incoming [pkFan * pkFan]int32 // keys per shard; -1 once the shard is copied
 	for k, key := range keys {
-		a, b := pkSlot(key)
+		a, b := pkSlot([]byte(key))
 		slots[k] = uint16(a*pkFan + b)
 		incoming[slots[k]]++
 	}

@@ -202,3 +202,65 @@ func BenchmarkApplyRoundSingleRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBulkInsert loads a 100k-row, 4-column table: /one-batch in
+// one BulkInsert (the shape of a resync and of a benchmark fixture),
+// /batches-1024 in 1024-row BulkInserts (a live copy's batches,
+// LiveOptions.BatchRows). /pk-probe reads that table through a
+// `WHERE id = ?` template re-bound to a fresh id each op.
+func BenchmarkBulkInsert(b *testing.B) {
+	const n = 100_000
+	cols := []Column{
+		{Name: "id", Type: KindInt, PrimaryKey: true},
+		{Name: "n", Type: KindInt},
+		{Name: "f", Type: KindFloat},
+		{Name: "s", Type: KindText},
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(i % 100)), Float(float64(i) / 4), Text(fmt.Sprintf("s%d", i%1000))}
+	}
+	load := func(b *testing.B, batch int) *Engine {
+		e := New()
+		if err := e.CreateTable("bulk", cols); err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < n; lo += batch {
+			if err := e.BulkInsert("bulk", rows[lo:min(lo+batch, n)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name  string
+		batch int
+	}{{"one-batch", n}, {"batches-1024", 1024}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				load(b, c.batch)
+			}
+		})
+	}
+	b.Run("pk-probe", func(b *testing.B) {
+		e := load(b, n)
+		tmpl, err := Parse(`SELECT n FROM bulk WHERE id = 0`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		args := []Value{Null}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			args[0] = Int(int64(i*7919) % n)
+			st, err := BindLiterals(tmpl, args)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, err := e.ExecStmt(st); err != nil || len(res.Rows) != 1 {
+				b.Fatalf("probe %v: %v, %v", args[0], res, err)
+			}
+		}
+	})
+}

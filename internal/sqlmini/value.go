@@ -109,12 +109,11 @@ func (v Value) AsFloat() (float64, bool) {
 // numeric value whatever their kinds, text lexically. It is a total
 // order — what sorting an index's permutation needs — and it is exact:
 // two integers compare as integers (2^53 and 2^53+1 differ, as they do
-// to the pk index and to hkey), an integer and a float without rounding
-// either, and NaN is below every other number and equal to itself, as
-// cmp.Compare orders floats. Two values compare equal exactly when
-// keyOf gives them one key (TestKeyClassesMatchValueKey), so a filter,
-// a hash join and an index probe agree on what "=" matches. The result
-// is -1, 0, or 1.
+// to hkey), an integer and a float without rounding either, and NaN is
+// below every other number and equal to itself, as cmp.Compare orders
+// floats. Two values compare equal exactly when keyOf gives them one
+// key (TestKeyClasses), so a filter, a hash join and an index probe
+// agree on what "=" matches. The result is -1, 0, or 1.
 func Compare(a, b Value) int {
 	switch {
 	case a.K == KindInt && b.K == KindInt:
@@ -167,43 +166,14 @@ func (v Value) String() string {
 	}
 }
 
-// key renders a canonical form for grouping and index keys.
-func (v Value) key() string {
-	var buf [32]byte
-	return string(v.appendPKKey(buf[:0]))
-}
-
-// appendPKKey appends the key() form of v — the format pkIndex is keyed
-// by — to b. A caller that only looks the key up passes a stack buffer
-// and converts in the map index expression, which allocates nothing.
-// The float folding below and keyOf's (key.go, the secondary indexes'
-// format) must stay the same rule: a join probes either index with the
-// other table's value and expects 2 to find 2.0 in both
-// (TestKeyClassesMatchValueKey).
-func (v Value) appendPKKey(b []byte) []byte {
-	switch v.K {
-	case KindNull:
-		return append(b, 0)
-	case KindInt:
-		return strconv.AppendInt(append(b, 'i'), v.I, 10)
-	case KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return strconv.AppendInt(append(b, 'i'), int64(v.F), 10)
-		}
-		return strconv.AppendFloat(append(b, 'f'), v.F, 'b', -1, 64)
-	default:
-		return append(append(b, 's'), v.S...)
-	}
-}
-
 // Row is a tuple of values.
 type Row []Value
 
 // Column describes one table column. Indexed declares a secondary hash
-// index on it (index.go): CreateTable and Restore build the table with
-// one, and CloneTable and Snapshot set it on every column the table
-// indexes — CreateIndex's included — so a copy of a table carries the
-// index set of its source through any transport that carries columns.
+// index on it (index.go): CreateTable builds the table with one, and
+// CutTable (CloneTable too) sets it on every column the table indexes —
+// CreateIndex's included — so a copy made from a cut, CreateTable then
+// BulkInsert, carries the index set of its source.
 type Column struct {
 	Name       string
 	Type       Kind

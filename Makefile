@@ -99,8 +99,10 @@ bench-smoke:
 # scanned per op) plus /pass for all of a suite — a pass is the unit of
 # tpch-analytic work, and the per-template lines say which template a
 # change of it came from — and the scan kernels' (a vector filter, the
-# same under aggregates of bare columns, a GROUP BY on an integer key,
-# over lineitem; ns/row and B/op).
+# same under aggregates of bare columns, a GROUP BY of one INT column,
+# whose groups are hashed by the integer alone, over lineitem; ns/row and
+# B/op). Group keys a grouped pk reduces are timed by
+# BenchmarkTPCHPass/q18 (down to two integers) and /q10.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
 	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels' -benchmem -run '^$$' ./internal/sqlmini/

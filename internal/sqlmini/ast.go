@@ -61,7 +61,7 @@ type Agg struct {
 	// value for it.
 	slot int
 	// bare, set there too, is the operand of a SUM, AVG or COUNT when it
-	// is a plain INT or FLOAT column: group.add reads the column's number
+	// is a plain INT or FLOAT column: groups.add reads the column's number
 	// without evaluating E.
 	bare *boundCol
 }

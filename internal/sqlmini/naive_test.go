@@ -633,6 +633,22 @@ func (g *joinGen) query() (sql string, sequence bool) {
 	var items, groupBy []string
 	grouped := g.rng.Intn(2) == 0
 	if grouped {
+		if g.rng.Intn(3) == 0 {
+			// An alias's pk beside other columns of that alias — the ones
+			// the planner leaves out of the group key — text and NULL ones
+			// among them, the pk anywhere in the list.
+			a := any()
+			groupBy = append(groupBy, g.pk[a])
+			for i, k := 0, 1+g.rng.Intn(3); i < k; i++ {
+				ge := g.numCol(a)
+				if g.rng.Intn(2) == 0 && len(g.text[a]) > 0 {
+					ge = g.pick(g.text[a])
+				}
+				groupBy = append(groupBy, ge)
+			}
+			g.rng.Shuffle(len(groupBy), func(i, j int) { groupBy[i], groupBy[j] = groupBy[j], groupBy[i] })
+			items = append(items, groupBy...)
+		}
 		for i, k := 0, g.rng.Intn(4); i < k; i++ {
 			ge := g.numCol(any())
 			if g.rng.Intn(4) == 0 && len(g.text[0]) > 0 {

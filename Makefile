@@ -37,8 +37,8 @@ fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # check is the CI gate: vet, lint, build, then the full suite under the
-# race detector (the parallel ROWA fan-out and the server are concurrent
-# by construction).
+# race detector (group commit and the server are concurrent by
+# construction).
 check: vet lint build race
 
 # chaos runs the fault-tolerance acceptance tests under the race
@@ -63,9 +63,8 @@ chaos-migrate:
 # chaos-group runs the group-commit suite under the race detector:
 # backends killed mid-round while concurrent writers stream batched
 # ROWA rounds (no half-committed group may ever become visible), a
-# pinned snapshot view held across a live-migration cutover, and the
-# same workload fanned out with different worker counts (replicas must
-# stay bit-identical either way).
+# pinned snapshot view held across a live-migration cutover, and
+# concurrent non-commutative writers (replicas must stay bit-identical).
 chaos-group:
 	$(GO) test -race -run 'GroupCommit|GroupChaos|ApplyRound|LongScan|PinnedView' -count=2 -timeout 120s ./internal/cluster/ ./internal/sqlmini/
 
@@ -102,10 +101,12 @@ bench-smoke:
 # same under aggregates of bare columns, a GROUP BY of one INT column,
 # whose groups are hashed by the integer alone, over lineitem; ns/row and
 # B/op). Group keys a grouped pk reduces are timed by
-# BenchmarkTPCHPass/q18 (down to two integers) and /q10.
+# BenchmarkTPCHPass/q18 (down to two integers) and /q10. BenchmarkParse
+# times Parse alone (tree and plan-cache key) over the TPC-App reads and
+# TPC-H texts, apart from routing and execution.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
-	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels' -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$' -benchmem -run '^$$' ./internal/sqlmini/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # a few seconds of fresh inputs: the frame decoder must never panic on

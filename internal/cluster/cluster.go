@@ -76,9 +76,6 @@ type Config struct {
 	// the deadline returns context.DeadlineExceeded (an abandoned ROWA
 	// write still completes on the replicas — see executeWrite).
 	Timeout time.Duration
-	// FanoutWorkers bounds the worker pool that enqueues one ROWA
-	// update onto its replicas concurrently (default min(8, backends)).
-	FanoutWorkers int
 	// JournalCap bounds the distinguishable statements kept in the
 	// query journal (default 8192); the least-frequent eighth is
 	// evicted when the cap is reached.
@@ -332,12 +329,6 @@ type journalLine struct {
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends")
-	}
-	if cfg.FanoutWorkers <= 0 {
-		cfg.FanoutWorkers = len(cfg.Backends)
-		if cfg.FanoutWorkers > 8 {
-			cfg.FanoutWorkers = 8
-		}
 	}
 	if cfg.JournalCap <= 0 {
 		cfg.JournalCap = 8192

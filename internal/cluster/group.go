@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qcpa/internal/runtime"
@@ -224,12 +223,12 @@ func (c *Cluster) closeGroup() {
 // dispatchRound commits one round: a single dispatchMu hold fixes the
 // deterministic statement order, routes every entry, logs redo/delta
 // rounds for absent replicas, and enqueues one round job per target
-// backend through the bounded fan-out pool.
+// backend.
 func (c *Cluster) dispatchRound(batch []*groupEntry) {
 	// Deterministic total order within the round: sort by SQL text,
 	// break ties by arrival sequence. The order is a pure function of
 	// the admitted set (plus the already-total arrival sequence), so
-	// replicas agree on it regardless of worker counts.
+	// replicas agree on it regardless of scheduling.
 	sort.SliceStable(batch, func(i, j int) bool {
 		if batch[i].sql != batch[j].sql {
 			return batch[i].sql < batch[j].sql
@@ -262,39 +261,9 @@ func (c *Cluster) dispatchRound(batch []*groupEntry) {
 	if admitted > 0 {
 		c.metrics.ObserveGroupRound(admitted)
 	}
-	var idxs []int
 	for i, r := range rounds {
 		if r != nil {
-			idxs = append(idxs, i)
-		}
-	}
-	enqueue := func(i int) {
-		backends[i].metrics.IncPending()
-		backends[i].updateCh <- &updateJob{round: rounds[i], done: make(chan error, 1)}
-	}
-	if workers := c.cfg.FanoutWorkers; workers > 1 && len(idxs) > 1 {
-		if workers > len(idxs) {
-			workers = len(idxs)
-		}
-		var next atomic.Int64
-		var ewg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			ewg.Add(1)
-			go func() {
-				defer ewg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(idxs) {
-						return
-					}
-					enqueue(idxs[k])
-				}
-			}()
-		}
-		ewg.Wait()
-	} else {
-		for _, i := range idxs {
-			enqueue(i)
+			backends[i].enqueue(&updateJob{round: r, done: make(chan error, 1)})
 		}
 	}
 	c.dispatchMu.Unlock()

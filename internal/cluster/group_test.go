@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,18 +197,19 @@ func TestGroupChaosKillMidRound(t *testing.T) {
 
 // TestGroupCommitReplicasAgreeAcrossWorkerCounts checks the
 // deterministic total order end to end: the same concurrent
-// non-commutative workload, fanned out with 1 worker and with 4,
-// must leave every replica of a cluster bit-identical — the order a
-// round applies in is a pure function of the admitted statements, not
-// of worker scheduling.
+// non-commutative workload, run with the clients and the per-backend
+// apply goroutines fanned out over 1 scheduler thread and over 4
+// (GOMAXPROCS), must leave every replica of a cluster bit-identical —
+// the order a round applies in is a pure function of the admitted
+// statements, not of goroutine scheduling.
 func TestGroupCommitReplicasAgreeAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("fanout=%d", workers), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(workers))
 			c := fullSetup(t, 3, Config{
-				Backends:      core.UniformBackends(3),
-				FanoutWorkers: workers,
-				GroupCommit:   GroupCommitConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+				Backends:    core.UniformBackends(3),
+				GroupCommit: GroupCommitConfig{MaxBatch: 8, MaxWait: time.Millisecond},
 			})
 			var wg sync.WaitGroup
 			for w := 0; w < 6; w++ {

@@ -21,7 +21,8 @@ type Predicate struct {
 type QueryInfo struct {
 	// Write is true for INSERT/UPDATE/DELETE.
 	Write bool
-	// Tables lists the referenced table names, sorted.
+	// Tables lists the referenced table names, sorted: the statement's
+	// Shape.Tables, shared and read-only.
 	Tables []string
 	// Columns lists referenced columns as "table.column", sorted. The
 	// primary key of every referenced table is always included so that
@@ -37,7 +38,8 @@ type QueryInfo struct {
 // workload generators both provide one.
 type Schema map[string][]Column
 
-// Analyze parses and analyzes one SQL statement against a schema.
+// Analyze parses one SQL statement and analyzes it against a schema
+// (AnalyzeStmt: names resolve through the planner's binder).
 func Analyze(sql string, schema Schema) (*QueryInfo, error) {
 	st, err := Parse(sql)
 	if err != nil {
@@ -46,16 +48,17 @@ func Analyze(sql string, schema Schema) (*QueryInfo, error) {
 	return AnalyzeStmt(st, schema)
 }
 
-// AnalyzeStmt analyzes a parsed statement against a schema.
+// AnalyzeStmt analyzes a parsed statement against a schema. Its tables
+// are the statement's footprint (Shape.Tables), and every column
+// resolves through the planner's binder, so a name the engine rejects
+// as unknown or ambiguous is rejected here with the same error.
 func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 	a := &analyzer{
 		schema:  schema,
-		aliases: make(map[string]string),
-		tables:  make(map[string]bool),
 		columns: make(map[string]bool),
 		params:  st.Params,
 	}
-	info := &QueryInfo{}
+	info := &QueryInfo{Tables: st.Tables}
 	switch s := st.AST.(type) {
 	case *SelectStmt:
 		if err := a.addTable(s.Table, s.Alias); err != nil {
@@ -104,7 +107,7 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 			a.addAllColumns()
 		} else {
 			for _, c := range s.Columns {
-				if err := a.addColumn("", c); err != nil {
+				if err := a.addColumn(&ColRef{Column: c}); err != nil {
 					return nil, err
 				}
 			}
@@ -115,7 +118,7 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 			return nil, err
 		}
 		for _, set := range s.Set {
-			if err := a.addColumn("", set.Column); err != nil {
+			if err := a.addColumn(&ColRef{Column: set.Column}); err != nil {
 				return nil, err
 			}
 			if err := a.walk(set.Expr); err != nil {
@@ -138,18 +141,13 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 	}
 
 	// Always include primary keys of referenced tables.
-	for tbl := range a.tables {
-		for _, c := range a.schema[tbl] {
+	for _, tbl := range info.Tables {
+		for _, c := range schema[tbl] {
 			if c.PrimaryKey {
 				a.columns[tbl+"."+c.Name] = true
 			}
 		}
 	}
-
-	for tbl := range a.tables {
-		info.Tables = append(info.Tables, tbl)
-	}
-	sort.Strings(info.Tables)
 	for col := range a.columns {
 		info.Columns = append(info.Columns, col)
 	}
@@ -158,67 +156,54 @@ func AnalyzeStmt(st Statement, schema Schema) (*QueryInfo, error) {
 	return info, nil
 }
 
+// analyzer records what a statement references. b binds the statement's
+// tables in textual order, and names[i] is the i-th bound table's name.
 type analyzer struct {
 	schema  Schema
-	aliases map[string]string // alias -> table
-	tables  map[string]bool
+	b       binder
+	names   []string
 	columns map[string]bool
 	params  []Value // the statement's literal values, by Lit.Slot
 	preds   []Predicate
 }
 
+// addTable binds a table of the statement under its alias (or name).
 func (a *analyzer) addTable(table, alias string) error {
-	if _, ok := a.schema[table]; !ok {
-		return fmt.Errorf("sqlmini: unknown table %q", table)
+	cols, ok := a.schema[table]
+	if !ok {
+		return unknownTableError(table)
 	}
-	a.tables[table] = true
-	a.aliases[table] = table
-	if alias != "" {
-		a.aliases[alias] = table
+	if alias == "" {
+		alias = table
 	}
+	a.b.addTable(alias, cols)
+	a.names = append(a.names, table)
 	return nil
 }
 
 func (a *analyzer) addAllColumns() {
-	for tbl := range a.tables {
-		for _, c := range a.schema[tbl] {
-			a.columns[tbl+"."+c.Name] = true
+	for i, bt := range a.b.tables {
+		for _, c := range bt.cols {
+			a.columns[a.names[i]+"."+c.Name] = true
 		}
 	}
 }
 
-// resolveTable finds the table owning a (possibly unqualified) column.
-func (a *analyzer) resolveTable(tableRef, column string) (string, error) {
-	if tableRef != "" {
-		tbl, ok := a.aliases[tableRef]
-		if !ok {
-			return "", fmt.Errorf("sqlmini: unknown table reference %q", tableRef)
-		}
-		return tbl, nil
+// resolve binds a column reference to the name of its table.
+func (a *analyzer) resolve(cr *ColRef) (string, error) {
+	ti, _, err := a.b.resolve(cr)
+	if err != nil {
+		return "", err
 	}
-	found := ""
-	for tbl := range a.tables {
-		for _, c := range a.schema[tbl] {
-			if c.Name == column {
-				if found != "" && found != tbl {
-					return "", fmt.Errorf("sqlmini: ambiguous column %q", column)
-				}
-				found = tbl
-			}
-		}
-	}
-	if found == "" {
-		return "", fmt.Errorf("sqlmini: unknown column %q", column)
-	}
-	return found, nil
+	return a.names[ti], nil
 }
 
-func (a *analyzer) addColumn(tableRef, column string) error {
-	tbl, err := a.resolveTable(tableRef, column)
+func (a *analyzer) addColumn(cr *ColRef) error {
+	tbl, err := a.resolve(cr)
 	if err != nil {
 		return err
 	}
-	a.columns[tbl+"."+column] = true
+	a.columns[tbl+"."+cr.Column] = true
 	return nil
 }
 
@@ -226,7 +211,7 @@ func (a *analyzer) addColumn(tableRef, column string) error {
 func (a *analyzer) walk(e Expr) (err error) {
 	walkExpr(e, func(x Expr) bool {
 		if cr, ok := x.(*ColRef); ok && err == nil {
-			err = a.addColumn(cr.Table, cr.Column)
+			err = a.addColumn(cr)
 		}
 		return err == nil
 	})
@@ -264,7 +249,7 @@ func (a *analyzer) extractPredicates(e Expr) {
 				op = flipped[op]
 			}
 			if crOK && litOK {
-				tbl, err := a.resolveTable(cr.Table, cr.Column)
+				tbl, err := a.resolve(cr)
 				if err == nil {
 					a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: op, Value: a.params[lit.Slot]})
 				}
@@ -275,7 +260,7 @@ func (a *analyzer) extractPredicates(e Expr) {
 		lo, loOK := x.Lo.(*Lit)
 		hi, hiOK := x.Hi.(*Lit)
 		if ok && loOK && hiOK && !x.Negate {
-			tbl, err := a.resolveTable(cr.Table, cr.Column)
+			tbl, err := a.resolve(cr)
 			if err == nil {
 				a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: "BETWEEN", Value: a.params[lo.Slot], Hi: a.params[hi.Slot]})
 			}

@@ -10,18 +10,19 @@ import (
 // in the order they were added: a reference binds to (ordinal of its
 // table, column within that table). For a SELECT plan the ordinal is the
 // table's scan — its place in the join order; classifyConjunct uses a
-// second binder in textual order.
+// second binder in textual order, and the analyzer binds against a
+// Schema's columns by the same rule.
 type binder struct {
 	tables []boundTable
 }
 
 type boundTable struct {
 	alias string // table alias (or name)
-	table *Table
+	cols  []Column
 }
 
-func (b *binder) addTable(alias string, t *Table) {
-	b.tables = append(b.tables, boundTable{alias: alias, table: t})
+func (b *binder) addTable(alias string, cols []Column) {
+	b.tables = append(b.tables, boundTable{alias: alias, cols: cols})
 }
 
 // resolve returns the table ordinal and column index of a column
@@ -32,7 +33,7 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 		if r.Table != "" && bt.alias != r.Table {
 			continue
 		}
-		ci := bt.table.ColumnIndex(r.Column)
+		ci := slices.IndexFunc(bt.cols, func(c Column) bool { return c.Name == r.Column })
 		if ci < 0 {
 			continue
 		}
@@ -688,7 +689,7 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		return nil, unknownTableError(st.Table)
 	}
 	b := &binder{}
-	b.addTable(st.Table, t)
+	b.addTable(st.Table, t.Cols)
 	where, err := bind(st.Where, b) // nil binds to nil
 	if err != nil {
 		return nil, err
@@ -800,7 +801,7 @@ func (e *Engine) execDelete(st *DeleteStmt, params []Value) (*Result, error) {
 		return nil, unknownTableError(st.Table)
 	}
 	b := &binder{}
-	b.addTable(st.Table, t)
+	b.addTable(st.Table, t.Cols)
 	where, err := bind(st.Where, b) // nil binds to nil
 	if err != nil {
 		return nil, err

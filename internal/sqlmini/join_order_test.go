@@ -443,6 +443,33 @@ func BenchmarkTPCAppReads(b *testing.B) {
 	benchStatements(b, e, names, sqls)
 }
 
+// BenchmarkParse times Parse alone — lexing, the tree and the
+// plan-cache key — one text per op, over a generated instance of each
+// TPC-App read at EB 3 and each TPC-H template.
+func BenchmarkParse(b *testing.B) {
+	mix, err := tpcapp.Mix(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(orderSeed))
+	var sqls []string
+	for _, t := range slices.Concat(mix.Templates(), tpch.Queries()) {
+		switch {
+		case t.Write:
+		case t.Gen == nil:
+			sqls = append(sqls, t.Journal)
+		default:
+			sqls = append(sqls, t.Gen(rng))
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sqlmini.Parse(sqls[i%len(sqls)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScanKernels times what the column vectors are read by, over
 // lineitem at SF 0.01: a four-conjunct filter that keeps few rows, the
 // same under SUM of a bare column, and a GROUP BY on an integer key.

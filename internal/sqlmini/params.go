@@ -7,7 +7,7 @@ import (
 
 // The statement form. Parse turns SQL text into a Statement — an
 // immutable Shape (the syntax tree with every literal a numbered slot,
-// and the plan-cache key rendered from it once) plus the literal values
+// and the plan-cache key its tokens spell) plus the literal values
 // of one execution — and that pair is what everything downstream holds:
 // the executors, the plan cache, the analyzer, the cluster's router,
 // prepared handles, group-commit rounds and replay logs. A
@@ -36,8 +36,8 @@ type Shape struct {
 	// distinct; nil for DDL. The cluster routes a statement with no
 	// query class to the backends holding all of them. Read-only.
 	Tables []string
-	// key is the canonical rendering of a SELECT (canonKey), the plan
-	// cache's key; "" for every other statement.
+	// key is a SELECT's tokens with each literal written as "?"
+	// (parser.key), the plan cache's key; "" for every other statement.
 	key string
 }
 

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Parse parses a single SQL statement. The Statement's params are the
@@ -17,6 +18,7 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return Statement{}, err
 	}
+	end := p.i
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
@@ -25,8 +27,8 @@ func Parse(src string) (Statement, error) {
 		return Statement{}, p.errf("unexpected %q after statement", p.peek().text)
 	}
 	sh := &Shape{AST: ast, NumLiterals: len(p.params), Tables: footprint(ast)}
-	if sel, ok := ast.(*SelectStmt); ok {
-		sh.key = canonKey(sel)
+	if _, ok := ast.(*SelectStmt); ok {
+		sh.key = p.key(end)
 	}
 	return Statement{Shape: sh, Params: p.params}, nil
 }
@@ -36,14 +38,43 @@ type parser struct {
 	i    int
 	src  string
 	// params collects the literal values in textual order; each becomes
-	// a Lit naming its slot.
+	// a Lit naming its slot. spans[i] is the tokens params[i] was read
+	// from, [first, end).
 	params []Value
+	spans  [][2]int
 }
 
-// lit records a literal value and returns the node for its slot.
-func (p *parser) lit(v Value) Expr {
+// lit records a literal value, read from the tokens since toks[from],
+// and returns the node for its slot.
+func (p *parser) lit(v Value, from int) Expr {
 	p.params = append(p.params, v)
+	p.spans = append(p.spans, [2]int{from, p.i})
 	return &Lit{Slot: len(p.params) - 1}
+}
+
+// key renders the statement's first end tokens with each literal's
+// tokens written as one "?": the plan cache's key. Tokens are
+// normalized (keywords upper-cased, identifiers lower-cased) and contain
+// no space, so two texts share a key exactly when they differ only in
+// literal values, whitespace, comments or letter case — and then parse
+// to equal trees. LIMIT's count is not a literal and stays as written.
+func (p *parser) key(end int) string {
+	var b strings.Builder
+	b.Grow(len(p.src) + end) // a bound: no token is longer than its text, and end spaces at most
+	lits := p.spans
+	for i := 0; i < end; i++ {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if len(lits) > 0 && i == lits[0][0] {
+			b.WriteByte('?')
+			i = lits[0][1] - 1
+			lits = lits[1:]
+			continue
+		}
+		b.WriteString(p.toks[i].text)
+	}
+	return b.String()
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -635,7 +666,7 @@ func (p *parser) unary() (Expr, error) {
 		// literal, so it binds, probes and classifies like any other
 		// constant (and MinInt64, whose magnitude alone overflows, parses).
 		if k := p.peek().kind; k == tokInt || k == tokFloat {
-			return p.number("-")
+			return p.number("-", p.i-1)
 		}
 		e, err := p.unary()
 		if err != nil {
@@ -647,8 +678,8 @@ func (p *parser) unary() (Expr, error) {
 }
 
 // number parses the numeric token at hand, with the sign unary found
-// before it, as one literal.
-func (p *parser) number(sign string) (Expr, error) {
+// before it at toks[from], as one literal.
+func (p *parser) number(sign string, from int) (Expr, error) {
 	t := p.peek()
 	if t.kind == tokInt {
 		v, err := strconv.ParseInt(sign+t.text, 10, 64)
@@ -656,29 +687,29 @@ func (p *parser) number(sign string) (Expr, error) {
 			return nil, p.errf("bad integer %q", sign+t.text)
 		}
 		p.next()
-		return p.lit(Int(v)), nil
+		return p.lit(Int(v), from), nil
 	}
 	v, err := strconv.ParseFloat(sign+t.text, 64)
 	if err != nil {
 		return nil, p.errf("bad float %q", sign+t.text)
 	}
 	p.next()
-	return p.lit(Float(v)), nil
+	return p.lit(Float(v), from), nil
 }
 
 func (p *parser) primary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokInt, tokFloat:
-		return p.number("")
+		return p.number("", p.i)
 	case tokString:
 		p.next()
-		return p.lit(Text(t.text)), nil
+		return p.lit(Text(t.text), p.i-1), nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.next()
-			return p.lit(Null), nil
+			return p.lit(Null, p.i-1), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.next()
 			if err := p.expectSym("("); err != nil {

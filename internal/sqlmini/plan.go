@@ -6,15 +6,13 @@ package sqlmini
 
 // This file is the sqlmini query planner (DESIGN.md §13):
 //
-//   - Normalized-statement plan cache. Parse renders every SELECT once,
-//     by a deterministic AST walk, to a canonical shape string with
-//     literals replaced by "?" (the same normalization the cluster's
-//     query journal applies to SQL text); the literal values travel
-//     beside the shape as the statement's params. The cache maps that
-//     key -> fully bound plan, so repeated query classes skip parsing's
-//     downstream work entirely: binder resolution, conjunct
-//     analysis, join ordering, and output binding all happen once per
-//     class. A cached plan is valid for a view, not for a generation: it
+//   - Normalized-statement plan cache. Parse keys every SELECT by its
+//     own tokens, with each literal's tokens (a leading sign included)
+//     written as "?"; the literal values travel beside the shape as the
+//     statement's params. The cache maps that key -> fully bound plan,
+//     so repeated query classes skip parsing's downstream work
+//     entirely: binder resolution, conjunct analysis, join ordering,
+//     and output binding all happen once per class. A cached plan is valid for a view, not for a generation: it
 //     names the tables (by *Table identity) and the index sets it was
 //     bound to, and its own lookup drops it when the current view no
 //     longer carries them (DROP+CREATE, a restore, CREATE INDEX) or a
@@ -58,7 +56,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,106 +91,6 @@ const planDriftMinRows = 64
 // index. BenchmarkRangeScan measures the crossover; CHANGES.md (PR 18)
 // quotes it.
 const rangeScanFactor = 4
-
-// ---------------------------------------------------------------------
-// Statement normalization
-// ---------------------------------------------------------------------
-
-// canonizer renders a SELECT to its canonical shape: a deterministic
-// walk that writes every literal as "?", so two texts that differ only
-// in literal values render the same string.
-type canonizer struct{ strings.Builder }
-
-func (c *canonizer) put(parts ...string) {
-	for _, p := range parts {
-		c.WriteString(p)
-	}
-}
-
-// node writes "(head mark e1 e2 ...)"; mark is written when on.
-func (c *canonizer) node(head string, on bool, mark string, es ...Expr) {
-	c.put("(", head)
-	if on {
-		c.put(mark)
-	}
-	for _, e := range es {
-		c.put(" ")
-		c.expr(e)
-	}
-	c.put(")")
-}
-
-func (c *canonizer) expr(e Expr) {
-	switch x := e.(type) {
-	case nil:
-		c.put("_")
-	case *Lit:
-		c.put("?")
-	case *ColRef:
-		c.put("c<", x.Table, ".", x.Column, ">")
-	case *BinOp:
-		c.node(x.Op, false, "", x.L, x.R)
-	case *UnOp:
-		c.node("u", true, x.Op, x.E)
-	case *Between:
-		c.node("bt", x.Negate, "!", x.E, x.Lo, x.Hi)
-	case *InList:
-		c.node("in", x.Negate, "!", append([]Expr{x.E}, x.List...)...)
-	case *IsNull:
-		c.node("nul", x.Negate, "!", x.E)
-	case *Agg: // COUNT(*) has a nil operand, which renders "_"
-		c.node("agg:"+x.Func, x.Distinct, ":d", x.E)
-	}
-}
-
-// canonKey renders the canonical shape of st: the plan cache's key.
-// Parse calls it once per text; no execution does.
-func canonKey(st *SelectStmt) string {
-	c := &canonizer{}
-	c.put("S")
-	if st.Distinct {
-		c.put("D")
-	}
-	for _, it := range st.Items {
-		if it.Star {
-			c.put("|i:*")
-			continue
-		}
-		c.put("|i:")
-		c.expr(it.Expr)
-		if it.Alias != "" {
-			c.put(":a<", it.Alias, ">")
-		}
-	}
-	c.put("|f:", st.Table, ":a<", st.Alias, ">")
-	for _, j := range st.Joins {
-		c.put("|j:", j.Table, ":a<", j.Alias, ">:")
-		c.expr(j.On)
-	}
-	if st.Where != nil {
-		c.put("|w:")
-		c.expr(st.Where)
-	}
-	for _, g := range st.GroupBy {
-		c.put("|g:")
-		c.expr(g)
-	}
-	if st.Having != nil {
-		c.put("|h:")
-		c.expr(st.Having)
-	}
-	for _, ob := range st.OrderBy {
-		c.put("|o:")
-		c.expr(ob.Expr)
-		if ob.Desc {
-			c.put(":d")
-		}
-	}
-	if st.Limit >= 0 {
-		c.put("|l:", strconv.Itoa(st.Limit))
-	}
-	return c.String()
-}
 
 // ---------------------------------------------------------------------
 // Conjunct analysis
@@ -1163,7 +1060,7 @@ func outputColumns(st *SelectStmt, tb *binder) (names []string, srcs []*ColRef) 
 	for _, it := range st.Items {
 		if it.Star {
 			for _, bt := range tb.tables {
-				for _, c := range bt.table.Cols {
+				for _, c := range bt.cols {
 					names, srcs = append(names, c.Name), append(srcs, &ColRef{Table: bt.alias, Column: c.Name})
 				}
 			}
@@ -1239,7 +1136,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	// Textual binder for conjunct classification.
 	tb := &binder{}
 	for _, r := range refs {
-		tb.addTable(r.alias, r.tv.t)
+		tb.addTable(r.alias, r.tv.t.Cols)
 	}
 
 	// Split and classify conjuncts from WHERE and every ON.
@@ -1349,7 +1246,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	scanOf := make([]int, n)
 	for pos, ti := range order {
 		scanOf[ti] = pos
-		pb.addTable(refs[ti].alias, refs[ti].tv.t)
+		pb.addTable(refs[ti].alias, refs[ti].tv.t.Cols)
 	}
 
 	// Scans in join order, with their pushed-down filters.

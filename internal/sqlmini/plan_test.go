@@ -561,9 +561,13 @@ func TestNDVEstimate(t *testing.T) {
 	}
 }
 
-// TestCanonKeyShapes: normalization distinguishes genuinely different
-// statements and unifies literal-only variation.
-func TestCanonKeyShapes(t *testing.T) {
+// ShapeKey is a shape's plan-cache key, for the external tests.
+func ShapeKey(s *Shape) string { return s.key }
+
+// TestShapeKey: the plan-cache key distinguishes genuinely different
+// statements and unifies literal-only variation, a literal's sign
+// included; LIMIT's count is not a literal.
+func TestShapeKey(t *testing.T) {
 	key := func(sql string) string {
 		t.Helper()
 		st, err := Parse(sql)
@@ -572,14 +576,21 @@ func TestCanonKeyShapes(t *testing.T) {
 		}
 		return st.key
 	}
-	if key(`SELECT id FROM item WHERE id = 1`) != key(`SELECT id FROM item WHERE id = 99`) {
-		t.Fatal("literal variation must share one key")
+	for _, same := range [][2]string{
+		{`SELECT id FROM item WHERE id = 1`, `SELECT id FROM item WHERE id = 99`},
+		{`SELECT id FROM item WHERE stock = 7`, `SELECT id FROM item WHERE stock = -7`},
+	} {
+		if key(same[0]) != key(same[1]) {
+			t.Fatalf("literal variation must share one key: %q, %q", same[0], same[1])
+		}
 	}
 	distinct := []string{
 		`SELECT id FROM item WHERE id = 1`,
 		`SELECT id FROM item WHERE stock = 1`,
 		`SELECT id FROM item WHERE id = 1 LIMIT 1`,
+		`SELECT id FROM item WHERE id = 1 LIMIT 2`,
 		`SELECT id FROM item WHERE id IN (1, 2)`,
+		`SELECT id FROM item WHERE id NOT IN (1, 2)`,
 		`SELECT id FROM item WHERE id IN (1, 2, 3)`,
 		`SELECT DISTINCT id FROM item WHERE id = 1`,
 		`SELECT id AS x FROM item WHERE id = 1`,

@@ -548,6 +548,20 @@ func TestAnalyzeErrors(t *testing.T) {
 			t.Errorf("%s: no error", sql)
 		}
 	}
+	// The analyzer resolves names as execution does: a table named where
+	// its alias is required, and an unqualified column of a self-join.
+	for _, sql := range []string{
+		`SELECT item.name FROM item i`,
+		`SELECT name FROM item a JOIN item b ON a.id = b.id`,
+	} {
+		_, want := e.Exec(sql)
+		if want == nil {
+			t.Fatalf("%s: Exec gave no error", sql)
+		}
+		if _, err := Analyze(sql, schema); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Analyze error %v, Exec error %v", sql, err, want)
+		}
+	}
 }
 
 func TestAnalyzeFlippedPredicate(t *testing.T) {

@@ -63,10 +63,13 @@ chaos-migrate:
 # chaos-group runs the group-commit suite under the race detector:
 # backends killed mid-round while concurrent writers stream batched
 # ROWA rounds (no half-committed group may ever become visible), a
-# pinned snapshot view held across a live-migration cutover, and
-# concurrent non-commutative writers (replicas must stay bit-identical).
+# pinned snapshot view held across a live-migration cutover, concurrent
+# non-commutative writers (replicas must stay bit-identical), and
+# writers racing Close (each write returns its result or "cluster:
+# closed"). It runs on 1 scheduler thread, where writers' turns never
+# overlap, and on 4.
 chaos-group:
-	$(GO) test -race -run 'GroupCommit|GroupChaos|ApplyRound|LongScan|PinnedView' -count=2 -timeout 120s ./internal/cluster/ ./internal/sqlmini/
+	$(GO) test -race -run 'GroupCommit|GroupChaos|WritesRacingClose|ApplyRound|LongScan|PinnedView' -count=2 -cpu 1,4 -timeout 120s ./internal/cluster/ ./internal/sqlmini/
 
 # chaos-overload runs the wire-path overload suite under the race
 # detector: a request swarm at several times admission capacity, every

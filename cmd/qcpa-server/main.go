@@ -58,8 +58,6 @@ func main() {
 		redoCap   = flag.Int("redo-cap", 0, "per-backend redo-log cap before falling back to full resync, 0 = default (server mode)")
 		migBatch  = flag.Int("migrate-batch", 0, "rows per live-migration restore batch, 0 = default (server mode)")
 		migPause  = flag.Duration("migrate-pause", 0, "pause between live-migration batches, 0 = full speed (server mode)")
-		groupMax  = flag.Int("group-batch", 0, "max updates per group-commit round, 0 = default (server mode)")
-		groupWait = flag.Duration("group-wait", 0, "group-commit linger for batch building, 0 = commit immediately (server mode)")
 		maxConns  = flag.Int("max-conns", 0, "max accepted connections, 0 = default 1024, -1 = unlimited (server mode)")
 		maxInfl   = flag.Int("max-inflight", 0, "max requests executing concurrently, 0 = default 256, -1 = unlimited (server mode)")
 		connInfl  = flag.Int("conn-inflight", 0, "max pipelined requests per connection, 0 = default 32, -1 = unlimited (server mode)")
@@ -73,8 +71,7 @@ func main() {
 		runClient(*connect, *sql, *class, *cmd, *backend, *backends, *write)
 	case *listen != "":
 		runServer(*listen, *backends, *strategy, *policy,
-			cluster.Config{Timeout: *timeout, MaxRetries: *retries, Backoff: *backoff, RedoLogCap: *redoCap,
-				GroupCommit: cluster.GroupCommitConfig{MaxBatch: *groupMax, MaxWait: *groupWait}},
+			cluster.Config{Timeout: *timeout, MaxRetries: *retries, Backoff: *backoff, RedoLogCap: *redoCap},
 			cluster.LiveOptions{BatchRows: *migBatch, BatchPause: *migPause},
 			server.Limits{MaxConns: *maxConns, MaxInflight: *maxInfl, ConnInflight: *connInfl,
 				QueueDepth: *queueCap, DrainTimeout: *drainWait})

@@ -51,16 +51,13 @@ func main() {
 		chaos := fs.Bool("chaos", false, "kill and revive backends mid-run (allocates 1-safe so reads stay available)")
 		chaosKills := fs.Int("chaos-kills", 3, "kill/recover cycles with -chaos")
 		chaosDown := fs.Duration("chaos-down", 150*time.Millisecond, "downtime per kill with -chaos")
-		groupMax := fs.Int("group-batch", 0, "max updates per group-commit round, 0 = default")
-		groupWait := fs.Duration("group-wait", 0, "group-commit linger for batch building, 0 = commit immediately")
 		_ = fs.Parse(os.Args[2:])
 		kind, err := runtime.ParseKind(*policy)
 		if err != nil {
 			fatal(err)
 		}
 		runCluster(*backends, *requests, *workers, *seed, kind,
-			chaosOpts{enabled: *chaos, kills: *chaosKills, down: *chaosDown},
-			cluster.GroupCommitConfig{MaxBatch: *groupMax, MaxWait: *groupWait})
+			chaosOpts{enabled: *chaos, kills: *chaosKills, down: *chaosDown})
 	case "elastic":
 		requests := fs.Int("requests", 1500, "requests per phase")
 		seed := fs.Int64("seed", 7, "RNG seed")
@@ -101,7 +98,7 @@ type chaosOpts struct {
 	down    time.Duration
 }
 
-func runCluster(n, requests, workers int, seed int64, policy runtime.Kind, chaos chaosOpts, group cluster.GroupCommitConfig) {
+func runCluster(n, requests, workers int, seed int64, policy runtime.Kind, chaos chaosOpts) {
 	mix, err := tpcapp.Mix(1)
 	if err != nil {
 		fatal(err)
@@ -124,7 +121,7 @@ func runCluster(n, requests, workers int, seed int64, policy runtime.Kind, chaos
 		fatal(err)
 	}
 	fmt.Printf("allocation:\n%s\n\n", alloc)
-	c, err := cluster.New(cluster.Config{Backends: core.UniformBackends(n), Policy: policy, PolicySeed: seed, GroupCommit: group})
+	c, err := cluster.New(cluster.Config{Backends: core.UniformBackends(n), Policy: policy, PolicySeed: seed})
 	if err != nil {
 		fatal(err)
 	}

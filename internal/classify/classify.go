@@ -268,12 +268,6 @@ func bucketRange(preds []sqlmini.Predicate, table string, spec HorizontalSpec) (
 		}
 		switch p.Op {
 		case "=":
-			if p.Value.I > lo || !found {
-				lo = p.Value.I
-			}
-			if p.Value.I < hi || !found {
-				hi = p.Value.I
-			}
 			lo, hi = p.Value.I, p.Value.I
 			found = true
 		case "<":

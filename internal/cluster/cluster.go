@@ -11,12 +11,12 @@
 // published snapshot; updates follow the ROWA protocol — they execute
 // on every backend holding their data, and all backends apply
 // conflicting updates in the same global order. Concurrent updates are
-// batched into group-committed rounds (see group.go): a single
-// dispatcher admits a bounded batch per dispatch-lock hold, fixes a
-// deterministic within-round order, and each backend drains its update
-// queue with a single applier — per-backend FIFO round order equals the
-// global round order, and every round publishes exactly one new read
-// epoch.
+// batched into group-committed rounds (see group.go): each writer's
+// turn under the dispatch lock commits every update pending at that
+// moment as one round in a deterministic order, and each backend
+// drains its update queue with a single applier — per-backend FIFO
+// round order equals the global round order, and every round publishes
+// exactly one new read epoch.
 package cluster
 
 import (
@@ -94,9 +94,6 @@ type Config struct {
 	// backend then recovers by re-copying its tables from a live
 	// replica instead of replaying.
 	RedoLogCap int
-	// GroupCommit tunes the group-committed ROWA rounds (batch bound
-	// and optional linger) — see group.go.
-	GroupCommit GroupCommitConfig
 }
 
 // failThreshold is the number of consecutive read failures after which
@@ -241,6 +238,7 @@ func (b *backend) acceptsWrites() bool {
 // enqueue hands a job to the backend's applier.
 func (b *backend) enqueue(job *updateJob) {
 	b.metrics.IncPending()
+	//qcpa:nocancel a round whose order is fixed under dispatchMu must reach every target: abandoning the send would diverge the replicas (the queue holds 1024 jobs)
 	b.updateCh <- job
 }
 
@@ -250,8 +248,8 @@ func (b *backend) enqueue(job *updateJob) {
 // restores, drops) through the same queue so they observe a
 // well-defined position in the global round order.
 type updateJob struct {
-	round *roundJob // one group-committed round (or a replayed one)
-	done  chan error
+	round *roundJob  // one group-committed round (or a replayed one)
+	done  chan error // nil for a live round: its writers wait on their entries
 
 	// Control-job fields (at most one set; round is nil then).
 	checksum []string          // compute checksums of these tables
@@ -290,17 +288,11 @@ type Cluster struct {
 	// replicas applied. Guarded by dispatchMu.
 	roundTick uint64
 
-	// Group-commit dispatcher state (see group.go): entries pend on
-	// groupPending under groupMu until the dispatcher (groupLoop)
-	// admits them into a round; groupCond wakes it, groupFull cuts a
-	// MaxWait linger short, groupSeq stamps arrival order.
+	// Group-commit state (see group.go): entries pend on groupPending
+	// under groupMu until a writer's turn under dispatchMu takes them
+	// into a round. groupMu is taken inside dispatchMu.
 	groupMu      sync.Mutex
-	groupCond    *sync.Cond
 	groupPending []*groupEntry
-	groupClosed  bool
-	groupFull    chan struct{}
-	groupWG      sync.WaitGroup
-	groupSeq     atomic.Uint64
 
 	journalMu sync.Mutex
 	journal   map[string]*journalLine
@@ -339,23 +331,18 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.RedoLogCap <= 0 {
 		cfg.RedoLogCap = 4096
 	}
-	cfg.GroupCommit = cfg.GroupCommit.withDefaults()
 	c := &Cluster{
-		cfg:       cfg,
-		policy:    cfg.Policy.New(),
-		rng:       runtime.NewLockedRand(cfg.PolicySeed),
-		metrics:   metrics.NewRegistry(),
-		journal:   make(map[string]*journalLine),
-		groupFull: make(chan struct{}, 1),
+		cfg:     cfg,
+		policy:  cfg.Policy.New(),
+		rng:     runtime.NewLockedRand(cfg.PolicySeed),
+		metrics: metrics.NewRegistry(),
+		journal: make(map[string]*journalLine),
 	}
-	c.groupCond = sync.NewCond(&c.groupMu)
 	bs := make([]*backend, 0, len(cfg.Backends))
 	for _, b := range cfg.Backends {
 		bs = append(bs, c.newBackend(b.Name))
 	}
 	c.setNodes(bs)
-	c.groupWG.Add(1)
-	go c.groupLoop()
 	return c, nil
 }
 
@@ -438,7 +425,9 @@ func (b *backend) applyRound(job *updateJob) {
 			rs.entry.complete(b, r.Err, r.Affected)
 		}
 	}
-	job.done <- firstErr
+	if job.done != nil {
+		job.done <- firstErr
+	}
 }
 
 // applyRestore installs the tables cut by source backends' clone jobs —
@@ -491,13 +480,19 @@ func (b *backend) applyDrop(tables []string) error {
 	return nil
 }
 
-// Close shuts the backends down. The group dispatcher drains first —
-// in-flight rounds still need the appliers' queues open.
+// errClosed fails a request made, or a round turn taken, after Close.
+var errClosed = errors.New("cluster: closed")
+
+// Close shuts the backends down. It passes through dispatchMu before
+// closing the appliers' queues: a turn in progress finishes its sends
+// first, and a turn that starts later sees stopped and fails its
+// entries with errClosed.
 func (c *Cluster) Close() {
 	if c.stopped.Swap(true) {
 		return
 	}
-	c.closeGroup()
+	c.dispatchMu.Lock()
+	c.dispatchMu.Unlock()
 	for _, b := range c.all() {
 		close(b.updateCh)
 		b.wg.Wait()
@@ -637,7 +632,7 @@ func (c *Cluster) Execute(req workload.Request) (*Result, error) {
 // Timeout, when set, is layered on top as a per-request deadline.
 func (c *Cluster) ExecuteContext(ctx context.Context, req workload.Request) (*Result, error) {
 	if c.stopped.Load() {
-		return nil, errors.New("cluster: closed")
+		return nil, errClosed
 	}
 	if c.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -828,27 +823,28 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 	if wt := stmt.WriteTable(); wt != "" {
 		routeTables = []string{wt}
 	}
-	// Hand the update to the group-commit dispatcher (group.go): it
-	// rides a bounded round that fixes the deterministic global order,
-	// routes it under one dispatchMu hold shared with the rest of its
-	// round, and fans round jobs out to every live holder (with redo
-	// and delta capture for the absent ones). The entry's done channel
-	// closes once every target replica applied — and published — its
-	// round, so an acknowledged write is immediately readable.
+	// Queue the update and take a turn at committing (group.go): the
+	// update rides a round — this turn's or an earlier one's — that
+	// fixes the deterministic global order, routes it under one
+	// dispatchMu hold shared with the rest of its round, and fans round
+	// jobs out to every live holder (with redo and delta capture for
+	// the absent ones). The entry's done channel closes once every
+	// target replica applied — and published — its round, so an
+	// acknowledged write is immediately readable.
 	e := &groupEntry{
 		stmt:        stmt,
 		sql:         sql,
 		class:       class,
 		tables:      tables,
 		routeTables: routeTables,
-		seq:         c.groupSeq.Add(1),
 		submitted:   time.Now(),
 		affected:    -1,
 		done:        make(chan struct{}),
 	}
-	if err := c.enqueueGroup(e); err != nil {
-		return nil, err
-	}
+	c.groupMu.Lock()
+	c.groupPending = append(c.groupPending, e)
+	c.groupMu.Unlock()
+	c.takeTurn()
 	select {
 	case <-e.done:
 	case <-ctx.Done():

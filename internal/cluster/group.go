@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,42 +11,23 @@ import (
 )
 
 // This file is the group-commit half of the write path (DESIGN.md §11).
-// Concurrent updates no longer take one dispatchMu hold each: they
-// enqueue onto a shared pending list, and a single dispatcher goroutine
-// admits a bounded batch per round. One dispatchMu hold per ROUND fixes
-// the deterministic total order (statements sort by SQL text, ties by
-// arrival sequence), routes every update, appends redo/delta capture at
-// round granularity, and fans one round job per target backend out
-// through the bounded worker pool. Each backend's applier applies the
-// round's statements in order and publishes exactly ONE new read epoch
-// at the end (sqlmini.ApplyRound), so lock-free snapshot readers
-// observe round boundaries — never a half-committed group.
+// A writer appends its update to a shared pending list and then takes
+// one turn under dispatchMu. A turn takes every pending entry — the
+// writer's own, unless an earlier turn already took it, plus whatever
+// queued while the previous holder dispatched — and commits them as one
+// round: a single dispatchMu hold fixes the statement order (sorted by
+// SQL text; the stable sort keeps arrival order for equal texts),
+// routes every update, appends redo/delta capture at round granularity,
+// and enqueues one round job per target backend. Each backend's applier
+// applies the round's statements in order and publishes exactly ONE new
+// read epoch at the end (sqlmini.ApplyRound), so lock-free snapshot
+// readers observe round boundaries — never a half-committed group.
 //
-// Ordering invariant: the round sequence is total (one dispatcher, one
-// dispatchMu hold per round) and the within-round order is a pure
-// function of the admitted statements (sorted tie-breaking), so every
-// replica — live, redo-replayed, or delta-replayed — applies the same
-// statements in the same order regardless of worker counts or arrival
-// interleaving.
-
-// GroupCommitConfig tunes the group-committed ROWA rounds.
-type GroupCommitConfig struct {
-	// MaxBatch bounds the updates admitted into one round (default 64).
-	MaxBatch int
-	// MaxWait is how long the dispatcher lingers for more arrivals
-	// before committing a non-full round. The default 0 commits
-	// immediately: batches still form naturally from whatever
-	// accumulates while the previous round is in flight, without adding
-	// idle latency.
-	MaxWait time.Duration
-}
-
-func (g GroupCommitConfig) withDefaults() GroupCommitConfig {
-	if g.MaxBatch <= 0 {
-		g.MaxBatch = 64
-	}
-	return g
-}
+// Ordering invariant: the round sequence is total (one dispatchMu hold
+// per round) and the within-round order is a pure function of the
+// round's statements and their arrival order, so every replica — live,
+// redo-replayed, or delta-replayed — applies the same statements in the
+// same order.
 
 // groupEntry is one update waiting for (or riding) a round: the parsed
 // statement plus its routing inputs, and the completion state the
@@ -58,7 +38,6 @@ type groupEntry struct {
 	class       string
 	tables      []string // class tables (error reporting)
 	routeTables []string // actually-written tables (routing)
-	seq         uint64   // arrival order, the in-round tie-breaker
 	submitted   time.Time
 
 	mu        sync.Mutex
@@ -144,98 +123,36 @@ func (rr *replayRound) job() *updateJob {
 	return &updateJob{round: &roundJob{stmts: stmts}, done: make(chan error, 1)}
 }
 
-// enqueueGroup hands an entry to the dispatcher.
-func (c *Cluster) enqueueGroup(e *groupEntry) error {
-	c.groupMu.Lock()
-	if c.groupClosed {
-		c.groupMu.Unlock()
-		return errors.New("cluster: closed")
-	}
-	c.groupPending = append(c.groupPending, e)
-	n := len(c.groupPending)
-	if n == 1 {
-		c.groupCond.Signal()
-	}
-	c.groupMu.Unlock()
-	if n >= c.cfg.GroupCommit.MaxBatch {
-		select {
-		case c.groupFull <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// groupLoop is the dispatcher: it sleeps while nothing is pending,
-// optionally lingers MaxWait to let a batch build, then commits rounds
-// until the pending list drains. Runs for the cluster's lifetime;
-// closeGroup stops it after the last pending entry dispatched.
-func (c *Cluster) groupLoop() {
-	defer c.groupWG.Done()
-	maxBatch := c.cfg.GroupCommit.MaxBatch
-	for {
-		c.groupMu.Lock()
-		for len(c.groupPending) == 0 && !c.groupClosed {
-			c.groupCond.Wait()
-		}
-		if len(c.groupPending) == 0 {
-			c.groupMu.Unlock()
-			return
-		}
-		if w := c.cfg.GroupCommit.MaxWait; w > 0 && len(c.groupPending) < maxBatch && !c.groupClosed {
-			c.groupMu.Unlock()
-			// Drain a stale early-full token, then linger.
-			select {
-			case <-c.groupFull:
-			default:
-			}
-			timer := time.NewTimer(w)
-			select {
-			case <-timer.C:
-			case <-c.groupFull:
-				timer.Stop()
-			}
-			c.groupMu.Lock()
-		}
-		batch := c.groupPending
-		if len(batch) > maxBatch {
-			batch = batch[:maxBatch:maxBatch]
-			c.groupPending = append([]*groupEntry(nil), c.groupPending[maxBatch:]...)
-		} else {
-			c.groupPending = nil
-		}
-		c.groupMu.Unlock()
-		c.dispatchRound(batch)
-	}
-}
-
-// closeGroup stops the dispatcher after it drained every pending entry.
-// Must run before the backend appliers shut down: in-flight rounds
-// still need their queues.
-func (c *Cluster) closeGroup() {
-	c.groupMu.Lock()
-	c.groupClosed = true
-	c.groupCond.Broadcast()
-	c.groupMu.Unlock()
-	c.groupWG.Wait()
-}
-
-// dispatchRound commits one round: a single dispatchMu hold fixes the
-// deterministic statement order, routes every entry, logs redo/delta
-// rounds for absent replicas, and enqueues one round job per target
-// backend.
-func (c *Cluster) dispatchRound(batch []*groupEntry) {
-	// Deterministic total order within the round: sort by SQL text,
-	// break ties by arrival sequence. The order is a pure function of
-	// the admitted set (plus the already-total arrival sequence), so
-	// replicas agree on it regardless of scheduling.
-	sort.SliceStable(batch, func(i, j int) bool {
-		if batch[i].sql != batch[j].sql {
-			return batch[i].sql < batch[j].sql
-		}
-		return batch[i].seq < batch[j].seq
-	})
+// takeTurn is a writer's one turn at committing: under dispatchMu it
+// takes every pending entry and commits them as one round. Every
+// writer takes exactly one turn after it queued its entry, so every
+// entry rides a round (or fails with errClosed once Close began).
+func (c *Cluster) takeTurn() {
 	c.dispatchMu.Lock()
+	c.groupMu.Lock()
+	batch := c.groupPending
+	c.groupPending = nil
+	c.groupMu.Unlock()
+	if c.stopped.Load() {
+		for _, e := range batch {
+			e.fail(errClosed)
+		}
+	} else if len(batch) > 0 {
+		c.dispatchRoundLocked(batch)
+	}
+	c.dispatchMu.Unlock()
+}
+
+// dispatchRoundLocked commits one round: it fixes the deterministic
+// statement order, routes every entry, logs redo/delta rounds for
+// absent replicas, and enqueues one round job per target backend.
+//
+//qcpa:locks dispatchMu
+func (c *Cluster) dispatchRoundLocked(batch []*groupEntry) {
+	// Deterministic total order within the round: sort by SQL text; the
+	// stable sort keeps the pending list's arrival order for equal
+	// texts, so replicas agree on it regardless of scheduling.
+	sort.SliceStable(batch, func(i, j int) bool { return batch[i].sql < batch[j].sql })
 	c.roundTick++
 	tick := c.roundTick
 	backends := c.all()
@@ -263,10 +180,9 @@ func (c *Cluster) dispatchRound(batch []*groupEntry) {
 	}
 	for i, r := range rounds {
 		if r != nil {
-			backends[i].enqueue(&updateJob{round: r, done: make(chan error, 1)})
+			backends[i].enqueue(&updateJob{round: r})
 		}
 	}
-	c.dispatchMu.Unlock()
 }
 
 // routeEntryLocked routes one entry within a round: it scans the

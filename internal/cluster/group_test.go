@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
@@ -91,8 +92,29 @@ func TestGroupCommitPinnedViewAcrossCutover(t *testing.T) {
 	}
 }
 
+// holdRounds forces multi-update rounds while writers run: it
+// repeatedly holds dispatchMu — the lock every writer's turn takes —
+// until n entries pend, so the turn that follows commits them as one
+// round. Each hold also ends when until passes: once the writers stop,
+// n entries never pend, and an unbounded hold would deadlock them.
+func holdRounds(c *Cluster, n int, until time.Time) {
+	pending := func() int {
+		c.groupMu.Lock()
+		defer c.groupMu.Unlock()
+		return len(c.groupPending)
+	}
+	for time.Now().Before(until) {
+		c.dispatchMu.Lock()
+		for pending() < n && time.Now().Before(until) {
+			goruntime.Gosched()
+		}
+		c.dispatchMu.Unlock()
+		goruntime.Gosched()
+	}
+}
+
 // TestGroupChaosKillMidRound is the group-commit fault acceptance test:
-// with batching forced on (a linger window so rounds genuinely carry
+// with batching forced on (holdRounds, so rounds genuinely carry
 // multiple updates), a chaos runner kills and revives backends while
 // concurrent writers stream group-committed rounds. No request may
 // fail — a victim killed mid-round diverts to its redo log at round
@@ -101,9 +123,8 @@ func TestGroupCommitPinnedViewAcrossCutover(t *testing.T) {
 // leave a half-applied group behind.
 func TestGroupChaosKillMidRound(t *testing.T) {
 	c := fullSetup(t, 4, Config{
-		Backends:    core.UniformBackends(4),
-		Backoff:     time.Millisecond,
-		GroupCommit: GroupCommitConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond},
+		Backends: core.UniformBackends(4),
+		Backoff:  time.Millisecond,
 	})
 	ch := NewChaos(c, ChaosConfig{Kills: 3, DownFor: 40 * time.Millisecond, Pause: 5 * time.Millisecond, Seed: 11})
 	ch.Start()
@@ -116,6 +137,11 @@ func TestGroupChaosKillMidRound(t *testing.T) {
 		firstErr  error
 	)
 	deadline := time.Now().Add(300 * time.Millisecond)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		holdRounds(c, 4, deadline)
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -187,7 +213,7 @@ func TestGroupChaosKillMidRound(t *testing.T) {
 			}
 		}
 	}
-	// The linger window actually batched: strictly more updates than
+	// The held rounds actually batched: strictly more updates than
 	// rounds means multi-statement groups were killed and recovered.
 	g := c.Metrics().GroupCommit
 	if g.Rounds == 0 || g.Updates <= g.Rounds {
@@ -207,11 +233,13 @@ func TestGroupCommitReplicasAgreeAcrossWorkerCounts(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("fanout=%d", workers), func(t *testing.T) {
 			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(workers))
-			c := fullSetup(t, 3, Config{
-				Backends:    core.UniformBackends(3),
-				GroupCommit: GroupCommitConfig{MaxBatch: 8, MaxWait: time.Millisecond},
-			})
+			c := fullSetup(t, 3, Config{Backends: core.UniformBackends(3)})
 			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				holdRounds(c, 3, time.Now().Add(100*time.Millisecond))
+			}()
 			for w := 0; w < 6; w++ {
 				wg.Add(1)
 				go func(w int) {
@@ -252,6 +280,64 @@ func TestGroupCommitReplicasAgreeAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("backend %d epoch %d != backend 0 epoch %d", i, e, epoch)
 				}
 			}
+			// The held rounds carried several updates each, so the
+			// in-round order was exercised, not only the round order.
+			if g := c.Metrics().GroupCommit; g.Updates <= g.Rounds {
+				t.Fatalf("no batching: %d updates in %d rounds", g.Updates, g.Rounds)
+			}
 		})
+	}
+}
+
+// TestWritesRacingClose closes a cluster while writers stream
+// non-commutative updates. Every call must return either its result or
+// errClosed: a turn that started before Close finishes its sends before
+// the appliers' queues close (no send on a closed channel), and a turn
+// that starts after it fails its entries (no writer waits forever on a
+// round nobody applies).
+func TestWritesRacingClose(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		c := fullSetup(t, 3, Config{Backends: core.UniformBackends(3)})
+		var (
+			wg     sync.WaitGroup
+			issued atomic.Int64
+		)
+		errs := make(chan error, 6)
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					issued.Add(1)
+					_, err := c.Execute(workload.Request{
+						SQL:   fmt.Sprintf(`UPDATE a SET a_v = a_v * 3 + %d WHERE a_id = %d`, 1+(w+i)%7, i%10),
+						Class: "UA", Write: true,
+					})
+					if err != nil && !errors.Is(err, errClosed) {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		// Close lands at a different point of the stream on each run.
+		for issued.Load() < int64(1+run*13%200) {
+			goruntime.Gosched()
+		}
+		c.Close()
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %d: writers still blocked 30s after Close", run)
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatalf("run %d: write racing Close returned %v, want nil or %v", run, err, errClosed)
+		}
 	}
 }

@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"qcpa/internal/sqlmini"
@@ -45,7 +44,7 @@ type Prepared struct {
 // every execution.
 func (c *Cluster) Prepare(sql, class string, write bool) (*Prepared, error) {
 	if c.stopped.Load() {
-		return nil, fmt.Errorf("cluster: closed")
+		return nil, errClosed
 	}
 	stmt, err := sqlmini.Parse(sql)
 	if err != nil {
@@ -75,7 +74,7 @@ func (c *Cluster) Prepare(sql, class string, write bool) (*Prepared, error) {
 // its one copy here.
 func (c *Cluster) ExecPrepared(ctx context.Context, p *Prepared, args []sqlmini.Value) (*Result, error) {
 	if c.stopped.Load() {
-		return nil, fmt.Errorf("cluster: closed")
+		return nil, errClosed
 	}
 	if c.cfg.Timeout > 0 {
 		var cancel context.CancelFunc

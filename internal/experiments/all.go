@@ -108,6 +108,5 @@ func AllExperiments() []Experiment {
 		{"E23", MixedThroughput, "mixed_read_qps", lastOf("10% updates")},
 		{"A5", AblationHorizontal, "horizontal_degree", lastOf("horizontal")},
 		{"A6", AblationHeterogeneity, "aware_rps", lastOf("aware (Eq. 7 loads)")},
-		{"E24", JoinOrderRobustness, "pessimal_order_qps", lastOf("pessimal order")},
 	}
 }

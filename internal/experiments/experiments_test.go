@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -522,51 +521,5 @@ func TestAblationHeterogeneity(t *testing.T) {
 	aware, naive := tab.Get("aware (Eq. 7 loads)"), tab.Get("naive (uniform loads)")
 	if last(aware) < last(naive)*0.97 {
 		t.Fatalf("aware %.0f clearly below naive %.0f", last(aware), last(naive))
-	}
-}
-
-// TestJoinOrderRobustness: with cost-based join ordering the
-// pessimally-written star join (dimension table last in the SQL) runs
-// the plan of the optimally-written one at every size of figure E24:
-// the filtered dimension meets the first fact table before the second
-// fact table joins (which of the two a hash step scans first is a tie
-// the text breaks), and both forms examine the same number of rows.
-// Before the planner joins executed in textual order and the pessimal
-// form trailed ~5x; how fast the two forms run is the figure's to report.
-func TestJoinOrderRobustness(t *testing.T) {
-	opts := Quick()
-	for _, n := range []int{opts.Requests / 4, opts.Requests} {
-		e, err := starJoinEngine(n, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var orders [][]string
-		var scanned []int64
-		for _, q := range starJoinQueries {
-			plan, err := e.Explain(q.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var order []string
-			for _, step := range strings.Split(strings.TrimSpace(plan), "\n") {
-				order = append(order, strings.Fields(step)[0])
-			}
-			res, err := e.Exec(q.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				t.Fatalf("%s at %d rows returned nothing", q.name, n)
-			}
-			orders, scanned = append(orders, order), append(scanned, res.Scanned)
-		}
-		for _, order := range orders {
-			if len(order) != 3 || order[2] != "jbig2" || !slices.Contains(order[:2], "jdim") {
-				t.Fatalf("%d rows: join orders %v, want jdim and jbig1 joined before jbig2 in both", n, orders)
-			}
-		}
-		if scanned[0] != scanned[1] {
-			t.Fatalf("%d rows: pessimal text examined %d rows, optimal %d", n, scanned[0], scanned[1])
-		}
 	}
 }

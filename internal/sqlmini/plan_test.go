@@ -47,6 +47,9 @@ func buildJoinDB(tb testing.TB, n int) *Engine {
 // the two big tables first, the selective dimension last.
 const pessimalJoin = `SELECT b1.v FROM jbig1 b1 JOIN jbig2 b2 ON b2.b1_id = b1.id JOIN jdim d ON d.id = b1.dim_id WHERE d.tag = 't0'`
 
+// dimensionFirstJoin is the same join written dimension-first.
+const dimensionFirstJoin = `SELECT b1.v FROM jdim d JOIN jbig1 b1 ON b1.dim_id = d.id JOIN jbig2 b2 ON b2.b1_id = b1.id WHERE d.tag = 't0'`
+
 // planOrder plans sql against the engine's current view and returns
 // the chosen physical scan order.
 func planOrder(e *Engine, sql string) ([]string, error) {
@@ -69,7 +72,10 @@ func planOrder(e *Engine, sql string) ([]string, error) {
 }
 
 // TestJoinOrderCostBased: the dimension table with the selective filter
-// must be joined first even though the SQL text names it last.
+// must be joined first even though the SQL text names it last, and the
+// text that names it first gets the same plan: both join jdim and jbig1
+// before jbig2 (which of the first two a hash step scans first is a tie
+// the text breaks) and examine the same number of rows.
 func TestJoinOrderCostBased(t *testing.T) {
 	e := buildJoinDB(t, 1000)
 	order, err := planOrder(e, pessimalJoin)
@@ -89,6 +95,19 @@ func TestJoinOrderCostBased(t *testing.T) {
 	r := mustExec(t, e, pessimalJoin)
 	if want := 4 * 1000 / 16; len(r.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), want)
+	}
+	dimFirst, err := planOrder(e, dimensionFirstJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range [][]string{order, dimFirst} {
+		if len(o) != 3 || o[2] != "jbig2" || !slices.Contains(o[:2], "jdim") {
+			t.Fatalf("join orders %v and %v, want jdim and jbig1 joined before jbig2 in both", order, dimFirst)
+		}
+	}
+	if d := mustExec(t, e, dimensionFirstJoin); d.Scanned != r.Scanned || len(d.Rows) != len(r.Rows) {
+		t.Fatalf("dimension-first text scanned %d rows for %d, dimension-last %d for %d",
+			d.Scanned, len(d.Rows), r.Scanned, len(r.Rows))
 	}
 }
 

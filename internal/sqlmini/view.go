@@ -175,7 +175,7 @@ type RoundResult struct {
 // write-lock hold and publishes exactly ONE new read epoch afterwards,
 // so concurrent readers observe either none or all of the round — never
 // a prefix. This is the engine half of the cluster's group commit: the
-// round's order is fixed by the dispatcher, and a failed statement does
+// round's order is fixed by the cluster, and a failed statement does
 // not stop the rest (replicas must stay in lockstep; divergence is
 // handled above by checksums and quarantine).
 func (e *Engine) ApplyRound(stmts []Statement) []RoundResult {

@@ -274,17 +274,27 @@ func TestDoContextSubMillisecondDeadline(t *testing.T) {
 		got <- req
 		respondOK(t, srv, req.ID)
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-	defer cancel()
-	resp, err := c.DoContext(ctx, Request{SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
-	if err != nil {
-		// The 500us budget may expire before the round trip completes;
-		// what matters is what went on the wire, checked below.
-		if !errors.Is(err, context.DeadlineExceeded) {
+	// The round trip ignores the context once the request is serialized,
+	// so DeadlineExceeded means the 500us budget ran out before DoContext
+	// read it: the request was rejected locally and nothing went on the
+	// wire (TestDoContextExpiredDeadline). Try again until one is sent.
+	sent := false
+	for attempt := 0; attempt < 1000 && !sent; attempt++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
+		resp, err := c.DoContext(ctx, Request{SQL: "SELECT a_v FROM a WHERE a_id = 1", Class: "QA"})
+		cancel()
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+		case err != nil:
 			t.Fatalf("err = %v", err)
+		case !resp.OK:
+			t.Fatalf("resp = %+v", resp)
+		default:
+			sent = true
 		}
-	} else if !resp.OK {
-		t.Fatalf("resp = %+v", resp)
+	}
+	if !sent {
+		t.Fatal("every 500us budget expired before DoContext serialized the request")
 	}
 	select {
 	case req := <-got:

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
+.PHONY: all build test test-times vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
 
 all: check
 
@@ -15,6 +15,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# test-times runs the suite once (-count=1, so nothing comes from the
+# test cache) and prints each package's wall time and the 15 slowest
+# top-level tests, slowest first: where tier-1's wall time goes. It
+# exits with go test's status.
+test-times:
+	@json=$$(mktemp); \
+	$(GO) test -json -count=1 ./... > $$json; status=$$?; \
+	echo "package wall time (s):"; \
+	jq -r 'select(.Test == null and (.Action == "pass" or .Action == "fail")) | "\(.Elapsed)\t\(.Action)\t\(.Package)"' $$json | sort -rn; \
+	echo "15 slowest tests (s):"; \
+	jq -r 'select(.Test != null and (.Test | contains("/") | not) and (.Action == "pass" or .Action == "fail")) | "\(.Elapsed)\t\(.Action)\t\(.Package) \(.Test)"' $$json | sort -rn | head -15; \
+	rm -f $$json; exit $$status
 
 # lint runs qcpa-lint, the repo's own go/analysis suite: the three
 # per-package analyzers (detrange, detsource, atomicfield) plus the

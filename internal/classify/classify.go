@@ -257,8 +257,9 @@ func Classify(entries []Entry, schema sqlmini.Schema, opts Options) (*Result, er
 }
 
 // bucketRange maps the predicates on a table's partition column to the
-// inclusive bucket interval they select; queries without a usable
-// predicate touch every bucket.
+// inclusive bucket interval they select: the intersection of the ends
+// they set, whatever their order. Queries without a usable predicate
+// (<> sets no end), or whose ends contradict, touch every bucket.
 func bucketRange(preds []sqlmini.Predicate, table string, spec HorizontalSpec) (int, int) {
 	lo, hi := spec.Min, spec.Max
 	found := false
@@ -266,40 +267,17 @@ func bucketRange(preds []sqlmini.Predicate, table string, spec HorizontalSpec) (
 		if p.Table != table || p.Column != spec.Column || p.Value.K != sqlmini.KindInt {
 			continue
 		}
-		switch p.Op {
-		case "=":
-			lo, hi = p.Value.I, p.Value.I
-			found = true
-		case "<":
-			if p.Value.I-1 < hi {
-				hi = p.Value.I - 1
-			}
-			found = true
-		case "<=":
-			if p.Value.I < hi {
-				hi = p.Value.I
-			}
-			found = true
-		case ">":
-			if p.Value.I+1 > lo {
-				lo = p.Value.I + 1
-			}
-			found = true
-		case ">=":
-			if p.Value.I > lo {
-				lo = p.Value.I
-			}
-			found = true
-		case "BETWEEN":
-			if p.Hi.K == sqlmini.KindInt {
-				if p.Value.I > lo {
-					lo = p.Value.I
-				}
-				if p.Hi.I < hi {
-					hi = p.Hi.I
-				}
-				found = true
-			}
+		// A predicate that passes nothing above (below) its value sets the
+		// upper (lower) end, one step inside unless it passes the value.
+		k, step := p.Value.I, int64(1)
+		if p.Pass&sqlmini.PassEQ != 0 {
+			step = 0
+		}
+		if p.Pass&sqlmini.PassGT == 0 {
+			hi, found = min(hi, k-step), true
+		}
+		if p.Pass&sqlmini.PassLT == 0 {
+			lo, found = max(lo, k+step), true
 		}
 	}
 	clamp := func(v int64) int64 {

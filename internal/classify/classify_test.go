@@ -245,19 +245,27 @@ func TestClassifyEndToEndWithGreedy(t *testing.T) {
 
 func TestBucketRangeClamping(t *testing.T) {
 	spec := HorizontalSpec{Column: "id", Buckets: 4, Min: 0, Max: 99}
-	preds := []sqlmini.Predicate{{Table: "t", Column: "id", Op: ">=", Value: sqlmini.Int(500)}}
-	lo, hi := bucketRange(preds, "t", spec)
-	if lo != 3 || hi != 3 {
-		t.Fatalf("out-of-range predicate -> buckets [%d,%d], want [3,3]", lo, hi)
+	pred := func(pass uint8, v int64) sqlmini.Predicate {
+		return sqlmini.Predicate{Table: "t", Column: "id", Pass: pass, Value: sqlmini.Int(v)}
 	}
-	// Contradictory predicates fall back to all buckets.
-	preds = []sqlmini.Predicate{
-		{Table: "t", Column: "id", Op: "<", Value: sqlmini.Int(10)},
-		{Table: "t", Column: "id", Op: ">", Value: sqlmini.Int(90)},
-	}
-	lo, hi = bucketRange(preds, "t", spec)
-	if lo != 0 || hi != 3 {
-		t.Fatalf("contradiction -> [%d,%d], want [0,3]", lo, hi)
+	eq, lt, gt, ge := sqlmini.PassEQ, sqlmini.PassLT, sqlmini.PassGT, sqlmini.PassGT|sqlmini.PassEQ
+	for _, c := range []struct {
+		what   string
+		preds  []sqlmini.Predicate
+		lo, hi int
+	}{
+		{"out-of-range predicate", []sqlmini.Predicate{pred(ge, 500)}, 3, 3},
+		// Contradictory predicates fall back to all buckets, whichever
+		// comes first.
+		{"contradiction", []sqlmini.Predicate{pred(lt, 10), pred(gt, 90)}, 0, 3},
+		{"= then >", []sqlmini.Predicate{pred(eq, 10), pred(gt, 50)}, 0, 3},
+		{"> then =", []sqlmini.Predicate{pred(gt, 50), pred(eq, 10)}, 0, 3},
+		{"<> sets no end", []sqlmini.Predicate{pred(lt|gt, 10)}, 0, 3},
+		{"<> beside an end", []sqlmini.Predicate{pred(lt|gt, 10), pred(ge, 60)}, 2, 3},
+	} {
+		if lo, hi := bucketRange(c.preds, "t", spec); lo != c.lo || hi != c.hi {
+			t.Errorf("%s -> buckets [%d,%d], want [%d,%d]", c.what, lo, hi, c.lo, c.hi)
+		}
 	}
 }
 

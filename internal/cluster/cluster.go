@@ -659,7 +659,7 @@ func (c *Cluster) executeRouted(ctx context.Context, stmt sqlmini.Statement, req
 	var res *Result
 	var err error
 	if req.Write {
-		res, err = c.executeWrite(ctx, stmt, req.SQL, req.Class, tables)
+		res, err = c.executeWrite(ctx, stmt, req.Class, tables)
 	} else {
 		res, err = c.executeRead(ctx, stmt, req.Class, tables)
 	}
@@ -813,7 +813,7 @@ func (c *Cluster) executeRead(ctx context.Context, stmt sqlmini.Statement, class
 	return nil, &runtime.UnavailableError{Class: class, Tables: tables, Last: lastErr}
 }
 
-func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql, class string, tables []string) (*Result, error) {
+func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, class string, tables []string) (*Result, error) {
 	// Route by the actually-written table when the statement names one
 	// (a class can span more tables than any single statement; during a
 	// live migration a backend may transiently hold only part of a
@@ -833,7 +833,6 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, sql,
 	// acknowledged write is immediately readable.
 	e := &groupEntry{
 		stmt:        stmt,
-		sql:         sql,
 		class:       class,
 		tables:      tables,
 		routeTables: routeTables,

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,26 +14,24 @@ import (
 // one turn under dispatchMu. A turn takes every pending entry — the
 // writer's own, unless an earlier turn already took it, plus whatever
 // queued while the previous holder dispatched — and commits them as one
-// round: a single dispatchMu hold fixes the statement order (sorted by
-// SQL text; the stable sort keeps arrival order for equal texts),
-// routes every update, appends redo/delta capture at round granularity,
-// and enqueues one round job per target backend. Each backend's applier
+// round: a single dispatchMu hold fixes the statement order (the
+// pending list's), routes every update, appends redo/delta capture at
+// round granularity, and enqueues one round job per target backend. Each backend's applier
 // applies the round's statements in order and publishes exactly ONE new
 // read epoch at the end (sqlmini.ApplyRound), so lock-free snapshot
 // readers observe round boundaries — never a half-committed group.
 //
 // Ordering invariant: the round sequence is total (one dispatchMu hold
-// per round) and the within-round order is a pure function of the
-// round's statements and their arrival order, so every replica — live,
-// redo-replayed, or delta-replayed — applies the same statements in the
-// same order.
+// per round), and within a round every live round job, redo round and
+// delta round takes the batch in its one slice order, during that same
+// hold, so every replica — live, redo-replayed, or delta-replayed —
+// applies the same statements in the same order.
 
 // groupEntry is one update waiting for (or riding) a round: the parsed
 // statement plus its routing inputs, and the completion state the
 // appliers fill in as each replica finishes.
 type groupEntry struct {
 	stmt        sqlmini.Statement
-	sql         string
 	class       string
 	tables      []string // class tables (error reporting)
 	routeTables []string // actually-written tables (routing)
@@ -143,16 +140,12 @@ func (c *Cluster) takeTurn() {
 	c.dispatchMu.Unlock()
 }
 
-// dispatchRoundLocked commits one round: it fixes the deterministic
-// statement order, routes every entry, logs redo/delta rounds for
-// absent replicas, and enqueues one round job per target backend.
+// dispatchRoundLocked commits one round in the batch's order: it routes
+// every entry, logs redo/delta rounds for absent replicas, and enqueues
+// one round job per target backend.
 //
 //qcpa:locks dispatchMu
 func (c *Cluster) dispatchRoundLocked(batch []*groupEntry) {
-	// Deterministic total order within the round: sort by SQL text; the
-	// stable sort keeps the pending list's arrival order for equal
-	// texts, so replicas agree on it regardless of scheduling.
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].sql < batch[j].sql })
 	c.roundTick++
 	tick := c.roundTick
 	backends := c.all()

@@ -5,14 +5,20 @@ import (
 	"sort"
 )
 
-// Predicate is a simple comparison of a column against a literal,
-// extracted for horizontal (range) classification.
+// The static analysis query classification reads (Section 3.1): the
+// tables and columns a statement references, resolved by the planner's
+// binder, and its WHERE comparisons of a column with a literal, read by
+// the planner's own recogniser (cmpLits, plan.go).
+
+// Predicate is one comparison of a column with a literal in a WHERE
+// conjunct, as the planner reads it (a BETWEEN of two literals is two),
+// for horizontal (range) classification: the column's values that
+// compare to Value with an outcome in Pass satisfy it.
 type Predicate struct {
 	Table  string
 	Column string
-	Op     string // = < <= > >= <> BETWEEN (Lo/Hi set)
+	Pass   uint8 // PassLT, PassEQ, PassGT or'ed: = is PassEQ, <> PassLT|PassGT, <= PassLT|PassEQ
 	Value  Value
-	Hi     Value // upper bound for BETWEEN
 }
 
 // QueryInfo is the static analysis of a statement used by query
@@ -29,8 +35,8 @@ type QueryInfo struct {
 	// column-based fragments allow lossless reconstruction (Section 3.1:
 	// "they contain a candidate key").
 	Columns []string
-	// Predicates lists simple column-vs-literal comparisons for
-	// horizontal classification.
+	// Predicates lists the WHERE conjuncts' comparisons of a column with
+	// a literal, for horizontal classification.
 	Predicates []Predicate
 }
 
@@ -218,52 +224,20 @@ func (a *analyzer) walk(e Expr) (err error) {
 	return err
 }
 
-// where records a WHERE clause: its column references and its
-// predicates.
+// where records a WHERE clause: its column references and the
+// comparisons of a column with a literal its conjuncts amount to.
 func (a *analyzer) where(e Expr) error {
-	a.extractPredicates(e)
-	return a.walk(e)
-}
-
-// flipped is a comparison read from its right operand: k < col is col > k.
-var flipped = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
-// extractPredicates collects top-level AND-connected column-vs-literal
-// comparisons for horizontal classification.
-func (a *analyzer) extractPredicates(e Expr) {
-	switch x := e.(type) {
-	case *BinOp:
-		if x.Op == "AND" {
-			a.extractPredicates(x.L)
-			a.extractPredicates(x.R)
-			return
-		}
-		switch x.Op {
-		case "=", "<", "<=", ">", ">=", "<>":
-			cr, crOK := x.L.(*ColRef)
-			lit, litOK := x.R.(*Lit)
-			op := x.Op
-			if !crOK || !litOK { // literal op column
-				cr, crOK = x.R.(*ColRef)
-				lit, litOK = x.L.(*Lit)
-				op = flipped[op]
-			}
-			if crOK && litOK {
-				tbl, err := a.resolve(cr)
-				if err == nil {
-					a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: op, Value: a.params[lit.Slot]})
-				}
-			}
-		}
-	case *Between:
-		cr, ok := x.E.(*ColRef)
-		lo, loOK := x.Lo.(*Lit)
-		hi, hiOK := x.Hi.(*Lit)
-		if ok && loOK && hiOK && !x.Negate {
-			tbl, err := a.resolve(cr)
-			if err == nil {
-				a.preds = append(a.preds, Predicate{Table: tbl, Column: cr.Column, Op: "BETWEEN", Value: a.params[lo.Slot], Hi: a.params[hi.Slot]})
-			}
+	if err := a.walk(e); err != nil {
+		return err
+	}
+	var conjs []Expr
+	splitConjuncts(e, &conjs)
+	for _, ce := range conjs {
+		cs, n := cmpLits(ce)
+		for _, k := range cs[:n] {
+			tbl, _ := a.resolve(k.ref) // walk resolved every column
+			a.preds = append(a.preds, Predicate{Table: tbl, Column: k.ref.Column, Pass: k.mask, Value: a.params[k.lit.Slot]})
 		}
 	}
+	return nil
 }

@@ -397,35 +397,6 @@ func (e *Engine) execSelect(ctx context.Context, st Statement, v *readView) (*Re
 	return res, nil
 }
 
-// pkLookup detects "pk = literal" (optionally table-qualified) in a
-// WHERE clause that consists of exactly that condition, and returns the
-// literal.
-func pkLookup(where Expr, t *Table, alias string) (*Lit, bool) {
-	bo, ok := where.(*BinOp)
-	if !ok || bo.Op != "=" {
-		return nil, false
-	}
-	cr, lit := bo.L, bo.R
-	c, ok := cr.(*ColRef)
-	if !ok {
-		if c, ok = lit.(*ColRef); !ok {
-			return nil, false
-		}
-		lit = cr
-	}
-	l, ok := lit.(*Lit)
-	if !ok {
-		return nil, false
-	}
-	if c.Table != "" && c.Table != alias {
-		return nil, false
-	}
-	if t.pkCol < 0 || t.Cols[t.pkCol].Name != c.Column {
-		return nil, false
-	}
-	return l, true
-}
-
 // groups is the aggregate state of one run's groups, in arrays indexed
 // by group id that grow by append as groups open, so a run allocates per
 // growth of the arrays, not per group.
@@ -764,10 +735,16 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		return nil
 	}
 	// A failing row ends the statement; the rows before it stay updated.
-	if l, ok := pkLookup(st.Where, t, st.Table); ok {
-		// Fast path: WHERE pk = literal.
+	// Fast path: a WHERE that is one conjunct, pk = literal.
+	cs, n := cmpLits(st.Where)
+	pkEq := false
+	if n == 1 && cs[0].mask == PassEQ {
+		_, col, _ := b.resolve(cs[0].ref) // bind resolved it
+		pkEq = col == t.pkCol
+	}
+	if pkEq {
 		res.Scanned++
-		if idx, hit := t.pk.find(params[l.Slot]); hit {
+		if idx, hit := t.pk.find(params[cs[0].lit.Slot]); hit {
 			err = apply(idx)
 		}
 	} else {

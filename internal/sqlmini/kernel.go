@@ -1,87 +1,33 @@
 package sqlmini
 
-// The scan's vector kernels: pushed-down conjuncts of the shape
-// "column <op> literal" on an INT or FLOAT column, which a full scan
+// The scan's vector kernels: the comparisons of an INT or FLOAT column
+// with a literal that the planner's conjunct analysis reads out of a
+// scan's pushed-down conjuncts (cmpLits, plan.go), which a full scan
 // checks on the column's vector a chunk at a time instead of boxing
 // every element into a Value for eval. eval stays the definition of the
 // operators: a kernel answers, element by element, what eval answers for
 // the same conjunct (TestKernelsAgainstEval), it only gets there without
 // the tree walk.
 
-// Which outcomes of Compare(element, literal) a comparison accepts.
-const (
-	passLT uint8 = 1 << iota
-	passEQ
-	passGT
-)
-
-var opMask = map[string]uint8{
-	"<": passLT, "<=": passLT | passEQ, "=": passEQ, "<>": passLT | passGT, ">": passGT, ">=": passGT | passEQ,
-}
-
-// vecCond is one comparison a scan runs on a column vector: the rows it
-// keeps are those whose col compares to the literal with an outcome in
-// mask. A NULL on either side keeps nothing, as eval's NULL is not true.
-type vecCond struct {
-	col  int
-	mask uint8
-	lit  *Lit
-}
-
-// vecConds splits a scan's pushed-down conjuncts, in order, into the
-// comparisons that run as kernels and the conjuncts left to eval. A
-// "col <op> literal" (either way round) or a plain BETWEEN two literals
-// on an INT or FLOAT column becomes one or two vecConds, as long as
-// every conjunct before it is a kernel too or cannot fail (infallible):
-// kernels run first, so a row one of them drops never reaches the
-// conjuncts it skipped over, and an error one of those would have raised
-// on it must not go missing.
-func vecConds(filter []Expr, t *Table) (vec []vecCond, rest []Expr) {
+// vecConds splits the conjuncts a scan keeps, in order, into the
+// comparisons that run as kernels and the conjuncts left to eval; filter
+// is conjs bound. A conjunct that amounts to comparisons of an INT or
+// FLOAT column with literals (cmpLits) runs as one or two kernels, as
+// long as every conjunct before it is a kernel too or cannot fail
+// (infallible): kernels run first, so a row one of them drops never
+// reaches the conjuncts it skipped over, and an error one of those would
+// have raised on it must not go missing.
+func vecConds(conjs []conjunct, filter []Expr, t *Table) (vec []cmpLit, rest []Expr) {
 	hoist := true
-	for _, f := range filter {
-		if cs := asVecConds(f, t); hoist && cs != nil {
-			vec = append(vec, cs...)
+	for i, cj := range conjs {
+		if typ := t.Cols[cj.cmps[0].col].Type; hoist && cj.ncmp > 0 && (typ == KindInt || typ == KindFloat) {
+			vec = append(vec, cj.cmps[:cj.ncmp]...)
 			continue
 		}
-		rest = append(rest, f)
-		hoist = hoist && infallible(f)
+		rest = append(rest, filter[i])
+		hoist = hoist && infallible(filter[i])
 	}
 	return vec, rest
-}
-
-// asVecConds returns the comparisons a conjunct amounts to, or nil.
-func asVecConds(f Expr, t *Table) []vecCond {
-	numeric := func(e Expr) (int, bool) {
-		bc, ok := e.(*boundCol)
-		if !ok || (t.Cols[bc.col].Type != KindInt && t.Cols[bc.col].Type != KindFloat) {
-			return 0, false
-		}
-		return bc.col, true
-	}
-	switch x := f.(type) {
-	case *BinOp:
-		mask, ok := opMask[x.Op]
-		if !ok {
-			return nil
-		}
-		if col, ok := numeric(x.L); ok {
-			if lit, ok := x.R.(*Lit); ok {
-				return []vecCond{{col, mask, lit}}
-			}
-		} else if col, ok := numeric(x.R); ok {
-			if lit, ok := x.L.(*Lit); ok { // k < col reads col > k
-				return []vecCond{{col, opMask[flipped[x.Op]], lit}}
-			}
-		}
-	case *Between:
-		col, ok := numeric(x.E)
-		lo, lok := x.Lo.(*Lit)
-		hi, hok := x.Hi.(*Lit)
-		if ok && lok && hok && !x.Negate {
-			return []vecCond{{col, passGT | passEQ, lo}, {col, passLT | passEQ, hi}}
-		}
-	}
-	return nil
 }
 
 // infallible reports whether eval can never return an error for e:
@@ -117,7 +63,7 @@ var everyRow = func() (sel [rowChunkLen]uint16) {
 
 // narrow keeps, in place, the offsets of sel whose element of the
 // chunk's vector passes the comparison with lit.
-func (vc vecCond) narrow(sel []uint16, c *rowChunk, lit Value) []uint16 {
+func (vc cmpLit) narrow(sel []uint16, c *rowChunk, lit Value) []uint16 {
 	v := &c.cols[vc.col]
 	if v.nulls != nil {
 		n := 0
@@ -134,7 +80,7 @@ func (vc vecCond) narrow(sel []uint16, c *rowChunk, lit Value) []uint16 {
 		return sel[:0]
 	case lit.K == KindText:
 		// Compare puts every number below text.
-		if vc.mask&passLT == 0 {
+		if vc.mask&PassLT == 0 {
 			return sel[:0]
 		}
 		return sel

@@ -42,41 +42,90 @@ func kernelTable(t testing.TB) (*Engine, []Row) {
 	return e, rows
 }
 
-// TestKernelsAgainstEval holds every filter kernel to eval, element by
-// element: each comparison and BETWEEN, the column on either side, an
-// INT and a FLOAT column, against literals of every kind — integers
-// next to the floats that round onto them, NaN, NULL, text — starting
-// from every row of a chunk and from a selection another kernel has
-// narrowed. Literals below and above every element give the empty and
-// the full selection.
+// TestKernelsAgainstEval holds every reader of a conjunct's comparisons
+// with literals (cmpLits) to eval, row by row: the filter kernels, the
+// index's ordered run over the ends the comparisons set, and the
+// classifier's predicates (AnalyzeStmt) read as an interval of the INT
+// domain. The shapes: each comparison with the column on either side,
+// BETWEEN and NOT BETWEEN, on an INT and a FLOAT column, against
+// literals of every kind — integers next to the floats that round onto
+// them, NaN, NULL, text — with the kernels starting from every row of a
+// chunk and from a selection another kernel has narrowed; and shapes no
+// reader may take for a comparison with a literal: two columns, two
+// literals, arithmetic. Literals below and above every element give the
+// empty and the full selection.
 func TestKernelsAgainstEval(t *testing.T) {
 	e, _ := kernelTable(t)
 	tv := e.loadView().tables["k"]
 	lits := []Value{Null, Text("7"), Int(0), Int(7), Int(1 << 53), Int(1<<53 + 1), Int(math.MinInt64), Int(math.MaxInt64),
 		Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(7), Float(1 << 53), Float(1<<53 + 2), Float(math.NaN()),
 		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxInt64), Float(-1e300)}
+	k0, k1, one := &Lit{Slot: 0}, &Lit{Slot: 1}, &Lit{Slot: 2}
 	var conds []Expr
-	for col := 1; col <= 2; col++ {
-		c := &boundCol{col: col, name: tv.t.Cols[col].Name}
-		for op := range opMask {
-			conds = append(conds, &BinOp{Op: op, L: c, R: &Lit{Slot: 0}}, &BinOp{Op: op, L: &Lit{Slot: 0}, R: c})
+	for _, col := range []string{"i", "f"} {
+		c := &ColRef{Column: col}
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			conds = append(conds, &BinOp{Op: op, L: c, R: k0}, &BinOp{Op: op, L: k0, R: c})
 		}
-		conds = append(conds, &Between{E: c, Lo: &Lit{Slot: 0}, Hi: &Lit{Slot: 1}})
+		conds = append(conds, &Between{E: c, Lo: k0, Hi: k1})
 	}
-	ec := &evalCtx{cur: make([]cursor, 1), params: make([]Value, 2)}
+	i, f := &ColRef{Column: "i"}, &ColRef{Column: "f"}
+	unread := []Expr{&Between{E: i, Lo: k0, Hi: k1, Negate: true}, &BinOp{Op: "=", L: i, R: f}, &BinOp{Op: "<", L: f, R: i},
+		&BinOp{Op: "<", L: k0, R: k1}, &BinOp{Op: ">", L: &BinOp{Op: "+", L: i, R: one}, R: k0}, &BinOp{Op: "<=", L: k0, R: &BinOp{Op: "-", L: f, R: one}}}
+	tb := &binder{}
+	tb.addTable("k", tv.t.Cols)
+	schema := Schema{"k": tv.t.Cols}
+	ec := &evalCtx{cur: make([]cursor, 1), params: []Value{Null, Null, Int(1)}}
 	odd := make([]uint16, 0, rowChunkLen/2)
 	for i := 1; i < rowChunkLen; i += 2 {
 		odd = append(odd, uint16(i))
 	}
 	sizes := map[int]bool{}
-	for _, cond := range conds {
-		vec, rest := vecConds([]Expr{cond}, tv.t)
+	for ci, cond := range append(conds, unread...) {
+		cj, err := classifyConjunct(cond, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be, err := bind(cond, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec, rest := vecConds([]conjunct{cj}, []Expr{be}, tv.t)
+		st := Statement{Shape: &Shape{AST: &SelectStmt{Table: "k", Items: []SelectItem{{Star: true}}, Where: cond}}, Params: ec.params}
+		if ci >= len(conds) {
+			info, err := AnalyzeStmt(st, schema)
+			if err != nil || cj.ncmp != 0 || len(vec) != 0 || len(info.Predicates) != 0 {
+				t.Fatalf("%s: read as a comparison with a literal: %d comparisons, %d kernels, predicates %v, err %v",
+					exprString(cond), cj.ncmp, len(vec), info.Predicates, err)
+			}
+			continue
+		}
 		if len(vec) == 0 || len(rest) != 0 {
 			t.Fatalf("%s: no kernel", exprString(cond))
 		}
-		for _, lo := range lits {
-			for _, hi := range lits {
-				ec.params[0], ec.params[1] = lo, hi
+		// The ends the comparisons set: a mask without GT sets the upper
+		// end, one without LT the lower (= both, <> neither). The planner's
+		// interval is those ends where it takes the conjunct for a range.
+		col := cj.cmps[0].col
+		var lo, hi bound
+		for _, k := range cj.cmps[:cj.ncmp] {
+			b := bound{expr: k.lit, incl: k.mask&PassEQ != 0}
+			if k.mask&PassGT == 0 {
+				hi = b
+			}
+			if k.mask&PassLT == 0 {
+				lo = b
+			}
+		}
+		eq := cj.ncmp == 1 && cj.cmps[0].mask == PassEQ
+		if icol, ilo, ihi, ok := cj.interval(); ok != (!eq && (lo.expr != nil || hi.expr != nil)) || ok && (icol != col || ilo != lo || ihi != hi) {
+			t.Fatalf("%s: interval %v [%v, %v], the masks' ends [%v, %v]", exprString(cond), ok, ilo, ihi, lo, hi)
+		}
+		o := (&secondaryIndex{col: col}).ordered(tv)
+		_, between := cond.(*Between)
+		for _, l := range lits {
+			for _, h := range lits {
+				ec.params[0], ec.params[1] = l, h
 				for ci, c := range tv.rows.chunks {
 					for _, start := range [][]uint16{everyRow[:], odd} {
 						sel := slices.Clone(start)
@@ -87,7 +136,7 @@ func TestKernelsAgainstEval(t *testing.T) {
 						ec.cur[0].chunk = c
 						for _, off := range start {
 							ec.cur[0].off = int(off)
-							v, err := eval(cond, ec)
+							v, err := eval(be, ec)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -97,19 +146,78 @@ func TestKernelsAgainstEval(t *testing.T) {
 						}
 						if !slices.Equal(sel, want) {
 							t.Fatalf("%s with %v, %v on chunk %d from %d rows: the kernel keeps %d rows, eval %d\nkernel %v\neval   %v",
-								exprString(cond), lo, hi, ci, len(start), len(sel), len(want), sel, want)
+								exprString(cond), l, h, ci, len(start), len(sel), len(want), sel, want)
 						}
 						sizes[len(sel)] = true
 					}
 				}
-				if _, between := cond.(*Between); !between {
-					break // one literal: hi is not read
+				checkRunAndPredicates(t, cond, be, tv, o, col, lo, hi, ec, st, schema)
+				if !between {
+					break // one literal: h is not read
 				}
 			}
 		}
 	}
 	if !sizes[0] || !sizes[rowChunkLen] {
 		t.Fatalf("the literals never gave an empty and a full selection: sizes %v", sizes)
+	}
+}
+
+// checkRunAndPredicates compares the rows of tv that cond (bound as be)
+// keeps under ec's params with the index's run over [lo, hi] — the same
+// rows, where the comparisons set an end — and, on the INT column, with
+// the interval the classifier's predicates set: it holds every kept row,
+// and no other where every predicate sets an end.
+func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexOrder, col int, lo, hi bound, ec *evalCtx, st Statement, schema Schema) {
+	t.Helper()
+	var kept []int32
+	for pos := 0; pos < tv.rows.len(); pos++ {
+		tv.rows.seek(&ec.cur[0], pos)
+		if v, err := eval(be, ec); err != nil {
+			t.Fatal(err)
+		} else if v.Truth() {
+			kept = append(kept, int32(pos))
+		}
+	}
+	if lo.expr != nil || hi.expr != nil {
+		from, to, err := o.run(tv, col, lo, hi, ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := slices.Clone(o.pos[from:to])
+		slices.Sort(run)
+		if !slices.Equal(run, kept) {
+			t.Fatalf("%s with %v: the index's run holds %d rows, eval keeps %d", exprString(cond), ec.params[:2], len(run), len(kept))
+		}
+	}
+	if tv.t.Cols[col].Type != KindInt {
+		return
+	}
+	info, err := AnalyzeStmt(st, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := len(info.Predicates) > 0
+	for _, p := range info.Predicates {
+		exact = exact && p.Value.K == KindInt && p.Pass&(PassLT|PassGT) != PassLT|PassGT
+	}
+	inside := func(v int64) bool {
+		for _, p := range info.Predicates {
+			k, strict := p.Value.I, p.Pass&PassEQ == 0
+			if p.Value.K == KindInt && (p.Pass&PassGT == 0 && (v > k || v == k && strict) || p.Pass&PassLT == 0 && (v < k || v == k && strict)) {
+				return false
+			}
+		}
+		return true
+	}
+	for pos := 0; pos < tv.rows.len(); pos++ {
+		v := tv.rows.value(pos, col)
+		if v.IsNull() {
+			continue
+		}
+		if _, keeps := slices.BinarySearch(kept, int32(pos)); inside(v.I) != keeps && (keeps || exact) {
+			t.Fatalf("%s with %v: row %d (%v) kept %v, but not inside the predicates' interval the same way (%v)", exprString(cond), ec.params[:2], pos, v, keeps, info.Predicates)
+		}
 	}
 }
 

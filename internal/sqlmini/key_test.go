@@ -88,9 +88,16 @@ func TestPKKeyFolding(t *testing.T) {
 		want      string // the result rows, or else the affected count
 		plan      string // for a SELECT: the pk access Explain must show
 		err       string // a substring of the expected error
+		scanned   int64  // when not 0, the rows the statement must scan
 	}{
 		{name: "where int pk = 2.0", sql: `SELECT v FROM t WHERE id = 2.0`, want: "[[b]]", plan: "pk="},
-		{name: "update where int pk = 2.0", sql: `UPDATE t SET v = 'x' WHERE id = 2.0`, want: "1"},
+		{name: "update where int pk = 2.0", sql: `UPDATE t SET v = 'x' WHERE id = 2.0`, want: "1", scanned: 1},
+		// UPDATE's pk fast path takes a WHERE of one conjunct, pk =
+		// literal, either way round and qualified or not.
+		{name: "update where id = 2", sql: `UPDATE t SET v = 'x' WHERE id = 2`, want: "1", scanned: 1},
+		{name: "update where 2 = id", sql: `UPDATE t SET v = 'x' WHERE 2 = id`, want: "1", scanned: 1},
+		{name: "update where t.id = 2", sql: `UPDATE t SET v = 'x' WHERE t.id = 2`, want: "1", scanned: 1},
+		{name: "update where id = 2 and v = 'b'", sql: `UPDATE t SET v = 'x' WHERE id = 2 AND v = 'b'`, want: "1", scanned: 3},
 		{name: "join float into int pk", sql: `SELECT f.k, t.v FROM f JOIN t ON f.k = t.id`, want: "[[2 b]]", plan: "probe pk"},
 		{name: "update int pk to 3.0", sql: `UPDATE t SET id = 3.0 WHERE id = 2`, err: "duplicate primary key"},
 		{name: "float pk 2 then 2.0", sql: `INSERT INTO fp VALUES (2.0)`, err: "duplicate primary key"},
@@ -129,6 +136,9 @@ func TestPKKeyFolding(t *testing.T) {
 			}
 			if got != c.want {
 				t.Fatalf("got %s, want %s", got, c.want)
+			}
+			if c.scanned != 0 && res.Scanned != c.scanned {
+				t.Fatalf("scanned %d rows, want %d", res.Scanned, c.scanned)
 			}
 		})
 	}

@@ -32,7 +32,10 @@ package sqlmini
 //     scan output after pushdown, equi selectivity 1/max(ndv_l, ndv_r),
 //     once per pair of tables however many keys link them.
 //
-//   - Access paths. WHERE and ON are split into conjuncts at plan time.
+//   - Access paths. WHERE and ON are split into conjuncts at plan time,
+//     and one recogniser (cmpLits) reads the comparisons of a column with
+//     a literal out of each, for the access path, the scan kernels, the
+//     classifier's predicates and UPDATE's pk path alike.
 //     A conjunct on one table runs at that table's scan, or picks its
 //     access (pk probe, secondary-index probe); an equality linking two
 //     tables becomes a join key; everything else runs at the first step
@@ -121,18 +124,102 @@ type conjunct struct {
 	eqLTable, eqLCol int
 	eqRTable, eqRCol int
 
-	// Single-table constant shape and selectivity class.
-	kind     predKind
-	constCol int  // column (within its table) for predEqConst and intervals
-	constVal Expr // the Lit of a predEqConst
-	inLen    int
+	// Single-table selectivity class, and the comparisons of a column
+	// with literals the conjunct amounts to (cmpLits), resolved: ncmp of
+	// them, 0 for any other shape.
+	kind  predKind
+	inLen int
+	cmps  [2]cmpLit
+	ncmp  int
+}
 
-	// interval marks a predRange / predBetween that holds a bare column
-	// between constants: col < k, k <= col, col BETWEEN k AND k. lo and hi
-	// are the ends it sets; an index on the column finds the rows between
-	// them without reading the others.
-	interval bool
-	lo, hi   bound
+// Which outcomes of Compare(column value, literal) a comparison
+// accepts: the one encoding of =, <>, <, <=, > and >= that the planner,
+// the scan kernels and the classifier's predicates (Predicate.Pass)
+// share.
+const (
+	PassLT uint8 = 1 << iota
+	PassEQ
+	PassGT
+)
+
+// cmpLit is one comparison of a column with a literal: the rows whose
+// value of the column compares to the literal with an outcome in mask
+// pass it. A NULL on either side passes nothing, as eval's NULL is not
+// true.
+type cmpLit struct {
+	ref  *ColRef // the column as written
+	col  int     // its index within its table, once resolved
+	mask uint8
+	lit  *Lit
+}
+
+// cmpLits reads a conjunct as comparisons of a column with a literal:
+// "col <op> literal" is one, and so is "literal <op> col", read from the
+// column's side (k < col is col > k); a plain BETWEEN of two literals is
+// two (col >= lo, col <= hi). n is 0 for every other shape — two
+// columns, two literals, arithmetic, LIKE, IN, NOT BETWEEN. The columns
+// are left unresolved.
+func cmpLits(e Expr) (cs [2]cmpLit, n int) {
+	switch x := e.(type) {
+	case *BinOp:
+		var mask uint8
+		switch x.Op {
+		case "<":
+			mask = PassLT
+		case "<=":
+			mask = PassLT | PassEQ
+		case "=":
+			mask = PassEQ
+		case "<>":
+			mask = PassLT | PassGT
+		case ">":
+			mask = PassGT
+		case ">=":
+			mask = PassGT | PassEQ
+		default:
+			return cs, 0
+		}
+		cr, lok := x.L.(*ColRef)
+		lit, rok := x.R.(*Lit)
+		if !lok && !rok {
+			cr, lok = x.R.(*ColRef)
+			lit, rok = x.L.(*Lit)
+			mask = mask&PassEQ | mask&PassLT<<2 | mask&PassGT>>2
+		}
+		if lok && rok {
+			cs[0] = cmpLit{ref: cr, mask: mask, lit: lit}
+			return cs, 1
+		}
+	case *Between:
+		cr, ok := x.E.(*ColRef)
+		lo, lok := x.Lo.(*Lit)
+		hi, hok := x.Hi.(*Lit)
+		if ok && lok && hok && !x.Negate {
+			cs[0], cs[1] = cmpLit{ref: cr, mask: PassGT | PassEQ, lit: lo}, cmpLit{ref: cr, mask: PassLT | PassEQ, lit: hi}
+			return cs, 2
+		}
+	}
+	return cs, 0
+}
+
+// interval returns the ends a conjunct sets on its column when it holds
+// a bare column between constants: col < k, k <= col, col BETWEEN k AND
+// k — comparisons that each accept LT or GT but not both. An index on
+// the column finds the rows between the ends without reading the others.
+func (c *conjunct) interval() (col int, lo, hi bound, ok bool) {
+	for _, k := range c.cmps[:c.ncmp] {
+		b := bound{expr: k.lit, incl: k.mask&PassEQ != 0}
+		switch k.mask &^ PassEQ {
+		case PassLT:
+			hi = b
+		case PassGT:
+			lo = b
+		default:
+			return 0, bound{}, bound{}, false
+		}
+	}
+	return c.cmps[0].col, lo, hi, c.ncmp > 0
 }
 
 // splitConjuncts flattens top-level ANDs. Splitting is semantics
@@ -161,12 +248,6 @@ func collectColRefs(e Expr, out *[]*ColRef) {
 	})
 }
 
-// isConstExpr reports whether e evaluates without a row: a literal.
-func isConstExpr(e Expr) bool {
-	_, ok := e.(*Lit)
-	return ok
-}
-
 // classifyConjunct resolves a conjunct's column references against the
 // textual binder and annotates the planner-relevant shapes.
 func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
@@ -183,71 +264,43 @@ func classifyConjunct(e Expr, tb *binder) (conjunct, error) {
 	nTables := bits.OnesCount64(c.mask)
 
 	// Every reference resolved above, so the lookups below cannot fail.
+	c.cmps, c.ncmp = cmpLits(e)
+	for i := range c.cmps[:c.ncmp] {
+		_, c.cmps[i].col, _ = tb.resolve(c.cmps[i].ref)
+	}
+	if nTables != 1 {
+		if x, ok := e.(*BinOp); ok && x.Op == "=" && nTables == 2 {
+			lc, lok := x.L.(*ColRef)
+			rc, rok := x.R.(*ColRef)
+			if lok && rok {
+				lt, lcol, _ := tb.resolve(lc)
+				rt, rcol, _ := tb.resolve(rc)
+				c.isEquiJoin = true
+				c.eqLTable, c.eqLCol = lt, lcol
+				c.eqRTable, c.eqRCol = rt, rcol
+			}
+		}
+		return c, nil
+	}
 	switch x := e.(type) {
 	case *BinOp:
 		switch x.Op {
 		case "=":
-			lc, lok := x.L.(*ColRef)
-			rc, rok := x.R.(*ColRef)
-			if lok && rok && nTables == 2 {
-				lt, lcol, _ := tb.resolve(lc)
-				rt, rcol, _ := tb.resolve(rc)
-				if lt != rt {
-					c.isEquiJoin = true
-					c.eqLTable, c.eqLCol = lt, lcol
-					c.eqRTable, c.eqRCol = rt, rcol
-				}
-				return c, nil
-			}
-			if nTables == 1 {
-				if lok && isConstExpr(x.R) {
-					_, col, _ := tb.resolve(lc)
-					c.kind, c.constCol, c.constVal = predEqConst, col, x.R
-				} else if rok && isConstExpr(x.L) {
-					_, col, _ := tb.resolve(rc)
-					c.kind, c.constCol, c.constVal = predEqConst, col, x.L
-				}
+			if c.ncmp == 1 {
+				c.kind = predEqConst
 			}
 		case "<", "<=", ">", ">=":
-			if nTables == 1 {
-				c.kind = predRange
-				col, k, op := x.L, x.R, x.Op
-				if isConstExpr(col) { // k < col reads col > k
-					col, k, op = k, col, flipped[op]
-				}
-				if cr, ok := col.(*ColRef); ok && isConstExpr(k) {
-					_, c.constCol, _ = tb.resolve(cr)
-					c.interval = true
-					if b := (bound{expr: k, incl: len(op) == 2}); op[0] == '>' {
-						c.lo = b
-					} else {
-						c.hi = b
-					}
-				}
-			}
+			c.kind = predRange
 		case "LIKE":
-			if nTables == 1 {
-				c.kind = predLike
-			}
+			c.kind = predLike
 		}
 	case *Between:
-		if nTables == 1 {
-			c.kind = predBetween
-			if cr, ok := x.E.(*ColRef); ok && !x.Negate && isConstExpr(x.Lo) && isConstExpr(x.Hi) {
-				_, c.constCol, _ = tb.resolve(cr)
-				c.interval = true
-				c.lo, c.hi = bound{expr: x.Lo, incl: true}, bound{expr: x.Hi, incl: true}
-			}
-		}
+		c.kind = predBetween
 	case *InList:
-		if nTables == 1 {
-			c.kind = predIn
-			c.inLen = len(x.List)
-		}
+		c.kind = predIn
+		c.inLen = len(x.List)
 	case *IsNull:
-		if nTables == 1 {
-			c.kind = predIsNull
-		}
+		c.kind = predIsNull
 	}
 	return c, nil
 }
@@ -262,7 +315,7 @@ func conjunctSelectivity(c conjunct, tv *tableView) float64 {
 	}
 	switch c.kind {
 	case predEqConst:
-		return 1 / tv.ndvEstimate(c.constCol)
+		return 1 / tv.ndvEstimate(c.cmps[0].col)
 	case predRange:
 		return 0.30
 	case predBetween:
@@ -544,7 +597,7 @@ type scanNode struct {
 	// it checks on a sealed chunk's column vectors, and rest, what eval
 	// makes of the rows those leave. Reading rows by position — a probe,
 	// an index's run — evaluates filter (or inRange) as it stands.
-	vec  []vecCond
+	vec  []cmpLit
 	rest []Expr
 
 	// A scan of every row (accessFull) whose filter holds an indexed
@@ -1006,31 +1059,32 @@ func chooseAccess(tv *tableView, conjs []conjunct, orderCol int) tableAccess {
 	ac.access, ac.rangeCol, ac.runShare, ac.limit = accessFull, orderCol, 1, -1
 	if orderCol < 0 {
 		for ci, cj := range conjs {
-			if cj.kind == predEqConst && cj.constCol == tv.t.pkCol {
-				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessPkEq, cj.constCol, cj.constVal, ci
+			if k := cj.cmps[0]; cj.kind == predEqConst && k.col == tv.t.pkCol {
+				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessPkEq, k.col, k.lit, ci
 				return ac
 			}
 		}
 		for ci, cj := range conjs {
-			if cj.kind == predEqConst && tv.index(cj.constCol) != nil {
-				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessIdxEq, cj.constCol, cj.constVal, ci
+			if k := cj.cmps[0]; cj.kind == predEqConst && tv.index(k.col) != nil {
+				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessIdxEq, k.col, k.lit, ci
 				return ac
 			}
 		}
 	}
 	for ci, cj := range conjs {
-		if !cj.interval || (ac.rangeCol >= 0 && cj.constCol != ac.rangeCol) || tv.index(cj.constCol) == nil {
+		col, lo, hi, ok := cj.interval()
+		if !ok || (ac.rangeCol >= 0 && col != ac.rangeCol) || tv.index(col) == nil {
 			continue
 		}
-		if (cj.lo.expr != nil && ac.lo.expr != nil) || (cj.hi.expr != nil && ac.hi.expr != nil) {
+		if (lo.expr != nil && ac.lo.expr != nil) || (hi.expr != nil && ac.hi.expr != nil) {
 			continue // that end is taken
 		}
-		ac.rangeCol = cj.constCol
-		if cj.lo.expr != nil {
-			ac.lo, ac.loFrom = cj.lo, ci
+		ac.rangeCol = col
+		if lo.expr != nil {
+			ac.lo, ac.loFrom = lo, ci
 		}
-		if cj.hi.expr != nil {
-			ac.hi, ac.hiFrom = cj.hi, ci
+		if hi.expr != nil {
+			ac.hi, ac.hiFrom = hi, ci
 		}
 		ac.runShare *= conjunctSelectivity(cj, tv)
 	}
@@ -1256,10 +1310,13 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		s := ac.scanNode
 		s.table, s.alias, s.t = r.name, r.alias, r.tv.t
 		s.indexes, s.planRows = len(r.tv.indexes), r.tv.rows.len()
-		for ci, cj := range perTable[ti] {
-			if ci == ac.consumed {
-				continue
-			}
+		// A probe consumes a conjunct and takes no range, so the ends'
+		// indices hold in what is kept.
+		kept := perTable[ti]
+		if ac.consumed >= 0 {
+			kept = slices.Delete(kept, ac.consumed, ac.consumed+1)
+		}
+		for ci, cj := range kept {
 			be, err := bind(cj.expr, pb)
 			if err != nil {
 				return nil, err
@@ -1269,7 +1326,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 				s.inRange = append(s.inRange, be)
 			}
 		}
-		s.vec, s.rest = vecConds(s.filter, s.t)
+		s.vec, s.rest = vecConds(kept, s.filter, s.t)
 		p.scans = append(p.scans, s)
 	}
 

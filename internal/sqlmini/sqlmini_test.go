@@ -486,7 +486,8 @@ func TestAnalyzeSelect(t *testing.T) {
 	if strings.Join(info.Columns, ",") != strings.Join(wantCols, ",") {
 		t.Fatalf("Columns = %v, want %v", info.Columns, wantCols)
 	}
-	if len(info.Predicates) != 2 {
+	// o.cust = 'ann', and the BETWEEN as price >= 1 and price <= 5.
+	if len(info.Predicates) != 3 {
 		t.Fatalf("Predicates = %v", info.Predicates)
 	}
 }
@@ -504,7 +505,7 @@ func TestAnalyzeWrites(t *testing.T) {
 	if len(info.Tables) != 1 || info.Tables[0] != "item" {
 		t.Fatalf("Tables = %v", info.Tables)
 	}
-	if len(info.Predicates) != 1 || info.Predicates[0].Column != "id" || info.Predicates[0].Op != "=" {
+	if len(info.Predicates) != 1 || info.Predicates[0].Column != "id" || info.Predicates[0].Pass != PassEQ {
 		t.Fatalf("Predicates = %v", info.Predicates)
 	}
 
@@ -570,7 +571,7 @@ func TestAnalyzeFlippedPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Predicates) != 1 || info.Predicates[0].Op != ">" {
+	if len(info.Predicates) != 1 || info.Predicates[0].Pass != PassGT {
 		t.Fatalf("Predicates = %v (flip failed)", info.Predicates)
 	}
 }

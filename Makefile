@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner fuzz-smoke clean
+.PHONY: all build test test-times vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner bench-mem fuzz-smoke clean
 
 all: check
 
@@ -110,8 +110,8 @@ bench-smoke:
 # a plan-cache hit must allocate less than half of a cold build —
 # the ratio is pinned by TestPlanCacheHitAllocations), then the
 # executor's: the 19 TPC-H templates at SF 0.01 and the 5 TPC-App reads
-# at EB 3, one sub-benchmark per template (ns, B, allocs and rows
-# scanned per op) plus /pass for all of a suite — a pass is the unit of
+# at EB 3, one sub-benchmark per template (ns, B, allocs, rows scanned
+# and collections per op) plus /pass for all of a suite — a pass is the unit of
 # tpch-analytic work, and the per-template lines say which template a
 # change of it came from — and the scan kernels' (a vector filter, the
 # same under aggregates of bare columns, a GROUP BY of one INT column,
@@ -123,6 +123,21 @@ bench-smoke:
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
 	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$' -benchmem -run '^$$' ./internal/sqlmini/
+
+# bench-mem says where the bytes of a query go without a hand-run
+# profile: the top allocation sites by bytes (go tool pprof -top
+# -sample_index=alloc_space, every allocation recorded) of 20 TPC-H
+# passes (BenchmarkTPCHPass/pass; the profile also holds the SF 0.01
+# load and the warm-up) and of 20,000 ad hoc TPC-App reads through the
+# cluster (BenchmarkExecuteAdHoc). Profiles and test binaries go to a
+# temporary directory, removed at the end.
+bench-mem:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench 'TPCHPass/pass$$' -benchtime 20x -benchmem -memprofile $$dir/tpch.mem -memprofilerate 1 -o $$dir/sqlmini.test ./internal/sqlmini/ && \
+	$(GO) tool pprof -top -sample_index=alloc_space $$dir/sqlmini.test $$dir/tpch.mem | head -25 && \
+	$(GO) test -run '^$$' -bench 'ExecuteAdHoc$$' -benchtime 20000x -benchmem -memprofile $$dir/adhoc.mem -memprofilerate 1 -o $$dir/cluster.test ./internal/cluster/ && \
+	$(GO) tool pprof -top -sample_index=alloc_space $$dir/cluster.test $$dir/adhoc.mem | head -25; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # a few seconds of fresh inputs: the frame decoder must never panic on

@@ -3,7 +3,9 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // binder resolves column references against the tables of a statement,
@@ -397,9 +399,182 @@ func (e *Engine) execSelect(ctx context.Context, st Statement, v *readView) (*Re
 	return res, nil
 }
 
+// Run scratch. Every buffer a run writes dies when the run returns,
+// except the rows of its Result. A buffer that outgrows minPooled
+// elements is drawn from the package's pools instead of made, and goes
+// back when the run returns (selectPlan.run): position slabs, hash
+// chains, group state, key slabs and keyMaps. A run that stays below
+// it — a pk probe, a TPC-App read — makes its buffers as it always did
+// and never touches a pool.
+const (
+	minPooledShift = 8
+	minPooled      = 1 << minPooledShift // elements
+	pooledClasses  = 24                  // slab capacities minPooled<<0 .. minPooled<<23
+)
+
+// classOf is the size class that holds n elements.
+func classOf(n int) int {
+	return max(bits.Len(uint(n-1))-minPooledShift, 0)
+}
+
+// slabPool holds one element type's slabs by size class: class c, slabs
+// of capacity minPooled<<c, each behind a *[]T holder, so that putting
+// a slab back stores a pointer and allocates nothing.
+type slabPool[T any] struct {
+	classes [pooledClasses]sync.Pool
+	scrub   bool // the elements hold pointers: cleared on the way back, so the pool keeps nothing alive
+}
+
+var (
+	posSlabs   slabPool[int32]
+	accSlabs   slabPool[aggAcc]
+	valueSlabs = slabPool[Value]{scrub: true}
+	keyMaps    [pooledClasses]sync.Pool // *keyMap, by the class of the most lists a run could put
+	scratches  = sync.Pool{New: func() any {
+		return &scratch{pos: drawn[int32]{pool: &posSlabs}, accs: drawn[aggAcc]{pool: &accSlabs}, values: drawn[Value]{pool: &valueSlabs}}
+	}}
+)
+
+// scratch is what one run has drawn from the pools. It is itself pooled
+// and taken by a run's first draw (execRun.scratch), so a run that draws
+// nothing never touches it.
+type scratch struct {
+	pos    drawn[int32]  // scan and join positions, hash chains, group samples, finish's inputs
+	accs   drawn[aggAcc] // group accumulators
+	values drawn[Value]  // MIN/MAX extrema, ORDER BY keys
+	maps   []drawnMap
+}
+
+type drawnMap struct {
+	m     *keyMap
+	class int
+}
+
+// release puts everything back and the scratch itself with it.
+func (sc *scratch) release() {
+	sc.pos.giveAll()
+	sc.accs.giveAll()
+	sc.values.giveAll()
+	for i, dm := range sc.maps {
+		dm.m.empty()
+		keyMaps[dm.class].Put(dm.m)
+		sc.maps[i] = drawnMap{}
+	}
+	sc.maps = sc.maps[:0]
+	scratches.Put(sc)
+}
+
+// drawn is a run's account with one slabPool: the slabs it holds, and
+// the holders of the slabs it took, which carry slabs back.
+type drawn[T any] struct {
+	pool    *slabPool[T]
+	slabs   [][]T
+	holders []*[]T
+}
+
+// take returns an empty slab with room for n elements.
+func (d *drawn[T]) take(n int) []T {
+	c := classOf(n)
+	if c >= pooledClasses {
+		return make([]T, 0, n)
+	}
+	var s []T
+	if h, _ := d.pool.classes[c].Get().(*[]T); h != nil {
+		s, *h = *h, nil
+		d.holders = append(d.holders, h)
+	} else {
+		s = make([]T, 0, minPooled<<c)
+	}
+	d.slabs = append(d.slabs, s)
+	return s
+}
+
+// grow returns a copy of s in a slab with room for more elements besides,
+// of at least twice s's capacity, and gives s back if the run drew it.
+func (d *drawn[T]) grow(s []T, more int) []T {
+	ns := append(d.take(max(len(s)+more, 2*cap(s))), s...)
+	if cap(s) > 0 {
+		for i, held := range d.slabs {
+			if &held[:1][0] == &s[:1][0] {
+				d.give(i)
+				break
+			}
+		}
+	}
+	return ns
+}
+
+// give puts the i-th slab back in its class.
+func (d *drawn[T]) give(i int) {
+	s := d.slabs[i]
+	last := len(d.slabs) - 1
+	d.slabs[i], d.slabs[last] = d.slabs[last], nil
+	d.slabs = d.slabs[:last]
+	if d.pool.scrub {
+		clear(s[:cap(s)])
+	}
+	var h *[]T
+	if n := len(d.holders); n > 0 {
+		h, d.holders = d.holders[n-1], d.holders[:n-1]
+	} else {
+		h = new([]T)
+	}
+	*h = s[:0]
+	d.pool.classes[classOf(cap(s))].Put(h)
+}
+
+func (d *drawn[T]) giveAll() {
+	for len(d.slabs) > 0 {
+		d.give(len(d.slabs) - 1)
+	}
+}
+
+// take returns an empty buffer with room for n elements: made when n is
+// at most minPooled, else drawn from the run's part of a pool.
+func take[T any](x *execRun, part func(*scratch) *drawn[T], n int) []T {
+	if n <= minPooled {
+		return make([]T, 0, n)
+	}
+	return part(x.scratch()).take(n)
+}
+
+// grow returns s with room for more elements: grown as append would
+// while it stays within minPooled, else copied into a drawn slab.
+func grow[T any](x *execRun, part func(*scratch) *drawn[T], s []T, more int) []T {
+	if len(s)+more <= minPooled {
+		return slices.Grow(s, more)
+	}
+	return part(x.scratch()).grow(s, more)
+}
+
+// The parts of a scratch, by element type, for take and grow.
+func positions(sc *scratch) *drawn[int32] { return &sc.pos }
+func accs(sc *scratch) *drawn[aggAcc]     { return &sc.accs }
+func values(sc *scratch) *drawn[Value]    { return &sc.values }
+
+// keyMap returns an empty map for lists of arity values of which a run
+// puts at most bound: made with room for sizeHint while bound is at
+// most minPooled, else drawn from the pool of bound's class. A caller
+// whose map does not outlive it makes a small one itself (newKeyMap):
+// made here, it could not stay on the caller's stack.
+func (x *execRun) keyMap(arity, bound, sizeHint int) *keyMap {
+	c := classOf(bound)
+	if bound <= minPooled || c >= pooledClasses {
+		return newKeyMap(arity, sizeHint)
+	}
+	m, _ := keyMaps[c].Get().(*keyMap)
+	if m == nil {
+		m = &keyMap{}
+	}
+	m.reuse(arity, sizeHint)
+	sc := x.scratch()
+	sc.maps = append(sc.maps, drawnMap{m, c})
+	return m
+}
+
 // groups is the aggregate state of one run's groups, in arrays indexed
-// by group id that grow by append as groups open, so a run allocates per
-// growth of the arrays, not per group.
+// by group id that grow as groups open (grow), so a run allocates per
+// growth of the arrays, not per group, and a large run not at all.
 type groups struct {
 	aggs   []*Agg
 	sample []int32   // group g's first input tuple; -1 for the empty global group
@@ -416,22 +591,42 @@ type aggAcc struct {
 	nonInt bool // a counted value was not an INT: SUM is a FLOAT
 }
 
-func newGroups(aggs []*Agg) *groups {
+// newGroups readies the state of groups over n input tuples.
+func newGroups(x *execRun, aggs []*Agg, n int) *groups {
 	gs := &groups{aggs: aggs, seen: make([]*keyMap, len(aggs))}
 	for i, a := range aggs {
 		if a.Func == "MIN" || a.Func == "MAX" {
 			gs.ext = []Value{}
 		}
 		if a.Distinct {
-			gs.seen[i] = newKeyMap(2, 0)
+			gs.seen[i] = x.keyMap(2, n, 0)
+		}
+	}
+	if n > minPooled {
+		// Many tuples may open many groups: start in drawn slabs rather
+		// than pass through the small ones append would make on the way.
+		sc := x.scratch()
+		gs.sample, gs.acc = sc.pos.take(minPooled), sc.accs.take(minPooled)
+		if gs.ext != nil {
+			gs.ext = sc.values.take(minPooled)
 		}
 	}
 	return gs
 }
 
 // open starts a group at tuple sample and returns its id + 1.
-func (gs *groups) open(sample int) int32 {
+func (gs *groups) open(x *execRun, sample int) int32 {
+	if len(gs.sample) == cap(gs.sample) {
+		gs.sample = grow(x, positions, gs.sample, 1)
+	}
 	gs.sample = append(gs.sample, int32(sample))
+	n := len(gs.aggs)
+	if len(gs.acc)+n > cap(gs.acc) {
+		gs.acc = grow(x, accs, gs.acc, n)
+	}
+	if gs.ext != nil && len(gs.ext)+n > cap(gs.ext) {
+		gs.ext = grow(x, values, gs.ext, n)
+	}
 	for range gs.aggs {
 		gs.acc = append(gs.acc, aggAcc{})
 		if gs.ext != nil {
@@ -532,8 +727,11 @@ func (gs *groups) values(g int, out []Value) {
 // getInts) without going through eval; any other tuple, or any other
 // key, goes through eval and the keyMap's hkeys.
 func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*groups, error) {
-	gs := newGroups(aggs)
+	gs := newGroups(x, aggs, in.n)
 	index := newKeyMap(len(key), 0) // group key -> group id + 1
+	if in.n > minPooled {
+		index = x.keyMap(len(key), in.n, 0)
+	}
 	var intCols []*boundCol
 	if intKey {
 		index.withInts(0)
@@ -567,7 +765,7 @@ func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*gr
 			gi = index.get(kv)
 		}
 		if gi == 0 {
-			gi = gs.open(i)
+			gi = gs.open(x, i)
 			if byInts {
 				index.putInts(ints, gi)
 			} else {
@@ -580,7 +778,7 @@ func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*gr
 	}
 	// A global aggregation over zero rows still yields one group.
 	if len(key) == 0 && in.n == 0 {
-		gs.open(-1)
+		gs.open(x, -1)
 	}
 	return gs, nil
 }

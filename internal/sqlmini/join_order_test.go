@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -375,7 +376,9 @@ func TestPlanShapes(t *testing.T) {
 }
 
 // benchStatements runs each named statement as its own sub-benchmark on
-// warm plans, then all of them as "pass".
+// warm plans, then all of them as "pass". Beside ns, B and allocs it
+// reports the rows scanned and the collections run (runtime.NumGC) per
+// op.
 func benchStatements(b *testing.B, e *sqlmini.Engine, names, sqls []string) {
 	stmts := make([]sqlmini.Statement, len(sqls))
 	for i, sql := range sqls {
@@ -392,6 +395,9 @@ func benchStatements(b *testing.B, e *sqlmini.Engine, names, sqls []string) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var scanned int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				scanned = 0
 				for _, st := range stmts {
@@ -402,7 +408,10 @@ func benchStatements(b *testing.B, e *sqlmini.Engine, names, sqls []string) {
 					scanned += res.Scanned
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(scanned), "scanned/op")
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 		})
 	}
 	for i, name := range names {

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"qcpa/internal/sqlmini"
+	"qcpa/internal/workload/tpcapp"
+	"qcpa/internal/workload/tpch"
 )
 
 func mustExec(tb testing.TB, e *sqlmini.Engine, sql string) *sqlmini.Result {
@@ -401,4 +403,70 @@ func TestSamePlanConcurrentRuns(t *testing.T) {
 	if after := e.PlannerStats(); after.Misses != planned.Misses {
 		t.Errorf("concurrent runs built %d more plans: they did not share the cached one", after.Misses-planned.Misses)
 	}
+}
+
+// TestDifferentPlansConcurrentRuns runs the 19 TPC-H templates and the
+// TPC-App reads from four goroutines at once, each goroutine starting at
+// a different statement, so that runs of different plans draw scratch
+// from the package's pools side by side: every run must answer the rows
+// and Scanned of its serial run. The two schemas share table names, so
+// they are two engines; the pools are the package's. Run under -race.
+func TestDifferentPlansConcurrentRuns(t *testing.T) {
+	app := sqlmini.New()
+	if err := tpcapp.Load(app, nil, tpcapp.RowCounts(3), orderSeed); err != nil {
+		t.Fatal(err)
+	}
+	mix, err := tpcapp.Mix(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		e      *sqlmini.Engine
+		sql    string
+		st     sqlmini.Statement
+		serial *sqlmini.Result
+	}
+	var queries []query
+	add := func(e *sqlmini.Engine, sql string) {
+		st, err := sqlmini.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.ExecStmt(st)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		queries = append(queries, query{e, sql, st, res})
+	}
+	h := loadTPCH(t)
+	for _, q := range tpch.Queries() {
+		add(h, q.Journal)
+	}
+	for _, tm := range mix.Templates() {
+		if !tm.Write {
+			add(app, tm.Journal)
+		}
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range queries {
+				q := queries[(i+w*len(queries)/workers)%len(queries)]
+				res, err := q.e.ExecStmt(q.st)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res.Rows, q.serial.Rows) || res.Scanned != q.serial.Scanned {
+					t.Errorf("worker %d: %s differs from its serial run", w, q.sql)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -25,16 +25,17 @@ func vecConds(conjs []conjunct, filter []Expr, t *Table) (vec []cmpLit, rest []E
 			continue
 		}
 		rest = append(rest, filter[i])
-		hoist = hoist && infallible(filter[i])
+		hoist = hoist && infallible(filter[i], false)
 	}
 	return vec, rest
 }
 
 // infallible reports whether eval can never return an error for e:
 // comparisons, LIKE, the logic operators, BETWEEN, IN and IS NULL over
-// columns and literals. Arithmetic and negation fail on text; an
-// aggregate fails outside aggregation.
-func infallible(e Expr) bool {
+// columns, literals and, where e is evaluated against a group (grouped),
+// aggregates, which read the group's value. Arithmetic and negation fail
+// on text; an aggregate fails outside aggregation.
+func infallible(e Expr, grouped bool) bool {
 	ok := true
 	walkExpr(e, func(x Expr) bool {
 		switch x := x.(type) {
@@ -45,7 +46,10 @@ func infallible(e Expr) bool {
 			}
 		case *UnOp:
 			ok = ok && x.Op == "NOT"
-		case *Agg, *ColRef:
+		case *Agg:
+			ok = ok && grouped
+			return false // its operand is groups.add's to evaluate
+		case *ColRef:
 			ok = false
 		}
 		return ok

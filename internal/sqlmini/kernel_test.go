@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -223,8 +224,9 @@ func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexO
 
 // generic returns a plan for the same statement with every
 // specialisation taken out: its scans evaluate their whole filter, its
-// aggregates go through eval, its keys through hkeys, and its groups are
-// keyed by the whole GROUP BY list.
+// aggregates go through eval, its keys through hkeys, its groups are
+// keyed by the whole GROUP BY list, and an ORDER BY … LIMIT projects
+// every row before it sorts.
 func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 	t.Helper()
 	p, err := e.buildPlan(st.AST.(*SelectStmt), e.loadView())
@@ -241,18 +243,22 @@ func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 		a.bare = nil
 	}
 	p.groupKey, p.groupInt = p.groupBy, false
+	p.selectFirst = false
 	return p
 }
 
 // TestSpecialisedPlansAgainstGeneric runs statements that take each
 // plan-time specialisation — vector filters, aggregates of a bare
-// column, integer join keys, group keys of one or two integers, group
-// keys without the columns a grouped pk determines —
+// column, join keys of one or two integers, group keys of one or two
+// integers, group keys without the columns a grouped pk determines,
+// selecting an ORDER BY … LIMIT's rows before projecting them —
 // beside the same plan with all of them taken out (generic): same rows
 // in the same order, bit for bit (a float sum depends on its order of
-// addition), and the same Scanned. The table holds NULL keys and
-// operands, NaN, both zeros and integers past 2^53; d's pk-determined
-// columns hold NULLs.
+// addition), and the same Scanned, or the same error. The table holds
+// NULL keys and operands, NaN, both zeros and integers past 2^53; d's
+// pk-determined columns hold NULLs. An output that fails on a row
+// outside the LIMIT keeps its plan off the select-first path, so its
+// error still comes out.
 func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 	e, _ := kernelTable(t)
 	mustExec(t, e, `CREATE TABLE d (dk INT PRIMARY KEY, tag TEXT, w FLOAT)`)
@@ -284,6 +290,22 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		`SELECT tag, w, COUNT(*) FROM d JOIN k ON jk = dk GROUP BY tag, w, id`,
 		`SELECT a.id, b.i, COUNT(*), SUM(b.f) FROM k a JOIN k b ON a.i = b.jk WHERE a.id < 400 GROUP BY a.id, b.i`,
 		`SELECT b.i, COUNT(*) FROM k a JOIN k b ON a.i = b.jk GROUP BY b.i, a.id, a.g ORDER BY b.i`,
+		`SELECT a.id, b.id, b.f FROM k a JOIN k b ON a.jk = b.jk AND b.i = a.i WHERE a.id < 300`,
+		`SELECT tag, COUNT(*) FROM d JOIN k ON jk = dk AND i = dk GROUP BY tag`,
+		// Select before project: ties, a key that is no output, HAVING,
+		// LIMIT 0, a LIMIT past the groups, DISTINCT, fallible outputs.
+		`SELECT jk, COUNT(*) AS c, SUM(f), MIN(g) FROM k GROUP BY jk ORDER BY c DESC LIMIT 5`,
+		`SELECT g, jk, COUNT(*) AS c, AVG(i) FROM k GROUP BY g, jk ORDER BY c DESC, g LIMIT 7`,
+		`SELECT id, g, f FROM k WHERE jk < 10 ORDER BY i DESC, f LIMIT 9`,
+		`SELECT jk, SUM(f) AS s FROM k GROUP BY jk ORDER BY g DESC, jk LIMIT 4`,
+		`SELECT jk, COUNT(*) AS c FROM k GROUP BY jk HAVING COUNT(*) > 50 ORDER BY c, jk DESC LIMIT 6`,
+		`SELECT id, f FROM k ORDER BY f LIMIT 0`,
+		`SELECT g, COUNT(*) AS c FROM k GROUP BY g ORDER BY c LIMIT 0`,
+		`SELECT g, SUM(i) AS s, MAX(f) FROM k GROUP BY g ORDER BY s DESC LIMIT 100`,
+		`SELECT DISTINCT jk, g FROM k ORDER BY jk DESC LIMIT 8`,
+		`SELECT dk, tag + 1 FROM d ORDER BY dk LIMIT 1`,
+		`SELECT dk, tag + 1, COUNT(*) FROM d JOIN k ON jk = dk GROUP BY dk, tag ORDER BY dk LIMIT 1`,
+		`SELECT dk, tag + 1 AS t FROM d ORDER BY t DESC, dk LIMIT 2`,
 	} {
 		st, err := Parse(sql)
 		if err != nil {
@@ -300,6 +322,11 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		}
 		for i := range spec.joins {
 			used["integer join key"] = used["integer join key"] || spec.joins[i].ints
+			used["two-integer join key"] = used["two-integer join key"] || (spec.joins[i].ints && len(spec.joins[i].leftKeys) == 2)
+		}
+		used["select before project"] = used["select before project"] || spec.selectFirst
+		if strings.Contains(sql, "tag + 1") && !strings.Contains(sql, "ORDER BY t ") && spec.selectFirst {
+			t.Errorf("%s: selects before it projects an output that can fail", sql)
 		}
 		for _, a := range spec.aggs {
 			used["bare aggregate"] = used["bare aggregate"] || a.bare != nil
@@ -308,11 +335,19 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		used["two-integer group key"] = used["two-integer group key"] || (spec.groupInt && len(spec.groupKey) == 2)
 		used["pk-determined group column dropped"] = used["pk-determined group column dropped"] || len(spec.groupKey) < len(spec.groupBy)
 		got, want := &Result{}, &Result{}
-		if err := spec.run(context.Background(), v, st.Params, got); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		err = spec.run(context.Background(), v, st.Params, got)
+		gerr := generic(t, e, st).run(context.Background(), v, st.Params, want)
+		if fails := strings.Contains(sql, "tag + 1"); fails != (gerr != nil) {
+			t.Fatalf("%s: generic: %v", sql, gerr)
 		}
-		if err := generic(t, e, st).run(context.Background(), v, st.Params, want); err != nil {
-			t.Fatalf("%s: generic: %v", sql, err)
+		if gerr != nil {
+			if err == nil || err.Error() != gerr.Error() {
+				t.Fatalf("%s: %v, generic %v", sql, err, gerr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
 		if got.Scanned != want.Scanned || len(got.Rows) != len(want.Rows) {
 			t.Fatalf("%s: %d rows from %d scanned, generic %d from %d", sql, len(got.Rows), got.Scanned, len(want.Rows), want.Scanned)
@@ -325,8 +360,8 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "bare aggregate", "integer group key",
-		"two-integer group key", "pk-determined group column dropped"} {
+	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "two-integer join key", "bare aggregate",
+		"integer group key", "two-integer group key", "pk-determined group column dropped", "select before project"} {
 		if !used[what] {
 			t.Errorf("no statement took the specialisation %q", what)
 		}

@@ -64,8 +64,10 @@ func appendKey(buf []byte, v Value) []byte {
 // two-value lists are keyed by the hkeys themselves; longer ones by
 // their rendering, which get builds in a reused buffer and only put
 // copies into a string. It backs the hash join's build table, GROUP
-// BY, SELECT DISTINCT and COUNT(DISTINCT): all per-run state, never
-// shared between executions.
+// BY, SELECT DISTINCT and COUNT(DISTINCT). A map is one run's: a run
+// with many lists to key draws it from the package's pools
+// (execRun.keyMap) and empties it back when it returns, so no two runs
+// ever hold one map at once.
 //
 // A map whose lists are one or two INT columns may key each list with
 // no NULL in it by its integers instead (withInts): one in ints, two in
@@ -96,14 +98,40 @@ func newKeyMap(arity, sizeHint int) *keyMap {
 	return m
 }
 
+// reuse readies m, a map from the pools, new or emptied (empty), for
+// lists of arity values: the map those are keyed in is made when m has
+// none yet, and any map m has keeps the room it grew to.
+func (m *keyMap) reuse(arity, sizeHint int) {
+	m.arity = arity
+	switch {
+	case arity == 1 && m.one == nil:
+		m.one = make(map[hkey]int32, sizeHint)
+	case arity == 2 && m.two == nil:
+		m.two = make(map[[2]hkey]int32, sizeHint)
+	case arity != 1 && arity != 2 && m.many == nil:
+		m.many = make(map[string]int32, sizeHint)
+	}
+}
+
+// empty deletes every list from m, keeping each map's room for the
+// next run that draws it.
+func (m *keyMap) empty() {
+	clear(m.ints)
+	clear(m.pairs)
+	clear(m.one)
+	clear(m.two)
+	clear(m.many)
+}
+
 // withInts readies m, a map of one- or two-value lists, to key lists
 // of integers by getInts and putInts as well. A map whose lists are
-// never NULL (a join of two INT columns) is sized for the integers
-// alone: newKeyMap(1, 0), then withInts(n).
+// never NULL (a join of INT columns) is sized for the integers alone:
+// newKeyMap(arity, 0), then withInts(n).
 func (m *keyMap) withInts(sizeHint int) {
-	if m.arity == 1 {
+	switch {
+	case m.arity == 1 && m.ints == nil:
 		m.ints = make(map[int64]int32, sizeHint)
-	} else {
+	case m.arity == 2 && m.pairs == nil:
 		m.pairs = make(map[[2]int64]int32, sizeHint)
 	}
 }

@@ -52,6 +52,12 @@ package sqlmini
 //     BY <indexed column> LIMIT k may walk that order instead of sorting
 //     (selectPlan.walk), and a one-table LIMIT with no ORDER BY stops its
 //     scan at the k-th row. selectPlan.describe prints the choices.
+//
+//   - Execution (selectPlan.run). Steps hand on row positions, not rows
+//     (tuples). A run's scratch past minPooled elements comes from the
+//     package's pools and goes back when the run returns (exec.go), and
+//     an ORDER BY … LIMIT ranks on its sort keys before it projects
+//     (selectPlan.selectFirst).
 
 import (
 	"context"
@@ -646,9 +652,10 @@ type joinNode struct {
 	probe      int
 	probeBelow int
 
-	// ints marks a step whose one key pair joins two columns declared INT:
-	// its hash table is keyed by the int64 itself (joinNode.intKey), which
-	// matches exactly the pairs the hkeys of the two Values would.
+	// ints marks a step whose one or two key pairs each join two columns
+	// declared INT: its hash table is keyed by the int64s themselves
+	// (joinNode.intKey), which match exactly the pairs the hkeys of the
+	// Values would.
 	ints bool
 }
 
@@ -686,6 +693,14 @@ type selectPlan struct {
 	// the prefix's order — or the index ends. finish then sorts nothing.
 	walk     bool
 	walkDesc bool
+
+	// selectFirst marks an ORDER BY … LIMIT k without DISTINCT or a walk
+	// whose outputs the ORDER BY does not name, and whose ORDER BY
+	// expressions, cannot fail (infallible): finish ranks the candidates
+	// on keyOuts — the outputs the ORDER BY names, ascending — and its
+	// expressions, and projects the k best alone (selectThenProject).
+	selectFirst bool
+	keyOuts     []int
 
 	reordered bool // join order differs from textual order
 }
@@ -1378,8 +1393,10 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			jn.extra = append(jn.extra, be)
 			assigned[ci] = true
 		}
-		jn.ints = len(jn.leftKeys) == 1 && colType(pos, jn.rightKeys[0]) == KindInt &&
-			colType(jn.leftKeys[0].scan, jn.leftKeys[0].col) == KindInt
+		jn.ints = len(jn.leftKeys) == 1 || len(jn.leftKeys) == 2
+		for c, lk := range jn.leftKeys {
+			jn.ints = jn.ints && colType(pos, jn.rightKeys[c]) == KindInt && colType(lk.scan, lk.col) == KindInt
+		}
 		p.joins = append(p.joins, jn)
 		placed = nowPlaced
 	}
@@ -1465,6 +1482,28 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		}
 		p.orderBy = append(p.orderBy, spec)
 	}
+	if p.limit >= 0 && len(p.orderBy) > 0 && !p.distinct && !p.walk {
+		grouped := len(p.aggs) > 0 || len(p.groupBy) > 0
+		named := make([]bool, len(p.outExprs))
+		p.selectFirst = true
+		for _, spec := range p.orderBy {
+			if spec.outIdx >= 0 {
+				named[spec.outIdx] = true
+			} else {
+				p.selectFirst = p.selectFirst && infallible(spec.expr, false)
+			}
+		}
+		for i, oe := range p.outExprs {
+			if named[i] {
+				p.keyOuts = append(p.keyOuts, i)
+			} else {
+				p.selectFirst = p.selectFirst && infallible(oe, grouped)
+			}
+		}
+		if !p.selectFirst {
+			p.keyOuts = nil
+		}
+	}
 	return p, nil
 }
 
@@ -1505,7 +1544,9 @@ func groupKey(groupBy []Expr, scans []scanNode) []Expr {
 // pointer for the collector to follow. Tuples keep the order the step
 // produced them in. A scan's output is tuples of width one — the
 // positions of the rows it kept — and may be an index's own slice: ids
-// is never written once handed on.
+// is never written once handed on. A slab is run scratch: made while
+// small, past minPooled drawn from the pools and given back when the
+// run returns (exec.go); an index's own slice never goes to a pool.
 type tuples struct {
 	w    int
 	n    int
@@ -1537,6 +1578,19 @@ type execRun struct {
 	// through the join steps. kept[i] is what step i keeps between
 	// windows, nil for any other plan.
 	kept []stepState
+
+	// sc is what the run has drawn from the pools (run scratch, exec.go):
+	// nil until its first draw, all given back when run returns.
+	sc *scratch
+}
+
+// scratch returns the run's scratch, taking one from the pool on the
+// run's first draw.
+func (x *execRun) scratch() *scratch {
+	if x.sc == nil {
+		x.sc = scratches.Get().(*scratch)
+	}
+	return x.sc
 }
 
 // stepState is what a join step of an ordered walk decides or builds on
@@ -1589,6 +1643,11 @@ func (x *execRun) poll(i int) error {
 func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *Result) error {
 	res.Columns = p.outNames
 	x := &execRun{ctx: ctx, p: p, v: v, res: res}
+	defer func() {
+		if x.sc != nil {
+			x.sc.release()
+		}
+	}()
 	x.ec.params = params
 	if n := len(p.scans); n <= len(smallRun{}.cur) {
 		buf := new(smallRun)
@@ -1738,9 +1797,12 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		if err := x.ctx.Err(); err != nil {
 			return err
 		}
+		if cap(window) < size {
+			window = grow(x, positions, window[:0], size)
+		}
 		window = w.next(window[:0], size)
 		x.res.Scanned += int64(len(window))
-		cur := tuples{w: 1, ids: make([]int32, 0, len(window))}
+		cur := tuples{w: 1, ids: take(x, positions, len(window))}
 		for _, ri := range window {
 			if ok, err := s.passes(x, 0, int(ri), s.inRange); err != nil {
 				return err
@@ -1752,6 +1814,9 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		cur, err := x.joinAll(cur)
 		if err != nil {
 			return err
+		}
+		if len(all.ids)+len(cur.ids) > cap(all.ids) {
+			all.ids = grow(x, positions, all.ids, len(cur.ids))
 		}
 		all.ids, all.n = append(all.ids, cur.ids...), all.n+cur.n
 	}
@@ -1811,11 +1876,19 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 // scanAll reads every row: a sealed chunk at a time — the conjuncts that
 // run on a column vector (s.vec) narrow a selection of the chunk's rows,
 // the others (s.rest) are evaluated on what is left of it — then the
-// tail, row by row.
+// tail, row by row. A scan that may keep more than minPooled rows keeps
+// them in a slab with room for all it may keep.
 func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 	out := tuples{w: 1}
 	if s.limit == 0 {
 		return out, nil
+	}
+	most := rows.len()
+	if s.limit > 0 {
+		most = min(most, s.limit)
+	}
+	if most > minPooled {
+		out.ids = take(x, positions, most)
 	}
 	var buf [rowChunkLen]uint16
 	cur := &x.ec.cur[k]
@@ -1866,7 +1939,7 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 // rest of the filter, in position order: the rows, and the order, a scan
 // of the table would have kept.
 func (s *scanNode) fetchRun(x *execRun, k int, run []int32) (tuples, error) {
-	at := slices.Clone(run)
+	at := append(take(x, positions, len(run)), run...)
 	slices.Sort(at)
 	return s.fetch(x, k, at, s.inRange)
 }
@@ -1883,7 +1956,7 @@ func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []Expr) (tuples, e
 	if s.limit >= 0 {
 		most = min(most, s.limit)
 	}
-	out := make([]int32, 0, most)
+	out := take(x, positions, most)
 	for i, ri := range at {
 		if s.limit >= 0 && len(out) >= s.limit {
 			break
@@ -1940,14 +2013,21 @@ func (j *joinNode) key(x *execRun, left, right *tuples, ofLeft bool, i int, kv [
 	return true
 }
 
-// intKey is key for a step whose one key pair joins two INT columns
-// (joinNode.ints): the key as the int64 it is stored as.
-func (j *joinNode) intKey(x *execRun, left, right *tuples, ofLeft bool, i int) (int64, bool) {
-	if ofLeft {
-		k := j.leftKeys[0]
-		return x.stores[k.scan].int(left.pos(i, k.scan), k.col)
+// intKey is key for a step whose key pairs join INT columns
+// (joinNode.ints): the key as the int64s it is stored as, k[1] 0 for a
+// one-column key.
+func (j *joinNode) intKey(x *execRun, left, right *tuples, ofLeft bool, i int) (k [2]int64, ok bool) {
+	for c, lk := range j.leftKeys {
+		if ofLeft {
+			k[c], ok = x.stores[lk.scan].int(left.pos(i, lk.scan), lk.col)
+		} else {
+			k[c], ok = x.stores[left.w].int(right.pos(i, 0), j.rightKeys[c])
+		}
+		if !ok {
+			return k, false
+		}
 	}
-	return x.stores[left.w].int(right.pos(i, 0), j.rightKeys[0])
+	return k, true
 }
 
 // joinOut collects the tuples one join step emits: prefix tuples of
@@ -1958,9 +2038,9 @@ type joinOut struct {
 	out   tuples
 }
 
-func (j *joinNode) begin(left tuples) joinOut {
+func (j *joinNode) begin(x *execRun, left tuples) joinOut {
 	return joinOut{extra: j.extra, left: left,
-		out: tuples{w: left.w + 1, ids: make([]int32, 0, left.n*(left.w+1))}}
+		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}}
 }
 
 // emit appends the tuple (prefix tuple li, the joined table's row at
@@ -1976,6 +2056,9 @@ func (o *joinOut) emit(x *execRun, li, ri int) error {
 		if ok, err := passes(o.extra, &x.ec); err != nil || !ok {
 			return err
 		}
+	}
+	if len(o.out.ids)+o.out.w > cap(o.out.ids) {
+		o.out.ids = grow(x, positions, o.out.ids, o.out.w)
 	}
 	if left.ids == nil {
 		o.out.ids = append(o.out.ids, int32(left.from+li), int32(ri))
@@ -1996,7 +2079,7 @@ func (o *joinOut) emit(x *execRun, li, ri int) error {
 // probe). A NULL key matches nothing, on either side.
 func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView) (tuples, error) {
 	k := left.w
-	o := j.begin(left)
+	o := j.begin(x, left)
 	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
 	var ib indexBuckets
 	byPk := pcol == tv.t.pkCol
@@ -2064,7 +2147,7 @@ type hashBuild struct {
 // keep, and builds on the table's rows once for all its windows. Build
 // and probe loops observe context cancellation.
 func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples, error) {
-	o := j.begin(left)
+	o := j.begin(x, left)
 
 	if len(j.leftKeys) == 0 {
 		// Nested loop: no equi keys link this table to the prefix.
@@ -2097,12 +2180,13 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 		hb = keep.build
 	}
 	if hb == nil {
-		hb = &hashBuild{next: make([]int32, nBuild)}
+		hb = &hashBuild{next: take(x, positions, nBuild)[:nBuild]}
+		clear(hb.next)
 		if j.ints {
-			hb.heads = newKeyMap(1, 0)
+			hb.heads = x.keyMap(len(j.leftKeys), nBuild, 0)
 			hb.heads.withInts(nBuild)
 		} else {
-			hb.heads = newKeyMap(len(j.leftKeys), nBuild)
+			hb.heads = x.keyMap(len(j.leftKeys), nBuild, nBuild)
 		}
 		for b := nBuild - 1; b >= 0; b-- {
 			if err := x.poll(b); err != nil {
@@ -2110,8 +2194,8 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 			}
 			if j.ints {
 				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
-					hb.next[b] = hb.heads.getInts([2]int64{k})
-					hb.heads.putInts([2]int64{k}, int32(b)+1)
+					hb.next[b] = hb.heads.getInts(k)
+					hb.heads.putInts(k, int32(b)+1)
 				}
 			} else if j.key(x, &left, &right, buildLeft, b, kv) {
 				hb.next[b] = hb.heads.get(kv)
@@ -2129,7 +2213,7 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 		var b int32
 		if j.ints {
 			if k, ok := j.intKey(x, &left, &right, !buildLeft, i); ok {
-				b = hb.heads.getInts([2]int64{k})
+				b = hb.heads.getInts(k)
 			}
 		} else if j.key(x, &left, &right, !buildLeft, i, kv) {
 			b = hb.heads.get(kv)
@@ -2158,13 +2242,23 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 	if !groupMode && !p.distinct && sorted && p.limit >= 0 && in.n > p.limit {
 		in.n = p.limit
 	}
+	var gs *groups
+	if groupMode {
+		var err error
+		if gs, err = groupRows(x, in, p.groupKey, p.groupInt, p.aggs); err != nil {
+			return err
+		}
+	}
+	if p.selectFirst {
+		return p.selectThenProject(x, in, gs)
+	}
 
 	// Output rows are cut from one slab. inputs[i] is the tuple output
 	// row i evaluates its ORDER BY expressions against (a group's first
 	// tuple); nil while row i still comes from tuple i.
 	nout := len(p.outExprs)
 	var outRows []Row
-	var inputs []int
+	var inputs []int32
 	var slab []Value
 	project := func(ec *evalCtx) error {
 		or := slab[:nout:nout]
@@ -2179,14 +2273,10 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		outRows = append(outRows, or)
 		return nil
 	}
-	if groupMode {
-		gs, err := groupRows(x, in, p.groupKey, p.groupInt, p.aggs)
-		if err != nil {
-			return err
-		}
+	if gs != nil {
 		slab = make([]Value, len(gs.sample)*nout)
 		outRows = make([]Row, 0, len(gs.sample))
-		inputs = make([]int, 0, len(gs.sample))
+		inputs = take(x, positions, len(gs.sample))
 		gctx := &evalCtx{cur: x.ec.cur, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
 		for g, sample := range gs.sample {
 			x.load(&in, int(sample))
@@ -2203,7 +2293,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 			if err := project(gctx); err != nil {
 				return err
 			}
-			inputs = append(inputs, int(sample))
+			inputs = append(inputs, sample)
 		}
 	} else {
 		slab = make([]Value, in.n*nout)
@@ -2221,8 +2311,11 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 
 	if p.distinct {
 		seen := newKeyMap(nout, len(outRows))
+		if len(outRows) > minPooled {
+			seen = x.keyMap(nout, len(outRows), len(outRows))
+		}
 		kept := outRows[:0]
-		keptIn := make([]int, 0, len(outRows))
+		keptIn := take(x, positions, len(outRows))
 		for i, r := range outRows {
 			if seen.get(r) != 0 {
 				continue
@@ -2230,7 +2323,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 			seen.put(r, 1)
 			kept = append(kept, r)
 			if inputs == nil {
-				keptIn = append(keptIn, i)
+				keptIn = append(keptIn, int32(i))
 			} else {
 				keptIn = append(keptIn, inputs[i])
 			}
@@ -2251,6 +2344,88 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 	return nil
 }
 
+// selectThenProject is finish for a selectFirst plan, over the tuples of
+// in or, grouped, over gs's groups. Of each candidate it evaluates what
+// ranks it — HAVING, the outputs the ORDER BY names (keyOuts) and the
+// ORDER BY's own expressions — and keeps the LIMIT best under
+// topRows.cmp; then it projects those alone, in order. The outputs it
+// never evaluates for the others cannot fail, so the error, the rows,
+// their order and their float bits are those of projecting every
+// candidate and sorting them.
+func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error {
+	n, ctx := in.n, &x.ec
+	if gs != nil {
+		n = len(gs.sample)
+		ctx = &evalCtx{cur: x.ec.cur, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+	}
+	// load makes candidate i current: tuple i, or group i's first tuple
+	// and its aggregates.
+	load := func(i int) {
+		if gs == nil {
+			x.load(&in, i)
+			return
+		}
+		x.load(&in, int(gs.sample[i]))
+		gs.values(i, ctx.aggs)
+	}
+	h := newTopRows(x, p.orderBy, min(p.limit, n))
+	for i := 0; i < n; i++ {
+		if err := x.poll(i); err != nil {
+			return err
+		}
+		load(i)
+		if p.having != nil {
+			hv, err := eval(p.having, ctx)
+			if err != nil {
+				return err
+			}
+			if !hv.Truth() {
+				continue
+			}
+		}
+		for _, oi := range p.keyOuts {
+			v, err := eval(p.outExprs[oi], ctx)
+			if err != nil {
+				return err
+			}
+			for ki, spec := range p.orderBy {
+				if spec.outIdx == oi {
+					h.cand.keys[ki] = v
+				}
+			}
+		}
+		for ki, spec := range p.orderBy {
+			if spec.outIdx >= 0 {
+				continue
+			}
+			v, err := eval(spec.expr, &x.ec)
+			if err != nil {
+				return err
+			}
+			h.cand.keys[ki] = v
+		}
+		h.offer(nil, i)
+	}
+	h.sort()
+	nout := len(p.outExprs)
+	slab := make([]Value, len(h.items)*nout)
+	rows := make([]Row, len(h.items))
+	for r, it := range h.items {
+		load(it.pos)
+		row := slab[r*nout:][:nout:nout]
+		for c, oe := range p.outExprs {
+			v, err := eval(oe, ctx)
+			if err != nil {
+				return err
+			}
+			row[c] = v
+		}
+		rows[r] = row
+	}
+	x.res.Rows = rows
+	return nil
+}
+
 // sortItem is one output row with its evaluated ORDER BY keys and its
 // position in the unsorted output.
 type sortItem struct {
@@ -2259,11 +2434,23 @@ type sortItem struct {
 	pos  int
 }
 
-// topRows keeps the best rows seen so far under an ORDER BY, as a
-// max-heap with the worst on top once it is full.
+// topRows keeps the best keep rows offered under an ORDER BY, as a
+// max-heap with the worst on top once it is full and a row is offered
+// past it.
 type topRows struct {
 	specs []orderSpec
+	keep  int
 	items []sortItem
+	heap  bool     // items is a heap
+	keys  []Value  // the items' keys, len(specs) each
+	cand  sortItem // the row on offer: offer's caller sets its keys
+}
+
+func newTopRows(x *execRun, specs []orderSpec, keep int) topRows {
+	nk := len(specs)
+	keys := take(x, values, (keep+1)*nk)[:(keep+1)*nk]
+	return topRows{specs: specs, keep: keep, items: make([]sortItem, 0, keep),
+		keys: keys[:keep*nk], cand: sortItem{keys: keys[keep*nk:]}}
 }
 
 // cmp orders two items by the ORDER BY keys, then by position: a total
@@ -2296,32 +2483,65 @@ func (h *topRows) siftDown(i int) {
 	}
 }
 
+// offer keeps the candidate — h.cand's keys, row and position pos — if
+// it is among the best keep offered so far. Positions are offered in
+// ascending order.
+func (h *topRows) offer(row Row, pos int) {
+	h.cand.row, h.cand.pos = row, pos
+	nk := len(h.specs)
+	if len(h.items) < h.keep {
+		it := sortItem{row: row, keys: h.keys[len(h.items)*nk:][:nk:nk], pos: pos}
+		copy(it.keys, h.cand.keys)
+		h.items = append(h.items, it)
+		return
+	}
+	if h.keep == 0 {
+		return
+	}
+	if !h.heap {
+		for top := h.keep/2 - 1; top >= 0; top-- {
+			h.siftDown(top)
+		}
+		h.heap = true
+	}
+	// Full: a later row with equal keys sorts after the heap's worst
+	// (larger position), so only a strictly better row displaces it.
+	if h.cmp(&h.cand, &h.items[0]) >= 0 {
+		return
+	}
+	copy(h.items[0].keys, h.cand.keys)
+	h.items[0].row, h.items[0].pos = row, pos
+	h.siftDown(0)
+}
+
+// sort puts the items kept in ORDER BY order.
+func (h *topRows) sort() {
+	slices.SortFunc(h.items, func(a, b sortItem) int { return h.cmp(&a, &b) })
+}
+
 // order sorts the output rows by the ORDER BY keys, ties in input
 // order, and returns the first LIMIT of them (all without a LIMIT).
 // Keys that are not output columns are evaluated against tuple
 // inputs[i] of in (tuple i when inputs is nil). Under a LIMIT k only
 // the best k rows seen so far are kept, so the sort costs O(n log k)
 // and k key slices, not n.
-func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int) ([]Row, error) {
+func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int32) ([]Row, error) {
 	keep := len(outRows)
 	if p.limit >= 0 && p.limit < keep {
 		keep = p.limit
 	}
-	nk := len(p.orderBy)
-	h := &topRows{specs: p.orderBy, items: make([]sortItem, 0, keep)}
-	keySlab := make([]Value, keep*nk)
-	cand := sortItem{keys: make([]Value, nk)}
+	h := newTopRows(x, p.orderBy, keep)
 	for i, r := range outRows {
 		loaded := false
 		for oi, spec := range p.orderBy {
 			if spec.outIdx >= 0 {
-				cand.keys[oi] = r[spec.outIdx]
+				h.cand.keys[oi] = r[spec.outIdx]
 				continue
 			}
 			if !loaded {
 				ti := i
 				if inputs != nil {
-					ti = inputs[i]
+					ti = int(inputs[i])
 				}
 				x.load(&in, ti)
 				loaded = true
@@ -2330,30 +2550,11 @@ func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int) (
 			if err != nil {
 				return nil, err
 			}
-			cand.keys[oi] = v
+			h.cand.keys[oi] = v
 		}
-		cand.row, cand.pos = r, i
-		if len(h.items) < keep {
-			it := sortItem{row: r, keys: keySlab[len(h.items)*nk:][:nk:nk], pos: i}
-			copy(it.keys, cand.keys)
-			h.items = append(h.items, it)
-			if len(h.items) == keep && keep < len(outRows) {
-				for top := keep/2 - 1; top >= 0; top-- {
-					h.siftDown(top)
-				}
-			}
-			continue
-		}
-		// Full: a later row with equal keys sorts after the heap's worst
-		// (larger position), so only a strictly better row displaces it.
-		if keep == 0 || h.cmp(&cand, &h.items[0]) >= 0 {
-			continue
-		}
-		copy(h.items[0].keys, cand.keys)
-		h.items[0].row, h.items[0].pos = r, i
-		h.siftDown(0)
+		h.offer(r, i)
 	}
-	slices.SortFunc(h.items, func(a, b sortItem) int { return h.cmp(&a, &b) })
+	h.sort()
 	outRows = outRows[:len(h.items)]
 	for i := range h.items {
 		outRows[i] = h.items[i].row

@@ -76,10 +76,6 @@ type Config struct {
 	// the deadline returns context.DeadlineExceeded (an abandoned ROWA
 	// write still completes on the replicas — see executeWrite).
 	Timeout time.Duration
-	// JournalCap bounds the distinguishable statements kept in the
-	// query journal (default 8192); the least-frequent eighth is
-	// evicted when the cap is reached.
-	JournalCap int
 	// MaxRetries is the number of additional replicas a failing read
 	// may fail over to (default 2). Each retry picks a not-yet-tried
 	// live replica via the scheduling policy.
@@ -312,7 +308,16 @@ func (c *Cluster) all() []*backend { return *c.nodes.Load() }
 // update fan-out).
 func (c *Cluster) setNodes(bs []*backend) { c.nodes.Store(&bs) }
 
+// journalCap bounds the query journal's lines. A line is a statement
+// shape, so TPC-App's 10 templates and TPC-H's 19 never reach it; it is
+// there because client SQL can make any number of shapes (a LIMIT count
+// is not a literal, and IN-list lengths and aliases vary).
+const journalCap = 8192
+
+// journalLine is one shape's executions: how many, their summed time,
+// and the least text seen (its literals are the line's).
 type journalLine struct {
+	sql   string
 	count int
 	total time.Duration
 }
@@ -321,9 +326,6 @@ type journalLine struct {
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends")
-	}
-	if cfg.JournalCap <= 0 {
-		cfg.JournalCap = 8192
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
@@ -651,9 +653,8 @@ func (c *Cluster) ExecuteContext(ctx context.Context, req workload.Request) (*Re
 }
 
 // executeRouted runs an already-parsed, already-routed request and
-// records it in the query journal under the request's SQL text (for a
-// prepared execution that is the template, so the journal aggregates
-// the class instead of one line per bound literal set).
+// records it in the query journal on its shape's line (ad hoc and
+// prepared executions of one template share it).
 func (c *Cluster) executeRouted(ctx context.Context, stmt sqlmini.Statement, req workload.Request, tables []string) (*Result, error) {
 	start := time.Now()
 	var res *Result
@@ -667,7 +668,7 @@ func (c *Cluster) executeRouted(ctx context.Context, stmt sqlmini.Statement, req
 		return nil, err
 	}
 	res.Duration = time.Since(start)
-	c.record(req.SQL, res.Duration)
+	c.record(stmt, req.SQL, res.Duration)
 	return res, nil
 }
 
@@ -873,21 +874,27 @@ func (c *Cluster) executeWrite(ctx context.Context, stmt sqlmini.Statement, clas
 	return &Result{Backend: fmt.Sprintf("%d replicas", e.targets), Affected: e.affected}, nil
 }
 
-// record appends to the query history (Figure 3's journal). The
-// journal is bounded by Config.JournalCap distinguishable statements:
-// admitting a new statement at the cap first evicts the least-frequent
-// eighth of the journal, so long-running servers under an unbounded
-// stream of distinct texts (generated point lookups) keep the hot
-// classification input without growing without limit.
-func (c *Cluster) record(sql string, d time.Duration) {
+// record adds one execution of stmt, sent as sql, to the query history
+// (Figure 3's journal) on the line of its shape (Shape.Key), which keeps
+// the least text seen: the journal has one line per template, whatever
+// the arrival order. A statement that names no table (DDL) has nothing
+// to classify and is not journaled. Admitting a new shape at journalCap
+// first evicts the least-frequent eighth of the lines.
+func (c *Cluster) record(stmt sqlmini.Statement, sql string, d time.Duration) {
+	if len(stmt.Tables) == 0 {
+		return
+	}
+	key := stmt.Key()
 	c.journalMu.Lock()
-	line, ok := c.journal[sql]
+	line, ok := c.journal[key]
 	if !ok {
-		if len(c.journal) >= c.cfg.JournalCap {
+		if len(c.journal) >= journalCap {
 			c.evictJournalLocked()
 		}
-		line = &journalLine{}
-		c.journal[sql] = line
+		line = &journalLine{sql: sql}
+		c.journal[key] = line
+	} else if sql < line.sql {
+		line.sql = sql
 	}
 	line.count++
 	line.total += d
@@ -895,30 +902,31 @@ func (c *Cluster) record(sql string, d time.Duration) {
 }
 
 // evictJournalLocked drops the least-frequent eighth of the journal (at
-// least one entry). Equally cold entries go in sorted SQL order, not map
+// least one line). Equally cold lines go in sorted key order, not map
 // order, so the survivors are reproducible run to run (the journal feeds
 // the classification, which feeds Result).
 //
 //qcpa:locks journalMu
 func (c *Cluster) evictJournalLocked() {
-	for _, sql := range stats.ColdestEighth(c.journal, func(line *journalLine) int64 { return int64(line.count) }) {
-		delete(c.journal, sql)
+	for _, key := range stats.ColdestEighth(c.journal, func(line *journalLine) int64 { return int64(line.count) }) {
+		delete(c.journal, key)
 	}
 }
 
 // History returns the recorded journal as classification input: one
-// entry per distinguishable query with its occurrence count and average
-// execution time in milliseconds (Eq. 4's weight source).
+// entry per statement shape, its least text with the shape's occurrence
+// count and average execution time in milliseconds (Eq. 4's weight
+// source), sorted by text.
 func (c *Cluster) History() []classify.Entry {
 	c.journalMu.Lock()
 	defer c.journalMu.Unlock()
 	entries := make([]classify.Entry, 0, len(c.journal))
-	for sql, line := range c.journal {
+	for _, line := range c.journal {
 		avg := float64(line.total.Microseconds()) / float64(line.count) / 1000
 		if avg <= 0 {
 			avg = 0.001
 		}
-		entries = append(entries, classify.Entry{SQL: sql, Count: line.count, Cost: avg})
+		entries = append(entries, classify.Entry{SQL: line.sql, Count: line.count, Cost: avg})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].SQL < entries[j].SQL })
 	return entries

@@ -24,8 +24,9 @@ import (
 // calls.
 type Prepared struct {
 	// SQL is the template text the statement was prepared from; its
-	// literals are the bindable positions, and journal entries for every
-	// execution aggregate under this text.
+	// literals are the bindable positions. Every execution is journaled
+	// on the line of the template's shape, which ad hoc executions of the
+	// template share.
 	SQL string
 	// Class is the query class the statement routes as ("" routes by
 	// the tables the statement names).

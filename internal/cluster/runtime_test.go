@@ -221,42 +221,6 @@ func TestConfigTimeout(t *testing.T) {
 	}
 }
 
-// TestJournalCapBounded: the query journal stays under Config.
-// JournalCap while frequently-seen statements survive eviction.
-func TestJournalCapBounded(t *testing.T) {
-	c, err := New(Config{Backends: core.UniformBackends(1), JournalCap: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hot := `SELECT hot FROM q`
-	for i := 0; i < 100; i++ {
-		c.record(hot, time.Millisecond)
-	}
-	for i := 0; i < 500; i++ {
-		c.record(fmt.Sprintf(`SELECT cold FROM q WHERE id = %d`, i), time.Millisecond)
-	}
-	c.journalMu.Lock()
-	size := len(c.journal)
-	_, hotAlive := c.journal[hot]
-	c.journalMu.Unlock()
-	if size > 64 {
-		t.Fatalf("journal grew to %d, cap 64", size)
-	}
-	if !hotAlive {
-		t.Fatal("frequent statement evicted before one-shot statements")
-	}
-	found := false
-	for _, e := range c.History() {
-		if e.SQL == hot && e.Count == 100 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("hot entry missing from History after eviction")
-	}
-}
-
 // TestInstallErrorNamesBackend: a failing loader is reported with the
 // identity of the backend it failed on.
 func TestInstallErrorNamesBackend(t *testing.T) {

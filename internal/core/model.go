@@ -767,16 +767,6 @@ func (a *Allocation) ClassReplicas(c *Class) int {
 	return n
 }
 
-// UpdateWeight implements Eq. 13: the summed assigned weight on backend b
-// of the update classes related to class c (Eq. 12).
-func (a *Allocation) UpdateWeight(b int, c *Class) float64 {
-	w := 0.0
-	for _, u := range a.cls.UpdatesFor(c) {
-		w += a.assign[b][u.pos]
-	}
-	return w
-}
-
 // Validate checks the validity constraints of Section 3.2:
 //
 //   - Eq. 8: assign(C,B) > 0 implies C ⊆ fragments(B);

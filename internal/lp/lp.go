@@ -104,12 +104,6 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms ...Term) {
 	p.rows = append(p.rows, constraint{terms: append([]Term(nil), terms...), rel: rel, rhs: rhs})
 }
 
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.obj) }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // Status describes the outcome of a solve.
 type Status int8
 

@@ -26,8 +26,8 @@
 //
 // Besides SQL (and the prepared-statement commands "prepare", "exec"
 // and "close"), Request.Cmd names an administrative command, answered
-// in a JSON-bodied frame: "history" (the recorded query journal, the
-// input to reallocation), "stats" (per-backend table sets), "metrics"
+// in a JSON-bodied frame: "history" (the recorded query journal, one
+// line per statement shape, the input to reallocation), "stats" (per-backend table sets), "metrics"
 // (the runtime layer's per-backend counters and histograms, the ROWA
 // fan-out, and the edge's admission and wire series), "health"
 // (per-backend states, redo-log depths, per-class live replicas and the

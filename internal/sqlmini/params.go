@@ -27,7 +27,7 @@ type Statement struct {
 // Shape is the immutable part of a Statement: the syntax tree with
 // every literal a numbered slot (Lit) and what Parse derived from it
 // once. Two SQL texts that differ only in literal values parse to equal
-// keys, so they share one plan-cache entry.
+// keys, so they share one plan-cache entry and one query-journal line.
 type Shape struct {
 	AST         Stmt
 	NumLiterals int
@@ -36,10 +36,13 @@ type Shape struct {
 	// distinct; nil for DDL. The cluster routes a statement with no
 	// query class to the backends holding all of them. Read-only.
 	Tables []string
-	// key is a SELECT's tokens with each literal written as "?"
-	// (parser.key), the plan cache's key; "" for every other statement.
-	key string
+	key    string
 }
+
+// Key is the statement's identity (parser.key): its tokens with each
+// literal written as "?". It keys a SELECT's plan-cache entry and every
+// statement's query-journal line.
+func (s *Shape) Key() string { return s.key }
 
 // WriteTable returns the table a write statement targets, or "" for
 // reads and DDL. The cluster uses it to fan an update out to the holders

@@ -26,10 +26,7 @@ func Parse(src string) (Statement, error) {
 	if p.peek().kind != tokEOF {
 		return Statement{}, p.errf("unexpected %q after statement", p.peek().text)
 	}
-	sh := &Shape{AST: ast, NumLiterals: len(p.params), Tables: footprint(ast)}
-	if _, ok := ast.(*SelectStmt); ok {
-		sh.key = p.key(end)
-	}
+	sh := &Shape{AST: ast, NumLiterals: len(p.params), Tables: footprint(ast), key: p.key(end)}
 	return Statement{Shape: sh, Params: p.params}, nil
 }
 
@@ -53,11 +50,12 @@ func (p *parser) lit(v Value, from int) Expr {
 }
 
 // key renders the statement's first end tokens with each literal's
-// tokens written as one "?": the plan cache's key. Tokens are
-// normalized (keywords upper-cased, identifiers lower-cased) and contain
-// no space, so two texts share a key exactly when they differ only in
-// literal values, whitespace, comments or letter case — and then parse
-// to equal trees. LIMIT's count is not a literal and stays as written.
+// tokens written as one "?": the statement's identity (Shape.Key).
+// Tokens are normalized (keywords upper-cased, identifiers lower-cased)
+// and contain no space, so two texts share a key exactly when they
+// differ only in literal values, whitespace, comments or letter case —
+// and then parse to equal trees. LIMIT's count is not a literal and
+// stays as written.
 func (p *parser) key(end int) string {
 	var b strings.Builder
 	b.Grow(len(p.src) + end) // a bound: no token is longer than its text, and end spaces at most

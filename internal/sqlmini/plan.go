@@ -79,8 +79,8 @@ import (
 const maxDPTables = 10
 
 // planCacheCap bounds the plan cache. When full, the least-frequently
-// used eighth is evicted (ties broken in sorted key order), matching the
-// cluster journal's eviction policy.
+// used eighth is evicted (ties broken in sorted key order), as the
+// cluster's query journal evicts its shape lines.
 const planCacheCap = 512
 
 // planDriftFactor is the row-count ratio past which a cached plan's

@@ -580,12 +580,9 @@ func TestNDVEstimate(t *testing.T) {
 	}
 }
 
-// ShapeKey is a shape's plan-cache key, for the external tests.
-func ShapeKey(s *Shape) string { return s.key }
-
-// TestShapeKey: the plan-cache key distinguishes genuinely different
-// statements and unifies literal-only variation, a literal's sign
-// included; LIMIT's count is not a literal.
+// TestShapeKey: the statement key distinguishes genuinely different
+// statements, reads and writes, and unifies literal-only variation, a
+// literal's sign included; LIMIT's count is not a literal.
 func TestShapeKey(t *testing.T) {
 	key := func(sql string) string {
 		t.Helper()
@@ -593,11 +590,15 @@ func TestShapeKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.key
+		return st.Key()
 	}
 	for _, same := range [][2]string{
 		{`SELECT id FROM item WHERE id = 1`, `SELECT id FROM item WHERE id = 99`},
 		{`SELECT id FROM item WHERE stock = 7`, `SELECT id FROM item WHERE stock = -7`},
+		{`INSERT INTO item VALUES (1, 'a', 2.5)`, `insert into item values (-7, 'b c', 0.0)`},
+		{`INSERT INTO item (id, title) VALUES (1, 'a')`, `INSERT INTO item (id, title) VALUES (2, NULL)`},
+		{`UPDATE item SET stock = stock - 1 WHERE id = 3`, `UPDATE item SET stock = stock - 4 WHERE id = 70`},
+		{`DELETE FROM item WHERE id IN (1, 2)`, `DELETE FROM item WHERE id IN (8, -9)`},
 	} {
 		if key(same[0]) != key(same[1]) {
 			t.Fatalf("literal variation must share one key: %q, %q", same[0], same[1])
@@ -616,6 +617,14 @@ func TestShapeKey(t *testing.T) {
 		`SELECT i.id FROM item i WHERE i.id = 1`,
 		`SELECT id FROM item WHERE id = 1 ORDER BY id`,
 		`SELECT id FROM item WHERE id = 1 ORDER BY id DESC`,
+		`INSERT INTO item VALUES (1, 'a')`,
+		`INSERT INTO item (id, title) VALUES (1, 'a')`,
+		`INSERT INTO item (id, stock) VALUES (1, 'a')`,
+		`UPDATE item SET stock = 1 WHERE id = 1`,
+		`UPDATE item SET title = 1 WHERE id = 1`,
+		`UPDATE item SET stock = 1, title = 1 WHERE id = 1`,
+		`DELETE FROM item WHERE id = 1`,
+		`DELETE FROM item WHERE stock = 1`,
 	}
 	seen := make(map[string]string, len(distinct))
 	for _, sql := range distinct {

@@ -37,9 +37,6 @@ func (h *ExpHistogram) Observe(v int64) {
 // Count returns the number of observations.
 func (h *ExpHistogram) Count() int64 { return h.n.Load() }
 
-// Sum returns the sum of all observations.
-func (h *ExpHistogram) Sum() int64 { return h.sum.Load() }
-
 // Max returns the largest observation (0 when empty).
 func (h *ExpHistogram) Max() int64 { return h.max.Load() }
 

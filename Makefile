@@ -115,9 +115,10 @@ bench-smoke:
 # tpch-analytic work, and the per-template lines say which template a
 # change of it came from — and the scan kernels' (a vector filter, the
 # same under aggregates of bare columns, a GROUP BY of one INT column,
-# whose groups are hashed by the integer alone, over lineitem; ns/row and
-# B/op). Group keys a grouped pk reduces are timed by
-# BenchmarkTPCHPass/q18 (down to two integers) and /q10. BenchmarkParse
+# whose dense range keys its groups by direct indexing, over lineitem;
+# ns/row and B/op). Group keys the pk rule reduces through join key
+# pairs are timed by BenchmarkTPCHPass/q3, /q18 and /q10 (each down to
+# one integer). BenchmarkParse
 # times Parse alone (tree and plan-cache key) over the TPC-App reads and
 # TPC-H texts, apart from routing and execution.
 bench-planner:
@@ -141,13 +142,16 @@ bench-mem:
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # a few seconds of fresh inputs: the frame decoder must never panic on
-# arbitrary bytes, and any SQL text that parses must execute the same as
+# arbitrary bytes, any SQL text that parses must execute the same as
 # a binding of its own literals (FuzzBindLiterals, seeded with the TPC-H
-# and TPC-App templates). CI runs this on every push; longer campaigns
-# can raise -fuzztime locally.
+# and TPC-App templates), and the join, GROUP BY and DISTINCT key table
+# must answer as a Go map of the keys' renderings on any program of
+# gets and puts (FuzzKeyMap). CI runs this on every push; longer
+# campaigns can raise -fuzztime locally.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBindLiterals -fuzztime 5s ./internal/sqlmini/
+	$(GO) test -run '^$$' -fuzz FuzzKeyMap -fuzztime 5s ./internal/sqlmini/
 
 clean:
 	$(GO) clean ./...

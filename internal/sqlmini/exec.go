@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -403,9 +404,9 @@ func (e *Engine) execSelect(ctx context.Context, st Statement, v *readView) (*Re
 // except the rows of its Result. A buffer that outgrows minPooled
 // elements is drawn from the package's pools instead of made, and goes
 // back when the run returns (selectPlan.run): position slabs, hash
-// chains, group state, key slabs and keyMaps. A run that stays below
-// it — a pk probe, a TPC-App read — makes its buffers as it always did
-// and never touches a pool.
+// chains, group state, ORDER BY key slabs and keyMaps' tables. A run
+// that stays below it — a pk probe, a TPC-App read — makes its buffers
+// as it always did and never touches a pool.
 const (
 	minPooledShift = 8
 	minPooled      = 1 << minPooledShift // elements
@@ -429,9 +430,12 @@ var (
 	posSlabs   slabPool[int32]
 	accSlabs   slabPool[aggAcc]
 	valueSlabs = slabPool[Value]{scrub: true}
-	keyMaps    [pooledClasses]sync.Pool // *keyMap, by the class of the most lists a run could put
+	slotSlabs  slabPool[slot]
+	wordSlabs  slabPool[int64]
+	hkeySlabs  = slabPool[hkey]{scrub: true}
 	scratches  = sync.Pool{New: func() any {
-		return &scratch{pos: drawn[int32]{pool: &posSlabs}, accs: drawn[aggAcc]{pool: &accSlabs}, values: drawn[Value]{pool: &valueSlabs}}
+		return &scratch{pos: drawn[int32]{pool: &posSlabs}, accs: drawn[aggAcc]{pool: &accSlabs}, values: drawn[Value]{pool: &valueSlabs},
+			slots: drawn[slot]{pool: &slotSlabs}, words: drawn[int64]{pool: &wordSlabs}, hkeys: drawn[hkey]{pool: &hkeySlabs}}
 	}}
 )
 
@@ -439,15 +443,12 @@ var (
 // and taken by a run's first draw (execRun.scratch), so a run that draws
 // nothing never touches it.
 type scratch struct {
-	pos    drawn[int32]  // scan and join positions, hash chains, group samples, finish's inputs
+	pos    drawn[int32]  // scan and join positions, hash chains, group samples, finish's inputs, dense keyMaps
 	accs   drawn[aggAcc] // group accumulators
 	values drawn[Value]  // MIN/MAX extrema, ORDER BY keys
-	maps   []drawnMap
-}
-
-type drawnMap struct {
-	m     *keyMap
-	class int
+	slots  drawn[slot]   // keyMaps' slots
+	words  drawn[int64]  // keyMaps' keys of integers
+	hkeys  drawn[hkey]   // keyMaps' other keys
 }
 
 // release puts everything back and the scratch itself with it.
@@ -455,12 +456,9 @@ func (sc *scratch) release() {
 	sc.pos.giveAll()
 	sc.accs.giveAll()
 	sc.values.giveAll()
-	for i, dm := range sc.maps {
-		dm.m.empty()
-		keyMaps[dm.class].Put(dm.m)
-		sc.maps[i] = drawnMap{}
-	}
-	sc.maps = sc.maps[:0]
+	sc.slots.giveAll()
+	sc.words.giveAll()
+	sc.hkeys.giveAll()
 	scratches.Put(sc)
 }
 
@@ -493,15 +491,21 @@ func (d *drawn[T]) take(n int) []T {
 // of at least twice s's capacity, and gives s back if the run drew it.
 func (d *drawn[T]) grow(s []T, more int) []T {
 	ns := append(d.take(max(len(s)+more, 2*cap(s))), s...)
-	if cap(s) > 0 {
-		for i, held := range d.slabs {
-			if &held[:1][0] == &s[:1][0] {
-				d.give(i)
-				break
-			}
+	d.drop(s)
+	return ns
+}
+
+// drop gives s back if the run drew it.
+func (d *drawn[T]) drop(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	for i, held := range d.slabs {
+		if &held[:1][0] == &s[:1][0] {
+			d.give(i)
+			return
 		}
 	}
-	return ns
 }
 
 // give puts the i-th slab back in its class.
@@ -547,40 +551,31 @@ func grow[T any](x *execRun, part func(*scratch) *drawn[T], s []T, more int) []T
 	return part(x.scratch()).grow(s, more)
 }
 
-// The parts of a scratch, by element type, for take and grow.
+// give hands s, which take or grow returned, back before the run
+// returns: to the pool when the run drew it.
+func give[T any](x *execRun, part func(*scratch) *drawn[T], s []T) {
+	if cap(s) > minPooled {
+		part(x.scratch()).drop(s)
+	}
+}
+
+// The parts of a scratch, by element type, for take, grow and give.
 func positions(sc *scratch) *drawn[int32] { return &sc.pos }
 func accs(sc *scratch) *drawn[aggAcc]     { return &sc.accs }
 func values(sc *scratch) *drawn[Value]    { return &sc.values }
-
-// keyMap returns an empty map for lists of arity values of which a run
-// puts at most bound: made with room for sizeHint while bound is at
-// most minPooled, else drawn from the pool of bound's class. A caller
-// whose map does not outlive it makes a small one itself (newKeyMap):
-// made here, it could not stay on the caller's stack.
-func (x *execRun) keyMap(arity, bound, sizeHint int) *keyMap {
-	c := classOf(bound)
-	if bound <= minPooled || c >= pooledClasses {
-		return newKeyMap(arity, sizeHint)
-	}
-	m, _ := keyMaps[c].Get().(*keyMap)
-	if m == nil {
-		m = &keyMap{}
-	}
-	m.reuse(arity, sizeHint)
-	sc := x.scratch()
-	sc.maps = append(sc.maps, drawnMap{m, c})
-	return m
-}
+func tableSlots(sc *scratch) *drawn[slot] { return &sc.slots }
+func keyWords(sc *scratch) *drawn[int64]  { return &sc.words }
+func keyHkeys(sc *scratch) *drawn[hkey]   { return &sc.hkeys }
 
 // groups is the aggregate state of one run's groups, in arrays indexed
 // by group id that grow as groups open (grow), so a run allocates per
 // growth of the arrays, not per group, and a large run not at all.
 type groups struct {
 	aggs   []*Agg
-	sample []int32   // group g's first input tuple; -1 for the empty global group
-	acc    []aggAcc  // aggregate i of group g at g*len(aggs)+i
-	ext    []Value   // likewise, a MIN's or MAX's extremum so far; nil when no aggregate is either
-	seen   []*keyMap // per DISTINCT aggregate: the (group id, value) pairs it has counted
+	sample []int32  // group g's first input tuple; -1 for the empty global group
+	acc    []aggAcc // aggregate i of group g at g*len(aggs)+i
+	ext    []Value  // likewise, a MIN's or MAX's extremum so far; nil when no aggregate is either
+	seen   []keyMap // per DISTINCT aggregate: the (group id, value) pairs it has counted
 }
 
 // aggAcc is what a SUM, AVG or COUNT keeps of one group; its zero value
@@ -593,13 +588,13 @@ type aggAcc struct {
 
 // newGroups readies the state of groups over n input tuples.
 func newGroups(x *execRun, aggs []*Agg, n int) *groups {
-	gs := &groups{aggs: aggs, seen: make([]*keyMap, len(aggs))}
+	gs := &groups{aggs: aggs, seen: make([]keyMap, len(aggs))}
 	for i, a := range aggs {
 		if a.Func == "MIN" || a.Func == "MAX" {
 			gs.ext = []Value{}
 		}
 		if a.Distinct {
-			gs.seen[i] = x.keyMap(2, n, 0)
+			gs.seen[i] = newKeyMap(2, n, 0)
 		}
 	}
 	if n > minPooled {
@@ -637,7 +632,8 @@ func (gs *groups) open(x *execRun, sample int) int32 {
 }
 
 // add accumulates the current tuple into group g.
-func (gs *groups) add(g int, ctx *evalCtx) error {
+func (gs *groups) add(x *execRun, g int) error {
+	ctx := &x.ec
 	base := g * len(gs.aggs)
 	for i, a := range gs.aggs {
 		acc := &gs.acc[base+i]
@@ -667,7 +663,7 @@ func (gs *groups) add(g int, ctx *evalCtx) error {
 			if gs.seen[i].get(gv[:]) != 0 {
 				continue
 			}
-			gs.seen[i].put(gv[:], 1)
+			gs.seen[i].put(x, gv[:], 1)
 		}
 		switch a.Func {
 		case "MIN":
@@ -723,21 +719,28 @@ func (gs *groups) values(g int, out []Value) {
 // plan's groupKey: what identifies a group, which may be less than the
 // GROUP BY list (selectPlan.groupKey says what is left out and why).
 // When intKey is set the key is one or two bare INT columns, and a
-// tuple with no NULL among them is hashed as their int64s (keyMap's
+// tuple with no NULL among them is keyed by their int64s (keyMap's
 // getInts) without going through eval; any other tuple, or any other
-// key, goes through eval and the keyMap's hkeys.
+// key, goes through eval and get. A key of one such column whose values
+// span a range dense enough for the tuples keys them densely (useDense).
 func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*groups, error) {
 	gs := newGroups(x, aggs, in.n)
-	index := newKeyMap(len(key), 0) // group key -> group id + 1
-	if in.n > minPooled {
-		index = x.keyMap(len(key), in.n, 0)
-	}
+	index := newKeyMap(len(key), in.n, 0) // group key -> group id + 1
 	var intCols []*boundCol
 	if intKey {
-		index.withInts(0)
 		for _, ke := range key {
 			intCols = append(intCols, ke.(*boundCol))
 		}
+	}
+	if len(intCols) == 1 {
+		bc := intCols[0]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := 0; i < in.n; i++ {
+			if k, ok := x.stores[bc.table].int(in.pos(i, bc.table), bc.col); ok {
+				lo, hi = min(lo, k), max(hi, k)
+			}
+		}
+		index.useDense(x, lo, hi, in.n)
 	}
 	kv := make([]Value, len(key))
 	for i := 0; i < in.n; i++ {
@@ -767,12 +770,12 @@ func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*gr
 		if gi == 0 {
 			gi = gs.open(x, i)
 			if byInts {
-				index.putInts(ints, gi)
+				index.putInts(x, ints, gi)
 			} else {
-				index.put(kv, gi)
+				index.put(x, kv, gi)
 			}
 		}
-		if err := gs.add(int(gi-1), &x.ec); err != nil {
+		if err := gs.add(x, int(gi-1)); err != nil {
 			return nil, err
 		}
 	}

@@ -375,6 +375,36 @@ func TestPlanShapes(t *testing.T) {
 	}
 }
 
+// TestTPCHGroupKeys pins the group keys the pk rule (groupKey) leaves
+// of the templates it reduces: q3's orders, q18's customer and q10's
+// nation are determined through join key pairs (l_orderkey =
+// o_orderkey, o_custkey = c_custkey, n_nationkey = c_nationkey), so each
+// groups by one INT column.
+func TestTPCHGroupKeys(t *testing.T) {
+	e := sqlmini.New()
+	if err := tpch.Load(e, nil, tpch.RowCounts(0.0002), orderSeed); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"q3": "[l_orderkey]", "q18": "[o_orderkey]", "q10": "[c_custkey]"}
+	for _, q := range tpch.Queries() {
+		w, ok := want[q.Name]
+		if !ok {
+			continue
+		}
+		key, err := sqlmini.GroupKey(e, q.Journal)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if got := fmt.Sprint(key); got != w {
+			t.Errorf("%s groups by %s, want %s", q.Name, got, w)
+		}
+		delete(want, q.Name)
+	}
+	if len(want) > 0 {
+		t.Errorf("templates not found: %v", want)
+	}
+}
+
 // benchStatements runs each named statement as its own sub-benchmark on
 // warm plans, then all of them as "pass". Beside ns, B and allocs it
 // reports the rows scanned and the collections run (runtime.NumGC) per

@@ -251,14 +251,16 @@ func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 // plan-time specialisation — vector filters, aggregates of a bare
 // column, join keys of one or two integers, group keys of one or two
 // integers, group keys without the columns a grouped pk determines,
-// selecting an ORDER BY … LIMIT's rows before projecting them —
-// beside the same plan with all of them taken out (generic): same rows
-// in the same order, bit for bit (a float sum depends on its order of
-// addition), and the same Scanned, or the same error. The table holds
-// NULL keys and operands, NaN, both zeros and integers past 2^53; d's
-// pk-determined columns hold NULLs. An output that fails on a row
-// outside the LIMIT keeps its plan off the select-first path, so its
-// error still comes out.
+// selecting an ORDER BY … LIMIT's rows before projecting them — and
+// both run-time modes of a one-integer key (keyMap.useDense): dense, on
+// jk, whose 40 values hold NULLs, and hashed, on i, which spans int64
+// end to end; beside the same plan with all of them taken out
+// (generic): same rows in the same order, bit for bit (a float sum
+// depends on its order of addition), and the same Scanned, or the same
+// error. The table holds NULL keys and operands, NaN, both zeros and
+// integers past 2^53; d's pk-determined columns hold NULLs. An output
+// that fails on a row outside the LIMIT keeps its plan off the
+// select-first path, so its error still comes out.
 func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 	e, _ := kernelTable(t)
 	mustExec(t, e, `CREATE TABLE d (dk INT PRIMARY KEY, tag TEXT, w FLOAT)`)
@@ -292,6 +294,13 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		`SELECT b.i, COUNT(*) FROM k a JOIN k b ON a.i = b.jk GROUP BY b.i, a.id, a.g ORDER BY b.i`,
 		`SELECT a.id, b.id, b.f FROM k a JOIN k b ON a.jk = b.jk AND b.i = a.i WHERE a.id < 300`,
 		`SELECT tag, COUNT(*) FROM d JOIN k ON jk = dk AND i = dk GROUP BY tag`,
+		// One-integer keys, dense (jk) and hashed (i); groups determined
+		// through join key pairs, one of them a cycle.
+		`SELECT a.id, b.id, b.f FROM k a JOIN k b ON a.jk = b.jk WHERE a.id < 40`,
+		`SELECT a.id, b.id, b.f FROM k a JOIN k b ON a.i = b.i WHERE a.id < 30`,
+		`SELECT i, COUNT(*), SUM(f), MIN(g), COUNT(DISTINCT jk) FROM k GROUP BY i`,
+		`SELECT jk, tag, w, COUNT(*), SUM(f) FROM k JOIN d ON dk = jk GROUP BY jk, tag, w`,
+		`SELECT a.id, b.id, COUNT(*), SUM(a.f) FROM k a JOIN k b ON a.id = b.jk AND b.id = a.jk GROUP BY a.id, b.id`,
 		// Select before project: ties, a key that is no output, HAVING,
 		// LIMIT 0, a LIMIT past the groups, DISTINCT, fallible outputs.
 		`SELECT jk, COUNT(*) AS c, SUM(f), MIN(g) FROM k GROUP BY jk ORDER BY c DESC LIMIT 5`,
@@ -335,7 +344,10 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		used["two-integer group key"] = used["two-integer group key"] || (spec.groupInt && len(spec.groupKey) == 2)
 		used["pk-determined group column dropped"] = used["pk-determined group column dropped"] || len(spec.groupKey) < len(spec.groupBy)
 		got, want := &Result{}, &Result{}
+		dense, hashed := oneIntTables.dense.Load(), oneIntTables.hashed.Load()
 		err = spec.run(context.Background(), v, st.Params, got)
+		used["dense integer key"] = used["dense integer key"] || oneIntTables.dense.Load() > dense
+		used["hashed integer key"] = used["hashed integer key"] || oneIntTables.hashed.Load() > hashed
 		gerr := generic(t, e, st).run(context.Background(), v, st.Params, want)
 		if fails := strings.Contains(sql, "tag + 1"); fails != (gerr != nil) {
 			t.Fatalf("%s: generic: %v", sql, gerr)
@@ -361,7 +373,8 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		}
 	}
 	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "two-integer join key", "bare aggregate",
-		"integer group key", "two-integer group key", "pk-determined group column dropped", "select before project"} {
+		"integer group key", "two-integer group key", "pk-determined group column dropped", "select before project",
+		"dense integer key", "hashed integer key"} {
 		if !used[what] {
 			t.Errorf("no statement took the specialisation %q", what)
 		}

@@ -1449,7 +1449,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		}
 		p.groupBy = append(p.groupBy, bg)
 	}
-	p.groupKey = groupKey(p.groupBy, p.scans)
+	p.groupKey = groupKey(p.groupBy, p.scans, p.joins)
 	p.groupInt = len(p.groupKey) > 0 && len(p.groupKey) <= 2
 	for _, ke := range p.groupKey {
 		bc, ok := ke.(*boundCol)
@@ -1508,24 +1508,78 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 }
 
 // groupKey returns what identifies a group of the bound GROUP BY list:
-// the list less every other bare column of a scan whose pk column is
-// itself on the list. The pk index holds a table's pk unique under
-// keyOf, and a tuple's row of a scan is always a stored row (there are
-// no outer joins), so tuples whose pks are the same key hold the same
-// row of that scan and agree on all its columns: the key partitions the
-// tuples as the whole list would. The rule is per scan, so a self-join
-// grouped by one side's pk keeps the other side's columns.
-func groupKey(groupBy []Expr, scans []scanNode) []Expr {
-	pkGrouped := make([]bool, len(scans))
-	for _, ge := range groupBy {
-		if bc, ok := ge.(*boundCol); ok && bc.col == scans[bc.table].t.pkCol {
-			pkGrouped[bc.table] = true
+// the list less the bare columns of scans the rest of it determines.
+// A scan is determined when its pk column is on the key, or when a join
+// key pair equates its pk with a column on the key or a column of a
+// determined scan. The pk index holds a table's pk unique under keyOf,
+// a join key pair matches only values of one key, and a tuple's row of
+// a scan is always a stored row (there are no outer joins): tuples that
+// agree on the key agree on the pk of every determined scan, so they
+// hold the same row of it and agree on all its columns, and the key
+// partitions the tuples as the whole list would. The list's columns
+// leave it one at a time, in list order, each only when what stays
+// still determines it: of a set of scans that determine each other one
+// root stays, and of a cycle never both ends. The rule is per scan, so
+// a self-join grouped by one side's pk keeps the other side's columns.
+func groupKey(groupBy []Expr, scans []scanNode, joins []joinNode) []Expr {
+	onKey := make([]bool, len(groupBy))
+	for i := range onKey {
+		onKey[i] = true
+	}
+	// determined reports whether the key onKey marks determines every
+	// bare column of the list that is off it.
+	determined := func() bool {
+		det := make([]bool, len(scans))
+		known := func(p colPos) bool { // the key fixes the column at p
+			if det[p.scan] {
+				return true
+			}
+			for i, ge := range groupBy {
+				if bc, ok := ge.(*boundCol); ok && onKey[i] && bc.table == p.scan && bc.col == p.col {
+					return true
+				}
+			}
+			return false
 		}
+		// reach marks the scan of pk determined when the key fixes pk,
+		// or the column equal to it (to), and reports whether it newly is.
+		reach := func(pk, to colPos) bool {
+			if det[pk.scan] || pk.col != scans[pk.scan].t.pkCol || !known(pk) && !known(to) {
+				return false
+			}
+			det[pk.scan] = true
+			return true
+		}
+		for grew := true; grew; {
+			grew = false
+			for i, ge := range groupBy {
+				if bc, ok := ge.(*boundCol); ok && onKey[i] {
+					p := colPos{bc.table, bc.col}
+					grew = reach(p, p) || grew
+				}
+			}
+			for i := range joins {
+				for c, lk := range joins[i].leftKeys {
+					rk := colPos{i + 1, joins[i].rightKeys[c]}
+					grew = reach(rk, lk) || grew
+					grew = reach(lk, rk) || grew
+				}
+			}
+		}
+		for i, ge := range groupBy {
+			if bc, ok := ge.(*boundCol); ok && !onKey[i] && !det[bc.table] {
+				return false
+			}
+		}
+		return true
 	}
 	var key []Expr
-	for _, ge := range groupBy {
-		if bc, ok := ge.(*boundCol); ok && pkGrouped[bc.table] && bc.col != scans[bc.table].t.pkCol {
-			continue
+	for i, ge := range groupBy {
+		if _, ok := ge.(*boundCol); ok {
+			if onKey[i] = false; determined() {
+				continue
+			}
+			onKey[i] = true
 		}
 		key = append(key, ge)
 	}
@@ -2134,7 +2188,7 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 // positions sharing a key: heads maps the key to the first, next[b]
 // leads from b to the one after it (both +1, 0 ends the chain).
 type hashBuild struct {
-	heads *keyMap
+	heads keyMap
 	next  []int32
 }
 
@@ -2180,13 +2234,18 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 		hb = keep.build
 	}
 	if hb == nil {
-		hb = &hashBuild{next: take(x, positions, nBuild)[:nBuild]}
+		hb = &hashBuild{heads: newKeyMap(len(j.leftKeys), nBuild, nBuild), next: take(x, positions, nBuild)[:nBuild]}
 		clear(hb.next)
-		if j.ints {
-			hb.heads = x.keyMap(len(j.leftKeys), nBuild, 0)
-			hb.heads.withInts(nBuild)
-		} else {
-			hb.heads = x.keyMap(len(j.leftKeys), nBuild, nBuild)
+		if j.ints && len(j.leftKeys) == 1 {
+			// One INT key: keyed densely when the build side's keys
+			// span a range dense enough for its rows.
+			lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+			for b := 0; b < nBuild; b++ {
+				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
+					lo, hi = min(lo, k[0]), max(hi, k[0])
+				}
+			}
+			hb.heads.useDense(x, lo, hi, nBuild)
 		}
 		for b := nBuild - 1; b >= 0; b-- {
 			if err := x.poll(b); err != nil {
@@ -2195,11 +2254,11 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 			if j.ints {
 				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
 					hb.next[b] = hb.heads.getInts(k)
-					hb.heads.putInts(k, int32(b)+1)
+					hb.heads.putInts(x, k, int32(b)+1)
 				}
 			} else if j.key(x, &left, &right, buildLeft, b, kv) {
 				hb.next[b] = hb.heads.get(kv)
-				hb.heads.put(kv, int32(b)+1)
+				hb.heads.put(x, kv, int32(b)+1)
 			}
 		}
 		if keep != nil {
@@ -2310,17 +2369,14 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 	}
 
 	if p.distinct {
-		seen := newKeyMap(nout, len(outRows))
-		if len(outRows) > minPooled {
-			seen = x.keyMap(nout, len(outRows), len(outRows))
-		}
+		seen := newKeyMap(nout, len(outRows), len(outRows))
 		kept := outRows[:0]
 		keptIn := take(x, positions, len(outRows))
 		for i, r := range outRows {
 			if seen.get(r) != 0 {
 				continue
 			}
-			seen.put(r, 1)
+			seen.put(x, r, 1)
 			kept = append(kept, r)
 			if inputs == nil {
 				keptIn = append(keptIn, int32(i))

@@ -146,12 +146,16 @@ bench-mem:
 # a binding of its own literals (FuzzBindLiterals, seeded with the TPC-H
 # and TPC-App templates), and the join, GROUP BY and DISTINCT key table
 # must answer as a Go map of the keys' renderings on any program of
-# gets and puts (FuzzKeyMap). CI runs this on every push; longer
-# campaigns can raise -fuzztime locally.
+# gets and puts (FuzzKeyMap), and a compiled expression must answer
+# what eval answers, value for value and error for error, on any tree
+# of operators over columns, params and aggregates (FuzzCompiledExpr).
+# CI runs this on every push; longer campaigns can raise -fuzztime
+# locally.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzBindLiterals -fuzztime 5s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz FuzzKeyMap -fuzztime 5s ./internal/sqlmini/
+	$(GO) test -run '^$$' -fuzz FuzzCompiledExpr -fuzztime 5s ./internal/sqlmini/
 
 clean:
 	$(GO) clean ./...

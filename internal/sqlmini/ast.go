@@ -57,13 +57,11 @@ type Agg struct {
 	Distinct bool
 
 	// slot is the node's position among its plan's aggregates, set on
-	// the plan's own bound copy (buildPlan): where eval finds the group's
-	// value for it.
+	// the plan's own bound copy (buildPlan): where eval, and the node it
+	// compiles to, find the group's value for it. groups.add evaluates
+	// the plan's compiled E (cagg), a plain column straight from its
+	// vector.
 	slot int
-	// bare, set there too, is the operand of a SUM, AVG or COUNT when it
-	// is a plain INT or FLOAT column: groups.add reads the column's number
-	// without evaluating E.
-	bare *boundCol
 }
 
 func (*Lit) isExpr()     {}

@@ -1,0 +1,589 @@
+package sqlmini
+
+import (
+	"cmp"
+	"fmt"
+)
+
+// Compiled expressions. buildPlan compiles every expression a run
+// evaluates per tuple or per group — scan filters, join residuals, group
+// keys, aggregate arguments, HAVING, projections and ORDER BY keys — once,
+// into a tree of cexpr nodes the plan keeps (selectPlan.compileAll). A node
+// has its operator and, for a column, the vector its declared type
+// selects resolved, so a run switches on a small integer where eval
+// switches on the node's type and compares operator strings. Three
+// evaluators share the tree: val yields a Value, num a number unboxed
+// (arithmetic and aggregate arguments), cond a condition's outcome
+// (filters, AND, OR, NOT); each node is evaluated by the one its parent
+// needs, and converts when that is not its own.
+//
+// A node answers what eval answers for its bound expression, value for
+// value and error for error (TestCompiledAgainstEval, FuzzCompiledExpr):
+// operands are evaluated in eval's order and no further than eval goes,
+// NULL propagates before a type check, and floats are combined in the
+// same order. eval stays the definition, and evaluates what runs once —
+// write statements, a probe's key, an interval's ends.
+//
+// An error does not unwind: the node that fails records it in the
+// evalCtx (fail), the first one recorded stands, and the root returns it
+// (get, holds). Evaluating on past a failure is harmless: nothing is
+// written but the error, and every node before it in eval's order has
+// already been evaluated as eval would have.
+
+// cop is a compiled node's operation. The order matters: each evaluator
+// handles one range itself and converts the others.
+type cop uint8
+
+const (
+	// Leaves, read as Values (val).
+	opParam cop = iota // the statement's param slot
+	opInt              // column col of the tuple's row of scan, declared INT
+	opFloat            // likewise, declared FLOAT
+	opText             // likewise, declared TEXT
+	opCol              // likewise, declared without a type: NULL
+	opAgg              // the current group's aggregate in slot
+	opEval             // eval of src (interpreted)
+	opFail             // fails with err: a tree the parser and bind never make
+
+	// Numbers (num).
+	opNeg
+	opAdd
+	opSub
+	opMul
+	opDiv
+
+	// Conditions (cond).
+	opNot
+	opAnd
+	opOr
+	opCmp // = <> < <= > >=: true when mask has Compare(l, r)'s outcome
+	opLike
+	opBetween // l BETWEEN r AND hi
+	opIn      // l IN list
+	opIsNull
+)
+
+// cexpr is one node of a compiled expression. The plan shares it with
+// every run; a run writes nothing into it.
+type cexpr struct {
+	op     cop
+	mask   uint8 // opCmp: PassLT, PassEQ and PassGT as in cmpLit
+	negate bool  // NOT BETWEEN, NOT IN, IS NOT NULL
+	// text marks a comparison or BETWEEN with a TEXT column among its
+	// operands: they are read as Values, whose strings decide. Any other
+	// is read as numbers, a text param's string read only when two texts
+	// meet.
+	text      bool
+	scan, col int // a column's place in the tuple
+	slot      int // opParam, opAgg
+	l, r, hi  *cexpr
+	list      []*cexpr
+	src       Expr  // opEval
+	err       error // what eval returns where this node fails
+}
+
+// num is a value read as a number: an INT in i, a FLOAT in f, the other
+// zero; k KindText for a text, whose string it does not carry.
+type num struct {
+	i int64
+	f float64
+	k Kind
+}
+
+// tri is a condition's outcome: NULL is neither true nor false.
+type tri uint8
+
+const (
+	tFalse tri = iota
+	tTrue
+	tNull
+)
+
+func truth(b bool) tri {
+	if b {
+		return tTrue
+	}
+	return tFalse
+}
+
+var (
+	errArith  = fmt.Errorf("sqlmini: arithmetic on non-numeric values")
+	errNegate = fmt.Errorf("sqlmini: cannot negate %s", KindText)
+)
+
+// cmpMasks are the outcomes each comparison operator passes.
+var cmpMasks = map[string]uint8{"=": PassEQ, "<>": PassLT | PassGT, "<": PassLT, "<=": PassLT | PassEQ, ">": PassGT, ">=": PassGT | PassEQ}
+
+// compile compiles a bound expression of the plan; its columns name the
+// plan's scans, whose tables' declared types pick the column reads, and
+// its aggregates carry their slots.
+func (c *compiler) compile(e Expr) *cexpr {
+	switch x := e.(type) {
+	case *Lit:
+		return c.node(cexpr{op: opParam, slot: x.Slot})
+	case *boundCol:
+		op := opCol
+		switch c.p.scans[x.table].t.Cols[x.col].Type {
+		case KindInt:
+			op = opInt
+		case KindFloat:
+			op = opFloat
+		case KindText:
+			op = opText
+		}
+		return c.node(cexpr{op: op, scan: x.table, col: x.col})
+	case *ColRef:
+		return c.node(cexpr{op: opFail, err: fmt.Errorf("sqlmini: unbound column %q", x.Column)})
+	case *Agg:
+		return c.node(cexpr{op: opAgg, slot: x.slot, err: fmt.Errorf("sqlmini: aggregate %s outside aggregation", x.Func)})
+	case *UnOp:
+		n := cexpr{l: c.compile(x.E)}
+		switch x.Op {
+		case "NOT":
+			n.op = opNot
+		case "-":
+			n.op, n.err = opNeg, errNegate
+		default:
+			n.op, n.err = opFail, fmt.Errorf("sqlmini: unknown unary op %q", x.Op)
+		}
+		return c.node(n)
+	case *BinOp:
+		l, r := c.compile(x.L), c.compile(x.R)
+		n := cexpr{l: l, r: r, text: l.op == opText || r.op == opText}
+		switch x.Op {
+		case "=", "<>", "<", "<=", ">", ">=":
+			n.op, n.mask = opCmp, cmpMasks[x.Op]
+		case "AND":
+			n.op = opAnd
+		case "OR":
+			n.op = opOr
+		case "LIKE":
+			n.op = opLike
+		case "+":
+			n.op, n.err = opAdd, errArith
+		case "-":
+			n.op, n.err = opSub, errArith
+		case "*":
+			n.op, n.err = opMul, errArith
+		case "/":
+			n.op, n.err = opDiv, errArith
+		default:
+			n.op, n.err = opFail, fmt.Errorf("sqlmini: unknown operator %q", x.Op)
+		}
+		return c.node(n)
+	case *Between:
+		l, r, hi := c.compile(x.E), c.compile(x.Lo), c.compile(x.Hi)
+		return c.node(cexpr{op: opBetween, l: l, r: r, hi: hi, negate: x.Negate, text: l.op == opText || r.op == opText || hi.op == opText})
+	case *InList:
+		n := cexpr{op: opIn, l: c.compile(x.E), negate: x.Negate, list: c.list(len(x.List))}
+		for i, le := range x.List {
+			if m := c.compile(le); n.list != nil {
+				n.list[i] = m
+			}
+		}
+		return c.node(n)
+	case *IsNull:
+		return c.node(cexpr{op: opIsNull, l: c.compile(x.E), negate: x.Negate})
+	}
+	return c.node(cexpr{op: opFail, err: fmt.Errorf("sqlmini: unknown expression %T", e)})
+}
+
+// compiler makes a plan's compiled forms: its nodes cut from one slab and
+// its lists of nodes from another, each sized by a first pass that only
+// counts, so a plan's expressions cost it two allocations.
+type compiler struct {
+	p         *selectPlan
+	interpret bool // every root evaluates its bound expression with eval
+	// counting marks the first pass: node and list count what they would
+	// hand out, and hand out counted and nil.
+	counting      bool
+	nnodes, nptrs int
+	nodes         []cexpr
+	ptrs          []*cexpr
+}
+
+// counted is what node hands out while counting; nothing writes it.
+var counted cexpr
+
+// compileAll fills the forms a run evaluates from the plan's bound
+// expressions: its scans' filters, its join residuals, group key,
+// aggregates, HAVING, outputs and ORDER BY expressions — compiled, or
+// interpreted (evaluated with eval, for a plan held to its interpreted
+// self).
+func (p *selectPlan) compileAll(interpret bool) {
+	c := &compiler{p: p, interpret: interpret, counting: true}
+	p.fill(c)
+	c.nodes, c.ptrs = make([]cexpr, 0, c.nnodes), make([]*cexpr, 0, c.nptrs)
+	c.counting = false
+	p.fill(c)
+}
+
+// fill sets every compiled form of the plan through c.
+func (p *selectPlan) fill(c *compiler) {
+	for i := range p.scans {
+		s := &p.scans[i]
+		s.cfilter, s.crest, s.cinRange = c.roots(s.filter), c.roots(s.rest), c.roots(s.inRange)
+	}
+	for i := range p.joins {
+		p.joins[i].cextra = c.roots(p.joins[i].extra)
+	}
+	p.outs, p.ckey = c.roots(p.outExprs), c.roots(p.groupKey)
+	p.chaving = nil
+	if p.having != nil {
+		p.chaving = c.root(p.having)
+	}
+	p.caggs = nil
+	if !c.counting && len(p.aggs) > 0 {
+		p.caggs = make([]cagg, len(p.aggs))
+	}
+	for i, a := range p.aggs {
+		var arg *cexpr
+		if a.E != nil {
+			arg = c.root(a.E)
+		}
+		if p.caggs != nil {
+			p.caggs[i] = cagg{fn: aggFns[a.Func], arg: arg, distinct: a.Distinct}
+		}
+	}
+	for i := range p.orderBy {
+		if o := &p.orderBy[i]; o.expr != nil {
+			o.c = c.root(o.expr)
+		}
+	}
+}
+
+// root returns the compiled form of e.
+func (c *compiler) root(e Expr) *cexpr {
+	if c.interpret {
+		return c.node(cexpr{op: opEval, src: e})
+	}
+	return c.compile(e)
+}
+
+// roots returns the compiled forms of es.
+func (c *compiler) roots(es []Expr) []*cexpr {
+	out := c.list(len(es))
+	for i, e := range es {
+		n := c.root(e)
+		if out != nil {
+			out[i] = n
+		}
+	}
+	return out
+}
+
+// node returns a node holding n, cut from the slab.
+func (c *compiler) node(n cexpr) *cexpr {
+	if c.counting {
+		c.nnodes++
+		return &counted
+	}
+	c.nodes = append(c.nodes, n)
+	return &c.nodes[len(c.nodes)-1]
+}
+
+// list returns room for k nodes, cut from the slab; nil for none, and
+// while counting.
+func (c *compiler) list(k int) []*cexpr {
+	if c.counting {
+		c.nptrs += k
+		return nil
+	}
+	if k == 0 {
+		return nil
+	}
+	if cap(c.ptrs)-len(c.ptrs) < k {
+		c.ptrs = make([]*cexpr, 0, k)
+	}
+	at := len(c.ptrs)
+	c.ptrs = c.ptrs[:at+k]
+	return c.ptrs[at : at+k : at+k]
+}
+
+// fail records err unless an earlier failure stands.
+func (ec *evalCtx) fail(err error) {
+	if ec.err == nil {
+		ec.err = err
+	}
+}
+
+// takeErr returns the recorded failure and clears it.
+func (ec *evalCtx) takeErr() error {
+	err := ec.err
+	ec.err = nil
+	return err
+}
+
+// get evaluates the compiled expression n against ec: eval's Value, or
+// its error.
+func (n *cexpr) get(ec *evalCtx) (Value, error) {
+	v := n.val(ec)
+	if ec.err != nil {
+		return Null, ec.takeErr()
+	}
+	return v, nil
+}
+
+// holds reports whether the compiled condition n holds against ec —
+// whether eval's Value is true — or eval's error.
+func (n *cexpr) holds(ec *evalCtx) (bool, error) {
+	t := n.cond(ec)
+	if ec.err != nil {
+		return false, ec.takeErr()
+	}
+	return t == tTrue, nil
+}
+
+// val evaluates n as a Value.
+func (n *cexpr) val(ec *evalCtx) Value {
+	switch n.op {
+	case opParam:
+		return ec.params[n.slot]
+	case opInt:
+		if i, ok := ec.cur[n.scan].int(n.col); ok {
+			return Int(i)
+		}
+		return Null
+	case opFloat:
+		if f, ok := ec.cur[n.scan].float(n.col); ok {
+			return Float(f)
+		}
+		return Null
+	case opText:
+		if s, ok := ec.cur[n.scan].text(n.col); ok {
+			return Text(s)
+		}
+		return Null
+	case opCol:
+		return ec.cur[n.scan].value(n.col)
+	case opAgg:
+		if ec.aggs == nil {
+			ec.fail(n.err)
+			return Null
+		}
+		return ec.aggs[n.slot]
+	case opEval:
+		v, err := eval(n.src, ec)
+		if err != nil {
+			ec.fail(err)
+		}
+		return v
+	case opFail:
+		ec.fail(n.err)
+		return Null
+	}
+	if n.op >= opNot {
+		switch n.cond(ec) {
+		case tTrue:
+			return Int(1)
+		case tFalse:
+			return Int(0)
+		}
+		return Null
+	}
+	v := n.num(ec)
+	return Value{K: v.k, I: v.i, F: v.f}
+}
+
+var nullNum = num{}
+
+// num evaluates n as a number. What eval would make a TEXT comes back
+// with k KindText; an error, as NULL.
+func (n *cexpr) num(ec *evalCtx) num {
+	switch n.op {
+	case opParam:
+		v := &ec.params[n.slot]
+		return num{v.I, v.F, v.K}
+	case opInt:
+		if i, ok := ec.cur[n.scan].int(n.col); ok {
+			return num{i: i, k: KindInt}
+		}
+		return nullNum
+	case opFloat:
+		if f, ok := ec.cur[n.scan].float(n.col); ok {
+			return num{f: f, k: KindFloat}
+		}
+		return nullNum
+	case opText:
+		if _, ok := ec.cur[n.scan].text(n.col); ok {
+			return num{k: KindText}
+		}
+		return nullNum
+	case opNeg:
+		v := n.l.num(ec)
+		switch v.k {
+		case KindInt:
+			return num{i: -v.i, k: KindInt}
+		case KindFloat:
+			return num{f: -v.f, k: KindFloat}
+		case KindText:
+			ec.fail(n.err)
+		}
+		return nullNum
+	case opAdd, opSub, opMul, opDiv:
+		l, r := n.l.num(ec), n.r.num(ec)
+		if l.k == KindNull || r.k == KindNull {
+			return nullNum
+		}
+		if l.k == KindText || r.k == KindText {
+			ec.fail(n.err)
+			return nullNum
+		}
+		if l.k == KindInt && r.k == KindInt {
+			switch n.op {
+			case opAdd:
+				return num{i: l.i + r.i, k: KindInt}
+			case opSub:
+				return num{i: l.i - r.i, k: KindInt}
+			case opMul:
+				return num{i: l.i * r.i, k: KindInt}
+			}
+		}
+		if l.k == KindInt {
+			l.f = float64(l.i)
+		}
+		if r.k == KindInt {
+			r.f = float64(r.i)
+		}
+		switch n.op {
+		case opAdd:
+			return num{f: l.f + r.f, k: KindFloat}
+		case opSub:
+			return num{f: l.f - r.f, k: KindFloat}
+		case opMul:
+			return num{f: l.f * r.f, k: KindFloat}
+		}
+		if r.f == 0 {
+			return nullNum
+		}
+		return num{f: l.f / r.f, k: KindFloat}
+	}
+	if n.op >= opNot {
+		switch n.cond(ec) {
+		case tTrue:
+			return num{i: 1, k: KindInt}
+		case tFalse:
+			return num{k: KindInt}
+		}
+		return nullNum
+	}
+	v := n.val(ec)
+	return num{v.I, v.F, v.K}
+}
+
+// order is Compare for two values num read, both not NULL; false when
+// both are TEXT, which their strings order.
+func order(a, b num) (int, bool) {
+	switch {
+	case a.k == KindInt && b.k == KindInt:
+		return cmp.Compare(a.i, b.i), true
+	case a.k == KindFloat && b.k == KindFloat:
+		return cmp.Compare(a.f, b.f), true
+	case a.k == KindInt && b.k == KindFloat:
+		return compareIntFloat(a.i, b.f), true
+	case a.k == KindFloat && b.k == KindInt:
+		return -compareIntFloat(b.i, a.f), true
+	case a.k == KindText && b.k == KindText:
+		return 0, false
+	}
+	return cmp.Compare(kindRank[a.k], kindRank[b.k]), true
+}
+
+// compare is Compare(a, b) for a comparison's operands read as numbers,
+// reading them again as Values when two texts meet. Only a leaf yields a
+// text, and reading a leaf twice reads the same.
+func compare(ec *evalCtx, a, b *cexpr, av, bv num) int {
+	if c, ok := order(av, bv); ok {
+		return c
+	}
+	return Compare(a.val(ec), b.val(ec))
+}
+
+// cond evaluates n as a condition.
+func (n *cexpr) cond(ec *evalCtx) tri {
+	switch n.op {
+	case opNot:
+		switch n.l.cond(ec) {
+		case tTrue:
+			return tFalse
+		case tFalse:
+			return tTrue
+		}
+		return tNull
+	case opAnd:
+		l := n.l.cond(ec)
+		if l == tFalse {
+			return tFalse
+		}
+		return truth(n.r.cond(ec) == tTrue && l == tTrue)
+	case opOr:
+		l := n.l.cond(ec)
+		if l == tTrue {
+			return tTrue
+		}
+		return truth(n.r.cond(ec) == tTrue)
+	case opCmp:
+		var c int
+		if n.text {
+			l, r := n.l.val(ec), n.r.val(ec)
+			if l.K == KindNull || r.K == KindNull {
+				return tNull
+			}
+			c = Compare(l, r)
+		} else {
+			l, r := n.l.num(ec), n.r.num(ec)
+			if l.k == KindNull || r.k == KindNull {
+				return tNull
+			}
+			c = compare(ec, n.l, n.r, l, r)
+		}
+		return tri(n.mask >> uint(c+1) & 1)
+	case opLike:
+		l, r := n.l.val(ec), n.r.val(ec)
+		if l.K != KindText || r.K != KindText {
+			return tNull
+		}
+		return truth(likeMatch(l.S, r.S))
+	case opBetween:
+		var in bool
+		if n.text {
+			v, lo, hi := n.l.val(ec), n.r.val(ec), n.hi.val(ec)
+			if v.K == KindNull || lo.K == KindNull || hi.K == KindNull {
+				return tNull
+			}
+			in = Compare(v, lo) >= 0 && Compare(v, hi) <= 0
+		} else {
+			v, lo, hi := n.l.num(ec), n.r.num(ec), n.hi.num(ec)
+			if v.k == KindNull || lo.k == KindNull || hi.k == KindNull {
+				return tNull
+			}
+			in = compare(ec, n.l, n.r, v, lo) >= 0 && compare(ec, n.l, n.hi, v, hi) <= 0
+		}
+		return truth(in != n.negate)
+	case opIn:
+		v := n.l.val(ec)
+		if v.K == KindNull {
+			return tNull
+		}
+		found := false
+		for _, le := range n.list {
+			if lv := le.val(ec); lv.K != KindNull && Compare(v, lv) == 0 {
+				found = true
+				break
+			}
+		}
+		return truth(found != n.negate)
+	case opIsNull:
+		return truth((n.l.num(ec).k == KindNull) != n.negate)
+	}
+	v := n.num(ec)
+	switch v.k {
+	case KindNull:
+		return tNull
+	case KindInt:
+		return truth(v.i != 0)
+	case KindFloat:
+		return truth(v.f != 0)
+	}
+	return tFalse
+}

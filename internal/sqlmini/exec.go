@@ -61,10 +61,13 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 // statement being executed (a Lit reads params[Slot]), and, in
 // aggregate mode, the current group's aggregate values by Agg.slot.
 // What the cursors name is only read: it may belong to a published view.
+// err is where a compiled expression records its failure (compile.go);
+// eval returns its errors instead.
 type evalCtx struct {
 	cur    []cursor
 	params []Value
 	aggs   []Value
+	err    error
 }
 
 // eval evaluates an expression; ColRefs must have been rewritten to
@@ -571,29 +574,53 @@ func keyHkeys(sc *scratch) *drawn[hkey]   { return &sc.hkeys }
 // by group id that grow as groups open (grow), so a run allocates per
 // growth of the arrays, not per group, and a large run not at all.
 type groups struct {
-	aggs   []*Agg
+	aggs   []cagg
 	sample []int32  // group g's first input tuple; -1 for the empty global group
 	acc    []aggAcc // aggregate i of group g at g*len(aggs)+i
 	ext    []Value  // likewise, a MIN's or MAX's extremum so far; nil when no aggregate is either
 	seen   []keyMap // per DISTINCT aggregate: the (group id, value) pairs it has counted
 }
 
+// aggFn is an aggregate's function.
+type aggFn uint8
+
+const (
+	aggCount aggFn = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggFns = map[string]aggFn{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+
+// cagg is an aggregate of a plan as groups.add runs it: its function and
+// its operand compiled (nil for COUNT(*)).
+type cagg struct {
+	fn       aggFn
+	arg      *cexpr
+	distinct bool
+}
+
 // aggAcc is what a SUM, AVG or COUNT keeps of one group; its zero value
-// is the empty group's.
+// is the empty group's. A SUM of INTs is isum, exact and wrapping as +
+// does; once a counted value is not an INT the SUM is the float sum of
+// them all.
 type aggAcc struct {
 	count  int64
+	isum   int64
 	sum    float64
 	nonInt bool // a counted value was not an INT: SUM is a FLOAT
 }
 
 // newGroups readies the state of groups over n input tuples.
-func newGroups(x *execRun, aggs []*Agg, n int) *groups {
+func newGroups(x *execRun, aggs []cagg, n int) *groups {
 	gs := &groups{aggs: aggs, seen: make([]keyMap, len(aggs))}
 	for i, a := range aggs {
-		if a.Func == "MIN" || a.Func == "MAX" {
+		if a.fn == aggMin || a.fn == aggMax {
 			gs.ext = []Value{}
 		}
-		if a.Distinct {
+		if a.distinct {
 			gs.seen[i] = newKeyMap(2, n, 0)
 		}
 	}
@@ -631,58 +658,72 @@ func (gs *groups) open(x *execRun, sample int) int32 {
 	return int32(len(gs.sample))
 }
 
-// add accumulates the current tuple into group g.
+// add accumulates the current tuple into group g. The operand of a SUM,
+// AVG or COUNT is read as a number, unboxed (cexpr.num); any other as a
+// Value.
 func (gs *groups) add(x *execRun, g int) error {
-	ctx := &x.ec
+	ec := &x.ec
 	base := g * len(gs.aggs)
 	for i, a := range gs.aggs {
 		acc := &gs.acc[base+i]
-		if a.E == nil { // COUNT(*)
+		if a.arg == nil { // COUNT(*)
 			acc.count++
 			continue
 		}
-		if a.bare != nil {
-			// The column's own number, straight from its vector: what the
-			// steps below make of the Value eval would box it in.
-			if f, isInt, ok := ctx.cur[a.bare.table].num(a.bare.col); ok {
-				acc.count++
-				acc.sum += f
-				acc.nonInt = acc.nonInt || !isInt
+		if !a.distinct && a.fn <= aggAvg {
+			v := a.arg.num(ec)
+			if ec.err != nil {
+				return ec.takeErr()
 			}
+			acc.add(v)
 			continue
 		}
-		v, err := eval(a.E, ctx)
+		v, err := a.arg.get(ec)
 		if err != nil {
 			return err
 		}
 		if v.IsNull() {
 			continue
 		}
-		if a.Distinct {
+		if a.distinct {
 			gv := [2]Value{Int(int64(g)), v}
 			if gs.seen[i].get(gv[:]) != 0 {
 				continue
 			}
 			gs.seen[i].put(x, gv[:], 1)
 		}
-		switch a.Func {
-		case "MIN":
+		switch a.fn {
+		case aggMin:
 			if ext := &gs.ext[base+i]; ext.IsNull() || Compare(v, *ext) < 0 {
 				*ext = v
 			}
-		case "MAX":
+		case aggMax:
 			if ext := &gs.ext[base+i]; ext.IsNull() || Compare(v, *ext) > 0 {
 				*ext = v
 			}
 		default:
-			acc.count++
-			if f, ok := v.AsFloat(); ok {
-				acc.sum += f
-			}
-			acc.nonInt = acc.nonInt || v.K != KindInt
+			acc.add(num{v.I, v.F, v.K})
 		}
 	}
 	return nil
+}
+
+// add counts v, unless it is NULL, into a SUM, AVG or COUNT. A TEXT counts
+// and adds nothing, but makes the SUM a FLOAT.
+func (acc *aggAcc) add(v num) {
+	switch v.k {
+	case KindNull:
+		return
+	case KindInt:
+		acc.isum += v.i
+		acc.sum += float64(v.i)
+	case KindFloat:
+		acc.sum += v.f
+		acc.nonInt = true
+	default:
+		acc.nonInt = true
+	}
+	acc.count++
 }
 
 // values writes group g's value of aggs[i] to out[i], the layout eval
@@ -691,24 +732,26 @@ func (gs *groups) values(g int, out []Value) {
 	base := g * len(gs.aggs)
 	for i, a := range gs.aggs {
 		acc := &gs.acc[base+i]
-		switch a.Func {
-		case "COUNT":
+		switch a.fn {
+		case aggCount:
 			out[i] = Int(acc.count)
-		case "SUM":
+		case aggSum:
 			if acc.count == 0 {
 				out[i] = Null
 			} else if acc.nonInt {
 				out[i] = Float(acc.sum)
 			} else {
-				out[i] = Int(int64(acc.sum))
+				out[i] = Int(acc.isum)
 			}
-		case "AVG":
+		case aggAvg:
 			if acc.count == 0 {
 				out[i] = Null
-			} else {
+			} else if acc.nonInt {
 				out[i] = Float(acc.sum / float64(acc.count))
+			} else {
+				out[i] = Float(float64(acc.isum) / float64(acc.count))
 			}
-		case "MIN", "MAX":
+		case aggMin, aggMax:
 			out[i] = gs.ext[base+i]
 		}
 	}
@@ -718,17 +761,20 @@ func (gs *groups) values(g int, out []Value) {
 // aggregates. Groups come back in first-seen order. The key is the
 // plan's groupKey: what identifies a group, which may be less than the
 // GROUP BY list (selectPlan.groupKey says what is left out and why).
-// When intKey is set the key is one or two bare INT columns, and a
+// When groupInt is set the key is one or two bare INT columns, and a
 // tuple with no NULL among them is keyed by their int64s (keyMap's
-// getInts) without going through eval; any other tuple, or any other
-// key, goes through eval and get. A key of one such column whose values
-// span a range dense enough for the tuples keys them densely (useDense).
-func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*groups, error) {
-	gs := newGroups(x, aggs, in.n)
+// getInts) without a Value; any other tuple, or any other key, is keyed
+// by the Values of the compiled key (ckey) through get. A key of one such
+// column whose values span a range dense enough for the tuples keys them
+// densely (useDense).
+func groupRows(x *execRun, in tuples) (*groups, error) {
+	p := x.p
+	key, intKey := p.ckey, p.groupInt
+	gs := newGroups(x, p.caggs, in.n)
 	index := newKeyMap(len(key), in.n, 0) // group key -> group id + 1
 	var intCols []*boundCol
 	if intKey {
-		for _, ke := range key {
+		for _, ke := range p.groupKey {
 			intCols = append(intCols, ke.(*boundCol))
 		}
 	}
@@ -759,11 +805,10 @@ func groupRows(x *execRun, in tuples, key []Expr, intKey bool, aggs []*Agg) (*gr
 			gi = index.getInts(ints)
 		} else {
 			for c, ke := range key {
-				v, err := eval(ke, &x.ec)
-				if err != nil {
-					return nil, err
-				}
-				kv[c] = v
+				kv[c] = ke.val(&x.ec)
+			}
+			if x.ec.err != nil {
+				return nil, x.ec.takeErr()
 			}
 			gi = index.get(kv)
 		}

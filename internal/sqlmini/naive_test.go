@@ -198,19 +198,24 @@ func (env *naiveEnv) aggregate(a *sqlmini.Agg) sqlmini.Value {
 	if len(vals) == 0 {
 		return sqlmini.Null
 	}
-	best, sum, ints := vals[0], 0.0, true
+	// An all-INT SUM is exact (and wraps, as + does); AVG divides it.
+	best, sum, isum, ints := vals[0], 0.0, int64(0), true
 	for _, v := range vals {
 		f, _ := v.AsFloat()
 		sum += f
+		isum += v.I
 		ints = ints && v.K == sqlmini.KindInt
 		if c := sqlmini.Compare(v, best); (a.Func == "MIN" && c < 0) || (a.Func == "MAX" && c > 0) {
 			best = v
 		}
 	}
+	if ints {
+		sum = float64(isum)
+	}
 	switch a.Func {
 	case "SUM":
 		if ints {
-			return sqlmini.Int(int64(sum))
+			return sqlmini.Int(isum)
 		}
 		return sqlmini.Float(sum)
 	case "AVG":

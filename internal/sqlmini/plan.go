@@ -621,6 +621,10 @@ type scanNode struct {
 	inRange  []Expr
 	runShare float64 // the model's estimate of the interval's share of the table
 
+	// What the run evaluates of filter, rest and inRange: their compiled
+	// forms (selectPlan.compileAll).
+	cfilter, crest, cinRange []*cexpr
+
 	// limit is how many rows the statement can use of this scan, -1 for
 	// all of them: the LIMIT of a one-table statement with no ORDER BY,
 	// grouping or DISTINCT, which takes whichever rows come first. The
@@ -639,6 +643,7 @@ type joinNode struct {
 	leftKeys  []colPos // key columns within the prefix tuple
 	rightKeys []int    // key columns within the joined table's row
 	extra     []Expr   // residual conjuncts over prefix and joined table
+	cextra    []*cexpr // what the run evaluates of extra: its compiled form
 
 	// probe is the key pair whose right column is the joined table's
 	// primary key or carries a secondary index — the one with the
@@ -661,8 +666,9 @@ type joinNode struct {
 
 // orderSpec is one pre-resolved ORDER BY item.
 type orderSpec struct {
-	outIdx int  // >= 0: sort by that output column
-	expr   Expr // else: bound expression over the input tuple
+	outIdx int    // >= 0: sort by that output column
+	expr   Expr   // else: bound expression over the input tuple
+	c      *cexpr // expr compiled
 	desc   bool
 }
 
@@ -685,6 +691,13 @@ type selectPlan struct {
 	distinct bool
 	orderBy  []orderSpec
 	limit    int
+
+	// The compiled forms of outExprs, groupKey, having and the aggregates,
+	// which the run evaluates (compileAll).
+	outs    []*cexpr
+	ckey    []*cexpr
+	chaving *cexpr
+	caggs   []cagg
 
 	// walk marks an ORDER BY <indexed column> LIMIT k answered in index
 	// order: scans[0] is that column's table, read through the ordered
@@ -1434,13 +1447,6 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 	}
 	for i, a := range p.aggs { // nodes of the plan's own bound copies
 		a.slot = i
-		// SUM, AVG and COUNT keep a count and a float sum (groups.add): of
-		// a bare numeric column they add the vector's element as it is.
-		if bc, ok := a.E.(*boundCol); ok && !a.Distinct && (a.Func == "SUM" || a.Func == "AVG" || a.Func == "COUNT") {
-			if kind := colType(bc.table, bc.col); kind == KindInt || kind == KindFloat {
-				a.bare = bc
-			}
-		}
 	}
 	for _, g := range st.GroupBy {
 		bg, err := bind(g, pb)
@@ -1504,6 +1510,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			p.keyOuts = nil
 		}
 	}
+	p.compileAll(false)
 	return p, nil
 }
 
@@ -1709,8 +1716,8 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	} else {
 		x.stores, x.ec.cur = make([]*rowStore, n), make([]cursor, n)
 	}
-	for _, cexpr := range p.consts {
-		cv, err := eval(cexpr, &x.ec)
+	for _, ce := range p.consts {
+		cv, err := eval(ce, &x.ec)
 		if err != nil {
 			return err
 		}
@@ -1858,7 +1865,7 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		x.res.Scanned += int64(len(window))
 		cur := tuples{w: 1, ids: take(x, positions, len(window))}
 		for _, ri := range window {
-			if ok, err := s.passes(x, 0, int(ri), s.inRange); err != nil {
+			if ok, err := s.passes(x, 0, int(ri), s.cinRange); err != nil {
 				return err
 			} else if ok {
 				cur.ids = append(cur.ids, ri)
@@ -1895,7 +1902,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 		if !hit {
 			return tuples{w: 1}, nil
 		}
-		if ok, err := s.passes(x, k, idx, s.filter); err != nil || !ok {
+		if ok, err := s.passes(x, k, idx, s.cfilter); err != nil || !ok {
 			return tuples{w: 1}, err
 		}
 		return tuples{w: 1, n: 1, from: idx}, nil
@@ -1908,7 +1915,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 			return tuples{w: 1}, nil // col = NULL matches nothing
 		}
 		// schemaMatches holds the plan to views that carry the index.
-		return s.fetch(x, k, tv.index(s.keyCol).built(tv).lookup(kv), s.filter)
+		return s.fetch(x, k, tv.index(s.keyCol).built(tv).lookup(kv), s.cfilter)
 	}
 	if s.rangeCol >= 0 {
 		o := tv.index(s.rangeCol).ordered(tv)
@@ -1957,7 +1964,7 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 		cur.chunk = c
 		for _, off := range sel {
 			cur.off = int(off)
-			if ok, err := passes(s.rest, &x.ec); err != nil {
+			if ok, err := passes(s.crest, &x.ec); err != nil {
 				return tuples{}, err
 			} else if !ok {
 				continue
@@ -1975,7 +1982,7 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 	for i, r := range rows.tail {
 		x.res.Scanned++
 		cur.row = r
-		if ok, err := passes(s.filter, &x.ec); err != nil {
+		if ok, err := passes(s.cfilter, &x.ec); err != nil {
 			return tuples{}, err
 		} else if !ok {
 			continue
@@ -1991,17 +1998,47 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 
 // fetchRun returns the rows of a run of the range's index that pass the
 // rest of the filter, in position order: the rows, and the order, a scan
-// of the table would have kept.
+// of the table would have kept. It orders the run through a bitmap of
+// the positions it spans, one bit per position, set and then read in
+// ascending order; a run of n positions whose span takes n·bits.Len(n)
+// words or more is sorted instead, which costs less there (a run of 8
+// in a million positions sorts in 40 ns, and clears and reads its
+// bitmap's 16,384 words in 23 µs).
 func (s *scanNode) fetchRun(x *execRun, k int, run []int32) (tuples, error) {
-	at := append(take(x, positions, len(run)), run...)
-	slices.Sort(at)
-	return s.fetch(x, k, at, s.inRange)
+	at := take(x, positions, len(run))
+	if len(run) == 0 {
+		return s.fetch(x, k, at, s.cinRange)
+	}
+	lo, hi := run[0], run[0]
+	for _, pos := range run {
+		lo, hi = min(lo, pos), max(hi, pos)
+	}
+	if words := int(hi-lo)/64 + 1; words >= len(run)*bits.Len(uint(len(run))) {
+		at = append(at, run...)
+		slices.Sort(at)
+	} else {
+		// An index holds each position once: the bits are the run.
+		sc := x.scratch()
+		bm := sc.words.take(words)[:words]
+		clear(bm)
+		for _, pos := range run {
+			d := uint32(pos - lo)
+			bm[d>>6] |= 1 << (d & 63)
+		}
+		for w, word := range bm {
+			for b := uint64(word); b != 0; b &= b - 1 {
+				at = append(at, lo+int32(w*64+bits.TrailingZeros64(b)))
+			}
+		}
+		sc.words.drop(bm)
+	}
+	return s.fetch(x, k, at, s.cinRange)
 }
 
 // fetch returns those of the given positions whose rows pass conds, in
 // the order given, stopping at s.limit of them. at is only read, and is
 // itself the result when nothing narrows it.
-func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []Expr) (tuples, error) {
+func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []*cexpr) (tuples, error) {
 	if len(conds) == 0 && s.limit < 0 {
 		x.res.Scanned += int64(len(at))
 		return tuples{w: 1, n: len(at), ids: at}, nil
@@ -2030,16 +2067,15 @@ func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []Expr) (tuples, e
 
 // passes evaluates conds — pushed-down conjuncts of this scan — with the
 // row at position pos as the tuple's k-th row, the only one they read.
-func (s *scanNode) passes(x *execRun, k, pos int, conds []Expr) (bool, error) {
+func (s *scanNode) passes(x *execRun, k, pos int, conds []*cexpr) (bool, error) {
 	x.stores[k].seek(&x.ec.cur[k], pos)
 	return passes(conds, &x.ec)
 }
 
 // passes reports whether every one of conds holds of the current tuple.
-func passes(conds []Expr, ec *evalCtx) (bool, error) {
-	for _, f := range conds {
-		fv, err := eval(f, ec)
-		if err != nil || !fv.Truth() {
+func passes(conds []*cexpr, ec *evalCtx) (bool, error) {
+	for _, c := range conds {
+		if ok, err := c.holds(ec); err != nil || !ok {
 			return false, err
 		}
 	}
@@ -2087,13 +2123,13 @@ func (j *joinNode) intKey(x *execRun, left, right *tuples, ofLeft bool, i int) (
 // joinOut collects the tuples one join step emits: prefix tuples of
 // left extended by rows of the joined table.
 type joinOut struct {
-	extra []Expr // the step's residual conjuncts
+	extra []*cexpr // the step's residual conjuncts, compiled
 	left  tuples
 	out   tuples
 }
 
 func (j *joinNode) begin(x *execRun, left tuples) joinOut {
-	return joinOut{extra: j.extra, left: left,
+	return joinOut{extra: j.cextra, left: left,
 		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}}
 }
 
@@ -2171,7 +2207,7 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 					continue cands
 				}
 			}
-			if ok, err := s.passes(x, k, int(ri), s.filter); err != nil {
+			if ok, err := s.passes(x, k, int(ri), s.cfilter); err != nil {
 				return tuples{}, err
 			} else if !ok {
 				continue
@@ -2304,7 +2340,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 	var gs *groups
 	if groupMode {
 		var err error
-		if gs, err = groupRows(x, in, p.groupKey, p.groupInt, p.aggs); err != nil {
+		if gs, err = groupRows(x, in); err != nil {
 			return err
 		}
 	}
@@ -2321,8 +2357,8 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 	var slab []Value
 	project := func(ec *evalCtx) error {
 		or := slab[:nout:nout]
-		for i, oe := range p.outExprs {
-			v, err := eval(oe, ec)
+		for i, oe := range p.outs {
+			v, err := oe.get(ec)
 			if err != nil {
 				return err
 			}
@@ -2340,12 +2376,10 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		for g, sample := range gs.sample {
 			x.load(&in, int(sample))
 			gs.values(g, gctx.aggs)
-			if p.having != nil {
-				hv, err := eval(p.having, gctx)
-				if err != nil {
+			if p.chaving != nil {
+				if ok, err := p.chaving.holds(gctx); err != nil {
 					return err
-				}
-				if !hv.Truth() {
+				} else if !ok {
 					continue
 				}
 			}
@@ -2430,17 +2464,15 @@ func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error 
 			return err
 		}
 		load(i)
-		if p.having != nil {
-			hv, err := eval(p.having, ctx)
-			if err != nil {
+		if p.chaving != nil {
+			if ok, err := p.chaving.holds(ctx); err != nil {
 				return err
-			}
-			if !hv.Truth() {
+			} else if !ok {
 				continue
 			}
 		}
 		for _, oi := range p.keyOuts {
-			v, err := eval(p.outExprs[oi], ctx)
+			v, err := p.outs[oi].get(ctx)
 			if err != nil {
 				return err
 			}
@@ -2454,7 +2486,7 @@ func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error 
 			if spec.outIdx >= 0 {
 				continue
 			}
-			v, err := eval(spec.expr, &x.ec)
+			v, err := spec.c.get(&x.ec)
 			if err != nil {
 				return err
 			}
@@ -2469,8 +2501,8 @@ func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error 
 	for r, it := range h.items {
 		load(it.pos)
 		row := slab[r*nout:][:nout:nout]
-		for c, oe := range p.outExprs {
-			v, err := eval(oe, ctx)
+		for c, oe := range p.outs {
+			v, err := oe.get(ctx)
 			if err != nil {
 				return err
 			}
@@ -2602,7 +2634,7 @@ func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int32)
 				x.load(&in, ti)
 				loaded = true
 			}
-			v, err := eval(spec.expr, &x.ec)
+			v, err := spec.c.get(&x.ec)
 			if err != nil {
 				return nil, err
 			}

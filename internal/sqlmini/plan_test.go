@@ -708,6 +708,9 @@ func BenchmarkRangeScan(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					if x.sc != nil {
+						x.sc.release()
+					}
 				}
 				b.ReportMetric(float64(res.Scanned), "scanned/op")
 				b.ReportMetric(float64(got.n), "rows/op")

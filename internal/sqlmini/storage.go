@@ -176,24 +176,6 @@ func (c *cursor) value(col int) Value {
 	return c.row[col]
 }
 
-// num returns column col — declared INT or FLOAT — as a float64,
-// whether it is an integer, and false for ok when it is NULL.
-func (c *cursor) num(col int) (f float64, isInt, ok bool) {
-	if c.chunk == nil {
-		v := c.row[col]
-		f, ok = v.AsFloat()
-		return f, v.K == KindInt, ok
-	}
-	v := &c.chunk.cols[col]
-	if v.nulls != nil && v.nulls.has(c.off) {
-		return 0, false, false
-	}
-	if v.kind == KindInt {
-		return float64(v.ints[c.off]), true, true
-	}
-	return v.floats[c.off], false, true
-}
-
 // int returns column col — declared INT — and false when it is NULL.
 func (c *cursor) int(col int) (int64, bool) {
 	if c.chunk == nil {
@@ -205,6 +187,32 @@ func (c *cursor) int(col int) (int64, bool) {
 		return 0, false
 	}
 	return v.ints[c.off], true
+}
+
+// float returns column col — declared FLOAT — and false when it is NULL.
+func (c *cursor) float(col int) (float64, bool) {
+	if c.chunk == nil {
+		v := c.row[col]
+		return v.F, v.K == KindFloat
+	}
+	v := &c.chunk.cols[col]
+	if v.nulls != nil && v.nulls.has(c.off) {
+		return 0, false
+	}
+	return v.floats[c.off], true
+}
+
+// text returns column col — declared TEXT — and false when it is NULL.
+func (c *cursor) text(col int) (string, bool) {
+	if c.chunk == nil {
+		v := c.row[col]
+		return v.S, v.K == KindText
+	}
+	v := &c.chunk.cols[col]
+	if v.nulls != nil && v.nulls.has(c.off) {
+		return "", false
+	}
+	return v.strs[c.off], true
 }
 
 // seek points c at the row at position i.

@@ -148,7 +148,11 @@ bench-mem:
 # must answer as a Go map of the keys' renderings on any program of
 # gets and puts (FuzzKeyMap), and a compiled expression must answer
 # what eval answers, value for value and error for error, on any tree
-# of operators over columns, params and aggregates (FuzzCompiledExpr).
+# of operators over columns, params and aggregates (FuzzCompiledExpr),
+# and every read, dictionary-decided filter, GROUP BY and DISTINCT of a
+# TEXT column must answer as the naive evaluator does while loads,
+# INSERTs and UPDATEs build, extend and drop its chunks' dictionaries
+# (FuzzTextDict).
 # CI runs this on every push; longer campaigns can raise -fuzztime
 # locally.
 fuzz-smoke:
@@ -156,6 +160,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBindLiterals -fuzztime 5s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz FuzzKeyMap -fuzztime 5s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledExpr -fuzztime 5s ./internal/sqlmini/
+	$(GO) test -run '^$$' -fuzz FuzzTextDict -fuzztime 5s ./internal/sqlmini/
 
 clean:
 	$(GO) clean ./...

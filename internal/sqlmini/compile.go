@@ -3,15 +3,17 @@ package sqlmini
 import (
 	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Compiled expressions. buildPlan compiles every expression a run
 // evaluates per tuple or per group — scan filters, join residuals, group
 // keys, aggregate arguments, HAVING, projections and ORDER BY keys — once,
 // into a tree of cexpr nodes the plan keeps (selectPlan.compileAll). A node
-// has its operator and, for a column, the vector its declared type
-// selects resolved, so a run switches on a small integer where eval
-// switches on the node's type and compares operator strings. Three
+// has its operator and, for a column, its declared type and its read
+// (the block vector it reads, block.go) resolved, so a run switches on a
+// small integer where eval switches on the node's type and compares
+// operator strings. Three
 // evaluators share the tree: val yields a Value, num a number unboxed
 // (arithmetic and aggregate arguments), cond a condition's outcome
 // (filters, AND, OR, NOT); each node is evaluated by the one its parent
@@ -40,7 +42,7 @@ const (
 	opInt              // column col of the tuple's row of scan, declared INT
 	opFloat            // likewise, declared FLOAT
 	opText             // likewise, declared TEXT
-	opCol              // likewise, declared without a type: NULL
+	opCol              // likewise, declared without a type: always NULL
 	opAgg              // the current group's aggregate in slot
 	opEval             // eval of src (interpreted)
 	opFail             // fails with err: a tree the parser and bind never make
@@ -75,6 +77,7 @@ type cexpr struct {
 	// meet.
 	text      bool
 	scan, col int // a column's place in the tuple
+	ref       int // a column's read: its place in selectPlan.reads, and its vector's in a block
 	slot      int // opParam, opAgg
 	l, r, hi  *cexpr
 	list      []*cexpr
@@ -131,7 +134,7 @@ func (c *compiler) compile(e Expr) *cexpr {
 		case KindText:
 			op = opText
 		}
-		return c.node(cexpr{op: op, scan: x.table, col: x.col})
+		return c.node(cexpr{op: op, scan: x.table, col: x.col, ref: c.ref(x)})
 	case *ColRef:
 		return c.node(cexpr{op: opFail, err: fmt.Errorf("sqlmini: unbound column %q", x.Column)})
 	case *Agg:
@@ -190,7 +193,8 @@ func (c *compiler) compile(e Expr) *cexpr {
 
 // compiler makes a plan's compiled forms: its nodes cut from one slab and
 // its lists of nodes from another, each sized by a first pass that only
-// counts, so a plan's expressions cost it two allocations.
+// counts, so a plan's expressions cost it two allocations. Beside them it
+// makes the plan's read sets (ref).
 type compiler struct {
 	p         *selectPlan
 	interpret bool // every root evaluates its bound expression with eval
@@ -200,6 +204,9 @@ type compiler struct {
 	nnodes, nptrs int
 	nodes         []cexpr
 	ptrs          []*cexpr
+	// site is the read set of the forms being compiled: a loop that
+	// evaluates them gathers those columns into its block (block.go).
+	site *[]int
 }
 
 // counted is what node hands out while counting; nothing writes it.
@@ -215,23 +222,45 @@ func (p *selectPlan) compileAll(interpret bool) {
 	p.fill(c)
 	c.nodes, c.ptrs = make([]cexpr, 0, c.nnodes), make([]*cexpr, 0, c.nptrs)
 	c.counting = false
+	p.reads = nil
 	p.fill(c)
 }
 
-// fill sets every compiled form of the plan through c.
+// fill sets every compiled form of the plan through c, and the read set
+// of each loop that evaluates them: a scan's filters, a join step's
+// residuals, the group key with the aggregates' operands, and what is
+// evaluated per output row.
 func (p *selectPlan) fill(c *compiler) {
 	for i := range p.scans {
 		s := &p.scans[i]
+		s.reads, c.site = nil, &s.reads
 		s.cfilter, s.crest, s.cinRange = c.roots(s.filter), c.roots(s.rest), c.roots(s.inRange)
+		s.dictConds = c.dictConds(s.crest, s.rest)
 	}
 	for i := range p.joins {
-		p.joins[i].cextra = c.roots(p.joins[i].extra)
+		j := &p.joins[i]
+		j.reads, c.site = nil, &j.reads
+		j.cextra = c.roots(j.extra)
 	}
-	p.outs, p.ckey = c.roots(p.outExprs), c.roots(p.groupKey)
+	p.groupReads, c.site = nil, &p.groupReads
+	p.ckey = c.roots(p.groupKey)
+	p.outReads, c.site = nil, &p.outReads
+	p.outs = c.roots(p.outExprs)
 	p.chaving = nil
 	if p.having != nil {
 		p.chaving = c.root(p.having)
 	}
+	// What ranks a candidate of an ORDER BY: its own expressions and,
+	// ranking before projecting (selectThenProject), HAVING and the
+	// outputs the ORDER BY names.
+	p.rankReads, c.site = nil, &p.rankReads
+	if p.having != nil {
+		c.read(p.having)
+	}
+	for _, oi := range p.keyOuts {
+		c.read(p.outExprs[oi])
+	}
+	c.site = &p.groupReads
 	p.caggs = nil
 	if !c.counting && len(p.aggs) > 0 {
 		p.caggs = make([]cagg, len(p.aggs))
@@ -245,6 +274,7 @@ func (p *selectPlan) fill(c *compiler) {
 			p.caggs[i] = cagg{fn: aggFns[a.Func], arg: arg, distinct: a.Distinct}
 		}
 	}
+	c.site = &p.rankReads
 	for i := range p.orderBy {
 		if o := &p.orderBy[i]; o.expr != nil {
 			o.c = c.root(o.expr)
@@ -252,8 +282,46 @@ func (p *selectPlan) fill(c *compiler) {
 	}
 }
 
-// root returns the compiled form of e.
+// ref returns the read of column bc: its place in the plan's reads,
+// added when new, and adds it to the read set being made.
+func (c *compiler) ref(bc *boundCol) int {
+	if c.counting {
+		return 0
+	}
+	p, at := c.p, colPos{bc.table, bc.col}
+	r := slices.Index(p.reads, at)
+	if r < 0 {
+		r = len(p.reads)
+		p.reads = append(p.reads, at)
+	}
+	// A site's reads go by scan, so a gather finds a scan's positions once.
+	site := *c.site
+	if !slices.Contains(site, r) {
+		i, _ := slices.BinarySearchFunc(site, at, func(have int, at colPos) int {
+			return cmp.Or(cmp.Compare(p.reads[have].scan, at.scan), cmp.Compare(p.reads[have].col, at.col))
+		})
+		*c.site = slices.Insert(site, i, r)
+	}
+	return r
+}
+
+// read adds the columns e reads to the read set being made. An
+// aggregate's operand is not the reading expression's: groupRows reads
+// it.
+func (c *compiler) read(e Expr) {
+	walkExpr(e, func(x Expr) bool {
+		if bc, ok := x.(*boundCol); ok {
+			c.ref(bc)
+		}
+		_, agg := x.(*Agg)
+		return !agg
+	})
+}
+
+// root returns the compiled form of e, and adds the columns it reads to
+// the read set being made.
 func (c *compiler) root(e Expr) *cexpr {
+	c.read(e)
 	if c.interpret {
 		return c.node(cexpr{op: opEval, src: e})
 	}
@@ -314,6 +382,23 @@ func (ec *evalCtx) takeErr() error {
 	return err
 }
 
+// reads appends the reads of n's column leaves to dst.
+func (n *cexpr) reads(dst []int) []int {
+	switch n.op {
+	case opInt, opFloat, opText, opCol:
+		return append(dst, n.ref)
+	}
+	for _, o := range [...]*cexpr{n.l, n.r, n.hi} {
+		if o != nil {
+			dst = o.reads(dst)
+		}
+	}
+	for _, o := range n.list {
+		dst = o.reads(dst)
+	}
+	return dst
+}
+
 // get evaluates the compiled expression n against ec: eval's Value, or
 // its error.
 func (n *cexpr) get(ec *evalCtx) (Value, error) {
@@ -340,22 +425,22 @@ func (n *cexpr) val(ec *evalCtx) Value {
 	case opParam:
 		return ec.params[n.slot]
 	case opInt:
-		if i, ok := ec.cur[n.scan].int(n.col); ok {
-			return Int(i)
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
+			return Value{K: KindInt, I: v.ints[ec.at]}
 		}
 		return Null
 	case opFloat:
-		if f, ok := ec.cur[n.scan].float(n.col); ok {
-			return Float(f)
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
+			return Value{K: KindFloat, F: v.floats[ec.at]}
 		}
 		return Null
 	case opText:
-		if s, ok := ec.cur[n.scan].text(n.col); ok {
-			return Text(s)
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
+			return Value{K: KindText, S: v.strs[ec.at]}
 		}
 		return Null
 	case opCol:
-		return ec.cur[n.scan].value(n.col)
+		return Null
 	case opAgg:
 		if ec.aggs == nil {
 			ec.fail(n.err)
@@ -395,19 +480,21 @@ func (n *cexpr) num(ec *evalCtx) num {
 		v := &ec.params[n.slot]
 		return num{v.I, v.F, v.K}
 	case opInt:
-		if i, ok := ec.cur[n.scan].int(n.col); ok {
-			return num{i: i, k: KindInt}
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
+			return num{i: v.ints[ec.at], k: KindInt}
 		}
 		return nullNum
 	case opFloat:
-		if f, ok := ec.cur[n.scan].float(n.col); ok {
-			return num{f: f, k: KindFloat}
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
+			return num{f: v.floats[ec.at], k: KindFloat}
 		}
 		return nullNum
 	case opText:
-		if _, ok := ec.cur[n.scan].text(n.col); ok {
+		if v := ec.vecs[n.ref]; v.nulls == nil || !v.nulls.has(ec.at) {
 			return num{k: KindText}
 		}
+		return nullNum
+	case opCol:
 		return nullNum
 	case opNeg:
 		v := n.l.num(ec)
@@ -567,7 +654,15 @@ func (n *cexpr) cond(ec *evalCtx) tri {
 		}
 		found := false
 		for _, le := range n.list {
-			if lv := le.val(ec); lv.K != KindNull && Compare(v, lv) == 0 {
+			// A param, the usual element, is compared where it is.
+			var lv *Value
+			if le.op == opParam {
+				lv = &ec.params[le.slot]
+			} else {
+				val := le.val(ec)
+				lv = &val
+			}
+			if lv.K != KindNull && Compare(v, *lv) == 0 {
 				found = true
 				break
 			}

@@ -103,34 +103,66 @@ func sameValue(a, b Value) bool {
 // checkCompiled holds the compiled form of e to eval on every row of the
 // table (scan 0) beside another (scan 1), outside aggregation and inside
 // it: get must return eval's Value bit for bit, or its error, and holds
-// must say whether that Value is true.
-func checkCompiled(t testing.TB, tv *tableView, e Expr) {
+// must say whether that Value is true. The compiled form reads the pairs
+// in blocks (execRun.gather; a block of one through oneRow where the
+// tree reads few columns) whose sizes, and the selection of each block's
+// tuples evaluated, pick draws; eval reads them through cursors, and
+// again through the block, as an interpreted plan does.
+func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 	t.Helper()
 	p := &selectPlan{scans: []scanNode{{t: tv.t}, {t: tv.t}}}
-	c := (&compiler{p: p}).compile(e)
+	var reads []int
+	c := &compiler{p: p, site: &reads}
+	root := c.root(e)
 	n := tv.rows.len()
+	in := tuples{w: 2, n: n, ids: make([]int32, 2*n)}
+	for r := 0; r < n; r++ {
+		in.ids[2*r], in.ids[2*r+1] = int32(r), int32((r*7+3)%n)
+	}
+	x := &execRun{ctx: context.Background(), p: p, res: &Result{}, stores: []*rowStore{&tv.rows, &tv.rows}}
+	defer func() {
+		if x.sc != nil {
+			x.sc.release()
+		}
+	}()
+	x.ec.params, x.ec.reads = compileParams, p.reads
+	if len(p.reads) <= len(oneRow{}.vecs) {
+		x.one = new(oneRow) // a block of one tuple gathers into it, as a small run's does
+	}
 	ec := &evalCtx{cur: make([]cursor, 2), params: compileParams}
 	for _, aggs := range [][]Value{nil, compileAggs} {
-		ec.aggs = aggs
-		for r := 0; r < n; r++ {
-			tv.rows.seek(&ec.cur[0], r)
-			tv.rows.seek(&ec.cur[1], (r*7+3)%n)
-			want, werr := eval(e, ec)
-			got, gerr := c.get(ec)
-			ok, herr := c.holds(ec)
-			if werr != nil {
-				if gerr == nil || gerr.Error() != werr.Error() || herr == nil || herr.Error() != werr.Error() {
-					t.Fatalf("%s, row %d, aggregates %v: eval fails with %v; compiled %v, %v (holds %v)", exprString(e), r, aggs != nil, werr, got, gerr, herr)
+		ec.aggs, x.ec.aggs = aggs, aggs
+		for b := 0; b < n; {
+			m := min(n-b, 1+pick(blockLen))
+			x.gather(&in, 0, b, m, nil, reads)
+			every := pick(2) == 0
+			for k := 0; k < m; k++ {
+				if !every && pick(3) != 0 {
+					continue
 				}
-				continue
+				r := b + k
+				tv.rows.seek(&ec.cur[0], r)
+				tv.rows.seek(&ec.cur[1], (r*7+3)%n)
+				x.ec.at = k
+				want, werr := eval(e, ec)
+				again, aerr := eval(e, &x.ec)
+				got, gerr := root.get(&x.ec)
+				ok, herr := root.holds(&x.ec)
+				if werr != nil {
+					if gerr == nil || gerr.Error() != werr.Error() || herr == nil || herr.Error() != werr.Error() || aerr == nil || aerr.Error() != werr.Error() {
+						t.Fatalf("%s, row %d, aggregates %v: eval fails with %v; compiled %v, %v (holds %v), eval on the block %v", exprString(e), r, aggs != nil, werr, got, gerr, herr, aerr)
+					}
+					continue
+				}
+				if gerr != nil || herr != nil || !sameValue(got, want) || ok != want.Truth() || aerr != nil || !sameValue(again, want) {
+					t.Fatalf("%s, row %d, aggregates %v: eval %#v; compiled %#v, %v, holds %v, %v; eval on the block %#v, %v", exprString(e), r, aggs != nil, want, got, gerr, ok, herr, again, aerr)
+				}
 			}
-			if gerr != nil || herr != nil || !sameValue(got, want) || ok != want.Truth() {
-				t.Fatalf("%s, row %d, aggregates %v: eval %#v; compiled %#v, %v, holds %v, %v", exprString(e), r, aggs != nil, want, got, gerr, ok, herr)
-			}
+			b += m
 		}
 	}
-	if ec.err != nil {
-		t.Fatalf("%s: a failure stayed recorded: %v", exprString(e), ec.err)
+	if x.ec.err != nil {
+		t.Fatalf("%s: a failure stayed recorded: %v", exprString(e), x.ec.err)
 	}
 }
 
@@ -156,18 +188,19 @@ func TestCompiledAgainstEval(t *testing.T) {
 		&IsNull{E: &BinOp{Op: "LIKE", L: s, R: lit(Text("a%"))}, Negate: true},
 		&BinOp{Op: "<", L: z, R: &Agg{Func: "MAX", slot: 3}},
 	} {
-		checkCompiled(t, tv, e)
+		checkCompiled(t, tv, e, func(int) int { return 0 })
 	}
 	rng := rand.New(rand.NewSource(40))
 	g := &exprGen{pick: rng.Intn}
 	for k := 0; k < 400; k++ {
-		checkCompiled(t, tv, g.expr(4))
+		checkCompiled(t, tv, g.expr(4), rng.Intn)
 	}
 }
 
 // FuzzCompiledExpr holds compiled expressions to eval on trees decoded
 // from the input, a byte per choice (exprGen): the same Value, bit for
-// bit, or the same error, row by row.
+// bit, or the same error, row by row. The bytes left after the tree
+// choose the blocks' sizes and selections.
 func FuzzCompiledExpr(f *testing.F) {
 	_, tv := compileTable(f)
 	// (s + 1) * -i, the i of scan 1.
@@ -185,7 +218,7 @@ func FuzzCompiledExpr(f *testing.F) {
 			choices = choices[1:]
 			return int(b) % n
 		}}
-		checkCompiled(t, tv, g.expr(5))
+		checkCompiled(t, tv, g.expr(5), g.pick)
 	})
 }
 
@@ -216,8 +249,12 @@ func TestSumOfIntsExact(t *testing.T) {
 
 // TestCachedPlanAllocations pins what a run of a cached plan allocates:
 // a grouped aggregate of arithmetic and a filtered pk probe, each at the
-// count it had when eval walked its expressions. Evaluating compiled
-// forms allocates nothing, and the run's state stays on the stack.
+// count it had when eval walked its expressions; and, over a table of
+// two sealed chunks and a tail, a GROUP BY of a TEXT column of few
+// strings and a hash join grouped by an INT key, each at the count it had
+// before runs gathered blocks. Evaluating compiled forms allocates
+// nothing, block vectors are kept with the pooled run scratch, and the
+// run's state stays on the stack.
 func TestCachedPlanAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts differ under the race detector")
@@ -227,12 +264,26 @@ func TestCachedPlanAllocations(t *testing.T) {
 	for k := 0; k < 200; k++ {
 		mustExec(t, e, fmt.Sprintf(`INSERT INTO a VALUES (%d, 'g%d', %d, %d.25)`, k, k%4, k%9, k))
 	}
+	mustExec(t, e, `CREATE TABLE b (id INT PRIMARY KEY, g TEXT, k INT, p FLOAT)`)
+	mustExec(t, e, `CREATE TABLE c (ck INT PRIMARY KEY, w FLOAT)`)
+	rows := make([]Row, 2*rowChunkLen+100)
+	for k := range rows {
+		rows[k] = Row{Int(int64(k)), Text(fmt.Sprintf("g%d", k%5)), Int(int64(k % 700)), Float(float64(k) / 8)}
+	}
+	if err := e.BulkInsert("b", rows); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 600; k++ {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO c VALUES (%d, %d.5)`, k, k%13))
+	}
 	for _, c := range []struct {
 		sql    string
 		allocs float64
 	}{
 		{`SELECT g, SUM(p * (1 - q)), COUNT(*) FROM a WHERE q < 7 GROUP BY g`, 26},
 		{`SELECT g, p FROM a WHERE id = 17 AND q + 1 > 0`, 4},
+		{`SELECT g, COUNT(*), SUM(p), MIN(k) FROM b GROUP BY g`, 9},
+		{`SELECT k, COUNT(*), SUM(w * p) FROM b JOIN c ON ck = k GROUP BY k`, 10},
 	} {
 		st, err := Parse(c.sql)
 		if err != nil {

@@ -218,6 +218,9 @@ type Result struct {
 	// Scanned counts the rows examined while executing; the cluster
 	// layer uses it as the work measure of a request.
 	Scanned int64
+	// modes records the run-time choices a SELECT's run made, for the
+	// package's tests to tell which paths a statement took.
+	modes runMode
 }
 
 // Exec parses and executes one SQL statement.

@@ -56,18 +56,33 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 }
 
 // evalCtx carries what an expression is evaluated against: the current
-// tuple as one cursor per bound table (cur[k] names the row of table k;
-// a single-table statement has a tuple of one), the params of the
-// statement being executed (a Lit reads params[Slot]), and, in
-// aggregate mode, the current group's aggregate values by Agg.slot.
-// What the cursors name is only read: it may belong to a published view.
-// err is where a compiled expression records its failure (compile.go);
-// eval returns its errors instead.
+// tuple, the params of the statement being executed (a Lit reads
+// params[Slot]), and, in aggregate mode, the current group's aggregate
+// values by Agg.slot. A SELECT's run holds its tuples in a block
+// (block.go): vecs[r] is the block's vector of the plan's read r
+// (reads[r]), and the current tuple is the one at index at. A write and
+// the tests name the tuple as one cursor per bound table instead (cur[k]
+// names the row of table k; a single-table statement has a tuple of
+// one). What either names is only read: it may belong to a published
+// view. err is where a compiled expression records its failure
+// (compile.go); eval returns its errors instead.
 type evalCtx struct {
 	cur    []cursor
+	reads  []colPos
+	vecs   []*colVec
+	at     int
 	params []Value
 	aggs   []Value
 	err    error
+}
+
+// column returns column col of the current tuple's row of table.
+func (ec *evalCtx) column(table, col int) Value {
+	if ec.vecs == nil {
+		return ec.cur[table].value(col)
+	}
+	r := slices.Index(ec.reads, colPos{table, col})
+	return ec.vecs[r].get(ec.at)
 }
 
 // eval evaluates an expression; ColRefs must have been rewritten to
@@ -77,7 +92,7 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 	case *Lit:
 		return ctx.params[x.Slot], nil
 	case *boundCol:
-		return ctx.cur[x.table].value(x.col), nil
+		return ctx.column(x.table, x.col), nil
 	case *ColRef:
 		return Null, fmt.Errorf("sqlmini: unbound column %q", x.Column)
 	case *Agg:
@@ -452,6 +467,7 @@ type scratch struct {
 	slots  drawn[slot]   // keyMaps' slots
 	words  drawn[int64]  // keyMaps' keys of integers
 	hkeys  drawn[hkey]   // keyMaps' other keys
+	blk    blockBufs     // block vectors, kept across runs
 }
 
 // release puts everything back and the scratch itself with it.
@@ -462,6 +478,7 @@ func (sc *scratch) release() {
 	sc.slots.giveAll()
 	sc.words.giveAll()
 	sc.hkeys.giveAll()
+	sc.blk.scrub()
 	scratches.Put(sc)
 }
 
@@ -594,6 +611,18 @@ const (
 
 var aggFns = map[string]aggFn{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
 
+// runMode is a set of run-time choices a run made (Result.modes).
+type runMode uint8
+
+const (
+	modeDense      runMode = 1 << iota // a table of one-integer keys keyed densely (keyMap.useDense)
+	modeHashed                         // one keyed by hashing
+	modeGather                         // a block gathered from rows (execRun.gather)
+	modeDictKey                        // group keys looked up by a chunk's dictionary codes (codeKeys)
+	modeDictFilter                     // a scan conjunct decided per dictionary entry (dictPass)
+	modeRowKey                         // group keys looked up by their row's position (codeKeys)
+)
+
 // cagg is an aggregate of a plan as groups.add runs it: its function and
 // its operand compiled (nil for COUNT(*)).
 type cagg struct {
@@ -658,54 +687,125 @@ func (gs *groups) open(x *execRun, sample int) int32 {
 	return int32(len(gs.sample))
 }
 
-// add accumulates the current tuple into group g. The operand of a SUM,
-// AVG or COUNT is read as a number, unboxed (cexpr.num); any other as a
-// Value.
-func (gs *groups) add(x *execRun, g int) error {
-	ec := &x.ec
-	base := g * len(gs.aggs)
+// addBlock accumulates the block's tuples into their groups, tuple k
+// into group gid[k], one aggregate at a time over the whole block; each
+// group still takes its tuples in their order. A SUM, AVG or COUNT of a
+// bare INT or FLOAT column adds from the column's vector; any other
+// aggregate evaluates its operand per tuple (add).
+func (gs *groups) addBlock(x *execRun, gid []int32) error {
+	n := len(gs.aggs)
 	for i, a := range gs.aggs {
-		acc := &gs.acc[base+i]
-		if a.arg == nil { // COUNT(*)
-			acc.count++
-			continue
-		}
-		if !a.distinct && a.fn <= aggAvg {
-			v := a.arg.num(ec)
-			if ec.err != nil {
-				return ec.takeErr()
+		switch {
+		case a.arg == nil: // COUNT(*)
+			for _, g := range gid {
+				gs.acc[int(g)*n+i].count++
 			}
-			acc.add(v)
-			continue
-		}
-		v, err := a.arg.get(ec)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if a.distinct {
-			gv := [2]Value{Int(int64(g)), v}
-			if gs.seen[i].get(gv[:]) != 0 {
-				continue
+		case !a.distinct && a.fn <= aggAvg && a.arg.op == opInt:
+			v := x.ec.vecs[a.arg.ref]
+			for k, g := range gid {
+				if v.nulls == nil || !v.nulls.has(k) {
+					acc := &gs.acc[int(g)*n+i]
+					acc.isum += v.ints[k]
+					acc.sum += float64(v.ints[k])
+					acc.count++
+				}
 			}
-			gs.seen[i].put(x, gv[:], 1)
-		}
-		switch a.fn {
-		case aggMin:
-			if ext := &gs.ext[base+i]; ext.IsNull() || Compare(v, *ext) < 0 {
-				*ext = v
-			}
-		case aggMax:
-			if ext := &gs.ext[base+i]; ext.IsNull() || Compare(v, *ext) > 0 {
-				*ext = v
+		case !a.distinct && a.fn <= aggAvg && a.arg.op == opFloat:
+			v := x.ec.vecs[a.arg.ref]
+			for k, g := range gid {
+				if v.nulls == nil || !v.nulls.has(k) {
+					acc := &gs.acc[int(g)*n+i]
+					acc.sum += v.floats[k]
+					acc.nonInt = true
+					acc.count++
+				}
 			}
 		default:
-			acc.add(num{v.I, v.F, v.K})
+			for k, g := range gid {
+				x.ec.at = k
+				if err := gs.add(x, i, int(g)); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// add accumulates the current tuple into group g's aggregate i. The
+// operand of a SUM, AVG or COUNT is read as a number, unboxed
+// (cexpr.num); any other as a Value.
+func (gs *groups) add(x *execRun, i, g int) error {
+	ec, a := &x.ec, gs.aggs[i]
+	at := g*len(gs.aggs) + i
+	acc := &gs.acc[at]
+	if a.arg == nil { // COUNT(*)
+		acc.count++
+		return nil
+	}
+	if !a.distinct && a.fn <= aggAvg {
+		v := a.arg.num(ec)
+		if ec.err != nil {
+			return ec.takeErr()
+		}
+		acc.add(v)
+		return nil
+	}
+	v, err := a.arg.get(ec)
+	if err != nil || v.IsNull() {
+		return err
+	}
+	if a.distinct {
+		gv := [2]Value{Int(int64(g)), v}
+		if gs.seen[i].get(gv[:]) != 0 {
+			return nil
+		}
+		gs.seen[i].put(x, gv[:], 1)
+	}
+	switch a.fn {
+	case aggMin:
+		if ext := &gs.ext[at]; ext.IsNull() || Compare(v, *ext) < 0 {
+			*ext = v
+		}
+	case aggMax:
+		if ext := &gs.ext[at]; ext.IsNull() || Compare(v, *ext) > 0 {
+			*ext = v
+		}
+	default:
+		acc.add(num{v.I, v.F, v.K})
+	}
+	return nil
+}
+
+// firstErr evaluates the block's tuples one after another — the group
+// key, then each aggregate's operand, as groupRows and add would — and
+// returns the first error met: the one a block that failed somewhere
+// (with failed) reports. Evaluating writes nothing but the error.
+func (gs *groups) firstErr(x *execRun, m int, failed error) error {
+	ec := &x.ec
+	ec.err = nil
+	for k := 0; k < m; k++ {
+		ec.at = k
+		for _, ke := range x.p.ckey {
+			ke.val(ec)
+		}
+		if ec.err != nil {
+			return ec.takeErr()
+		}
+		for _, a := range gs.aggs {
+			switch {
+			case a.arg == nil:
+			case !a.distinct && a.fn <= aggAvg:
+				a.arg.num(ec)
+			default:
+				a.arg.val(ec)
+			}
+			if ec.err != nil {
+				return ec.takeErr()
+			}
+		}
+	}
+	return failed
 }
 
 // add counts v, unless it is NULL, into a SUM, AVG or COUNT. A TEXT counts
@@ -726,6 +826,17 @@ func (acc *aggAcc) add(v num) {
 	acc.count++
 }
 
+// quietNaN returns f, or math.NaN() for every NaN. Which operand's NaN
+// a sum carries on depends on the order the compiler puts a float
+// addition's operands in, which two loops of the same additions need
+// not share; a SUM that is NaN is therefore always the one NaN.
+func quietNaN(f float64) float64 {
+	if f != f {
+		return math.NaN()
+	}
+	return f
+}
+
 // values writes group g's value of aggs[i] to out[i], the layout eval
 // reads through Agg.slot.
 func (gs *groups) values(g int, out []Value) {
@@ -739,7 +850,7 @@ func (gs *groups) values(g int, out []Value) {
 			if acc.count == 0 {
 				out[i] = Null
 			} else if acc.nonInt {
-				out[i] = Float(acc.sum)
+				out[i] = Float(quietNaN(acc.sum))
 			} else {
 				out[i] = Int(acc.isum)
 			}
@@ -747,7 +858,7 @@ func (gs *groups) values(g int, out []Value) {
 			if acc.count == 0 {
 				out[i] = Null
 			} else if acc.nonInt {
-				out[i] = Float(acc.sum / float64(acc.count))
+				out[i] = Float(quietNaN(acc.sum) / float64(acc.count))
 			} else {
 				out[i] = Float(float64(acc.isum) / float64(acc.count))
 			}
@@ -758,70 +869,94 @@ func (gs *groups) values(g int, out []Value) {
 }
 
 // groupRows partitions the tuples by the group key and accumulates the
-// aggregates. Groups come back in first-seen order. The key is the
-// plan's groupKey: what identifies a group, which may be less than the
-// GROUP BY list (selectPlan.groupKey says what is left out and why).
-// When groupInt is set the key is one or two bare INT columns, and a
-// tuple with no NULL among them is keyed by their int64s (keyMap's
-// getInts) without a Value; any other tuple, or any other key, is keyed
-// by the Values of the compiled key (ckey) through get. A key of one such
+// aggregates, a block at a time (block.go): it gathers the columns the
+// key and the aggregates' operands read, keys every tuple of the block,
+// then adds the block into its groups (addBlock). Groups come back in
+// first-seen order. The key is the plan's groupKey: what identifies a
+// group, which may be less than the GROUP BY list (selectPlan.groupKey
+// says what is left out and why). When groupInt is set the key is one or
+// two bare INT columns, and a tuple with no NULL among them is keyed by
+// their int64s (keyMap's getInts) without a Value; a key of one such
 // column whose values span a range dense enough for the tuples keys them
-// densely (useDense).
+// densely (useDense). A key of bare TEXT columns of one scan is looked up
+// once per combination of dictionary codes in a chunk (codeKeys). Any
+// other tuple, or any other key, is keyed by the Values of the compiled
+// key (ckey) through get.
 func groupRows(x *execRun, in tuples) (*groups, error) {
 	p := x.p
 	key, intKey := p.ckey, p.groupInt
 	gs := newGroups(x, p.caggs, in.n)
 	index := newKeyMap(len(key), in.n, 0) // group key -> group id + 1
-	var intCols []*boundCol
-	if intKey {
-		for _, ke := range p.groupKey {
-			intCols = append(intCols, ke.(*boundCol))
-		}
-	}
-	if len(intCols) == 1 {
-		bc := intCols[0]
+	if intKey && len(key) == 1 {
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for i := 0; i < in.n; i++ {
-			if k, ok := x.stores[bc.table].int(in.pos(i, bc.table), bc.col); ok {
-				lo, hi = min(lo, k), max(hi, k)
+		refs := []int{key[0].ref}
+		for b := 0; b < in.n; b += blockLen {
+			m := min(blockLen, in.n-b)
+			x.gather(&in, 0, b, m, nil, refs)
+			v := x.ec.vecs[key[0].ref]
+			for k := 0; k < m; k++ {
+				if v.nulls == nil || !v.nulls.has(k) {
+					lo, hi = min(lo, v.ints[k]), max(hi, v.ints[k])
+				}
 			}
 		}
-		index.useDense(x, lo, hi, in.n)
+		x.res.modes |= index.useDense(x, lo, hi, in.n)
 	}
+	var codes codeKeys
+	ck := codes.init(x, key, in.n)
+	var gid [blockLen]int32
 	kv := make([]Value, len(key))
-	for i := 0; i < in.n; i++ {
-		x.load(&in, i)
-		var ints [2]int64
-		byInts := intKey
-		for c, bc := range intCols {
-			var ok bool
-			if ints[c], ok = x.ec.cur[bc.table].int(bc.col); !ok {
-				byInts = false
-				break
+	for b := 0; b < in.n; b += blockLen {
+		m := min(blockLen, in.n-b)
+		x.gather(&in, 0, b, m, nil, p.groupReads)
+		for k := 0; k < m; k++ {
+			x.ec.at = k
+			var gi int32
+			var code int
+			if ck != nil {
+				gi, code = ck.lookup(x, &in, b+k)
+				if gi != 0 {
+					gid[k] = gi - 1
+					continue
+				}
 			}
-		}
-		var gi int32
-		if byInts {
-			gi = index.getInts(ints)
-		} else {
+			var ints [2]int64
+			byInts := intKey
 			for c, ke := range key {
-				kv[c] = ke.val(&x.ec)
+				if !byInts {
+					break
+				}
+				v := x.ec.vecs[ke.ref]
+				if byInts = v.nulls == nil || !v.nulls.has(k); byInts {
+					ints[c] = v.ints[k]
+				}
 			}
-			if x.ec.err != nil {
-				return nil, x.ec.takeErr()
-			}
-			gi = index.get(kv)
-		}
-		if gi == 0 {
-			gi = gs.open(x, i)
 			if byInts {
-				index.putInts(x, ints, gi)
+				gi = index.getInts(ints)
 			} else {
-				index.put(x, kv, gi)
+				for c, ke := range key {
+					kv[c] = ke.val(&x.ec)
+				}
+				if x.ec.err != nil {
+					return nil, gs.firstErr(x, m, x.ec.takeErr())
+				}
+				gi = index.get(kv)
 			}
+			if gi == 0 {
+				gi = gs.open(x, b+k)
+				if byInts {
+					index.putInts(x, ints, gi)
+				} else {
+					index.put(x, kv, gi)
+				}
+			}
+			if code >= 0 && ck != nil {
+				ck.slots[code] = gi
+			}
+			gid[k] = gi - 1
 		}
-		if err := gs.add(x, int(gi-1)); err != nil {
-			return nil, err
+		if err := gs.addBlock(x, gid[:m]); err != nil {
+			return nil, gs.firstErr(x, m, err)
 		}
 	}
 	// A global aggregation over zero rows still yields one group.
@@ -829,6 +964,101 @@ func groupRows(x *execRun, in tuples) (*groups, error) {
 		gs.open(x, -1)
 	}
 	return gs, nil
+}
+
+// codeKeys keys the tuples of a group key of bare columns of one scan
+// by a code of the row they read, whose slot holds the group id found
+// for it. On a table of at most maxCodeSlots rows the code is the row's
+// position: a row's values are one key. Else, for a key of TEXT columns,
+// the codes of the dictionaries of the chunk the row is in, one per
+// column and NULL its own, make the slot number; a tuple whose chunk
+// differs from the one before starts the slots afresh for that chunk,
+// and one whose row is in the tail, or in a chunk where a column has no
+// dictionary or the columns' codes make more than maxCodeSlots
+// combinations, is keyed by its Values.
+type codeKeys struct {
+	scan  int
+	byRow bool // the table is small enough to key by position
+	ncols int
+	cols  [4]int
+	chunk *rowChunk // the chunk the slots are for
+	ok    bool      // its dictionaries key the tuples
+	mul   [4]int    // slot = Σ (code+1 or 0 for NULL) * mul[c]
+	slots []int32
+}
+
+// maxCodeSlots bounds the code combinations a chunk's slots cover.
+const maxCodeSlots = 4096
+
+// init readies ck for the key key of the n tuples of in and returns it,
+// or nil when the key is not of up to four bare columns of one scan,
+// TEXT ones unless the rows are keyed by position: when the table holds
+// at most maxCodeSlots rows, and not many more than the tuples, whose
+// slots init clears.
+func (ck *codeKeys) init(x *execRun, key []*cexpr, n int) *codeKeys {
+	if len(key) == 0 || len(key) > len(ck.cols) {
+		return nil
+	}
+	ck.scan, ck.ncols = key[0].scan, len(key)
+	rows := x.stores[ck.scan].len()
+	ck.byRow = rows <= maxCodeSlots && rows <= 4*n
+	for i, ke := range key {
+		if ke.op < opInt || ke.op > opCol || ke.scan != ck.scan || ke.op != opText && !ck.byRow {
+			return nil
+		}
+		ck.cols[i] = ke.col
+	}
+	bb := x.blockOf()
+	if bb.codes == nil {
+		bb.codes = make([]int32, maxCodeSlots)
+	}
+	ck.slots = bb.codes
+	if ck.byRow {
+		clear(ck.slots[:x.stores[ck.scan].len()])
+		x.res.modes |= modeRowKey
+	}
+	return ck
+}
+
+// lookup returns the group id + 1 its slot holds for tuple t of in
+// (0: none yet), and the slot, which the caller fills once it has the
+// group; -1 when the tuple is keyed by its Values.
+func (ck *codeKeys) lookup(x *execRun, in *tuples, t int) (int32, int) {
+	st := x.stores[ck.scan]
+	pos := in.pos(t, ck.scan)
+	if ck.byRow {
+		return ck.slots[pos], pos
+	}
+	if pos >= len(st.chunks)*rowChunkLen {
+		return 0, -1
+	}
+	c := st.chunks[pos/rowChunkLen]
+	if c != ck.chunk {
+		ck.chunk, ck.ok = c, true
+		size := 1
+		for i, col := range ck.cols[:ck.ncols] {
+			v := &c.cols[col]
+			ck.mul[i] = size
+			if size *= len(v.dict) + 1; v.codes == nil || size > maxCodeSlots {
+				ck.ok = false
+				break
+			}
+		}
+		if ck.ok {
+			clear(ck.slots[:size])
+			x.res.modes |= modeDictKey
+		}
+	}
+	if !ck.ok {
+		return 0, -1
+	}
+	off, slot := pos%rowChunkLen, 0
+	for i, col := range ck.cols[:ck.ncols] {
+		if v := &c.cols[col]; v.nulls == nil || !v.nulls.has(off) {
+			slot += (int(v.codes[off]) + 1) * ck.mul[i]
+		}
+	}
+	return ck.slots[slot], slot
 }
 
 // execInsert runs an INSERT. Caller holds the write lock.

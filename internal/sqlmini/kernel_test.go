@@ -276,6 +276,7 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf(`INSERT INTO d VALUES (%d, %s, %s)`, i, tag, w))
 	}
 	used := map[string]bool{}
+	used["dictionary dropped past its bound"] = textDictTable(t, e)
 	for _, sql := range []string{
 		`SELECT jk, SUM(i), AVG(i), COUNT(i), SUM(f), AVG(f), COUNT(f), COUNT(*), MIN(i), MAX(f), COUNT(DISTINCT i) FROM k GROUP BY jk`,
 		`SELECT g, SUM(f), AVG(i), COUNT(*) FROM k WHERE i >= 0 AND f <= 7 GROUP BY g`,
@@ -327,6 +328,33 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		`SELECT id, i, f FROM k WHERE jk < 5 AND NOT i IS NULL ORDER BY f * 2 - id, id LIMIT 10`,
 		`SELECT id FROM k WHERE f > 0 AND i + 'x' > 0`,
 		`SELECT jk, SUM(f * 'x') FROM k GROUP BY jk`,
+		// Dictionaries (textDictTable): TEXT keys over chunks whose
+		// dictionaries differ, or that have none, NULL text, filters a
+		// dictionary decides beside ones it does not, empty blocks.
+		`SELECT u, COUNT(*), SUM(f), MIN(v) FROM tx GROUP BY u`,
+		`SELECT t, u, COUNT(*), SUM(v) FROM tx GROUP BY t, u`,
+		`SELECT u, v, COUNT(*) FROM tx GROUP BY u, v`,
+		`SELECT id, t FROM tx WHERE u = 'q'`,
+		`SELECT id FROM tx WHERE u IN ('p', 'r', 'x7') AND v > 3`,
+		`SELECT id, u FROM tx WHERE u LIKE 'r%' OR v = 2`,
+		`SELECT id FROM tx WHERE t <> 'b' AND 'q' = u`,
+		`SELECT id FROM tx WHERE u NOT IN ('q') AND u BETWEEN 'p' AND 'r'`,
+		`SELECT id FROM tx WHERE t = 'b' AND u LIKE '%' LIMIT 5`,
+		`SELECT DISTINCT u FROM tx`,
+		`SELECT COUNT(DISTINCT u), COUNT(u) FROM tx`,
+		`SELECT u, COUNT(*) FROM tx WHERE v < 0 GROUP BY u`,
+		`SELECT COUNT(*), SUM(f), MAX(u) FROM tx WHERE u = 'nope'`,
+		`SELECT a.u, COUNT(*), SUM(b.f) FROM tx a JOIN tx b ON b.id = a.v GROUP BY a.u`,
+		`SELECT tag, u, COUNT(*) FROM d JOIN tx ON v = dk GROUP BY tag, u`,
+		`SELECT id FROM tx WHERE u + 1 > 0 AND u = 'q'`,
+		`SELECT id FROM tx WHERE id < 1024 AND u + 1 > 0 AND u = 'nope'`,
+		// Rows read by position (index v), a conjunct at a time: a filter
+		// that keeps few rows, one that fails on a later conjunct, a LIMIT,
+		// a range.
+		`SELECT id, u FROM tx WHERE v = 7 AND u = 'q' AND f > 2`,
+		`SELECT id FROM tx WHERE v = 9 AND f > 20 AND u + 1 > 0`,
+		`SELECT id, t FROM tx WHERE v = 11 AND u LIKE 'q%' LIMIT 3`,
+		`SELECT id, v FROM tx WHERE v > 57 AND t = 'b' AND f < 10`,
 	} {
 		st, err := Parse(sql)
 		if err != nil {
@@ -353,12 +381,13 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 		used["two-integer group key"] = used["two-integer group key"] || (spec.groupInt && len(spec.groupKey) == 2)
 		used["pk-determined group column dropped"] = used["pk-determined group column dropped"] || len(spec.groupKey) < len(spec.groupBy)
 		got, want := &Result{}, &Result{}
-		dense, hashed := oneIntTables.dense.Load(), oneIntTables.hashed.Load()
 		err = spec.run(context.Background(), v, st.Params, got)
-		used["dense integer key"] = used["dense integer key"] || oneIntTables.dense.Load() > dense
-		used["hashed integer key"] = used["hashed integer key"] || oneIntTables.hashed.Load() > hashed
+		for mode, what := range map[runMode]string{modeDense: "dense integer key", modeHashed: "hashed integer key", modeGather: "block gather",
+			modeDictKey: "dictionary-coded key", modeDictFilter: "dictionary filter", modeRowKey: "group key by row position"} {
+			used[what] = used[what] || got.modes&mode != 0
+		}
 		gerr := generic(t, e, st).run(context.Background(), v, st.Params, want)
-		if fails := strings.Contains(sql, "tag + 1") || strings.Contains(sql, "'x'"); fails != (gerr != nil) {
+		if fails := strings.Contains(sql, "tag + 1") || strings.Contains(sql, "'x'") || strings.Contains(sql, "u + 1"); fails != (gerr != nil) {
 			t.Fatalf("%s: generic: %v", sql, gerr)
 		}
 		if gerr != nil {
@@ -383,9 +412,88 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 	}
 	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "two-integer join key",
 		"integer group key", "two-integer group key", "pk-determined group column dropped", "select before project",
-		"dense integer key", "hashed integer key"} {
+		"dense integer key", "hashed integer key", "block gather", "dictionary-coded key", "dictionary filter",
+		"dictionary dropped past its bound", "group key by row position"} {
 		if !used[what] {
 			t.Errorf("no statement took the specialisation %q", what)
+		}
+	}
+}
+
+// textDictTable adds the table tx to e: four sealed chunks and a tail
+// — more rows than codeKeys keys by position — whose TEXT columns t and
+// u take few strings in some chunks — in a different order in each, so
+// their dictionaries differ — NULL in some rows, and many in others,
+// where a chunk has no dictionary; v is indexed, so a statement can read
+// rows by position a block at a time. Then one UPDATE extends a
+// dictionary and another pushes one past its bound. It reports whether
+// that dictionary went.
+func textDictTable(t *testing.T, e *Engine) bool {
+	t.Helper()
+	mustExec(t, e, `CREATE TABLE tx (id INT PRIMARY KEY, t TEXT, u TEXT, v INT, f FLOAT)`)
+	rng := rand.New(rand.NewSource(41))
+	rows := make([]Row, 4*rowChunkLen+300)
+	pick := func(vals ...string) Value {
+		if s := vals[rng.Intn(len(vals))]; s != "NULL" {
+			return Text(s)
+		}
+		return Null
+	}
+	for i := range rows {
+		var tv, uv Value
+		switch i / rowChunkLen {
+		case 0:
+			tv, uv = pick("a", "b", "NULL"), pick("p", "q")
+		case 1:
+			tv, uv = Text(fmt.Sprintf("t%d", i)), pick("r", "q", "NULL", "")
+		case 2:
+			tv, uv = pick("c", "b"), Text(fmt.Sprintf("x%d", i%400))
+		case 3:
+			tv, uv = pick("b", "a"), pick("q", "NULL", "p", "x7")
+		default:
+			tv, uv = pick("b", "NULL"), pick("q", "p", "x7")
+		}
+		rows[i] = Row{Int(int64(i)), tv, uv, Int(int64(rng.Intn(60))), Float(float64(rng.Intn(100)) / 4)}
+	}
+	if err := e.BulkInsert("tx", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateIndex("tx", "v"); err != nil {
+		t.Fatal(err)
+	}
+	u := func() *colVec { return &e.loadView().tables["tx"].rows.chunks[1].cols[2] }
+	if u().codes == nil || e.loadView().tables["tx"].rows.chunks[2].cols[2].codes != nil {
+		t.Fatal("the chunks' dictionaries are not as built")
+	}
+	mustExec(t, e, `UPDATE tx SET u = 'zz' WHERE id = 1030`)
+	if v := u(); v.codes == nil || v.dict[v.codes[1030-rowChunkLen]] != "zz" {
+		t.Fatal("an UPDATE within the bound dropped the dictionary")
+	}
+	mustExec(t, e, `UPDATE tx SET u = t WHERE id >= 1100 AND id < 1400`)
+	return u().codes == nil && u().strs[1200-rowChunkLen] == "t1200"
+}
+
+// TestBlockFirstError: a loop that takes one form over a whole block
+// before the next — the aggregates of groupRows, the conjuncts of a
+// fetch — still reports the error the tuple-at-a-time order meets first.
+// Row 1's second form fails (NOT of a text); row 2's first form fails
+// (text in arithmetic) though row 1 passes it: the first error is row
+// 1's.
+func TestBlockFirstError(t *testing.T) {
+	e := New()
+	mustExec(t, e, `CREATE TABLE be (id INT PRIMARY KEY, v INT, n INT, s TEXT, tx TEXT)`)
+	if err := e.CreateIndex("be", "v"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `INSERT INTO be VALUES (0, 1, 0, NULL, NULL), (1, 1, 1, NULL, 'x'), (2, 1, 0, 'y', NULL), (3, 2, 5, 'z', 'w')`)
+	for _, sql := range []string{
+		`SELECT v, SUM(n + s), SUM(-tx) FROM be GROUP BY v`,
+		`SELECT SUM(n + s), COUNT(*), SUM(-tx) FROM be WHERE id < 3`,
+		`SELECT id FROM be WHERE v = 1 AND (n > 0 OR n + s > 0) AND -tx < 0`,
+		`SELECT id FROM be WHERE id >= 0 AND (n > 0 OR n + s > 0) AND -tx < 0`,
+	} {
+		if _, err := e.Exec(sql); err == nil || !strings.Contains(err.Error(), "negate") {
+			t.Errorf("%s: %v, want row 1's: cannot negate", sql, err)
 		}
 	}
 }

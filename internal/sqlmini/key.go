@@ -10,7 +10,6 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // hkey is a Value's identity as a comparable map key: integers by
@@ -138,26 +137,20 @@ func (m *keyMap) more(n int) int {
 // the bytes of the slots they would fill at most half of.
 const denseSpread = 4
 
-// oneIntTables counts the maps of one-integer lists that runs chose a
-// mode for (useDense), by the mode they took: the share a workload
-// keys densely, and what tests read to know which path a run took.
-var oneIntTables struct{ dense, hashed atomic.Int64 }
-
 // useDense readies m, an empty map of one-integer lists of which a run
 // puts at most n, whose non-NULL integers a pass found in [lo, hi]
 // (lo > hi: there are none), to key them densely when the range is at
-// most denseSpread*n wide, and reports whether it does.
-func (m *keyMap) useDense(x *execRun, lo, hi int64, n int) bool {
+// most denseSpread*n wide, and returns the mode it took, for the run to
+// record.
+func (m *keyMap) useDense(x *execRun, lo, hi int64, n int) runMode {
 	// hi - lo as an unsigned difference is exact at the ends of int64.
 	if lo > hi || uint64(hi)-uint64(lo) > denseSpread*uint64(n) {
-		oneIntTables.hashed.Add(1)
-		return false
+		return modeHashed
 	}
-	oneIntTables.dense.Add(1)
 	size := int(uint64(hi)-uint64(lo)) + 1
 	m.lo, m.dense = lo, take(x, positions, size)[:size]
 	clear(m.dense)
-	return true
+	return modeDense
 }
 
 // mix is a bijection of 64-bit words (murmur3's finaliser) that spreads

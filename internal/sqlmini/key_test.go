@@ -170,7 +170,7 @@ func driveKeyMap(t *testing.T, data []byte) {
 		if arity == 1 {
 			if b := next(); int(b) < 2*len(denseCases) && b%2 == 0 {
 				c := denseCases[b/2]
-				if got := m.useDense(x, c.lo, c.hi, denseN); got != c.dense {
+				if got := m.useDense(x, c.lo, c.hi, denseN) == modeDense; got != c.dense {
 					t.Fatalf("useDense(%d, %d, %d) = %v, want %v", c.lo, c.hi, denseN, got, c.dense)
 				}
 			}

@@ -54,7 +54,9 @@ package sqlmini
 //     scan at the k-th row. selectPlan.describe prints the choices.
 //
 //   - Execution (selectPlan.run). Steps hand on row positions, not rows
-//     (tuples). A run's scratch past minPooled elements comes from the
+//     (tuples); a loop that evaluates expressions takes its tuples a
+//     block at a time and gathers only the columns they read (block.go).
+//     A run's scratch past minPooled elements comes from the
 //     package's pools and goes back when the run returns (exec.go), and
 //     an ORDER BY … LIMIT ranks on its sort keys before it projects
 //     (selectPlan.selectFirst).
@@ -622,8 +624,12 @@ type scanNode struct {
 	runShare float64 // the model's estimate of the interval's share of the table
 
 	// What the run evaluates of filter, rest and inRange: their compiled
-	// forms (selectPlan.compileAll).
+	// forms (selectPlan.compileAll), and the columns they read (refs into
+	// selectPlan.reads, all of this scan). dictConds are the conjuncts of
+	// crest a chunk with a dictionary decides per entry.
 	cfilter, crest, cinRange []*cexpr
+	reads                    []int
+	dictConds                []dictCond
 
 	// limit is how many rows the statement can use of this scan, -1 for
 	// all of them: the LIMIT of a one-table statement with no ORDER BY,
@@ -644,6 +650,7 @@ type joinNode struct {
 	rightKeys []int    // key columns within the joined table's row
 	extra     []Expr   // residual conjuncts over prefix and joined table
 	cextra    []*cexpr // what the run evaluates of extra: its compiled form
+	reads     []int    // the columns cextra reads (refs into selectPlan.reads)
 
 	// probe is the key pair whose right column is the joined table's
 	// primary key or carries a secondary index — the one with the
@@ -693,11 +700,20 @@ type selectPlan struct {
 	limit    int
 
 	// The compiled forms of outExprs, groupKey, having and the aggregates,
-	// which the run evaluates (compileAll).
-	outs    []*cexpr
-	ckey    []*cexpr
-	chaving *cexpr
-	caggs   []cagg
+	// which the run evaluates (compileAll). reads are the columns any
+	// compiled form reads, each once; a form's column leaf names its place
+	// here (cexpr.ref), and each loop's read set lists those it gathers:
+	// groupReads the group key's and the aggregates' operands', outReads
+	// the outputs' and HAVING's, rankReads what ranks an ORDER BY's
+	// candidates (compileAll).
+	outs       []*cexpr
+	ckey       []*cexpr
+	chaving    *cexpr
+	caggs      []cagg
+	reads      []colPos
+	groupReads []int
+	outReads   []int
+	rankReads  []int
 
 	// walk marks an ORDER BY <indexed column> LIMIT k answered in index
 	// order: scans[0] is that column's table, read through the ordered
@@ -1633,7 +1649,9 @@ type execRun struct {
 	v      *readView
 	res    *Result
 	stores []*rowStore // the rows of each scan's table, in join order
-	ec     evalCtx     // ec.cur is the current tuple, one cursor per scan
+	ec     evalCtx     // ec.vecs and ec.at name the current tuple in the block
+	bb     *blockBufs  // the block's storage, in sc; nil until the first gather
+	one    *oneRow     // a one-tuple block's storage; nil when the run has none
 
 	// An ordered walk sends one window of prefix tuples after another
 	// through the join steps. kept[i] is what step i keeps between
@@ -1664,30 +1682,13 @@ type stepState struct {
 }
 
 // smallRun backs the per-scan state of a plan over at most
-// len(smallRun.cur) tables with one allocation, which keeps a pk probe
-// at the allocation count it had before tuples existed.
+// len(smallRun.stores) tables with one allocation, which keeps a pk probe
+// at the allocation count it had before tuples existed; and the block of
+// a gather of one tuple (oneRow), so a pk probe gathers without drawing
+// run scratch from the pools.
 type smallRun struct {
 	stores [2]*rowStore
-	cur    [2]cursor
-}
-
-// load makes tuple i of in the current tuple. i < 0 stands for the
-// tuple an aggregation over no rows evaluates its plain columns
-// against: every column NULL.
-func (x *execRun) load(in *tuples, i int) {
-	if i < 0 {
-		for k := range x.p.scans {
-			x.ec.cur[k] = cursor{row: make(Row, len(x.p.scans[k].t.Cols))}
-		}
-		return
-	}
-	if in.ids == nil {
-		x.stores[0].seek(&x.ec.cur[0], in.from+i)
-		return
-	}
-	for k, pos := range in.ids[i*in.w : (i+1)*in.w] {
-		x.stores[k].seek(&x.ec.cur[k], int(pos))
-	}
+	one    oneRow
 }
 
 // poll reports the context's error every cancelCheckRows-th i.
@@ -1709,12 +1710,15 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 			x.sc.release()
 		}
 	}()
-	x.ec.params = params
-	if n := len(p.scans); n <= len(smallRun{}.cur) {
+	x.ec.params, x.ec.reads = params, p.reads
+	if n := len(p.scans); n <= len(smallRun{}.stores) {
 		buf := new(smallRun)
-		x.stores, x.ec.cur = buf.stores[:n], buf.cur[:n]
+		x.stores = buf.stores[:n]
+		if len(p.reads) <= len(buf.one.vecs) {
+			x.one = &buf.one
+		}
 	} else {
-		x.stores, x.ec.cur = make([]*rowStore, n), make([]cursor, n)
+		x.stores = make([]*rowStore, n)
 	}
 	for _, ce := range p.consts {
 		cv, err := eval(ce, &x.ec)
@@ -1863,16 +1867,13 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		}
 		window = w.next(window[:0], size)
 		x.res.Scanned += int64(len(window))
-		cur := tuples{w: 1, ids: take(x, positions, len(window))}
-		for _, ri := range window {
-			if ok, err := s.passes(x, 0, int(ri), s.cinRange); err != nil {
-				return err
-			} else if ok {
-				cur.ids = append(cur.ids, ri)
-			}
+		cur := tuples{w: 1}
+		var err error
+		if cur.ids, _, err = s.keep(x, 0, window, s.cinRange, take(x, positions, len(window)), -1); err != nil {
+			return err
 		}
 		cur.n = len(cur.ids)
-		cur, err := x.joinAll(cur)
+		cur, err = x.joinAll(cur)
 		if err != nil {
 			return err
 		}
@@ -1902,10 +1903,15 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 		if !hit {
 			return tuples{w: 1}, nil
 		}
-		if ok, err := s.passes(x, k, idx, s.cfilter); err != nil || !ok {
-			return tuples{w: 1}, err
+		one := tuples{w: 1, n: 1, from: idx}
+		if len(s.cfilter) > 0 {
+			x.gather(&one, k, 0, 1, nil, s.reads)
+			x.ec.at = 0
+			if ok, err := passes(s.cfilter, 0, &x.ec); err != nil || !ok {
+				return tuples{w: 1}, err
+			}
 		}
-		return tuples{w: 1, n: 1, from: idx}, nil
+		return one, nil
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, &x.ec)
 		if err != nil {
@@ -1936,9 +1942,11 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 
 // scanAll reads every row: a sealed chunk at a time — the conjuncts that
 // run on a column vector (s.vec) narrow a selection of the chunk's rows,
-// the others (s.rest) are evaluated on what is left of it — then the
-// tail, row by row. A scan that may keep more than minPooled rows keeps
-// them in a slab with room for all it may keep.
+// then those a dictionary of the chunk decides (s.dictConds), and the
+// others (s.rest) are evaluated on what is left of it, reading the
+// chunk's own vectors — then the tail, gathered. A scan that may keep
+// more than minPooled rows keeps them in a slab with room for all it may
+// keep.
 func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 	out := tuples{w: 1}
 	if s.limit == 0 {
@@ -1952,7 +1960,6 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 		out.ids = take(x, positions, most)
 	}
 	var buf [rowChunkLen]uint16
-	cur := &x.ec.cur[k]
 	for ci, c := range rows.chunks {
 		if err := x.ctx.Err(); err != nil {
 			return tuples{}, err
@@ -1961,10 +1968,18 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 		for _, vc := range s.vec {
 			sel = vc.narrow(sel, c, x.ec.params[vc.lit.Slot])
 		}
-		cur.chunk = c
+		x.chunkBlock(c, s.reads)
+		var decided uint64 // the conjuncts of crest a dictionary decided
+		for _, dc := range s.dictConds {
+			if v := x.ec.vecs[dc.ref]; v.codes != nil {
+				sel = narrowCodes(sel, v, x.dictPass(dc, s.crest[dc.i], v))
+				decided |= 1 << dc.i
+				x.res.modes |= modeDictFilter
+			}
+		}
 		for _, off := range sel {
-			cur.off = int(off)
-			if ok, err := passes(s.crest, &x.ec); err != nil {
+			x.ec.at = int(off)
+			if ok, err := passes(s.crest, decided, &x.ec); err != nil {
 				return tuples{}, err
 			} else if !ok {
 				continue
@@ -1978,22 +1993,38 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 		}
 		x.res.Scanned += rowChunkLen
 	}
-	cur.chunk = nil
-	for i, r := range rows.tail {
+	sealed := len(rows.chunks) * rowChunkLen
+	tail := tuples{w: 1, n: len(rows.tail), from: sealed}
+	x.gather(&tail, k, 0, tail.n, nil, s.reads)
+	for i := 0; i < tail.n; i++ {
 		x.res.Scanned++
-		cur.row = r
-		if ok, err := passes(s.cfilter, &x.ec); err != nil {
+		x.ec.at = i
+		if ok, err := passes(s.cfilter, 0, &x.ec); err != nil {
 			return tuples{}, err
 		} else if !ok {
 			continue
 		}
-		out.ids = append(out.ids, int32(len(rows.chunks)*rowChunkLen+i))
+		out.ids = append(out.ids, int32(sealed+i))
 		if len(out.ids) == s.limit {
 			break
 		}
 	}
 	out.n = len(out.ids)
 	return out, nil
+}
+
+// narrowCodes keeps, in place, the offsets of sel whose element of v is
+// not NULL and whose code's bit is set in pass.
+func narrowCodes(sel []uint16, v *colVec, pass [dictMax / 64]uint64) []uint16 {
+	n := 0
+	for _, i := range sel {
+		c := v.codes[i]
+		sel[n] = i
+		if pass[c>>6]>>(c&63)&1 != 0 && (v.nulls == nil || !v.nulls.has(int(i))) {
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // fetchRun returns the rows of a run of the range's index that pass the
@@ -2047,34 +2078,115 @@ func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []*cexpr) (tuples,
 	if s.limit >= 0 {
 		most = min(most, s.limit)
 	}
-	out := take(x, positions, most)
-	for i, ri := range at {
-		if s.limit >= 0 && len(out) >= s.limit {
-			break
-		}
-		if err := x.poll(i); err != nil {
-			return tuples{}, err
-		}
-		x.res.Scanned++
-		if ok, err := s.passes(x, k, int(ri), conds); err != nil {
-			return tuples{}, err
-		} else if ok {
-			out = append(out, ri)
-		}
+	out, examined, err := s.keep(x, k, at, conds, take(x, positions, most), s.limit)
+	if err != nil {
+		return tuples{}, err
 	}
+	x.res.Scanned += int64(examined)
 	return tuples{w: 1, n: len(out), ids: out}, nil
 }
 
-// passes evaluates conds — pushed-down conjuncts of this scan — with the
-// row at position pos as the tuple's k-th row, the only one they read.
-func (s *scanNode) passes(x *execRun, k, pos int, conds []*cexpr) (bool, error) {
-	x.stores[k].seek(&x.ec.cur[k], pos)
-	return passes(conds, &x.ec)
+// keep appends to out those of the positions at whose rows — of the
+// plan's k-th table — pass conds, in order, a block at a time, and stops
+// once out holds limit of them (limit < 0: never). It returns how many
+// positions it examined.
+//
+// Without a limit a block is narrowed a conjunct at a time (narrow). With
+// one, and for a block where a conjunct failed, the block's tuples are
+// taken one after another, each through the conjuncts until one does not
+// hold: the tuple-at-a-time order, which decides where a limit stops and
+// which error is reported.
+func (s *scanNode) keep(x *execRun, k int, at []int32, conds []*cexpr, out []int32, limit int) ([]int32, int, error) {
+	src := tuples{w: 1, n: len(at), ids: at}
+	var buf [blockLen]uint16
+	for b := 0; b < len(at); b += blockLen {
+		m := min(blockLen, len(at)-b)
+		if limit >= 0 && len(out) >= limit {
+			return out, b, nil
+		}
+		if err := x.poll(b); err != nil {
+			return nil, 0, err
+		}
+		if limit < 0 {
+			var got uint64
+			if sel, ok := x.narrow(&src, k, b, m, buf[:copy(buf[:], everyRow[:m])], &got, conds, s.reads); ok {
+				for _, i := range sel {
+					out = append(out, at[b+int(i)])
+				}
+				continue
+			}
+		}
+		x.gather(&src, k, b, m, nil, s.reads)
+		for i := 0; i < m; i++ {
+			if limit >= 0 && len(out) >= limit {
+				return out, b + i, nil
+			}
+			x.ec.at = i
+			if ok, err := passes(conds, 0, &x.ec); err != nil {
+				return nil, 0, err
+			} else if ok {
+				out = append(out, at[b+i])
+			}
+		}
+	}
+	return out, len(at), nil
 }
 
-// passes reports whether every one of conds holds of the current tuple.
-func passes(conds []*cexpr, ec *evalCtx) (bool, error) {
+// narrow returns those of the tuples sel names — tuples from, from+1, …
+// of src (over the scans from scan0 on) are the block — that pass every
+// one of conds, in order. It takes a conjunct at a time over the tuples
+// still selected, gathering the columns it reads that no conjunct before
+// it did (got, by read below 64), for those tuples alone: a column a
+// selective conjunct leaves unread is read for the few tuples that pass
+// it. An interpreted conjunct reads all. False: a conjunct failed on
+// some tuple.
+func (x *execRun) narrow(src *tuples, scan0, from, m int, sel []uint16, got *uint64, conds []*cexpr, all []int) ([]uint16, bool) {
 	for _, c := range conds {
+		if len(sel) == 0 {
+			break
+		}
+		var buf [16]int
+		need := buf[:0]
+		if c.op == opEval {
+			need = append(need, all...)
+		} else {
+			need = c.reads(need)
+		}
+		n := 0
+		for _, r := range need {
+			if r >= 64 || *got>>r&1 == 0 {
+				need[n] = r
+				n++
+			}
+			if r < 64 {
+				*got |= 1 << r
+			}
+		}
+		x.gatherSel(src, scan0, from, m, nil, sel, need[:n])
+		n = 0
+		for _, i := range sel {
+			x.ec.at = int(i)
+			sel[n] = i
+			if c.cond(&x.ec) == tTrue {
+				n++
+			}
+		}
+		if x.ec.err != nil {
+			x.ec.err = nil
+			return nil, false
+		}
+		sel = sel[:n]
+	}
+	return sel, true
+}
+
+// passes reports whether every one of conds but those whose bits skip
+// has holds of the current tuple.
+func passes(conds []*cexpr, skip uint64, ec *evalCtx) (bool, error) {
+	for i, c := range conds {
+		if i < 64 && skip>>i&1 != 0 {
+			continue
+		}
 		if ok, err := c.holds(ec); err != nil || !ok {
 			return false, err
 		}
@@ -2103,73 +2215,143 @@ func (j *joinNode) key(x *execRun, left, right *tuples, ofLeft bool, i int, kv [
 	return true
 }
 
-// intKey is key for a step whose key pairs join INT columns
-// (joinNode.ints): the key as the int64s it is stored as, k[1] 0 for a
-// one-column key.
-func (j *joinNode) intKey(x *execRun, left, right *tuples, ofLeft bool, i int) (k [2]int64, ok bool) {
+// intKeys gathers the keys of a step whose key pairs join INT columns
+// (joinNode.ints) for tuples from, from+1, … (m of them) of one input —
+// the prefix when ofLeft, else the joined table's scan — into the
+// block's key vectors. intKey reads tuple k's of them.
+func (j *joinNode) intKeys(x *execRun, left, right *tuples, ofLeft bool, from, m int) (ks [2]*colVec) {
 	for c, lk := range j.leftKeys {
 		if ofLeft {
-			k[c], ok = x.stores[lk.scan].int(left.pos(i, lk.scan), lk.col)
+			ks[c] = x.keyBlock(c, left, 0, lk.scan, lk.col, from, m)
 		} else {
-			k[c], ok = x.stores[left.w].int(right.pos(i, 0), j.rightKeys[c])
-		}
-		if !ok {
-			return k, false
+			ks[c] = x.keyBlock(c, right, left.w, left.w, j.rightKeys[c], from, m)
 		}
 	}
-	return k, true
+	return ks
+}
+
+// intKey returns tuple k's key of ks as the int64s it is stored as, k[1]
+// 0 for a one-column key, and false when it holds a NULL.
+func intKey(ks [2]*colVec, k int) (key [2]int64, ok bool) {
+	for c, v := range ks {
+		if v == nil {
+			break
+		}
+		if v.nulls != nil && v.nulls.has(k) {
+			return key, false
+		}
+		key[c] = v.ints[k]
+	}
+	return key, true
 }
 
 // joinOut collects the tuples one join step emits: prefix tuples of
-// left extended by rows of the joined table.
+// left extended by rows of the joined table. A candidate that has checks
+// to pass — the joined scan's filter (a probe's), the residuals — waits
+// in pend until a block of them is gathered and checked, in order.
 type joinOut struct {
-	extra []*cexpr // the step's residual conjuncts, compiled
-	left  tuples
-	out   tuples
+	filter []*cexpr // the joined scan's filter, when a probe found the row
+	freads []int    // the columns filter reads
+	extra  []*cexpr // the step's residual conjuncts, compiled
+	reads  []int    // the columns extra reads
+	left   tuples
+	out    tuples
+	pend   tuples
 }
 
 func (j *joinNode) begin(x *execRun, left tuples) joinOut {
-	return joinOut{extra: j.cextra, left: left,
+	return joinOut{extra: j.cextra, reads: j.reads, left: left,
 		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}}
 }
 
 // emit appends the tuple (prefix tuple li, the joined table's row at
-// position ri) if it passes the residual conjuncts; only those ever read
-// it before it is appended. (x is a parameter, not a field: held in the
-// joinOut it would escape, and every execution would pay for its execRun
-// on the heap.)
+// position ri) if it passes the checks; only those ever read it before
+// it is appended. (x is a parameter, not a field: held in the joinOut it
+// would escape, and every execution would pay for its execRun on the
+// heap.)
 func (o *joinOut) emit(x *execRun, li, ri int) error {
-	left := &o.left
-	if len(o.extra) > 0 {
-		x.load(left, li)
-		x.stores[left.w].seek(&x.ec.cur[left.w], ri)
-		if ok, err := passes(o.extra, &x.ec); err != nil || !ok {
-			return err
+	left, to := &o.left, &o.out
+	if len(o.extra) > 0 || len(o.filter) > 0 {
+		if o.pend.ids == nil {
+			o.pend = tuples{w: o.out.w, ids: take(x, positions, blockLen*o.out.w)}
 		}
-	}
-	if len(o.out.ids)+o.out.w > cap(o.out.ids) {
+		to = &o.pend
+	} else if len(o.out.ids)+o.out.w > cap(o.out.ids) {
 		o.out.ids = grow(x, positions, o.out.ids, o.out.w)
 	}
 	if left.ids == nil {
-		o.out.ids = append(o.out.ids, int32(left.from+li), int32(ri))
+		to.ids = append(to.ids, int32(left.from+li), int32(ri))
 	} else {
-		o.out.ids = append(append(o.out.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
+		to.ids = append(append(to.ids, left.ids[li*left.w:(li+1)*left.w]...), int32(ri))
 	}
-	o.out.n++
+	to.n++
+	if to == &o.pend && o.pend.n == blockLen {
+		return o.flush(x)
+	}
 	return nil
+}
+
+// flush checks the waiting candidates, a block, a conjunct at a time
+// (narrow), and appends those that pass to the output, in order.
+func (o *joinOut) flush(x *execRun) error {
+	pend, w := &o.pend, o.out.w
+	if pend.n == 0 {
+		return nil
+	}
+	var buf [blockLen]uint16
+	var got uint64
+	sel, ok := x.narrow(pend, 0, 0, pend.n, buf[:copy(buf[:], everyRow[:pend.n])], &got, o.filter, o.freads)
+	if ok {
+		sel, ok = x.narrow(pend, 0, 0, pend.n, sel, &got, o.extra, o.reads)
+	}
+	if !ok {
+		// A check failed on some candidate: the one the tuple-at-a-time
+		// order meets first reports its error.
+		x.gather(pend, 0, 0, pend.n, nil, o.freads)
+		x.gather(pend, 0, 0, pend.n, nil, o.reads)
+		for k := 0; k < pend.n; k++ {
+			x.ec.at = k
+			if ok, err := passes(o.filter, 0, &x.ec); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
+			if _, err := passes(o.extra, 0, &x.ec); err != nil {
+				return err
+			}
+		}
+	}
+	for _, k := range sel {
+		if len(o.out.ids)+w > cap(o.out.ids) {
+			o.out.ids = grow(x, positions, o.out.ids, w)
+		}
+		o.out.ids = append(o.out.ids, pend.ids[int(k)*w:(int(k)+1)*w]...)
+		o.out.n++
+	}
+	pend.ids, pend.n = pend.ids[:0], 0
+	return nil
+}
+
+// end checks what still waits and returns the step's tuples.
+func (o *joinOut) end(x *execRun) (tuples, error) {
+	if err := o.flush(x); err != nil {
+		return tuples{}, err
+	}
+	give(x, positions, o.pend.ids)
+	return o.out, nil
 }
 
 // probeJoin extends the prefix tuples by the rows of s's table that an
 // index finds for them; the table is never scanned. Per prefix tuple it
 // looks the probe key up in the primary key or the secondary index,
 // and holds each candidate to what a scan and hash join would have:
-// the table's pushed-down filters, the other key pairs, the residuals.
+// the other key pairs, the table's pushed-down filters, the residuals.
 // The tuples come in prefix order, and within one prefix tuple in
 // position order. Scanned counts the candidates examined (one per pk
 // probe). A NULL key matches nothing, on either side.
 func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView) (tuples, error) {
-	k := left.w
 	o := j.begin(x, left)
+	o.filter, o.freads = s.cfilter, s.reads
 	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
 	var ib indexBuckets
 	byPk := pcol == tv.t.pkCol
@@ -2177,47 +2359,47 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 		ib = tv.index(pcol).built(tv) // schemaMatches holds the plan to views that carry it
 	}
 	var one [1]int32
-	for li := 0; li < left.n; li++ {
-		if err := x.poll(li); err != nil {
-			return tuples{}, err
-		}
-		kv := x.stores[pk.scan].value(left.pos(li, pk.scan), pk.col)
-		if kv.IsNull() {
-			continue
-		}
-		var cands []int32
-		if byPk {
-			x.res.Scanned++
-			if at, hit := tv.pk.find(kv); hit {
-				one[0] = int32(at)
-				cands = one[:]
-			}
-		} else {
-			cands = ib.lookup(kv)
-			x.res.Scanned += int64(len(cands))
-		}
-	cands:
-		for _, ri := range cands {
-			for c, lk := range j.leftKeys {
-				if c == j.probe {
-					continue
-				}
-				lv, rv := x.stores[lk.scan].value(left.pos(li, lk.scan), lk.col), tv.rows.value(int(ri), j.rightKeys[c])
-				if lv.IsNull() || rv.IsNull() || keyOf(lv) != keyOf(rv) {
-					continue cands
-				}
-			}
-			if ok, err := s.passes(x, k, int(ri), s.cfilter); err != nil {
+	for lb := 0; lb < left.n; lb += blockLen {
+		m := min(blockLen, left.n-lb)
+		keys := x.keyBlock(0, &left, 0, pk.scan, pk.col, lb, m)
+		for k := 0; k < m; k++ {
+			li := lb + k
+			if err := x.poll(li); err != nil {
 				return tuples{}, err
-			} else if !ok {
+			}
+			kv := keys.get(k)
+			if kv.IsNull() {
 				continue
 			}
-			if err := o.emit(x, li, int(ri)); err != nil {
-				return tuples{}, err
+			var cands []int32
+			if byPk {
+				x.res.Scanned++
+				if at, hit := tv.pk.find(kv); hit {
+					one[0] = int32(at)
+					cands = one[:]
+				}
+			} else {
+				cands = ib.lookup(kv)
+				x.res.Scanned += int64(len(cands))
+			}
+		cands:
+			for _, ri := range cands {
+				for c, lk := range j.leftKeys {
+					if c == j.probe {
+						continue
+					}
+					lv, rv := x.stores[lk.scan].value(left.pos(li, lk.scan), lk.col), tv.rows.value(int(ri), j.rightKeys[c])
+					if lv.IsNull() || rv.IsNull() || keyOf(lv) != keyOf(rv) {
+						continue cands
+					}
+				}
+				if err := o.emit(x, li, int(ri)); err != nil {
+					return tuples{}, err
+				}
 			}
 		}
 	}
-	return o.out, nil
+	return o.end(x)
 }
 
 // hashBuild is a hash join's build table. A chain links the build
@@ -2253,7 +2435,7 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 				}
 			}
 		}
-		return o.out, nil
+		return o.end(x)
 	}
 
 	// Build on the table's rows unless the prefix is smaller. Building
@@ -2276,54 +2458,75 @@ func (j *joinNode) join(x *execRun, left, right tuples, keep *stepState) (tuples
 			// One INT key: keyed densely when the build side's keys
 			// span a range dense enough for its rows.
 			lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-			for b := 0; b < nBuild; b++ {
-				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
-					lo, hi = min(lo, k[0]), max(hi, k[0])
+			for bb := 0; bb < nBuild; bb += blockLen {
+				m := min(blockLen, nBuild-bb)
+				ks := j.intKeys(x, &left, &right, buildLeft, bb, m)
+				for k := 0; k < m; k++ {
+					if key, ok := intKey(ks, k); ok {
+						lo, hi = min(lo, key[0]), max(hi, key[0])
+					}
 				}
 			}
-			hb.heads.useDense(x, lo, hi, nBuild)
+			x.res.modes |= hb.heads.useDense(x, lo, hi, nBuild)
 		}
-		for b := nBuild - 1; b >= 0; b-- {
-			if err := x.poll(b); err != nil {
-				return tuples{}, err
-			}
+		// Blocks from the back, and each block from its back.
+		for bb := (nBuild - 1) / blockLen * blockLen; bb >= 0; bb -= blockLen {
+			m := min(blockLen, nBuild-bb)
+			var ks [2]*colVec
 			if j.ints {
-				if k, ok := j.intKey(x, &left, &right, buildLeft, b); ok {
-					hb.next[b] = hb.heads.getInts(k)
-					hb.heads.putInts(x, k, int32(b)+1)
+				ks = j.intKeys(x, &left, &right, buildLeft, bb, m)
+			}
+			for k := m - 1; k >= 0; k-- {
+				b := bb + k
+				if err := x.poll(b); err != nil {
+					return tuples{}, err
 				}
-			} else if j.key(x, &left, &right, buildLeft, b, kv) {
-				hb.next[b] = hb.heads.get(kv)
-				hb.heads.put(x, kv, int32(b)+1)
+				if j.ints {
+					if key, ok := intKey(ks, k); ok {
+						hb.next[b] = hb.heads.getInts(key)
+						hb.heads.putInts(x, key, int32(b)+1)
+					}
+				} else if j.key(x, &left, &right, buildLeft, b, kv) {
+					hb.next[b] = hb.heads.get(kv)
+					hb.heads.put(x, kv, int32(b)+1)
+				}
 			}
 		}
 		if keep != nil {
 			keep.build = hb
 		}
 	}
-	for i := 0; i < nProbe; i++ {
-		if err := x.poll(i); err != nil {
-			return tuples{}, err
-		}
-		var b int32
+	for pb := 0; pb < nProbe; pb += blockLen {
+		m := min(blockLen, nProbe-pb)
+		var ks [2]*colVec
 		if j.ints {
-			if k, ok := j.intKey(x, &left, &right, !buildLeft, i); ok {
-				b = hb.heads.getInts(k)
-			}
-		} else if j.key(x, &left, &right, !buildLeft, i, kv) {
-			b = hb.heads.get(kv)
+			ks = j.intKeys(x, &left, &right, !buildLeft, pb, m)
 		}
-		for ; b != 0; b = hb.next[b-1] {
-			li, ri := i, int(b-1)
-			if buildLeft {
-				li, ri = ri, li
-			}
-			if err := o.emit(x, li, right.pos(ri, 0)); err != nil {
+		for k := 0; k < m; k++ {
+			i := pb + k
+			if err := x.poll(i); err != nil {
 				return tuples{}, err
+			}
+			var b int32
+			if j.ints {
+				if key, ok := intKey(ks, k); ok {
+					b = hb.heads.getInts(key)
+				}
+			} else if j.key(x, &left, &right, !buildLeft, i, kv) {
+				b = hb.heads.get(kv)
+			}
+			for ; b != 0; b = hb.next[b-1] {
+				li, ri := i, int(b-1)
+				if buildLeft {
+					li, ri = ri, li
+				}
+				if err := o.emit(x, li, right.pos(ri, 0)); err != nil {
+					return tuples{}, err
+				}
 			}
 		}
 	}
-	return o.out, nil
+	return o.end(x)
 }
 
 // finish projects, aggregates, deduplicates, orders and limits the
@@ -2372,32 +2575,59 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		slab = make([]Value, len(gs.sample)*nout)
 		outRows = make([]Row, 0, len(gs.sample))
 		inputs = take(x, positions, len(gs.sample))
-		gctx := &evalCtx{cur: x.ec.cur, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
-		for g, sample := range gs.sample {
-			x.load(&in, int(sample))
-			gs.values(g, gctx.aggs)
-			if p.chaving != nil {
-				if ok, err := p.chaving.holds(gctx); err != nil {
-					return err
-				} else if !ok {
-					continue
+		gctx := &evalCtx{reads: p.reads, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		for b := 0; b < len(gs.sample); b += blockLen {
+			samples := gs.sample[b:min(b+blockLen, len(gs.sample))]
+			x.gather(&in, 0, 0, 0, samples, p.outReads)
+			gctx.vecs = x.ec.vecs
+			for k, sample := range samples {
+				gctx.at = k
+				gs.values(b+k, gctx.aggs)
+				if p.chaving != nil {
+					if ok, err := p.chaving.holds(gctx); err != nil {
+						return err
+					} else if !ok {
+						continue
+					}
 				}
+				if err := project(gctx); err != nil {
+					return err
+				}
+				inputs = append(inputs, sample)
 			}
-			if err := project(gctx); err != nil {
-				return err
-			}
-			inputs = append(inputs, sample)
 		}
 	} else {
 		slab = make([]Value, in.n*nout)
 		outRows = make([]Row, 0, in.n)
-		for i := 0; i < in.n; i++ {
-			if err := x.poll(i); err != nil {
-				return err
+		// A DISTINCT of bare columns of one scan projects a tuple only when
+		// its row's codes are new to its chunk (codeKeys): a later tuple
+		// with the same codes is a row the DISTINCT below drops anyway.
+		var codes codeKeys
+		var ck *codeKeys
+		if p.distinct {
+			if ck = codes.init(x, p.outs, in.n); ck != nil {
+				inputs = take(x, positions, in.n)
 			}
-			x.load(&in, i)
-			if err := project(&x.ec); err != nil {
-				return err
+		}
+		for b := 0; b < in.n; b += blockLen {
+			m := min(blockLen, in.n-b)
+			x.gather(&in, 0, b, m, nil, p.outReads)
+			for k := 0; k < m; k++ {
+				if err := x.poll(b + k); err != nil {
+					return err
+				}
+				if ck != nil {
+					if seen, slot := ck.lookup(x, &in, b+k); seen != 0 {
+						continue
+					} else if slot >= 0 {
+						ck.slots[slot] = 1
+					}
+					inputs = append(inputs, int32(b+k))
+				}
+				x.ec.at = k
+				if err := project(&x.ec); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -2446,69 +2676,101 @@ func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error 
 	n, ctx := in.n, &x.ec
 	if gs != nil {
 		n = len(gs.sample)
-		ctx = &evalCtx{cur: x.ec.cur, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		ctx = &evalCtx{reads: p.reads, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
 	}
-	// load makes candidate i current: tuple i, or group i's first tuple
-	// and its aggregates.
-	load := func(i int) {
+	// load makes candidates from, from+1, … (m of them) — tuples, or
+	// groups' first tuples — the block, or candidates pick[0], pick[1], …
+	// when pick is not nil; at makes candidate k of the block current,
+	// with its aggregates.
+	load := func(from, m int, pick []int32, refs []int) {
 		if gs == nil {
-			x.load(&in, i)
+			x.gather(&in, 0, from, m, pick, refs)
 			return
 		}
-		x.load(&in, int(gs.sample[i]))
-		gs.values(i, ctx.aggs)
+		if pick == nil {
+			pick = gs.sample[from : from+m]
+		} else {
+			for k, c := range pick {
+				pick[k] = gs.sample[c]
+			}
+		}
+		x.gather(&in, 0, 0, 0, pick, refs)
+		ctx.vecs = x.ec.vecs
+	}
+	at := func(k, cand int) {
+		x.ec.at, ctx.at = k, k
+		if gs != nil {
+			gs.values(cand, ctx.aggs)
+		}
 	}
 	h := newTopRows(x, p.orderBy, min(p.limit, n))
-	for i := 0; i < n; i++ {
-		if err := x.poll(i); err != nil {
-			return err
-		}
-		load(i)
-		if p.chaving != nil {
-			if ok, err := p.chaving.holds(ctx); err != nil {
-				return err
-			} else if !ok {
-				continue
-			}
-		}
-		for _, oi := range p.keyOuts {
-			v, err := p.outs[oi].get(ctx)
-			if err != nil {
+	for b := 0; b < n; b += blockLen {
+		m := min(blockLen, n-b)
+		load(b, m, nil, p.rankReads)
+		for k := 0; k < m; k++ {
+			i := b + k
+			if err := x.poll(i); err != nil {
 				return err
 			}
-			for ki, spec := range p.orderBy {
-				if spec.outIdx == oi {
-					h.cand.keys[ki] = v
+			at(k, i)
+			if p.chaving != nil {
+				if ok, err := p.chaving.holds(ctx); err != nil {
+					return err
+				} else if !ok {
+					continue
 				}
 			}
-		}
-		for ki, spec := range p.orderBy {
-			if spec.outIdx >= 0 {
-				continue
+			for _, oi := range p.keyOuts {
+				v, err := p.outs[oi].get(ctx)
+				if err != nil {
+					return err
+				}
+				for ki, spec := range p.orderBy {
+					if spec.outIdx == oi {
+						h.cand.keys[ki] = v
+					}
+				}
 			}
-			v, err := spec.c.get(&x.ec)
-			if err != nil {
-				return err
+			for ki, spec := range p.orderBy {
+				if spec.outIdx >= 0 {
+					continue
+				}
+				v, err := spec.c.get(&x.ec)
+				if err != nil {
+					return err
+				}
+				h.cand.keys[ki] = v
 			}
-			h.cand.keys[ki] = v
+			h.offer(nil, i)
 		}
-		h.offer(nil, i)
 	}
 	h.sort()
 	nout := len(p.outExprs)
 	slab := make([]Value, len(h.items)*nout)
 	rows := make([]Row, len(h.items))
-	for r, it := range h.items {
-		load(it.pos)
-		row := slab[r*nout:][:nout:nout]
-		for c, oe := range p.outs {
-			v, err := oe.get(ctx)
-			if err != nil {
-				return err
-			}
-			row[c] = v
+	var pick []int32
+	if len(h.items) > 0 {
+		pick = x.blockOf().pick
+	}
+	for b := 0; b < len(h.items); b += blockLen {
+		items := h.items[b:min(b+blockLen, len(h.items))]
+		pick = pick[:0]
+		for _, it := range items {
+			pick = append(pick, int32(it.pos))
 		}
-		rows[r] = row
+		load(0, 0, pick, p.outReads)
+		for k, it := range items {
+			at(k, it.pos)
+			row := slab[(b+k)*nout:][:nout:nout]
+			for c, oe := range p.outs {
+				v, err := oe.get(ctx)
+				if err != nil {
+					return err
+				}
+				row[c] = v
+			}
+			rows[b+k] = row
+		}
 	}
 	x.res.Rows = rows
 	return nil
@@ -2619,28 +2881,29 @@ func (p *selectPlan) order(x *execRun, outRows []Row, in tuples, inputs []int32)
 		keep = p.limit
 	}
 	h := newTopRows(x, p.orderBy, keep)
-	for i, r := range outRows {
-		loaded := false
-		for oi, spec := range p.orderBy {
-			if spec.outIdx >= 0 {
-				h.cand.keys[oi] = r[spec.outIdx]
-				continue
-			}
-			if !loaded {
-				ti := i
-				if inputs != nil {
-					ti = int(inputs[i])
-				}
-				x.load(&in, ti)
-				loaded = true
-			}
-			v, err := spec.c.get(&x.ec)
-			if err != nil {
-				return nil, err
-			}
-			h.cand.keys[oi] = v
+	exprs := slices.ContainsFunc(p.orderBy, func(o orderSpec) bool { return o.outIdx < 0 })
+	for b := 0; b < len(outRows); b += blockLen {
+		m := min(blockLen, len(outRows)-b)
+		if exprs && inputs != nil {
+			x.gather(&in, 0, 0, 0, inputs[b:b+m], p.rankReads)
+		} else if exprs {
+			x.gather(&in, 0, b, m, nil, p.rankReads)
 		}
-		h.offer(r, i)
+		for k, r := range outRows[b : b+m] {
+			x.ec.at = k
+			for oi, spec := range p.orderBy {
+				if spec.outIdx >= 0 {
+					h.cand.keys[oi] = r[spec.outIdx]
+					continue
+				}
+				v, err := spec.c.get(&x.ec)
+				if err != nil {
+					return nil, err
+				}
+				h.cand.keys[oi] = v
+			}
+			h.offer(r, b+k)
+		}
 	}
 	h.sort()
 	outRows = outRows[:len(h.items)]

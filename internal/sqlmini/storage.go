@@ -1,6 +1,9 @@
 package sqlmini
 
-import "slices"
+import (
+	"hash/maphash"
+	"slices"
+)
 
 // This file holds the two structure-shared containers a Table and its
 // published tableViews are made of: rowStore (the rows) and pkIndex
@@ -31,6 +34,15 @@ func (m *nullMap) has(i int) bool { return m[i>>6]>>(uint(i)&63)&1 != 0 }
 // is nil while the vector holds no NULL; the element under a NULL is
 // zero.
 //
+// A TEXT vector whose elements take at most dictMax distinct strings
+// also carries a chunk-local dictionary: dict holds each string once and
+// codes[i] is element i's place in it (0 under a NULL). strs is kept
+// beside it, so a reader of values reads them as before; GROUP BY keys a
+// chunk's codes once (groupRows) and a scan filter of the column against
+// constants is decided once per entry (scanNode.scanAll). A dictionary
+// may hold a string no element holds any more (an UPDATE moved off it),
+// never lack one an element holds.
+//
 //qcpa:published a sealed vector is shared by every chunk version, table version and view cut after it; replace copies before writing
 type colVec struct {
 	kind   Kind
@@ -38,11 +50,19 @@ type colVec struct {
 	floats []float64
 	strs   []string
 	nulls  *nullMap
+	dict   []string
+	codes  []uint8
 }
+
+// dictMax bounds a TEXT vector's dictionary: a code is one byte, and a
+// filter's outcome per entry four words.
+const dictMax = 256
 
 // vecBuilder is a colVec still being built, the only form a vector is
 // written in: seal and colVec.with fill one and convert it to the colVec
-// they hand out, after which nothing writes it.
+// they hand out, after which nothing writes it. A run's block vectors
+// (block.go) are vecBuilders too, rewritten by every gather and read as
+// colVecs.
 type vecBuilder colVec
 
 func newVecBuilder(kind Kind) *vecBuilder {
@@ -54,13 +74,18 @@ func newVecBuilder(kind Kind) *vecBuilder {
 		b.floats = make([]float64, rowChunkLen)
 	case KindText:
 		b.strs = make([]string, rowChunkLen)
+		b.codes = make([]uint8, rowChunkLen)
 	}
 	return b
 }
 
 // set stores val, already of the vector's kind or NULL, as element i.
-// The null map appears with the first NULL and goes with the last.
-func (b *vecBuilder) set(i int, val Value) {
+// The null map appears with the first NULL and goes with the last. A
+// TEXT vector's dictionary takes the string, or goes once it would pass
+// dictMax entries; index, when not nil, is where the string's code is
+// looked up once the dictionary has grown past a few entries (made
+// then).
+func (b *vecBuilder) set(i int, val Value, index **dictIndex) {
 	if val.K == KindNull {
 		if b.nulls == nil {
 			b.nulls = new(nullMap)
@@ -80,7 +105,69 @@ func (b *vecBuilder) set(i int, val Value) {
 		b.floats[i] = val.F
 	case KindText:
 		b.strs[i] = val.S
+		if b.codes != nil && val.K != KindNull {
+			b.code(i, val.S, index)
+		}
 	}
+}
+
+// dictScan is how many entries code compares one by one before it
+// looks a string up in the index it is given.
+const dictScan = 16
+
+// code sets element i's code for s: its entry in the dictionary, added
+// when new; the dictionary goes when it is full.
+func (b *vecBuilder) code(i int, s string, index **dictIndex) {
+	if index == nil || len(b.dict) <= dictScan {
+		// The newest entry first: equal strings tend to come in runs.
+		for c := len(b.dict) - 1; c >= 0; c-- {
+			if b.dict[c] == s {
+				b.codes[i] = uint8(c)
+				return
+			}
+		}
+	} else {
+		if *index == nil {
+			*index = new(dictIndex)
+		}
+		if c, ok := (*index).find(b.dict, s); ok {
+			b.codes[i] = c
+			return
+		}
+	}
+	if len(b.dict) == dictMax {
+		b.dict, b.codes = nil, nil
+		return
+	}
+	b.codes[i] = uint8(len(b.dict))
+	b.dict = append(b.dict, s)
+}
+
+// dictIndex finds a string's entry in a dictionary seal is building
+// once it has passed dictScan entries: an open-addressing table of entry
+// + 1 by the string's hash, at most half full. It indexes the entries
+// it has not seen yet on each lookup.
+type dictIndex struct {
+	n     int // the dictionary's entries it holds
+	slots [2 * dictMax]uint16
+}
+
+// find returns s's entry in dict, after adding dict's new entries.
+func (ix *dictIndex) find(dict []string, s string) (uint8, bool) {
+	const mask = 2*dictMax - 1
+	for ; ix.n < len(dict); ix.n++ {
+		i := maphash.String(textSeed, dict[ix.n]) & mask
+		for ix.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = uint16(ix.n + 1)
+	}
+	for i := maphash.String(textSeed, s) & mask; ix.slots[i] != 0; i = (i + 1) & mask {
+		if c := ix.slots[i] - 1; dict[c] == s {
+			return uint8(c), true
+		}
+	}
+	return 0, false
 }
 
 // get returns element i as a Value.
@@ -100,15 +187,18 @@ func (v *colVec) get(i int) Value {
 }
 
 // with returns a copy of the vector holding rows[k][col] at position
-// idxs[k] of the chunk; it shares nothing with the receiver.
+// idxs[k] of the chunk; it shares nothing with the receiver. The copy
+// keeps the dictionary, extended by the strings written, until it would
+// pass dictMax entries.
 func (v *colVec) with(idxs []int, rows []Row, col int) colVec {
-	b := &vecBuilder{kind: v.kind, ints: slices.Clone(v.ints), floats: slices.Clone(v.floats), strs: slices.Clone(v.strs)}
+	b := &vecBuilder{kind: v.kind, ints: slices.Clone(v.ints), floats: slices.Clone(v.floats), strs: slices.Clone(v.strs),
+		codes: slices.Clone(v.codes), dict: slices.Clone(v.dict)}
 	if v.nulls != nil {
 		m := *v.nulls
 		b.nulls = &m
 	}
 	for k, i := range idxs {
-		b.set(i%rowChunkLen, rows[k][col])
+		b.set(i%rowChunkLen, rows[k][col], nil)
 	}
 	return colVec(*b)
 }
@@ -160,8 +250,9 @@ func (s *rowStore) len() int { return len(s.chunks)*rowChunkLen + len(s.tail) }
 
 // cursor names one row of a store: a sealed chunk and an offset in it,
 // or a row-major Row (a tail row; a row a statement built). It is what
-// a bound column reads through, so reaching a row costs no copy and
-// reading one of its columns touches that column's vector alone.
+// eval reads a write's row through (a SELECT's run reads blocks,
+// block.go), so reaching a row costs no copy and reading one of its
+// columns touches that column's vector alone.
 type cursor struct {
 	chunk *rowChunk // nil: the row is row
 	off   int
@@ -174,45 +265,6 @@ func (c *cursor) value(col int) Value {
 		return c.chunk.cols[col].get(c.off)
 	}
 	return c.row[col]
-}
-
-// int returns column col — declared INT — and false when it is NULL.
-func (c *cursor) int(col int) (int64, bool) {
-	if c.chunk == nil {
-		v := c.row[col]
-		return v.I, v.K == KindInt
-	}
-	v := &c.chunk.cols[col]
-	if v.nulls != nil && v.nulls.has(c.off) {
-		return 0, false
-	}
-	return v.ints[c.off], true
-}
-
-// float returns column col — declared FLOAT — and false when it is NULL.
-func (c *cursor) float(col int) (float64, bool) {
-	if c.chunk == nil {
-		v := c.row[col]
-		return v.F, v.K == KindFloat
-	}
-	v := &c.chunk.cols[col]
-	if v.nulls != nil && v.nulls.has(c.off) {
-		return 0, false
-	}
-	return v.floats[c.off], true
-}
-
-// text returns column col — declared TEXT — and false when it is NULL.
-func (c *cursor) text(col int) (string, bool) {
-	if c.chunk == nil {
-		v := c.row[col]
-		return v.S, v.K == KindText
-	}
-	v := &c.chunk.cols[col]
-	if v.nulls != nil && v.nulls.has(c.off) {
-		return "", false
-	}
-	return v.strs[c.off], true
 }
 
 // seek points c at the row at position i.
@@ -230,14 +282,6 @@ func (s *rowStore) value(i, col int) Value {
 		return s.chunks[ci].cols[col].get(i % rowChunkLen)
 	}
 	return s.tail[i-len(s.chunks)*rowChunkLen][col]
-}
-
-// int returns column col — declared INT — of the row at position i, and
-// false when it is NULL.
-func (s *rowStore) int(i, col int) (int64, bool) {
-	var c cursor
-	s.seek(&c, i)
-	return c.int(col)
 }
 
 // at returns the row at position i as a Row of the caller's own.
@@ -331,13 +375,14 @@ func (s *rowStore) seal(full []Row) {
 	for col, kind := range s.kinds {
 		bs[col] = *newVecBuilder(kind)
 	}
+	index := make([]*dictIndex, len(bs)) // made where a dictionary grows past dictScan
 	for i, r := range full {
 		for col := range bs {
 			val := r[col]
 			if val.K != bs[col].kind {
 				val, _ = coerce(val, bs[col].kind)
 			}
-			bs[col].set(i, val)
+			bs[col].set(i, val, &index[col])
 		}
 	}
 	cols := make([]colVec, len(bs))

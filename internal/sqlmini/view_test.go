@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // loadWide fills a table with n rows whose text column defeats every
@@ -35,19 +33,14 @@ func loadWide(t *testing.T, e *Engine, n int) {
 // the scan to drain. Now the scan runs against a published snapshot and
 // the writer must commit while the scan is still in flight.
 //
-// The proof is an ordering, not a latency measurement (robust on slow
-// or single-core hosts): the scan runs under a context that is canceled
-// only AFTER the insert committed. If the scan observes the
-// cancellation, it was still in flight when the write landed — with the
-// old engine-wide lock the insert could not have committed before the
-// scan finished, so the scan could never see the cancel.
+// The proof is an ordering, not a latency measurement: the scan runs
+// under a context (parkedCtx) whose first check passes — the engine's
+// up-front one — and whose next, the scan's poll at its first chunk
+// boundary, parks the scan there until the INSERT has committed and
+// then cancels it. The scan must come back canceled, and the INSERT
+// must have committed while it was parked: under the old engine-wide
+// lock it would have waited for the scan, which waits for it.
 func TestLongScanDoesNotBlockWriter(t *testing.T) {
-	// With a single P a CPU-bound scan goroutine can starve the writer
-	// for scheduling reasons unrelated to locking; two P's let the OS
-	// timeslice the threads.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	e := New()
 	const n = 200000
 	loadWide(t, e, n)
@@ -59,38 +52,47 @@ func TestLongScanDoesNotBlockWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := 0
-	for attempt := 0; attempt < 5; attempt++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		started := make(chan struct{})
-		scanErr := make(chan error, 1)
-		go func() {
-			close(started)
-			_, err := e.ExecStmtContext(ctx, st)
-			scanErr <- err
-		}()
-		<-started
-		// Give the scan goroutine a slice of CPU so it is genuinely
-		// mid-scan (a full pass over 200k rows takes far longer than
-		// this) before the write lands.
-		time.Sleep(5 * time.Millisecond)
-		mustExec(t, e, fmt.Sprintf(`INSERT INTO small VALUES (%d, 'fresh')`, attempt))
-		committed++
-		cancel()
-		err := <-scanErr
-		r := mustExec(t, e, `SELECT id FROM small`)
-		if len(r.Rows) != committed {
-			t.Fatalf("committed inserts invisible: got %d rows, want %d", len(r.Rows), committed)
-		}
-		if errors.Is(err, context.Canceled) {
-			return // the insert committed while the scan was in flight
-		}
-		if err != nil {
-			t.Fatalf("scan failed: %v", err)
-		}
-		// The scan outran the insert this time; try again.
+	ctx := &parkedCtx{Context: context.Background(), parked: make(chan struct{}), release: make(chan struct{})}
+	scanErr := make(chan error, 1)
+	go func() {
+		_, err := e.ExecStmtContext(ctx, st)
+		scanErr <- err
+	}()
+	<-ctx.parked // the scan is in flight, at its first chunk boundary
+	committed := make(chan error, 1)
+	go func() {
+		_, err := e.Exec(`INSERT INTO small VALUES (1, 'fresh')`)
+		committed <- err
+	}()
+	if err := <-committed; err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("in 5 attempts no insert ever committed while a scan was in flight: the writer appears to wait for scans to drain")
+	close(ctx.release)
+	if err := <-scanErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the parked scan returned %v, want it canceled", err)
+	}
+	if r := mustExec(t, e, `SELECT id FROM small`); len(r.Rows) != 1 {
+		t.Fatalf("committed insert invisible: got %d rows", len(r.Rows))
+	}
+}
+
+// parkedCtx is a context whose Err reports nothing on its first call;
+// every later call parks until release is closed (closing parked on the
+// first of them) and then reports context.Canceled.
+type parkedCtx struct {
+	context.Context
+	calls           atomic.Int32
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (c *parkedCtx) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	c.once.Do(func() { close(c.parked) })
+	<-c.release
+	return context.Canceled
 }
 
 // TestApplyRoundAtomicVisibility checks the one-epoch-per-round

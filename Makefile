@@ -120,10 +120,13 @@ bench-smoke:
 # pairs are timed by BenchmarkTPCHPass/q3, /q18 and /q10 (each down to
 # one integer). BenchmarkParse
 # times Parse alone (tree and plan-cache key) over the TPC-App reads and
-# TPC-H texts, apart from routing and execution.
+# TPC-H texts, apart from routing and execution. BenchmarkBulkInsert
+# times the loads a live copy makes — 100,000 rows in one batch and in
+# batches of 1,024, each filling the row store and the pk index's shards
+# — and a cached pk read of the loaded table (/pk-probe).
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
-	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$' -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$|BulkInsert' -benchmem -run '^$$' ./internal/sqlmini/
 
 # bench-mem says where the bytes of a query go without a hand-run
 # profile: the top allocation sites by bytes (go tool pprof -top
@@ -152,7 +155,10 @@ bench-mem:
 # and every read, dictionary-decided filter, GROUP BY and DISTINCT of a
 # TEXT column must answer as the naive evaluator does while loads,
 # INSERTs and UPDATEs build, extend and drop its chunks' dictionaries
-# (FuzzTextDict).
+# (FuzzTextDict), and a secondary index's hash member must answer every
+# lookup of an INT, FLOAT or TEXT column — dense, sparse, at the ends of
+# int64, NaNs, ±0, NULLs — as a Go map of the values' renderings does
+# (FuzzIndexBuckets).
 # CI runs this on every push; longer campaigns can raise -fuzztime
 # locally.
 fuzz-smoke:
@@ -161,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKeyMap -fuzztime 5s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledExpr -fuzztime 5s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz FuzzTextDict -fuzztime 5s ./internal/sqlmini/
+	$(GO) test -run '^$$' -fuzz FuzzIndexBuckets -fuzztime 5s ./internal/sqlmini/
 
 clean:
 	$(GO) clean ./...

@@ -42,6 +42,7 @@ type blockBufs struct {
 	keys     [2]vecBuilder
 	keyNulls [2]nullMap
 	codes    []int32
+	one      oneRow // a small run's copied one-tuple block
 }
 
 // vecsFor readies a vector for each of the plan's reads.
@@ -66,6 +67,9 @@ func (bb *blockBufs) scrub() {
 	}
 	clear(bb.ptrs[:cap(bb.ptrs)])
 	bb.dict.strs, bb.used = nil, 0
+	for i := range bb.one.vals {
+		bb.one.vals[i].s[0] = ""
+	}
 }
 
 // blockOf returns the run's block storage, ready for its plan.
@@ -81,10 +85,9 @@ func (x *execRun) blockOf() *blockBufs {
 	return x.bb
 }
 
-// oneRow is the block of a gather of one tuple in a run of a plan of at
-// most len(vecs) reads: a vector of one element per read, in the run's
-// smallRun. Two reads cover a pk read of a column or two; every small
-// run allocates it, so it stays small.
+// oneRow is the block of a gather of one tuple in a small run (smallRun)
+// that is not read in place: a vector of one element per read, in the
+// run's scratch. Two reads cover a pk read of a column or two.
 type oneRow struct {
 	vecs [2]vecBuilder
 	vals [2]struct {
@@ -92,7 +95,6 @@ type oneRow struct {
 		f [1]float64
 		s [1]string
 	}
-	ptrs [2]*colVec
 }
 
 // oneNull is the null map of a one-element vector holding NULL; it is
@@ -100,7 +102,7 @@ type oneRow struct {
 var oneNull = nullMap{1}
 
 // gather makes tuple t of in (over the scans from scan0 on; t < 0: every
-// column NULL) the block, reading the columns refs.
+// column NULL) the block, reading the columns refs into x.ec.vecs.
 func (o *oneRow) gather(x *execRun, in *tuples, scan0, t int, refs []int) {
 	for _, r := range refs {
 		at := x.p.reads[r]
@@ -120,9 +122,41 @@ func (o *oneRow) gather(x *execRun, in *tuples, scan0, t int, refs []int) {
 		case KindText:
 			val.s[0] = v.S
 		}
-		o.ptrs[r] = (*colVec)(b)
+		x.ec.vecs[r] = (*colVec)(b)
 	}
-	x.ec.vecs = o.ptrs[:len(x.p.reads)]
+}
+
+// gatherOne makes tuple t of in the block in a small run, and returns
+// where in the block's vectors the tuple is. A row of a sealed chunk of
+// a one-scan plan is read in place — the chunk's vectors, at the row's
+// offset — when inPlace (the caller reads the tuple at the index
+// returned), which draws nothing; any other is copied into the oneRow
+// of the run's scratch, at 0.
+func (x *execRun) gatherOne(in *tuples, scan0, t int, refs []int, inPlace bool) int {
+	x.ec.vecs = x.small.ptrs[:len(x.p.reads)]
+	if st := x.stores[0]; inPlace && len(x.p.scans) == 1 && t >= 0 {
+		if p := in.pos(t, 0); p < len(st.chunks)*rowChunkLen {
+			c := st.chunks[p/rowChunkLen]
+			for _, r := range refs {
+				x.ec.vecs[r] = &c.cols[x.p.reads[r].col]
+			}
+			return p % rowChunkLen
+		}
+	}
+	x.scratch().blk.one.gather(x, in, scan0, t, refs)
+	return 0
+}
+
+// gatherAt is gather of the tuples from, from+1, … (m of them), which
+// returns where in the block's vectors the first of them is: a lone row
+// of a sealed chunk of a one-scan plan is read in place, at its offset;
+// any other block starts at 0.
+func (x *execRun) gatherAt(in *tuples, scan0, from, m int, refs []int) int {
+	if x.small != nil && m == 1 && len(refs) > 0 {
+		return x.gatherOne(in, scan0, from, refs, true)
+	}
+	x.gather(in, scan0, from, m, nil, refs)
+	return 0
 }
 
 // gather makes tuples of in the block: tuples from, from+1, … (m of
@@ -143,12 +177,12 @@ func (x *execRun) gatherSel(in *tuples, scan0, from, m int, pick []int32, sel []
 	if len(refs) == 0 {
 		return
 	}
-	if x.one != nil && sel == nil && (m == 1 && pick == nil || len(pick) == 1) {
+	if x.small != nil && sel == nil && (m == 1 && pick == nil || len(pick) == 1) {
 		t := from
 		if pick != nil {
 			t = int(pick[0])
 		}
-		x.one.gather(x, in, scan0, t, refs)
+		x.gatherOne(in, scan0, t, refs, false)
 		return
 	}
 	bb := x.blockOf()

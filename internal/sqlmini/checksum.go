@@ -46,8 +46,8 @@ func (e *Engine) Checksums(names []string) (map[string]uint64, error) {
 }
 
 // FNV-1a, 64 bit: hash/fnv's constants, inlined so that hashing a value
-// or a pk allocates neither a hash.Hash64 nor a key string. It is the
-// package's one hash of a rendered key: the checksum's and pkSlot's.
+// allocates neither a hash.Hash64 nor a key string. It is the
+// checksum's hash of a rendered key.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

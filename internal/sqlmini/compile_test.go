@@ -126,8 +126,8 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 		}
 	}()
 	x.ec.params, x.ec.reads = compileParams, p.reads
-	if len(p.reads) <= len(oneRow{}.vecs) {
-		x.one = new(oneRow) // a block of one tuple gathers into it, as a small run's does
+	if len(p.reads) <= len(smallRun{}.ptrs) {
+		x.small = new(smallRun) // a block of one tuple gathers as a small run's does
 	}
 	ec := &evalCtx{cur: make([]cursor, 2), params: compileParams}
 	for _, aggs := range [][]Value{nil, compileAggs} {

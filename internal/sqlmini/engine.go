@@ -22,7 +22,7 @@ type Table struct {
 	colIdx    map[string]int
 	pkCol     int // -1 when no primary key
 	rows      rowStore
-	pk        pkIndex // pk key (appendKey) -> row position
+	pk        pkIndex // pk key (keyOf) -> row position
 	indexCols []int   // secondary-indexed columns, ascending
 
 	// Publication bookkeeping (see view.go). view is the tableView cut
@@ -99,9 +99,9 @@ func (t *Table) PrimaryKey() string {
 // pre-sized.
 func (t *Table) insertRows(rows []Row) (int, error) {
 	var err error
-	var keys []string
+	var keys []hkey
 	if t.pkCol >= 0 {
-		keys = make([]string, len(rows))
+		keys = make([]hkey, len(rows))
 	}
 	for i, r := range rows {
 		if cerr := t.checkRow(r); cerr != nil {
@@ -110,8 +110,7 @@ func (t *Table) insertRows(rows []Row) (int, error) {
 		}
 		if t.pkCol >= 0 {
 			pk, _ := coerce(r[t.pkCol], t.Cols[t.pkCol].Type)
-			var buf [32]byte
-			keys[i] = string(appendKey(buf[:0], pk))
+			keys[i] = keyOf(pk)
 		}
 	}
 	if len(rows) == 0 {

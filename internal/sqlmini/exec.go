@@ -554,9 +554,11 @@ func (d *drawn[T]) giveAll() {
 }
 
 // take returns an empty buffer with room for n elements: made when n is
-// at most minPooled, else drawn from the run's part of a pool.
+// at most minPooled, else drawn from the run's part of a pool. A nil
+// run draws nothing: what it takes, grows and gives is made and left to
+// the collector, so it may outlive any run (an index's directory).
 func take[T any](x *execRun, part func(*scratch) *drawn[T], n int) []T {
-	if n <= minPooled {
+	if n <= minPooled || x == nil {
 		return make([]T, 0, n)
 	}
 	return part(x.scratch()).take(n)
@@ -565,7 +567,7 @@ func take[T any](x *execRun, part func(*scratch) *drawn[T], n int) []T {
 // grow returns s with room for more elements: grown as append would
 // while it stays within minPooled, else copied into a drawn slab.
 func grow[T any](x *execRun, part func(*scratch) *drawn[T], s []T, more int) []T {
-	if len(s)+more <= minPooled {
+	if len(s)+more <= minPooled || x == nil {
 		return slices.Grow(s, more)
 	}
 	return part(x.scratch()).grow(s, more)
@@ -574,7 +576,7 @@ func grow[T any](x *execRun, part func(*scratch) *drawn[T], s []T, more int) []T
 // give hands s, which take or grow returned, back before the run
 // returns: to the pool when the run drew it.
 func give[T any](x *execRun, part func(*scratch) *drawn[T], s []T) {
-	if cap(s) > minPooled {
+	if cap(s) > minPooled && x != nil {
 		part(x.scratch()).drop(s)
 	}
 }
@@ -1197,9 +1199,7 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 			if _, dup := t.pk.find(nr[t.pkCol]); dup {
 				return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
 			}
-			var ob, nb [32]byte
-			ok, nk := appendKey(ob[:0], old[k]), appendKey(nb[:0], nr[t.pkCol])
-			t.pk = t.pk.del(string(ok)).set(string(nk), idx)
+			t.pk = t.pk.del(keyOf(old[k])).set(keyOf(nr[t.pkCol]), idx)
 		}
 		for k, col := range setCols {
 			if nr[col] != old[k] {

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -11,9 +12,9 @@ import (
 // (Column.Indexed, CreateIndex). It has two members, each built lazily,
 // on its first use, from the rows of the view that needs it:
 //
-//   - buckets, a hash from value to row positions: what an equality with
-//     a constant and a join step probe. A lookup is one hash, whatever
-//     the table's size.
+//   - buckets, from value to row positions (indexBuckets): what an
+//     equality with a constant and a join step probe. A lookup is one
+//     directory probe — an offset or a hash — whatever the table's size.
 //   - order, the row positions sorted by Compare(value), then position:
 //     what a hash cannot serve. A range predicate finds its run of
 //     matches with two binary searches, and ORDER BY col LIMIT k walks
@@ -36,16 +37,30 @@ import (
 type secondaryIndex struct {
 	mu      sync.Mutex
 	col     int
-	buckets indexBuckets // nil until built
-	order   *indexOrder  // nil until built
+	buckets *indexBuckets // nil until built
+	order   *indexOrder   // nil until built
 }
 
-// indexBuckets is the built hash member: value key -> row positions,
-// ascending. It is never written once the build that filled it has
-// returned, so a reader that took it under mu probes it without the lock. Keys are
-// hkeys (key.go): a probe formats and allocates nothing. NULLs are left
-// out; no equality matches them.
-type indexBuckets map[hkey][]int32
+// indexBuckets is the built hash member: the positions of the rows
+// holding each non-NULL value, ascending — one run per distinct value,
+// all in one array (pos, the runs cut by off) — and a directory from a
+// value to its run. An INT column whose non-NULL values span at most
+// denseSpread times their count (keyMap's dense rule) takes direct
+// offsets: the run of value v is the (v-lo)-th, empty for a value no row
+// holds. Any other column takes a flat hash directory (a keyMap from the
+// value's hkey to its run + 1) whose storage is the index's own. A probe
+// formats and allocates nothing; NULLs are left out, as no equality
+// matches them. It is never written once the build that filled it has
+// returned, so a reader that took it under mu probes it without the
+// lock.
+type indexBuckets struct {
+	pos   []int32 // every non-NULL row's position, grouped by value, ascending in a group
+	off   []int32 // run r is pos[off[r]:off[r+1]]
+	dense bool    // runs are by value: run r holds lo+r
+	lo    int64
+	dir   keyMap // !dense: a value's run + 1
+	keys  int    // the distinct values
+}
 
 // CreateIndex declares a secondary index on table.column. Point lookups
 // (WHERE column = literal) and join steps whose key lands on the column
@@ -113,26 +128,126 @@ func (tv *tableView) index(col int) *secondaryIndex {
 
 // built returns the index's buckets, filling them from tv's rows on
 // first use.
-func (idx *secondaryIndex) built(tv *tableView) indexBuckets {
+func (idx *secondaryIndex) built(tv *tableView) *indexBuckets {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	if idx.buckets != nil {
-		return idx.buckets
+	if idx.buckets == nil {
+		idx.buckets = buildBuckets(&tv.rows, idx.col)
 	}
-	idx.buckets = make(indexBuckets)
-	tv.rows.each(idx.col, func(pos int, v Value) {
-		if !v.IsNull() {
-			key := keyOf(v)
-			idx.buckets[key] = append(idx.buckets[key], int32(pos))
+	return idx.buckets
+}
+
+// buildBuckets indexes column col of the rows by a counting sort. Each
+// row's run is its value's offset from lo under direct offsets (a first
+// pass finds an INT column's range), else the run the directory numbers
+// its value with, kept per row; the runs' lengths are counted, summed
+// into where each run starts, and every position dropped into its run in
+// row order, which leaves each run ascending. It allocates the two
+// arrays, the per-row run numbers and the directory as it grows; nothing
+// per value.
+func buildBuckets(st *rowStore, col int) *indexBuckets {
+	ib := &indexBuckets{}
+	n, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
+	if st.kinds[col] == KindInt {
+		st.each(col, func(_ int, v Value) {
+			if v.K == KindInt {
+				n, lo, hi = n+1, min(lo, v.I), max(hi, v.I)
+			}
+		})
+		// hi - lo as an unsigned difference is exact at the ends of int64.
+		ib.dense = n > 0 && uint64(hi)-uint64(lo) <= denseSpread*uint64(n)
+	}
+	var run []int32 // per row: its run, -1 for NULL
+	if ib.dense {
+		ib.lo = lo
+		ib.off = make([]int32, uint64(hi)-uint64(lo)+2)
+	} else {
+		ib.dir = newKeyMap(1, 0, 0)
+		run = make([]int32, st.len())
+		n = 0
+		st.each(col, func(i int, v Value) {
+			run[i] = -1
+			if v.IsNull() {
+				return
+			}
+			n++
+			vals := [1]Value{v}
+			r := ib.dir.get(vals[:])
+			if r == 0 {
+				ib.keys++
+				r = int32(ib.keys)
+				ib.dir.put(nil, vals[:], r)
+			}
+			run[i] = r - 1
+		})
+		ib.off = make([]int32, ib.keys+1)
+	}
+	runOf := func(i int, v Value) int {
+		if ib.dense {
+			if v.K != KindInt {
+				return -1
+			}
+			return int(uint64(v.I) - uint64(lo))
+		}
+		return int(run[i])
+	}
+	// off[r+1] counts run r; summed, off[r] is where run r starts, and
+	// it moves on as the run fills, to where run r+1 starts: shifted
+	// back one run, off is every run's start again.
+	st.each(col, func(i int, v Value) {
+		if r := runOf(i, v); r >= 0 {
+			ib.off[r+1]++
 		}
 	})
-	return idx.buckets
+	for r := 1; r < len(ib.off); r++ {
+		if ib.dense && ib.off[r] > 0 {
+			ib.keys++
+		}
+		ib.off[r] += ib.off[r-1]
+	}
+	ib.pos = make([]int32, n)
+	st.each(col, func(i int, v Value) {
+		if r := runOf(i, v); r >= 0 {
+			ib.pos[ib.off[r]] = int32(i)
+			ib.off[r]++
+		}
+	})
+	copy(ib.off[1:], ib.off)
+	ib.off[0] = 0
+	return ib
 }
 
 // lookup returns the positions, ascending, of the rows whose indexed
 // column equals v (never NULL). The slice is the index's own.
-func (ib indexBuckets) lookup(v Value) []int32 {
-	return ib[keyOf(v)]
+func (ib *indexBuckets) lookup(v Value) []int32 {
+	k := keyOf(v)
+	if k.kind == KindInt {
+		return ib.lookupInt(int64(k.num))
+	}
+	if ib.dense {
+		return nil // a dense directory holds integers only
+	}
+	vals := [1]Value{v}
+	return ib.run(int(ib.dir.get(vals[:])) - 1)
+}
+
+// lookupInt is lookup of the integer k.
+func (ib *indexBuckets) lookupInt(k int64) []int32 {
+	if ib.dense {
+		if r := uint64(k) - uint64(ib.lo); r < uint64(len(ib.off)-1) {
+			return ib.run(int(r))
+		}
+		return nil
+	}
+	return ib.run(int(ib.dir.getInts([2]int64{k})) - 1)
+}
+
+// run returns run r's positions; none for r < 0.
+func (ib *indexBuckets) run(r int) []int32 {
+	if r < 0 {
+		return nil
+	}
+	return ib.pos[ib.off[r]:ib.off[r+1]:ib.off[r+1]]
 }
 
 // distinct returns the number of distinct non-NULL values of the
@@ -140,7 +255,7 @@ func (ib indexBuckets) lookup(v Value) []int32 {
 // tell four rows a key from one, which decides between probing and
 // hashing (joinNode.probeBelow).
 func (idx *secondaryIndex) distinct(tv *tableView) int {
-	return len(idx.built(tv))
+	return idx.built(tv).keys
 }
 
 // indexOrder is the built ordered member: every row position of the

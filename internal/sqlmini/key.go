@@ -6,7 +6,6 @@ package sqlmini
 // per process for text) decides how long a probe is, never its answer.
 
 import (
-	"encoding/binary"
 	"hash/maphash"
 	"math"
 	"slices"
@@ -16,10 +15,10 @@ import (
 // value, a float with an integral value folded onto that integer, any
 // other float by its bits (every NaN alike), text by content, NULL
 // alone. keyOf is the package's one rule for which values are the same
-// key: the pk index (appendKey's rendering), secondary indexes, joins,
-// grouping, the NDV sample and the checksum (appendSumKey) all take
-// their keys from it, and Compare agrees with it (TestKeyClasses). It
-// is built without formatting or allocating.
+// key: the pk index, secondary indexes, joins, grouping, the NDV sample
+// and the checksum (appendSumKey) all take their keys from it, and
+// Compare agrees with it (TestKeyClasses). It is built without
+// formatting or allocating.
 type hkey struct {
 	kind Kind // KindInt also covers integral floats
 	num  uint64
@@ -42,25 +41,6 @@ func keyOf(v Value) hkey {
 		return hkey{kind: KindText, str: v.S}
 	}
 	return hkey{}
-}
-
-// appendKey appends a self-delimiting rendering of v's hkey: the key
-// form of the pk index.
-// Numbers are uvarints, so a small integer's key is a few bytes: with
-// fixed 8-byte numbers a batched bulk load measured slower, its key
-// strings in a larger size class and its shard copies hashing twice
-// the memory.
-func appendKey(buf []byte, v Value) []byte {
-	k := keyOf(v)
-	buf = append(buf, byte(k.kind))
-	switch k.kind {
-	case KindInt, KindFloat:
-		buf = binary.AppendUvarint(buf, k.num)
-	case KindText:
-		buf = binary.AppendUvarint(buf, uint64(len(k.str)))
-		buf = append(buf, k.str...)
-	}
-	return buf
 }
 
 // keyMap maps a fixed-length list of values, compared as hkeys, to a

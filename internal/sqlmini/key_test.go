@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,8 +9,24 @@ import (
 	"testing"
 )
 
-// TestKeyClasses holds hkey, and appendKey's rendering of it (the pk
-// index's and long key lists' form), to the equivalence classes of the
+// appendKey appends a self-delimiting rendering of v's hkey: the tests'
+// reference form of a key, which a Go map of strings keys as keyOf
+// would (the pk index, index buckets and keyMap are held to such maps).
+func appendKey(buf []byte, v Value) []byte {
+	k := keyOf(v)
+	buf = append(buf, byte(k.kind))
+	switch k.kind {
+	case KindInt, KindFloat:
+		buf = binary.AppendUvarint(buf, k.num)
+	case KindText:
+		buf = binary.AppendUvarint(buf, uint64(len(k.str)))
+		buf = append(buf, k.str...)
+	}
+	return buf
+}
+
+// TestKeyClasses holds hkey, and appendKey's rendering of it (the
+// tests' reference form), to the equivalence classes of the
 // checksum's rendering (appendSumKey): two values share a pk slot, a
 // join bucket, a group or a DISTINCT slot exactly when two replicas
 // holding them hash them alike. Compare has the same classes — what a

@@ -1651,7 +1651,7 @@ type execRun struct {
 	stores []*rowStore // the rows of each scan's table, in join order
 	ec     evalCtx     // ec.vecs and ec.at name the current tuple in the block
 	bb     *blockBufs  // the block's storage, in sc; nil until the first gather
-	one    *oneRow     // a one-tuple block's storage; nil when the run has none
+	small  *smallRun   // nil unless the plan is small (smallRun)
 
 	// An ordered walk sends one window of prefix tuples after another
 	// through the join steps. kept[i] is what step i keeps between
@@ -1683,12 +1683,13 @@ type stepState struct {
 
 // smallRun backs the per-scan state of a plan over at most
 // len(smallRun.stores) tables with one allocation, which keeps a pk probe
-// at the allocation count it had before tuples existed; and the block of
-// a gather of one tuple (oneRow), so a pk probe gathers without drawing
-// run scratch from the pools.
+// at the allocation count it had before tuples existed. A small plan —
+// one of at most len(ptrs) reads as well — gathers one tuple without
+// drawing run scratch from the pools (gatherOne): ptrs are then its
+// evalCtx's vectors.
 type smallRun struct {
 	stores [2]*rowStore
-	one    oneRow
+	ptrs   [2]*colVec
 }
 
 // poll reports the context's error every cancelCheckRows-th i.
@@ -1714,8 +1715,8 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	if n := len(p.scans); n <= len(smallRun{}.stores) {
 		buf := new(smallRun)
 		x.stores = buf.stores[:n]
-		if len(p.reads) <= len(buf.one.vecs) {
-			x.one = &buf.one
+		if len(p.reads) <= len(buf.ptrs) {
+			x.small = buf
 		}
 	} else {
 		x.stores = make([]*rowStore, n)
@@ -1905,8 +1906,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 		}
 		one := tuples{w: 1, n: 1, from: idx}
 		if len(s.cfilter) > 0 {
-			x.gather(&one, k, 0, 1, nil, s.reads)
-			x.ec.at = 0
+			x.ec.at = x.gatherAt(&one, k, 0, 1, s.reads)
 			if ok, err := passes(s.cfilter, 0, &x.ec); err != nil || !ok {
 				return tuples{w: 1}, err
 			}
@@ -2261,7 +2261,7 @@ type joinOut struct {
 
 func (j *joinNode) begin(x *execRun, left tuples) joinOut {
 	return joinOut{extra: j.cextra, reads: j.reads, left: left,
-		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}}
+		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}, pend: tuples{w: left.w + 1}}
 }
 
 // emit appends the tuple (prefix tuple li, the joined table's row at
@@ -2273,11 +2273,14 @@ func (o *joinOut) emit(x *execRun, li, ri int) error {
 	left, to := &o.left, &o.out
 	if len(o.extra) > 0 || len(o.filter) > 0 {
 		if o.pend.ids == nil {
-			o.pend = tuples{w: o.out.w, ids: take(x, positions, blockLen*o.out.w)}
+			// Room for a candidate per prefix tuple, up to a block — what
+			// a pk probe can emit — drawn from the pool even when small.
+			o.pend.ids = take(x, positions, max(minPooled+1, min(blockLen, left.n)*o.pend.w))
 		}
 		to = &o.pend
-	} else if len(o.out.ids)+o.out.w > cap(o.out.ids) {
-		o.out.ids = grow(x, positions, o.out.ids, o.out.w)
+	}
+	if len(to.ids)+to.w > cap(to.ids) {
+		to.ids = grow(x, positions, to.ids, to.w)
 	}
 	if left.ids == nil {
 		to.ids = append(to.ids, int32(left.from+li), int32(ri))
@@ -2353,7 +2356,7 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 	o := j.begin(x, left)
 	o.filter, o.freads = s.cfilter, s.reads
 	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
-	var ib indexBuckets
+	var ib *indexBuckets
 	byPk := pcol == tv.t.pkCol
 	if !byPk {
 		ib = tv.index(pcol).built(tv) // schemaMatches holds the plan to views that carry it
@@ -2367,19 +2370,30 @@ func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView
 			if err := x.poll(li); err != nil {
 				return tuples{}, err
 			}
-			kv := keys.get(k)
-			if kv.IsNull() {
+			if keys.nulls != nil && keys.nulls.has(k) {
 				continue
 			}
+			// An INT key is looked up as the int64 its vector holds.
 			var cands []int32
-			if byPk {
+			switch {
+			case byPk:
 				x.res.Scanned++
-				if at, hit := tv.pk.find(kv); hit {
+				var at int
+				var hit bool
+				if keys.kind == KindInt {
+					at, hit = tv.pk.findInt(keys.ints[k])
+				} else {
+					at, hit = tv.pk.find(keys.get(k))
+				}
+				if hit {
 					one[0] = int32(at)
 					cands = one[:]
 				}
-			} else {
-				cands = ib.lookup(kv)
+			case keys.kind == KindInt:
+				cands = ib.lookupInt(keys.ints[k])
+				x.res.Scanned += int64(len(cands))
+			default:
+				cands = ib.lookup(keys.get(k))
 				x.res.Scanned += int64(len(cands))
 			}
 		cands:
@@ -2611,7 +2625,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		}
 		for b := 0; b < in.n; b += blockLen {
 			m := min(blockLen, in.n-b)
-			x.gather(&in, 0, b, m, nil, p.outReads)
+			at := x.gatherAt(&in, 0, b, m, p.outReads)
 			for k := 0; k < m; k++ {
 				if err := x.poll(b + k); err != nil {
 					return err
@@ -2624,7 +2638,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 					}
 					inputs = append(inputs, int32(b+k))
 				}
-				x.ec.at = k
+				x.ec.at = at + k
 				if err := project(&x.ec); err != nil {
 					return err
 				}

@@ -443,135 +443,332 @@ func (c *rowChunk) with(idxs []int, rows []Row, cols []int) *rowChunk {
 
 // pkFan is the fan-out of each of the pk index's two directory levels:
 // pkFan*pkFan shards. A single-key write copies one root, one directory
-// (pkFan pointers each) and one shard of about rows/(pkFan*pkFan) keys.
+// (pkFan slice headers and counts) and one shard of about
+// rows/(pkFan*pkFan) keys.
 const pkFan = 64
 
-// pkDir is the second directory level: pkFan shards, each a plain map
-// from a key's appendKey rendering to row position (nil when empty).
+// pkEntry is what a pk shard's slots hold: pkEnt, an integer key, or
+// pkKeyEnt, any other. A slot holds a key and its row position + 1, or
+// is empty (pos 0).
+type pkEntry[E any] interface {
+	pkEnt | pkKeyEnt
+	hash() uint64 // the shard from the top 12 bits, the slot from the low ones
+	same(E) bool  // the same key
+	pos() int     // row position + 1; 0 for an empty slot
+}
+
+// pkEnt is an integer key — keyOf's KindInt: an INT column's values, a
+// FLOAT column's integral ones — compared as its int64. It holds no
+// pointer, so a shard of them is nothing for the collector to scan.
+type pkEnt struct {
+	k  int64
+	at int
+}
+
+func (e pkEnt) hash() uint64      { return mix(uint64(e.k)) }
+func (e pkEnt) same(o pkEnt) bool { return e.k == o.k }
+func (e pkEnt) pos() int          { return e.at }
+
+// pkKeyEnt is any other key — a non-integral float, text, NULL —
+// compared as its hkey.
+type pkKeyEnt struct {
+	k  hkey
+	at int
+}
+
+func (e pkKeyEnt) hash() uint64         { return hashHkeys([]hkey{e.k}) }
+func (e pkKeyEnt) same(o pkKeyEnt) bool { return e.k == o.k }
+func (e pkKeyEnt) pos() int             { return e.at }
+
+// pkDir is the second directory level: pkFan shards and the keys each
+// holds. A shard is a flat table of entries: a power-of-two count of
+// slots, at most half full, probed linearly from the low bits of the
+// key's hash; nil when empty.
 //
-//qcpa:published directories and the shard maps they own are shared by every index version and view cut after them
-type pkDir [pkFan]map[string]int
+//qcpa:published directories and the shards they hold are shared by every index version and view cut after them
+type pkDir[E pkEntry[E]] struct {
+	shards [pkFan][]E
+	keys   [pkFan]int32
+}
+
+// pkDirBuilder is a pkDir still being written: a pkWriter's copy, the
+// only form a directory is written in.
+type pkDirBuilder[E pkEntry[E]] pkDir[E]
 
 // pkRoot is the first directory level.
 //
 //qcpa:published shared by every index version and view cut after it
-type pkRoot [pkFan]*pkDir
+type pkRoot[E pkEntry[E]] [pkFan]*pkDir[E]
 
-// pkIndex maps a primary key, rendered by appendKey, to its row
-// position. The zero value is the empty index.
+// pkTree is a persistent map from the keys of one kind of entry to row
+// positions: pkFan*pkFan shards behind two directory levels. The zero
+// value is empty.
+type pkTree[E pkEntry[E]] struct {
+	root *pkRoot[E]
+}
+
+// pkIndex maps a primary key, by keyOf's classes, to its row position:
+// the integer keys in one tree, every other key in a second, so the
+// integer keys of every workload's pk are compared as int64s, and no key
+// is formatted. The zero value is the empty index.
 type pkIndex struct {
-	root *pkRoot
+	ints pkTree[pkEnt]
+	keys pkTree[pkKeyEnt]
 }
 
-// pkSlot returns a key's directory and shard number: the low bits of
-// FNV-1a over the key, the bits above them folded in (FNV's lowest bits
-// mix least).
-func pkSlot(key []byte) (int, int) {
-	h := fnvAdd(fnvOffset64, key)
-	h ^= h >> 16
-	return int(h % pkFan), int(h / pkFan % pkFan)
+// pkShard is the shard number a key hashed h falls in: its top 12 bits,
+// directory then shard, which leave the slot's low bits alone.
+func pkShard(h uint64) int { return int(h >> 52) }
+
+// pkHash is where key k falls in its tree.
+func pkHash(k hkey) uint64 {
+	if k.kind == KindInt {
+		return pkEnt{k: int64(k.num)}.hash()
+	}
+	return pkKeyEnt{k: k}.hash()
 }
 
-// shard returns the shard at slot (a, b); nil when nothing is in it.
-func (p pkIndex) shard(a, b int) map[string]int {
-	if p.root == nil || p.root[a] == nil {
+// shard returns the shard a key hashed h falls in; nil when nothing is
+// in it.
+func (t pkTree[E]) shard(h uint64) []E {
+	if t.root == nil {
 		return nil
 	}
-	return p.root[a][b]
+	if d := t.root[pkShard(h)/pkFan]; d != nil {
+		return d.shards[pkShard(h)%pkFan]
+	}
+	return nil
 }
 
-// find returns v's row position. It renders v's key on the stack and
-// allocates nothing, which is what a join step probing once per prefix
-// tuple needs.
+// find returns the row position of e's key.
+func (t pkTree[E]) find(e E) (int, bool) {
+	h := e.hash()
+	s := t.shard(h)
+	mask := uint64(len(s) - 1)
+	for i := h & mask; len(s) > 0 && s[i].pos() != 0; i = (i + 1) & mask {
+		if s[i].same(e) {
+			return s[i].pos() - 1, true
+		}
+	}
+	return 0, false
+}
+
+// find returns v's row position. It formats and allocates nothing, which
+// is what a join step probing once per prefix tuple needs.
 func (p pkIndex) find(v Value) (int, bool) {
-	var buf [32]byte
-	key := appendKey(buf[:0], v)
-	i, ok := p.shard(pkSlot(key))[string(key)]
-	return i, ok
+	k := keyOf(v)
+	if k.kind == KindInt {
+		return p.findInt(int64(k.num))
+	}
+	return p.keys.find(pkKeyEnt{k: k})
+}
+
+// findInt is find of the integer k.
+func (p pkIndex) findInt(k int64) (int, bool) { return p.ints.find(pkEnt{k: k}) }
+
+// minShard is the fewest slots a shard holding a key has.
+const minShard = 4
+
+// shardWith returns a copy of the shard s, which holds used keys, with
+// room for n more: a copy of its slots while they stay at most half
+// full, else a larger table its keys are moved into.
+func shardWith[E pkEntry[E]](s []E, used, n int) []E {
+	size := max(len(s), minShard)
+	for 2*(used+n) > size {
+		size *= 2
+	}
+	if size == len(s) {
+		return slices.Clone(s)
+	}
+	out := make([]E, size)
+	for _, e := range s {
+		if e.pos() != 0 {
+			shardPut(out, e, false)
+		}
+	}
+	return out
+}
+
+// shardPut puts e into the shard s, which has room for it. A key already
+// there keeps its position unless over, and shardPut reports it.
+func shardPut[E pkEntry[E]](s []E, e E, over bool) (dup bool) {
+	mask := uint64(len(s) - 1)
+	for i := e.hash() & mask; ; i = (i + 1) & mask {
+		switch {
+		case s[i].pos() == 0:
+			s[i] = e
+			return false
+		case s[i].same(e):
+			if over {
+				s[i] = e
+			}
+			return true
+		}
+	}
+}
+
+// shardDel removes e's key from the shard s and reports whether it was
+// there: the later keys of its probe run move back into the gap, so
+// every key stays reachable from its home slot without tombstones.
+func shardDel[E pkEntry[E]](s []E, e E) bool {
+	mask := uint64(len(s) - 1)
+	i := e.hash() & mask
+	for ; !s[i].same(e) || s[i].pos() == 0; i = (i + 1) & mask {
+		if s[i].pos() == 0 {
+			return false
+		}
+	}
+	for j := (i + 1) & mask; s[j].pos() != 0; j = (j + 1) & mask {
+		// The key at j may fill the gap at i unless its home slot lies
+		// cyclically in (i, j].
+		if home := s[j].hash() & mask; (j-home)&mask >= (j-i)&mask {
+			s[i] = s[j]
+			i = j
+		}
+	}
+	var empty E
+	s[i] = empty
+	return true
+}
+
+// pkWriter path-copies a tree for one write of one or more keys: each
+// directory it writes once, each shard once, and the root when it is
+// done (tree).
+type pkWriter[E pkEntry[E]] struct {
+	old    pkTree[E]
+	dirs   [pkFan]*pkDirBuilder[E] // the directories copied; nil where none is
+	shards [pkFan * pkFan / 64]uint64
+}
+
+// shard returns the writer's own copy of the directory holding the shard
+// a key hashed h falls in, and the shard's place in it. It copies the
+// directory, and the shard with room for n more keys, on first use.
+func (w *pkWriter[E]) shard(h uint64, n int) (*pkDirBuilder[E], int) {
+	sh := pkShard(h)
+	a, b := sh/pkFan, sh%pkFan
+	d := w.dirs[a]
+	if d == nil {
+		d = new(pkDirBuilder[E])
+		if w.old.root != nil && w.old.root[a] != nil {
+			*d = pkDirBuilder[E](*w.old.root[a])
+		}
+		w.dirs[a] = d
+	}
+	if w.shards[sh/64]>>(sh%64)&1 == 0 {
+		d.shards[b] = shardWith(d.shards[b], int(d.keys[b]), n)
+		w.shards[sh/64] |= 1 << (sh % 64)
+	}
+	return d, b
+}
+
+// put puts e, hashed h, into the writer's tree — the shard, if this
+// copies it, with room for n keys — and reports a key already there,
+// which keeps its position unless over.
+func (w *pkWriter[E]) put(e E, h uint64, n int, over bool) bool {
+	d, b := w.shard(h, n)
+	dup := shardPut(d.shards[b], e, over)
+	if !dup {
+		d.keys[b]++
+	}
+	return dup
+}
+
+// del removes e's key from the writer's tree.
+func (w *pkWriter[E]) del(e E) {
+	if d, b := w.shard(e.hash(), 0); shardDel(d.shards[b], e) {
+		d.keys[b]--
+	}
+}
+
+// tree returns what the writer wrote: a new root over the old one's
+// directories and the copies; the old tree when it wrote nothing.
+func (w *pkWriter[E]) tree() pkTree[E] {
+	root, wrote := new(pkRoot[E]), false
+	if w.old.root != nil {
+		*root = *w.old.root
+	}
+	for a, d := range w.dirs {
+		if d != nil {
+			root[a], wrote = (*pkDir[E])(d), true
+		}
+	}
+	if !wrote {
+		return w.old
+	}
+	return pkTree[E]{root}
 }
 
 // set returns the index with key mapped to idx.
-func (p pkIndex) set(key string, idx int) pkIndex { return p.with(key, idx, true) }
+func (p pkIndex) set(key hkey, idx int) pkIndex {
+	p, _ = p.put(key, idx, true)
+	return p
+}
+
+// put returns the index with key mapped to idx, unless key is there and
+// not over, which it reports.
+func (p pkIndex) put(key hkey, idx int, over bool) (pkIndex, bool) {
+	var dup bool
+	if key.kind == KindInt {
+		e := pkEnt{int64(key.num), idx + 1}
+		w := pkWriter[pkEnt]{old: p.ints}
+		dup = w.put(e, e.hash(), 1, over)
+		p.ints = w.tree()
+	} else {
+		e := pkKeyEnt{key, idx + 1}
+		w := pkWriter[pkKeyEnt]{old: p.keys}
+		dup = w.put(e, e.hash(), 1, over)
+		p.keys = w.tree()
+	}
+	return p, dup
+}
 
 // del returns the index without key.
-func (p pkIndex) del(key string) pkIndex { return p.with(key, 0, false) }
-
-// with path-copies the root, the directory and the shard key falls in.
-func (p pkIndex) with(key string, idx int, present bool) pkIndex {
-	a, b := pkSlot([]byte(key))
-	root, dir := new(pkRoot), new(pkDir)
-	var old map[string]int
-	if p.root != nil {
-		*root = *p.root
-		if d := p.root[a]; d != nil {
-			*dir = *d
-			old = d[b]
-		}
+func (p pkIndex) del(key hkey) pkIndex {
+	if key.kind == KindInt {
+		w := pkWriter[pkEnt]{old: p.ints}
+		w.del(pkEnt{k: int64(key.num)})
+		p.ints = w.tree()
+	} else {
+		w := pkWriter[pkKeyEnt]{old: p.keys}
+		w.del(pkKeyEnt{k: key})
+		p.keys = w.tree()
 	}
-	shard := make(map[string]int, len(old)+1)
-	for k, v := range old {
-		if k != key {
-			shard[k] = v
-		}
-	}
-	if present {
-		shard[key] = idx
-	}
-	dir[b] = shard
-	root[a] = dir
-	return pkIndex{root}
+	return p
 }
 
 // insertAll returns the index with keys[k] mapped to base+k for every
 // k, in order. It stops at the first key that is already present — in
 // the receiver or earlier in keys — and returns that position (len(keys)
 // when all went in); the keys before it are in the result. Each touched
-// directory is copied once and each touched shard once, into a map
-// sized for what it will hold, so a bulk load pays no rehash and a
-// small batch into a large table copies only the shards it lands in.
-func (p pkIndex) insertAll(keys []string, base int) (pkIndex, int) {
+// directory is copied once and each touched shard once, sized for the
+// keys that fall in it, so a bulk load moves no key twice and a small
+// batch into a large table copies only the shards it lands in.
+func (p pkIndex) insertAll(keys []hkey, base int) (pkIndex, int) {
 	if len(keys) == 1 {
-		if _, dup := p.shard(pkSlot([]byte(keys[0])))[keys[0]]; dup {
-			return p, 0
+		if np, dup := p.put(keys[0], base, false); !dup {
+			return np, 1
 		}
-		return p.set(keys[0], base), 1
+		return p, 0
 	}
-	slots := make([]uint16, len(keys))
-	var incoming [pkFan * pkFan]int32 // keys per shard; -1 once the shard is copied
-	for k, key := range keys {
-		a, b := pkSlot([]byte(key))
-		slots[k] = uint16(a*pkFan + b)
-		incoming[slots[k]]++
+	var incoming [pkFan * pkFan]int32 // keys per shard number, of either tree
+	for _, k := range keys {
+		incoming[pkShard(pkHash(k))]++
 	}
-	root := new(pkRoot)
-	if p.root != nil {
-		*root = *p.root
-	}
-	var dirCopied [pkFan]bool
-	for k, key := range keys {
-		a, b := int(slots[k])/pkFan, int(slots[k])%pkFan
-		if !dirCopied[a] {
-			dir := new(pkDir)
-			if root[a] != nil {
-				*dir = *root[a]
-			}
-			root[a] = dir
-			dirCopied[a] = true
+	ints, others := pkWriter[pkEnt]{old: p.ints}, pkWriter[pkKeyEnt]{old: p.keys}
+	n := len(keys)
+	for i, k := range keys {
+		h := pkHash(k)
+		room := int(incoming[pkShard(h)])
+		var dup bool
+		if k.kind == KindInt {
+			dup = ints.put(pkEnt{int64(k.num), base + i + 1}, h, room, false)
+		} else {
+			dup = others.put(pkKeyEnt{k, base + i + 1}, h, room, false)
 		}
-		shard := root[a][b]
-		if n := incoming[slots[k]]; n >= 0 {
-			fresh := make(map[string]int, len(shard)+int(n))
-			for ok, ov := range shard {
-				fresh[ok] = ov
-			}
-			shard = fresh
-			root[a][b] = shard
-			incoming[slots[k]] = -1
+		if dup {
+			n = i
+			break
 		}
-		if _, dup := shard[key]; dup {
-			return pkIndex{root}, k
-		}
-		shard[key] = base + k
 	}
-	return pkIndex{root}, len(keys)
+	return pkIndex{ints.tree(), others.tree()}, n
 }

@@ -2,8 +2,12 @@ package sqlmini
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -267,4 +271,124 @@ func BenchmarkBulkInsert(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pkUniverse returns n distinct keys of kind for the pk property test:
+// about half of them in two shards of the index, so those shards grow,
+// wrap their probe runs and close gaps on deletes; the rest anywhere. A
+// FLOAT universe holds integral values (the integer tree's keys),
+// fractions, NaN and -0 (which is 0); a TEXT one the empty string and
+// long ones.
+func pkUniverse(rng *rand.Rand, kind Kind, n int) []Value {
+	draw := func() Value {
+		switch kind {
+		case KindInt:
+			if rng.Intn(8) == 0 {
+				return Int(rng.Int63() - rng.Int63())
+			}
+			return Int(rng.Int63n(1 << 20))
+		case KindFloat:
+			switch rng.Intn(6) {
+			case 0:
+				return Float(math.NaN())
+			case 1:
+				return Float(math.Copysign(0, -1))
+			case 2, 3:
+				return Float(float64(rng.Int63n(1 << 20)))
+			}
+			return Float(float64(rng.Int63n(1<<20)) + 0.25)
+		}
+		if rng.Intn(16) == 0 {
+			return Text(strings.Repeat("k", rng.Intn(300)))
+		}
+		return Text("k" + strconv.FormatInt(rng.Int63n(1<<20), 36))
+	}
+	hot := map[int]bool{}
+	seen := map[hkey]bool{}
+	var out []Value
+	for len(out) < n {
+		v := draw()
+		k := keyOf(v)
+		sh := pkShard(pkHash(k))
+		if len(hot) < 2 {
+			hot[sh] = true
+		}
+		// A shard is one of 4096: keeping one other key in 512 keeps
+		// about as many elsewhere as in the two.
+		if seen[k] || !hot[sh] && rng.Intn(512) != 0 {
+			continue
+		}
+		seen[k] = true
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestPKIndexAgainstReference runs seeded programs of insertAll, set and
+// del over INT, FLOAT and TEXT keys — batches holding duplicates of
+// each other and of stored keys among them — and holds every version
+// the program made to a persistent reference: a Go map per version,
+// keyed by appendKey renderings. insertAll must stop at the first
+// duplicate with the keys before it in, set must overwrite, and a
+// version must answer as it did when it was made, whatever came after.
+func TestPKIndexAgainstReference(t *testing.T) {
+	for _, kind := range []Kind{KindInt, KindFloat, KindText} {
+		rng := rand.New(rand.NewSource(int64(kind) + 11))
+		// The keys the programs use, then some more that are mostly
+		// never put.
+		universe := pkUniverse(rng, kind, 450)
+		used := universe[:400]
+		render := func(i int) string { return string(appendKey(nil, used[i])) }
+		var versions []pkIndex
+		var refs []map[string]int
+		p, ref := pkIndex{}, map[string]int{}
+		for op := 0; op < 600; op++ {
+			ref = maps.Clone(ref)
+			switch r := rng.Intn(10); {
+			case r < 5:
+				picks := make([]int, 1+rng.Intn(rng.Intn(120)+1))
+				batch := make([]hkey, len(picks))
+				for i := range picks {
+					picks[i] = rng.Intn(len(used))
+					batch[i] = keyOf(used[picks[i]])
+				}
+				base := rng.Intn(1 << 20)
+				var n int
+				p, n = p.insertAll(batch, base)
+				want := len(picks)
+				in := map[string]bool{}
+				for i, pick := range picks {
+					if _, dup := ref[render(pick)]; dup || in[render(pick)] {
+						want = i
+						break
+					}
+					in[render(pick)] = true
+				}
+				if n != want {
+					t.Fatalf("%s op %d: insertAll of %d keys stopped at %d, want %d", kind, op, len(batch), n, want)
+				}
+				for i, pick := range picks[:n] {
+					ref[render(pick)] = base + i
+				}
+			case r < 7:
+				i, pos := rng.Intn(len(used)), rng.Intn(1<<20)
+				p = p.set(keyOf(used[i]), pos)
+				ref[render(i)] = pos
+			default:
+				i := rng.Intn(len(used))
+				p = p.del(keyOf(used[i]))
+				delete(ref, render(i))
+			}
+			versions, refs = append(versions, p), append(refs, ref)
+		}
+		for vi, v := range versions {
+			for _, k := range universe {
+				got, ok := v.find(k)
+				want, wok := refs[vi][string(appendKey(nil, k))]
+				if ok != wok || got != want {
+					t.Fatalf("%s version %d: find(%v) = %d, %v; want %d, %v", kind, vi, k, got, ok, want, wok)
+				}
+			}
+		}
+	}
 }

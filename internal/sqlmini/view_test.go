@@ -682,52 +682,52 @@ func TestSharedStorageProperty(t *testing.T) {
 // hash to the same shard are added, moved and removed across versions,
 // and every earlier version must keep answering as it did.
 func TestPKIndexShardCollision(t *testing.T) {
-	key := func(v Value) string { return string(appendKey(nil, v)) }
-	a0, b0 := pkSlot([]byte(key(Int(0))))
+	shard := func(v Value) int { return pkShard(pkHash(keyOf(v))) }
 	vals, other := []Value{Int(0)}, Null // other: a key of some other shard
 	for i := int64(1); len(vals) < 5 || other == Null; i++ {
-		if a, b := pkSlot([]byte(key(Int(i)))); a == a0 && b == b0 {
+		if shard(Int(i)) == shard(Int(0)) {
 			vals = append(vals, Int(i))
 		} else if other == Null {
 			other = Int(i)
 		}
 	}
-	var keys []string
+	var keys []hkey
 	for _, v := range vals {
-		keys = append(keys, key(v))
+		keys = append(keys, keyOf(v))
 	}
-	expect := func(p pkIndex, name string, want map[string]int) {
+	expect := func(p pkIndex, name string, want map[hkey]int) {
 		t.Helper()
 		for _, v := range append(vals, other) {
 			got, ok := p.find(v)
-			w, wok := want[key(v)]
+			w, wok := want[keyOf(v)]
 			if ok != wok || got != w {
 				t.Fatalf("%s: find(%v) = %d, %v; want %d, %v", name, v, got, ok, w, wok)
 			}
 		}
 	}
-	otherKey := key(other)
-	v0, n := pkIndex{}.insertAll([]string{keys[0], otherKey, keys[1], keys[2]}, 10)
+	otherKey := keyOf(other)
+	v0, n := pkIndex{}.insertAll([]hkey{keys[0], otherKey, keys[1], keys[2]}, 10)
 	if n != 4 {
 		t.Fatalf("insertAll stopped at %d", n)
 	}
-	w0 := map[string]int{keys[0]: 10, otherKey: 11, keys[1]: 12, keys[2]: 13}
+	w0 := map[hkey]int{keys[0]: 10, otherKey: 11, keys[1]: 12, keys[2]: 13}
 	v1 := v0.del(keys[1])
-	w1 := map[string]int{keys[0]: 10, otherKey: 11, keys[2]: 13}
+	w1 := map[hkey]int{keys[0]: 10, otherKey: 11, keys[2]: 13}
 	v2 := v1.set(keys[3], 20).set(keys[0], 21)
-	w2 := map[string]int{keys[0]: 21, otherKey: 11, keys[2]: 13, keys[3]: 20}
+	w2 := map[hkey]int{keys[0]: 21, otherKey: 11, keys[2]: 13, keys[3]: 20}
 	// A batch with two keys for the shard and a duplicate of a stored
 	// key: everything before the duplicate goes in, nothing after.
-	v3, n := v2.insertAll([]string{keys[1], keys[4], keys[2], otherKey}, 30)
+	v3, n := v2.insertAll([]hkey{keys[1], keys[4], keys[2], otherKey}, 30)
 	if n != 2 {
 		t.Fatalf("insertAll with a duplicate stopped at %d, want 2", n)
 	}
-	w3 := map[string]int{keys[0]: 21, otherKey: 11, keys[2]: 13, keys[3]: 20, keys[1]: 30, keys[4]: 31}
+	w3 := map[hkey]int{keys[0]: 21, otherKey: 11, keys[2]: 13, keys[3]: 20, keys[1]: 30, keys[4]: 31}
 	expect(v0, "v0", w0)
 	expect(v1, "v1", w1)
 	expect(v2, "v2", w2)
 	expect(v3, "v3", w3)
-	if _, n := v3.insertAll([]string{"x", "y", "x"}, 0); n != 2 {
+	x, y := keyOf(Text("x")), keyOf(Text("y"))
+	if _, n := v3.insertAll([]hkey{x, y, x}, 0); n != 2 {
 		t.Fatalf("a key repeated inside the batch was accepted (stopped at %d)", n)
 	}
 }

@@ -124,9 +124,12 @@ bench-smoke:
 # times the loads a live copy makes — 100,000 rows in one batch and in
 # batches of 1,024, each filling the row store and the pk index's shards
 # — and a cached pk read of the loaded table (/pk-probe).
+# BenchmarkApplyRoundSingleRow times the write path: one committed
+# single-row pk UPDATE (compiled SET, one column's vector copied) at
+# 10k, 100k and 1M rows.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
-	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$|BulkInsert' -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$|BulkInsert|ApplyRoundSingleRow' -benchmem -run '^$$' ./internal/sqlmini/
 
 # bench-mem says where the bytes of a query go without a hand-run
 # profile: the top allocation sites by bytes (go tool pprof -top

@@ -57,8 +57,8 @@ type Agg struct {
 	Distinct bool
 
 	// slot is the node's position among its plan's aggregates, set on
-	// the plan's own bound copy (buildPlan): where eval, and the node it
-	// compiles to, find the group's value for it. groups.add evaluates
+	// the plan's own bound copy (buildPlan): where the node it compiles
+	// to finds the group's value for it. groups.add evaluates
 	// the plan's compiled E (cagg), a plain column straight from its
 	// vector.
 	slot int

@@ -9,8 +9,7 @@ import "math/bits"
 // gathers the columns its forms read (its read set, compileAll) from the
 // tuples' rows into the run's block vectors, one typed loop per column,
 // and the forms then read tuple k of the block at index k of those
-// vectors (evalCtx.at): no cursor is positioned per tuple, and a scan no
-// form reads is never touched. A scan of a sealed chunk needs no gather:
+// vectors (evalCtx.at), and a scan no form reads is never touched. A scan of a sealed chunk needs no gather:
 // the chunk's own vectors are the block, indexed by offset.
 //
 // A loop evaluates the block's tuples in their order, each as far as the
@@ -315,7 +314,7 @@ type dictCond struct {
 // column's string — among the first 64, and with only conjuncts that
 // cannot fail before it (rest bound), since the scan takes them first.
 func (c *compiler) dictConds(crest []*cexpr, rest []Expr) []dictCond {
-	if c.counting || c.interpret {
+	if c.counting {
 		return nil
 	}
 	var out []dictCond

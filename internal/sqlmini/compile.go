@@ -6,25 +6,24 @@ import (
 	"slices"
 )
 
-// Compiled expressions. buildPlan compiles every expression a run
-// evaluates per tuple or per group — scan filters, join residuals, group
-// keys, aggregate arguments, HAVING, projections and ORDER BY keys — once,
-// into a tree of cexpr nodes the plan keeps (selectPlan.compileAll). A node
-// has its operator and, for a column, its declared type and its read
-// (the block vector it reads, block.go) resolved, so a run switches on a
-// small integer where eval switches on the node's type and compares
-// operator strings. Three
-// evaluators share the tree: val yields a Value, num a number unboxed
-// (arithmetic and aggregate arguments), cond a condition's outcome
-// (filters, AND, OR, NOT); each node is evaluated by the one its parent
-// needs, and converts when that is not its own.
+// Compiled expressions: the one evaluator of production code. buildPlan
+// compiles every expression a run evaluates — constant conjuncts, scan
+// filters, join residuals, group keys, aggregate arguments, HAVING,
+// projections and ORDER BY keys — once, into a tree of cexpr nodes the
+// plan keeps (selectPlan.compileAll); a write compiles its VALUES, SET
+// and WHERE expressions per statement (writeScratch, exec.go). A node has
+// its operator and, for a column, its declared type and its read (the
+// block vector it reads, block.go) resolved, so evaluating it switches on
+// a small integer. Three evaluators share the tree: val yields a Value,
+// num a number unboxed (arithmetic and aggregate arguments), cond a
+// condition's outcome (filters, AND, OR, NOT); each node is evaluated by
+// the one its parent needs, and converts when that is not its own.
 //
-// A node answers what eval answers for its bound expression, value for
-// value and error for error (TestCompiledAgainstEval, FuzzCompiledExpr):
-// operands are evaluated in eval's order and no further than eval goes,
-// NULL propagates before a type check, and floats are combined in the
-// same order. eval stays the definition, and evaluates what runs once —
-// write statements, a probe's key, an interval's ends.
+// A node answers what the tests' tree-walking eval (eval_test.go)
+// answers for its bound expression, value for value and error for error
+// (TestCompiledAgainstEval, FuzzCompiledExpr): operands are evaluated in
+// eval's order and no further than eval goes, NULL propagates before a
+// type check, and floats are combined in the same order.
 //
 // An error does not unwind: the node that fails records it in the
 // evalCtx (fail), the first one recorded stands, and the root returns it
@@ -44,8 +43,7 @@ const (
 	opText             // likewise, declared TEXT
 	opCol              // likewise, declared without a type: always NULL
 	opAgg              // the current group's aggregate in slot
-	opEval             // eval of src (interpreted)
-	opFail             // fails with err: a tree the parser and bind never make
+	opFail             // fails with err: a tree the parser never makes; a write's unresolved column
 
 	// Numbers (num).
 	opNeg
@@ -81,7 +79,6 @@ type cexpr struct {
 	slot      int // opParam, opAgg
 	l, r, hi  *cexpr
 	list      []*cexpr
-	src       Expr  // opEval
 	err       error // what eval returns where this node fails
 }
 
@@ -114,30 +111,35 @@ var (
 	errNegate = fmt.Errorf("sqlmini: cannot negate %s", KindText)
 )
 
+// colOps are the reads of a column by its declared type.
+var colOps = [...]cop{KindNull: opCol, KindInt: opInt, KindFloat: opFloat, KindText: opText}
+
 // cmpMasks are the outcomes each comparison operator passes.
 var cmpMasks = map[string]uint8{"=": PassEQ, "<>": PassLT | PassGT, "<": PassLT, "<=": PassLT | PassEQ, ">": PassGT, ">=": PassGT | PassEQ}
 
-// compile compiles a bound expression of the plan; its columns name the
-// plan's scans, whose tables' declared types pick the column reads, and
-// its aggregates carry their slots.
+// compile compiles an expression: a plan's, bound, whose columns name
+// the plan's scans and whose aggregates carry their slots, or a write's,
+// whose columns the compiler resolves through its binder. The declared
+// type of a column's table picks its read.
 func (c *compiler) compile(e Expr) *cexpr {
 	switch x := e.(type) {
+	case nil: // a write without WHERE
+		return nil
 	case *Lit:
 		return c.node(cexpr{op: opParam, slot: x.Slot})
 	case *boundCol:
-		op := opCol
-		switch c.p.scans[x.table].t.Cols[x.col].Type {
-		case KindInt:
-			op = opInt
-		case KindFloat:
-			op = opFloat
-		case KindText:
-			op = opText
+		return c.node(cexpr{op: colOps[c.p.scans[x.table].t.Cols[x.col].Type], scan: x.table, col: x.col, ref: c.ref(x.table, x.col)})
+	case *ColRef: // a write's: its binder resolves it
+		table, col, err := c.b.resolve(x)
+		if err != nil {
+			c.err = cmp.Or(c.err, err)
+			return c.node(cexpr{op: opFail, err: err})
 		}
-		return c.node(cexpr{op: op, scan: x.table, col: x.col, ref: c.ref(x)})
-	case *ColRef:
-		return c.node(cexpr{op: opFail, err: fmt.Errorf("sqlmini: unbound column %q", x.Column)})
+		return c.node(cexpr{op: colOps[c.b.tables[table].cols[col].Type], scan: table, col: col, ref: c.ref(table, col)})
 	case *Agg:
+		if c.b != nil && x.E != nil {
+			c.compile(x.E) // a write's operand must resolve, though it is never evaluated
+		}
 		return c.node(cexpr{op: opAgg, slot: x.slot, err: fmt.Errorf("sqlmini: aggregate %s outside aggregation", x.Func)})
 	case *UnOp:
 		n := cexpr{l: c.compile(x.E)}
@@ -191,13 +193,14 @@ func (c *compiler) compile(e Expr) *cexpr {
 	return c.node(cexpr{op: opFail, err: fmt.Errorf("sqlmini: unknown expression %T", e)})
 }
 
-// compiler makes a plan's compiled forms: its nodes cut from one slab and
-// its lists of nodes from another, each sized by a first pass that only
-// counts, so a plan's expressions cost it two allocations. Beside them it
-// makes the plan's read sets (ref).
+// compiler makes compiled forms: a plan's (p) — its nodes cut from one
+// slab and its lists from another, each sized by a first pass that only
+// counts, so they cost it two allocations, and its read sets (ref) — or
+// a write's (writeScratch, p nil), its columns resolved through b.
 type compiler struct {
-	p         *selectPlan
-	interpret bool // every root evaluates its bound expression with eval
+	p   *selectPlan
+	b   *binder
+	err error // the first column b did not resolve
 	// counting marks the first pass: node and list count what they would
 	// hand out, and hand out counted and nil.
 	counting      bool
@@ -213,12 +216,11 @@ type compiler struct {
 var counted cexpr
 
 // compileAll fills the forms a run evaluates from the plan's bound
-// expressions: its scans' filters, its join residuals, group key,
-// aggregates, HAVING, outputs and ORDER BY expressions — compiled, or
-// interpreted (evaluated with eval, for a plan held to its interpreted
-// self).
-func (p *selectPlan) compileAll(interpret bool) {
-	c := &compiler{p: p, interpret: interpret, counting: true}
+// expressions: its constant conjuncts, its scans' filters, its join
+// residuals, group key, aggregates, HAVING, outputs and ORDER BY
+// expressions.
+func (p *selectPlan) compileAll() {
+	c := &compiler{p: p, counting: true}
 	p.fill(c)
 	c.nodes, c.ptrs = make([]cexpr, 0, c.nnodes), make([]*cexpr, 0, c.nptrs)
 	c.counting = false
@@ -231,6 +233,7 @@ func (p *selectPlan) compileAll(interpret bool) {
 // residuals, the group key with the aggregates' operands, and what is
 // evaluated per output row.
 func (p *selectPlan) fill(c *compiler) {
+	p.cconsts = c.roots(p.consts) // they read no column
 	for i := range p.scans {
 		s := &p.scans[i]
 		s.reads, c.site = nil, &s.reads
@@ -282,13 +285,20 @@ func (p *selectPlan) fill(c *compiler) {
 	}
 }
 
-// ref returns the read of column bc: its place in the plan's reads,
-// added when new, and adds it to the read set being made.
-func (c *compiler) ref(bc *boundCol) int {
+// ref returns the read of column col of scan's row, and adds it to the
+// read set being made: a plan's read is its place in the plan's reads,
+// added when new; a write's is the column itself.
+func (c *compiler) ref(scan, col int) int {
 	if c.counting {
 		return 0
 	}
-	p, at := c.p, colPos{bc.table, bc.col}
+	if c.p == nil {
+		if !slices.Contains(*c.site, col) {
+			*c.site = append(*c.site, col)
+		}
+		return col
+	}
+	p, at := c.p, colPos{scan, col}
 	r := slices.Index(p.reads, at)
 	if r < 0 {
 		r = len(p.reads)
@@ -311,7 +321,7 @@ func (c *compiler) ref(bc *boundCol) int {
 func (c *compiler) read(e Expr) {
 	walkExpr(e, func(x Expr) bool {
 		if bc, ok := x.(*boundCol); ok {
-			c.ref(bc)
+			c.ref(bc.table, bc.col)
 		}
 		_, agg := x.(*Agg)
 		return !agg
@@ -322,9 +332,6 @@ func (c *compiler) read(e Expr) {
 // the read set being made.
 func (c *compiler) root(e Expr) *cexpr {
 	c.read(e)
-	if c.interpret {
-		return c.node(cexpr{op: opEval, src: e})
-	}
 	return c.compile(e)
 }
 
@@ -361,7 +368,7 @@ func (c *compiler) list(k int) []*cexpr {
 		return nil
 	}
 	if cap(c.ptrs)-len(c.ptrs) < k {
-		c.ptrs = make([]*cexpr, 0, k)
+		c.ptrs = make([]*cexpr, 0, max(k, 2*cap(c.ptrs)))
 	}
 	at := len(c.ptrs)
 	c.ptrs = c.ptrs[:at+k]
@@ -447,12 +454,6 @@ func (n *cexpr) val(ec *evalCtx) Value {
 			return Null
 		}
 		return ec.aggs[n.slot]
-	case opEval:
-		v, err := eval(n.src, ec)
-		if err != nil {
-			ec.fail(err)
-		}
-		return v
 	case opFail:
 		ec.fail(n.err)
 		return Null

@@ -106,8 +106,8 @@ func sameValue(a, b Value) bool {
 // must say whether that Value is true. The compiled form reads the pairs
 // in blocks (execRun.gather; a block of one through oneRow where the
 // tree reads few columns) whose sizes, and the selection of each block's
-// tuples evaluated, pick draws; eval reads them through cursors, and
-// again through the block, as an interpreted plan does.
+// tuples evaluated, pick draws; eval reads the rows through
+// rowStore.value.
 func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 	t.Helper()
 	p := &selectPlan{scans: []scanNode{{t: tv.t}, {t: tv.t}}}
@@ -125,11 +125,11 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 			x.sc.release()
 		}
 	}()
-	x.ec.params, x.ec.reads = compileParams, p.reads
+	x.ec.params = compileParams
 	if len(p.reads) <= len(smallRun{}.ptrs) {
 		x.small = new(smallRun) // a block of one tuple gathers as a small run's does
 	}
-	ec := &evalCtx{cur: make([]cursor, 2), params: compileParams}
+	ec := &oracle{stores: x.stores, pos: make([]int, 2), params: compileParams}
 	for _, aggs := range [][]Value{nil, compileAggs} {
 		ec.aggs, x.ec.aggs = aggs, aggs
 		for b := 0; b < n; {
@@ -141,21 +141,19 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 					continue
 				}
 				r := b + k
-				tv.rows.seek(&ec.cur[0], r)
-				tv.rows.seek(&ec.cur[1], (r*7+3)%n)
+				ec.pos[0], ec.pos[1] = r, (r*7+3)%n
 				x.ec.at = k
 				want, werr := eval(e, ec)
-				again, aerr := eval(e, &x.ec)
 				got, gerr := root.get(&x.ec)
 				ok, herr := root.holds(&x.ec)
 				if werr != nil {
-					if gerr == nil || gerr.Error() != werr.Error() || herr == nil || herr.Error() != werr.Error() || aerr == nil || aerr.Error() != werr.Error() {
-						t.Fatalf("%s, row %d, aggregates %v: eval fails with %v; compiled %v, %v (holds %v), eval on the block %v", exprString(e), r, aggs != nil, werr, got, gerr, herr, aerr)
+					if gerr == nil || gerr.Error() != werr.Error() || herr == nil || herr.Error() != werr.Error() {
+						t.Fatalf("%s, row %d, aggregates %v: eval fails with %v; compiled %v, %v (holds %v)", exprString(e), r, aggs != nil, werr, got, gerr, herr)
 					}
 					continue
 				}
-				if gerr != nil || herr != nil || !sameValue(got, want) || ok != want.Truth() || aerr != nil || !sameValue(again, want) {
-					t.Fatalf("%s, row %d, aggregates %v: eval %#v; compiled %#v, %v, holds %v, %v; eval on the block %#v, %v", exprString(e), r, aggs != nil, want, got, gerr, ok, herr, again, aerr)
+				if gerr != nil || herr != nil || !sameValue(got, want) || ok != want.Truth() {
+					t.Fatalf("%s, row %d, aggregates %v: eval %#v; compiled %#v, %v, holds %v, %v", exprString(e), r, aggs != nil, want, got, gerr, ok, herr)
 				}
 			}
 			b += m
@@ -166,11 +164,79 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 	}
 }
 
+// checkWrite holds the compiled form of e, compiled as a write compiles
+// its statement's expressions (columns named, resolved through the
+// write's binder: both scans' columns are the one row's), to eval on the
+// rows a write reads through one-element vectors: every tail row of the
+// table, and an UPDATE's own copy of sealed rows pick spaces out, after
+// an earlier assignment set a column pick draws to another row's value.
+func checkWrite(t testing.TB, eng *Engine, tv *tableView, e Expr, pick func(n int) int) {
+	t.Helper()
+	w := eng.writer(tv.t, "c", compileParams)
+	root := w.c.compile(unbind(e))
+	if w.c.err != nil {
+		t.Fatalf("%s: %v", exprString(e), w.c.err)
+	}
+	ec := &oracle{stores: make([]*rowStore, 2), pos: make([]int, 2), params: compileParams}
+	// check compares on row r (col >= 0: set) of st, at pos.
+	check := func(st *rowStore, pos, r, col int) {
+		ec.stores[0], ec.stores[1], ec.pos[0], ec.pos[1] = st, st, pos, pos
+		want, werr := eval(e, ec)
+		got, gerr := root.get(&w.ec)
+		ok, herr := root.holds(&w.ec)
+		if werr != nil {
+			if gerr == nil || gerr.Error() != werr.Error() || herr == nil || herr.Error() != werr.Error() {
+				t.Fatalf("%s, row %d, column %d set: eval fails with %v; compiled %v, %v (holds %v)", exprString(e), r, col, werr, got, gerr, herr)
+			}
+			return
+		}
+		if gerr != nil || herr != nil || !sameValue(got, want) || ok != want.Truth() {
+			t.Fatalf("%s, row %d, column %d set: eval %#v; compiled %#v, %v, holds %v, %v", exprString(e), r, col, want, got, gerr, ok, herr)
+		}
+	}
+	sealed, n := len(tv.rows.chunks)*rowChunkLen, tv.rows.len()
+	for r := sealed; r < n; r++ {
+		w.load(&tv.rows, r)
+		check(&tv.rows, r, r, -1)
+	}
+	for r := pick(64); r < sealed; r += 31 + pick(64) {
+		nr, col := tv.rows.at(r), 1+pick(4)
+		nr[col] = tv.rows.value(pick(n), col)
+		w.loadRow(nr)
+		check(rowOf(tv.rows.kinds, nr), 0, r, col)
+	}
+}
+
+// unbind returns e with its columns named, as a write's statement holds
+// them.
+func unbind(e Expr) Expr {
+	switch x := e.(type) {
+	case *boundCol:
+		return &ColRef{Column: x.name}
+	case *UnOp:
+		return &UnOp{Op: x.Op, E: unbind(x.E)}
+	case *BinOp:
+		return &BinOp{Op: x.Op, L: unbind(x.L), R: unbind(x.R)}
+	case *Between:
+		return &Between{E: unbind(x.E), Lo: unbind(x.Lo), Hi: unbind(x.Hi), Negate: x.Negate}
+	case *InList:
+		list := make([]Expr, len(x.List))
+		for i, le := range x.List {
+			list[i] = unbind(le)
+		}
+		return &InList{E: unbind(x.E), List: list, Negate: x.Negate}
+	case *IsNull:
+		return &IsNull{E: unbind(x.E), Negate: x.Negate}
+	}
+	return e
+}
+
 // TestCompiledAgainstEval holds compiled expressions to eval on seeded
 // random trees, and on hand-picked ones whose operand order decides
-// which error comes out or whether one does.
+// which error comes out or whether one does: as a plan compiles them,
+// over blocks, and as a write does, over the rows it reads.
 func TestCompiledAgainstEval(t *testing.T) {
-	_, tv := compileTable(t)
+	eng, tv := compileTable(t)
 	i, f, s, z := &boundCol{col: 1, name: "i"}, &boundCol{col: 2, name: "f"}, &boundCol{col: 3, name: "s"}, &boundCol{col: 4, name: "z"}
 	lit := func(v Value) Expr {
 		return &Lit{Slot: slices.IndexFunc(compileParams, func(p Value) bool { return sameValue(p, v) })}
@@ -189,20 +255,24 @@ func TestCompiledAgainstEval(t *testing.T) {
 		&BinOp{Op: "<", L: z, R: &Agg{Func: "MAX", slot: 3}},
 	} {
 		checkCompiled(t, tv, e, func(int) int { return 0 })
+		checkWrite(t, eng, tv, e, func(int) int { return 0 })
 	}
 	rng := rand.New(rand.NewSource(40))
 	g := &exprGen{pick: rng.Intn}
 	for k := 0; k < 400; k++ {
-		checkCompiled(t, tv, g.expr(4), rng.Intn)
+		e := g.expr(4)
+		checkCompiled(t, tv, e, rng.Intn)
+		checkWrite(t, eng, tv, e, rng.Intn)
 	}
 }
 
 // FuzzCompiledExpr holds compiled expressions to eval on trees decoded
 // from the input, a byte per choice (exprGen): the same Value, bit for
-// bit, or the same error, row by row. The bytes left after the tree
-// choose the blocks' sizes and selections.
+// bit, or the same error, row by row, in blocks and in a write's rows.
+// The bytes left after the tree choose the blocks' sizes and selections,
+// then the rows a write updates and the columns it sets.
 func FuzzCompiledExpr(f *testing.F) {
-	_, tv := compileTable(f)
+	eng, tv := compileTable(f)
 	// (s + 1) * -i, the i of scan 1.
 	f.Add([]byte{1, 0, 2, 1, 0, 0, 0, 5, 2, 0, 0, 0, 2, 1, 2, 0, 5, 0, 1})
 	// f BETWEEN 'abc' AND NaN.
@@ -218,7 +288,9 @@ func FuzzCompiledExpr(f *testing.F) {
 			choices = choices[1:]
 			return int(b) % n
 		}}
-		checkCompiled(t, tv, g.expr(5), g.pick)
+		e := g.expr(5)
+		checkCompiled(t, tv, e, g.pick)
+		checkWrite(t, eng, tv, e, g.pick)
 	})
 }
 
@@ -340,11 +412,8 @@ func TestFetchRunOrder(t *testing.T) {
 		s := &p.scans[0]
 		o := tv.index(s.rangeCol).ordered(tv)
 		x := &execRun{ctx: context.Background(), p: p, v: v, res: &Result{}, stores: []*rowStore{&tv.rows}}
-		x.ec.params, x.ec.cur = st.Params, make([]cursor, 1)
-		from, to, err := o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x.ec.params = st.Params
+		from, to := o.run(tv, s.rangeCol, s.lo, s.hi, x.ec.params)
 		got, err := s.fetchRun(x, 0, o.pos[from:to])
 		if err != nil {
 			t.Fatal(err)

@@ -197,6 +197,9 @@ type Engine struct {
 	// served only to a view that still carries them (plan.go), so DDL
 	// has nothing to flush.
 	plans planCache
+	// w is what a write statement compiles into and reads its rows
+	// through; only the holder of mu (write) touches it.
+	w writeScratch
 }
 
 // New returns an empty engine.

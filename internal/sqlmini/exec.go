@@ -55,224 +55,18 @@ func (b *binder) resolve(r *ColRef) (table, col int, err error) {
 	return table, col, nil
 }
 
-// evalCtx carries what an expression is evaluated against: the current
-// tuple, the params of the statement being executed (a Lit reads
-// params[Slot]), and, in aggregate mode, the current group's aggregate
-// values by Agg.slot. A SELECT's run holds its tuples in a block
-// (block.go): vecs[r] is the block's vector of the plan's read r
-// (reads[r]), and the current tuple is the one at index at. A write and
-// the tests name the tuple as one cursor per bound table instead (cur[k]
-// names the row of table k; a single-table statement has a tuple of
-// one). What either names is only read: it may belong to a published
-// view. err is where a compiled expression records its failure
-// (compile.go); eval returns its errors instead.
+// evalCtx carries what a compiled expression (compile.go) is evaluated
+// against: the current tuple — tuple at of a block (block.go), whose
+// vector of read r is vecs[r], only read — the params of the statement
+// (a Lit reads params[Slot]), and, in aggregate mode, the current group's
+// aggregate values by Agg.slot. err is where a compiled expression
+// records its failure.
 type evalCtx struct {
-	cur    []cursor
-	reads  []colPos
 	vecs   []*colVec
 	at     int
 	params []Value
 	aggs   []Value
 	err    error
-}
-
-// column returns column col of the current tuple's row of table.
-func (ec *evalCtx) column(table, col int) Value {
-	if ec.vecs == nil {
-		return ec.cur[table].value(col)
-	}
-	r := slices.Index(ec.reads, colPos{table, col})
-	return ec.vecs[r].get(ec.at)
-}
-
-// eval evaluates an expression; ColRefs must have been rewritten to
-// boundCol by bind.
-func eval(e Expr, ctx *evalCtx) (Value, error) {
-	switch x := e.(type) {
-	case *Lit:
-		return ctx.params[x.Slot], nil
-	case *boundCol:
-		return ctx.column(x.table, x.col), nil
-	case *ColRef:
-		return Null, fmt.Errorf("sqlmini: unbound column %q", x.Column)
-	case *Agg:
-		if ctx.aggs == nil {
-			return Null, fmt.Errorf("sqlmini: aggregate %s outside aggregation", x.Func)
-		}
-		return ctx.aggs[x.slot], nil
-	case *UnOp:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null, nil
-			}
-			return Bool(!v.Truth()), nil
-		case "-":
-			switch v.K {
-			case KindInt:
-				return Int(-v.I), nil
-			case KindFloat:
-				return Float(-v.F), nil
-			case KindNull:
-				return Null, nil
-			}
-			return Null, fmt.Errorf("sqlmini: cannot negate %s", v.K)
-		}
-		return Null, fmt.Errorf("sqlmini: unknown unary op %q", x.Op)
-	case *BinOp:
-		return evalBin(x, ctx)
-	case *Between:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := eval(x.Lo, ctx)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := eval(x.Hi, ctx)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return Null, nil
-		}
-		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		if x.Negate {
-			in = !in
-		}
-		return Bool(in), nil
-	case *InList:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		found := false
-		for _, le := range x.List {
-			lv, err := eval(le, ctx)
-			if err != nil {
-				return Null, err
-			}
-			if !lv.IsNull() && Compare(v, lv) == 0 {
-				found = true
-				break
-			}
-		}
-		if x.Negate {
-			found = !found
-		}
-		return Bool(found), nil
-	case *IsNull:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		isNull := v.IsNull()
-		if x.Negate {
-			isNull = !isNull
-		}
-		return Bool(isNull), nil
-	}
-	return Null, fmt.Errorf("sqlmini: unknown expression %T", e)
-}
-
-func evalBin(x *BinOp, ctx *evalCtx) (Value, error) {
-	l, err := eval(x.L, ctx)
-	if err != nil {
-		return Null, err
-	}
-	// Short-circuit logic ops (SQL three-valued logic, simplified:
-	// NULL treated as false for AND/OR outcomes where it matters).
-	switch x.Op {
-	case "AND":
-		if !l.IsNull() && !l.Truth() {
-			return Bool(false), nil
-		}
-		r, err := eval(x.R, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return Bool(l.Truth() && r.Truth()), nil
-	case "OR":
-		if !l.IsNull() && l.Truth() {
-			return Bool(true), nil
-		}
-		r, err := eval(x.R, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return Bool(l.Truth() || r.Truth()), nil
-	}
-	r, err := eval(x.R, ctx)
-	if err != nil {
-		return Null, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		c := Compare(l, r)
-		switch x.Op {
-		case "=":
-			return Bool(c == 0), nil
-		case "<>":
-			return Bool(c != 0), nil
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		default:
-			return Bool(c >= 0), nil
-		}
-	case "LIKE":
-		if l.K != KindText || r.K != KindText {
-			return Null, nil
-		}
-		return Bool(likeMatch(l.S, r.S)), nil
-	case "+", "-", "*", "/":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		lf, lok := l.AsFloat()
-		rf, rok := r.AsFloat()
-		if !lok || !rok {
-			return Null, fmt.Errorf("sqlmini: arithmetic on non-numeric values")
-		}
-		bothInt := l.K == KindInt && r.K == KindInt
-		switch x.Op {
-		case "+":
-			if bothInt {
-				return Int(l.I + r.I), nil
-			}
-			return Float(lf + rf), nil
-		case "-":
-			if bothInt {
-				return Int(l.I - r.I), nil
-			}
-			return Float(lf - rf), nil
-		case "*":
-			if bothInt {
-				return Int(l.I * r.I), nil
-			}
-			return Float(lf * rf), nil
-		default:
-			if rf == 0 {
-				return Null, nil
-			}
-			return Float(lf / rf), nil
-		}
-	}
-	return Null, fmt.Errorf("sqlmini: unknown operator %q", x.Op)
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one char).
@@ -839,8 +633,8 @@ func quietNaN(f float64) float64 {
 	return f
 }
 
-// values writes group g's value of aggs[i] to out[i], the layout eval
-// reads through Agg.slot.
+// values writes group g's value of aggs[i] to out[i], the layout a
+// compiled aggregate reads through Agg.slot.
 func (gs *groups) values(g int, out []Value) {
 	base := g * len(gs.aggs)
 	for i, a := range gs.aggs {
@@ -1063,6 +857,77 @@ func (ck *codeKeys) lookup(x *execRun, in *tuples, t int) (int32, int) {
 	return ck.slots[slot], slot
 }
 
+// writeScratch is what a write statement compiles its expressions into
+// and reads its rows through. The Engine keeps it and only the holder of
+// its write lock touches it, so a warm engine's write allocates none of
+// it. The compiler resolves the statement's columns through b, over the
+// statement's one table — a column's read is its index, and reads lists
+// those the statement reads — and cuts its nodes from slabs it reuses
+// statement after statement (a slab that grows moves on to a new array,
+// leaving the nodes cut so far where they are). A row is read as a
+// one-tuple block (load): a sealed row in place, the chunk's own vectors
+// at its offset; a tail row, or an UPDATE's own copy of a row (loadRow),
+// gathered into one-element vectors.
+type writeScratch struct {
+	c     compiler
+	b     binder
+	reads []int
+	sets  []setOp
+	ec    evalCtx // ec.vecs[col] is column col's vector
+	one   []vecBuilder
+	nulls []nullMap
+	own   rowStore // a store of the one row loadRow reads
+}
+
+// setOp is one compiled assignment of an UPDATE.
+type setOp struct {
+	col  int
+	expr *cexpr
+}
+
+// writer readies the engine's write scratch for a statement with params
+// over t, named alias; nil for none (VALUES see no columns).
+func (e *Engine) writer(t *Table, alias string, params []Value) *writeScratch {
+	w := &e.w
+	w.b.tables, w.reads = w.b.tables[:0], w.reads[:0]
+	w.c = compiler{b: &w.b, site: &w.reads, nodes: w.c.nodes[:0], ptrs: w.c.ptrs[:0]}
+	w.ec.params = params
+	if t != nil {
+		w.b.addTable(alias, t.Cols)
+		w.own.kinds = t.rows.kinds
+		if len(w.one) < len(t.Cols) {
+			w.ec.vecs, w.one, w.nulls = make([]*colVec, len(t.Cols)), make([]vecBuilder, len(t.Cols)), make([]nullMap, len(t.Cols))
+		}
+	}
+	return w
+}
+
+// load makes the row at position i of st the block, reading the
+// statement's columns.
+func (w *writeScratch) load(st *rowStore, i int) {
+	if ci := i / rowChunkLen; ci < len(st.chunks) {
+		for _, col := range w.reads {
+			w.ec.vecs[col] = &st.chunks[ci].cols[col]
+		}
+		w.ec.at = i % rowChunkLen
+		return
+	}
+	pos := [1]int32{int32(i)}
+	for _, col := range w.reads {
+		b := &w.one[col]
+		b.ready(st.kinds[col], 1)
+		b.gather(st, col, pos[:], &w.nulls[col])
+		w.ec.vecs[col] = (*colVec)(b)
+	}
+	w.ec.at = 0
+}
+
+// loadRow makes r, a row of the statement's table, the block.
+func (w *writeScratch) loadRow(r Row) {
+	w.own.tail = append(w.own.tail[:0], r)
+	w.load(&w.own, 0)
+}
+
 // execInsert runs an INSERT. Caller holds the write lock.
 func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
@@ -1083,14 +948,14 @@ func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 			colIdx = append(colIdx, i)
 		}
 	}
-	ctx := &evalCtx{params: params}
+	w := e.writer(nil, "", params)
 	// Evaluate every VALUES row, then store them in one batch. A row
 	// that fails to evaluate ends the statement after the rows before
 	// it went in, exactly as if each row were appended as it was built.
 	rows := make([]Row, 0, len(st.Rows))
 	var evalErr error
 	for _, exprs := range st.Rows {
-		row, err := evalInsertRow(exprs, colIdx, len(t.Cols), ctx)
+		row, err := w.valuesRow(exprs, colIdx, len(t.Cols))
 		if err != nil {
 			evalErr = err
 			break
@@ -1107,22 +972,27 @@ func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
-// evalInsertRow builds one stored row from a VALUES tuple: the listed
-// columns from their expressions, every other column NULL.
-func evalInsertRow(exprs []Expr, colIdx []int, width int, ctx *evalCtx) (Row, error) {
+// valuesRow builds one stored row from a VALUES tuple: the listed
+// columns from their expressions, every other column NULL. A bare
+// literal is its param; any other expression is compiled and evaluated
+// in its turn, so the row's error is that of the first expression that
+// fails to resolve or to evaluate.
+func (w *writeScratch) valuesRow(exprs []Expr, colIdx []int, width int) (Row, error) {
 	if len(exprs) != len(colIdx) {
 		return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
 	}
 	row := make(Row, width)
-	for i := range row {
-		row[i] = Null
-	}
 	for i, ex := range exprs {
-		be, err := bind(ex, &binder{}) // no tables: VALUES sees no columns
-		if err != nil {
-			return nil, err
+		if lit, ok := ex.(*Lit); ok {
+			row[colIdx[i]] = w.ec.params[lit.Slot]
+			continue
 		}
-		v, err := eval(be, ctx)
+		w.c.nodes, w.c.ptrs = w.c.nodes[:0], w.c.ptrs[:0]
+		n := w.c.compile(ex)
+		if w.c.err != nil {
+			return nil, w.c.err
+		}
+		v, err := n.get(&w.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -1137,39 +1007,32 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 	if !ok {
 		return nil, unknownTableError(st.Table)
 	}
-	b := &binder{}
-	b.addTable(st.Table, t.Cols)
-	where, err := bind(st.Where, b) // nil binds to nil
-	if err != nil {
-		return nil, err
+	w := e.writer(t, st.Table, params)
+	where := w.c.compile(st.Where)
+	if w.c.err != nil {
+		return nil, w.c.err
 	}
-	type setOp struct {
-		col  int
-		expr Expr
-	}
-	sets := make([]setOp, len(st.Set))
-	for i, s := range st.Set {
+	w.sets = w.sets[:0]
+	for _, s := range st.Set {
 		ci := t.ColumnIndex(s.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("sqlmini: unknown column %q in table %q", s.Column, st.Table)
 		}
-		be, err := bind(s.Expr, b)
-		if err != nil {
-			return nil, err
+		w.sets = append(w.sets, setOp{ci, w.c.compile(s.Expr)})
+		if w.c.err != nil {
+			return nil, w.c.err
 		}
-		sets[i] = setOp{ci, be}
 	}
 
 	// The columns the statement assigns, ascending, each once.
 	var setCols []int
-	for _, so := range sets {
+	for _, so := range w.sets {
 		if at, dup := slices.BinarySearch(setCols, so.col); !dup {
 			setCols = slices.Insert(setCols, at, so.col)
 		}
 	}
 
 	res := &Result{}
-	ctx := &evalCtx{cur: make([]cursor, 1), params: params} // the statement's one table
 
 	// A matched row is rewritten as a private copy (the stored one may
 	// back a published view), which later SET expressions see, and
@@ -1185,9 +1048,9 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		for k, col := range setCols {
 			old[k] = nr[col]
 		}
-		ctx.cur[0] = cursor{row: nr}
-		for _, so := range sets {
-			v, err := eval(so.expr, ctx)
+		for _, so := range w.sets {
+			w.loadRow(nr)
+			v, err := so.expr.get(&w.ec)
 			if err != nil {
 				return err
 			}
@@ -1212,10 +1075,11 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 	}
 	// A failing row ends the statement; the rows before it stay updated.
 	// Fast path: a WHERE that is one conjunct, pk = literal.
+	var err error
 	cs, n := cmpLits(st.Where)
 	pkEq := false
 	if n == 1 && cs[0].mask == PassEQ {
-		_, col, _ := b.resolve(cs[0].ref) // bind resolved it
+		_, col, _ := w.b.resolve(cs[0].ref) // compile resolved it
 		pkEq = col == t.pkCol
 	}
 	if pkEq {
@@ -1227,9 +1091,9 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 		for idx, n := 0, t.rows.len(); idx < n && err == nil; idx++ {
 			res.Scanned++
 			if where != nil {
-				t.rows.seek(&ctx.cur[0], idx)
-				var v Value
-				if v, err = eval(where, ctx); err != nil || !v.Truth() {
+				w.load(&t.rows, idx)
+				var pass bool
+				if pass, err = where.holds(&w.ec); err != nil || !pass {
 					continue
 				}
 			}
@@ -1253,26 +1117,23 @@ func (e *Engine) execDelete(st *DeleteStmt, params []Value) (*Result, error) {
 	if !ok {
 		return nil, unknownTableError(st.Table)
 	}
-	b := &binder{}
-	b.addTable(st.Table, t.Cols)
-	where, err := bind(st.Where, b) // nil binds to nil
-	if err != nil {
-		return nil, err
+	w := e.writer(t, st.Table, params)
+	where := w.c.compile(st.Where)
+	if w.c.err != nil {
+		return nil, w.c.err
 	}
 	res := &Result{}
-	ctx := &evalCtx{cur: make([]cursor, 1), params: params} // the statement's one table
 	n := t.rows.len()
 	dead := make([]bool, n)
 	for idx := 0; idx < n; idx++ {
 		res.Scanned++
 		dead[idx] = true
 		if where != nil {
-			t.rows.seek(&ctx.cur[0], idx)
-			v, err := eval(where, ctx)
-			if err != nil {
+			w.load(&t.rows, idx)
+			var err error
+			if dead[idx], err = where.holds(&w.ec); err != nil {
 				return nil, err
 			}
-			dead[idx] = v.Truth()
 		}
 		if dead[idx] {
 			res.Affected++

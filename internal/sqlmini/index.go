@@ -296,38 +296,35 @@ func (idx *secondaryIndex) ordered(tv *tableView) *indexOrder {
 	return o
 }
 
-// bound is one end of the interval a range predicate keeps: the constant
-// and whether the end itself is inside. A nil expr leaves the end open.
+// bound is one end of the interval a range predicate keeps: the param
+// and whether the end itself is inside. A nil lit leaves the end open.
 type bound struct {
-	expr Expr
+	lit  *Lit
 	incl bool
 }
 
 // run returns the entries [from, to) of the order whose value lies
-// between lo and hi, evaluating the ends against ec: two binary searches
+// between lo and hi, their params read from params: two binary searches
 // through col of tv's rows, which are the rows the order was built from
 // or share every value of col with them. A NULL end keeps nothing — the
 // predicate it came from is NULL for every row — and so does an inverted
 // interval.
-func (o *indexOrder) run(tv *tableView, col int, lo, hi bound, ec *evalCtx) (from, to int, err error) {
+func (o *indexOrder) run(tv *tableView, col int, lo, hi bound, params []Value) (from, to int) {
 	from, to = o.nulls, len(o.pos)
 	// cut returns the first entry of [from, to) whose value compares to
 	// b's above min, or to; an open end answers open.
-	cut := func(b bound, min, open int) (int, error) {
-		if b.expr == nil {
-			return open, nil
+	cut := func(b bound, min, open int) int {
+		if b.lit == nil {
+			return open
 		}
-		v, err := eval(b.expr, ec)
-		if err != nil {
-			return 0, err
-		}
+		v := params[b.lit.Slot]
 		if v.IsNull() {
 			from = to
-			return to, nil
+			return to
 		}
 		return from + sort.Search(to-from, func(i int) bool {
 			return Compare(tv.rows.value(int(o.pos[from+i]), col), v) > min
-		}), nil
+		})
 	}
 	// The run starts at the first value >= lo (> lo when lo is outside)
 	// and ends before the first value > hi (>= hi).
@@ -338,11 +335,7 @@ func (o *indexOrder) run(tv *tableView, col int, lo, hi bound, ec *evalCtx) (fro
 	if hi.incl {
 		hiMin = 0
 	}
-	if from, err = cut(lo, loMin, from); err != nil {
-		return 0, 0, err
-	}
-	if to, err = cut(hi, hiMin, to); err != nil {
-		return 0, 0, err
-	}
-	return from, max(from, to), nil
+	from = cut(lo, loMin, from)
+	to = cut(hi, hiMin, to)
+	return from, max(from, to)
 }

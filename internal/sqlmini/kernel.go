@@ -3,15 +3,13 @@ package sqlmini
 // The scan's vector kernels: the comparisons of an INT or FLOAT column
 // with a literal that the planner's conjunct analysis reads out of a
 // scan's pushed-down conjuncts (cmpLits, plan.go), which a full scan
-// checks on the column's vector a chunk at a time instead of boxing
-// every element into a Value for eval. eval stays the definition of the
-// operators: a kernel answers, element by element, what eval answers for
-// the same conjunct (TestKernelsAgainstEval), it only gets there without
-// the tree walk.
+// checks on the column's vector a chunk at a time instead of evaluating
+// the conjunct per row. A kernel answers, element by element, what the
+// tests' eval answers for the same conjunct (TestKernelsAgainstEval).
 
 // vecConds splits the conjuncts a scan keeps, in order, into the
-// comparisons that run as kernels and the conjuncts left to eval; filter
-// is conjs bound. A conjunct that amounts to comparisons of an INT or
+// comparisons that run as kernels and the conjuncts left; filter is
+// conjs bound. A conjunct that amounts to comparisons of an INT or
 // FLOAT column with literals (cmpLits) runs as one or two kernels, as
 // long as every conjunct before it is a kernel too or cannot fail
 // (infallible): kernels run first, so a row one of them drops never
@@ -30,7 +28,7 @@ func vecConds(conjs []conjunct, filter []Expr, t *Table) (vec []cmpLit, rest []E
 	return vec, rest
 }
 
-// infallible reports whether eval can never return an error for e:
+// infallible reports whether evaluating e can never fail:
 // comparisons, LIKE, the logic operators, BETWEEN, IN and IS NULL over
 // columns, literals and, where e is evaluated against a group (grouped),
 // aggregates, which read the group's value. Arithmetic and negation fail

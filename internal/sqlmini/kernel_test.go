@@ -76,7 +76,7 @@ func TestKernelsAgainstEval(t *testing.T) {
 	tb := &binder{}
 	tb.addTable("k", tv.t.Cols)
 	schema := Schema{"k": tv.t.Cols}
-	ec := &evalCtx{cur: make([]cursor, 1), params: []Value{Null, Null, Int(1)}}
+	ec := &oracle{stores: []*rowStore{&tv.rows}, pos: make([]int, 1), params: []Value{Null, Null, Int(1)}}
 	odd := make([]uint16, 0, rowChunkLen/2)
 	for i := 1; i < rowChunkLen; i += 2 {
 		odd = append(odd, uint16(i))
@@ -110,7 +110,7 @@ func TestKernelsAgainstEval(t *testing.T) {
 		col := cj.cmps[0].col
 		var lo, hi bound
 		for _, k := range cj.cmps[:cj.ncmp] {
-			b := bound{expr: k.lit, incl: k.mask&PassEQ != 0}
+			b := bound{lit: k.lit, incl: k.mask&PassEQ != 0}
 			if k.mask&PassGT == 0 {
 				hi = b
 			}
@@ -119,7 +119,7 @@ func TestKernelsAgainstEval(t *testing.T) {
 			}
 		}
 		eq := cj.ncmp == 1 && cj.cmps[0].mask == PassEQ
-		if icol, ilo, ihi, ok := cj.interval(); ok != (!eq && (lo.expr != nil || hi.expr != nil)) || ok && (icol != col || ilo != lo || ihi != hi) {
+		if icol, ilo, ihi, ok := cj.interval(); ok != (!eq && (lo.lit != nil || hi.lit != nil)) || ok && (icol != col || ilo != lo || ihi != hi) {
 			t.Fatalf("%s: interval %v [%v, %v], the masks' ends [%v, %v]", exprString(cond), ok, ilo, ihi, lo, hi)
 		}
 		o := (&secondaryIndex{col: col}).ordered(tv)
@@ -134,9 +134,8 @@ func TestKernelsAgainstEval(t *testing.T) {
 							sel = vec[i].narrow(sel, c, ec.params[vec[i].lit.Slot])
 						}
 						var want []uint16
-						ec.cur[0].chunk = c
 						for _, off := range start {
-							ec.cur[0].off = int(off)
+							ec.pos[0] = ci*rowChunkLen + int(off)
 							v, err := eval(be, ec)
 							if err != nil {
 								t.Fatal(err)
@@ -169,22 +168,19 @@ func TestKernelsAgainstEval(t *testing.T) {
 // rows, where the comparisons set an end — and, on the INT column, with
 // the interval the classifier's predicates set: it holds every kept row,
 // and no other where every predicate sets an end.
-func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexOrder, col int, lo, hi bound, ec *evalCtx, st Statement, schema Schema) {
+func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexOrder, col int, lo, hi bound, ec *oracle, st Statement, schema Schema) {
 	t.Helper()
 	var kept []int32
 	for pos := 0; pos < tv.rows.len(); pos++ {
-		tv.rows.seek(&ec.cur[0], pos)
+		ec.pos[0] = pos
 		if v, err := eval(be, ec); err != nil {
 			t.Fatal(err)
 		} else if v.Truth() {
 			kept = append(kept, int32(pos))
 		}
 	}
-	if lo.expr != nil || hi.expr != nil {
-		from, to, err := o.run(tv, col, lo, hi, ec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if lo.lit != nil || hi.lit != nil {
+		from, to := o.run(tv, col, lo, hi, ec.params)
 		run := slices.Clone(o.pos[from:to])
 		slices.Sort(run)
 		if !slices.Equal(run, kept) {
@@ -223,11 +219,12 @@ func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexO
 }
 
 // generic returns a plan for the same statement with every
-// specialisation taken out: its scans evaluate their whole filter, every
-// expression it evaluates per tuple or per group goes through eval
-// instead of its compiled form, its keys through hkeys, its groups are
-// keyed by the whole GROUP BY list, and an ORDER BY … LIMIT projects
-// every row before it sorts.
+// specialisation taken out: its scans evaluate their whole filter, its
+// keys go through hkeys, its groups are keyed by the whole GROUP BY list,
+// and an ORDER BY … LIMIT projects every row before it sorts. Each loop
+// that gathers a block reads every column of the scans its tuples span,
+// so a compiled form whose read set misses a column it reads answers
+// otherwise in the plan under test than here.
 func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 	t.Helper()
 	p, err := e.buildPlan(st.AST.(*SelectStmt), e.loadView())
@@ -242,7 +239,26 @@ func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 	}
 	p.groupKey, p.groupInt = p.groupBy, false
 	p.selectFirst = false
-	p.compileAll(true)
+	p.compileAll()
+	every := func(from, to int) (refs []int) {
+		for scan := from; scan < to; scan++ {
+			for col := range p.scans[scan].t.Cols {
+				r := slices.Index(p.reads, colPos{scan, col})
+				if r < 0 {
+					r, p.reads = len(p.reads), append(p.reads, colPos{scan, col})
+				}
+				refs = append(refs, r)
+			}
+		}
+		return refs
+	}
+	for i := range p.scans {
+		p.scans[i].reads = every(i, i+1)
+	}
+	for i := range p.joins {
+		p.joins[i].reads = every(0, i+2)
+	}
+	p.groupReads, p.outReads, p.rankReads = every(0, len(p.scans)), every(0, len(p.scans)), every(0, len(p.scans))
 	return p
 }
 

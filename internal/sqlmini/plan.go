@@ -217,7 +217,7 @@ func cmpLits(e Expr) (cs [2]cmpLit, n int) {
 // the column finds the rows between the ends without reading the others.
 func (c *conjunct) interval() (col int, lo, hi bound, ok bool) {
 	for _, k := range c.cmps[:c.ncmp] {
-		b := bound{expr: k.lit, incl: k.mask&PassEQ != 0}
+		b := bound{lit: k.lit, incl: k.mask&PassEQ != 0}
 		switch k.mask &^ PassEQ {
 		case PassLT:
 			hi = b
@@ -596,15 +596,15 @@ type scanNode struct {
 	// of t with this count offers.
 	indexes int
 
-	access  accessKind
-	keyCol  int  // probed column (pk or indexed) for accessPkEq/IdxEq
-	keyExpr Expr // const expr supplying the probe value
+	access accessKind
+	keyCol int  // probed column (pk or indexed) for accessPkEq/IdxEq
+	key    *Lit // the param supplying the probe value
 
 	filter []Expr // pushed-down conjuncts; they read only this scan's row
 	// A scan of every row splits filter (vecConds): vec, the comparisons
-	// it checks on a sealed chunk's column vectors, and rest, what eval
-	// makes of the rows those leave. Reading rows by position — a probe,
-	// an index's run — evaluates filter (or inRange) as it stands.
+	// it checks on a sealed chunk's column vectors, and rest, the
+	// conjuncts left for the rows those leave. Reading rows by position —
+	// a probe, an index's run — evaluates filter (or inRange) as it stands.
 	vec  []cmpLit
 	rest []Expr
 
@@ -684,9 +684,10 @@ type orderSpec struct {
 type selectPlan struct {
 	tables int
 
-	consts []Expr // conjuncts referencing no columns
-	scans  []scanNode
-	joins  []joinNode
+	consts  []Expr   // conjuncts referencing no columns
+	cconsts []*cexpr // consts compiled
+	scans   []scanNode
+	joins   []joinNode
 
 	outExprs []Expr
 	outNames []string
@@ -786,7 +787,7 @@ func (p *selectPlan) describe() string {
 			access = "index(" + s.t.Cols[s.keyCol].Name + ")="
 		case s.rangeCol >= 0:
 			access = "index(" + s.t.Cols[s.rangeCol].Name + ")"
-			if s.lo.expr != nil || s.hi.expr != nil {
+			if s.lo.lit != nil || s.hi.lit != nil {
 				access += " in " + intervalString(s.lo, s.hi)
 			}
 			below := (s.planRows + rangeScanFactor - 1) / rangeScanFactor
@@ -850,14 +851,14 @@ func (p *selectPlan) describe() string {
 // +inf at one that is open.
 func intervalString(lo, hi bound) string {
 	l, r := "(-inf", "+inf)"
-	if lo.expr != nil {
-		if l = "(" + exprString(lo.expr); lo.incl {
-			l = "[" + exprString(lo.expr)
+	if lo.lit != nil {
+		if l = "(" + exprString(lo.lit); lo.incl {
+			l = "[" + exprString(lo.lit)
 		}
 	}
-	if hi.expr != nil {
-		if r = exprString(hi.expr) + ")"; hi.incl {
-			r = exprString(hi.expr) + "]"
+	if hi.lit != nil {
+		if r = exprString(hi.lit) + ")"; hi.incl {
+			r = exprString(hi.lit) + "]"
 		}
 	}
 	return l + ", " + r
@@ -1104,13 +1105,13 @@ func chooseAccess(tv *tableView, conjs []conjunct, orderCol int) tableAccess {
 	if orderCol < 0 {
 		for ci, cj := range conjs {
 			if k := cj.cmps[0]; cj.kind == predEqConst && k.col == tv.t.pkCol {
-				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessPkEq, k.col, k.lit, ci
+				ac.access, ac.keyCol, ac.key, ac.consumed = accessPkEq, k.col, k.lit, ci
 				return ac
 			}
 		}
 		for ci, cj := range conjs {
 			if k := cj.cmps[0]; cj.kind == predEqConst && tv.index(k.col) != nil {
-				ac.access, ac.keyCol, ac.keyExpr, ac.consumed = accessIdxEq, k.col, k.lit, ci
+				ac.access, ac.keyCol, ac.key, ac.consumed = accessIdxEq, k.col, k.lit, ci
 				return ac
 			}
 		}
@@ -1120,14 +1121,14 @@ func chooseAccess(tv *tableView, conjs []conjunct, orderCol int) tableAccess {
 		if !ok || (ac.rangeCol >= 0 && col != ac.rangeCol) || tv.index(col) == nil {
 			continue
 		}
-		if (lo.expr != nil && ac.lo.expr != nil) || (hi.expr != nil && ac.hi.expr != nil) {
+		if (lo.lit != nil && ac.lo.lit != nil) || (hi.lit != nil && ac.hi.lit != nil) {
 			continue // that end is taken
 		}
 		ac.rangeCol = col
-		if lo.expr != nil {
+		if lo.lit != nil {
 			ac.lo, ac.loFrom = lo, ci
 		}
-		if hi.expr != nil {
+		if hi.lit != nil {
 			ac.hi, ac.hiFrom = hi, ci
 		}
 		ac.runShare *= conjunctSelectivity(cj, tv)
@@ -1526,7 +1527,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 			p.keyOuts = nil
 		}
 	}
-	p.compileAll(false)
+	p.compileAll()
 	return p, nil
 }
 
@@ -1711,7 +1712,7 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 			x.sc.release()
 		}
 	}()
-	x.ec.params, x.ec.reads = params, p.reads
+	x.ec.params = params
 	if n := len(p.scans); n <= len(smallRun{}.stores) {
 		buf := new(smallRun)
 		x.stores = buf.stores[:n]
@@ -1721,12 +1722,10 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 	} else {
 		x.stores = make([]*rowStore, n)
 	}
-	for _, ce := range p.consts {
-		cv, err := eval(ce, &x.ec)
-		if err != nil {
+	for _, c := range p.cconsts {
+		if ok, err := c.holds(&x.ec); err != nil {
 			return err
-		}
-		if !cv.Truth() {
+		} else if !ok {
 			return p.finish(x, tuples{})
 		}
 	}
@@ -1849,11 +1848,8 @@ func (p *selectPlan) runWalk(x *execRun) error {
 	tv := x.v.tables[s.table]
 	o := tv.index(s.rangeCol).ordered(tv) // schemaMatches holds the plan to views that carry the index
 	from, to := 0, len(o.pos)             // without ends the NULLs are in: lowest, as Compare has them
-	if s.lo.expr != nil || s.hi.expr != nil {
-		var err error
-		if from, to, err = o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec); err != nil {
-			return err
-		}
+	if s.lo.lit != nil || s.hi.lit != nil {
+		from, to = o.run(tv, s.rangeCol, s.lo, s.hi, x.ec.params)
 	}
 	w := indexWalk{tv: tv, col: s.rangeCol, desc: p.walkDesc, run: o.pos[from:to]}
 	x.kept = make([]stepState, len(p.scans))
@@ -1893,10 +1889,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 	switch s.access {
 	case accessPkEq:
 		x.res.Scanned++
-		kv, err := eval(s.keyExpr, &x.ec)
-		if err != nil {
-			return tuples{}, err
-		}
+		kv := x.ec.params[s.key.Slot]
 		if kv.IsNull() {
 			return tuples{w: 1}, nil // pk = NULL matches nothing
 		}
@@ -1913,10 +1906,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 		}
 		return one, nil
 	case accessIdxEq:
-		kv, err := eval(s.keyExpr, &x.ec)
-		if err != nil {
-			return tuples{}, err
-		}
+		kv := x.ec.params[s.key.Slot]
 		if kv.IsNull() {
 			return tuples{w: 1}, nil // col = NULL matches nothing
 		}
@@ -1925,11 +1915,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 	}
 	if s.rangeCol >= 0 {
 		o := tv.index(s.rangeCol).ordered(tv)
-		from, to, err := o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec)
-		if err != nil {
-			return tuples{}, err
-		}
-		if (to-from)*rangeScanFactor < tv.rows.len() {
+		if from, to := o.run(tv, s.rangeCol, s.lo, s.hi, x.ec.params); (to-from)*rangeScanFactor < tv.rows.len() {
 			return s.fetchRun(x, k, o.pos[from:to])
 		}
 	}
@@ -2109,7 +2095,7 @@ func (s *scanNode) keep(x *execRun, k int, at []int32, conds []*cexpr, out []int
 		}
 		if limit < 0 {
 			var got uint64
-			if sel, ok := x.narrow(&src, k, b, m, buf[:copy(buf[:], everyRow[:m])], &got, conds, s.reads); ok {
+			if sel, ok := x.narrow(&src, k, b, m, buf[:copy(buf[:], everyRow[:m])], &got, conds); ok {
 				for _, i := range sel {
 					out = append(out, at[b+int(i)])
 				}
@@ -2138,20 +2124,14 @@ func (s *scanNode) keep(x *execRun, k int, at []int32, conds []*cexpr, out []int
 // still selected, gathering the columns it reads that no conjunct before
 // it did (got, by read below 64), for those tuples alone: a column a
 // selective conjunct leaves unread is read for the few tuples that pass
-// it. An interpreted conjunct reads all. False: a conjunct failed on
-// some tuple.
-func (x *execRun) narrow(src *tuples, scan0, from, m int, sel []uint16, got *uint64, conds []*cexpr, all []int) ([]uint16, bool) {
+// it. False: a conjunct failed on some tuple.
+func (x *execRun) narrow(src *tuples, scan0, from, m int, sel []uint16, got *uint64, conds []*cexpr) ([]uint16, bool) {
 	for _, c := range conds {
 		if len(sel) == 0 {
 			break
 		}
 		var buf [16]int
-		need := buf[:0]
-		if c.op == opEval {
-			need = append(need, all...)
-		} else {
-			need = c.reads(need)
-		}
+		need := c.reads(buf[:0])
 		n := 0
 		for _, r := range need {
 			if r >= 64 || *got>>r&1 == 0 {
@@ -2303,9 +2283,9 @@ func (o *joinOut) flush(x *execRun) error {
 	}
 	var buf [blockLen]uint16
 	var got uint64
-	sel, ok := x.narrow(pend, 0, 0, pend.n, buf[:copy(buf[:], everyRow[:pend.n])], &got, o.filter, o.freads)
+	sel, ok := x.narrow(pend, 0, 0, pend.n, buf[:copy(buf[:], everyRow[:pend.n])], &got, o.filter)
 	if ok {
-		sel, ok = x.narrow(pend, 0, 0, pend.n, sel, &got, o.extra, o.reads)
+		sel, ok = x.narrow(pend, 0, 0, pend.n, sel, &got, o.extra)
 	}
 	if !ok {
 		// A check failed on some candidate: the one the tuple-at-a-time
@@ -2589,7 +2569,7 @@ func (p *selectPlan) finish(x *execRun, in tuples) error {
 		slab = make([]Value, len(gs.sample)*nout)
 		outRows = make([]Row, 0, len(gs.sample))
 		inputs = take(x, positions, len(gs.sample))
-		gctx := &evalCtx{reads: p.reads, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		gctx := &evalCtx{params: x.ec.params, aggs: make([]Value, len(p.aggs))}
 		for b := 0; b < len(gs.sample); b += blockLen {
 			samples := gs.sample[b:min(b+blockLen, len(gs.sample))]
 			x.gather(&in, 0, 0, 0, samples, p.outReads)
@@ -2690,7 +2670,7 @@ func (p *selectPlan) selectThenProject(x *execRun, in tuples, gs *groups) error 
 	n, ctx := in.n, &x.ec
 	if gs != nil {
 		n = len(gs.sample)
-		ctx = &evalCtx{reads: p.reads, params: x.ec.params, aggs: make([]Value, len(p.aggs))}
+		ctx = &evalCtx{params: x.ec.params, aggs: make([]Value, len(p.aggs))}
 	}
 	// load makes candidates from, from+1, … (m of them) — tuples, or
 	// groups' first tuples — the block, or candidates pick[0], pick[1], …

@@ -694,16 +694,14 @@ func BenchmarkRangeScan(b *testing.B) {
 				res := &Result{}
 				for i := 0; i < b.N; i++ {
 					x := &execRun{ctx: context.Background(), p: p, v: v, res: res, stores: []*rowStore{&tv.rows}}
-					x.ec.params, x.ec.cur = st.Params, make([]cursor, 1)
+					x.ec.params = st.Params
 					res.Scanned = 0
 					if how == "scan" {
 						got, err = s.scan(x, 0, tv)
 					} else {
 						o := tv.index(s.rangeCol).ordered(tv)
-						var from, to int
-						if from, to, err = o.run(tv, s.rangeCol, s.lo, s.hi, &x.ec); err == nil {
-							got, err = s.fetchRun(x, 0, o.pos[from:to])
-						}
+						from, to := o.run(tv, s.rangeCol, s.lo, s.hi, x.ec.params)
+						got, err = s.fetchRun(x, 0, o.pos[from:to])
 					}
 					if err != nil {
 						b.Fatal(err)

@@ -248,34 +248,6 @@ func newRowStore(cols []Column) rowStore {
 
 func (s *rowStore) len() int { return len(s.chunks)*rowChunkLen + len(s.tail) }
 
-// cursor names one row of a store: a sealed chunk and an offset in it,
-// or a row-major Row (a tail row; a row a statement built). It is what
-// eval reads a write's row through (a SELECT's run reads blocks,
-// block.go), so reaching a row costs no copy and reading one of its
-// columns touches that column's vector alone.
-type cursor struct {
-	chunk *rowChunk // nil: the row is row
-	off   int
-	row   Row
-}
-
-// value returns column col of the row.
-func (c *cursor) value(col int) Value {
-	if c.chunk != nil {
-		return c.chunk.cols[col].get(c.off)
-	}
-	return c.row[col]
-}
-
-// seek points c at the row at position i.
-func (s *rowStore) seek(c *cursor, i int) {
-	if ci := i / rowChunkLen; ci < len(s.chunks) {
-		c.chunk, c.off = s.chunks[ci], i%rowChunkLen
-		return
-	}
-	c.chunk, c.row = nil, s.tail[i-len(s.chunks)*rowChunkLen]
-}
-
 // value returns column col of the row at position i.
 func (s *rowStore) value(i, col int) Value {
 	if ci := i / rowChunkLen; ci < len(s.chunks) {

@@ -184,10 +184,9 @@ func TestTableChecksumPinned(t *testing.T) {
 // BenchmarkApplyRoundSingleRow is one committed single-row pk UPDATE —
 // write lock, copy what the row touches (the assigned column's vector
 // in one chunk, the chunk's header, the spine, one pk shard), publish —
-// at three table sizes. ns/op and B/op grow with the table today, the
-// spine and the shard growing with it: measured on a 2-core Xeon
-// container, 13.4 µs / 11,080 B at 10k rows and 20.3 µs / 17,720 B at
-// 1M. Keeping them flat across sizes is an open goal (ROADMAP item 22).
+// at three table sizes. ns/op and B/op grow with the table, the spine
+// and the shard growing with it; keeping them flat across sizes is an
+// open goal (ROADMAP item 22).
 func BenchmarkApplyRoundSingleRow(b *testing.B) {
 	for _, size := range []struct {
 		name string

@@ -113,10 +113,14 @@ bench-smoke:
 # at EB 3, one sub-benchmark per template (ns, B, allocs, rows scanned
 # and collections per op) plus /pass for all of a suite — a pass is the unit of
 # tpch-analytic work, and the per-template lines say which template a
-# change of it came from — and the scan kernels' (a vector filter, the
-# same under aggregates of bare columns, a GROUP BY of one INT column,
-# whose dense range keys its groups by direct indexing, over lineitem;
-# ns/row and B/op). Group keys the pk rule reduces through join key
+# change of it came from — and the scan kernels' (a filter narrow takes
+# through typed loops, the same under aggregates of bare columns, a
+# GROUP BY of one INT column, whose dense range keys its groups by
+# direct indexing, over lineitem; ns/row and B/op), and BenchmarkRangeScan's
+# (an interval of an indexed column read through the index's run, whose
+# fetched rows narrow filters with the same typed loops, beside a scan
+# of every row, at seven shares of the table: what rangeScanFactor was
+# chosen from). Group keys the pk rule reduces through join key
 # pairs are timed by BenchmarkTPCHPass/q3, /q18 and /q10 (each down to
 # one integer). BenchmarkParse
 # times Parse alone (tree and plan-cache key) over the TPC-App reads and
@@ -129,7 +133,7 @@ bench-smoke:
 # 10k, 100k and 1M rows.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/sqlmini/
-	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|^BenchmarkParse$$|BulkInsert|ApplyRoundSingleRow' -benchmem -run '^$$' ./internal/sqlmini/
+	$(GO) test -bench 'TPCHPass|TPCAppReads|ScanKernels|RangeScan|^BenchmarkParse$$|BulkInsert|ApplyRoundSingleRow' -benchmem -run '^$$' ./internal/sqlmini/
 
 # bench-mem says where the bytes of a query go without a hand-run
 # profile: the top allocation sites by bytes (go tool pprof -top

@@ -301,78 +301,34 @@ func (x *execRun) chunkBlock(c *rowChunk, refs []int) {
 	}
 }
 
-// dictCond is a conjunct of a scan's rest that is decided once per entry
-// of a column's dictionary (compiler.dictConds): the ith of crest, and
-// the read of the TEXT column it tests.
-type dictCond struct {
-	i, ref int
-}
-
-// dictConds picks the conjuncts of crest a chunk scan may decide per
-// dictionary entry: a comparison, IN, BETWEEN or LIKE of one TEXT column
-// with params, which cannot fail and whose outcome is a function of the
-// column's string — among the first 64, and with only conjuncts that
-// cannot fail before it (rest bound), since the scan takes them first.
-func (c *compiler) dictConds(crest []*cexpr, rest []Expr) []dictCond {
-	if c.counting {
-		return nil
-	}
-	var out []dictCond
-	for i, n := range crest {
-		if i == 64 {
-			break
-		}
-		if ref, ok := dictForm(n); ok {
-			out = append(out, dictCond{i: i, ref: ref})
-		} else if !infallible(rest[i], false) {
-			break
-		}
-	}
-	return out
-}
-
-// dictForm reports whether n is a condition dictConds takes, and the
-// read of its column: the column is one operand — IN's tested value, not
-// an element of its list — and every other operand a param, so a NULL
-// in the column makes the condition NULL.
-func dictForm(n *cexpr) (int, bool) {
-	ops := []*cexpr{n.l, n.r, n.hi}
-	switch n.op {
-	case opCmp, opLike, opBetween:
-	case opIn:
-		ops = append(ops[:1], n.list...)
-	default:
-		return 0, false
-	}
-	ref, cols := 0, 0
-	for i, o := range ops {
-		switch {
-		case o == nil:
-		case o.op == opText && (n.op != opIn || i == 0):
-			ref, cols = o.ref, cols+1
-		case o.op != opParam:
-			return 0, false
-		}
-	}
-	return ref, cols == 1
-}
-
-// dictPass decides dc for every entry of the dictionary of v, the
-// column's vector in a chunk: bit e of the result is set when the
-// conjunct holds of entry e.
-func (x *execRun) dictPass(dc dictCond, cond *cexpr, v *colVec) (pass [dictMax / 64]uint64) {
+// dictNarrow writes to dst, in order, those of the tuples sel names that
+// pass the dictionary conjunct c over v, its column's vector in a chunk,
+// which carries codes: c is decided once per entry of v's dictionary,
+// and a tuple passes when its element is not NULL and c holds of its
+// code's entry.
+func (x *execRun) dictNarrow(dst, sel []uint16, c *cexpr, v *colVec) []uint16 {
 	bb := x.blockOf()
 	bb.dict.kind, bb.dict.strs, bb.dict.nulls = KindText, v.dict, nil
-	saved, at := x.ec.vecs[dc.ref], x.ec.at
-	x.ec.vecs[dc.ref] = (*colVec)(&bb.dict)
+	saved, at := x.ec.vecs[c.ref], x.ec.at
+	x.ec.vecs[c.ref] = (*colVec)(&bb.dict)
+	var pass [dictMax / 64]uint64
 	for e := range v.dict {
 		x.ec.at = e
-		if cond.cond(&x.ec) == tTrue {
+		if c.cond(&x.ec) == tTrue {
 			pass[e>>6] |= 1 << (uint(e) & 63)
 		}
 	}
-	x.ec.vecs[dc.ref], x.ec.at = saved, at
-	return pass
+	x.ec.vecs[c.ref], x.ec.at = saved, at
+	x.res.modes |= modeDictFilter
+	n := 0
+	for _, i := range sel {
+		code := v.codes[i]
+		dst[n] = i
+		if pass[code>>6]>>(code&63)&1 != 0 && (v.nulls == nil || !v.nulls.has(int(i))) {
+			n++
+		}
+	}
+	return dst[:n]
 }
 
 // ready makes b a block vector of kind with room for m elements. It

@@ -74,13 +74,24 @@ type cexpr struct {
 	// is read as numbers, a text param's string read only when two texts
 	// meet.
 	text      bool
-	scan, col int // a column's place in the tuple
-	ref       int // a column's read: its place in selectPlan.reads, and its vector's in a block
-	slot      int // opParam, opAgg
+	loop      loop // a conjunct's: how narrow takes it over a block
+	scan, col int  // a column's place in the tuple
+	ref       int  // a column's read: its place in selectPlan.reads, and its vector's in a block; a dictionary conjunct's, its column's
+	slot      int  // opParam, opAgg
 	l, r, hi  *cexpr
 	list      []*cexpr
 	err       error // what eval returns where this node fails
 }
+
+// loop is how narrow takes a conjunct over a block's selected tuples
+// (compiler.conjuncts marks it).
+type loop uint8
+
+const (
+	loopTuple loop = iota // the form evaluated tuple by tuple
+	loopDict              // a condition of a TEXT column with params (loopOf): decided once per entry of a chunk's dictionary (dictNarrow), where its vector has one, else tuple by tuple
+	loopTyped             // a comparison or BETWEEN of an INT or FLOAT column with params: a typed loop over the column's vector (narrowVec)
+)
 
 // num is a value read as a number: an INT in i, a FLOAT in f, the other
 // zero; k KindText for a text, whose string it does not carry.
@@ -237,13 +248,16 @@ func (p *selectPlan) fill(c *compiler) {
 	for i := range p.scans {
 		s := &p.scans[i]
 		s.reads, c.site = nil, &s.reads
-		s.cfilter, s.crest, s.cinRange = c.roots(s.filter), c.roots(s.rest), c.roots(s.inRange)
-		s.dictConds = c.dictConds(s.crest, s.rest)
+		s.cfilter, s.cinRange = c.conjuncts(s.filter), c.conjuncts(s.inRange)
 	}
 	for i := range p.joins {
 		j := &p.joins[i]
-		j.reads, c.site = nil, &j.reads
-		j.cextra = c.roots(j.extra)
+		c.site = new([]int) // narrow gathers what each conjunct reads
+		j.cextra = c.conjuncts(j.extra)
+		if f := p.scans[i+1].filter; j.probe >= 0 {
+			j.cprobe = c.list(len(f) + len(j.extra))
+			copy(j.cprobe[copy(j.cprobe, p.scans[i+1].cfilter):], j.cextra)
+		}
 	}
 	p.groupReads, c.site = nil, &p.groupReads
 	p.ckey = c.roots(p.groupKey)
@@ -345,6 +359,71 @@ func (c *compiler) roots(es []Expr) []*cexpr {
 		}
 	}
 	return out
+}
+
+// conjuncts returns the compiled forms of the conjuncts es, each marked
+// with how narrow takes it (cexpr.loop), in one order: typed loops
+// first, then dictionary decisions, then the rest, each group in the
+// order written — and no conjunct moves past one that can fail
+// (infallible), so an error a tuple raises there still comes out where
+// a conjunct after it would have dropped the tuple.
+func (c *compiler) conjuncts(es []Expr) []*cexpr {
+	out := c.roots(es)
+	if out == nil {
+		return nil
+	}
+	sort := func(ns []*cexpr) {
+		slices.SortStableFunc(ns, func(a, b *cexpr) int { return cmp.Compare(b.loop, a.loop) })
+	}
+	from := 0
+	for i, n := range out {
+		if n.loop = loopOf(n); !infallible(es[i], false) {
+			sort(out[from:i])
+			from = i + 1
+		}
+	}
+	sort(out[from:])
+	return out
+}
+
+// loopOf returns how narrow takes the conjunct n. A comparison,
+// BETWEEN, LIKE or IN whose one column operand — IN's tested value, not
+// an element of its list — is compared with params alone cannot fail,
+// and a NULL in the column makes it NULL: of a TEXT column it is a
+// dictionary conjunct, whose ref becomes the column's read; a
+// comparison or plain BETWEEN of an INT or FLOAT column, a typed loop's,
+// read from the column's side (k < col as col > k).
+func loopOf(n *cexpr) loop {
+	ops := []*cexpr{n.l, n.r, n.hi}
+	switch n.op {
+	case opCmp, opLike, opBetween:
+	case opIn:
+		ops = append(ops[:1], n.list...)
+	default:
+		return loopTuple
+	}
+	var col *cexpr
+	for i, o := range ops {
+		switch {
+		case o == nil:
+		case col == nil && o.op >= opInt && o.op <= opText && (n.op != opIn || i == 0):
+			col = o
+		case o.op != opParam:
+			return loopTuple
+		}
+	}
+	switch {
+	case col == nil:
+	case col.op == opText:
+		n.ref = col.ref
+		return loopDict
+	case n.op == opCmp && col == n.r:
+		n.l, n.r, n.mask = n.r, n.l, n.mask&PassEQ|n.mask&PassLT<<2|n.mask&PassGT>>2
+		return loopTyped
+	case n.op == opCmp || n.op == opBetween && col == n.l && !n.negate:
+		return loopTyped
+	}
+	return loopTuple
 }
 
 // node returns a node holding n, cut from the slab.

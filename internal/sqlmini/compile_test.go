@@ -100,20 +100,25 @@ func sameValue(a, b Value) bool {
 	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-// checkCompiled holds the compiled form of e to eval on every row of the
+// checkCompiled holds the compiled form of e to eval on the rows of the
 // table (scan 0) beside another (scan 1), outside aggregation and inside
 // it: get must return eval's Value bit for bit, or its error, and holds
-// must say whether that Value is true. The compiled form reads the pairs
-// in blocks (execRun.gather; a block of one through oneRow where the
-// tree reads few columns) whose sizes, and the selection of each block's
-// tuples evaluated, pick draws; eval reads the rows through
+// must say whether that Value is true; and narrow, taking e as a filter
+// of one conjunct over a block, must keep the tuples whose Value is true
+// or report the error of the first tuple that raises one (checkNarrow).
+// The compiled form reads the pairs in blocks (execRun.gather; a block
+// of one through oneRow where the tree reads few columns) whose sizes,
+// and the selection of each block's tuples evaluated, pick draws: every
+// block of the table or, sampling, four of at most 64 tuples where pick
+// places them; narrow also takes a sealed chunk in place — sampling, 64
+// of its rows — where e reads scan 0 alone. eval reads the rows through
 // rowStore.value.
-func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
+func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int, sample bool) {
 	t.Helper()
 	p := &selectPlan{scans: []scanNode{{t: tv.t}, {t: tv.t}}}
 	var reads []int
 	c := &compiler{p: p, site: &reads}
-	root := c.root(e)
+	root, filter := c.root(e), c.conjuncts([]Expr{e})
 	n := tv.rows.len()
 	in := tuples{w: 2, n: n, ids: make([]int32, 2*n)}
 	for r := 0; r < n; r++ {
@@ -132,8 +137,12 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 	ec := &oracle{stores: x.stores, pos: make([]int, 2), params: compileParams}
 	for _, aggs := range [][]Value{nil, compileAggs} {
 		ec.aggs, x.ec.aggs = aggs, aggs
-		for b := 0; b < n; {
-			m := min(n-b, 1+pick(blockLen))
+		for j, b := 0, 0; !sample && b < n || sample && j < 4; j++ {
+			size := blockLen
+			if sample {
+				b, size = (pick(256)<<8|pick(256))%n, 64
+			}
+			m := min(n-b, 1+pick(size))
 			x.gather(&in, 0, b, m, nil, reads)
 			every := pick(2) == 0
 			for k := 0; k < m; k++ {
@@ -156,11 +165,68 @@ func checkCompiled(t testing.TB, tv *tableView, e Expr, pick func(n int) int) {
 					t.Fatalf("%s, row %d, aggregates %v: eval %#v; compiled %#v, %v, holds %v, %v", exprString(e), r, aggs != nil, want, got, gerr, ok, herr)
 				}
 			}
+			checkNarrow(t, x, block{src: &in, from: b, m: m}, everyRow[:m], filter, e, func(k int) { ec.pos[0], ec.pos[1] = b+k, ((b+k)*7+3)%n }, ec, pick)
 			b += m
+		}
+		if !slices.ContainsFunc(p.reads, func(at colPos) bool { return at.scan != 0 }) {
+			ci, sel := pick(len(tv.rows.chunks)), everyRow[:]
+			if sample {
+				sel = everyRow[pick(rowChunkLen/64)*64:][:64]
+			}
+			x.chunkBlock(tv.rows.chunks[ci], reads)
+			checkNarrow(t, x, block{m: rowChunkLen}, sel, filter, e, func(k int) { ec.pos[0] = ci*rowChunkLen + k }, ec, pick)
 		}
 	}
 	if x.ec.err != nil {
 		t.Fatalf("%s: a failure stayed recorded: %v", exprString(e), x.ec.err)
+	}
+}
+
+// checkNarrow holds narrow, taking filter — e compiled as a conjunct —
+// over block b from the tuples of from, or every so many of them, and
+// with a limit, as pick draws, to eval tuple after tuple (at(k) points
+// ec at tuple k's rows): the tuples whose Value is true, in order, up to
+// the limit, with the tuples examined, or the error of the first tuple
+// that raises one.
+func checkNarrow(t testing.TB, x *execRun, b block, from []uint16, filter []*cexpr, e Expr, at func(k int), ec *oracle, pick func(n int) int) {
+	t.Helper()
+	sel := from
+	if step := 1 + pick(4); step > 1 {
+		sel = nil
+		for k := pick(step); k < len(from); k += step {
+			sel = append(sel, from[k])
+		}
+	}
+	limit, examined := -1, b.m
+	if pick(2) == 1 {
+		limit = 1 + pick(8)
+	}
+	var want []uint16
+	var werr error
+	for _, k := range sel {
+		at(int(k))
+		v, err := eval(e, ec)
+		if err != nil {
+			werr = err
+			break
+		}
+		if v.Truth() {
+			if want = append(want, k); len(want) == limit {
+				examined = int(k) + 1
+				break
+			}
+		}
+	}
+	var dst [blockLen]uint16
+	got, n, err := x.narrow(b, sel, dst[:], filter, limit)
+	if werr != nil {
+		if err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%s as a filter of %d tuples, limit %d: eval fails with %v, narrow with %v", exprString(e), len(sel), limit, werr, err)
+		}
+		return
+	}
+	if err != nil || !slices.Equal(got, want) || n != examined {
+		t.Fatalf("%s as a filter of %d tuples, limit %d: narrow keeps %v of %d examined (%v), eval %v of %d", exprString(e), len(sel), limit, got, n, err, want, examined)
 	}
 }
 
@@ -254,23 +320,26 @@ func TestCompiledAgainstEval(t *testing.T) {
 		&IsNull{E: &BinOp{Op: "LIKE", L: s, R: lit(Text("a%"))}, Negate: true},
 		&BinOp{Op: "<", L: z, R: &Agg{Func: "MAX", slot: 3}},
 	} {
-		checkCompiled(t, tv, e, func(int) int { return 0 })
+		checkCompiled(t, tv, e, func(int) int { return 0 }, false)
 		checkWrite(t, eng, tv, e, func(int) int { return 0 })
 	}
 	rng := rand.New(rand.NewSource(40))
 	g := &exprGen{pick: rng.Intn}
 	for k := 0; k < 400; k++ {
 		e := g.expr(4)
-		checkCompiled(t, tv, e, rng.Intn)
+		checkCompiled(t, tv, e, rng.Intn, false)
 		checkWrite(t, eng, tv, e, rng.Intn)
 	}
 }
 
 // FuzzCompiledExpr holds compiled expressions to eval on trees decoded
 // from the input, a byte per choice (exprGen): the same Value, bit for
-// bit, or the same error, row by row, in blocks and in a write's rows.
-// The bytes left after the tree choose the blocks' sizes and selections,
-// then the rows a write updates and the columns it sets.
+// bit, or the same error, row by row, in blocks and in a write's rows,
+// and as a filter narrow takes. The bytes left after the tree choose a
+// sample (checkCompiled): four blocks of at most 64 tuples — where they
+// start, their sizes and selections — and 64 rows of a chunk, then the
+// rows a write updates and the columns it sets. TestCompiledAgainstEval
+// checks every block of the table.
 func FuzzCompiledExpr(f *testing.F) {
 	eng, tv := compileTable(f)
 	// (s + 1) * -i, the i of scan 1.
@@ -289,7 +358,7 @@ func FuzzCompiledExpr(f *testing.F) {
 			return int(b) % n
 		}}
 		e := g.expr(5)
-		checkCompiled(t, tv, e, g.pick)
+		checkCompiled(t, tv, e, g.pick, true)
 		checkWrite(t, eng, tv, e, g.pick)
 	})
 }

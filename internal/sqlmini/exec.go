@@ -415,7 +415,7 @@ const (
 	modeHashed                         // one keyed by hashing
 	modeGather                         // a block gathered from rows (execRun.gather)
 	modeDictKey                        // group keys looked up by a chunk's dictionary codes (codeKeys)
-	modeDictFilter                     // a scan conjunct decided per dictionary entry (dictPass)
+	modeDictFilter                     // a filter conjunct decided per dictionary entry (dictNarrow)
 	modeRowKey                         // group keys looked up by their row's position (codeKeys)
 )
 
@@ -949,9 +949,25 @@ func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 		}
 	}
 	w := e.writer(nil, "", params)
-	// Evaluate every VALUES row, then store them in one batch. A row
-	// that fails to evaluate ends the statement after the rows before
+	// Every row's expressions resolve before any row is stored: a
+	// statement that cannot run stores nothing, on any replica. Then
+	// every VALUES row is evaluated and they are stored in one batch. A
+	// row that fails to evaluate ends the statement after the rows before
 	// it went in, exactly as if each row were appended as it was built.
+	for _, exprs := range st.Rows {
+		if len(exprs) != len(colIdx) {
+			return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
+		}
+		for _, ex := range exprs {
+			if _, lit := ex.(*Lit); !lit {
+				w.c.nodes, w.c.ptrs = w.c.nodes[:0], w.c.ptrs[:0]
+				if w.c.compile(ex); w.c.err != nil {
+					return nil, w.c.err
+				}
+			}
+		}
+	}
+	e.dirty = true
 	rows := make([]Row, 0, len(st.Rows))
 	var evalErr error
 	for _, exprs := range st.Rows {
@@ -972,15 +988,12 @@ func (e *Engine) execInsert(st *InsertStmt, params []Value) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
-// valuesRow builds one stored row from a VALUES tuple: the listed
-// columns from their expressions, every other column NULL. A bare
-// literal is its param; any other expression is compiled and evaluated
-// in its turn, so the row's error is that of the first expression that
-// fails to resolve or to evaluate.
+// valuesRow builds one stored row from a VALUES tuple that resolves: the
+// listed columns from their expressions, every other column NULL. A
+// bare literal is its param; any other expression is compiled and
+// evaluated in its turn, so the row's error is that of the first
+// expression that fails to evaluate.
 func (w *writeScratch) valuesRow(exprs []Expr, colIdx []int, width int) (Row, error) {
-	if len(exprs) != len(colIdx) {
-		return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
-	}
 	row := make(Row, width)
 	for i, ex := range exprs {
 		if lit, ok := ex.(*Lit); ok {
@@ -988,11 +1001,7 @@ func (w *writeScratch) valuesRow(exprs []Expr, colIdx []int, width int) (Row, er
 			continue
 		}
 		w.c.nodes, w.c.ptrs = w.c.nodes[:0], w.c.ptrs[:0]
-		n := w.c.compile(ex)
-		if w.c.err != nil {
-			return nil, w.c.err
-		}
-		v, err := n.get(&w.ec)
+		v, err := w.c.compile(ex).get(&w.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -1023,6 +1032,8 @@ func (e *Engine) execUpdate(st *UpdateStmt, params []Value) (*Result, error) {
 			return nil, w.c.err
 		}
 	}
+
+	e.dirty = true
 
 	// The columns the statement assigns, ascending, each once.
 	var setCols []int
@@ -1122,6 +1133,7 @@ func (e *Engine) execDelete(st *DeleteStmt, params []Value) (*Result, error) {
 	if w.c.err != nil {
 		return nil, w.c.err
 	}
+	e.dirty = true
 	res := &Result{}
 	n := t.rows.len()
 	dead := make([]bool, n)

@@ -1,32 +1,12 @@
 package sqlmini
 
-// The scan's vector kernels: the comparisons of an INT or FLOAT column
-// with a literal that the planner's conjunct analysis reads out of a
-// scan's pushed-down conjuncts (cmpLits, plan.go), which a full scan
-// checks on the column's vector a chunk at a time instead of evaluating
-// the conjunct per row. A kernel answers, element by element, what the
-// tests' eval answers for the same conjunct (TestKernelsAgainstEval).
-
-// vecConds splits the conjuncts a scan keeps, in order, into the
-// comparisons that run as kernels and the conjuncts left; filter is
-// conjs bound. A conjunct that amounts to comparisons of an INT or
-// FLOAT column with literals (cmpLits) runs as one or two kernels, as
-// long as every conjunct before it is a kernel too or cannot fail
-// (infallible): kernels run first, so a row one of them drops never
-// reaches the conjuncts it skipped over, and an error one of those would
-// have raised on it must not go missing.
-func vecConds(conjs []conjunct, filter []Expr, t *Table) (vec []cmpLit, rest []Expr) {
-	hoist := true
-	for i, cj := range conjs {
-		if typ := t.Cols[cj.cmps[0].col].Type; hoist && cj.ncmp > 0 && (typ == KindInt || typ == KindFloat) {
-			vec = append(vec, cj.cmps[:cj.ncmp]...)
-			continue
-		}
-		rest = append(rest, filter[i])
-		hoist = hoist && infallible(filter[i], false)
-	}
-	return vec, rest
-}
+// The typed loops of a filter: a conjunct that compares an INT or FLOAT
+// column with params (loopTyped, compiler.conjuncts) runs, over a
+// block's selected tuples, as a loop over the column's vector — a
+// sealed chunk's own or a gathered one — instead of evaluating the
+// conjunct per tuple (execRun.narrow). A loop answers, element by
+// element, what the tests' eval answers for the same conjunct
+// (TestKernelsAgainstEval).
 
 // infallible reports whether evaluating e can never fail:
 // comparisons, LIKE, the logic operators, BETWEEN, IN and IS NULL over
@@ -55,7 +35,7 @@ func infallible(e Expr, grouped bool) bool {
 	return ok
 }
 
-// everyRow is the selection a chunk starts from: all its offsets.
+// everyRow is the selection a block starts from: all its tuples.
 var everyRow = func() (sel [rowChunkLen]uint16) {
 	for i := range sel {
 		sel[i] = uint16(i)
@@ -63,45 +43,55 @@ var everyRow = func() (sel [rowChunkLen]uint16) {
 	return sel
 }()
 
-// narrow keeps, in place, the offsets of sel whose element of the
-// chunk's vector passes the comparison with lit.
-func (vc cmpLit) narrow(sel []uint16, c *rowChunk, lit Value) []uint16 {
-	v := &c.cols[vc.col]
+// typedLoop narrows sel by the typed-loop conjunct c into dst.
+func (x *execRun) typedLoop(dst, sel []uint16, c *cexpr) []uint16 {
+	v, p := x.ec.vecs[c.l.ref], x.ec.params
+	if c.op == opBetween {
+		sel = narrowVec(dst, sel, v, PassGT|PassEQ, p[c.r.slot])
+		return narrowVec(sel, sel, v, PassLT|PassEQ, p[c.hi.slot])
+	}
+	return narrowVec(dst, sel, v, c.mask, p[c.r.slot])
+}
+
+// narrowVec writes to dst, in order, those of the tuples sel names
+// whose element of v is not NULL and compares to lit with an outcome in
+// mask, and returns them; dst may be sel itself.
+func narrowVec(dst, sel []uint16, v *colVec, mask uint8, lit Value) []uint16 {
 	if v.nulls != nil {
 		n := 0
 		for _, i := range sel {
+			dst[n] = i
 			if !v.nulls.has(int(i)) {
-				sel[n] = i
 				n++
 			}
 		}
-		sel = sel[:n]
+		sel = dst[:n]
 	}
 	switch {
 	case lit.K == KindNull:
-		return sel[:0]
+		return dst[:0]
 	case lit.K == KindText:
 		// Compare puts every number below text.
-		if vc.mask&PassLT == 0 {
-			return sel[:0]
+		if mask&PassLT == 0 {
+			return dst[:0]
 		}
-		return sel
+		return dst[:copy(dst, sel)]
 	case v.kind == KindInt && lit.K == KindInt:
-		return narrowIntInt(sel, v.ints, lit.I, vc.mask)
+		return narrowIntInt(dst, sel, v.ints, lit.I, mask)
 	case v.kind == KindInt:
-		return narrowIntFloat(sel, v.ints, lit.F, vc.mask)
+		return narrowIntFloat(dst, sel, v.ints, lit.F, mask)
 	case lit.K == KindInt:
-		return narrowFloatInt(sel, v.floats, lit.I, vc.mask)
+		return narrowFloatInt(dst, sel, v.floats, lit.I, mask)
 	}
-	return narrowFloatFloat(sel, v.floats, lit.F, vc.mask)
+	return narrowFloatFloat(dst, sel, v.floats, lit.F, mask)
 }
 
 // The four loops below differ in how they rank an element against the
 // literal — 0 below, 1 equal, 2 above, as Compare does for the two
-// kinds — and share the rest: the offset is written back and kept when
+// kinds — and share the rest: the tuple is written to dst and kept when
 // the mask has the rank's bit.
 
-func narrowIntInt(sel []uint16, xs []int64, k int64, mask uint8) []uint16 {
+func narrowIntInt(dst, sel []uint16, xs []int64, k int64, mask uint8) []uint16 {
 	n := 0
 	for _, i := range sel {
 		rank := uint8(1)
@@ -110,13 +100,13 @@ func narrowIntInt(sel []uint16, xs []int64, k int64, mask uint8) []uint16 {
 		} else if x > k {
 			rank = 2
 		}
-		sel[n] = i
+		dst[n] = i
 		n += int(mask >> rank & 1)
 	}
-	return sel[:n]
+	return dst[:n]
 }
 
-func narrowFloatFloat(sel []uint16, xs []float64, k float64, mask uint8) []uint16 {
+func narrowFloatFloat(dst, sel []uint16, xs []float64, k float64, mask uint8) []uint16 {
 	n := 0
 	for _, i := range sel {
 		rank := uint8(1)
@@ -131,26 +121,26 @@ func narrowFloatFloat(sel []uint16, xs []float64, k float64, mask uint8) []uint1
 				rank = 2
 			}
 		}
-		sel[n] = i
+		dst[n] = i
 		n += int(mask >> rank & 1)
 	}
-	return sel[:n]
+	return dst[:n]
 }
 
-func narrowIntFloat(sel []uint16, xs []int64, k float64, mask uint8) []uint16 {
+func narrowIntFloat(dst, sel []uint16, xs []int64, k float64, mask uint8) []uint16 {
 	n := 0
 	for _, i := range sel {
-		sel[n] = i
+		dst[n] = i
 		n += int(mask >> uint8(compareIntFloat(xs[i], k)+1) & 1)
 	}
-	return sel[:n]
+	return dst[:n]
 }
 
-func narrowFloatInt(sel []uint16, xs []float64, k int64, mask uint8) []uint16 {
+func narrowFloatInt(dst, sel []uint16, xs []float64, k int64, mask uint8) []uint16 {
 	n := 0
 	for _, i := range sel {
-		sel[n] = i
+		dst[n] = i
 		n += int(mask >> uint8(1-compareIntFloat(k, xs[i])) & 1)
 	}
-	return sel[:n]
+	return dst[:n]
 }

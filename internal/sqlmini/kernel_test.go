@@ -44,17 +44,18 @@ func kernelTable(t testing.TB) (*Engine, []Row) {
 }
 
 // TestKernelsAgainstEval holds every reader of a conjunct's comparisons
-// with literals (cmpLits) to eval, row by row: the filter kernels, the
+// with literals (cmpLits) to eval, row by row: narrow's typed loops, the
 // index's ordered run over the ends the comparisons set, and the
 // classifier's predicates (AnalyzeStmt) read as an interval of the INT
 // domain. The shapes: each comparison with the column on either side,
 // BETWEEN and NOT BETWEEN, on an INT and a FLOAT column, against
 // literals of every kind — integers next to the floats that round onto
-// them, NaN, NULL, text — with the kernels starting from every row of a
-// chunk and from a selection another kernel has narrowed; and shapes no
-// reader may take for a comparison with a literal: two columns, two
-// literals, arithmetic. Literals below and above every element give the
-// empty and the full selection.
+// them, NaN, NULL, text — with narrow taking a chunk's own vectors and
+// the tail gathered as a block, from every tuple of the block, from
+// every other one and from a random selection, without a limit and with
+// one; and shapes no reader may take for a comparison with a literal:
+// two columns, two literals, arithmetic. Literals below and above every
+// element give the empty and the full selection.
 func TestKernelsAgainstEval(t *testing.T) {
 	e, _ := kernelTable(t)
 	tv := e.loadView().tables["k"]
@@ -62,6 +63,7 @@ func TestKernelsAgainstEval(t *testing.T) {
 		Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(7), Float(1 << 53), Float(1<<53 + 2), Float(math.NaN()),
 		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxInt64), Float(-1e300)}
 	k0, k1, one := &Lit{Slot: 0}, &Lit{Slot: 1}, &Lit{Slot: 2}
+	rng := rand.New(rand.NewSource(44))
 	var conds []Expr
 	for _, col := range []string{"i", "f"} {
 		c := &ColRef{Column: col}
@@ -77,11 +79,10 @@ func TestKernelsAgainstEval(t *testing.T) {
 	tb.addTable("k", tv.t.Cols)
 	schema := Schema{"k": tv.t.Cols}
 	ec := &oracle{stores: []*rowStore{&tv.rows}, pos: make([]int, 1), params: []Value{Null, Null, Int(1)}}
-	odd := make([]uint16, 0, rowChunkLen/2)
-	for i := 1; i < rowChunkLen; i += 2 {
-		odd = append(odd, uint16(i))
-	}
 	sizes := map[int]bool{}
+	sealed := len(tv.rows.chunks) * rowChunkLen
+	tail := tuples{w: 1, n: len(tv.rows.tail), from: sealed}
+	var dst [blockLen]uint16
 	for ci, cond := range append(conds, unread...) {
 		cj, err := classifyConjunct(cond, tb)
 		if err != nil {
@@ -91,18 +92,22 @@ func TestKernelsAgainstEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec, rest := vecConds([]conjunct{cj}, []Expr{be}, tv.t)
+		p := &selectPlan{scans: []scanNode{{t: tv.t}}}
+		var reads []int
+		filter := (&compiler{p: p, site: &reads}).conjuncts([]Expr{be})
+		x := &execRun{ctx: context.Background(), p: p, res: &Result{}, stores: []*rowStore{&tv.rows}}
+		x.ec.params = ec.params
 		st := Statement{Shape: &Shape{AST: &SelectStmt{Table: "k", Items: []SelectItem{{Star: true}}, Where: cond}}, Params: ec.params}
 		if ci >= len(conds) {
 			info, err := AnalyzeStmt(st, schema)
-			if err != nil || cj.ncmp != 0 || len(vec) != 0 || len(info.Predicates) != 0 {
-				t.Fatalf("%s: read as a comparison with a literal: %d comparisons, %d kernels, predicates %v, err %v",
-					exprString(cond), cj.ncmp, len(vec), info.Predicates, err)
+			if err != nil || cj.ncmp != 0 || filter[0].loop == loopTyped || len(info.Predicates) != 0 {
+				t.Fatalf("%s: read as a comparison with a literal: %d comparisons, typed loop %v, predicates %v, err %v",
+					exprString(cond), cj.ncmp, filter[0].loop == loopTyped, info.Predicates, err)
 			}
 			continue
 		}
-		if len(vec) == 0 || len(rest) != 0 {
-			t.Fatalf("%s: no kernel", exprString(cond))
+		if filter[0].loop != loopTyped {
+			t.Fatalf("%s: no typed loop", exprString(cond))
 		}
 		// The ends the comparisons set: a mask without GT sets the upper
 		// end, one without LT the lower (= both, <> neither). The planner's
@@ -127,12 +132,22 @@ func TestKernelsAgainstEval(t *testing.T) {
 		for _, l := range lits {
 			for _, h := range lits {
 				ec.params[0], ec.params[1] = l, h
-				for ci, c := range tv.rows.chunks {
-					for _, start := range [][]uint16{everyRow[:], odd} {
-						sel := slices.Clone(start)
-						for i := range vec {
-							sel = vec[i].narrow(sel, c, ec.params[vec[i].lit.Slot])
+				for ci := 0; ci <= len(tv.rows.chunks); ci++ {
+					b := block{src: &tail, m: tail.n}
+					if ci < len(tv.rows.chunks) {
+						b = block{m: rowChunkLen}
+						x.chunkBlock(tv.rows.chunks[ci], reads)
+					}
+					var odd, some []uint16
+					for i := 0; i < b.m; i++ {
+						if i%2 == 1 {
+							odd = append(odd, uint16(i))
 						}
+						if rng.Intn(3) == 0 {
+							some = append(some, uint16(i))
+						}
+					}
+					for si, start := range [][]uint16{everyRow[:b.m], odd, some} {
 						var want []uint16
 						for _, off := range start {
 							ec.pos[0] = ci*rowChunkLen + int(off)
@@ -144,9 +159,15 @@ func TestKernelsAgainstEval(t *testing.T) {
 								want = append(want, off)
 							}
 						}
-						if !slices.Equal(sel, want) {
-							t.Fatalf("%s with %v, %v on chunk %d from %d rows: the kernel keeps %d rows, eval %d\nkernel %v\neval   %v",
-								exprString(cond), l, h, ci, len(start), len(sel), len(want), sel, want)
+						limit, examined := -1, b.m
+						if si == 2 && len(want) > 0 {
+							limit = 1 + rng.Intn(len(want))
+							want, examined = want[:limit], int(want[limit-1])+1
+						}
+						sel, n, err := x.narrow(b, start, dst[:], filter, limit)
+						if err != nil || !slices.Equal(sel, want) || n != examined {
+							t.Fatalf("%s with %v, %v on block %d from %d rows, limit %d: narrow keeps %d rows of %d examined (%v), eval %d of %d\nnarrow %v\neval   %v",
+								exprString(cond), l, h, ci, len(start), limit, len(sel), n, err, len(want), examined, sel, want)
 						}
 						sizes[len(sel)] = true
 					}
@@ -219,10 +240,11 @@ func checkRunAndPredicates(t *testing.T, cond, be Expr, tv *tableView, o *indexO
 }
 
 // generic returns a plan for the same statement with every
-// specialisation taken out: its scans evaluate their whole filter, its
-// keys go through hkeys, its groups are keyed by the whole GROUP BY list,
-// and an ORDER BY … LIMIT projects every row before it sorts. Each loop
-// that gathers a block reads every column of the scans its tuples span,
+// specialisation taken out: its filters evaluate every conjunct tuple by
+// tuple (no typed loop, no dictionary decision), its keys go through
+// hkeys, its groups are keyed by the whole GROUP BY list, and an ORDER
+// BY … LIMIT projects every row before it sorts. Each loop that gathers
+// a block by a read set reads every column of the scans its tuples span,
 // so a compiled form whose read set misses a column it reads answers
 // otherwise in the plan under test than here.
 func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
@@ -231,15 +253,25 @@ func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p.scans {
-		p.scans[i].vec, p.scans[i].rest = nil, p.scans[i].filter
-	}
 	for i := range p.joins {
 		p.joins[i].ints = false
 	}
 	p.groupKey, p.groupInt = p.groupBy, false
 	p.selectFirst = false
 	p.compileAll()
+	unmark := func(conds []*cexpr) {
+		for _, c := range conds {
+			c.loop = loopTuple
+		}
+	}
+	for i := range p.scans {
+		unmark(p.scans[i].cfilter)
+		unmark(p.scans[i].cinRange)
+	}
+	for i := range p.joins {
+		unmark(p.joins[i].cextra)
+		unmark(p.joins[i].cprobe)
+	}
 	every := func(from, to int) (refs []int) {
 		for scan := from; scan < to; scan++ {
 			for col := range p.scans[scan].t.Cols {
@@ -255,15 +287,12 @@ func generic(t *testing.T, e *Engine, st Statement) *selectPlan {
 	for i := range p.scans {
 		p.scans[i].reads = every(i, i+1)
 	}
-	for i := range p.joins {
-		p.joins[i].reads = every(0, i+2)
-	}
 	p.groupReads, p.outReads, p.rankReads = every(0, len(p.scans)), every(0, len(p.scans)), every(0, len(p.scans))
 	return p
 }
 
 // TestSpecialisedPlansAgainstGeneric runs statements that take each
-// plan-time specialisation — vector filters, compiled expressions (every
+// plan-time specialisation — typed filter loops, compiled expressions (every
 // statement's filters, residuals, keys, aggregates, HAVING, outputs and
 // ORDER BY), join keys of one or two integers, group keys of one or two
 // integers, group keys without the columns a grouped pk determines,
@@ -382,8 +411,12 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		for i := range spec.scans {
-			used["vector filter"] = used["vector filter"] || len(spec.scans[i].vec) > 0
-			used["hoist stopped at a fallible conjunct"] = used["hoist stopped at a fallible conjunct"] || (len(spec.scans[i].vec) > 0 && len(spec.scans[i].rest) > 1)
+			perTuple := false
+			for _, c := range spec.scans[i].cfilter {
+				used["typed loop"] = used["typed loop"] || c.loop == loopTyped
+				used["typed loop behind a fallible conjunct"] = used["typed loop behind a fallible conjunct"] || perTuple && c.loop == loopTyped
+				perTuple = perTuple || c.loop == loopTuple
+			}
 		}
 		for i := range spec.joins {
 			used["integer join key"] = used["integer join key"] || spec.joins[i].ints
@@ -426,7 +459,7 @@ func TestSpecialisedPlansAgainstGeneric(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{"vector filter", "hoist stopped at a fallible conjunct", "integer join key", "two-integer join key",
+	for _, what := range []string{"typed loop", "typed loop behind a fallible conjunct", "integer join key", "two-integer join key",
 		"integer group key", "two-integer group key", "pk-determined group column dropped", "select before project",
 		"dense integer key", "hashed integer key", "block gather", "dictionary-coded key", "dictionary filter",
 		"dictionary dropped past its bound", "group key by row position"} {
@@ -491,10 +524,14 @@ func textDictTable(t *testing.T, e *Engine) bool {
 
 // TestBlockFirstError: a loop that takes one form over a whole block
 // before the next — the aggregates of groupRows, the conjuncts of a
-// fetch — still reports the error the tuple-at-a-time order meets first.
-// Row 1's second form fails (NOT of a text); row 2's first form fails
-// (text in arithmetic) though row 1 passes it: the first error is row
-// 1's.
+// filter (narrow) — still reports the error the tuple-at-a-time order
+// meets first. Row 1's second form fails (NOT of a text); row 2's first
+// form fails (text in arithmetic) though row 1 passes it: the first
+// error is row 1's. Over a table of two sealed chunks and a tail the
+// same holds of a chunk, and of a chunk before the tail; a typed loop
+// written after a conjunct that can fail does not drop the rows that
+// raise its error; and a bare LIMIT stops before an error past its last
+// row.
 func TestBlockFirstError(t *testing.T) {
 	e := New()
 	mustExec(t, e, `CREATE TABLE be (id INT PRIMARY KEY, v INT, n INT, s TEXT, tx TEXT)`)
@@ -510,6 +547,37 @@ func TestBlockFirstError(t *testing.T) {
 	} {
 		if _, err := e.Exec(sql); err == nil || !strings.Contains(err.Error(), "negate") {
 			t.Errorf("%s: %v, want row 1's: cannot negate", sql, err)
+		}
+	}
+	// Rows 100 and 2058 fail the second form, row 200 the first.
+	mustExec(t, e, `CREATE TABLE bc (id INT PRIMARY KEY, n INT, s TEXT, tx TEXT)`)
+	rows := make([]Row, 2*rowChunkLen+50)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(0), Null, Null}
+	}
+	rows[100][1], rows[100][3] = Int(1), Text("x")
+	rows[200][2] = Text("y")
+	rows[2*rowChunkLen+10][2] = Text("y")
+	if err := e.BulkInsert("bc", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql  string
+		err  string // "": the rows
+		rows int
+	}{
+		{`SELECT id FROM bc WHERE (n > 0 OR n + s > 0) AND -tx < 0`, "negate", 0},
+		{`SELECT id FROM bc WHERE id >= 0 AND (n > 0 OR n + s > 0) AND -tx < 0 AND id <> 5`, "negate", 0},
+		{`SELECT id FROM bc WHERE n + s > 0 AND id < 0`, "arithmetic", 0},
+		{`SELECT id FROM bc WHERE id > 150 AND n + s IS NULL`, "arithmetic", 0},
+		{`SELECT id FROM bc WHERE id > 150 AND n + s IS NULL LIMIT 10`, "", 10},
+		{`SELECT id FROM bc WHERE id >= 2048 AND n + s IS NULL`, "arithmetic", 0},
+		{`SELECT id FROM bc WHERE id >= 2048 AND n + s IS NULL LIMIT 3`, "", 3},
+		{`SELECT id FROM bc WHERE n + s IS NULL LIMIT 200`, "", 200},
+	} {
+		res, err := e.Exec(c.sql)
+		if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) || c.err == "" && (err != nil || len(res.Rows) != c.rows) {
+			t.Errorf("%s: %v, want error %q or %d rows", c.sql, err, c.err, c.rows)
 		}
 	}
 }
@@ -551,24 +619,40 @@ func TestGroupAllocationsFlat(t *testing.T) {
 	}
 }
 
-// TestVecCondsKeepErrors: a kernel is not hoisted over a conjunct that
-// can fail, so the error a row raises there still comes out when a
-// later comparison would have dropped the row.
-func TestVecCondsKeepErrors(t *testing.T) {
+// TestConjunctOrderKeepsErrors: a filter's compiled list puts typed
+// loops first, then dictionary decisions, then the rest, each in the
+// order written, but moves no conjunct past one that can fail, so the
+// error a row raises there still comes out when a later comparison would
+// have dropped the row.
+func TestConjunctOrderKeepsErrors(t *testing.T) {
 	e, _ := kernelTable(t)
 	if _, err := e.Exec(`SELECT id FROM k WHERE g + 1 > 0 AND i > 9223372036854775806`); err == nil {
 		t.Fatal("arithmetic on a text column raised no error")
 	}
-	plan, err := e.Explain(`SELECT id FROM k WHERE i > 3 AND g + 1 > 0 AND f < 2`)
+	const sql = `SELECT id FROM k WHERE g = 'g1' AND jk IS NULL AND i > 3 AND f BETWEEN 0 AND 2 AND g + 1 > 0 AND g LIKE 'g%' AND i < 9 AND id > 0`
+	st, err := Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := Parse(`SELECT id FROM k WHERE i > 3 AND g + 1 > 0 AND f < 2`)
 	p, err := e.buildPlan(st.AST.(*SelectStmt), e.loadView())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := &p.scans[0]; len(s.vec) != 1 || len(s.rest) != 2 {
-		t.Fatalf("%d kernels and %d conjuncts left to eval, want the first comparison alone hoisted\n%s", len(s.vec), len(s.rest), plan)
+	var got []string
+	for _, c := range p.scans[0].cfilter {
+		got = append(got, fmt.Sprint(c.loop, " ", c.op))
+	}
+	// typed i > 3, f BETWEEN, dictionary g = 'g1', jk IS NULL, g + 1 > 0;
+	// typed i < 9, id > 0, dictionary g LIKE.
+	want := []string{
+		fmt.Sprint(loopTyped, " ", opCmp), fmt.Sprint(loopTyped, " ", opBetween), fmt.Sprint(loopDict, " ", opCmp),
+		fmt.Sprint(loopTuple, " ", opIsNull), fmt.Sprint(loopTuple, " ", opCmp),
+		fmt.Sprint(loopTyped, " ", opCmp), fmt.Sprint(loopTyped, " ", opCmp), fmt.Sprint(loopDict, " ", opLike),
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: compiled in the order %v, want %v", sql, got, want)
+	}
+	if d := p.describe(); !strings.Contains(d, "[(g = ?) AND jk IS NULL AND (i > ?) AND f BETWEEN ? AND ? AND ((g + ?) > ?) AND (g LIKE ?) AND (i < ?) AND (id > ?)]") {
+		t.Fatalf("describe does not print the filter as written:\n%s", d)
 	}
 }

@@ -601,12 +601,6 @@ type scanNode struct {
 	key    *Lit // the param supplying the probe value
 
 	filter []Expr // pushed-down conjuncts; they read only this scan's row
-	// A scan of every row splits filter (vecConds): vec, the comparisons
-	// it checks on a sealed chunk's column vectors, and rest, the
-	// conjuncts left for the rows those leave. Reading rows by position —
-	// a probe, an index's run — evaluates filter (or inRange) as it stands.
-	vec  []cmpLit
-	rest []Expr
 
 	// A scan of every row (accessFull) whose filter holds an indexed
 	// column between constants carries that range: the column (-1: none),
@@ -623,13 +617,11 @@ type scanNode struct {
 	inRange  []Expr
 	runShare float64 // the model's estimate of the interval's share of the table
 
-	// What the run evaluates of filter, rest and inRange: their compiled
-	// forms (selectPlan.compileAll), and the columns they read (refs into
-	// selectPlan.reads, all of this scan). dictConds are the conjuncts of
-	// crest a chunk with a dictionary decides per entry.
-	cfilter, crest, cinRange []*cexpr
-	reads                    []int
-	dictConds                []dictCond
+	// What the run evaluates of filter and inRange: their compiled forms,
+	// in the order narrow takes them (compiler.conjuncts), and the columns
+	// they read (refs into selectPlan.reads, all of this scan).
+	cfilter, cinRange []*cexpr
+	reads             []int
 
 	// limit is how many rows the statement can use of this scan, -1 for
 	// all of them: the LIMIT of a one-table statement with no ORDER BY,
@@ -650,7 +642,7 @@ type joinNode struct {
 	rightKeys []int    // key columns within the joined table's row
 	extra     []Expr   // residual conjuncts over prefix and joined table
 	cextra    []*cexpr // what the run evaluates of extra: its compiled form
-	reads     []int    // the columns cextra reads (refs into selectPlan.reads)
+	cprobe    []*cexpr // with a probe: the joined scan's cfilter, then cextra
 
 	// probe is the key pair whose right column is the joined table's
 	// primary key or carries a secondary index — the one with the
@@ -1371,7 +1363,6 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 				s.inRange = append(s.inRange, be)
 			}
 		}
-		s.vec, s.rest = vecConds(kept, s.filter, s.t)
 		p.scans = append(p.scans, s)
 	}
 
@@ -1862,14 +1853,10 @@ func (p *selectPlan) runWalk(x *execRun) error {
 		if cap(window) < size {
 			window = grow(x, positions, window[:0], size)
 		}
-		window = w.next(window[:0], size)
-		x.res.Scanned += int64(len(window))
-		cur := tuples{w: 1}
-		var err error
-		if cur.ids, _, err = s.keep(x, 0, window, s.cinRange, take(x, positions, len(window)), -1); err != nil {
+		cur, err := s.fetch(x, 0, w.next(window[:0], size), s.cinRange)
+		if err != nil {
 			return err
 		}
-		cur.n = len(cur.ids)
 		cur, err = x.joinAll(cur)
 		if err != nil {
 			return err
@@ -1900,7 +1887,7 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 		one := tuples{w: 1, n: 1, from: idx}
 		if len(s.cfilter) > 0 {
 			x.ec.at = x.gatherAt(&one, k, 0, 1, s.reads)
-			if ok, err := passes(s.cfilter, 0, &x.ec); err != nil || !ok {
+			if ok, err := passes(s.cfilter, &x.ec); err != nil || !ok {
 				return tuples{w: 1}, err
 			}
 		}
@@ -1926,13 +1913,10 @@ func (s *scanNode) scan(x *execRun, k int, tv *tableView) (tuples, error) {
 	return s.scanAll(x, k, &tv.rows)
 }
 
-// scanAll reads every row: a sealed chunk at a time — the conjuncts that
-// run on a column vector (s.vec) narrow a selection of the chunk's rows,
-// then those a dictionary of the chunk decides (s.dictConds), and the
-// others (s.rest) are evaluated on what is left of it, reading the
-// chunk's own vectors — then the tail, gathered. A scan that may keep
-// more than minPooled rows keeps them in a slab with room for all it may
-// keep.
+// scanAll reads every row, a block at a time: each sealed chunk in
+// place, then the tail, gathered, narrowed by the filter (narrow). A
+// scan that may keep more than minPooled rows keeps them in a slab with
+// room for all it may keep.
 func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 	out := tuples{w: 1}
 	if s.limit == 0 {
@@ -1945,72 +1929,28 @@ func (s *scanNode) scanAll(x *execRun, k int, rows *rowStore) (tuples, error) {
 	if most > minPooled {
 		out.ids = take(x, positions, most)
 	}
-	var buf [rowChunkLen]uint16
-	for ci, c := range rows.chunks {
+	tail := tuples{w: 1, n: len(rows.tail), from: len(rows.chunks) * rowChunkLen}
+	var buf [blockLen]uint16
+	for ci := 0; ci <= len(rows.chunks) && len(out.ids) != s.limit; ci++ {
 		if err := x.ctx.Err(); err != nil {
 			return tuples{}, err
 		}
-		sel := buf[:copy(buf[:], everyRow[:])]
-		for _, vc := range s.vec {
-			sel = vc.narrow(sel, c, x.ec.params[vc.lit.Slot])
+		b := block{src: &tail, scan0: k, m: tail.n}
+		if ci < len(rows.chunks) {
+			b = block{m: rowChunkLen}
+			x.chunkBlock(rows.chunks[ci], s.reads)
 		}
-		x.chunkBlock(c, s.reads)
-		var decided uint64 // the conjuncts of crest a dictionary decided
-		for _, dc := range s.dictConds {
-			if v := x.ec.vecs[dc.ref]; v.codes != nil {
-				sel = narrowCodes(sel, v, x.dictPass(dc, s.crest[dc.i], v))
-				decided |= 1 << dc.i
-				x.res.modes |= modeDictFilter
-			}
-		}
-		for _, off := range sel {
-			x.ec.at = int(off)
-			if ok, err := passes(s.crest, decided, &x.ec); err != nil {
-				return tuples{}, err
-			} else if !ok {
-				continue
-			}
-			out.ids = append(out.ids, int32(ci*rowChunkLen+int(off)))
-			if len(out.ids) == s.limit {
-				x.res.Scanned += int64(off) + 1
-				out.n = len(out.ids)
-				return out, nil
-			}
-		}
-		x.res.Scanned += rowChunkLen
-	}
-	sealed := len(rows.chunks) * rowChunkLen
-	tail := tuples{w: 1, n: len(rows.tail), from: sealed}
-	x.gather(&tail, k, 0, tail.n, nil, s.reads)
-	for i := 0; i < tail.n; i++ {
-		x.res.Scanned++
-		x.ec.at = i
-		if ok, err := passes(s.cfilter, 0, &x.ec); err != nil {
+		sel, examined, err := x.narrow(b, everyRow[:b.m], buf[:], s.cfilter, s.limit-len(out.ids))
+		if err != nil {
 			return tuples{}, err
-		} else if !ok {
-			continue
 		}
-		out.ids = append(out.ids, int32(sealed+i))
-		if len(out.ids) == s.limit {
-			break
+		x.res.Scanned += int64(examined)
+		for _, off := range sel {
+			out.ids = append(out.ids, int32(ci*rowChunkLen+int(off)))
 		}
 	}
 	out.n = len(out.ids)
 	return out, nil
-}
-
-// narrowCodes keeps, in place, the offsets of sel whose element of v is
-// not NULL and whose code's bit is set in pass.
-func narrowCodes(sel []uint16, v *colVec, pass [dictMax / 64]uint64) []uint16 {
-	n := 0
-	for _, i := range sel {
-		c := v.codes[i]
-		sel[n] = i
-		if pass[c>>6]>>(c&63)&1 != 0 && (v.nulls == nil || !v.nulls.has(int(i))) {
-			n++
-		}
-	}
-	return sel[:n]
 }
 
 // fetchRun returns the rows of a run of the range's index that pass the
@@ -2073,100 +2013,136 @@ func (s *scanNode) fetch(x *execRun, k int, at []int32, conds []*cexpr) (tuples,
 }
 
 // keep appends to out those of the positions at whose rows — of the
-// plan's k-th table — pass conds, in order, a block at a time, and stops
-// once out holds limit of them (limit < 0: never). It returns how many
-// positions it examined.
-//
-// Without a limit a block is narrowed a conjunct at a time (narrow). With
-// one, and for a block where a conjunct failed, the block's tuples are
-// taken one after another, each through the conjuncts until one does not
-// hold: the tuple-at-a-time order, which decides where a limit stops and
-// which error is reported.
+// plan's k-th table — pass conds, in order, a block at a time (narrow),
+// and stops once out holds limit of them (limit < 0: never). It returns
+// how many positions it examined.
 func (s *scanNode) keep(x *execRun, k int, at []int32, conds []*cexpr, out []int32, limit int) ([]int32, int, error) {
 	src := tuples{w: 1, n: len(at), ids: at}
 	var buf [blockLen]uint16
 	for b := 0; b < len(at); b += blockLen {
-		m := min(blockLen, len(at)-b)
 		if limit >= 0 && len(out) >= limit {
 			return out, b, nil
 		}
 		if err := x.poll(b); err != nil {
 			return nil, 0, err
 		}
-		if limit < 0 {
-			var got uint64
-			if sel, ok := x.narrow(&src, k, b, m, buf[:copy(buf[:], everyRow[:m])], &got, conds); ok {
-				for _, i := range sel {
-					out = append(out, at[b+int(i)])
-				}
-				continue
-			}
+		m := min(blockLen, len(at)-b)
+		sel, examined, err := x.narrow(block{src: &src, scan0: k, from: b, m: m}, everyRow[:m], buf[:], conds, limit-len(out))
+		if err != nil {
+			return nil, 0, err
 		}
-		x.gather(&src, k, b, m, nil, s.reads)
-		for i := 0; i < m; i++ {
-			if limit >= 0 && len(out) >= limit {
-				return out, b + i, nil
-			}
-			x.ec.at = i
-			if ok, err := passes(conds, 0, &x.ec); err != nil {
-				return nil, 0, err
-			} else if ok {
-				out = append(out, at[b+i])
-			}
+		for _, i := range sel {
+			out = append(out, at[b+int(i)])
+		}
+		if examined < m {
+			return out, b + examined, nil
 		}
 	}
 	return out, len(at), nil
 }
 
-// narrow returns those of the tuples sel names — tuples from, from+1, …
-// of src (over the scans from scan0 on) are the block — that pass every
-// one of conds, in order. It takes a conjunct at a time over the tuples
-// still selected, gathering the columns it reads that no conjunct before
-// it did (got, by read below 64), for those tuples alone: a column a
-// selective conjunct leaves unread is read for the few tuples that pass
-// it. False: a conjunct failed on some tuple.
-func (x *execRun) narrow(src *tuples, scan0, from, m int, sel []uint16, got *uint64, conds []*cexpr) ([]uint16, bool) {
-	for _, c := range conds {
-		if len(sel) == 0 {
+// block is the tuples a filter loop takes together (narrow): tuples
+// from, from+1, … (m of them) of src, over the plan's scans from scan0
+// on, whose columns a conjunct gathers as it needs them; or, src nil,
+// the m rows of a sealed chunk, read in place (chunkBlock).
+type block struct {
+	src            *tuples
+	scan0, from, m int
+}
+
+// narrow writes to dst, in order, those of the block's tuples sel names
+// that pass every one of conds, and returns them with how many of the
+// block's tuples it examined; dst must not overlap sel. Without a limit
+// (a negative one) it takes a conjunct at a time over the tuples still
+// selected, as its loop says (cexpr.loop): a typed loop, a decision per
+// entry of the vector's dictionary where it has one, or per tuple. With
+// a limit it narrows by the leading typed loops and dictionary
+// decisions, which cannot fail, then takes the tuples left one after
+// another through the rest, stopping at the limit-th that passes: the
+// tuple-at-a-time order, which decides where a limit stops — and which
+// error is reported, so a block where a conjunct fails is taken again
+// that way.
+func (x *execRun) narrow(b block, sel, dst []uint16, conds []*cexpr, limit int) ([]uint16, int, error) {
+	in := sel
+	var got uint64 // the reads below 64 gathered for the tuples still selected
+	k := 0
+	for ; k < len(conds) && len(sel) > 0; k++ {
+		c := conds[k]
+		// Only a chunk's own vector carries codes.
+		byDict := c.loop == loopDict && b.src == nil && x.ec.vecs[c.ref].codes != nil
+		if limit >= 0 && c.loop != loopTyped && !byDict {
 			break
 		}
-		var buf [16]int
-		need := c.reads(buf[:0])
-		n := 0
-		for _, r := range need {
-			if r >= 64 || *got>>r&1 == 0 {
-				need[n] = r
-				n++
-			}
-			if r < 64 {
-				*got |= 1 << r
-			}
+		x.gatherFor(b, sel, c, &got)
+		switch {
+		case c.loop == loopTyped:
+			sel = x.typedLoop(dst, sel, c)
+			continue
+		case byDict:
+			sel = x.dictNarrow(dst, sel, c, x.ec.vecs[c.ref])
+			continue
 		}
-		x.gatherSel(src, scan0, from, m, nil, sel, need[:n])
-		n = 0
+		n := 0
 		for _, i := range sel {
 			x.ec.at = int(i)
-			sel[n] = i
+			dst[n] = i
 			if c.cond(&x.ec) == tTrue {
 				n++
 			}
 		}
+		sel = dst[:n]
 		if x.ec.err != nil {
 			x.ec.err = nil
-			return nil, false
+			return x.narrow(b, in, dst, conds, blockLen)
 		}
-		sel = sel[:n]
 	}
-	return sel, true
+	if limit < 0 || len(sel) == 0 {
+		return sel, b.m, nil
+	}
+	for _, c := range conds[k:] {
+		x.gatherFor(b, sel, c, &got)
+	}
+	n := 0
+	for _, i := range sel {
+		x.ec.at = int(i)
+		if ok, err := passes(conds[k:], &x.ec); err != nil {
+			return nil, 0, err
+		} else if ok {
+			dst[n] = i
+			if n++; n == limit {
+				return dst[:n], int(i) + 1, nil
+			}
+		}
+	}
+	return dst[:n], b.m, nil
 }
 
-// passes reports whether every one of conds but those whose bits skip
-// has holds of the current tuple.
-func passes(conds []*cexpr, skip uint64, ec *evalCtx) (bool, error) {
-	for i, c := range conds {
-		if i < 64 && skip>>i&1 != 0 {
-			continue
+// gatherFor gathers the columns c reads that no conjunct before it did
+// (got) for the tuples sel names: a column a selective conjunct leaves
+// unread is read for the few tuples that pass it. A chunk read in place
+// has its columns already.
+func (x *execRun) gatherFor(b block, sel []uint16, c *cexpr, got *uint64) {
+	if b.src == nil {
+		return
+	}
+	var buf [16]int
+	need := c.reads(buf[:0])
+	n := 0
+	for _, r := range need {
+		if r >= 64 || *got>>r&1 == 0 {
+			need[n] = r
+			n++
 		}
+		if r < 64 {
+			*got |= 1 << r
+		}
+	}
+	x.gatherSel(b.src, b.scan0, b.from, b.m, nil, sel, need[:n])
+}
+
+// passes reports whether every one of conds holds of the current tuple.
+func passes(conds []*cexpr, ec *evalCtx) (bool, error) {
+	for _, c := range conds {
 		if ok, err := c.holds(ec); err != nil || !ok {
 			return false, err
 		}
@@ -2227,20 +2203,18 @@ func intKey(ks [2]*colVec, k int) (key [2]int64, ok bool) {
 
 // joinOut collects the tuples one join step emits: prefix tuples of
 // left extended by rows of the joined table. A candidate that has checks
-// to pass — the joined scan's filter (a probe's), the residuals — waits
-// in pend until a block of them is gathered and checked, in order.
+// to pass — the residuals, after the joined scan's filter where a probe
+// found the row (joinNode.cprobe) — waits in pend until a block of them
+// is checked, in order.
 type joinOut struct {
-	filter []*cexpr // the joined scan's filter, when a probe found the row
-	freads []int    // the columns filter reads
-	extra  []*cexpr // the step's residual conjuncts, compiled
-	reads  []int    // the columns extra reads
-	left   tuples
-	out    tuples
-	pend   tuples
+	conds []*cexpr
+	left  tuples
+	out   tuples
+	pend  tuples
 }
 
 func (j *joinNode) begin(x *execRun, left tuples) joinOut {
-	return joinOut{extra: j.cextra, reads: j.reads, left: left,
+	return joinOut{conds: j.cextra, left: left,
 		out: tuples{w: left.w + 1, ids: take(x, positions, left.n*(left.w+1))}, pend: tuples{w: left.w + 1}}
 }
 
@@ -2251,7 +2225,7 @@ func (j *joinNode) begin(x *execRun, left tuples) joinOut {
 // heap.)
 func (o *joinOut) emit(x *execRun, li, ri int) error {
 	left, to := &o.left, &o.out
-	if len(o.extra) > 0 || len(o.filter) > 0 {
+	if len(o.conds) > 0 {
 		if o.pend.ids == nil {
 			// Room for a candidate per prefix tuple, up to a block — what
 			// a pk probe can emit — drawn from the pool even when small.
@@ -2274,35 +2248,17 @@ func (o *joinOut) emit(x *execRun, li, ri int) error {
 	return nil
 }
 
-// flush checks the waiting candidates, a block, a conjunct at a time
-// (narrow), and appends those that pass to the output, in order.
+// flush checks the waiting candidates, a block (narrow), and appends
+// those that pass to the output, in order.
 func (o *joinOut) flush(x *execRun) error {
 	pend, w := &o.pend, o.out.w
 	if pend.n == 0 {
 		return nil
 	}
 	var buf [blockLen]uint16
-	var got uint64
-	sel, ok := x.narrow(pend, 0, 0, pend.n, buf[:copy(buf[:], everyRow[:pend.n])], &got, o.filter)
-	if ok {
-		sel, ok = x.narrow(pend, 0, 0, pend.n, sel, &got, o.extra)
-	}
-	if !ok {
-		// A check failed on some candidate: the one the tuple-at-a-time
-		// order meets first reports its error.
-		x.gather(pend, 0, 0, pend.n, nil, o.freads)
-		x.gather(pend, 0, 0, pend.n, nil, o.reads)
-		for k := 0; k < pend.n; k++ {
-			x.ec.at = k
-			if ok, err := passes(o.filter, 0, &x.ec); err != nil {
-				return err
-			} else if !ok {
-				continue
-			}
-			if _, err := passes(o.extra, 0, &x.ec); err != nil {
-				return err
-			}
-		}
+	sel, _, err := x.narrow(block{src: pend, m: pend.n}, everyRow[:pend.n], buf[:], o.conds, -1)
+	if err != nil {
+		return err
 	}
 	for _, k := range sel {
 		if len(o.out.ids)+w > cap(o.out.ids) {
@@ -2334,7 +2290,7 @@ func (o *joinOut) end(x *execRun) (tuples, error) {
 // probe). A NULL key matches nothing, on either side.
 func (j *joinNode) probeJoin(x *execRun, left tuples, s *scanNode, tv *tableView) (tuples, error) {
 	o := j.begin(x, left)
-	o.filter, o.freads = s.cfilter, s.reads
+	o.conds = j.cprobe
 	pk, pcol := j.leftKeys[j.probe], j.rightKeys[j.probe]
 	var ib *indexBuckets
 	byPk := pcol == tv.t.pkCol

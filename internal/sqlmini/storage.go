@@ -39,7 +39,7 @@ func (m *nullMap) has(i int) bool { return m[i>>6]>>(uint(i)&63)&1 != 0 }
 // codes[i] is element i's place in it (0 under a NULL). strs is kept
 // beside it, so a reader of values reads them as before; GROUP BY keys a
 // chunk's codes once (groupRows) and a scan filter of the column against
-// constants is decided once per entry (scanNode.scanAll). A dictionary
+// constants is decided once per entry (execRun.narrow). A dictionary
 // may hold a string no element holds any more (an UPDATE moved off it),
 // never lack one an element holds.
 //

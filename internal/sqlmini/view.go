@@ -203,9 +203,10 @@ func (e *Engine) ApplyRound(stmts []Statement) []RoundResult {
 }
 
 // execWriteLocked dispatches one non-SELECT statement. Caller holds
-// e.mu (write) and is responsible for publishing afterwards.
+// e.mu (write) and is responsible for publishing afterwards. A statement
+// marks the engine dirty once it passes its static checks, so one that
+// fails them publishes no epoch.
 func (e *Engine) execWriteLocked(st Statement) (*Result, error) {
-	e.dirty = true
 	switch s := st.AST.(type) {
 	case *InsertStmt:
 		return e.execInsert(s, st.Params)
@@ -222,12 +223,14 @@ func (e *Engine) execWriteLocked(st Statement) (*Result, error) {
 			return nil, err
 		}
 		e.tables[s.Table] = t
+		e.dirty = true
 		return &Result{}, nil
 	case *DropTableStmt:
 		if _, ok := e.tables[s.Table]; !ok {
 			return nil, unknownTableError(s.Table)
 		}
 		delete(e.tables, s.Table)
+		e.dirty = true
 		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st.AST)

@@ -55,6 +55,49 @@ func TestInsertFailingRowKeepsEarlier(t *testing.T) {
 	}
 }
 
+// TestInsertUnresolvedRowStoresNothing: a multi-row INSERT whose later
+// VALUES row names a column, or holds too few values, fails before it
+// stores any row — with the error the one-row INSERT of that row gives —
+// leaves the table, its row count and the engine's epoch as they were,
+// and in a round the statement after it still applies.
+func TestInsertUnresolvedRowStoresNothing(t *testing.T) {
+	e := New()
+	mustExec(t, e, `CREATE TABLE w (id INT PRIMARY KEY, n INT)`)
+	mustExec(t, e, `INSERT INTO w VALUES (1, 1), (2, 2)`)
+	const rows = "[[1 1] [2 2]]"
+	for _, c := range []struct{ sql, one string }{
+		{`INSERT INTO w VALUES (3, 3), (4, nope)`, `INSERT INTO w VALUES (4, nope)`},
+		{`INSERT INTO w VALUES (3, 1 + 2), (4, 'a' + 1), (5, 2 * nope)`, `INSERT INTO w VALUES (5, 2 * nope)`},
+		{`INSERT INTO w VALUES (3, 3), (4)`, `INSERT INTO w VALUES (4)`},
+	} {
+		epoch := e.Epoch()
+		_, want := e.Exec(c.one)
+		_, err := e.Exec(c.sql)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, the one-row INSERT's %v", c.sql, err, want)
+		}
+		if got := writeRows(t, e, `SELECT id, n FROM w ORDER BY id`); got != rows || e.Epoch() != epoch {
+			t.Fatalf("%s: rows %s at epoch %d, want %s at %d", c.sql, got, e.Epoch(), rows, epoch)
+		}
+		bad, err := Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := Parse(`INSERT INTO w VALUES (9, 9)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.ApplyRound([]Statement{bad, good})
+		if res[0].Err == nil || res[0].Err.Error() != want.Error() || res[1].Err != nil || res[1].Affected != 1 {
+			t.Fatalf("%s then a good INSERT in a round: %v, %v (%d rows)", c.sql, res[0].Err, res[1].Err, res[1].Affected)
+		}
+		if got := writeRows(t, e, `SELECT id, n FROM w ORDER BY id`); got != "[[1 1] [2 2] [9 9]]" || e.Epoch() != epoch+1 {
+			t.Fatalf("%s then a good INSERT in a round: rows %s at epoch %d, want the good row at %d", c.sql, got, e.Epoch(), epoch+1)
+		}
+		mustExec(t, e, `DELETE FROM w WHERE id = 9`)
+	}
+}
+
 // TestWriteUnknownColumns: an unknown column in a SET target, a SET
 // expression, a WHERE or a VALUES expression is reported with the text
 // it always had, and an UPDATE or DELETE changes no row — even where its

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner bench-mem fuzz-smoke clean
+.PHONY: all build test test-times loc vet race lint lint-json fmt-check check chaos chaos-migrate chaos-group chaos-overload bench bench-smoke bench-planner bench-mem fuzz-smoke clean
 
 all: check
 
@@ -28,6 +28,15 @@ test-times:
 	echo "15 slowest tests (s):"; \
 	jq -r 'select(.Test != null and (.Test | contains("/") | not) and (.Action == "pass" or .Action == "fail")) | "\(.Elapsed)\t\(.Action)\t\(.Package) \(.Test)"' $$json | sort -rn | head -15; \
 	rm -f $$json; exit $$status
+
+# loc prints the lines of non-test Go in each package directory (an
+# analyzer's testdata fixtures count as one), their total, and the
+# lines of DESIGN.md: the size of the tree, before and after a change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' | sort | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); if (!sub("/[^/]*$$", "", d)) d = "."; sub("/testdata/.*", "/testdata", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+	@printf "%7d  DESIGN.md\n" $$(wc -l < DESIGN.md)
 
 # lint runs qcpa-lint, the repo's own go/analysis suite: the three
 # per-package analyzers (detrange, detsource, atomicfield) plus the

@@ -26,7 +26,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"qcpa"
 	"qcpa/internal/sqlmini"
@@ -96,7 +95,7 @@ func main() {
 		aopts.Solver = qcpa.SolverMemetic
 	case "optimal":
 		aopts.Solver = qcpa.SolverOptimal
-		aopts.Optimal = qcpa.OptimalOptions{Timeout: time.Minute}
+		aopts.Optimal = qcpa.OptimalOptions{MaxNodes: 20000}
 	default:
 		fatal(fmt.Errorf("unknown solver %q", *solver))
 	}

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"qcpa"
 	"qcpa/internal/sim"
@@ -77,7 +76,7 @@ func main() {
 		panic(err)
 	}
 	opt, err := qcpa.OptimalAllocation(res.Classification, qcpa.UniformBackends(3),
-		qcpa.OptimalOptions{Timeout: 20 * time.Second, MaxNodes: 20000})
+		qcpa.OptimalOptions{MaxNodes: 4000})
 	if err != nil {
 		panic(err)
 	}

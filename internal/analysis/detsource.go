@@ -13,13 +13,13 @@ import (
 //
 // Deterministic alternatives: thread an explicit seed and build a local
 // stream (rand.New(rand.NewSource(seed)), or the O(1)-seed splitmix64
-// streams in internal/core used by the parallel memetic solver); for
-// deadlines, accept a now func() time.Time option (see lp.MIPOptions.Now).
+// streams in internal/core used by the parallel memetic solver); bound
+// a search by a count of its own work (lp.MIPOptions.MaxNodes), not by
+// a deadline.
 //
-// Only *calls* are flagged. Storing time.Now as the default of an
-// injectable clock option (o.Now = time.Now) is permitted: it is the
-// sanctioned, greppable escape hatch for wall-clock budgets, and every
-// actual read then goes through the injection point that tests replace.
+// Only *calls* are flagged: storing time.Now as the default of an
+// injectable clock option (o.Now = time.Now) reads no clock, and every
+// read then goes through the injection point that tests replace.
 // Like detrange, coverage is per file: every file of a det-critical
 // package, plus any file opting in with //qcpa:deterministic.
 var DetSource = &Analyzer{

@@ -1,11 +1,9 @@
 package core
 
-import "math/rand"
-
 // localImprove applies the memetic algorithm's improvement step: the two
 // local-search strategies of Section 3.3 (Eqs. 21-26) followed by exact
 // read re-balancing. It returns whether the allocation improved.
-func localImprove(a *Allocation, rng *rand.Rand) bool {
+func localImprove(a *Allocation) bool {
 	// One scratch allocation serves every trial move of this improvement
 	// run; tryShift/tryEvacuateUpdate overwrite it per probe instead of
 	// cloning, which removes the map-allocation churn that dominated the
@@ -31,7 +29,6 @@ func localImprove(a *Allocation, rng *rand.Rand) bool {
 		}
 		improved = true
 	}
-	_ = rng
 	return improved
 }
 

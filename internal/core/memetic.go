@@ -45,9 +45,6 @@ type MemeticOptions struct {
 	// seeded from (Seed, iteration, index) and selection stays on the
 	// coordinator, so the result is bit-identical for every value.
 	Parallelism int
-	// DisableLocalSearch turns the memetic algorithm into a plain
-	// evolutionary program (no improvement step), for ablations.
-	DisableLocalSearch bool
 }
 
 func (o MemeticOptions) withDefaults() MemeticOptions {
@@ -206,22 +203,19 @@ func MemeticFrom(init *Allocation, opts MemeticOptions) (*Allocation, error) {
 		// Improvement: local search on a random third of the population,
 		// also fanned out — each chosen individual is improved on a
 		// private clone and swapped in by the coordinator afterwards.
-		if !opts.DisableLocalSearch {
-			k := (len(pop) + 2) / 3
-			perm := rng.Perm(len(pop))
-			chosen := perm[:k]
-			improved := make([]*Allocation, len(chosen))
-			par.For(opts.Parallelism, len(chosen), func(i int) {
-				irng := newStream(mixSeed(opts.Seed, it, budget+i))
-				cand := pop[chosen[i]].a.Clone()
-				if localImprove(cand, irng) && cand.Validate() == nil {
-					improved[i] = cand
-				}
-			})
-			for i, cand := range improved {
-				if cand != nil {
-					pop[chosen[i]] = scored{cand, CostOf(cand)}
-				}
+		k := (len(pop) + 2) / 3
+		perm := rng.Perm(len(pop))
+		chosen := perm[:k]
+		improved := make([]*Allocation, len(chosen))
+		par.For(opts.Parallelism, len(chosen), func(i int) {
+			cand := pop[chosen[i]].a.Clone()
+			if localImprove(cand) && cand.Validate() == nil {
+				improved[i] = cand
+			}
+		})
+		for i, cand := range improved {
+			if cand != nil {
+				pop[chosen[i]] = scored{cand, CostOf(cand)}
 			}
 		}
 	}

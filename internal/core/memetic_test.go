@@ -92,17 +92,6 @@ func TestMemeticImprovesOrMatchesScale(t *testing.T) {
 	}
 }
 
-func TestMemeticDisableLocalSearch(t *testing.T) {
-	cl := appendixAClassification()
-	m, err := Memetic(cl, UniformBackends(4), MemeticOptions{Iterations: 10, DisableLocalSearch: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
 func TestMemeticFromInvalid(t *testing.T) {
 	cl := section3Classification()
 	bad := NewAllocation(cl, UniformBackends(2)) // nothing assigned

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"qcpa/internal/lp"
 )
@@ -13,8 +12,6 @@ import (
 type OptimalOptions struct {
 	// MaxNodes caps branch-and-bound nodes per phase (0: solver default).
 	MaxNodes int
-	// Timeout caps wall-clock time per phase (0: no limit).
-	Timeout time.Duration
 	// SkipSpacePhase stops after the throughput phase (minimal scale)
 	// without minimizing the allocated space under that scale.
 	SkipSpacePhase bool
@@ -198,7 +195,7 @@ func Optimal(cls *Classification, backends []Backend, opts OptimalOptions) (*Opt
 		}
 	}
 
-	mipOpts := lp.MIPOptions{MaxNodes: opts.MaxNodes, Timeout: opts.Timeout}
+	mipOpts := lp.MIPOptions{MaxNodes: opts.MaxNodes}
 
 	// Phase 1: minimize scale.
 	sol1, err := p.SolveMIP(mipOpts)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // TestOptimalSection3TwoBackends: the read-only example is balanceable
@@ -41,7 +40,7 @@ func TestOptimalSection3TwoBackends(t *testing.T) {
 // (degree 5/3).
 func TestOptimalSection3FourBackends(t *testing.T) {
 	cl := section3Classification()
-	res, err := Optimal(cl, UniformBackends(4), OptimalOptions{Timeout: 30 * time.Second})
+	res, err := Optimal(cl, UniformBackends(4), OptimalOptions{})
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}
@@ -65,7 +64,7 @@ func TestOptimalSection3FourBackends(t *testing.T) {
 func TestOptimalAppendixAUpdates(t *testing.T) {
 	cl := appendixAClassification()
 	backends := []Backend{{"B1", 0.30}, {"B2", 0.30}, {"B3", 0.20}, {"B4", 0.20}}
-	res, err := Optimal(cl, backends, OptimalOptions{Timeout: 30 * time.Second})
+	res, err := Optimal(cl, backends, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}
@@ -91,7 +90,7 @@ func TestOptimalAppendixAUpdates(t *testing.T) {
 // allocation is valid.
 func TestOptimalHomogeneousFigure7(t *testing.T) {
 	cl := appendixAClassification()
-	res, err := Optimal(cl, UniformBackends(4), OptimalOptions{Timeout: 30 * time.Second})
+	res, err := Optimal(cl, UniformBackends(4), OptimalOptions{})
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}
@@ -130,7 +129,7 @@ func TestOptimalReadOnlySpeedupIsLinear(t *testing.T) {
 			return false
 		}
 		n := 2 + rng.Intn(2)
-		res, err := Optimal(cl, UniformBackends(n), OptimalOptions{SkipSpacePhase: true, MaxNodes: 20000, Timeout: 5 * time.Second})
+		res, err := Optimal(cl, UniformBackends(n), OptimalOptions{SkipSpacePhase: true, MaxNodes: 20000})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -172,7 +171,7 @@ func TestOptimalNeverWorseThanGreedy(t *testing.T) {
 			return false
 		}
 		n := 2 + rng.Intn(2)
-		res, err := Optimal(cl, UniformBackends(n), OptimalOptions{MaxNodes: 20000, Timeout: 5 * time.Second})
+		res, err := Optimal(cl, UniformBackends(n), OptimalOptions{MaxNodes: 20000})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -39,7 +39,8 @@ type Options struct {
 	// OptimalMaxBackends bounds the MILP sweep of Figure 4(c) (the
 	// paper manages 7; default 4 keeps the default run fast).
 	OptimalMaxBackends int
-	// OptimalNodeBudget caps branch-and-bound nodes per solve.
+	// OptimalNodeBudget caps branch-and-bound nodes per MILP phase
+	// (default 4,000), the solver's only budget.
 	OptimalNodeBudget int
 	// Seed is the base RNG seed (default 1).
 	Seed int64
@@ -66,7 +67,7 @@ func (o Options) WithDefaults() Options {
 		o.OptimalMaxBackends = 4
 	}
 	if o.OptimalNodeBudget == 0 {
-		o.OptimalNodeBudget = 20000
+		o.OptimalNodeBudget = 4000
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

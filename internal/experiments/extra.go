@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"qcpa/internal/classify"
 	"qcpa/internal/core"
 	"qcpa/internal/matching"
@@ -190,9 +188,7 @@ func AblationSolvers(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		o, err := core.Optimal(st.cls, core.UniformBackends(n), core.OptimalOptions{
-			MaxNodes: opts.OptimalNodeBudget, Timeout: 20 * time.Second, SkipSpacePhase: true,
-		})
+		o, err := core.Optimal(st.cls, core.UniformBackends(n), core.OptimalOptions{MaxNodes: opts.OptimalNodeBudget, SkipSpacePhase: true})
 		if err != nil {
 			return nil, err
 		}

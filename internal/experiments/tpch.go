@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"qcpa/internal/classify"
 	"qcpa/internal/core"
 	"qcpa/internal/matching"
@@ -113,9 +111,7 @@ func Fig4cReplicationDegree(opts Options) (*Table, error) {
 		return nil, err
 	}
 	optY, err := collect(opts, opts.OptimalMaxBackends, func(i int) (float64, error) {
-		res, err := core.Optimal(st.cls, core.UniformBackends(i+1), core.OptimalOptions{
-			MaxNodes: opts.OptimalNodeBudget, Timeout: 30 * time.Second,
-		})
+		res, err := core.Optimal(st.cls, core.UniformBackends(i+1), core.OptimalOptions{MaxNodes: opts.OptimalNodeBudget})
 		if err != nil {
 			return 0, err
 		}

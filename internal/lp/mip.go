@@ -1,40 +1,17 @@
 package lp
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // MIPOptions bound the branch-and-bound search of SolveMIP.
 type MIPOptions struct {
-	// MaxNodes caps the number of explored nodes; 0 means 1<<20.
+	// MaxNodes caps the number of explored nodes; 0 means 1<<20. It is
+	// the search's only budget, so a result depends on its input alone.
 	MaxNodes int
-	// Timeout caps the wall-clock time; 0 means no limit.
-	Timeout time.Duration
-	// IntegralityTol is the tolerance for treating a relaxation value
-	// as integral; 0 means 1e-6.
-	IntegralityTol float64
-	// Now supplies the clock that Timeout is enforced against; nil
-	// means the wall clock. Tests inject a fake clock to exercise the
-	// deadline path deterministically, and keeping every clock read
-	// behind this option is what makes the solver detsource-clean
-	// (wall-clock termination is inherently irreproducible — MaxNodes
-	// is the deterministic budget).
-	Now func() time.Time
 }
 
-func (o MIPOptions) withDefaults() MIPOptions {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 1 << 20
-	}
-	if o.IntegralityTol == 0 {
-		o.IntegralityTol = 1e-6
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
-}
+// integralityTol is the tolerance for treating a relaxation value as
+// integral.
+const integralityTol = 1e-6
 
 // SolveMIP solves the problem respecting integer variable markers using
 // depth-first branch-and-bound over LP relaxations. If the budget is
@@ -42,10 +19,9 @@ func (o MIPOptions) withDefaults() MIPOptions {
 // with Status == Feasible; if no incumbent was found the status is
 // Infeasible (which is then only "infeasible within budget").
 func (p *Problem) SolveMIP(opts MIPOptions) (Solution, error) {
-	opts = opts.withDefaults()
-	deadline := time.Time{}
-	if opts.Timeout > 0 {
-		deadline = opts.Now().Add(opts.Timeout)
+	maxNodes := opts.MaxNodes
+	if maxNodes == 0 {
+		maxNodes = 1 << 20
 	}
 
 	type node struct {
@@ -61,7 +37,7 @@ func (p *Problem) SolveMIP(opts MIPOptions) (Solution, error) {
 	proven := true
 
 	for len(stack) > 0 {
-		if nodes >= opts.MaxNodes || (!deadline.IsZero() && opts.Now().After(deadline)) {
+		if nodes >= maxNodes {
 			proven = false
 			break
 		}
@@ -95,7 +71,7 @@ func (p *Problem) SolveMIP(opts MIPOptions) (Solution, error) {
 			}
 			v := rel.X[j]
 			d := math.Abs(v - math.Round(v))
-			if d > opts.IntegralityTol && d > fracDist {
+			if d > integralityTol && d > fracDist {
 				frac, fracDist = j, d
 			}
 		}

@@ -159,21 +159,6 @@ func (t *Table) rebuild(rows []Row) {
 	}
 }
 
-// DataBytes approximates the stored size of the table in bytes (used by
-// the allocation cost models).
-func (t *Table) DataBytes() int64 {
-	var per int64
-	for _, c := range t.Cols {
-		switch c.Type {
-		case KindText:
-			per += 24
-		default:
-			per += 8
-		}
-	}
-	return per * int64(t.rows.len())
-}
-
 // Engine is an embedded single-node database instance. It is safe for
 // concurrent use: SELECT runs lock-free against the latest published
 // copy-on-write snapshot (see view.go), while writes take an exclusive
@@ -322,15 +307,4 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	e.dirty = true
 	_, err := t.insertRows(rows)
 	return err
-}
-
-// DataBytes approximates the total stored bytes across all tables.
-func (e *Engine) DataBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var total int64
-	for _, t := range e.tables {
-		total += t.DataBytes()
-	}
-	return total
 }

@@ -1,5 +1,8 @@
 package sqlmini
 
+// MaxJoinTables is the most tables one SELECT may join.
+const MaxJoinTables = maxJoinTables
+
 // GroupKey returns what identifies a group in the plan the SELECT sql
 // gets against e's current view (selectPlan.groupKey), one column name
 // or expression per element.

@@ -307,8 +307,7 @@ func TestPlanShapes(t *testing.T) {
 	}
 
 	// Every template's join graph is connected, so no step may be
-	// keyless: the parent's greedy order took supplier as a cross product
-	// in q8 and carried 300,000 tuples.
+	// keyless: q8 with supplier as a cross product carries 300,000 tuples.
 	for name, accesses := range steps {
 		for _, a := range accesses {
 			if strings.HasSuffix(a, ": cross") {
@@ -366,8 +365,8 @@ func TestPlanShapes(t *testing.T) {
 	if first := steps["q9"][0]; !strings.HasPrefix(first, "part: ") {
 		t.Errorf("q9 starts from %q, want part", first)
 	}
-	// q8 has 7 tables: exact DP covers it now, and no intermediate comes
-	// near the 300,000 tuples of the parent's greedy order.
+	// No intermediate of q8's 7 tables comes near the 300,000 tuples of
+	// an order that takes supplier as a cross product.
 	for i, est := range rows["q8"] {
 		if est > 20000 {
 			t.Errorf("q8: step %q expects %g tuples", steps["q8"][i], est)

@@ -19,7 +19,8 @@ import (
 // wrong join from a right one. naiveSelect has no plan, no pushdown, no
 // index, no cache and no row ids: it walks the cross product of the
 // FROM tables in textual order, concatenates each combination into one
-// full-width row, and keeps it if WHERE and every ON hold.
+// full-width row, and keeps it if WHERE and every ON hold (each ON
+// tested on the prefix that holds its tables).
 
 type naiveTable struct {
 	cols []sqlmini.Column
@@ -258,20 +259,23 @@ func naiveSelect(db map[string]*naiveTable, st *sqlmini.SelectStmt, lits []sqlmi
 	}
 
 	// Cross product in textual order, one full-width row per combination.
+	// The ON of join t names tables 0..t only, so it drops a prefix as
+	// soon as table t is in it; WHERE (conds[0]) tests full rows.
 	var joined []sqlmini.Row
 	var cross func(t int, prefix sqlmini.Row)
 	cross = func(t int, prefix sqlmini.Row) {
+		env.row = prefix
+		if t > 1 && conds[t-1] != nil && !truth(env.eval(conds[t-1])) {
+			return
+		}
 		if t < len(names) {
 			for _, r := range db[names[t]].rows {
 				cross(t+1, append(prefix[:len(prefix):len(prefix)], r...))
 			}
 			return
 		}
-		env.row = prefix
-		for _, c := range conds {
-			if c != nil && !truth(env.eval(c)) {
-				return
-			}
+		if conds[0] != nil && !truth(env.eval(conds[0])) {
+			return
 		}
 		joined = append(joined, prefix)
 	}
@@ -518,7 +522,7 @@ func mutate(t *testing.T, rng *rand.Rand, db map[string]*naiveTable, engines []*
 }
 
 // loadEngine copies db into an engine with no secondary index.
-func loadEngine(t *testing.T, db map[string]*naiveTable) *sqlmini.Engine {
+func loadEngine(t testing.TB, db map[string]*naiveTable) *sqlmini.Engine {
 	e := sqlmini.New()
 	for name, nt := range db {
 		if err := e.CreateTable(name, nt.cols); err != nil {

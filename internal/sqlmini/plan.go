@@ -20,12 +20,12 @@ package sqlmini
 //     tables a migration did not touch survive it. A pinned view that
 //     does not match gets an uncached transient plan.
 //
-//   - Cost-based join ordering. Joins of up to maxDPTables tables get an
-//     exact dynamic program over subsets (left-deep, bitmask-indexed
-//     slices — no map iteration anywhere near the choice); larger graphs
-//     fall back to a greedy nearest-neighbor order. Neither takes a
-//     table no equi key connects to the prefix while a connected one
-//     remains. The model prices what runs (joinGraph.step): a scan costs
+//   - Cost-based join ordering. Every join gets an exact dynamic
+//     program over subsets (left-deep, bitmask-indexed slices — no map
+//     iteration anywhere near the choice), so a SELECT joins at most
+//     maxJoinTables tables. The order takes no table no equi key
+//     connects to the prefix while a connected one remains. The model
+//     prices what runs (joinGraph.step): a scan costs
 //     the rows it reads, a hash join build + probe + output, an index
 //     step prefix x (1 + bucket) and no scan, a keyless step every pair.
 //     Cardinalities come from the per-view statistics in tablestats.go:
@@ -74,11 +74,10 @@ import (
 	"qcpa/internal/stats"
 )
 
-// maxDPTables is the largest join graph planned by exact DP; beyond it
-// the greedy order kicks in. 10 tables = 1023 subsets of at most 10
-// transitions each: microseconds, once per cached plan. (At 6, TPC-H q8
-// — 7 tables — fell to the greedy order.)
-const maxDPTables = 10
+// maxJoinTables is the most tables one SELECT may join: the bound of
+// the exact join-order DP, which visits 2^n subsets of n transitions
+// each, once per cold plan.
+const maxJoinTables = 16
 
 // planCacheCap bounds the plan cache. When full, the least-frequently
 // used eighth is evicted (ties broken in sorted key order), as the
@@ -441,8 +440,8 @@ func (g *joinGraph) step(leftCard float64, placed uint64, next int) joinStep {
 }
 
 // connected returns the unplaced tables an equi key links to a placed
-// one. While there is one, neither ordering takes a table outside this
-// set: a keyless step multiplies the prefix by a whole table.
+// one. While there is one, the order takes no table outside this set:
+// a keyless step multiplies the prefix by a whole table.
 func (g *joinGraph) connected(placed uint64) uint64 {
 	var out uint64
 	for _, e := range g.edges {
@@ -459,34 +458,26 @@ func (g *joinGraph) connected(placed uint64) uint64 {
 
 // chooseJoinOrder picks the join order for the graph's tables and
 // returns it with the model's cost for it; first >= 0 fixes the table
-// the order starts from (an ordered walk's). Exact left-deep DP up to
-// maxDPTables, greedy beyond. The order is a permutation of 0..n-1 and
-// a pure function of the graph: bitmask-indexed slices and ascending
-// iteration keep it bit-identical across runs.
+// the order starts from (an ordered walk's). It is an exact left-deep
+// dynamic program over subsets, so a join has at most maxJoinTables
+// tables. The order is a permutation of 0..n-1 and a pure function of
+// the graph: bitmask-indexed slices and ascending iteration keep it
+// bit-identical across runs.
 func (g *joinGraph) chooseJoinOrder(first int) ([]int, float64) {
 	n := len(g.cards)
 	if n <= 1 {
 		return []int{0}, g.read[0]
 	}
-	if n <= maxDPTables {
-		return g.dpJoinOrder(first)
-	}
-	return g.greedyJoinOrder(first)
-}
-
-func (g *joinGraph) dpJoinOrder(first int) ([]int, float64) {
-	n := len(g.cards)
 	full := uint64(1)<<uint(n) - 1
 	type dpEnt struct {
 		cost, card float64
-		last       int
-		prev       uint64
+		last       int // the subset's last table; the rest is the subset without it
 		ok         bool
 	}
 	dp := make([]dpEnt, full+1)
 	for i := 0; i < n; i++ {
 		if first < 0 || i == first {
-			dp[uint64(1)<<uint(i)] = dpEnt{cost: g.read[i], card: g.cards[i], last: i, prev: 0, ok: true}
+			dp[uint64(1)<<uint(i)] = dpEnt{cost: g.read[i], card: g.cards[i], last: i, ok: true}
 		}
 	}
 	for mask := uint64(1); mask <= full; mask++ {
@@ -510,53 +501,17 @@ func (g *joinGraph) dpJoinOrder(first int) ([]int, float64) {
 			st := g.step(pe.card, prev, j)
 			total := pe.cost + st.cost
 			if !best.ok || total < best.cost {
-				best = dpEnt{cost: total, card: st.out, last: j, prev: prev, ok: true}
+				best = dpEnt{cost: total, card: st.out, last: j, ok: true}
 			}
 		}
 		dp[mask] = best
 	}
 	order := make([]int, 0, n)
-	for mask := full; mask != 0; {
-		e := dp[mask]
-		order = append(order, e.last)
-		mask = e.prev
+	for mask := full; mask != 0; mask &^= 1 << uint(dp[mask].last) {
+		order = append(order, dp[mask].last)
 	}
 	slices.Reverse(order) // backtracking produced last-to-first
 	return order, dp[full].cost
-}
-
-func (g *joinGraph) greedyJoinOrder(start int) ([]int, float64) {
-	n := len(g.cards)
-	order := make([]int, 0, n)
-	if start < 0 {
-		start = 0
-		for i := 1; i < n; i++ {
-			if g.cards[i] < g.cards[start] {
-				start = i
-			}
-		}
-	}
-	order = append(order, start)
-	placed := uint64(1) << uint(start)
-	cost, curCard := g.read[start], g.cards[start]
-	for len(order) < n {
-		conn := g.connected(placed)
-		best := -1
-		var bestStep joinStep
-		for j := 0; j < n; j++ {
-			bit := uint64(1) << uint(j)
-			if placed&bit != 0 || (conn != 0 && conn&bit == 0) {
-				continue
-			}
-			if st := g.step(curCard, placed, j); best < 0 || st.cost < bestStep.cost {
-				best, bestStep = j, st
-			}
-		}
-		order = append(order, best)
-		placed |= 1 << uint(best)
-		cost, curCard = cost+bestStep.cost, bestStep.out
-	}
-	return order, cost
 }
 
 // joined estimates the tuples the join of every table hands on, which
@@ -1220,8 +1175,8 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView) (*selectPlan, error) {
 		}
 	}
 	n := len(refs)
-	if n > 64 {
-		return nil, fmt.Errorf("sqlmini: too many joined tables (%d)", n)
+	if n > maxJoinTables {
+		return nil, fmt.Errorf("sqlmini: too many joined tables (%d, at most %d)", n, maxJoinTables)
 	}
 
 	// Textual binder for conjunct classification.

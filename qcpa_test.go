@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"testing"
-	"time"
 )
 
 func exampleClassification() *Classification {
@@ -51,7 +50,7 @@ func TestAllocateMemetic(t *testing.T) {
 func TestAllocateOptimal(t *testing.T) {
 	cls := exampleClassification()
 	a, err := Allocate(cls, UniformBackends(2), AllocateOptions{
-		Solver: SolverOptimal, Optimal: OptimalOptions{Timeout: 10 * time.Second},
+		Solver: SolverOptimal,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestAllocateOptimal(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimalAllocation(cls, UniformBackends(2), OptimalOptions{Timeout: 10 * time.Second})
+	res, err := OptimalAllocation(cls, UniformBackends(2), OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
